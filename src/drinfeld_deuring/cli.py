@@ -17,7 +17,8 @@ import json
 import sys
 
 from . import grammar
-from .drinfeld import deuring, deuring_g_sequence
+from .drinfeld import deuring, deuring_g_sequence, deuring_H, \
+    deuring_h_direct, deuring_h_grec, deuring_h_universal
 from .errors import ConsistencyError, DomainError, RecurrenceBreakdownError
 from .fields import base_field
 from .isogeny_graph import build_supersingular_graph, verify_component
@@ -106,20 +107,22 @@ def _verify_rows(q, max_degree):
         rows.append((f"identity-{rep.name}", rep.verified))
     for prime in primes_up_to_degree(field, max_degree):
         label = grammar.render(prime.p_poly)
-        rd = deuring(prime, "direct")
-        rg = deuring(prime, "grec")
-        ru = deuring(prime, "universal")
-        rows.append((f"three-way-h[{label}]", rd.h == rg.h == ru.h))
+        h = deuring_h_direct(prime)
+        h_grec = deuring_h_grec(prime)
+        h_univ = deuring_h_universal(prime)
+        rows.append((f"three-way-h[{label}]", h == h_grec == h_univ))
+        # H is a function of h, so it is computed once per distinct h
+        H = deuring_H(prime, h)
+        H_univ = H if h_univ == h else deuring_H(prime, h_univ)
         U_red = reduce_mod_prime(U_sequence(field, prime.d)[prime.d], prime)
-        rows.append((f"H-universal[{label}]",
-                     rd.H == U_red and ru.H == U_red))
+        rows.append((f"H-universal[{label}]", H == U_red and H_univ == U_red))
         N = (q ** prime.d - 1) // (q - 1)
         rows.append((f"h-shape[{label}]",
-                     rd.h.degree == N and rd.h.lead == prime.kappa.one
-                     and bool(rd.h.constant_coeff())
+                     h.degree == N and h.lead == prime.kappa.one
+                     and bool(h.constant_coeff())
                      and check_simple_roots(prime)))
         if prime.d <= 2:
-            rows.append((f"g-structure[{label}]", _g_structure_ok(prime, rd.h)))
+            rows.append((f"g-structure[{label}]", _g_structure_ok(prime, h)))
         if prime.d <= _GRAPH_ENVELOPE.get(q, 0):
             rep = verify_component(build_supersingular_graph(prime))
             rows.append((f"graph[{label}]", rep.ok))

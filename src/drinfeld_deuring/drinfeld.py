@@ -64,7 +64,7 @@ class LambdaModule:
         self.q = L.q
         self.t_image = L.coerce(t_image)
         self.lam = L.coerce(lam)
-        if frobenius_fixed(self.lam, self.q):
+        if self.lam ** self.q == self.lam:
             raise DomainError("lambda must lie outside F_q")
 
     def to_delta(self):
@@ -79,10 +79,6 @@ class LambdaModule:
 
     def __repr__(self):
         return f"LambdaModule(gamma={self.t_image!r}, lambda={self.lam!r})"
-
-
-def frobenius_fixed(x, q):
-    return x ** q == x
 
 
 def delta_from_lambda(module):
@@ -100,21 +96,15 @@ def is_supersingular(module, prime):
     L = module.L
     if module.q != prime.q:
         raise DomainError("module and prime have different base fields")
-    pv = _eval_t_poly(prime.p_poly, module.t_image, L)
-    if pv:
+    p_in_L = prime.p_poly.map_coeffs(lambda c: embed(c, L),
+                                     PolyRing(L, prime.p_poly.ring.var))
+    if p_in_L(module.t_image):
         raise DomainError("the T-image is not a root of p: "
                           "the module does not have characteristic p(T)")
     ctx = OreContext(L, module.q)
     image = drinfeld_image(ctx, module.psi_T(ctx), prime.p_poly,
                            scalar=lambda c: embed(c, L))
     return not image.coeff(prime.d)
-
-
-def _eval_t_poly(f, x, L):
-    acc = L.zero
-    for c in reversed(f.coeffs):
-        acc = acc * x + embed(c, L)
-    return acc
 
 
 def deuring_g_sequence(prime):

@@ -58,7 +58,7 @@ def _digit_scale(a, c, p):
     return out
 
 
-def _factor(n):
+def _prime_divisors(n):
     fs = []
     d = 2
     while d * d <= n:
@@ -115,7 +115,7 @@ class _AbsTables:
             return r
 
         m1 = n - 1
-        prime_factors = _factor(m1)
+        prime_factors = _prime_divisors(m1)
         gen = None
         for cand in range(p, n):
             if all(pow_raw(cand, m1 // r) != 1 for r in prime_factors):
@@ -157,19 +157,7 @@ def _abs_tables(p, degree):
 def _canonical_modulus_digits(p, degree):
     """Smallest monic irreducible of the given degree over F_p, as a digit list
     (ascending), compared lexicographically from the leading coefficient down."""
-    from . import poly
-
-    prime = base_field(p)
-    ring = poly.PolyRing(prime, "z")
-    for idx in range(p ** degree):
-        # digit i of idx is the degree-i coefficient, so the leading-end
-        # coefficients change slowest: lex order from the top down
-        coeffs = [prime.from_index(c) for c in _digits(idx, p, degree)]
-        coeffs.append(prime.one)
-        f = poly.Poly(ring, coeffs)
-        if poly.is_irreducible(f):
-            return tuple(c.index for c in f.coeffs)
-    raise AssertionError("no irreducible polynomial found")
+    return tuple(c.index for c in base_field(p)._search_modulus(degree))
 
 
 class FiniteField:
@@ -226,7 +214,9 @@ class FiniteField:
             root = self._tables.root_cache.get(key)
             if root is None:
                 coeffs = list(base._tables.modulus_digits)
-                root = self._first_root_int_coeffs(coeffs)
+                root = self._first_root(coeffs)
+                if root is None:
+                    raise DomainError("polynomial has no root in this field")
                 self._tables.root_cache[key] = root
             pows = [self.one]
             cur = self.one.index
@@ -235,23 +225,14 @@ class FiniteField:
                 pows.append(self.from_index(cur))
         self._base_root_pows = pows
         emb = [self.embed_from_base(c) for c in modulus_over_base]
-        gen_idx = self._first_root_elt_coeffs([e.index for e in emb])
+        gen_idx = self._first_root([e.index for e in emb])
         if gen_idx is None:
             raise DomainError("defining modulus has no root in the extension; "
                               "it is reducible or of the wrong degree")
         self.gen = self.from_index(gen_idx)
 
-    def _first_root_int_coeffs(self, coeffs):
-        # coeffs are prime-subfield digits, ascending
-        for x in range(self.card):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = self._add(self._mul(acc, x), c)
-            if acc == 0:
-                return x
-        raise DomainError("polynomial has no root in this field")
-
-    def _first_root_elt_coeffs(self, coeffs):
+    def _first_root(self, coeffs):
+        # coeffs are element indices, ascending; None when there is no root
         for x in range(self.card):
             acc = 0
             for c in reversed(coeffs):
@@ -363,13 +344,8 @@ class FiniteField:
             raise CapExceededError(
                 f"extension of cardinality {self.card ** m} exceeds the {CARD_CAP} cap")
         ring = poly.PolyRing(self, "y")
-        for idx in range(self.card ** m):
-            coeffs = [self.from_index(c) for c in _digits(idx, self.card, m)]
-            coeffs.append(self.one)
-            f = poly.Poly(ring, coeffs)
-            if poly.is_irreducible(f):
-                return f.coeffs
-        raise AssertionError("no irreducible polynomial found")
+        return next(f for f in poly._monic_polys(ring, m)
+                    if poly.is_irreducible(f)).coeffs
 
     def extension_with_modulus(self, coeffs, gen_name="b", q=None):
         """Extension defined by a given monic modulus over this field.
@@ -540,10 +516,14 @@ class FieldElement:
         if isinstance(other, FieldElement):
             return self.index == other.index and self.field == other.field
         if isinstance(other, int):
-            return self.index == other % self.field.p
+            # an int equals only its own prime-subfield element, so that
+            # equal values hash alike
+            return other == self.index < self.field.p
         return NotImplemented
 
     def __hash__(self):
+        if self.index < self.field.p:
+            return hash(self.index)
         return hash((self.field._hash, self.index))
 
     def __bool__(self):

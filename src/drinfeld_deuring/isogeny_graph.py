@@ -23,7 +23,7 @@ from .drinfeld import deuring_h_universal
 from .errors import AmbientTooSmallError, CapExceededError, DomainError
 from .fields import CARD_CAP, FiniteField, embed
 from .modulus import PrimeModulus
-from .poly import PolyRing, roots_in_extension, splitting_degree
+from .poly import PolyRing, _split_roots, roots_in_extension
 
 
 def neighbors(delta0, prime, ambient):
@@ -97,14 +97,13 @@ def build_supersingular_graph(prime):
     kappa = prime.kappa
     d = prime.d
     max_m = _max_scan_degree(kappa)
-    m = splitting_degree(h, max_m)
+    m, verts = _split_roots(h, max_m)
     if (2 * d) % (d * m):
         warnings.warn(
             f"roots of h generate a degree-{d * m} field over F_{prime.q}, "
             f"which does not divide 2d = {2 * d}")
     while True:
         ambient = kappa if m == 1 else kappa.extension(m)
-        verts = roots_in_extension(h, m)
         try:
             targets = [neighbors(v, prime, ambient) for v in verts]
         except AmbientTooSmallError:
@@ -113,6 +112,7 @@ def build_supersingular_graph(prime):
                     "neighbor roots would need an ambient field beyond the "
                     f"{CARD_CAP} scan cap")
             m += 1
+            verts = roots_in_extension(h, m)
             continue
         break
     index = {v: i for i, v in enumerate(verts)}

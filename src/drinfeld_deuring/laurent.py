@@ -115,12 +115,17 @@ class LaurentT:
         return LaurentT(self.ring, Poly(self.num.ring, (c,)), self.k * e)
 
     def __eq__(self, other):
+        if isinstance(other, int):
+            return self.k == 0 and self.num == other
         o = self._coerce_other(other)
         if o is None:
             return NotImplemented
         return self.k == o.k and self.num == o.num
 
     def __hash__(self):
+        # a value with k <= 0 equals a polynomial, so it hashes as one
+        if self.k <= 0:
+            return hash(self.num.shifted(-self.k))
         return hash((self.ring._hash, self.num, self.k))
 
     def __bool__(self):

@@ -97,19 +97,8 @@ def primes_of_degree(field, d):
     if d < 1:
         raise DomainError("prime degree must be positive")
     ring = t_poly_ring(field)
-    n = field.card
-    for idx in range(n ** d):
-        digits = []
-        m = idx
-        for _ in range(d):
-            m, r = divmod(m, n)
-            digits.append(r)
-        coeffs = [field.from_index(c) for c in digits]
-        coeffs.append(field.one)
-        f = Poly(ring, coeffs)
-        if f.coeffs == ring.gen.coeffs:
-            continue
-        if poly_mod.is_irreducible(f):
+    for f in poly_mod._monic_polys(ring, d):
+        if f.coeffs != ring.gen.coeffs and poly_mod.is_irreducible(f):
             yield PrimeModulus(f)
 
 

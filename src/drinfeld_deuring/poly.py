@@ -8,9 +8,8 @@ Division requires invertible leading coefficients, i.e. field coefficients.
 
 from __future__ import annotations
 
-from .errors import CapExceededError, DomainError
-
-CARD_CAP = 1 << 16
+from .errors import AmbientTooSmallError, CapExceededError, DomainError
+from .fields import CARD_CAP, FiniteField, _digits, _prime_divisors, embed
 
 
 class PolyRing:
@@ -218,12 +217,18 @@ class Poly:
         return Poly(self.ring, (zero,) * k + self.coeffs)
 
     def __eq__(self, other):
+        if isinstance(other, int):
+            # compared as a constant, so that equal values hash alike
+            return len(self.coeffs) <= 1 and self.constant_coeff() == other
         o = self._coerce_other(other)
         if o is None:
             return NotImplemented
         return self.coeffs == o.coeffs
 
     def __hash__(self):
+        # a constant hashes as its coefficient, which it compares equal to
+        if len(self.coeffs) <= 1:
+            return hash(self.constant_coeff())
         return hash((self.ring._hash, self.coeffs))
 
     def __bool__(self):
@@ -264,8 +269,6 @@ def powmod(g, e, f):
 
 def is_irreducible(f):
     """Gcd-with-Frobenius irreducibility test over a finite field."""
-    from .fields import FiniteField
-
     if not isinstance(f.ring.base, FiniteField):
         raise DomainError("irreducibility test needs finite-field coefficients")
     n = f.degree
@@ -287,18 +290,18 @@ def is_irreducible(f):
     return True
 
 
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _monic_polys(ring, degree):
+    """Every monic polynomial of the given degree over a finite field.
+
+    Digit i of the running index is the degree-i coefficient, so the
+    leading-end coefficients change slowest: the order is lexicographic on
+    the coefficients read from the leading end down, comparing by index.
+    """
+    K = ring.base
+    for idx in range(K.card ** degree):
+        coeffs = [K.from_index(c) for c in _digits(idx, K.card, degree)]
+        coeffs.append(K.one)
+        yield Poly(ring, coeffs)
 
 
 def roots_in_extension(f, m):
@@ -308,8 +311,6 @@ def roots_in_extension(f, m):
     roots), ordered by element index.  The scan is exhaustive, so the
     extension must stay within the 2^16 cardinality cap.
     """
-    from .fields import FiniteField, embed
-
     K = f.ring.base
     if not isinstance(K, FiniteField):
         raise DomainError("root search needs finite-field coefficients")
@@ -342,14 +343,18 @@ def roots_in_extension(f, m):
 
 def splitting_degree(f, max_m):
     """Smallest m <= max_m such that f splits completely in F_{q^m}."""
-    from .errors import AmbientTooSmallError
+    return _split_roots(f, max_m)[0]
 
+
+def _split_roots(f, max_m):
+    """(m, roots_in_extension(f, m)) for the splitting degree m of f."""
     n = f.degree
     for m in range(1, max_m + 1):
         try:
-            if len(roots_in_extension(f, m)) == n:
-                return m
+            roots = roots_in_extension(f, m)
         except CapExceededError:
             break
+        if len(roots) == n:
+            return m, roots
     raise AmbientTooSmallError(
         f"{f!r} does not split within the scannable extensions", None)

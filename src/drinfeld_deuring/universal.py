@@ -47,17 +47,18 @@ def u_sequence(field, i_max):
         S = PolyRing(A, "s")
         seq.append(S.one)
         seq.append(Poly(S, (A.gen ** q, A.one)))
-    A = seq[0].ring.base
-    S = seq[0].ring
     while len(seq) <= i_max:
         i = len(seq) - 1
-        qi = q ** i
-        t_high = A.gen ** (q ** (i + 1))
-        term1 = seq[i].shifted(qi) + seq[i] * t_high
-        t_fac = A.gen ** qi - A.gen
-        term2 = seq[i - 1].shifted(qi) * t_fac
-        seq.append(term1 - term2)
+        seq.append(_u_step(seq[i - 1], seq[i], q, i))
     return seq[:i_max + 1]
+
+
+def _u_step(u_prev, u_i, q, i):
+    """u_{i+1} = u_i*s^(q^i) + u_i*T^(q^(i+1)) - (T^(q^i) - T)*s^(q^i)*u_{i-1}."""
+    T = u_i.ring.base.gen
+    qi = q ** i
+    return u_i.shifted(qi) + u_i * T ** (q * qi) \
+        - u_prev.shifted(qi) * (T ** qi - T)
 
 
 def U_sequence(field, i_max):
@@ -72,18 +73,13 @@ def U_sequence(field, i_max):
         L = LaurentRing(A)
         SL = PolyRing(L, "s")
         sq_minus_s = Poly(SL, (L.zero, -L.one) + (L.zero,) * (q - 2) + (L.one,))
-        C = sq_minus_s ** (q - 1)
-        U1 = C + SL.coerce(L.shift(1, q - 1))
         seq.append(SL.one)
-        seq.append(U1)
-        _U_cache[field] = seq
-        seq_extra = {"C": C, "U1": U1}
-        _U_cache[(field, "aux")] = seq_extra
-    aux = _U_cache[(field, "aux")]
-    C, U1 = aux["C"], aux["U1"]
+        seq.append(sq_minus_s ** (q - 1) + SL.coerce(L.shift(1, q - 1)))
     SL = seq[0].ring
     L = SL.base
     A = L.tring
+    U1 = seq[1]
+    C = U1 - SL.coerce(L.shift(1, q - 1))
     while len(seq) <= i_max:
         i = len(seq) - 1
         term1 = qpow(U1, q, i) * seq[i]
@@ -109,17 +105,9 @@ def check_derivative_recursion(field, i):
     """The derivative sequence satisfies the unchanged recursion at step i >= 1."""
     if i < 1:
         raise DomainError("the derivative recursion only holds for steps i >= 1")
-    q = field.card
     seq = u_sequence(field, i + 1)
-    A = seq[0].ring.base
-    qi = q ** i
-    du_next = seq[i + 1].derivative()
-    du_i = seq[i].derivative()
-    du_prev = seq[i - 1].derivative()
-    t_high = A.gen ** (q ** (i + 1))
-    rhs = (du_i.shifted(qi) + du_i * t_high) \
-        - du_prev.shifted(qi) * (A.gen ** qi - A.gen)
-    return du_next == rhs
+    return seq[i + 1].derivative() == _u_step(
+        seq[i - 1].derivative(), seq[i].derivative(), field.card, i)
 
 
 def check_key_identity(field, i):

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from drinfeld_deuring import cli
 from drinfeld_deuring.cli import main
+from drinfeld_deuring.fields import base_field
+from drinfeld_deuring.modulus import primes_up_to_degree
 
 H22 = "s^6 + s^5 + a*s^4 + s^3 + a*s^2 + s + 1"
 
@@ -93,6 +96,39 @@ def test_verify_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["all_pass"] is True
     assert all(c["pass"] for c in payload["checks"])
+
+
+def _verify_checks(capsys, argv):
+    rc = main(argv)
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    return rc, {c["name"]: c["pass"] for c in checks}
+
+
+def test_verify_flags_a_wrong_grec_h(monkeypatch, capsys):
+    argv = ["verify", "--q", "2", "--max-degree", "2", "--format", "json"]
+    rc, good = _verify_checks(capsys, argv)
+    assert rc == 0 and all(good.values())
+    grec = cli.deuring_h_grec
+    monkeypatch.setattr(cli, "deuring_h_grec", lambda prime: grec(prime) + 1)
+    rc, bad = _verify_checks(capsys, argv)
+    assert rc == 1
+    assert list(bad) == list(good)
+    three_way = [n for n in good if n.startswith("three-way-h[")]
+    assert three_way and not any(bad[n] for n in three_way)
+    assert all(bad[n] == good[n] for n in good if n not in three_way)
+
+
+def test_verify_computes_H_once_per_prime(monkeypatch):
+    calls = []
+    H = cli.deuring_H
+
+    def counted(prime, h):
+        calls.append(prime)
+        return H(prime, h)
+
+    monkeypatch.setattr(cli, "deuring_H", counted)
+    cli._verify_rows(2, 3)
+    assert calls == list(primes_up_to_degree(base_field(2), 3))
 
 
 def test_verify_bad_degree(capsys):

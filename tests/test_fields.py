@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 from drinfeld_deuring.errors import DomainError
 from drinfeld_deuring.fields import base_field, embed, frobenius
 from drinfeld_deuring.grammar import render
+from drinfeld_deuring.laurent import LaurentRing
+from drinfeld_deuring.modulus import primes_of_degree, t_poly_ring
+from drinfeld_deuring.poly import PolyRing
 
 
 def test_prime_field_arithmetic():
@@ -46,6 +49,43 @@ def test_deterministic_extension_moduli():
     F8 = F2.extension(3)
     w = F8.gen
     assert w ** 3 == w + F8.one  # w^3 + w + 1
+    # defining moduli as ascending coefficient indices
+    base_moduli = {4: [1, 1, 1], 8: [1, 1, 0, 1], 9: [1, 0, 1],
+                   16: [1, 1, 0, 0, 1], 25: [2, 0, 1], 27: [1, 2, 0, 1]}
+    for q, mod in base_moduli.items():
+        assert [c.index for c in base_field(q).modulus_over_base] == mod
+    ext2_moduli = {2: [1, 1, 1], 3: [1, 0, 1], 4: [2, 1, 1]}
+    for q, mod in ext2_moduli.items():
+        E = base_field(q).extension(2)
+        assert [c.index for c in E.modulus_over_base] == mod
+    primes = {
+        (2, 1): ["T + 1"],
+        (2, 2): ["T^2 + T + 1"],
+        (2, 3): ["T^3 + T + 1", "T^3 + T^2 + 1"],
+        (3, 1): ["T + 1", "T + 2"],
+        (3, 2): ["T^2 + 1", "T^2 + T + 2", "T^2 + 2*T + 2"],
+        (3, 3): ["T^3 + 2*T + 1", "T^3 + 2*T + 2", "T^3 + T^2 + 2",
+                 "T^3 + T^2 + T + 2", "T^3 + T^2 + 2*T + 1",
+                 "T^3 + 2*T^2 + 1", "T^3 + 2*T^2 + T + 1",
+                 "T^3 + 2*T^2 + 2*T + 2"],
+        (4, 1): ["T + 1", "T + x", "T + x + 1"],
+        (4, 2): ["T^2 + T + x", "T^2 + T + x + 1", "T^2 + x*T + 1",
+                 "T^2 + x*T + x", "T^2 + (x + 1)*T + 1",
+                 "T^2 + (x + 1)*T + x + 1"],
+        (4, 3): ["T^3 + x", "T^3 + x + 1", "T^3 + T + 1", "T^3 + x*T + 1",
+                 "T^3 + (x + 1)*T + 1", "T^3 + T^2 + 1", "T^3 + T^2 + T + x",
+                 "T^3 + T^2 + T + x + 1", "T^3 + T^2 + x*T + x + 1",
+                 "T^3 + T^2 + (x + 1)*T + x", "T^3 + x*T^2 + 1",
+                 "T^3 + x*T^2 + T + x + 1", "T^3 + x*T^2 + x*T + x",
+                 "T^3 + x*T^2 + (x + 1)*T + x",
+                 "T^3 + x*T^2 + (x + 1)*T + x + 1", "T^3 + (x + 1)*T^2 + 1",
+                 "T^3 + (x + 1)*T^2 + T + x", "T^3 + (x + 1)*T^2 + x*T + x",
+                 "T^3 + (x + 1)*T^2 + x*T + x + 1",
+                 "T^3 + (x + 1)*T^2 + (x + 1)*T + x + 1"],
+    }
+    for (q, d), expected in primes.items():
+        got = [render(p.p_poly) for p in primes_of_degree(base_field(q), d)]
+        assert got == expected
 
 
 def test_structural_field_equality():
@@ -122,3 +162,33 @@ def test_inverse_and_power_consistency(i):
     assert x * x.inverse() == F.one
     assert x ** (F.card - 1) == F.one
     assert x ** -1 == x.inverse()
+
+
+def _hash_contract_values(q, ints, indices):
+    """Ints, elements of F_q and of F_q^2, constants of F_q[T], F_q[T][s]
+    and F_q[T, 1/T] built from the drawn ints and indices, and T both as a
+    polynomial and as a Laurent value."""
+    F = base_field(q)
+    E = F.extension(2)
+    A = t_poly_ring(F)
+    S = PolyRing(A, "s")
+    L = LaurentRing(A)
+    values = list(ints)
+    for i in indices:
+        x = F.from_index(i % F.card)
+        values += [x, E.from_index(i % E.card), A.const(x), S.const(A.const(x)),
+                   L.coerce(x)]
+    values += [A.zero, S.zero, L.zero, A.gen, L.coerce(A.gen)]
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 9]),
+       st.lists(st.integers(-30, 30), max_size=4),
+       st.lists(st.integers(0, 80), min_size=1, max_size=4))
+def test_equal_values_hash_alike(q, ints, indices):
+    values = _hash_contract_values(q, ints, indices)
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
