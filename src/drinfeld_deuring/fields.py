@@ -332,7 +332,9 @@ class FiniteField:
         key = ("search", m, gen_name, q)
         field = self._ext_cache.get(key)
         if field is None:
-            mod = self._search_modulus(m)
+            # over F_p, reuse the cached search that the field's tables need
+            mod = (_canonical_modulus_digits(self.p, m) if self.base is None
+                   else self._search_modulus(m))
             field = self.extension_with_modulus(mod, gen_name=gen_name, q=q)
             self._ext_cache[key] = field
         return field
@@ -541,10 +543,9 @@ def base_field(q):
     if q < 2:
         raise DomainError("q must be a prime power >= 2")
     p, e = _split_prime_power(q)
-    prime = FiniteField(p, None, None, p, None, _token=_FIELD_TOKEN)
     if e == 1:
-        return prime
-    return prime.extension(e, gen_name="x", q=q)
+        return FiniteField(p, None, None, p, None, _token=_FIELD_TOKEN)
+    return base_field(p).extension(e, gen_name="x", q=q)
 
 
 def _split_prime_power(q):

@@ -35,6 +35,8 @@ class PrimeModulus:
         self.d = p.degree
         self.kappa = base.extension_with_modulus(p.coeffs, gen_name="a")
         self.alpha = self.kappa.gen
+        # kappa index of each base-field element, by base index; built lazily
+        self._embed_index = None
 
     def gamma(self, f):
         """Reduce a polynomial in T (or a base-field element) into kappa."""
@@ -42,11 +44,17 @@ class PrimeModulus:
             return self.kappa.embed_from_base(self.field_q.coerce(f))
         if not (isinstance(f, Poly) and f.ring == self.p_poly.ring):
             raise DomainError("gamma expects a polynomial over the same F_q[T]")
-        acc = self.kappa.zero
-        emb = self.kappa.embed_from_base
+        K = self.kappa
+        if self._embed_index is None:
+            self._embed_index = [
+                K.embed_from_base(self.field_q.from_index(i)).index
+                for i in range(self.q)]
+        emb, a = self._embed_index, self.alpha.index
+        # Horner at alpha on field indices
+        acc = 0
         for c in reversed(f.coeffs):
-            acc = acc * self.alpha + emb(c)
-        return acc
+            acc = K._add(K._mul(acc, a), emb[c.index])
+        return K.from_index(acc)
 
     def __eq__(self, other):
         if not isinstance(other, PrimeModulus):

@@ -157,12 +157,19 @@ class OrePoly:
         return result
 
     def __eq__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
+        if isinstance(other, int):
+            # compared as a constant, so that equal values hash alike
+            return len(self.coeffs) <= 1 and self.coeff(0) == other
+        try:
+            o = self.ctx.coerce(other)
+        except DomainError:
             return NotImplemented
         return self.coeffs == o.coeffs
 
     def __hash__(self):
+        # a constant hashes as its coefficient, which it compares equal to
+        if len(self.coeffs) <= 1:
+            return hash(self.coeff(0))
         return hash((hash(self.ctx), self.coeffs))
 
     def __bool__(self):

@@ -96,13 +96,14 @@ class Poly:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c
+            if c:
+                out[i] = out[i] + c
         return Poly(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, tuple(-c for c in self.coeffs))
+        return Poly(self.ring, tuple(-c if c else c for c in self.coeffs))
 
     def __sub__(self, other):
         o = self._coerce_other(other)
@@ -125,17 +126,17 @@ class Poly:
             return self.ring.zero
         if len(b) == 1:
             c = b[0]
-            return Poly(self.ring, tuple(x * c for x in a))
+            return Poly(self.ring, tuple(x * c if x else x for x in a))
         if len(a) == 1:
             c = a[0]
-            return Poly(self.ring, tuple(c * x for x in b))
+            return Poly(self.ring, tuple(c * x if x else x for x in b))
         zero = self.ring.base.zero
         out = [zero] * (len(a) + len(b) - 1)
+        # only the nonzero terms of either operand meet
+        b_terms = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if y:
+            if x:
+                for j, y in b_terms:
                     out[i + j] = out[i + j] + x * y
         return Poly(self.ring, out)
 
@@ -169,14 +170,15 @@ class Poly:
             return self.ring.zero, self
         quot = [self.ring.base.zero] * (dq + 1)
         ob = o.coeffs
+        # subtract over the divisor's nonzero terms only: T^(q^k) - T has two
+        ob_terms = [(i, c) for i, c in enumerate(ob) if c]
         for k in range(dq, -1, -1):
             top = rem[k + len(ob) - 1]
             if top:
                 f = top * lc_inv
                 quot[k] = f
-                for i, c in enumerate(ob):
-                    if c:
-                        rem[k + i] = rem[k + i] - f * c
+                for i, c in ob_terms:
+                    rem[k + i] = rem[k + i] - f * c
         return Poly(self.ring, quot), Poly(self.ring, rem[:len(ob) - 1])
 
     def __floordiv__(self, other):

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior, including exit codes and determinism."""
 
+import hashlib
 import json
+import shlex
 
 import pytest
 
@@ -180,3 +182,59 @@ def test_deterministic_output(capsys):
     a = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == a
+
+
+# sha256 of the stdout bytes of every README example, verify for
+# q in {2, 3, 4, 5} in both formats, and compute --method all as JSON at the
+# first d = 4 prime for q = 2 and q = 3; every command exits 0
+GOLDEN_STDOUT = {
+    'compute --q 2 --prime "T^2+T+1" --var delta --method universal':
+        "111686c478eeacfcfd5af3ce4b93c90fb215e8bb27fa0f541d2e69d7c6748501",
+    'compute --q 2 --prime "T^2+T+1" --method all':
+        "99ea406f3bb3aca66fdc4a81e1f2a17fcde869c6ab7368341df97a84729ee32c",
+    'compute --q 2 --prime "T^2+T+1" --var lambda --method direct':
+        "794b5b397aebef3dc695050402f50cc1250723799e45609141e53144eda6d3e4",
+    "verify --q 2 --max-degree 3":
+        "b14e5331e7fe1edf6c339a892a0efaaec232b4596bac46711d80833bcd108766",
+    'graph --q 3 --prime "T-1" --dot graph.dot':
+        "d0d5f5558975f1ad6e9b8bf04028354a6572d52cdc95a2d4fad590309ae7b74a",
+    "identities --q 4":
+        "c36da969ea91157697dc9c07267a36afc742ce809d18927a80916351013b9518",
+    "verify --q 2 --max-degree 4 --format text":
+        "6dc289d8e2fa292882453ac88e8fd988c13d807bcd0f7b27fde242f01848edd9",
+    "verify --q 2 --max-degree 4 --format json":
+        "7fc5bfe6142cc3cc70207ff9f7d55e0a8e8f14ffb7d7af4b2f45103143dfb0c2",
+    "verify --q 3 --max-degree 3 --format text":
+        "157578ff5fd5e6132591e4f7a862164d07245c09be2cc067bf0549c0b0a47826",
+    "verify --q 3 --max-degree 3 --format json":
+        "4eb9becf14da9af015260d064c0e078ed38b6cb6af2037ea9996fbaf9805c09a",
+    "verify --q 4 --max-degree 2 --format text":
+        "8a5bc204b6a8647b6abcbbe1521fccd5b819ea204fdc13315acf53dc1fa26011",
+    "verify --q 4 --max-degree 2 --format json":
+        "eb29aeedae71b0307e105f43276e492b06e3fab1e3337fe1ddfc858288d07e99",
+    "verify --q 5 --max-degree 2 --format text":
+        "c793a9f9a557f76e0a555b90c265db6b08c8361e85b2c434a33294622281a614",
+    "verify --q 5 --max-degree 2 --format json":
+        "d84eb8d2059abf7a8d70bd0a79767c4cdb93d88961b90f6b04154d63a5170ffd",
+    'compute --q 2 --prime "T^4 + T + 1" --method all --format json':
+        "aa17aeae99addf0cebfeb503dd1b1072743a1ba2ca38be6f260708d187aad79a",
+    'compute --q 3 --prime "T^4 + T + 2" --method all --format json':
+        "bac8ce46669c64a6db56dadd226add5d227798f23aa6fca1a6ec6fb6d22aecf1",
+}
+GOLDEN_DOT = "19df06812e699b4f4b4689768c15b3960d415474c8ecc8d03ec6a9c324b8ffd9"
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(command, tmp_path, capsys):
+    argv = shlex.split(command)
+    if "--dot" in argv:
+        dot = tmp_path / argv[argv.index("--dot") + 1]
+        argv[argv.index("--dot") + 1] = str(dot)
+    assert main(argv) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == GOLDEN_STDOUT[command]
+    if "--dot" in argv:
+        assert _sha256(dot.read_bytes()) == GOLDEN_DOT

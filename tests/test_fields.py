@@ -1,13 +1,19 @@
 """Finite-field towers: construction, arithmetic, Frobenius, embeddings."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import drinfeld_deuring
 from drinfeld_deuring.errors import DomainError
 from drinfeld_deuring.fields import base_field, embed, frobenius
 from drinfeld_deuring.grammar import render
 from drinfeld_deuring.laurent import LaurentRing
 from drinfeld_deuring.modulus import primes_of_degree, t_poly_ring
+from drinfeld_deuring.ore import OreContext
 from drinfeld_deuring.poly import PolyRing
 
 
@@ -165,20 +171,24 @@ def test_inverse_and_power_consistency(i):
 
 
 def _hash_contract_values(q, ints, indices):
-    """Ints, elements of F_q and of F_q^2, constants of F_q[T], F_q[T][s]
-    and F_q[T, 1/T] built from the drawn ints and indices, and T both as a
-    polynomial and as a Laurent value."""
+    """Ints, elements of F_q and of F_q^2, constants of F_q[T], F_q[T][s],
+    F_q[T, 1/T] and of the twisted rings over F_q and F_q[T], built from the
+    drawn ints and indices, and T both as a polynomial and as a Laurent value,
+    and tau."""
     F = base_field(q)
     E = F.extension(2)
     A = t_poly_ring(F)
     S = PolyRing(A, "s")
     L = LaurentRing(A)
+    C = OreContext(F, q)
+    CA = OreContext(A, q)
     values = list(ints)
     for i in indices:
         x = F.from_index(i % F.card)
         values += [x, E.from_index(i % E.card), A.const(x), S.const(A.const(x)),
-                   L.coerce(x)]
-    values += [A.zero, S.zero, L.zero, A.gen, L.coerce(A.gen)]
+                   L.coerce(x), C.op((x,)), CA.op((A.const(x),))]
+    values += [A.zero, S.zero, L.zero, C.zero, CA.zero, A.gen, L.coerce(A.gen),
+               C.tau, CA.op((A.gen,))]
     return values
 
 
@@ -192,3 +202,20 @@ def test_equal_values_hash_alike(q, ints, indices):
         for b in values:
             if a == b:
                 assert hash(a) == hash(b), (a, b)
+
+
+def test_base_field_extends_the_shared_prime_field():
+    # in a fresh interpreter, so that no cached field or table hides a search
+    code = (
+        "from drinfeld_deuring import fields, poly\n"
+        "calls = []\n"
+        "test = poly.is_irreducible\n"
+        "poly.is_irreducible = lambda f: calls.append(f) or test(f)\n"
+        "F = fields.base_field(16)\n"
+        "print(len(calls), F.base is fields.base_field(2))\n")
+    src = os.path.dirname(os.path.dirname(drinfeld_deuring.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    # y^4, y^4 + 1, y^4 + y and y^4 + y + 1: one search for the modulus
+    assert out.split() == ["4", "True"]

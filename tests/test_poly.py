@@ -1,11 +1,17 @@
 """Univariate polynomial layer: division, gcd, irreducibility, root scans."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfeld_deuring.errors import AmbientTooSmallError, DomainError
+from drinfeld_deuring.errors import (
+    AmbientTooSmallError, DomainError, RecurrenceBreakdownError,
+)
 from drinfeld_deuring.fields import base_field, embed
 from drinfeld_deuring.grammar import parse, render
+from drinfeld_deuring.modulus import primes_of_degree
+from drinfeld_deuring.ore import qpow
 from drinfeld_deuring.poly import (
     Poly, PolyRing, exact_div, is_irreducible, poly_gcd, roots_in_extension,
     splitting_degree,
@@ -114,3 +120,125 @@ def test_divmod_roundtrip_property(cs, ds):
     quo, rem = divmod(f, g)
     assert quo * g + rem == f
     assert rem.degree < g.degree
+
+
+# --- the sparse-support kernels against dense schoolbook references ---------
+
+def _dense_mul(a, b):
+    """Schoolbook product that visits every coefficient pair, zeros too."""
+    R = a.ring
+    if not a or not b:
+        return R.zero
+    out = [R.base.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return Poly(R, out)
+
+
+def _dense_divmod(f, g):
+    """Long division that subtracts every coefficient of g, zeros too."""
+    R = f.ring
+    n = g.degree
+    inv = g.lead.inverse()
+    rem = list(f.coeffs)
+    quot = [R.base.zero] * max(len(rem) - n, 0)
+    for k in range(len(rem) - n - 1, -1, -1):
+        c = rem[k + n] * inv
+        quot[k] = c
+        for i, y in enumerate(g.coeffs):
+            rem[k + i] = rem[k + i] - c * y
+    return Poly(R, quot), Poly(R, rem[:n])
+
+
+# q^k <= 16 keeps the stretched operands small enough for the references
+_STRETCH = {2: (1, 2, 3, 4), 4: (1, 2), 5: (1,), 9: (1,)}
+
+
+@st.composite
+def _operand(draw, q, ring=None):
+    """A polynomial over F_q[T] (or `ring`, whose base is F_q[T]): mostly
+    zero coefficients, a q^k-stretched one, or the binomial T^(q^k) - T."""
+    R = ring or _ring(q)
+    kind = draw(st.sampled_from(["sparse", "stretched", "binomial"]))
+    k = draw(st.sampled_from(_STRETCH[q]))
+    if ring is not None:
+        coeffs = draw(st.lists(_operand(q), min_size=1, max_size=4))
+        f = R.poly(coeffs)
+        return qpow(f, q, k) if kind == "stretched" else f
+    if kind == "binomial":
+        return R.gen ** (q ** k) - R.gen
+    F = R.base
+    idx = draw(st.lists(st.one_of(st.just(0), st.integers(0, F.card - 1)),
+                        min_size=1, max_size=7))
+    f = R.poly([F.from_index(i) for i in idx])
+    return qpow(f, q, k) if kind == "stretched" else f
+
+
+@st.composite
+def _operand_pair(draw, nested=False):
+    q = draw(st.sampled_from(sorted(_STRETCH)))
+    ring = PolyRing(_ring(q), "s") if nested else None
+    return draw(_operand(q, ring)), draw(_operand(q, ring))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_operand_pair())
+def test_mul_matches_dense_schoolbook(pair):
+    a, b = pair
+    assert (a * b).coeffs == _dense_mul(a, b).coeffs
+    assert (b * a).coeffs == _dense_mul(b, a).coeffs
+
+
+@settings(max_examples=30, deadline=None)
+@given(_operand_pair(nested=True))
+def test_nested_mul_matches_dense_schoolbook(pair):
+    a, b = pair
+    assert (a * b).coeffs == _dense_mul(a, b).coeffs
+
+
+@settings(max_examples=80, deadline=None)
+@given(_operand_pair())
+def test_divmod_matches_dense_long_division(pair):
+    f, g = pair
+    if not g:
+        return
+    quo, rem = divmod(f, g)
+    ref_quo, ref_rem = _dense_divmod(f, g)
+    assert quo.coeffs == ref_quo.coeffs
+    assert rem.coeffs == ref_rem.coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_STRETCH)), st.data())
+def test_exact_div_by_binomial_flags_one_stray_term(q, data):
+    R = _ring(q)
+    F = R.base
+    k = data.draw(st.sampled_from(_STRETCH[q]))
+    div = R.gen ** (q ** k) - R.gen
+    g = data.draw(_operand(q))
+    f = g * div
+    assert exact_div(f, div, RecurrenceBreakdownError) == g
+    j = data.draw(st.integers(0, f.degree + 2))
+    c = F.from_index(data.draw(st.integers(1, F.card - 1)))
+    with pytest.raises(RecurrenceBreakdownError):
+        exact_div(f + R.gen ** j * c, div, RecurrenceBreakdownError)
+
+
+def _gamma_primes(q):
+    F = base_field(q)
+    return [p for d in (1, 2, 3) for p in islice(primes_of_degree(F, d), 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 4, 9]), st.data())
+def test_gamma_matches_elementwise_horner(q, data):
+    prime = data.draw(st.sampled_from(_gamma_primes(q)))
+    F, K = prime.field_q, prime.kappa
+    idx = data.draw(st.lists(st.integers(0, q - 1), max_size=12))
+    f = prime.p_poly.ring.poly([F.from_index(i) for i in idx])
+    ref = K.zero
+    for c in reversed(f.coeffs):
+        ref = ref * prime.alpha + K.embed_from_base(c)
+    assert prime.gamma(f) == ref
+    assert prime.gamma(f).field is K
