@@ -8,7 +8,8 @@ parentheses.  Terms are ordered by descending degree (graded
 lexicographic for multivariate values).  Field elements render as
 polynomials in their tower generators (x for the base field, a for the
 residue field, b for further extensions); prime-field elements render as
-integers.  Laurent values use explicit negative exponents like "T^-2".
+integers.  Laurent values use explicit negative exponents like "T^-2";
+twisted polynomials render in the variable tau.
 
 Parsing accepts the rendered grammar plus binary/unary minus, so inputs
 like "T-1" work.
@@ -21,16 +22,16 @@ import re
 from .errors import DomainError
 from .fields import FieldElement, FiniteField, embed
 from .laurent import LaurentRing, LaurentT
-from .poly import Poly, PolyRing
+from .poly import PolyRing, _Dense
 
 
 def render(obj):
     if isinstance(obj, FieldElement):
         return _render_element(obj)
-    if isinstance(obj, Poly):
-        return _render_poly(obj)
+    if isinstance(obj, _Dense):
+        return _render_dense(obj.coeffs, obj.ring.var)
     if isinstance(obj, LaurentT):
-        return _render_laurent(obj)
+        return _render_dense(obj.num.coeffs, obj.ring.tring.var, -obj.k)
     from . import multipoly
 
     if isinstance(obj, multipoly.MultiPoly):
@@ -64,27 +65,12 @@ def _render_element(x):
     return " + ".join(terms) if terms else "0"
 
 
-def _render_poly(f):
-    if not f:
-        return "0"
-    terms = []
-    for i in range(f.degree, -1, -1):
-        c = f.coeffs[i]
-        if c:
-            terms.append(_term(render(c), f.ring.var, i))
-    return " + ".join(terms)
-
-
-def _render_laurent(v):
-    if not v:
-        return "0"
-    var = v.ring.tring.var
-    terms = []
-    cs = v.num.coeffs
-    for i in range(len(cs) - 1, -1, -1):
-        if cs[i]:
-            terms.append(_term(render(cs[i]), var, i - v.k))
-    return " + ".join(terms)
+def _render_dense(coeffs, var, shift=0):
+    """Dense ascending coefficients, the term of coeffs[i] carrying the
+    exponent i + shift."""
+    terms = [_term(render(coeffs[i]), var, i + shift)
+             for i in range(len(coeffs) - 1, -1, -1) if coeffs[i]]
+    return " + ".join(terms) if terms else "0"
 
 
 def _render_multi(f):

@@ -16,11 +16,11 @@ Distinct Y-roots may map to the same Delta1; edges therefore carry a
 multiplicity, and out-degree counted with multiplicity is exactly q.
 """
 
-import warnings
 from dataclasses import dataclass
 
 from .drinfeld import deuring_h_universal
-from .errors import AmbientTooSmallError, CapExceededError, DomainError
+from .errors import AmbientTooSmallError, CapExceededError, ConsistencyError, \
+    DomainError
 from .fields import CARD_CAP, FiniteField, embed
 from .modulus import PrimeModulus
 from .poly import PolyRing, _split_roots, roots_in_extension
@@ -99,7 +99,7 @@ def build_supersingular_graph(prime):
     max_m = _max_scan_degree(kappa)
     m, verts = _split_roots(h, max_m)
     if (2 * d) % (d * m):
-        warnings.warn(
+        raise ConsistencyError(
             f"roots of h generate a degree-{d * m} field over F_{prime.q}, "
             f"which does not divide 2d = {2 * d}")
     while True:

@@ -9,8 +9,8 @@ the image of T, and reduction mod p is evaluation at `a`.
 from __future__ import annotations
 
 from . import poly as poly_mod
-from .errors import DomainError
-from .fields import FieldElement, FiniteField
+from .errors import CapExceededError, DomainError
+from .fields import CARD_CAP, FieldElement, FiniteField
 from .laurent import LaurentRing, LaurentT
 from .poly import Poly, PolyRing
 
@@ -24,6 +24,10 @@ class PrimeModulus:
             raise DomainError("prime moduli live over a designated base field F_q")
         if p.degree < 1:
             raise DomainError("a prime modulus must have positive degree")
+        # before the irreducibility test, which is slow long before the cap
+        if base.card ** p.degree > CARD_CAP:
+            raise CapExceededError(f"residue field of cardinality {base.card}^"
+                                   f"{p.degree} exceeds the {CARD_CAP} cap")
         p = p.monic()
         if p.coeffs == p.ring.gen.coeffs:
             raise DomainError("the prime T is excluded (gamma(T) must be a unit)")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .errors import DomainError
 from .fields import FieldElement
 from .laurent import LaurentT
-from .poly import Poly
+from .poly import Poly, _Dense
 
 
 def qpow(v, q, k):
@@ -37,88 +37,51 @@ def qpow(v, q, k):
 
 
 class OreContext:
-    def __init__(self, ring, q):
-        self.ring = ring
+    """The twisted ring base{tau}; the coefficient ring is `base`."""
+
+    var = "tau"
+
+    def __init__(self, base, q):
+        self.base = base
         self.q = q
         self.zero = OrePoly(self, ())
-        self.one = OrePoly(self, (ring.coerce(1),))
-        self.tau = OrePoly(self, (ring.coerce(0), ring.coerce(1)))
+        self.one = OrePoly(self, (base.coerce(1),))
+        self.tau = OrePoly(self, (base.coerce(0), base.coerce(1)))
+        self._hash = hash(("OreContext", hash(base), q))
 
     def coerce(self, v):
         if isinstance(v, OrePoly):
-            if v.ctx is self or (v.ctx.q == self.q and v.ctx.ring == self.ring):
+            if v.ring == self:
                 return v
             raise DomainError("twisted polynomial from a different context")
-        return OrePoly(self, (self.ring.coerce(v),))
+        return OrePoly(self, (self.base.coerce(v),))
 
     def op(self, coeffs):
         """Build a twisted polynomial from ascending tau-coefficients."""
-        return OrePoly(self, tuple(self.ring.coerce(c) for c in coeffs))
+        return OrePoly(self, tuple(self.base.coerce(c) for c in coeffs))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, OreContext):
             return NotImplemented
-        return self.q == other.q and self.ring == other.ring
+        return self.q == other.q and self.base == other.base
 
     def __hash__(self):
-        return hash(("OreContext", hash(self.ring), self.q))
+        return self._hash
 
 
-class OrePoly:
-    __slots__ = ("ctx", "coeffs")
+class OrePoly(_Dense):
+    """A twisted polynomial: `Poly`'s container with the product
+    tau * c = c^q * tau."""
 
-    def __init__(self, ctx, coeffs):
-        coeffs = tuple(coeffs)
-        n = len(coeffs)
-        while n and not coeffs[n - 1]:
-            n -= 1
-        self.ctx = ctx
-        self.coeffs = coeffs[:n]
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def coeff(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ctx.ring.coerce(0)
+    __slots__ = ()
 
     def _coerce_other(self, other):
         if isinstance(other, OrePoly):
             # a context mismatch is always an error, never a reflected-op case
-            return self.ctx.coerce(other)
-        try:
-            return self.ctx.coerce(other)
-        except DomainError:
-            return None
-
-    def __add__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return OrePoly(self.ctx, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return OrePoly(self.ctx, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+            return self.ring.coerce(other)
+        return super()._coerce_other(other)
 
     def __mul__(self, other):
         o = self._coerce_other(other)
@@ -126,17 +89,16 @@ class OrePoly:
             return NotImplemented
         a, b = self.coeffs, o.coeffs
         if not a or not b:
-            return self.ctx.zero
-        q = self.ctx.q
-        zero = self.ctx.ring.coerce(0)
-        out = [zero] * (len(a) + len(b) - 1)
+            return self.ring.zero
+        q = self.ring.q
+        out = [self.ring.base.zero] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if not x:
                 continue
             for j, y in enumerate(b):
                 if y:
                     out[i + j] = out[i + j] + x * qpow(y, q, i)
-        return OrePoly(self.ctx, out)
+        return OrePoly(self.ring, out)
 
     def __rmul__(self, other):
         o = self._coerce_other(other)
@@ -144,53 +106,10 @@ class OrePoly:
             return NotImplemented
         return o * self
 
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise DomainError("twisted powers must be non-negative integers")
-        result = self.ctx.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            # compared as a constant, so that equal values hash alike
-            return len(self.coeffs) <= 1 and self.coeff(0) == other
-        try:
-            o = self.ctx.coerce(other)
-        except DomainError:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        # a constant hashes as its coefficient, which it compares equal to
-        if len(self.coeffs) <= 1:
-            return hash(self.coeff(0))
-        return hash((hash(self.ctx), self.coeffs))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __repr__(self):
-        from . import grammar
-
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c:
-                terms.append(grammar._term(grammar.render(c), "tau", i))
-        return " + ".join(terms)
-
 
 def ore_apply(f, x):
     """Evaluate f at a point: sum of f_i * x^(q^i)."""
-    q = f.ctx.q
+    q = f.ring.q
     acc = x * 0
     for i, c in enumerate(f.coeffs):
         if c:
@@ -205,7 +124,7 @@ def drinfeld_image(ctx, psi_T, a, scalar=None):
     context's coefficient ring (defaults to the ring's own coercion).
     """
     if scalar is None:
-        scalar = ctx.ring.coerce
+        scalar = ctx.base.coerce
     if not a:
         return ctx.zero
     acc = ctx.coerce(scalar(a.lead))

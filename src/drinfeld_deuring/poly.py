@@ -4,6 +4,9 @@ Coefficients are stored as a normalized ascending tuple (no trailing zeros).
 The coefficient ring is described by a small object with `zero`, `one` and
 `coerce`; coefficient elements do their own arithmetic through operators.
 Division requires invertible leading coefficients, i.e. field coefficients.
+The container, sums, powers, equality and rendering live in `_Dense`, which
+twisted polynomials (`ore.OrePoly`) share; `Poly` adds the commutative
+product, division and evaluation.
 """
 
 from __future__ import annotations
@@ -51,7 +54,14 @@ class PolyRing:
         return f"{self.base!r}[{self.var}]"
 
 
-class Poly:
+class _Dense:
+    """Dense ascending coefficients over `ring`: the container, sums, powers,
+    equality and rendering shared by plain and twisted polynomials.
+
+    `ring` supplies `base` (the coefficient ring), `zero`, `one`, `var`,
+    `_hash` and `coerce`; results keep the operand's class.
+    """
+
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
@@ -80,7 +90,7 @@ class Poly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ring.base.zero
 
     def _coerce_other(self, other):
-        if isinstance(other, Poly) and other.ring == self.ring:
+        if isinstance(other, type(self)) and other.ring == self.ring:
             return other
         try:
             return self.ring.coerce(other)
@@ -98,12 +108,12 @@ class Poly:
         for i, c in enumerate(b):
             if c:
                 out[i] = out[i] + c
-        return Poly(self.ring, out)
+        return type(self)(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, tuple(-c if c else c for c in self.coeffs))
+        return type(self)(self.ring, tuple(-c if c else c for c in self.coeffs))
 
     def __sub__(self, other):
         o = self._coerce_other(other)
@@ -116,6 +126,46 @@ class Poly:
         if o is None:
             return NotImplemented
         return o + (-self)
+
+    def __pow__(self, e):
+        if not isinstance(e, int) or e < 0:
+            raise DomainError("polynomial powers must be non-negative integers")
+        result = self.ring.one
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base if e > 1 else base
+            e >>= 1
+        return result
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            # compared as a constant, so that equal values hash alike
+            return len(self.coeffs) <= 1 and self.constant_coeff() == other
+        try:
+            o = self.ring.coerce(other)
+        except DomainError:
+            return NotImplemented
+        return self.coeffs == o.coeffs
+
+    def __hash__(self):
+        # a constant hashes as its coefficient, which it compares equal to
+        if len(self.coeffs) <= 1:
+            return hash(self.constant_coeff())
+        return hash((self.ring._hash, self.coeffs))
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __repr__(self):
+        from . import grammar
+
+        return grammar.render(self)
+
+
+class Poly(_Dense):
+    __slots__ = ()
 
     def __mul__(self, other):
         o = self._coerce_other(other)
@@ -141,18 +191,6 @@ class Poly:
         return Poly(self.ring, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise DomainError("polynomial powers must be non-negative integers")
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
 
     def __divmod__(self, other):
         o = self._coerce_other(other)
@@ -217,29 +255,6 @@ class Poly:
             return self
         zero = self.ring.base.zero
         return Poly(self.ring, (zero,) * k + self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            # compared as a constant, so that equal values hash alike
-            return len(self.coeffs) <= 1 and self.constant_coeff() == other
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        # a constant hashes as its coefficient, which it compares equal to
-        if len(self.coeffs) <= 1:
-            return hash(self.constant_coeff())
-        return hash((self.ring._hash, self.coeffs))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __repr__(self):
-        from . import grammar
-
-        return grammar.render(self)
 
 
 def poly_gcd(f, g):

@@ -138,6 +138,42 @@ def test_verify_bad_degree(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_out_of_cap_degree_fails_before_any_row(monkeypatch, capsys):
+    def unreachable(field, i):
+        raise AssertionError("a verify row ran past the cap check")
+
+    monkeypatch.setattr(cli, "check_u_zero", unreachable)
+    assert main(["verify", "--q", "7", "--max-degree", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "cap" in captured.err
+
+
+def test_compute_out_of_cap_prime_is_invalid(monkeypatch, capsys):
+    from drinfeld_deuring import poly
+
+    def unreachable(f):
+        raise AssertionError("is_irreducible ran on an out-of-cap prime")
+
+    monkeypatch.setattr(poly, "is_irreducible", unreachable)
+    assert main(["compute", "--q", "2", "--prime", "T^1000+T+1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "cap" in captured.err
+
+
+def test_graph_fails_when_h_needs_a_larger_field(monkeypatch, capsys):
+    from drinfeld_deuring import isogeny_graph
+
+    # roots of h in kappa_3 would generate a degree-6 field, which does not
+    # divide 2d = 4
+    monkeypatch.setattr(isogeny_graph, "_split_roots", lambda h, max_m: (3, []))
+    assert main(["graph", "--q", "2", "--prime", "T^2+T+1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "check failed:" in captured.err
+
+
 def test_graph_text(capsys):
     rc = main(["graph", "--q", "2", "--prime", "T^2+T+1"])
     assert rc == 0

@@ -19,7 +19,8 @@ from drinfeld_deuring.drinfeld import (
     is_supersingular,
     j_invariant,
 )
-from drinfeld_deuring.errors import ConsistencyError, DomainError
+from drinfeld_deuring.errors import CapExceededError, ConsistencyError, \
+    DomainError
 from drinfeld_deuring.fields import base_field, embed
 from drinfeld_deuring.grammar import parse, render
 from drinfeld_deuring.modulus import (
@@ -248,6 +249,18 @@ def test_irreducible_T_rejected():
         _prime(2, "T")
     with pytest.raises(DomainError):
         _prime(3, "T^2 + 1 + T + 2")  # T^2 + T: reducible
+
+
+def test_out_of_cap_prime_fails_before_irreducibility(monkeypatch):
+    from drinfeld_deuring import poly
+
+    def unreachable(f):
+        raise AssertionError("is_irreducible ran on an out-of-cap prime")
+
+    monkeypatch.setattr(poly, "is_irreducible", unreachable)
+    for text in ("T^17 + T^3 + 1", "T^255 + T^52 + 1", "T^1000 + T + 1"):
+        with pytest.raises(CapExceededError):
+            _prime(2, text)
 
 
 @settings(max_examples=25, deadline=None)

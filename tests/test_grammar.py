@@ -74,3 +74,25 @@ def test_roundtrip_element_f125(i):
     # parse in the polynomial ring over F, then read off the constant
     R = PolyRing(F, "T")
     assert parse(render(x), R).constant_coeff() == x
+
+
+def test_render_twisted_polynomials():
+    from drinfeld_deuring.ore import OreContext
+
+    F3 = base_field(3)
+    F9 = F3.extension(2)
+    A = t_poly_ring(F3)
+    L = LaurentRing(A)
+    cases = [
+        (OreContext(F3, 3).op((1, 2, 0, 1)), "tau^3 + 2*tau + 1"),
+        (OreContext(F9, 3).op((F9.gen, 0, F9.gen + 1)), "(b + 1)*tau^2 + b"),
+        (OreContext(A, 3).op((A.gen, -(A.gen + 1), A.gen)),
+         "T*tau^2 + (2*T + 2)*tau + T"),
+        (OreContext(L, 3).op((L.shift(A.one, 2), 0, L.coerce(A.gen))),
+         "T*tau^2 + T^-2"),
+        (OreContext(F3, 3).zero, "0"),
+        (OreContext(F3, 3).tau, "tau"),
+    ]
+    for op, text in cases:
+        assert render(op) == text
+        assert repr(op) == text

@@ -5,7 +5,8 @@ import warnings
 
 import pytest
 
-from drinfeld_deuring.errors import AmbientTooSmallError, DomainError
+from drinfeld_deuring.errors import AmbientTooSmallError, ConsistencyError, \
+    DomainError
 from drinfeld_deuring.fields import base_field, embed
 from drinfeld_deuring.grammar import parse
 from drinfeld_deuring.isogeny_graph import (
@@ -109,6 +110,14 @@ def test_no_splitting_warning_for_these_primes():
         warnings.simplefilter("error")
         _graph(2, "T^2 + T + 1")
         _graph(3, "T^2 + T + 2")
+
+
+def test_splitting_beyond_kappa_2_is_a_check_failure(monkeypatch):
+    from drinfeld_deuring import isogeny_graph
+
+    monkeypatch.setattr(isogeny_graph, "_split_roots", lambda h, max_m: (3, []))
+    with pytest.raises(ConsistencyError):
+        _graph(2, "T^2 + T + 1")
 
 
 def test_json_shape():

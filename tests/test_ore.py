@@ -133,3 +133,53 @@ def test_ore_mul_associative_distributive(xs, ys, zs):
     h = ctx.op([F9.from_index(i) for i in zs])
     assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
+
+
+def _coefficient_ring(over_polys):
+    """F_9, or F_3[T] with index i read as the T-linear polynomial with
+    base-3 digits of i."""
+    F3 = base_field(3)
+    if over_polys:
+        A = t_poly_ring(F3)
+        return A, lambda i: A.poly((i % 3, i // 3))
+    F9 = F3.extension(2)
+    return F9, F9.from_index
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.booleans(),
+       st.lists(st.integers(0, 8), max_size=4),
+       st.lists(st.integers(0, 8), max_size=4),
+       st.integers(0, 4))
+def test_ore_kernel_agrees_with_poly(over_polys, xs, ys, e):
+    K, elt = _coefficient_ring(over_polys)
+    C = OreContext(K, 3)
+    P = PolyRing(K, "s")
+    f, g = C.op([elt(i) for i in xs]), C.op([elt(i) for i in ys])
+    pf, pg = P.poly(f.coeffs), P.poly(g.coeffs)
+    assert (f + g).coeffs == (pf + pg).coeffs
+    assert (f - g).coeffs == (pf - pg).coeffs
+    assert (-f).coeffs == (-pf).coeffs
+    assert (f == g) == (pf == pg)
+    product = C.one
+    for _ in range(e):
+        product = product * f
+    assert f ** e == product
+    with pytest.raises(DomainError):
+        f ** -1
+
+
+def test_ore_cross_context_and_commutative_only_ops():
+    F9 = base_field(3).extension(2)
+    f = OreContext(F9, 3).op((F9.gen, F9.one))
+    g = OreContext(F9, 9).op((F9.gen, F9.one))
+    assert f.coeffs == g.coeffs
+    for op in (lambda: f + g, lambda: f - g, lambda: f * g, lambda: g * f):
+        with pytest.raises(DomainError):
+            op()
+    assert not f == g
+    assert f != g
+    # the twisted ring has no division or evaluation
+    assert not callable(f)
+    with pytest.raises(TypeError):
+        divmod(f, f)
