@@ -90,7 +90,8 @@ def _g_structure_ok(prime, h):
     return not any(divmod(g[k], h)[1] for k in range(d, 2 * d))
 
 
-# graph checks stay within the envelope where the ambient scan is known cheap
+# graph checks stay within this envelope so that verify's rows, and hence
+# its stdout, stay as they are
 _GRAPH_ENVELOPE = {2: 3, 3: 2}
 
 

@@ -85,7 +85,7 @@ class IsogenyGraph:
         return "\n".join(lines) + "\n"
 
 
-def _max_scan_degree(kappa):
+def _max_ambient_degree(kappa):
     m = 1
     while kappa.card ** (m + 1) <= CARD_CAP:
         m += 1
@@ -96,7 +96,7 @@ def build_supersingular_graph(prime):
     h = deuring_h_universal(prime)
     kappa = prime.kappa
     d = prime.d
-    max_m = _max_scan_degree(kappa)
+    max_m = _max_ambient_degree(kappa)
     m, verts = _split_roots(h, max_m)
     if (2 * d) % (d * m):
         raise ConsistencyError(

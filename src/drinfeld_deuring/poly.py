@@ -12,7 +12,7 @@ product, division and evaluation.
 from __future__ import annotations
 
 from .errors import AmbientTooSmallError, CapExceededError, DomainError
-from .fields import CARD_CAP, FiniteField, _digits, _prime_divisors, embed
+from .fields import FiniteField, _digits, _prime_divisors, embed
 
 
 class PolyRing:
@@ -279,8 +279,10 @@ def powmod(g, e, f):
     while e:
         if e & 1:
             result = (result * g) % f
-        g = (g * g) % f
         e >>= 1
+        if e:
+            # no square after the top bit, which no later bit would use
+            g = (g * g) % f
     return result
 
 
@@ -325,8 +327,9 @@ def roots_in_extension(f, m):
     """Roots of f in the degree-m extension, with multiplicity.
 
     Returns a list of elements of the extension (repeats indicate multiple
-    roots), ordered by element index.  The scan is exhaustive, so the
-    extension must stay within the 2^16 cardinality cap.
+    roots), ordered by element index.  The roots come from gcds with
+    Frobenius powers of x, not from evaluating f.  The extension must stay
+    within the 2^16 cardinality cap: building it raises CapExceededError.
     """
     K = f.ring.base
     if not isinstance(K, FiniteField):
@@ -340,10 +343,7 @@ def roots_in_extension(f, m):
         E = K.extension(m)
         ring = PolyRing(E, f.ring.var)
         g = f.map_coeffs(lambda c: embed(c, E), ring)
-    if E.card > CARD_CAP:
-        raise CapExceededError(
-            f"root scan over {E.card} elements exceeds the {CARD_CAP} cap")
-    simple = [x for x in E.elements() if not g(x)]
+    simple = _distinct_roots(g, E)
     out = []
     for r in simple:
         lin = Poly(g.ring, (-r, E.one))
@@ -356,6 +356,47 @@ def roots_in_extension(f, m):
             mult += 1
         out.extend([r] * mult)
     return out
+
+
+def _distinct_roots(g, E):
+    """The distinct roots of g in E, sorted by index, found without a scan.
+
+    gcd(x^|E| - x, g) keeps one linear factor per root.  That product is
+    split by gcds with Tr(beta*x) - c for beta in the F_p-basis z^i of E and
+    c in F_p: two roots differ in some Tr(beta*root), because the trace form
+    is nondegenerate, so after at most [E:F_p] rounds every part is linear.
+    Deterministic; see von zur Gathen & Gerhard, Modern Computer Algebra,
+    ch. 14.
+    """
+    p, k = E.p, E.degree
+    # frob[i] = x^(p^i) mod g, up to frob[k] = x^|E|
+    frob = [g.ring.gen % g]
+    for _ in range(k):
+        frob.append(powmod(frob[-1], p, g))
+    parts = [poly_gcd(frob[k] - g.ring.gen, g)]
+    for i in range(k):
+        if all(P.degree <= 1 for P in parts):
+            break
+        beta = E.from_index(p ** i)
+        trace = sum((frob[j] * beta ** (p ** j) for j in range(k)),
+                    g.ring.zero)
+        split = []
+        for P in parts:
+            if P.degree <= 1:
+                split.append(P)
+                continue
+            t = trace % P
+            left = P.degree
+            for c in range(p):
+                piece = poly_gcd(t - c, P)
+                if piece.degree > 0:
+                    split.append(piece)
+                    left -= piece.degree
+                    if not left:
+                        break
+        parts = split
+    return sorted((-P.constant_coeff() for P in parts if P.degree == 1),
+                  key=lambda r: r.index)
 
 
 def splitting_degree(f, max_m):

@@ -256,6 +256,15 @@ GOLDEN_STDOUT = {
         "aa17aeae99addf0cebfeb503dd1b1072743a1ba2ca38be6f260708d187aad79a",
     'compute --q 3 --prime "T^4 + T + 2" --method all --format json':
         "bac8ce46669c64a6db56dadd226add5d227798f23aa6fca1a6ec6fb6d22aecf1",
+    # graphs outside verify's envelope; the q = 9 one needs kappa_2
+    'graph --q 2 --prime "T^5 + T^2 + 1"':
+        "0ede2ef120d6d3febf2eef66db4a084b0fac0751fdcc8a4808a9698b3b9925e7",
+    'graph --q 2 --prime "T^5 + T^2 + 1" --format json':
+        "a68007c7329fbf750630c106c1cbce87c1dc9af6d34d1c264f5c9817a8cbfdfb",
+    'graph --q 3 --prime "T^3 + 2*T + 1"':
+        "8701103e975035bbb30df82aaffdbbc1cba10d7e0f5389088b0d865ccb29aeb0",
+    'graph --q 9 --prime "T^2 + x + 1"':
+        "2d6c3b48444a0b823496b34db22a38bb9e52c726f510483555dacc154370ec30",
 }
 GOLDEN_DOT = "19df06812e699b4f4b4689768c15b3960d415474c8ecc8d03ec6a9c324b8ffd9"
 

@@ -1,4 +1,4 @@
-"""Univariate polynomial layer: division, gcd, irreducibility, root scans."""
+"""Univariate polynomial layer: division, gcd, irreducibility, roots."""
 
 from itertools import islice
 
@@ -6,15 +6,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drinfeld_deuring.errors import (
-    AmbientTooSmallError, DomainError, RecurrenceBreakdownError,
+    AmbientTooSmallError, CapExceededError, DomainError,
+    RecurrenceBreakdownError,
 )
-from drinfeld_deuring.fields import base_field, embed
+from drinfeld_deuring.fields import FiniteField, base_field, embed
 from drinfeld_deuring.grammar import parse, render
-from drinfeld_deuring.modulus import primes_of_degree
+from drinfeld_deuring.isogeny_graph import (
+    build_supersingular_graph, verify_component,
+)
+from drinfeld_deuring.modulus import (
+    PrimeModulus, primes_of_degree, t_poly_ring,
+)
 from drinfeld_deuring.ore import qpow
 from drinfeld_deuring.poly import (
-    Poly, PolyRing, exact_div, is_irreducible, poly_gcd, roots_in_extension,
-    splitting_degree,
+    Poly, PolyRing, _monic_polys, exact_div, is_irreducible, poly_gcd,
+    powmod, roots_in_extension, splitting_degree,
 )
 
 
@@ -60,6 +66,7 @@ def test_roots_in_extension_examples():
     S = PolyRing(F2, "s")
     f = parse("s^2 + s", S)
     assert sorted(r.index for r in roots_in_extension(f, 1)) == [0, 1]
+    assert roots_in_extension(S.one, 2) == []
     g = parse("s^2 + s + 1", S)
     assert roots_in_extension(g, 1) == []
     roots = roots_in_extension(g, 2)
@@ -242,3 +249,122 @@ def test_gamma_matches_elementwise_horner(q, data):
         ref = ref * prime.alpha + K.embed_from_base(c)
     assert prime.gamma(f) == ref
     assert prime.gamma(f).field is K
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 4]),
+       st.lists(st.integers(0, 3), max_size=6),
+       st.lists(st.integers(0, 3), min_size=2, max_size=5),
+       st.integers(0, 40))
+def test_powmod_matches_power_then_remainder(q, gs, fs, e):
+    R = _ring(q)
+    g = R.poly([R.base.from_index(i % q) for i in gs])
+    f = R.poly([R.base.from_index(i % q) for i in fs])
+    if f.degree < 1:
+        return
+    assert powmod(g, e, f) == (g ** e) % f
+
+
+def _scan_roots(f, m):
+    """Indices of the roots of f in the degree-m extension, with
+    multiplicity, by evaluating f at every element."""
+    K = f.ring.base
+    E = K if m == 1 else K.extension(m)
+    ring = PolyRing(E, f.ring.var)
+    g = f.map_coeffs(lambda c: embed(c, E), ring)
+    out = []
+    for x in E.elements():
+        h = g
+        while not h(x):
+            h = h // Poly(ring, (-x, E.one))
+            out.append(x.index)
+    return out
+
+
+_ROOT_QS = (2, 3, 4, 5, 9)
+
+
+def _irreducibles(K, degree):
+    ring = PolyRing(K, "s")
+    return list(islice((f for f in _monic_polys(ring, degree)
+                        if is_irreducible(f)), 6))
+
+
+@st.composite
+def _root_poly(draw):
+    """m <= 3 and a polynomial over F_q: repeated linear factors, irreducible
+    factors of degree 2 or 3, an arbitrary factor and a nonzero constant."""
+    q = draw(st.sampled_from(_ROOT_QS))
+    m = draw(st.integers(1, 3))
+    K = base_field(q)
+    ring = PolyRing(K, "s")
+    f = ring.const(K.from_index(draw(st.integers(1, q - 1))))
+    for a in draw(st.lists(st.integers(0, q - 1), max_size=4)):
+        f = f * (ring.gen - K.from_index(a)) ** draw(st.integers(1, 3))
+    for deg in draw(st.lists(st.sampled_from([2, 3]), max_size=2)):
+        f = f * draw(st.sampled_from(_irreducibles(K, deg)))
+    if draw(st.booleans()):
+        idx = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=5))
+        g = ring.poly([K.from_index(i) for i in idx])
+        if g:
+            f = f * g
+    return m, f
+
+
+@settings(max_examples=80, deadline=None)
+@given(_root_poly())
+def test_roots_match_exhaustive_scan(case):
+    m, f = case
+    assert [r.index for r in roots_in_extension(f, m)] == _scan_roots(f, m)
+
+
+def _neighbor_cases():
+    # (q, d, m) with |kappa_m| <= 9^4, which takes in kappa_2 at q = 9, d = 2
+    return [(q, d, m) for q in _ROOT_QS for d in (1, 2) for m in (1, 2, 3)
+            if q ** (d * m) <= 9 ** 4]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_neighbor_cases()), st.data())
+def test_neighbor_polynomial_roots_match_exhaustive_scan(case, data):
+    q, d, m = case
+    prime = data.draw(st.sampled_from(
+        list(islice(primes_of_degree(base_field(q), d), 3))))
+    E = prime.kappa if m == 1 else prime.kappa.extension(m)
+    ring = PolyRing(E, "Y")
+    Y = ring.gen
+    delta0 = E.from_index(data.draw(st.integers(1, E.card - 1)))
+    g_Tq = embed(prime.alpha ** q, E)
+    # the neighbor polynomial of isogeny_graph.neighbors over kappa_m
+    c = -ring.const(g_Tq) * (Y + ring.one) ** (q - 1) * Y - ring.const(delta0)
+    assert [r.index for r in roots_in_extension(c, 1)] == _scan_roots(c, 1)
+
+
+def test_roots_outside_the_cap_raise():
+    S2 = PolyRing(base_field(2), "s")
+    with pytest.raises(CapExceededError):
+        roots_in_extension(parse("s^2 + s + 1", S2), 17)
+    S16 = PolyRing(base_field(16), "s")
+    with pytest.raises(CapExceededError):
+        roots_in_extension(parse("s^2 + s + 1", S16), 5)
+
+
+def test_root_finding_never_scans_the_field(monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("root finding scanned or evaluated")
+
+    prime = PrimeModulus(parse("T^5 + T^2 + 1", t_poly_ring(base_field(2))))
+    S = PolyRing(base_field(2), "s")
+    f = parse("s^4 + s + 1", S) * parse("s^3 + s + 1", S) * parse("s^2 + s", S)
+    monkeypatch.setattr(FiniteField, "elements", forbidden)
+    monkeypatch.setattr(Poly, "__call__", forbidden)
+    graph = build_supersingular_graph(prime)
+    roots = roots_in_extension(f, 12)  # over F_{2^12}
+    monkeypatch.undo()
+    assert verify_component(graph).ok
+    assert len(roots) == 9 == len(set(roots))
+    assert roots == sorted(roots, key=lambda r: r.index)
+    assert all(r.field.card == 2 ** 12 for r in roots)
+    E = roots[0].field
+    g = f.map_coeffs(lambda c: embed(c, E), PolyRing(E, "s"))
+    assert all(not g(r) for r in roots)
