@@ -9,7 +9,8 @@ Subcommands:
   identities   generic-characteristic tower identities (alias: tower)
 
 Exit codes: 0 = success / everything verified, 1 = some check failed,
-2 = invalid input.  All output is deterministic.
+2 = invalid input, including a graph whose h does not split in any field
+within the cardinality cap.  All output is deterministic.
 """
 
 import argparse
@@ -17,10 +18,10 @@ import json
 import sys
 
 from . import grammar
-from .drinfeld import deuring, deuring_g_sequence, deuring_H, \
-    deuring_h_direct, deuring_h_grec, deuring_h_universal
-from .errors import CapExceededError, ConsistencyError, DomainError, \
-    RecurrenceBreakdownError
+from .drinfeld import _METHODS, DeuringResult, deuring_g_sequence, \
+    deuring_H, deuring_h_direct, deuring_h_grec, deuring_h_universal
+from .errors import AmbientTooSmallError, CapExceededError, \
+    ConsistencyError, DomainError, RecurrenceBreakdownError
 from .fields import CARD_CAP, base_field
 from .isogeny_graph import build_supersingular_graph, verify_component
 from .modulus import PrimeModulus, primes_up_to_degree, reduce_mod_prime, \
@@ -49,7 +50,13 @@ def cmd_compute(args):
     prime = _parse_prime(args.q, args.prime)
     methods = ("direct", "grec", "universal") if args.method == "all" \
         else (args.method,)
-    results = [deuring(prime, m) for m in methods]
+    results = []
+    for m in methods:
+        h = _METHODS[m](prime)
+        # H is a function of h, so it is computed once per distinct h
+        same = [r.H for r in results if r.h == h]
+        H = same[0] if same else deuring_H(prime, h)
+        results.append(DeuringResult(prime, m, h, H))
     match = all(r.h == results[0].h and r.H == results[0].H for r in results)
     pick = (lambda r: r.h) if args.var == "delta" else (lambda r: r.H)
     if args.format == "json":
@@ -268,7 +275,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, AmbientTooSmallError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConsistencyError, RecurrenceBreakdownError) as exc:

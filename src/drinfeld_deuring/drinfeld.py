@@ -18,6 +18,10 @@ Legendre-form parameter: H is the numerator of
 ((s^q - s)^(q-1)/gamma(T^q))^N * h(gamma(T)/(s^q - s)^(q-1)) with
 N = deg h, expanded as the closed sum
 gamma(T^q)^(-N) * sum_j h_j * gamma(T)^j * (s^q - s)^((q-1)(N-j)).
+That sum is the definition; it is evaluated as a polynomial in
+S = (s^q - s)^(q-1) by base-q composition, which uses S(s)^q = S(s^q) to
+replace N products by a growing accumulator with about log_q N levels of
+products by the fixed powers S^r, r < q.
 """
 
 from __future__ import annotations
@@ -200,7 +204,13 @@ def deuring_h_universal(prime):
 
 
 def deuring_H(prime, h):
-    """The companion polynomial of degree q^(d+1) - q, from h by substitution."""
+    """The companion polynomial of degree q^(d+1) - q, from h by substitution.
+
+    H is the closed sum of the module docstring, i.e.
+    H = gamma(T^q)^(-N) * R(S) with S = (s^q - s)^(q-1), N = deg h and
+    R(x) = sum_n h_(N-n) * gamma(T)^(N-n) * x^n.  R(S) is evaluated by
+    base-q composition (`_compose_in_S`), not term by term.
+    """
     if not h or h.ring.base != prime.kappa:
         raise DomainError("deuring_H expects a nonzero polynomial over kappa")
     if not h.constant_coeff():
@@ -210,19 +220,49 @@ def deuring_H(prime, h):
     kappa = prime.kappa
     alpha = prime.alpha
     N = h.degree
-    S_ring = PolyRing(kappa, "s")
-    sq_minus_s = Poly(S_ring, (kappa.zero, -kappa.one)
-                      + (kappa.zero,) * (q - 2) + (kappa.one,))
-    S = sq_minus_s ** (q - 1)
-    acc = S_ring.const(h.coeffs[0])
-    for j in range(1, N + 1):
-        acc = acc * S + S_ring.const(h.coeffs[j] * alpha ** j)
-    H = acc * (alpha ** q) ** (-N)
+    # R is scaled by gamma(T^q)^(-N) up front: composition is linear in R
+    coeffs = []
+    c = (alpha ** q) ** (-N)
+    for hj in h.coeffs:
+        coeffs.append(hj * c)
+        c = c * alpha
+    H = _compose_in_S(coeffs[::-1], PolyRing(kappa, "s"), q)
     if H.degree != q ** (prime.d + 1) - q:
         raise ConsistencyError("H has the wrong degree")
     if H.lead != kappa.one:
         raise ConsistencyError("H is not monic")
     return H
+
+
+def _compose_in_S(coeffs, ring, q):
+    """R(S) in `ring` for R(x) = sum_n coeffs[n] x^n and S = (s^q - s)^(q-1).
+
+    S has coefficients in F_p, so S(s)^q = S(s^q).  Splitting R by residue
+    mod q, R(x) = sum_(r<q) x^r R_r(x^q), gives
+    R(S) = sum_(r<q) S^r * [R_r(S)](s^q): each level recurses on q parts of
+    a q-th of the length, stretches their results by s -> s^q (no field
+    arithmetic) and multiplies them by the fixed S^r of degree <= q(q-1)^2.
+    """
+    base = ring.base
+    S = Poly(ring, (base.zero, -base.one) + (base.zero,) * (q - 2)
+             + (base.one,)) ** (q - 1)
+    S_pows = [ring.one]
+    for _ in range(q - 1):
+        S_pows.append(S_pows[-1] * S)
+
+    def compose(cs):
+        if len(cs) <= 1:
+            return Poly(ring, cs)
+        acc = ring.zero
+        for r in range(min(q, len(cs))):
+            inner = compose(cs[r::q]).coeffs
+            stretched = [base.zero] * (q * len(inner) - q + 1)
+            stretched[::q] = inner
+            part = Poly(ring, stretched)
+            acc = acc + (S_pows[r] * part if r else part)
+        return acc
+
+    return compose(list(coeffs))
 
 
 @dataclass

@@ -12,7 +12,7 @@ product, division and evaluation.
 from __future__ import annotations
 
 from .errors import AmbientTooSmallError, CapExceededError, DomainError
-from .fields import FiniteField, _digits, _prime_divisors, embed
+from .fields import CARD_CAP, FiniteField, _digits, _prime_divisors, embed
 
 
 class PolyRing:
@@ -415,4 +415,5 @@ def _split_roots(f, max_m):
         if len(roots) == n:
             return m, roots
     raise AmbientTooSmallError(
-        f"{f!r} does not split within the scannable extensions", None)
+        f"a polynomial of degree {n} does not split in any extension "
+        f"within the {CARD_CAP}-element cap", None)

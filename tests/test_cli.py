@@ -133,6 +133,33 @@ def test_verify_computes_H_once_per_prime(monkeypatch):
     assert calls == list(primes_up_to_degree(base_field(2), 3))
 
 
+def test_compute_computes_H_once_per_distinct_h(monkeypatch, capsys):
+    calls = []
+    H = cli.deuring_H
+
+    def counted(prime, h):
+        calls.append(prime)
+        return H(prime, h)
+
+    monkeypatch.setattr(cli, "deuring_H", counted)
+    assert main(["compute", "--q", "2", "--prime", "T^4+T+1",
+                 "--method", "all"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.endswith("MATCH\n")
+
+
+@pytest.mark.parametrize("q, prime", [("2", "T^9+T^4+1"), ("16", "T^3 + x"),
+                                      ("5", "T^4 + 2")])
+def test_graph_beyond_the_cap_is_invalid(q, prime, capsys):
+    # h does not split in any extension of kappa within the cardinality cap
+    assert main(["graph", "--q", q, "--prime", prime]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and len(captured.err) < 300
+    assert "65536" in captured.err
+
+
 def test_verify_bad_degree(capsys):
     assert main(["verify", "--q", "2", "--max-degree", "0"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from drinfeld_deuring.drinfeld import (
     DeltaModule,
     LambdaModule,
+    _compose_in_S,
     delta_from_lambda,
     deuring,
     deuring_H,
@@ -25,11 +26,13 @@ from drinfeld_deuring.fields import base_field, embed
 from drinfeld_deuring.grammar import parse, render
 from drinfeld_deuring.modulus import (
     PrimeModulus,
+    primes_of_degree,
     primes_up_to_degree,
     reduce_mod_prime,
     t_poly_ring,
 )
 from drinfeld_deuring.ore import OreContext, ore_apply
+from drinfeld_deuring.poly import Poly, PolyRing
 from drinfeld_deuring.universal import u_sequence
 
 
@@ -295,3 +298,79 @@ def test_primes_catalog():
     ps = primes_up_to_degree(F2, 3)
     assert [render(p.p_poly) for p in ps] == \
         ["T + 1", "T^2 + T + 1", "T^3 + T + 1", "T^3 + T^2 + 1"]
+
+
+# Horner in S = (s^q - s)^(q-1), the evaluation order deuring_H replaced;
+# the references below keep it as the oracle for the base-q composition
+def _S(ring, q):
+    return (ring.gen ** q - ring.gen) ** (q - 1)
+
+
+def _horner_in_S(coeffs, ring, q):
+    S = _S(ring, q)
+    acc = ring.zero
+    for c in reversed(coeffs):
+        acc = acc * S + ring.const(c)
+    return acc
+
+
+def _horner_H(prime, h):
+    # gamma(T^q)^(-N) * sum_j h_j gamma(T)^j S^(N-j), term by term
+    ring = PolyRing(prime.kappa, "s")
+    S = _S(ring, prime.q)
+    acc = ring.zero
+    for j, c in enumerate(h.coeffs):
+        acc = acc * S + ring.const(c * prime.alpha ** j)
+    return acc * (prime.alpha ** prime.q) ** (-h.degree)
+
+
+@st.composite
+def _coefficient_lists(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 9]))
+    kappa = next(iter(primes_of_degree(base_field(q), 2))).kappa
+    # lengths at and around q^k stress the split by residue mod q
+    near_powers = [q ** k + e for k in range(1, 4) for e in (-1, 0, 1)
+                   if q ** k + e <= 82]
+    n = draw(st.sampled_from([1] + near_powers) | st.integers(0, 30))
+    # mostly zero coefficients, so that interior and top zeros are common
+    idx = st.integers(0, kappa.card - 1) | st.just(0)
+    coeffs = [kappa.from_index(draw(idx)) for _ in range(n)]
+    return q, kappa, coeffs
+
+
+@settings(max_examples=120, deadline=None)
+@given(_coefficient_lists())
+def test_compose_in_S_matches_horner(case):
+    q, kappa, coeffs = case
+    ring = PolyRing(kappa, "s")
+    assert _compose_in_S(coeffs, ring, q) == _horner_in_S(coeffs, ring, q)
+
+
+@pytest.mark.parametrize("q, max_d", [(2, 4), (3, 3), (4, 2), (5, 2), (9, 2)])
+def test_deuring_H_matches_horner_on_the_grid(q, max_d):
+    for p in primes_up_to_degree(base_field(q), max_d):
+        h = deuring_h_universal(p)
+        assert deuring_H(p, h) == _horner_H(p, h)
+
+
+def test_deuring_H_work_is_far_below_horner(monkeypatch):
+    # nonzero x nonzero term pairs of every product inside deuring_H: Horner
+    # makes about 1.97 N^2 of them at q = 2, d = 10, the composition about
+    # 0.03 N^2
+    p = next(iter(primes_of_degree(base_field(2), 10)))
+    h = deuring_h_universal(p)
+    N = h.degree
+    pairs = []
+    mul = Poly.__mul__
+
+    def counted(a, b):
+        if isinstance(b, Poly):
+            pairs.append(sum(1 for c in a.coeffs if c)
+                         * sum(1 for c in b.coeffs if c))
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(Poly, "__rmul__", counted)
+    H = deuring_H(p, h)
+    assert H.degree == 2 ** 11 - 2
+    assert pairs and sum(pairs) < N * N / 10
