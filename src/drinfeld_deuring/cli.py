@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import grammar
-from .drinfeld import _METHODS, DeuringResult, deuring_g_sequence, \
+from .drinfeld import _METHODS, DeuringResult, check_g_structure, \
     deuring_H, deuring_h_direct, deuring_h_grec, deuring_h_universal
 from .errors import AmbientTooSmallError, CapExceededError, \
     ConsistencyError, DomainError, RecurrenceBreakdownError
@@ -81,22 +81,6 @@ def cmd_compute(args):
     return 0 if match else 1
 
 
-def _g_structure_ok(prime, h):
-    g = deuring_g_sequence(prime)
-    d, q = prime.d, prime.q
-    if any(g[k] for k in range(d)):
-        return False
-    gd = g[d]
-    if gd.degree != (q ** d - 1) // (q - 1):
-        return False
-    lead = gd.lead if d % 2 == 0 else -gd.lead
-    if lead != prime.kappa.one:
-        return False
-    if g[2 * d] != g[0].ring.gen ** sum(q ** (2 * i) for i in range(d)):
-        return False
-    return not any(divmod(g[k], h)[1] for k in range(d, 2 * d))
-
-
 # graph checks stay within this envelope so that verify's rows, and hence
 # its stdout, stay as they are
 _GRAPH_ENVELOPE = {2: 3, 3: 2}
@@ -135,7 +119,7 @@ def _verify_rows(q, max_degree):
                      and bool(h.constant_coeff())
                      and check_simple_roots(prime)))
         if prime.d <= 2:
-            rows.append((f"g-structure[{label}]", _g_structure_ok(prime, h)))
+            rows.append((f"g-structure[{label}]", check_g_structure(prime, h)))
         if prime.d <= _GRAPH_ENVELOPE.get(q, 0):
             rep = verify_component(build_supersingular_graph(prime))
             rows.append((f"graph[{label}]", rep.ok))

@@ -13,8 +13,13 @@ g_k = 0 for k < d; the Deuring polynomial is h = (-1)^d g_d, monic of degree
 h is computed three independent ways: symbolically from the twisted-polynomial
 image (direct), by the coefficient recurrence run in generic A-characteristic
 over F_q[T][Delta] (grec), and by reducing the universal sequence term u_d
-mod p (universal).  The companion H has degree q^(d+1) - q and encodes the
-Legendre-form parameter: H is the numerator of
+mod p (universal).  grec holds each g_k as term maps, the nonzero
+coefficients of T per power of Delta: the recurrence only shifts, stretches
+and adds them, and its exact divisions by T^(q^k) - T are running sums over
+residue classes of exponents.
+
+The companion H has degree q^(d+1) - q and encodes the Legendre-form
+parameter: H is the numerator of
 ((s^q - s)^(q-1)/gamma(T^q))^N * h(gamma(T)/(s^q - s)^(q-1)) with
 N = deg h, expanded as the closed sum
 gamma(T^q)^(-N) * sum_j h_j * gamma(T)^j * (s^q - s)^((q-1)(N-j)).
@@ -31,8 +36,8 @@ from dataclasses import dataclass
 from .errors import ConsistencyError, DomainError, RecurrenceBreakdownError
 from .fields import embed
 from .modulus import PrimeModulus, reduce_mod_prime, t_poly_ring
-from .ore import OreContext, drinfeld_image, qpow
-from .poly import Poly, PolyRing, exact_div
+from .ore import OreContext, drinfeld_image
+from .poly import Poly, PolyRing
 from .universal import u_sequence
 
 
@@ -139,63 +144,139 @@ def deuring_h_direct(prime):
     return h
 
 
+def check_g_structure(prime, h):
+    """The shape of psi_{p(T)} that makes h its Deuring polynomial.
+
+    g_k = 0 for k < d; g_d has degree (q^d - 1)/(q - 1) and leading
+    coefficient (-1)^d; g_{2d} = Delta^(1 + q^2 + ... + q^(2d-2)); and h
+    divides g_k for d <= k < 2d.
+    """
+    g = deuring_g_sequence(prime)
+    d, q = prime.d, prime.q
+    if any(g[k] for k in range(d)):
+        return False
+    gd = g[d]
+    sign = -prime.kappa.one if d % 2 else prime.kappa.one
+    if gd.degree != (q ** d - 1) // (q - 1) or gd.lead != sign:
+        return False
+    if g[2 * d] != gd.ring.gen ** sum(q ** (2 * i) for i in range(d)):
+        return False
+    return not any(divmod(g[k], h)[1] for k in range(d, 2 * d))
+
+
 def grec_g_sequence(prime, k_max):
     """[g_0, ..., g_{k_max}] of the coefficient recurrence, run generically.
 
-    The recurrence is independent of the prime chosen, so it is run over
-    F_q[T][Delta] with gamma the identity; every division by T^(q^k) - T is
-    then exact, and a nonzero remainder raises RecurrenceBreakdownError.
-    Delta is represented by the variable s.
+    The recurrence does not depend on the prime, so it is run over
+    F_q[T][Delta] with gamma the identity, from g_0 = p(T) and g_(-1) = 0;
+    every division by T^(q^k) - T is then exact, and a nonzero remainder
+    raises RecurrenceBreakdownError.  The steps run on sparse term maps
+    (`_grec_terms`); only the result is converted to polynomials, with Delta
+    represented by the variable s.
     """
-    field = prime.field_q
+    F = prime.field_q
+    A = t_poly_ring(F)
+    out = []
+    for g in _grec_terms(prime, k_max):
+        rows = []
+        for de in range(max(g, default=-1) + 1):
+            terms = g.get(de, {})
+            cs = [F.zero] * (max(terms, default=-1) + 1)
+            for te, c in terms.items():
+                cs[te] = F.from_index(c)
+            rows.append(Poly(A, cs))
+        out.append(Poly(PolyRing(A, "s"), rows))
+    return out
+
+
+def _grec_terms(prime, k_max):
+    """g_0, ..., g_{k_max} as term maps {Delta exponent: {T exponent: c}}.
+
+    Each c is the F_q index of a nonzero coefficient.  With omega = Delta + T
+    and g_(-1) = 0, step k >= 1 is
+
+        g_k * (T^(q^k) - T) = g_(k-1) * omega^(q^(k-1)) - g_(k-1)^(q) * omega
+                              - g_(k-2) * Delta^(q^(k-2)) + g_(k-2)^(q^2) * Delta,
+
+    the tau^k coefficient of psi_T * psi_p = psi_p * psi_T.  Frobenius fixes
+    F_q, so g^(q^j) stretches both exponents by q^j and keeps every c, and the
+    right side is a signed sum of shifted and stretched copies: no products.
+    """
+    F = prime.field_q
     q = prime.q
-    A = t_poly_ring(field)
-    D = PolyRing(A, "s")
-    p = prime.p_poly
-    out = [D.const(p)]
-    if k_max >= 1:
-        out.append(_generic_g1(D, p))
-    T = A.gen
-    omega = Poly(D, (T, A.one))  # Delta + T
-    delta = D.gen
-    for k in range(2, k_max + 1):
-        g1, g2 = out[k - 1], out[k - 2]
-        num = g1 * qpow(omega, q, k - 1) - qpow(g1, q, 1) * omega \
-            - g2 * qpow(delta, q, k - 2) + qpow(g2, q, 2) * delta
-        div = T ** (q ** k) - T
-        gk = num.map_coeffs(
-            lambda c: exact_div(c, div, RecurrenceBreakdownError), D)
+    add = [[F._add(a, b) for b in range(q)] for a in range(q)]
+    same = list(range(q))
+    neg = [F._neg(c) for c in range(q)]
+    out = [{0: {e: c.index for e, c in enumerate(prime.p_poly.coeffs) if c}}]
+    g2 = {}
+    for k in range(1, k_max + 1):
+        g1 = out[-1]
+        num = {}
+        # (term map, its sign, Delta stretch, Delta shift, T stretch, T shift)
+        moves = [(g1, same, 1, q ** (k - 1), 1, 0),
+                 (g1, same, 1, 0, 1, q ** (k - 1)),
+                 (g1, neg, q, 1, q, 0),
+                 (g1, neg, q, 0, q, 1)]
+        if g2:
+            moves += [(g2, neg, 1, q ** (k - 2), 1, 0),
+                      (g2, same, q * q, 1, q * q, 0)]
+        for g, sign, ds, dt, ts, tt in moves:
+            for de, terms in g.items():
+                row = num.setdefault(de * ds + dt, {})
+                for te, c in terms.items():
+                    t = te * ts + tt
+                    row[t] = add[row.get(t, 0)][sign[c]]
+        gk = {}
+        for de, f in num.items():
+            quot = _exact_div_terms(f, q ** k, add)
+            if quot:
+                gk[de] = quot
+        g2 = g1
         out.append(gk)
     return out[:k_max + 1]
 
 
-def _generic_g1(D, p):
-    # tau-degree <= 1 part of psi_{p} over A[Delta], by the Horner pair
-    # (psi^i)_0 = (psi^{i-1})_0 * T, (psi^i)_1 = (psi^{i-1})_0 * (-(Delta+T))
-    #                                  + (psi^{i-1})_1 * T^q
-    A = D.base
-    T = A.gen
-    q = A.base.card
-    tq = T ** q
-    neg_omega = Poly(D, (-T, -A.one))
-    c0, c1 = D.one, D.zero
-    pairs = [(c0, c1)]
-    for _ in range(p.degree):
-        c0, c1 = c0 * T, c0 * neg_omega + c1 * tq
-        pairs.append((c0, c1))
-    acc = D.zero
-    for a, (_, c1) in zip(p.coeffs, pairs):
-        if a:
-            acc = acc + c1 * a
-    return acc
+def _exact_div_terms(f, Q, add):
+    """f / (T^Q - T) for a term map f {T exponent: F_q index}, Q = q^k.
+
+    With L = Q - 1, T^Q - T = T * (T^L - 1), so the quotient's coefficient at
+    i is f_(i+Q) + f_(i+Q+L) + ..., a descending running sum over one residue
+    class mod L.  The division is exact iff f has no constant term and every
+    class sums to zero; otherwise RecurrenceBreakdownError.  `add` is the
+    addition table of the F_q indices.
+    """
+    if f.get(0):
+        raise RecurrenceBreakdownError(
+            f"division by T^{Q} - T: the dividend has a constant term")
+    L = Q - 1
+    quot = {}
+    # per residue class mod L: the running sum and the exponent it last grew at
+    sums, tops = {}, {}
+    for e in sorted(f, reverse=True):
+        c = f[e]
+        if not c:
+            continue
+        r = e % L
+        s = sums.get(r, 0)
+        if s:
+            # the quotient is s at every class position strictly above e - Q
+            for i in range(tops[r] - Q, max(e - Q, -1), -L):
+                quot[i] = s
+        sums[r], tops[r] = add[s][c], e
+    if any(sums.values()):
+        raise RecurrenceBreakdownError(
+            f"division by T^{Q} - T leaves a nonzero remainder")
+    return quot
 
 
 def deuring_h_grec(prime):
-    g = grec_g_sequence(prime, prime.d)
-    h = reduce_mod_prime(g[prime.d], prime)
+    g = _grec_terms(prime, prime.d)[prime.d]
+    K = prime.kappa
+    h = [prime._reduce_terms(g[de].items()) if de in g else 0
+         for de in range(max(g) + 1)]
     if prime.d % 2:
-        h = -h
-    return h
+        h = [K._neg(c) for c in h]
+    return Poly(PolyRing(K, "s"), [K.from_index(c) for c in h])
 
 
 def deuring_h_universal(prime):

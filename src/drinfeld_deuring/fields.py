@@ -22,6 +22,7 @@ structural field equality.
 from __future__ import annotations
 
 import functools
+import operator
 
 from .errors import CapExceededError, DomainError
 
@@ -33,28 +34,6 @@ def _digits(n, p, length):
     for _ in range(length):
         n, r = divmod(n, p)
         out.append(r)
-    return out
-
-
-def _digit_add(a, b, p):
-    # carry-free addition of two base-p encoded vectors
-    out = 0
-    shift = 1
-    while a or b:
-        a, da = divmod(a, p)
-        b, db = divmod(b, p)
-        out += ((da + db) % p) * shift
-        shift *= p
-    return out
-
-
-def _digit_scale(a, c, p):
-    out = 0
-    shift = 1
-    while a:
-        a, da = divmod(a, p)
-        out += ((da * c) % p) * shift
-        shift *= p
     return out
 
 
@@ -72,6 +51,56 @@ def _prime_divisors(n):
     return fs
 
 
+def _vector_arithmetic(p, degree, modulus_digits):
+    """(mul, add, to_vec, to_index) of F_p[z]/(m) on coefficient vectors.
+
+    In characteristic 2 a vector is the packed int of its bits, which is the
+    element index itself, and sums are XOR.  Otherwise it is the list of the
+    `degree` base-p digits of the index, lowest first.
+    """
+    if p == 2:
+        m = sum(c << i for i, c in enumerate(modulus_digits))
+        top = 1 << degree
+
+        def mul(a, b):
+            acc = 0
+            while b:
+                if b & 1:
+                    acc ^= a
+                b >>= 1
+                a <<= 1
+                if a & top:
+                    a ^= m
+            return acc
+
+        def same(a):
+            return a
+
+        return mul, operator.xor, same, same
+    # z^degree reduced: the negated low part of the modulus
+    red = [(-c) % p for c in modulus_digits[:degree]]
+    weights = [p ** i for i in range(degree)]
+
+    def add(a, b):
+        return [(x + y) % p for x, y in zip(a, b)]
+
+    def mul(a, b):
+        acc = [0] * degree
+        for db in b:
+            if db:
+                acc = [(x + db * y) % p for x, y in zip(acc, a)]
+            t = a[-1]
+            a = [0] + a[:-1]
+            if t:
+                a = [(x + t * r) % p for x, r in zip(a, red)]
+        return acc
+
+    def to_index(a):
+        return sum(d * w for d, w in zip(a, weights))
+
+    return mul, add, (lambda i: _digits(i, p, degree)), to_index
+
+
 class _AbsTables:
     """Shared arithmetic tables for the absolute field F_p[z]/(m)."""
 
@@ -82,53 +111,40 @@ class _AbsTables:
         self.modulus_digits = modulus_digits
         self.root_cache = {}
         n = self.card
-        pD = n
-        # z^degree reduced: negate the low part of the modulus
-        red = 0
-        shift = 1
-        for c in modulus_digits[:degree]:
-            red += ((-c) % p) * shift
-            shift *= p
-        self._red = red
-
-        def mul_raw(a, b):
-            acc = 0
-            cur = a
-            while b:
-                b, db = divmod(b, p)
-                if db:
-                    acc = _digit_add(acc, _digit_scale(cur, db, p), p)
-                # shift cur by one power of z and reduce
-                cur *= p
-                if cur >= pD:
-                    t = cur // pD
-                    cur = _digit_add(cur - t * pD, _digit_scale(red, t, p), p)
-            return acc
+        mul, add, to_vec, to_index = _vector_arithmetic(
+            p, degree, modulus_digits)
 
         def pow_raw(a, e):
-            r = 1
+            r = to_vec(1)
             while e:
                 if e & 1:
-                    r = mul_raw(r, a)
-                a = mul_raw(a, a)
+                    r = mul(r, a)
+                a = mul(a, a)
                 e >>= 1
-            return r
+            return to_index(r)
 
         m1 = n - 1
         prime_factors = _prime_divisors(m1)
         gen = None
         for cand in range(p, n):
-            if all(pow_raw(cand, m1 // r) != 1 for r in prime_factors):
+            if all(pow_raw(to_vec(cand), m1 // r) != 1 for r in prime_factors):
                 gen = cand
                 break
         assert gen is not None
+        # x -> x * gen is F_p-linear: tabulate it on the low and the high
+        # half of the index, so each power costs one vector sum
+        half = p ** (degree // 2)
+        g = to_vec(gen)
+        low = [mul(to_vec(i), g) for i in range(half)]
+        high = [mul(to_vec(i * half), g) for i in range(n // half)]
         exp = [0] * m1
         log = [0] * n
         cur = 1
         for i in range(m1):
             exp[i] = cur
             log[cur] = i
-            cur = mul_raw(cur, gen)
+            hi, lo = divmod(cur, half)
+            cur = to_index(add(low[lo], high[hi]))
         assert cur == 1
         self.exp = exp
         self.log = log

@@ -48,17 +48,22 @@ class PrimeModulus:
             return self.kappa.embed_from_base(self.field_q.coerce(f))
         if not (isinstance(f, Poly) and f.ring == self.p_poly.ring):
             raise DomainError("gamma expects a polynomial over the same F_q[T]")
+        return self.kappa.from_index(self._reduce_terms(
+            (e, c.index) for e, c in enumerate(f.coeffs) if c))
+
+    def _reduce_terms(self, terms):
+        """The kappa index of sum(c * alpha^e) over (e, c) pairs, c the F_q
+        index of a coefficient: reduction mod p over the given terms only."""
         K = self.kappa
         if self._embed_index is None:
             self._embed_index = [
                 K.embed_from_base(self.field_q.from_index(i)).index
                 for i in range(self.q)]
         emb, a = self._embed_index, self.alpha.index
-        # Horner at alpha on field indices
         acc = 0
-        for c in reversed(f.coeffs):
-            acc = K._add(K._mul(acc, a), emb[c.index])
-        return K.from_index(acc)
+        for e, c in terms:
+            acc = K._add(acc, K._mul(emb[c], K._pow(a, e)))
+        return acc
 
     def __eq__(self, other):
         if not isinstance(other, PrimeModulus):

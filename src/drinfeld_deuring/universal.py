@@ -54,11 +54,20 @@ def u_sequence(field, i_max):
 
 
 def _u_step(u_prev, u_i, q, i):
-    """u_{i+1} = u_i*s^(q^i) + u_i*T^(q^(i+1)) - (T^(q^i) - T)*s^(q^i)*u_{i-1}."""
-    T = u_i.ring.base.gen
+    """u_{i+1} = u_i*s^(q^i) + u_i*T^(q^(i+1)) - (T^(q^i) - T)*s^(q^i)*u_{i-1}.
+
+    The factors in T are a monomial and a binomial, so they are applied as
+    shifts of the coefficients, not as products.
+    """
     qi = q ** i
-    return u_i.shifted(qi) + u_i * T ** (q * qi) \
-        - u_prev.shifted(qi) * (T ** qi - T)
+    ring = u_i.ring
+
+    def times_t(f, k):
+        return f.map_coeffs(lambda c: c.shifted(k), ring)
+
+    v = u_prev.shifted(qi)
+    return u_i.shifted(qi) + times_t(u_i, q * qi) - times_t(v, qi) \
+        + times_t(v, 1)
 
 
 def U_sequence(field, i_max):

@@ -8,8 +8,8 @@ import time
 
 from drinfeld_deuring.drinfeld import (
     DeltaModule,
+    check_g_structure,
     deuring_H,
-    deuring_g_sequence,
     deuring_h_direct,
     deuring_h_grec,
     deuring_h_universal,
@@ -154,21 +154,8 @@ def test_criterion_07_supersingularity_cross_check():
 
 def test_criterion_08_g_structure():
     cases = [(q, p) for q, p in _prime_set() if p.d <= 2]
-    bad = []
-    for q, prime in cases:
-        d = prime.d
-        g = deuring_g_sequence(prime)
-        h = deuring_h_direct(prime)
-        ok = not any(g[k] for k in range(d))
-        gd = g[d]
-        N = (q ** d - 1) // (q - 1)
-        sign = -prime.kappa.one if d % 2 else prime.kappa.one
-        ok = ok and gd.degree == N and gd.lead == sign
-        e = sum(q ** (2 * i) for i in range(d))
-        ok = ok and g[2 * d] == g[d].ring.gen ** e
-        ok = ok and not any(divmod(g[k], h)[1] for k in range(d, 2 * d))
-        if not ok:
-            bad.append(str(prime.p_poly))
+    bad = [str(prime.p_poly) for _, prime in cases
+           if not check_g_structure(prime, deuring_h_direct(prime))]
     _report(8, not bad, f"{len(cases)} primes"
             + (f", failures: {bad}" if bad else ""))
 

@@ -9,6 +9,7 @@ from drinfeld_deuring.drinfeld import (
     DeltaModule,
     LambdaModule,
     _compose_in_S,
+    _exact_div_terms,
     delta_from_lambda,
     deuring,
     deuring_H,
@@ -21,7 +22,7 @@ from drinfeld_deuring.drinfeld import (
     j_invariant,
 )
 from drinfeld_deuring.errors import CapExceededError, ConsistencyError, \
-    DomainError
+    DomainError, RecurrenceBreakdownError
 from drinfeld_deuring.fields import base_field, embed
 from drinfeld_deuring.grammar import parse, render
 from drinfeld_deuring.modulus import (
@@ -31,8 +32,8 @@ from drinfeld_deuring.modulus import (
     reduce_mod_prime,
     t_poly_ring,
 )
-from drinfeld_deuring.ore import OreContext, ore_apply
-from drinfeld_deuring.poly import Poly, PolyRing
+from drinfeld_deuring.ore import OreContext, ore_apply, qpow
+from drinfeld_deuring.poly import Poly, PolyRing, exact_div
 from drinfeld_deuring.universal import u_sequence
 
 
@@ -374,3 +375,104 @@ def test_deuring_H_work_is_far_below_horner(monkeypatch):
     H = deuring_H(p, h)
     assert H.degree == 2 ** 11 - 2
     assert pairs and sum(pairs) < N * N / 10
+
+
+# The recurrence as grec ran it on dense F_q[T][Delta] polynomials before it
+# moved to term maps; the references below keep it as the oracle.
+def _dense_grec(prime, k_max):
+    field = prime.field_q
+    q = prime.q
+    A = t_poly_ring(field)
+    D = PolyRing(A, "s")
+    p = prime.p_poly
+    out = [D.const(p)]
+    if k_max >= 1:
+        out.append(_dense_generic_g1(D, p))
+    T = A.gen
+    omega = Poly(D, (T, A.one))  # Delta + T
+    delta = D.gen
+    for k in range(2, k_max + 1):
+        g1, g2 = out[k - 1], out[k - 2]
+        num = g1 * qpow(omega, q, k - 1) - qpow(g1, q, 1) * omega \
+            - g2 * qpow(delta, q, k - 2) + qpow(g2, q, 2) * delta
+        div = T ** (q ** k) - T
+        gk = num.map_coeffs(
+            lambda c: exact_div(c, div, RecurrenceBreakdownError), D)
+        out.append(gk)
+    return out[:k_max + 1]
+
+
+def _dense_generic_g1(D, p):
+    # tau-degree <= 1 part of psi_{p} over A[Delta], by the Horner pair
+    # (psi^i)_0 = (psi^{i-1})_0 * T, (psi^i)_1 = (psi^{i-1})_0 * (-(Delta+T))
+    #                                  + (psi^{i-1})_1 * T^q
+    A = D.base
+    T = A.gen
+    q = A.base.card
+    tq = T ** q
+    neg_omega = Poly(D, (-T, -A.one))
+    c0, c1 = D.one, D.zero
+    pairs = [(c0, c1)]
+    for _ in range(p.degree):
+        c0, c1 = c0 * T, c0 * neg_omega + c1 * tq
+        pairs.append((c0, c1))
+    acc = D.zero
+    for a, (_, c1) in zip(p.coeffs, pairs):
+        if a:
+            acc = acc + c1 * a
+    return acc
+
+
+@pytest.mark.parametrize("q, max_d", [(2, 5), (3, 3), (4, 3), (5, 2), (9, 2)])
+def test_grec_g_sequence_matches_dense_recurrence(q, max_d):
+    for p in primes_up_to_degree(base_field(q), max_d):
+        assert grec_g_sequence(p, 2 * p.d) == _dense_grec(p, 2 * p.d)
+
+
+def _terms(f):
+    return {e: c.index for e, c in enumerate(f.coeffs) if c}
+
+
+def _add_table(F):
+    return [[F._add(a, b) for b in range(F.card)] for a in range(F.card)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 9]), st.integers(1, 3), st.data())
+def test_exact_div_terms_matches_exact_div(q, k, data):
+    A = t_poly_ring(base_field(q))
+    F = A.base
+    Q = q ** k
+    div = A.gen ** Q - A.gen
+    # sparse quotients, some stretched by q^j as grec's are
+    idx = st.integers(0, q - 1) | st.just(0) | st.just(0)
+    g = A.poly([F.from_index(data.draw(idx))
+                for _ in range(data.draw(st.integers(0, 40)))])
+    g = qpow(g, q, data.draw(st.integers(0, 2)))
+    f = g * div
+    add = _add_table(F)
+    assert _exact_div_terms(_terms(f), Q, add) == _terms(
+        exact_div(f, div, RecurrenceBreakdownError))
+    assert _exact_div_terms(_terms(f), Q, add) == _terms(g)
+    c = F.from_index(data.draw(st.integers(1, q - 1)))
+    # a stray term anywhere; a constant term, alone or balanced within its
+    # residue class mod q^k - 1; and a class that no longer sums to zero:
+    # each leaves a remainder
+    stray = data.draw(st.integers(0, max(f.degree, 0) + Q + 2))
+    for bad in (f + A.gen ** stray * c, f + c, f + (A.gen ** (Q - 1) - 1) * c,
+                f + A.gen ** (Q - 1) * c - A.gen ** (2 * Q - 2) * c * 2):
+        with pytest.raises(RecurrenceBreakdownError):
+            exact_div(bad, div, RecurrenceBreakdownError)
+        with pytest.raises(RecurrenceBreakdownError):
+            _exact_div_terms(_terms(bad), Q, add)
+
+
+def test_grec_never_divides_polynomials(monkeypatch):
+    p = next(iter(primes_of_degree(base_field(2), 6)))
+    h = deuring_h_universal(p)
+
+    def unreachable(self, other):
+        raise AssertionError("grec divided two polynomials")
+
+    monkeypatch.setattr(Poly, "__divmod__", unreachable)
+    assert deuring_h_grec(p) == h

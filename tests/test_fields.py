@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import drinfeld_deuring
 from drinfeld_deuring.errors import DomainError
-from drinfeld_deuring.fields import base_field, embed, frobenius
+from drinfeld_deuring.fields import _AbsTables, _canonical_modulus_digits, \
+    _prime_divisors, base_field, embed, frobenius
 from drinfeld_deuring.grammar import render
 from drinfeld_deuring.laurent import LaurentRing
 from drinfeld_deuring.modulus import primes_of_degree, t_poly_ring
@@ -219,3 +220,77 @@ def test_base_field_extends_the_shared_prime_field():
                          capture_output=True, text=True).stdout
     # y^4, y^4 + 1, y^4 + y and y^4 + y + 1: one search for the modulus
     assert out.split() == ["4", "True"]
+
+
+# The table build as it was with digit-by-digit base-p arithmetic on element
+# indices; the fast build must reproduce its generator and tables exactly.
+def _reference_tables(p, degree, modulus_digits):
+    def digit_add(a, b):
+        out, shift = 0, 1
+        while a or b:
+            a, da = divmod(a, p)
+            b, db = divmod(b, p)
+            out += ((da + db) % p) * shift
+            shift *= p
+        return out
+
+    def digit_scale(a, c):
+        out, shift = 0, 1
+        while a:
+            a, da = divmod(a, p)
+            out += ((da * c) % p) * shift
+            shift *= p
+        return out
+
+    n = p ** degree
+    red = sum(((-c) % p) * p ** i for i, c in enumerate(modulus_digits[:degree]))
+
+    def mul_raw(a, b):
+        acc, cur = 0, a
+        while b:
+            b, db = divmod(b, p)
+            if db:
+                acc = digit_add(acc, digit_scale(cur, db))
+            cur *= p
+            if cur >= n:
+                t = cur // n
+                cur = digit_add(cur - t * n, digit_scale(red, t))
+        return acc
+
+    def pow_raw(a, e):
+        r = 1
+        while e:
+            if e & 1:
+                r = mul_raw(r, a)
+            a = mul_raw(a, a)
+            e >>= 1
+        return r
+
+    m1 = n - 1
+    gen = next(c for c in range(p, n)
+               if all(pow_raw(c, m1 // r) != 1 for r in _prime_divisors(m1)))
+    exp, log, cur = [0] * m1, [0] * n, 1
+    for i in range(m1):
+        exp[i], log[cur] = cur, i
+        cur = mul_raw(cur, gen)
+    zech = None
+    if p != 2:
+        zech = []
+        for e in exp:
+            d0 = e % p
+            e1 = e - d0 + (d0 + 1) % p
+            zech.append(log[e1] if e1 else -1)
+    return gen, exp, log, zech
+
+
+def _table_sizes(limit):
+    # every absolute field with tables (degree >= 2) of at most `limit` elements
+    primes = [p for p in range(2, 65) if _prime_divisors(p) == [p]]
+    return [(p, k) for p in primes for k in range(2, 13) if p ** k <= limit]
+
+
+@pytest.mark.parametrize("p, degree", _table_sizes(4096))
+def test_tables_match_digit_by_digit_build(p, degree):
+    mod = _canonical_modulus_digits(p, degree)
+    t = _AbsTables(p, degree, mod)
+    assert (t.generator, t.exp, t.log, t.zech) == _reference_tables(p, degree, mod)

@@ -237,13 +237,18 @@ def _gamma_primes(q):
     return [p for d in (1, 2, 3) for p in islice(primes_of_degree(F, d), 2)]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 3, 4, 9]), st.data())
 def test_gamma_matches_elementwise_horner(q, data):
     prime = data.draw(st.sampled_from(_gamma_primes(q)))
     F, K = prime.field_q, prime.kappa
     idx = data.draw(st.lists(st.integers(0, q - 1), max_size=12))
     f = prime.p_poly.ring.poly([F.from_index(i) for i in idx])
+    if data.draw(st.booleans()):
+        # sparse and q^k-stretched, as the coefficients of grec and of the
+        # u-sequence are, with a top term above degree 1000
+        f = qpow(f, q, data.draw(st.integers(1, 3))) \
+            + f.ring.gen ** data.draw(st.integers(1001, 4000))
     ref = K.zero
     for c in reversed(f.coeffs):
         ref = ref * prime.alpha + K.embed_from_base(c)

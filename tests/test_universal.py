@@ -7,6 +7,7 @@ from drinfeld_deuring.fields import base_field
 from drinfeld_deuring.grammar import parse, render
 from drinfeld_deuring.laurent import LaurentRing
 from drinfeld_deuring.modulus import PrimeModulus, reduce_mod_prime, t_poly_ring
+from drinfeld_deuring.poly import Poly, PolyRing
 from drinfeld_deuring.universal import (
     U_sequence, check_derivative_recursion, check_key_identity,
     check_simple_roots, check_simple_roots_generic, check_u_zero,
@@ -20,6 +21,25 @@ def test_u_sequence_base_cases_and_oracle():
     assert render(seq[0]) == "1"
     assert render(seq[1]) == "s + T^2"
     assert render(seq[2]) == "s^3 + T*s^2 + T^4*s + T^6"
+
+
+def _u_by_products(field, i_max):
+    # the u-recursion with its factors in T multiplied out, as u_sequence
+    # ran it before it applied them as shifts
+    A = t_poly_ring(field)
+    T, q = A.gen, field.card
+    seq = [PolyRing(A, "s").one, Poly(PolyRing(A, "s"), (T ** q, A.one))]
+    for i in range(1, i_max):
+        qi = q ** i
+        seq.append(seq[i].shifted(qi) + seq[i] * T ** (q * qi)
+                   - seq[i - 1].shifted(qi) * (T ** qi - T))
+    return seq[:i_max + 1]
+
+
+@pytest.mark.parametrize("q, i_max", [(2, 7), (3, 5), (4, 4), (5, 3), (9, 3)])
+def test_u_sequence_matches_the_multiplied_out_recursion(q, i_max):
+    F = base_field(q)
+    assert u_sequence(F, i_max) == _u_by_products(F, i_max)
 
 
 def test_u_sequence_monic_degrees():
