@@ -35,10 +35,10 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError, RecurrenceBreakdownError
 from .fields import embed
-from .modulus import PrimeModulus, reduce_mod_prime, t_poly_ring
+from .modulus import PrimeModulus, t_poly_ring
 from .ore import OreContext, drinfeld_image
 from .poly import Poly, PolyRing
-from .universal import u_sequence
+from .universal import u_mod_prime
 
 
 class DeltaModule:
@@ -272,16 +272,15 @@ def _exact_div_terms(f, Q, add):
 def deuring_h_grec(prime):
     g = _grec_terms(prime, prime.d)[prime.d]
     K = prime.kappa
-    h = [prime._reduce_terms(g[de].items()) if de in g else 0
-         for de in range(max(g) + 1)]
+    rows = prime._reduce_terms((de, terms.items()) for de, terms in g.items())
+    h = [rows.get(de, 0) for de in range(max(g) + 1)]
     if prime.d % 2:
         h = [K._neg(c) for c in h]
     return Poly(PolyRing(K, "s"), [K.from_index(c) for c in h])
 
 
 def deuring_h_universal(prime):
-    u = u_sequence(prime.field_q, prime.d)[prime.d]
-    return reduce_mod_prime(u, prime)
+    return u_mod_prime(prime)
 
 
 def deuring_H(prime, h):

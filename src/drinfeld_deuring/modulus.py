@@ -48,22 +48,27 @@ class PrimeModulus:
             return self.kappa.embed_from_base(self.field_q.coerce(f))
         if not (isinstance(f, Poly) and f.ring == self.p_poly.ring):
             raise DomainError("gamma expects a polynomial over the same F_q[T]")
-        return self.kappa.from_index(self._reduce_terms(
-            (e, c.index) for e, c in enumerate(f.coeffs) if c))
+        terms = ((e, c.index) for e, c in enumerate(f.coeffs) if c)
+        return self.kappa.from_index(self._reduce_terms([(0, terms)])[0])
 
-    def _reduce_terms(self, terms):
-        """The kappa index of sum(c * alpha^e) over (e, c) pairs, c the F_q
-        index of a coefficient: reduction mod p over the given terms only."""
+    def _reduce_terms(self, rows):
+        """{r: kappa index of sum(c * alpha^e)} over the (r, terms) pairs of
+        `rows`, each term an (e, c) pair with c the F_q index of a
+        coefficient, and the sums of a repeated r added: reduction mod p of
+        one or more polynomials in T, over the given terms only."""
         K = self.kappa
         if self._embed_index is None:
             self._embed_index = [
                 K.embed_from_base(self.field_q.from_index(i)).index
                 for i in range(self.q)]
         emb, a = self._embed_index, self.alpha.index
-        acc = 0
-        for e, c in terms:
-            acc = K._add(acc, K._mul(emb[c], K._pow(a, e)))
-        return acc
+        out = {}
+        for r, terms in rows:
+            acc = out.get(r, 0)
+            for e, c in terms:
+                acc = K._add(acc, K._mul(emb[c], K._pow(a, e)))
+            out[r] = acc
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, PrimeModulus):

@@ -22,12 +22,17 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .laurent import LaurentRing, LaurentT
-from .modulus import reduce_mod_prime, t_poly_ring
+from .modulus import t_poly_ring
 from .ore import qpow
 from .poly import Poly, PolyRing, exact_div, poly_gcd
 
 _u_cache = {}
 _U_cache = {}
+# u_i is held as one term map {T exponent * _T_STRIDE + s exponent: c}, c the
+# F_q index of a nonzero coefficient, so that multiplying by s^a T^b adds
+# a + b * _T_STRIDE to every key.  deg_s u_i = (q^i - 1)/(q - 1) stays far
+# below the stride for every u_i small enough to compute.
+_T_STRIDE = 1 << 32
 
 
 def _require_base(field):
@@ -37,37 +42,82 @@ def _require_base(field):
 
 def u_sequence(field, i_max):
     """[u_0, ..., u_{i_max}] over F_q[T][s]."""
+    S = PolyRing(t_poly_ring(field), "s")
+    return [_terms_to_poly(u, S) for u in _u_terms(field, i_max)]
+
+
+def _u_terms(field, i_max):
+    """u_0, ..., u_{i_max} as term maps (see _T_STRIDE), memoised per field."""
     _require_base(field)
     if i_max < 0:
         raise DomainError("sequence index must be non-negative")
     q = field.card
     seq = _u_cache.setdefault(field, [])
     if not seq:
-        A = t_poly_ring(field)
-        S = PolyRing(A, "s")
-        seq.append(S.one)
-        seq.append(Poly(S, (A.gen ** q, A.one)))
+        one = field.one.index
+        seq += [{0: one}, {1: one, q * _T_STRIDE: one}]
     while len(seq) <= i_max:
         i = len(seq) - 1
-        seq.append(_u_step(seq[i - 1], seq[i], q, i))
+        seq.append(_u_step(field, seq[i - 1], seq[i], i))
     return seq[:i_max + 1]
 
 
-def _u_step(u_prev, u_i, q, i):
+def _u_step(field, u_prev, u_i, i):
     """u_{i+1} = u_i*s^(q^i) + u_i*T^(q^(i+1)) - (T^(q^i) - T)*s^(q^i)*u_{i-1}.
 
-    The factors in T are a monomial and a binomial, so they are applied as
-    shifts of the coefficients, not as products.
+    Every factor is a monomial or a binomial in s and T, so on term maps the
+    step is a signed sum of four shifted copies: no products.
     """
+    q = field.card
     qi = q ** i
-    ring = u_i.ring
+    add = [[field._add(a, b) for b in range(q)] for a in range(q)]
+    same = list(range(q))
+    neg = [field._neg(c) for c in range(q)]
+    out = {}
+    for u, sign, shift in ((u_i, same, qi),
+                           (u_i, same, q * qi * _T_STRIDE),
+                           (u_prev, neg, qi + qi * _T_STRIDE),
+                           (u_prev, same, qi + _T_STRIDE)):
+        for key, c in u.items():
+            k = key + shift
+            out[k] = add[out.get(k, 0)][sign[c]]
+    return {k: c for k, c in out.items() if c}
 
-    def times_t(f, k):
-        return f.map_coeffs(lambda c: c.shifted(k), ring)
 
-    v = u_prev.shifted(qi)
-    return u_i.shifted(qi) + times_t(u_i, q * qi) - times_t(v, qi) \
-        + times_t(v, 1)
+def _terms_to_poly(u, ring):
+    """The polynomial in `ring` = F_q[T][s] of a term map."""
+    A = ring.base
+    F = A.base
+    rows = {}
+    for key, c in u.items():
+        t, s = divmod(key, _T_STRIDE)
+        rows.setdefault(s, {})[t] = c
+    out = []
+    for s in range(max(rows, default=-1) + 1):
+        terms = rows.get(s, {})
+        cs = [F.zero] * (max(terms, default=-1) + 1)
+        for t, c in terms.items():
+            cs[t] = F.from_index(c)
+        out.append(Poly(A, cs))
+    return Poly(ring, out)
+
+
+def _poly_to_terms(f):
+    """The term map of a polynomial over F_q[T][s]."""
+    return {t * _T_STRIDE + s: c.index
+            for s, row in enumerate(f.coeffs)
+            for t, c in enumerate(row.coeffs) if c}
+
+
+def u_mod_prime(prime):
+    """u_d mod p for the prime p of degree d: h by the universal route, as a
+    polynomial in s over kappa.  Only the nonzero terms of u_d are reduced."""
+    u = _u_terms(prime.field_q, prime.d)[prime.d]
+    rows = prime._reduce_terms((key % _T_STRIDE, ((key // _T_STRIDE, c),))
+                               for key, c in u.items())
+    K = prime.kappa
+    return Poly(PolyRing(K, "s"),
+                [K.from_index(rows.get(s, 0)) for s in range(max(rows) + 1)])
 
 
 def U_sequence(field, i_max):
@@ -114,9 +164,8 @@ def check_derivative_recursion(field, i):
     """The derivative sequence satisfies the unchanged recursion at step i >= 1."""
     if i < 1:
         raise DomainError("the derivative recursion only holds for steps i >= 1")
-    seq = u_sequence(field, i + 1)
-    return seq[i + 1].derivative() == _u_step(
-        seq[i - 1].derivative(), seq[i].derivative(), field.card, i)
+    d = [_poly_to_terms(u.derivative()) for u in u_sequence(field, i + 1)]
+    return d[i + 1] == _u_step(field, d[i - 1], d[i], i)
 
 
 def check_key_identity(field, i):
@@ -199,7 +248,7 @@ def sequence_json(field, variant, i_max):
 
 def check_simple_roots(prime):
     """u_d mod p is separable and does not vanish at 0."""
-    h = reduce_mod_prime(u_sequence(prime.field_q, prime.d)[prime.d], prime)
+    h = u_mod_prime(prime)
     if not h.constant_coeff():
         return False
     return poly_gcd(h, h.derivative()).degree == 0

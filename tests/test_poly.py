@@ -256,6 +256,17 @@ def test_gamma_matches_elementwise_horner(q, data):
     assert prime.gamma(f).field is K
 
 
+def test_reduce_terms_adds_the_rows_it_is_given_twice():
+    # one row split over two (r, terms) pairs reduces as the whole row;
+    # the universal route hands the kernel one pair per term
+    prime = _gamma_primes(3)[-1]
+    F = prime.field_q
+    f = prime.p_poly.ring.poly([F.from_index(i) for i in (1, 0, 2, 1, 0, 2)])
+    terms = [(e, c.index) for e, c in enumerate(f.coeffs) if c]
+    rows = prime._reduce_terms([(5, terms[:2]), (7, terms), (5, terms[2:])])
+    assert rows == {5: prime.gamma(f).index, 7: prime.gamma(f).index}
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 3, 4]),
        st.lists(st.integers(0, 3), max_size=6),

@@ -6,12 +6,16 @@ from drinfeld_deuring.errors import DomainError
 from drinfeld_deuring.fields import base_field
 from drinfeld_deuring.grammar import parse, render
 from drinfeld_deuring.laurent import LaurentRing
-from drinfeld_deuring.modulus import PrimeModulus, reduce_mod_prime, t_poly_ring
-from drinfeld_deuring.poly import Poly, PolyRing
+from drinfeld_deuring import universal
+from drinfeld_deuring.modulus import (
+    PrimeModulus, primes_of_degree, primes_up_to_degree, reduce_mod_prime,
+    t_poly_ring,
+)
+from drinfeld_deuring.poly import Poly, PolyRing, _Dense
 from drinfeld_deuring.universal import (
     U_sequence, check_derivative_recursion, check_key_identity,
     check_simple_roots, check_simple_roots_generic, check_u_zero,
-    sequence_json, u_sequence, u_zero_value,
+    sequence_json, u_mod_prime, u_sequence, u_zero_value,
 )
 
 
@@ -40,6 +44,40 @@ def _u_by_products(field, i_max):
 def test_u_sequence_matches_the_multiplied_out_recursion(q, i_max):
     F = base_field(q)
     assert u_sequence(F, i_max) == _u_by_products(F, i_max)
+
+
+@pytest.mark.parametrize("q, d", [(2, 5), (3, 3), (4, 3), (5, 2), (9, 2)])
+def test_u_mod_prime_matches_reducing_u_sequence(q, d):
+    # the term-map reduction against gamma on every coefficient of u_d
+    F = base_field(q)
+    for p in primes_up_to_degree(F, d):
+        assert u_mod_prime(p) == reduce_mod_prime(u_sequence(F, p.d)[p.d], p)
+
+
+def test_u_terms_round_trip_through_polynomials():
+    for q, i_max in ((2, 6), (3, 4), (9, 2)):
+        F = base_field(q)
+        terms = universal._u_terms(F, i_max)
+        assert [universal._poly_to_terms(u)
+                for u in u_sequence(F, i_max)] == terms
+        assert all(all(terms_i.values()) for terms_i in terms)
+
+
+def test_universal_route_builds_no_polynomial_over_f_q_t(monkeypatch):
+    # u_d is built, cached and reduced as term maps; polynomials over
+    # F_q[T] exist only for u_sequence's callers
+    p = next(iter(primes_of_degree(base_field(2), 6)))
+    monkeypatch.setattr(universal, "_u_cache", {})
+    init = _Dense.__init__
+
+    def checked(self, ring, coeffs):
+        assert not isinstance(ring.base, PolyRing)
+        init(self, ring, coeffs)
+
+    monkeypatch.setattr(_Dense, "__init__", checked)
+    h = u_mod_prime(p)
+    monkeypatch.undo()
+    assert h == reduce_mod_prime(u_sequence(p.field_q, p.d)[p.d], p)
 
 
 def test_u_sequence_monic_degrees():
