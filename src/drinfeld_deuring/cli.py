@@ -9,8 +9,10 @@ Subcommands:
   identities   generic-characteristic tower identities (alias: tower)
 
 Exit codes: 0 = success / everything verified, 1 = some check failed,
-2 = invalid input, including a graph whose h does not split in any field
-within the cardinality cap.  All output is deterministic.
+2 = invalid input, including a prime whose degree exceeds the cardinality
+cap (refused while parsing, before any polynomial of that degree is built),
+a graph whose h does not split in any field within the cap, and an --output
+or --dot path that cannot be written.  All output is deterministic.
 """
 
 import argparse
@@ -24,8 +26,8 @@ from .errors import AmbientTooSmallError, CapExceededError, \
     ConsistencyError, DomainError, RecurrenceBreakdownError
 from .fields import CARD_CAP, base_field
 from .isogeny_graph import build_supersingular_graph, verify_component
-from .modulus import PrimeModulus, primes_up_to_degree, reduce_mod_prime, \
-    t_poly_ring
+from .modulus import PrimeModulus, check_residue_degree, \
+    primes_up_to_degree, reduce_mod_prime, t_poly_ring
 from .tower import all_identity_reports
 from .universal import U_sequence, check_derivative_recursion, \
     check_key_identity, check_simple_roots, check_u_zero
@@ -33,15 +35,31 @@ from .universal import U_sequence, check_derivative_recursion, \
 
 def _parse_prime(q, text):
     field = base_field(q)
-    return PrimeModulus(grammar.parse(text, t_poly_ring(field)))
+    # the cap of PrimeModulus, applied while parsing: a degree beyond it is
+    # refused before a polynomial of that degree is built
+    return PrimeModulus(grammar.parse(
+        text, t_poly_ring(field),
+        check_degree=lambda d: check_residue_degree(q, d)))
+
+
+class _UnwritablePathError(Exception):
+    """An output file could not be written."""
+
+
+def _write_file(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UnwritablePathError(
+            f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _emit(text, path):
     if not text.endswith("\n"):
         text += "\n"
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write_file(path, text)
     else:
         sys.stdout.write(text)
 
@@ -162,8 +180,7 @@ def cmd_graph(args):
     g = build_supersingular_graph(prime)
     rep = verify_component(g)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(g.to_dot())
+        _write_file(args.dot, g.to_dot())
     if args.format == "json":
         out = json.dumps({"graph": g.to_json_dict(),
                           "component": rep.to_json_dict()}, indent=2)
@@ -259,7 +276,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, AmbientTooSmallError) as exc:
+    except (DomainError, AmbientTooSmallError, _UnwritablePathError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConsistencyError, RecurrenceBreakdownError) as exc:

@@ -13,10 +13,14 @@ g_k = 0 for k < d; the Deuring polynomial is h = (-1)^d g_d, monic of degree
 h is computed three independent ways: symbolically from the twisted-polynomial
 image (direct), by the coefficient recurrence run in generic A-characteristic
 over F_q[T][Delta] (grec), and by reducing the universal sequence term u_d
-mod p (universal).  grec holds each g_k as term maps, the nonzero
-coefficients of T per power of Delta: the recurrence only shifts, stretches
-and adds them, and its exact divisions by T^(q^k) - T are running sums over
-residue classes of exponents.
+mod p (universal).  `deuring_g_sequence(prime, k_max)` returns the k_max + 1
+entries g_0..g_{k_max}, and the direct route asks it for k_max = d: a
+twisted product only raises the tau-degree, so the Horner image is truncated
+at tau^d, and the coefficients above it, up to g_2d of Delta-degree
+(q^(2d) - 1)/(q^2 - 1), are never built.  grec holds each g_k as term maps,
+the nonzero coefficients of T per power of Delta: the recurrence only
+shifts, stretches and adds them, and its exact divisions by T^(q^k) - T are
+running sums over residue classes of exponents.
 
 The companion H has degree q^(d+1) - q and encodes the Legendre-form
 parameter: H is the numerator of
@@ -111,37 +115,57 @@ def is_supersingular(module, prime):
         raise DomainError("the T-image is not a root of p: "
                           "the module does not have characteristic p(T)")
     ctx = OreContext(L, module.q)
+    # only the tau^d coefficient is read, so the image stops there
     image = drinfeld_image(ctx, module.psi_T(ctx), prime.p_poly,
-                           scalar=lambda c: embed(c, L))
+                           scalar=lambda c: embed(c, L), top=prime.d)
     return not image.coeff(prime.d)
 
 
-def deuring_g_sequence(prime):
-    """tau-coefficients of psi_{p(T)} as polynomials in Delta over kappa.
+def deuring_g_sequence(prime, k_max=None):
+    """[g_0, ..., g_{k_max}]: tau-coefficients of psi_{p(T)} as polynomials
+    in Delta over kappa, with k_max = 2d by default.
 
-    Delta is represented by the variable s.  The list has 2d + 1 entries.
+    Delta is represented by the variable s.  The list has k_max + 1
+    entries.  Below 2d the image is computed only up to tau^(k_max), since
+    the coefficients above it never feed the lower ones; the full image is
+    checked to have tau-degree 2d.
     """
+    d = prime.d
+    if k_max is None:
+        k_max = 2 * d
+    if k_max < 0:
+        raise DomainError("k_max must be nonnegative")
     kappa = prime.kappa
     ring = PolyRing(kappa, "s")
     ctx = OreContext(ring, prime.q)
     alpha = prime.alpha
     psi = ctx.op((ring.const(alpha), -(ring.gen + alpha), ring.gen))
     image = drinfeld_image(ctx, psi, prime.p_poly,
-                           scalar=lambda c: ring.const(kappa.embed_from_base(c)))
-    if image.degree != 2 * prime.d:
+                           scalar=lambda c: ring.const(kappa.embed_from_base(c)),
+                           top=k_max if k_max < 2 * d else None)
+    if k_max >= 2 * d and image.degree != 2 * d:
         raise ConsistencyError("psi_p has wrong tau-degree")
-    return [image.coeff(k) for k in range(2 * prime.d + 1)]
+    return [image.coeff(k) for k in range(k_max + 1)]
+
+
+def _h_from_g(prime, g):
+    """h = (-1)^d g_d, once g_0..g_d have the shape that makes it the
+    Deuring polynomial: g_k = 0 for k < d, and g_d of degree
+    (q^d - 1)/(q - 1) with leading coefficient (-1)^d.  Otherwise
+    ConsistencyError."""
+    d, q = prime.d, prime.q
+    if any(g[k] for k in range(d)):
+        raise ConsistencyError("low tau-coefficients of psi_p did not vanish")
+    gd = g[d]
+    sign = -prime.kappa.one if d % 2 else prime.kappa.one
+    if gd.degree != (q ** d - 1) // (q - 1) or gd.lead != sign:
+        raise ConsistencyError("g_d does not have degree (q^d - 1)/(q - 1) "
+                               "and leading coefficient (-1)^d")
+    return -gd if d % 2 else gd
 
 
 def deuring_h_direct(prime):
-    g = deuring_g_sequence(prime)
-    d = prime.d
-    if any(g[k] for k in range(d)):
-        raise ConsistencyError("low tau-coefficients of psi_p did not vanish")
-    h = g[d]
-    if d % 2:
-        h = -h
-    return h
+    return _h_from_g(prime, deuring_g_sequence(prime, prime.d))
 
 
 def check_g_structure(prime, h):
@@ -153,13 +177,11 @@ def check_g_structure(prime, h):
     """
     g = deuring_g_sequence(prime)
     d, q = prime.d, prime.q
-    if any(g[k] for k in range(d)):
+    try:
+        _h_from_g(prime, g)
+    except ConsistencyError:
         return False
-    gd = g[d]
-    sign = -prime.kappa.one if d % 2 else prime.kappa.one
-    if gd.degree != (q ** d - 1) // (q - 1) or gd.lead != sign:
-        return False
-    if g[2 * d] != gd.ring.gen ** sum(q ** (2 * i) for i in range(d)):
+    if g[2 * d] != g[d].ring.gen ** sum(q ** (2 * i) for i in range(d)):
         return False
     return not any(divmod(g[k], h)[1] for k in range(d, 2 * d))
 

@@ -144,11 +144,12 @@ def ring_env(ring):
 
 
 class _Parser:
-    def __init__(self, toks, ring, env):
+    def __init__(self, toks, ring, env, check_degree=None):
         self.toks = toks
         self.pos = 0
         self.ring = ring
         self.env = env
+        self.check_degree = check_degree
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
@@ -187,7 +188,10 @@ class _Parser:
             kind, val = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                v = v * self.factor()
+                w = self.factor()
+                if self.check_degree is not None:
+                    self.check_degree(v.degree + w.degree)
+                v = v * w
             else:
                 return v
 
@@ -214,16 +218,25 @@ class _Parser:
                 kind, e = self.take()
             if kind != "int":
                 raise DomainError("exponent must be an integer")
+            if self.check_degree is not None and sign > 0:
+                self.check_degree(v.degree * e)
             v = v ** (sign * e)
         return v
 
 
-def parse(text, ring):
-    """Parse a grammar string into a value of the given ring."""
+def parse(text, ring, check_degree=None):
+    """Parse a grammar string into a value of the given ring.
+
+    For a polynomial ring, `check_degree` (if given) is called with the
+    degree of each product and power before it is built, and may raise to
+    refuse the input; sums never raise the degree, so no value beyond a
+    degree it accepts is ever built, even one that later terms would
+    cancel.
+    """
     toks = _tokenize(text)
     if not toks:
         raise DomainError("empty expression")
-    p = _Parser(toks, ring, ring_env(ring))
+    p = _Parser(toks, ring, ring_env(ring), check_degree)
     v = p.expr()
     if p.pos != len(toks):
         raise DomainError(f"trailing input at token {p.pos}")

@@ -25,9 +25,7 @@ class PrimeModulus:
         if p.degree < 1:
             raise DomainError("a prime modulus must have positive degree")
         # before the irreducibility test, which is slow long before the cap
-        if base.card ** p.degree > CARD_CAP:
-            raise CapExceededError(f"residue field of cardinality {base.card}^"
-                                   f"{p.degree} exceeds the {CARD_CAP} cap")
+        check_residue_degree(base.card, p.degree)
         p = p.monic()
         if p.coeffs == p.ring.gen.coeffs:
             raise DomainError("the prime T is excluded (gamma(T) must be a unit)")
@@ -80,6 +78,18 @@ class PrimeModulus:
 
     def __repr__(self):
         return f"({self.p_poly!r}) over F_{self.q}"
+
+
+def check_residue_degree(q, d):
+    """CapExceededError unless a residue field F_q[T]/(p) with deg p = d
+    fits under CARD_CAP.  q^d is never formed, so a huge d is refused at
+    once."""
+    top = 0
+    while q ** (top + 1) <= CARD_CAP:
+        top += 1
+    if d > top:
+        raise CapExceededError(f"residue field of cardinality {q}^{d} "
+                               f"exceeds the {CARD_CAP} cap")
 
 
 def reduce_mod_prime(f, p):

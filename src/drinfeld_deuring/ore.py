@@ -87,24 +87,38 @@ class OrePoly(_Dense):
         o = self._coerce_other(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if not a or not b:
-            return self.ring.zero
-        q = self.ring.q
-        out = [self.ring.base.zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = out[i + j] + x * qpow(y, q, i)
-        return OrePoly(self.ring, out)
+        return _twisted_product(self, o)
 
     def __rmul__(self, other):
         o = self._coerce_other(other)
         if o is None:
             return NotImplemented
         return o * self
+
+
+def _twisted_product(f, g, top=None):
+    """f * g, or its tau-coefficients up to tau^top when `top` is given.
+
+    A product only raises the tau-degree, so the coefficients up to tau^top
+    depend only on those of f and g up to tau^top: pairs with i + j > top
+    are skipped before their q-power twist is computed.
+    """
+    a, b = f.coeffs, g.coeffs
+    ring = f.ring
+    if not a or not b:
+        return ring.zero
+    size = len(a) + len(b) - 1
+    if top is not None:
+        size = min(size, top + 1)
+    q = ring.q
+    out = [ring.base.zero] * size
+    for i, x in enumerate(a[:size]):
+        if not x:
+            continue
+        for j, y in enumerate(b[:size - i]):
+            if y:
+                out[i + j] = out[i + j] + x * qpow(y, q, i)
+    return OrePoly(ring, out)
 
 
 def ore_apply(f, x):
@@ -117,11 +131,13 @@ def ore_apply(f, x):
     return acc
 
 
-def drinfeld_image(ctx, psi_T, a, scalar=None):
+def drinfeld_image(ctx, psi_T, a, scalar=None, top=None):
     """Image of a(T) under the module map T -> psi_T, by Horner evaluation.
 
     `a` is a polynomial over F_q; `scalar` lifts its coefficients into the
-    context's coefficient ring (defaults to the ring's own coercion).
+    context's coefficient ring (defaults to the ring's own coercion).  With
+    `top`, only the tau-coefficients up to tau^top are computed and
+    returned; every Horner product is truncated there.
     """
     if scalar is None:
         scalar = ctx.base.coerce
@@ -129,7 +145,7 @@ def drinfeld_image(ctx, psi_T, a, scalar=None):
         return ctx.zero
     acc = ctx.coerce(scalar(a.lead))
     for i in range(a.degree - 1, -1, -1):
-        acc = acc * psi_T
+        acc = _twisted_product(acc, psi_T, top)
         c = a.coeffs[i]
         if c:
             acc = acc + ctx.coerce(scalar(c))

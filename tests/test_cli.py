@@ -3,6 +3,7 @@
 import hashlib
 import json
 import shlex
+import time
 
 import pytest
 
@@ -187,6 +188,40 @@ def test_compute_out_of_cap_prime_is_invalid(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "cap" in captured.err
+
+
+def _one_error_line(captured):
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("prime, degree", [
+    ("T^99999999999+1", 99999999999), ("T^30000000+1", 30000000),
+    ("(T^9+1)*(T^9+T+1)", 18), ("T^2*(T^8)^2+1", 18)])
+def test_huge_prime_degree_is_refused_while_parsing(prime, degree, capsys):
+    start = time.perf_counter()
+    assert main(["compute", "--q", "2", "--prime", prime]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    _one_error_line(captured)
+    assert captured.err == (f"error: residue field of cardinality 2^{degree} "
+                            f"exceeds the 65536 cap\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--q", "2", "--prime", "T^2+T+1", "--output"],
+    ["verify", "--q", "2", "--max-degree", "1", "--output"],
+    ["graph", "--q", "2", "--prime", "T^2+T+1", "--dot"],
+    ["graph", "--q", "2", "--prime", "T^2+T+1", "--output"]])
+def test_unwritable_output_path_is_invalid(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "out.txt"
+    assert main(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    _one_error_line(captured)
+    assert str(path) in captured.err
+    assert main(argv + [str(tmp_path)]) == 2
+    _one_error_line(capsys.readouterr())
 
 
 def test_graph_fails_when_h_needs_a_larger_field(monkeypatch, capsys):

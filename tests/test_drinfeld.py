@@ -33,7 +33,8 @@ from drinfeld_deuring.modulus import (
     t_poly_ring,
 )
 from drinfeld_deuring.ore import OreContext, ore_apply, qpow
-from drinfeld_deuring.poly import Poly, PolyRing, exact_div
+from drinfeld_deuring.poly import Poly, PolyRing, _Dense, exact_div, \
+    roots_in_extension
 from drinfeld_deuring.universal import u_sequence
 
 
@@ -183,6 +184,74 @@ def test_g_sequence_structure():
         for k in range(d, 2 * d):
             _, r = divmod(gs[k], h)
             assert not r
+
+
+@pytest.mark.parametrize("q, d_max", [(2, 5), (3, 3), (4, 3), (5, 2)])
+def test_truncated_image_matches_the_full_image(q, d_max):
+    for p in primes_up_to_degree(base_field(q), d_max):
+        d = p.d
+        full = deuring_g_sequence(p)
+        assert len(full) == 2 * d + 1
+        assert deuring_g_sequence(p, d) == full[:d + 1]
+        h = deuring_h_direct(p)
+        assert h == (-full[d] if d % 2 else full[d])
+        # h splits in kappa_2: its roots are supersingular, the first few
+        # other nonzero elements of kappa_2 are not
+        roots = roots_in_extension(h, 2)
+        L = roots[0].field
+        gamma = embed(p.alpha, L)
+        for delta in set(roots):
+            assert is_supersingular(DeltaModule(L, gamma, delta), p)
+        others = [x for x in map(L.from_index, range(1, L.card))
+                  if x not in set(roots)][:5]
+        for delta in others:
+            assert not is_supersingular(DeltaModule(L, gamma, delta), p)
+
+
+def test_g_sequence_lengths_and_bounds():
+    p = _prime(3, "T^2 + 1")
+    full = deuring_g_sequence(p)
+    for k in range(7):
+        gs = deuring_g_sequence(p, k)
+        assert len(gs) == k + 1
+        assert gs == (full + [gs[0].ring.zero] * 3)[:k + 1]
+    with pytest.raises(DomainError):
+        deuring_g_sequence(p, -1)
+
+
+def test_direct_route_builds_nothing_above_tau_d(monkeypatch):
+    # at the first (2,10) prime, the coefficients above tau^d reach
+    # Delta-degree (4^10 - 1)/3 = 349,525; the truncated image stops at
+    # g_d, of degree N = 1023
+    p = next(iter(primes_of_degree(base_field(2), 10)))
+    N = 2 ** 10 - 1
+    seen = [0]
+    init = _Dense.__init__
+
+    def recorded(self, ring, coeffs):
+        init(self, ring, coeffs)
+        if isinstance(ring, PolyRing) and ring.base == p.kappa:
+            seen[0] = max(seen[0], self.degree)
+
+    monkeypatch.setattr(_Dense, "__init__", recorded)
+    h = deuring_h_direct(p)
+    monkeypatch.undo()
+    assert h.degree == N
+    assert seen[0] == N
+
+
+def test_direct_route_checks_the_shape_of_g_d(monkeypatch):
+    from drinfeld_deuring import drinfeld
+
+    p = _prime(2, "T^3 + T + 1")
+    good = deuring_g_sequence(p, p.d)
+    for bad in (good[:-1] + [good[-1] * p.alpha],
+                good[:-1] + [good[-1] + good[-1].ring.gen ** 8],
+                [good[-1]] + good[1:]):
+        monkeypatch.setattr(drinfeld, "deuring_g_sequence",
+                            lambda prime, k_max=None, g=bad: g)
+        with pytest.raises(ConsistencyError):
+            deuring_h_direct(p)
 
 
 def test_grec_continuation_matches_direct():

@@ -3,11 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfeld_deuring.errors import DomainError
+from drinfeld_deuring.errors import CapExceededError, DomainError
 from drinfeld_deuring.fields import base_field
 from drinfeld_deuring.grammar import parse, render
 from drinfeld_deuring.laurent import LaurentRing, LaurentT
-from drinfeld_deuring.modulus import t_poly_ring
+from drinfeld_deuring.modulus import check_residue_degree, t_poly_ring
 from drinfeld_deuring.poly import PolyRing
 
 
@@ -39,6 +39,29 @@ def test_parse_errors():
     for bad in ("", "T +", "Q + 1", "T^x", "(T + 1", "T 1"):
         with pytest.raises(DomainError):
             parse(bad, R)
+
+
+def test_parse_checks_degrees_before_building():
+    R = t_poly_ring(base_field(2))
+    seen = []
+
+    def check(d):
+        seen.append(d)
+        check_residue_degree(2, d)
+
+    f = parse("T^16 + (T^3 + 1)*T^5 + T^3*T^2 + 1", R, check_degree=check)
+    assert f.degree == 16
+    assert sorted(seen) == [2, 3, 3, 5, 5, 8, 16]
+    for text in ("T^17 + 1", "T^8*T^9", "(T^4 + T)^5", "T^999999999999"):
+        with pytest.raises(CapExceededError):
+            parse(text, R, check_degree=check)
+    # sums and negative powers are not products
+    assert parse("T^16 - T^16 + T", R, check_degree=check) == R.gen
+    with pytest.raises(DomainError):
+        parse("T^-99999999999", R, check_degree=check)
+    check_residue_degree(3, 10)
+    with pytest.raises(CapExceededError):
+        check_residue_degree(3, 11)
 
 
 def test_laurent_negative_powers_roundtrip():
