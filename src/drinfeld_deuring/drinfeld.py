@@ -126,9 +126,9 @@ def deuring_g_sequence(prime, k_max=None):
     in Delta over kappa, with k_max = 2d by default.
 
     Delta is represented by the variable s.  The list has k_max + 1
-    entries.  Below 2d the image is computed only up to tau^(k_max), since
-    the coefficients above it never feed the lower ones; the full image is
-    checked to have tau-degree 2d.
+    entries.  The image is computed only up to tau^(k_max), since the
+    coefficients above it never feed the lower ones; a full image
+    (k_max >= 2d) is checked to have tau-degree 2d.
     """
     d = prime.d
     if k_max is None:
@@ -142,7 +142,7 @@ def deuring_g_sequence(prime, k_max=None):
     psi = ctx.op((ring.const(alpha), -(ring.gen + alpha), ring.gen))
     image = drinfeld_image(ctx, psi, prime.p_poly,
                            scalar=lambda c: ring.const(kappa.embed_from_base(c)),
-                           top=k_max if k_max < 2 * d else None)
+                           top=k_max)
     if k_max >= 2 * d and image.degree != 2 * d:
         raise ConsistencyError("psi_p has wrong tau-degree")
     return [image.coeff(k) for k in range(k_max + 1)]
