@@ -22,9 +22,9 @@ import sys
 from . import grammar
 from .drinfeld import _METHODS, DeuringResult, check_g_structure, \
     deuring_H, deuring_h_direct, deuring_h_grec, deuring_h_universal
-from .errors import AmbientTooSmallError, CapExceededError, \
-    ConsistencyError, DomainError, RecurrenceBreakdownError
-from .fields import CARD_CAP, base_field
+from .errors import AmbientTooSmallError, ConsistencyError, DomainError, \
+    RecurrenceBreakdownError
+from .fields import base_field
 from .isogeny_graph import build_supersingular_graph, verify_component
 from .modulus import PrimeModulus, check_residue_degree, \
     primes_up_to_degree, reduce_mod_prime, t_poly_ring
@@ -107,9 +107,7 @@ _GRAPH_ENVELOPE = {2: 3, 3: 2}
 def _verify_rows(q, max_degree):
     field = base_field(q)
     # before any row, not after the sweep has reached the capped degree
-    if q ** max_degree > CARD_CAP:
-        raise CapExceededError(f"residue fields of cardinality {q}^{max_degree} "
-                               f"exceed the {CARD_CAP} cap")
+    check_residue_degree(q, max_degree)
     rows = []
     for i in range((5 if q <= 3 else 3) + 1):
         rows.append((f"u-zero[i={i}]", check_u_zero(field, i)))

@@ -293,12 +293,10 @@ def _exact_div_terms(f, Q, add):
 
 def deuring_h_grec(prime):
     g = _grec_terms(prime, prime.d)[prime.d]
-    K = prime.kappa
     rows = prime._reduce_terms((de, terms.items()) for de, terms in g.items())
-    h = [rows.get(de, 0) for de in range(max(g) + 1)]
     if prime.d % 2:
-        h = [K._neg(c) for c in h]
-    return Poly(PolyRing(K, "s"), [K.from_index(c) for c in h])
+        rows = {de: prime.kappa._neg(c) for de, c in rows.items()}
+    return prime._kappa_poly(rows)
 
 
 def deuring_h_universal(prime):

@@ -29,6 +29,14 @@ from .errors import CapExceededError, DomainError
 CARD_CAP = 1 << 16
 
 
+def _cap_exponent(card):
+    """The largest e with card^e <= CARD_CAP, for card >= 2."""
+    e = 0
+    while card ** (e + 1) <= CARD_CAP:
+        e += 1
+    return e
+
+
 def _digits(n, p, length):
     out = []
     for _ in range(length):
@@ -558,6 +566,10 @@ def base_field(q):
     """The field F_q, marked as the Drinfeld base (its own q)."""
     if q < 2:
         raise DomainError("q must be a prime power >= 2")
+    # before the trial division, which is slow for a huge q
+    if q > CARD_CAP:
+        raise CapExceededError(
+            f"field of cardinality {q} exceeds the {CARD_CAP} cap")
     p, e = _split_prime_power(q)
     if e == 1:
         return FiniteField(p, None, None, p, None, _token=_FIELD_TOKEN)

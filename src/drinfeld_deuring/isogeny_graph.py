@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .drinfeld import deuring_h_universal
 from .errors import AmbientTooSmallError, CapExceededError, ConsistencyError, \
     DomainError
-from .fields import CARD_CAP, FiniteField, embed
+from .fields import CARD_CAP, FiniteField, _cap_exponent, embed
 from .modulus import PrimeModulus
 from .poly import PolyRing, _split_roots, roots_in_extension
 
@@ -85,18 +85,11 @@ class IsogenyGraph:
         return "\n".join(lines) + "\n"
 
 
-def _max_ambient_degree(kappa):
-    m = 1
-    while kappa.card ** (m + 1) <= CARD_CAP:
-        m += 1
-    return m
-
-
 def build_supersingular_graph(prime):
     h = deuring_h_universal(prime)
     kappa = prime.kappa
     d = prime.d
-    max_m = _max_ambient_degree(kappa)
+    max_m = _cap_exponent(kappa.card)
     m, verts = _split_roots(h, max_m)
     if (2 * d) % (d * m):
         raise ConsistencyError(

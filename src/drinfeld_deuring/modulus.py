@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from . import poly as poly_mod
 from .errors import CapExceededError, DomainError
-from .fields import CARD_CAP, FieldElement, FiniteField
-from .laurent import LaurentRing, LaurentT
+from .fields import CARD_CAP, FieldElement, FiniteField, _cap_exponent
+from .laurent import LaurentRing
 from .poly import Poly, PolyRing
 
 
@@ -68,6 +68,12 @@ class PrimeModulus:
             out[r] = acc
         return out
 
+    def _kappa_poly(self, rows, var="s"):
+        """The polynomial over kappa with coefficient indices rows[r]."""
+        K = self.kappa
+        return Poly(PolyRing(K, var), [K.from_index(rows.get(r, 0))
+                                       for r in range(max(rows, default=-1) + 1)])
+
     def __eq__(self, other):
         if not isinstance(other, PrimeModulus):
             return NotImplemented
@@ -84,10 +90,7 @@ def check_residue_degree(q, d):
     """CapExceededError unless a residue field F_q[T]/(p) with deg p = d
     fits under CARD_CAP.  q^d is never formed, so a huge d is refused at
     once."""
-    top = 0
-    while q ** (top + 1) <= CARD_CAP:
-        top += 1
-    if d > top:
+    if d > _cap_exponent(q):
         raise CapExceededError(f"residue field of cardinality {q}^{d} "
                                f"exceeds the {CARD_CAP} cap")
 
@@ -96,23 +99,25 @@ def reduce_mod_prime(f, p):
     """Reduce coefficients mod p: F_q[T] -> kappa and 1/T -> alpha^(-1).
 
     Accepts a polynomial whose coefficients are polynomials in T or Laurent
-    values in T, and returns the polynomial over kappa; a bare T-polynomial
-    reduces to a kappa element.
+    values num/T^k, and returns the polynomial over kappa, reducing each term
+    c*T^e of num to c*alpha^(e - k) in one _reduce_terms pass; a bare
+    T-polynomial reduces to a kappa element.
     """
     if isinstance(f, Poly) and f.ring == p.p_poly.ring:
         return p.gamma(f)
     if not isinstance(f, Poly):
         raise DomainError("reduce_mod_prime expects a polynomial")
     base = f.ring.base
-    out_ring = PolyRing(p.kappa, f.ring.var)
     if isinstance(base, PolyRing) and base == p.p_poly.ring:
-        return f.map_coeffs(p.gamma, out_ring)
-    if isinstance(base, LaurentRing) and base.tring == p.p_poly.ring:
-        def red(c):
-            return p.gamma(c.num) * p.alpha ** (-c.k)
-
-        return f.map_coeffs(red, out_ring)
-    raise DomainError(f"cannot reduce coefficients from {base!r} mod {p!r}")
+        values = [(c, 0) for c in f.coeffs]
+    elif isinstance(base, LaurentRing) and base.tring == p.p_poly.ring:
+        values = [(c.num, c.k) for c in f.coeffs]
+    else:
+        raise DomainError(f"cannot reduce coefficients from {base!r} mod {p!r}")
+    rows = p._reduce_terms(
+        (r, [(e - k, c.index) for e, c in enumerate(num.coeffs) if c])
+        for r, (num, k) in enumerate(values))
+    return p._kappa_poly(rows, f.ring.var)
 
 
 def t_poly_ring(field):

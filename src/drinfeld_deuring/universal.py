@@ -113,11 +113,8 @@ def u_mod_prime(prime):
     """u_d mod p for the prime p of degree d: h by the universal route, as a
     polynomial in s over kappa.  Only the nonzero terms of u_d are reduced."""
     u = _u_terms(prime.field_q, prime.d)[prime.d]
-    rows = prime._reduce_terms((key % _T_STRIDE, ((key // _T_STRIDE, c),))
-                               for key, c in u.items())
-    K = prime.kappa
-    return Poly(PolyRing(K, "s"),
-                [K.from_index(rows.get(s, 0)) for s in range(max(rows) + 1)])
+    return prime._kappa_poly(prime._reduce_terms(
+        (key % _T_STRIDE, ((key // _T_STRIDE, c),)) for key, c in u.items()))
 
 
 def U_sequence(field, i_max):
@@ -171,14 +168,16 @@ def check_derivative_recursion(field, i):
 def check_key_identity(field, i):
     """Substitution identity linking u_i at -T^q*s*(s+1)^(q-1) and -T*s^q/(s+1)^(q-1).
 
-    Both sides are multiplied by (s+1)^((q-1)*deg u_i) to clear denominators;
-    the identity then reads, with N = deg u_i and N' = deg u_{i-1}:
+    With N = deg u_i, multiplying by (s+1)^((q-1)N) clears denominators.  The
+    recurrence's u_i has (q-1)N = q^i - 1, so with that factor divided out of
+    all three terms the identity reads
 
-    P1*(s+1)^((q-1)N) - T^(q^i - 1)*(s+1)^(q^i - 1)*P2
-        = -(T^(q^i) - T) * T^(q^i - 1) * (s+1)^(q^i - 1) * (s+1)^(q^i - q^(i-1)) * P2'
+    P1 - T^(q^i - 1)*P2 = -(T^(q^i) - T) * T^(q^i - 1) * (s+1)^(q^i - q^(i-1)) * P2'
 
     where P1 is the plain substitution and P2 (resp. P2') is the cleared form
-    sum_j c_j * (-T*s^q)^j * (s+1)^((q-1)(N-j)) of u_i (resp. u_{i-1}).
+    sum_j c_j * (-T*s^q)^j * (s+1)^((q-1)(N-j)) of u_i (resp. u_{i-1}).  Only
+    (s+1)^min((q-1)N, q^i - 1) is divided out, so for any pair the verdict is
+    that of the cleared identity.
     """
     if i < 0:
         raise DomainError("the substitution identity needs i >= 0")
@@ -188,37 +187,26 @@ def check_key_identity(field, i):
     q = field.card
     seq = u_sequence(field, i)
     ui, um = seq[i], seq[i - 1]
-    A = ui.ring.base
     S = ui.ring
+    A = S.base
     T = A.gen
     s_plus_1 = Poly(S, (A.one, A.one))
-    arg1 = Poly(S, (A.zero, -(T ** q))) * s_plus_1 ** (q - 1)
-    P1 = ui(arg1)
-    neg_t_sq = Poly(S, (A.zero,) * q + (-T,))
+    b = s_plus_1 ** (q - 1)
 
-    def cleared_direct(u):
-        n = u.degree
-        b = s_plus_1 ** (q - 1)
-        apow = S.one
-        bpows = [S.one]
-        for _ in range(n):
-            bpows.append(bpows[-1] * b)
+    def cleared(u):
+        # sum_j c_j * a^j * b^(N-j) with a = -T*s^q, by Horner's rule in b
         acc = S.zero
-        for j in range(n + 1):
-            c = u.coeff(j)
-            if c:
-                acc = acc + apow * bpows[n - j] * c
-            if j < n:
-                apow = apow * neg_t_sq
+        for j, c in enumerate(u.coeffs):
+            acc = acc * b + Poly(S, (A.zero,) * (q * j) + (c * (-T) ** j,))
         return acc
 
-    P2 = cleared_direct(ui)
-    P2m = cleared_direct(um)
-    N = ui.degree
+    P1 = ui(Poly(S, (A.zero, -(T ** q))) * b)
     qi = q ** i
-    lhs = P1 * s_plus_1 ** ((q - 1) * N) \
-        - P2 * s_plus_1 ** (qi - 1) * (T ** (qi - 1))
-    rhs = -(P2m * s_plus_1 ** (qi - 1 + qi - q ** (i - 1))
+    cleared_exp = (q - 1) * ui.degree
+    common = min(cleared_exp, qi - 1)
+    lhs = P1 * s_plus_1 ** (cleared_exp - common) \
+        - cleared(ui) * s_plus_1 ** (qi - 1 - common) * (T ** (qi - 1))
+    rhs = -(cleared(um) * s_plus_1 ** (qi - 1 - common + qi - q ** (i - 1))
             * ((T ** qi - T) * T ** (qi - 1)))
     return lhs == rhs
 

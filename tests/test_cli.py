@@ -209,6 +209,26 @@ def test_huge_prime_degree_is_refused_while_parsing(prime, degree, capsys):
                             f"exceeds the 65536 cap\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--q", "2", "--max-degree", "17"],
+     "residue field of cardinality 2^17 exceeds the 65536 cap"),
+    (["verify", "--q", "2", "--max-degree", "10000000000"],
+     "residue field of cardinality 2^10000000000 exceeds the 65536 cap"),
+    (["compute", "--q", "1000000007", "--prime", "T+1"],
+     "field of cardinality 1000000007 exceeds the 65536 cap"),
+    (["verify", "--q", "1000000007", "--max-degree", "1"],
+     "field of cardinality 1000000007 exceeds the 65536 cap")],
+    ids=["verify-degree-17", "verify-degree-1e10", "compute-huge-q",
+         "verify-huge-q"])
+def test_huge_q_and_max_degree_are_refused_at_once(argv, message, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    _one_error_line(captured)
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["compute", "--q", "2", "--prime", "T^2+T+1", "--output"],
     ["verify", "--q", "2", "--max-degree", "1", "--output"],

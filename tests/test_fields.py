@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import drinfeld_deuring
-from drinfeld_deuring.errors import DomainError
-from drinfeld_deuring.fields import _AbsTables, _canonical_modulus_digits, \
-    _prime_divisors, base_field, embed, frobenius
+from drinfeld_deuring.errors import CapExceededError, DomainError
+from drinfeld_deuring.fields import CARD_CAP, _AbsTables, _cap_exponent, \
+    _canonical_modulus_digits, _prime_divisors, base_field, embed, frobenius
 from drinfeld_deuring.grammar import render
 from drinfeld_deuring.laurent import LaurentRing
 from drinfeld_deuring.modulus import primes_of_degree, t_poly_ring
@@ -44,6 +44,25 @@ def test_base_field_rejects_non_prime_powers():
     for bad in (0, 1, 6, 12, 100):
         with pytest.raises(DomainError):
             base_field(bad)
+
+
+def test_base_field_refuses_q_above_the_cap_before_factoring(monkeypatch):
+    from drinfeld_deuring import fields
+
+    def unreachable(q):
+        raise AssertionError("a q above the cap was trial-divided")
+
+    monkeypatch.setattr(fields, "_split_prime_power", unreachable)
+    for huge in (CARD_CAP + 1, 1 << 17, 1000000007, 10 ** 30):
+        with pytest.raises(CapExceededError):
+            base_field(huge)
+
+
+def test_cap_exponent_is_the_largest_power_under_the_cap():
+    for card in list(range(2, 300)) + [256, 257, CARD_CAP, CARD_CAP + 1,
+                                       10 ** 30]:
+        e = _cap_exponent(card)
+        assert card ** e <= CARD_CAP < card ** (e + 1)
 
 
 def test_deterministic_extension_moduli():

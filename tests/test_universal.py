@@ -1,6 +1,7 @@
 """Universal sequences u_i / U_i and the identities they satisfy."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drinfeld_deuring.errors import DomainError
 from drinfeld_deuring.fields import base_field
@@ -121,6 +122,153 @@ def test_key_identity():
         assert check_key_identity(F2, i)
     for i in range(3):
         assert check_key_identity(F3, i)
+
+
+def _key_identity_reference(field, i):
+    # the identity with both sides multiplied by (s+1)^((q-1)*deg u_i) and
+    # no common factor divided out: the form check_key_identity reduces
+    if i < 0:
+        raise DomainError("the substitution identity needs i >= 0")
+    if i == 0:
+        return True
+    q = field.card
+    seq = universal.u_sequence(field, i)
+    ui, um = seq[i], seq[i - 1]
+    A = ui.ring.base
+    S = ui.ring
+    T = A.gen
+    s_plus_1 = Poly(S, (A.one, A.one))
+    arg1 = Poly(S, (A.zero, -(T ** q))) * s_plus_1 ** (q - 1)
+    P1 = ui(arg1)
+    neg_t_sq = Poly(S, (A.zero,) * q + (-T,))
+
+    def cleared_direct(u):
+        n = u.degree
+        b = s_plus_1 ** (q - 1)
+        apow = S.one
+        bpows = [S.one]
+        for _ in range(n):
+            bpows.append(bpows[-1] * b)
+        acc = S.zero
+        for j in range(n + 1):
+            c = u.coeff(j)
+            if c:
+                acc = acc + apow * bpows[n - j] * c
+            if j < n:
+                apow = apow * neg_t_sq
+        return acc
+
+    P2 = cleared_direct(ui)
+    P2m = cleared_direct(um)
+    N = ui.degree
+    qi = q ** i
+    lhs = P1 * s_plus_1 ** ((q - 1) * N) \
+        - P2 * s_plus_1 ** (qi - 1) * (T ** (qi - 1))
+    rhs = -(P2m * s_plus_1 ** (qi - 1 + qi - q ** (i - 1))
+            * ((T ** qi - T) * T ** (qi - 1)))
+    return lhs == rhs
+
+
+# the (q, i) pairs of verify's key-identity rows
+_VERIFY_KEY_IDENTITY = [(q, i) for q in (2, 3, 4, 5, 7, 8, 9)
+                        for i in range((3 if q == 2 else 2) + 1)]
+
+
+@pytest.mark.parametrize("q, i", _VERIFY_KEY_IDENTITY)
+def test_key_identity_agrees_with_the_uncancelled_form(q, i):
+    F = base_field(q)
+    assert check_key_identity(F, i) is _key_identity_reference(F, i) is True
+
+
+def _key_identity_mutants(field, i):
+    # single-coefficient changes (c_j -> c_j + T, which never cancels a
+    # monic lead) to u_i and to u_{i-1}, and u_i with one s-power more and
+    # with its lead dropped: the degree changes either way
+    seq = u_sequence(field, i)
+    T = seq[0].ring.base.gen
+    for k in (i, i - 1):
+        u = seq[k]
+        for j in range(u.degree + 1):
+            cs = list(u.coeffs)
+            cs[j] = cs[j] + T
+            yield k, Poly(u.ring, cs)
+    ui = seq[i]
+    yield i, ui + ui.ring.one.shifted(ui.degree + 1)
+    yield i, Poly(ui.ring, ui.coeffs[:-1])
+
+
+@pytest.mark.parametrize("q, i", [(q, i) for q, i in _VERIFY_KEY_IDENTITY
+                                  if q <= 5 and i >= 1])
+def test_key_identity_rejects_each_mutant_as_the_uncancelled_form(
+        q, i, monkeypatch):
+    F = base_field(q)
+    seq = u_sequence(F, i)
+    for k, mutant in _key_identity_mutants(F, i):
+        bad = seq[:k] + [mutant] + seq[k + 1:]
+        monkeypatch.setattr(universal, "u_sequence",
+                            lambda field, i_max: bad[:i_max + 1])
+        assert check_key_identity(F, i) is _key_identity_reference(F, i) \
+            is False
+        monkeypatch.undo()
+
+
+def test_key_identity_builds_no_polynomial_in_s_above_q_times_deg_u(
+        monkeypatch):
+    # at (q, i) = (9, 2), deg u_2 = 10: the uncancelled form reaches
+    # s-degree 170 = q*N + (q-1)*N
+    F = base_field(9)
+    u_sequence(F, 2)
+    degrees = []
+    init = _Dense.__init__
+
+    def recorded(self, ring, coeffs):
+        init(self, ring, coeffs)
+        if ring.var == "s":
+            degrees.append(self.degree)
+
+    monkeypatch.setattr(_Dense, "__init__", recorded)
+    assert check_key_identity(F, 2)
+    monkeypatch.undo()
+    assert max(degrees) == 90
+
+
+def _reduce_per_coefficient(f, p):
+    # gamma on each coefficient, num/T^k as gamma(num) * alpha^(-k)
+    ring = PolyRing(p.kappa, f.ring.var)
+    if isinstance(f.ring.base, LaurentRing):
+        return f.map_coeffs(lambda c: p.gamma(c.num) * p.alpha ** (-c.k), ring)
+    return f.map_coeffs(p.gamma, ring)
+
+
+@pytest.mark.parametrize("q, d", [(2, 5), (3, 3), (4, 3), (5, 2), (9, 2)])
+def test_reduce_mod_prime_matches_reducing_each_coefficient(q, d):
+    F = base_field(q)
+    U, u = U_sequence(F, d), u_sequence(F, d)
+    for p in primes_up_to_degree(F, d):
+        H = reduce_mod_prime(U[p.d], p)
+        assert H == _reduce_per_coefficient(U[p.d], p)
+        assert H.ring == PolyRing(p.kappa, "s")
+        assert reduce_mod_prime(u[p.d], p) == _reduce_per_coefficient(u[p.d], p)
+
+
+_REDUCTION_PRIMES = {q: list(primes_up_to_degree(base_field(q), 2))
+                     for q in (2, 3, 4, 9)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_REDUCTION_PRIMES)), st.data())
+def test_reduce_mod_prime_of_laurent_values_matches_each_coefficient(q, data):
+    F = base_field(q)
+    A = t_poly_ring(F)
+    L = LaurentRing(A)
+    p = data.draw(st.sampled_from(_REDUCTION_PRIMES[q]))
+    idx = st.integers(0, q - 1)
+    coeffs = [L.shift(A.poly([F.from_index(c) for c in
+                              data.draw(st.lists(idx, max_size=6))]),
+                      data.draw(st.integers(-6, 6)))
+              for _ in range(data.draw(st.integers(0, 6)))]
+    f = Poly(PolyRing(L, data.draw(st.sampled_from(["s", "x"]))), coeffs)
+    assert reduce_mod_prime(f, p) == _reduce_per_coefficient(f, p)
 
 
 def test_derivative_recursion_holds_from_step_one():
