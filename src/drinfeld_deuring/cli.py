@@ -17,6 +17,8 @@ or --dot path that cannot be written.  All output is deterministic.
 
 import argparse
 import json
+import os
+import stat
 import sys
 
 from . import grammar
@@ -27,9 +29,9 @@ from .errors import AmbientTooSmallError, ConsistencyError, DomainError, \
 from .fields import base_field
 from .isogeny_graph import build_supersingular_graph, verify_component
 from .modulus import PrimeModulus, check_residue_degree, \
-    primes_up_to_degree, reduce_mod_prime, t_poly_ring
+    primes_up_to_degree, t_poly_ring
 from .tower import all_identity_reports
-from .universal import U_sequence, check_derivative_recursion, \
+from .universal import U_mod_prime, check_derivative_recursion, \
     check_key_identity, check_simple_roots, check_u_zero
 
 
@@ -47,9 +49,17 @@ class _UnwritablePathError(Exception):
 
 
 def _write_file(path, text):
+    # rewritten in place, not truncated to 0 bytes first: on ext4 and XFS a
+    # file truncated to 0 and rewritten is flushed to disk at close, which
+    # costs tens of ms per file.  Opening without O_TRUNC keeps the inode,
+    # the mode and a symlink's target; only a regular file is then cut to
+    # the new text, since ftruncate fails on /dev/null and on pipes.
     try:
-        with open(path, "w") as fh:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
     except OSError as exc:
         raise _UnwritablePathError(
             f"cannot write {path}: {exc.strerror or exc}") from None
@@ -127,7 +137,7 @@ def _verify_rows(q, max_degree):
         # H is a function of h, so it is computed once per distinct h
         H = deuring_H(prime, h)
         H_univ = H if h_univ == h else deuring_H(prime, h_univ)
-        U_red = reduce_mod_prime(U_sequence(field, prime.d)[prime.d], prime)
+        U_red = U_mod_prime(prime)
         rows.append((f"H-universal[{label}]", H == U_red and H_univ == U_red))
         N = (q ** prime.d - 1) // (q - 1)
         rows.append((f"h-shape[{label}]",

@@ -2,8 +2,10 @@
 
 Normal form keeps T from dividing the numerator (and k = 0 when num = 0), so
 equality is structural.  k may be negative, which just means a plain
-polynomial multiple of a T-power.  Only the ring operations the U-sequence
-recurrence needs are provided; there is no general division.
+polynomial multiple of a T-power.  U_sequence returns its U_i with these
+coefficients; the ring operations are those of the U-recurrence written over
+Laurent values (universal.py runs it on term maps, and tests check the two
+against each other).  There is no general division.
 """
 
 from __future__ import annotations

@@ -13,6 +13,19 @@ U_0 = 1 and
 with the second term absent at i = 0.  Reducing u_d (resp. U_d) mod a prime
 p(T) of degree d yields the Deuring polynomial h (resp. its companion H).
 
+Both sequences are built and cached as term maps: one dict per u_i or U_i,
+{t * _T_STRIDE + e: c} for each nonzero term c * T^t * s^e, c the F_q index
+of the coefficient.  In U_i the exponent t may be negative (the powers of
+1/T); divmod(key, _T_STRIDE) recovers (t, e) either way, since 0 <= e <
+_T_STRIDE.  Multiplying by c * T^t * s^e then scales every coefficient by c
+and adds the same offset to every key.  Each u-step is a signed sum of four
+such copies.  With C = (s^q - s)^(q-1), which has exactly q nonzero terms
+and coefficients in F_q (fixed by Frobenius), the q^i-th power of U_1 is
+C(s^(q^i)) + T^(-(q-1)*q^i), so each U-step is a sum of 3q + 1 copies: no
+products.  Reduction mod p visits the nonzero terms only; u_sequence and
+U_sequence convert to polynomials over F_q[T] and F_q[T, 1/T] for their
+callers.
+
 The derivative sequence (d/ds u_i) satisfies the u-recursion for steps
 i >= 1 only: the i = 0 step would force u_1' = 0, but u_1 = s + T^q has
 u_1' = 1.  `check_derivative_recursion` therefore requires i >= 1.
@@ -23,21 +36,20 @@ from __future__ import annotations
 from .errors import DomainError
 from .laurent import LaurentRing, LaurentT
 from .modulus import t_poly_ring
-from .ore import qpow
 from .poly import Poly, PolyRing, exact_div, poly_gcd
 
 _u_cache = {}
 _U_cache = {}
-# u_i is held as one term map {T exponent * _T_STRIDE + s exponent: c}, c the
-# F_q index of a nonzero coefficient, so that multiplying by s^a T^b adds
-# a + b * _T_STRIDE to every key.  deg_s u_i = (q^i - 1)/(q - 1) stays far
-# below the stride for every u_i small enough to compute.
+# the key stride of the term maps (module docstring): deg_s U_i < q^(i+1)
+# stays far below it for every U_i small enough to compute
 _T_STRIDE = 1 << 32
 
 
-def _require_base(field):
+def _check_sequence_args(field, i_max):
     if field.q != field.card:
         raise DomainError("universal sequences live over a designated base F_q")
+    if i_max < 0:
+        raise DomainError("sequence index must be non-negative")
 
 
 def u_sequence(field, i_max):
@@ -47,10 +59,8 @@ def u_sequence(field, i_max):
 
 
 def _u_terms(field, i_max):
-    """u_0, ..., u_{i_max} as term maps (see _T_STRIDE), memoised per field."""
-    _require_base(field)
-    if i_max < 0:
-        raise DomainError("sequence index must be non-negative")
+    """u_0, ..., u_{i_max} as term maps, memoised per field."""
+    _check_sequence_args(field, i_max)
     q = field.card
     seq = _u_cache.setdefault(field, [])
     if not seq:
@@ -63,30 +73,79 @@ def _u_terms(field, i_max):
 
 
 def _u_step(field, u_prev, u_i, i):
-    """u_{i+1} = u_i*s^(q^i) + u_i*T^(q^(i+1)) - (T^(q^i) - T)*s^(q^i)*u_{i-1}.
+    """u_{i+1} = u_i*s^(q^i) + u_i*T^(q^(i+1))
+                 - (T^(q^i) - T)*s^(q^i)*u_{i-1}."""
+    q = field.card
+    qi = q ** i
+    one = field.one.index
+    return _sum_copies(field, ((u_i, one, qi),
+                               (u_i, one, q * qi * _T_STRIDE),
+                               (u_prev, field._neg(one), qi + qi * _T_STRIDE),
+                               (u_prev, one, qi + _T_STRIDE)))
 
-    Every factor is a monomial or a binomial in s and T, so on term maps the
-    step is a signed sum of four shifted copies: no products.
+
+def _U_terms(field, i_max):
+    """U_0, ..., U_{i_max} as term maps, memoised per field."""
+    _check_sequence_args(field, i_max)
+    seq = _U_cache.setdefault(field, [])
+    if len(seq) <= i_max:
+        q = field.card
+        zero, one = field.zero, field.one
+        C = Poly(PolyRing(field, "s"),
+                 (zero, -one) + (zero,) * (q - 2) + (one,)) ** (q - 1)
+        C = [(e, c.index) for e, c in enumerate(C.coeffs) if c]
+        if not seq:
+            U1 = dict(C)
+            U1[-(q - 1) * _T_STRIDE] = one.index
+            seq += [{0: one.index}, U1]
+        while len(seq) <= i_max:
+            i = len(seq) - 1
+            seq.append(_U_step(field, C, seq[i - 1], seq[i], i))
+    return seq[:i_max + 1]
+
+
+def _U_step(field, C, U_prev, U_i, i):
+    """For i >= 1, with C = (s^q - s)^(q-1) as (s exponent, F_q index) pairs
+    and Q = q^(i+1):
+
+    U_{i+1} = (C(s^(q^i)) + T^(-(q-1)q^i)) * U_i
+              - (T^(q^i - Q) - T^(1 - Q)) * C(s^(q^(i-1))) * U_{i-1}
     """
     q = field.card
     qi = q ** i
+    Q = q * qi
+    copies = [(U_i, c, e * qi) for e, c in C]
+    copies.append((U_i, field.one.index, -(q - 1) * qi * _T_STRIDE))
+    for e, c in C:
+        shift = e * (qi // q)
+        copies.append((U_prev, field._neg(c), shift + (qi - Q) * _T_STRIDE))
+        copies.append((U_prev, c, shift + (1 - Q) * _T_STRIDE))
+    return _sum_copies(field, copies)
+
+
+def _sum_copies(field, copies):
+    """The term map of sum(c * m * u) over the (u, c, shift) triples, m the
+    monomial whose key is `shift` and c an F_q index."""
+    q = field.card
     add = [[field._add(a, b) for b in range(q)] for a in range(q)]
-    same = list(range(q))
-    neg = [field._neg(c) for c in range(q)]
+    # the copies share a few scales, mostly 1 and -1
+    scales = {field.one.index: list(range(q))}
     out = {}
-    for u, sign, shift in ((u_i, same, qi),
-                           (u_i, same, q * qi * _T_STRIDE),
-                           (u_prev, neg, qi + qi * _T_STRIDE),
-                           (u_prev, same, qi + _T_STRIDE)):
-        for key, c in u.items():
+    for u, c, shift in copies:
+        scale = scales.get(c)
+        if scale is None:
+            scale = scales[c] = [field._mul(c, x) for x in range(q)]
+        for key, x in u.items():
             k = key + shift
-            out[k] = add[out.get(k, 0)][sign[c]]
-    return {k: c for k, c in out.items() if c}
+            out[k] = add[out.get(k, 0)][scale[x]]
+    return {k: x for k, x in out.items() if x}
 
 
 def _terms_to_poly(u, ring):
-    """The polynomial in `ring` = F_q[T][s] of a term map."""
-    A = ring.base
+    """The polynomial in `ring` = R[s] of a term map, R = F_q[T] or
+    F_q[T, 1/T]."""
+    laurent = isinstance(ring.base, LaurentRing)
+    A = ring.base.tring if laurent else ring.base
     F = A.base
     rows = {}
     for key, c in u.items():
@@ -95,10 +154,12 @@ def _terms_to_poly(u, ring):
     out = []
     for s in range(max(rows, default=-1) + 1):
         terms = rows.get(s, {})
-        cs = [F.zero] * (max(terms, default=-1) + 1)
+        low = min(0, min(terms, default=0))
+        cs = [F.zero] * (max(terms, default=-1) + 1 - low)
         for t, c in terms.items():
-            cs[t] = F.from_index(c)
-        out.append(Poly(A, cs))
+            cs[t - low] = F.from_index(c)
+        num = Poly(A, cs)
+        out.append(LaurentT(ring.base, num, -low) if laurent else num)
     return Poly(ring, out)
 
 
@@ -109,40 +170,27 @@ def _poly_to_terms(f):
             for t, c in enumerate(row.coeffs) if c}
 
 
-def u_mod_prime(prime):
-    """u_d mod p for the prime p of degree d: h by the universal route, as a
-    polynomial in s over kappa.  Only the nonzero terms of u_d are reduced."""
-    u = _u_terms(prime.field_q, prime.d)[prime.d]
+def _terms_mod_prime(u, prime):
+    """The polynomial in s over kappa of a term map reduced mod p, over its
+    nonzero terms only."""
     return prime._kappa_poly(prime._reduce_terms(
         (key % _T_STRIDE, ((key // _T_STRIDE, c),)) for key, c in u.items()))
 
 
+def u_mod_prime(prime):
+    """u_d mod p for the prime p of degree d: h by the universal route."""
+    return _terms_mod_prime(_u_terms(prime.field_q, prime.d)[prime.d], prime)
+
+
+def U_mod_prime(prime):
+    """U_d mod p for the prime p of degree d: the companion H."""
+    return _terms_mod_prime(_U_terms(prime.field_q, prime.d)[prime.d], prime)
+
+
 def U_sequence(field, i_max):
     """[U_0, ..., U_{i_max}] over F_q[T, 1/T][s]."""
-    _require_base(field)
-    if i_max < 0:
-        raise DomainError("sequence index must be non-negative")
-    q = field.card
-    seq = _U_cache.setdefault(field, [])
-    if not seq:
-        A = t_poly_ring(field)
-        L = LaurentRing(A)
-        SL = PolyRing(L, "s")
-        sq_minus_s = Poly(SL, (L.zero, -L.one) + (L.zero,) * (q - 2) + (L.one,))
-        seq.append(SL.one)
-        seq.append(sq_minus_s ** (q - 1) + SL.coerce(L.shift(1, q - 1)))
-    SL = seq[0].ring
-    L = SL.base
-    A = L.tring
-    U1 = seq[1]
-    C = U1 - SL.coerce(L.shift(1, q - 1))
-    while len(seq) <= i_max:
-        i = len(seq) - 1
-        term1 = qpow(U1, q, i) * seq[i]
-        fac = LaurentT(L, A.gen ** (q ** i) - A.gen, q ** (i + 1))
-        term2 = SL.coerce(fac) * qpow(C, q, i - 1) * seq[i - 1]
-        seq.append(term1 - term2)
-    return seq[:i_max + 1]
+    S = PolyRing(LaurentRing(t_poly_ring(field)), "s")
+    return [_terms_to_poly(U, S) for U in _U_terms(field, i_max)]
 
 
 def u_zero_value(field, i):

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import shlex
+import stat
 import time
 
 import pytest
@@ -242,6 +244,95 @@ def test_unwritable_output_path_is_invalid(argv, tmp_path, capsys):
     assert str(path) in captured.err
     assert main(argv + [str(tmp_path)]) == 2
     _one_error_line(capsys.readouterr())
+    # a path below a regular file cannot be written, by root either
+    plain = tmp_path / "plain"
+    plain.write_text("kept\n")
+    assert main(argv + [str(plain / "out.txt")]) == 2
+    _one_error_line(capsys.readouterr())
+    assert plain.read_text() == "kept\n"
+
+
+_VERIFY_Q2 = ["verify", "--q", "2", "--max-degree", "2"]
+
+
+def _verify_q2_stdout(capsys):
+    assert main(_VERIFY_Q2) == 0
+    return capsys.readouterr().out.encode()
+
+
+def test_output_over_a_longer_file_leaves_exactly_the_new_bytes(
+        tmp_path, capsys):
+    expected = _verify_q2_stdout(capsys)
+    out = tmp_path / "report.txt"
+    out.write_bytes(b"junk\n" * (len(expected) // 5 + 100))
+    inode = out.stat().st_ino
+    assert main(_VERIFY_Q2 + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == expected
+    # rewritten in place: the same inode
+    assert out.stat().st_ino == inode
+    # and a shorter file grows to the full text
+    out.write_bytes(b"x")
+    assert main(_VERIFY_Q2 + ["--output", str(out)]) == 0
+    assert out.read_bytes() == expected
+
+
+def test_output_to_dev_null_exits_0_and_prints_nothing(capsys):
+    # ftruncate fails on a character device; only regular files are cut
+    if not os.path.exists(os.devnull):
+        pytest.skip("no null device")
+    assert main(_VERIFY_Q2 + ["--output", os.devnull]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == ""
+
+
+def test_output_to_a_pipe(capsys):
+    # ftruncate fails on a pipe too; /dev/fd/N reopens the pipe's write end
+    expected = _verify_q2_stdout(capsys)
+    read_fd, write_fd = os.pipe()
+    try:
+        path = f"/dev/fd/{write_fd}"
+        if not os.path.exists(path):
+            pytest.skip("no /dev/fd")
+        assert main(_VERIFY_Q2 + ["--output", path]) == 0
+        os.close(write_fd)
+        write_fd = None
+        with os.fdopen(read_fd, "rb") as fh:
+            read_fd = None
+            assert fh.read() == expected
+    finally:
+        for fd in (read_fd, write_fd):
+            if fd is not None:
+                os.close(fd)
+
+
+def test_output_through_a_symlink_updates_the_target(tmp_path, capsys):
+    expected = _verify_q2_stdout(capsys)
+    target = tmp_path / "target.txt"
+    target.write_text("old contents that are longer than nothing\n" * 50)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert main(_VERIFY_Q2 + ["--output", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == expected
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o755])
+def test_output_keeps_the_file_mode(mode, tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    out.write_text("junk\n" * 1000)
+    out.chmod(mode)
+    assert main(_VERIFY_Q2 + ["--output", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+    assert out.read_bytes() == _verify_q2_stdout(capsys)
+
+
+def test_dot_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
+    dot = tmp_path / "g.dot"
+    dot.write_text("digraph junk {}\n" * 500)
+    assert main(["graph", "--q", "3", "--prime", "T-1", "--dot",
+                 str(dot)]) == 0
+    assert _sha256(dot.read_bytes()) == GOLDEN_DOT
 
 
 def test_graph_fails_when_h_needs_a_larger_field(monkeypatch, capsys):

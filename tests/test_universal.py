@@ -1,22 +1,25 @@
 """Universal sequences u_i / U_i and the identities they satisfy."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from drinfeld_deuring.errors import DomainError
 from drinfeld_deuring.fields import base_field
 from drinfeld_deuring.grammar import parse, render
-from drinfeld_deuring.laurent import LaurentRing
+from drinfeld_deuring.laurent import LaurentRing, LaurentT
 from drinfeld_deuring import universal
 from drinfeld_deuring.modulus import (
     PrimeModulus, primes_of_degree, primes_up_to_degree, reduce_mod_prime,
     t_poly_ring,
 )
+from drinfeld_deuring.ore import qpow
 from drinfeld_deuring.poly import Poly, PolyRing, _Dense
 from drinfeld_deuring.universal import (
     U_sequence, check_derivative_recursion, check_key_identity,
     check_simple_roots, check_simple_roots_generic, check_u_zero,
-    sequence_json, u_mod_prime, u_sequence, u_zero_value,
+    U_mod_prime, sequence_json, u_mod_prime, u_sequence, u_zero_value,
 )
 
 
@@ -107,6 +110,84 @@ def test_U_sequence_oracle_q2():
         "s^6 + s^5 + (1 + T^-1)*s^4 + s^3 + (T^-1 + T^-3)*s^2 + T^-3*s + T^-3"
     # degree q^(d+1) - q
     assert seq[2].degree == 6
+
+
+def _U_by_qpow(field, i_max):
+    # the U-recursion over F_q[T, 1/T][s] with its q-power factors raised by
+    # qpow and multiplied out, as U_sequence ran it before term maps
+    q = field.card
+    A = t_poly_ring(field)
+    L = LaurentRing(A)
+    SL = PolyRing(L, "s")
+    sq_minus_s = Poly(SL, (L.zero, -L.one) + (L.zero,) * (q - 2) + (L.one,))
+    C = sq_minus_s ** (q - 1)
+    U1 = C + SL.coerce(L.shift(1, q - 1))
+    seq = [SL.one, U1]
+    for i in range(1, i_max):
+        fac = LaurentT(L, A.gen ** (q ** i) - A.gen, q ** (i + 1))
+        seq.append(qpow(U1, q, i) * seq[i]
+                   - SL.coerce(fac) * qpow(C, q, i - 1) * seq[i - 1])
+    return seq[:i_max + 1]
+
+
+@pytest.mark.parametrize("q, i_max", [(2, 6), (3, 4), (4, 3), (5, 3), (9, 2)])
+def test_U_sequence_matches_the_qpow_recursion(q, i_max):
+    F = base_field(q)
+    assert U_sequence(F, i_max) == _U_by_qpow(F, i_max)
+
+
+def test_U_terms_have_negative_T_exponents_and_no_zero_terms():
+    F = base_field(3)
+    U = universal._U_terms(F, 3)
+    assert all(all(terms.values()) for terms in U)
+    # U_1 = (s^3 - s)^2 + T^-2: three terms in s and one in 1/T
+    assert U[1] == {2: 1, 4: 1, 6: 1, -2 * universal._T_STRIDE: 1}
+    # the lowest T-power of U_i, i >= 2: T^(1 - q^i) times that of U_(i-2)
+    assert [min(key // universal._T_STRIDE for key in terms)
+            for terms in U] == [0, -2, -8, -28]
+
+
+_U_PRIMES = {q: list(primes_up_to_degree(base_field(q), d))
+             for q, d in ((2, 5), (3, 3), (4, 2), (5, 2), (9, 2))}
+_U_REFERENCE = {q: _U_by_qpow(base_field(q), max(p.d for p in ps))
+                for q, ps in _U_PRIMES.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_U_PRIMES)), st.data())
+def test_U_mod_prime_matches_reducing_the_qpow_recursion(q, data):
+    p = data.draw(st.sampled_from(_U_PRIMES[q]))
+    assert U_mod_prime(p) == reduce_mod_prime(_U_REFERENCE[q][p.d], p)
+
+
+def test_U_mod_prime_builds_no_laurent_polynomial(monkeypatch):
+    # U_d is built, cached and reduced as term maps; polynomials over
+    # F_q[T, 1/T] exist only for U_sequence's callers
+    p = next(iter(primes_of_degree(base_field(2), 6)))
+    monkeypatch.setattr(universal, "_U_cache", {})
+    init = _Dense.__init__
+
+    def checked(self, ring, coeffs):
+        assert not isinstance(ring.base, (LaurentRing, PolyRing))
+        init(self, ring, coeffs)
+
+    monkeypatch.setattr(_Dense, "__init__", checked)
+    H = U_mod_prime(p)
+    monkeypatch.undo()
+    assert H == reduce_mod_prime(U_sequence(p.field_q, p.d)[p.d], p)
+
+
+def _sequence_json_reference(field, i_max):
+    return {"q": field.card, "variant": "U", "i_max": i_max,
+            "entries": [[render(c) for c in reversed(f.coeffs)]
+                        for f in _U_by_qpow(field, i_max)]}
+
+
+@pytest.mark.parametrize("q, i_max", [(2, 5), (3, 3), (4, 2), (9, 2)])
+def test_sequence_json_of_U_is_byte_identical(q, i_max):
+    F = base_field(q)
+    assert json.dumps(sequence_json(F, "U", i_max), indent=2) == \
+        json.dumps(_sequence_json_reference(F, i_max), indent=2)
 
 
 def test_U_reduction_is_H():
