@@ -11,16 +11,30 @@ g_k = 0 for k < d; the Deuring polynomial is h = (-1)^d g_d, monic of degree
 (q^d - 1)/(q - 1), and Delta_0 is supersingular exactly when h(Delta_0) = 0.
 
 h is computed three independent ways: symbolically from the twisted-polynomial
-image (direct), by the coefficient recurrence run in generic A-characteristic
-over F_q[T][Delta] (grec), and by reducing the universal sequence term u_d
-mod p (universal).  `deuring_g_sequence(prime, k_max)` returns the k_max + 1
+image (direct), by the coefficient recurrence of psi_T psi_p = psi_p psi_T
+run in A/(p^2) (grec), and by reducing the universal sequence term u_d mod p
+(universal).  `deuring_g_sequence(prime, k_max)` returns the k_max + 1
 entries g_0..g_{k_max}, and the direct route asks it for k_max = d: a
 twisted product only raises the tau-degree, so the Horner image is truncated
 at tau^d, and the coefficients above it, up to g_2d of Delta-degree
-(q^(2d) - 1)/(q^2 - 1), are never built.  grec holds each g_k as term maps,
-the nonzero coefficients of T per power of Delta: the recurrence only
-shifts, stretches and adds them, and its exact divisions by T^(q^k) - T are
-running sums over residue classes of exponents.
+(q^(2d) - 1)/(q^2 - 1), are never built.
+
+grec runs the tau^k coefficient of psi_T psi_p = psi_p psi_T,
+
+    g_k * (T^(q^k) - T) = g_(k-1) * omega^(q^(k-1)) - g_(k-1)^(q) * omega
+                          - g_(k-2) * Delta^(q^(k-2)) + g_(k-2)^(q^2) * Delta,
+
+with omega = Delta + T, g_0 = p and g_(-1) = 0.  Over F_q[T][Delta] every
+division is exact, but mod p the divisor T^(q^d) - T vanishes, so the
+recurrence runs in A/(p^2).  a -> a(alpha) + a'(alpha)*eps is a ring map
+A -> kappa[eps]/(eps^2), since d/dT is a derivation, and its kernel is
+(p^2), since p is separable.  Under it a stretch a(T) -> a(T^(q^j)) has eps
+part 0, g_0 maps to (0, p'(alpha)), and T^(q^k) - T maps to
+(alpha^(q^k) - alpha, -1): a unit for k < d, and -eps at k = d.  Every step
+is linear in the value parts, so they stay 0 below k = d, and what is left
+is a three-term recurrence on the eps parts in kappa[Delta]
+(`deuring_h_grec`).  Its last step divides by -eps, so g_d mod p is minus
+the eps part of its numerator.  The route uses neither the Ore image nor u.
 
 The companion H has degree q^(d+1) - q and encodes the Legendre-form
 parameter: H is the numerator of
@@ -37,9 +51,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, DomainError, RecurrenceBreakdownError
+from .errors import ConsistencyError, DomainError
 from .fields import embed
-from .modulus import PrimeModulus, t_poly_ring
+from .modulus import PrimeModulus
 from .ore import OreContext, drinfeld_image
 from .poly import Poly, PolyRing
 from .universal import u_mod_prime
@@ -149,14 +163,18 @@ def deuring_g_sequence(prime, k_max=None):
 
 
 def _h_from_g(prime, g):
-    """h = (-1)^d g_d, once g_0..g_d have the shape that makes it the
-    Deuring polynomial: g_k = 0 for k < d, and g_d of degree
-    (q^d - 1)/(q - 1) with leading coefficient (-1)^d.  Otherwise
-    ConsistencyError."""
-    d, q = prime.d, prime.q
-    if any(g[k] for k in range(d)):
+    """h from g_0..g_d: ConsistencyError unless g_k = 0 for k < d and g_d
+    passes `_h_from_gd`."""
+    if any(g[k] for k in range(prime.d)):
         raise ConsistencyError("low tau-coefficients of psi_p did not vanish")
-    gd = g[d]
+    return _h_from_gd(prime, g[prime.d])
+
+
+def _h_from_gd(prime, gd):
+    """h = (-1)^d g_d, once g_d has the shape that makes it the Deuring
+    polynomial: degree (q^d - 1)/(q - 1) and leading coefficient (-1)^d.
+    Otherwise ConsistencyError."""
+    d, q = prime.d, prime.q
     sign = -prime.kappa.one if d % 2 else prime.kappa.one
     if gd.degree != (q ** d - 1) // (q - 1) or gd.lead != sign:
         raise ConsistencyError("g_d does not have degree (q^d - 1)/(q - 1) "
@@ -186,117 +204,36 @@ def check_g_structure(prime, h):
     return not any(divmod(g[k], h)[1] for k in range(d, 2 * d))
 
 
-def grec_g_sequence(prime, k_max):
-    """[g_0, ..., g_{k_max}] of the coefficient recurrence, run generically.
-
-    The recurrence does not depend on the prime, so it is run over
-    F_q[T][Delta] with gamma the identity, from g_0 = p(T) and g_(-1) = 0;
-    every division by T^(q^k) - T is then exact, and a nonzero remainder
-    raises RecurrenceBreakdownError.  The steps run on sparse term maps
-    (`_grec_terms`); only the result is converted to polynomials, with Delta
-    represented by the variable s.
-    """
-    F = prime.field_q
-    A = t_poly_ring(F)
-    out = []
-    for g in _grec_terms(prime, k_max):
-        rows = []
-        for de in range(max(g, default=-1) + 1):
-            terms = g.get(de, {})
-            cs = [F.zero] * (max(terms, default=-1) + 1)
-            for te, c in terms.items():
-                cs[te] = F.from_index(c)
-            rows.append(Poly(A, cs))
-        out.append(Poly(PolyRing(A, "s"), rows))
-    return out
-
-
-def _grec_terms(prime, k_max):
-    """g_0, ..., g_{k_max} as term maps {Delta exponent: {T exponent: c}}.
-
-    Each c is the F_q index of a nonzero coefficient.  With omega = Delta + T
-    and g_(-1) = 0, step k >= 1 is
-
-        g_k * (T^(q^k) - T) = g_(k-1) * omega^(q^(k-1)) - g_(k-1)^(q) * omega
-                              - g_(k-2) * Delta^(q^(k-2)) + g_(k-2)^(q^2) * Delta,
-
-    the tau^k coefficient of psi_T * psi_p = psi_p * psi_T.  Frobenius fixes
-    F_q, so g^(q^j) stretches both exponents by q^j and keeps every c, and the
-    right side is a signed sum of shifted and stretched copies: no products.
-    """
-    F = prime.field_q
-    q = prime.q
-    add = [[F._add(a, b) for b in range(q)] for a in range(q)]
-    same = list(range(q))
-    neg = [F._neg(c) for c in range(q)]
-    out = [{0: {e: c.index for e, c in enumerate(prime.p_poly.coeffs) if c}}]
-    g2 = {}
-    for k in range(1, k_max + 1):
-        g1 = out[-1]
-        num = {}
-        # (term map, its sign, Delta stretch, Delta shift, T stretch, T shift)
-        moves = [(g1, same, 1, q ** (k - 1), 1, 0),
-                 (g1, same, 1, 0, 1, q ** (k - 1)),
-                 (g1, neg, q, 1, q, 0),
-                 (g1, neg, q, 0, q, 1)]
-        if g2:
-            moves += [(g2, neg, 1, q ** (k - 2), 1, 0),
-                      (g2, same, q * q, 1, q * q, 0)]
-        for g, sign, ds, dt, ts, tt in moves:
-            for de, terms in g.items():
-                row = num.setdefault(de * ds + dt, {})
-                for te, c in terms.items():
-                    t = te * ts + tt
-                    row[t] = add[row.get(t, 0)][sign[c]]
-        gk = {}
-        for de, f in num.items():
-            quot = _exact_div_terms(f, q ** k, add)
-            if quot:
-                gk[de] = quot
-        g2 = g1
-        out.append(gk)
-    return out[:k_max + 1]
-
-
-def _exact_div_terms(f, Q, add):
-    """f / (T^Q - T) for a term map f {T exponent: F_q index}, Q = q^k.
-
-    With L = Q - 1, T^Q - T = T * (T^L - 1), so the quotient's coefficient at
-    i is f_(i+Q) + f_(i+Q+L) + ..., a descending running sum over one residue
-    class mod L.  The division is exact iff f has no constant term and every
-    class sums to zero; otherwise RecurrenceBreakdownError.  `add` is the
-    addition table of the F_q indices.
-    """
-    if f.get(0):
-        raise RecurrenceBreakdownError(
-            f"division by T^{Q} - T: the dividend has a constant term")
-    L = Q - 1
-    quot = {}
-    # per residue class mod L: the running sum and the exponent it last grew at
-    sums, tops = {}, {}
-    for e in sorted(f, reverse=True):
-        c = f[e]
-        if not c:
-            continue
-        r = e % L
-        s = sums.get(r, 0)
-        if s:
-            # the quotient is s at every class position strictly above e - Q
-            for i in range(tops[r] - Q, max(e - Q, -1), -L):
-                quot[i] = s
-        sums[r], tops[r] = add[s][c], e
-    if any(sums.values()):
-        raise RecurrenceBreakdownError(
-            f"division by T^{Q} - T leaves a nonzero remainder")
-    return quot
-
-
 def deuring_h_grec(prime):
-    g = _grec_terms(prime, prime.d)[prime.d]
-    rows = prime._reduce_terms((de, terms.items()) for de, terms in g.items())
-    if prime.d % 2:
-        rows = {de: prime.kappa._neg(c) for de, c in rows.items()}
-    return prime._kappa_poly(rows)
+    """h by the coefficient recurrence in A/(p^2) = kappa[eps]/(eps^2).
+
+    As the module docstring derives, only the eps parts w_k of g_k are
+    nonzero below k = d.  As {Delta exponent: kappa index} maps, with
+    w_(-1) = 0 and w_0 = p'(alpha), step k builds
+
+        N_k = w_(k-1) * (Delta^(q^(k-1)) + alpha^(q^(k-1)))
+              - w_(k-2) * Delta^(q^(k-2))
+
+    and sets w_k = N_k / (alpha^(q^k) - alpha) for k < d, and
+    g_d mod p = -N_d at k = d.
+    """
+    K, q, d = prime.kappa, prime.q, prime.d
+    a = prime.alpha.index
+    w2, w1 = {}, {0: prime.gamma(prime.p_poly.derivative()).index}
+    for k in range(1, d + 1):
+        Q = q ** (k - 1)
+        aQ = K._pow(a, Q)
+        num = {e: K._mul(c, aQ) for e, c in w1.items()}
+        for e, c in w2.items():
+            num[e + Q // q] = K._add(num.get(e + Q // q, 0), K._neg(c))
+        # w_(k-1) has Delta-degree (Q - 1)/(q - 1) < Q: its shift by Q
+        # overlaps nothing
+        num.update((e + Q, c) for e, c in w1.items())
+        # T^(q^k) - T: the unit alpha^(q^k) - alpha for k < d, -eps at k = d
+        scale = (K._inv(K._add(K._pow(a, Q * q), K._neg(a))) if k < d
+                 else K._neg(1))
+        w2, w1 = w1, {e: K._mul(c, scale) for e, c in num.items() if c}
+    return _h_from_gd(prime, prime._kappa_poly(w1))
 
 
 def deuring_h_universal(prime):

@@ -3,13 +3,12 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from drinfeld_deuring.drinfeld import (
     DeltaModule,
     LambdaModule,
     _compose_in_S,
-    _exact_div_terms,
     delta_from_lambda,
     deuring,
     deuring_H,
@@ -17,7 +16,6 @@ from drinfeld_deuring.drinfeld import (
     deuring_h_direct,
     deuring_h_grec,
     deuring_h_universal,
-    grec_g_sequence,
     is_supersingular,
     j_invariant,
 )
@@ -34,7 +32,7 @@ from drinfeld_deuring.modulus import (
 )
 from drinfeld_deuring.ore import OreContext, ore_apply, qpow
 from drinfeld_deuring.poly import Poly, PolyRing, _Dense, exact_div, \
-    roots_in_extension
+    is_irreducible, roots_in_extension
 from drinfeld_deuring.universal import u_sequence
 
 
@@ -444,6 +442,167 @@ def test_deuring_H_work_is_far_below_horner(monkeypatch):
     H = deuring_H(p, h)
     assert H.degree == 2 ** 11 - 2
     assert pairs and sum(pairs) < N * N / 10
+
+
+# The coefficient recurrence run generically over F_q[T][Delta], as grec ran
+# it before it moved to A/(p^2) = kappa[eps]/(eps^2).  There every division
+# by T^(q^k) - T is exact in F_q[T] and is checked; the references below keep
+# it as the oracle for grec, and `_dense_grec` as the oracle for the term maps.
+def grec_g_sequence(prime, k_max):
+    """[g_0, ..., g_{k_max}] of the generic recurrence as polynomials in
+    Delta (the variable s) over F_q[T]."""
+    F = prime.field_q
+    A = t_poly_ring(F)
+    out = []
+    for g in _grec_terms(prime, k_max):
+        rows = []
+        for de in range(max(g, default=-1) + 1):
+            terms = g.get(de, {})
+            cs = [F.zero] * (max(terms, default=-1) + 1)
+            for te, c in terms.items():
+                cs[te] = F.from_index(c)
+            rows.append(Poly(A, cs))
+        out.append(Poly(PolyRing(A, "s"), rows))
+    return out
+
+
+def _grec_terms(prime, k_max):
+    """g_0, ..., g_{k_max} as term maps {Delta exponent: {T exponent: c}}.
+
+    Each c is the F_q index of a nonzero coefficient.  With omega = Delta + T
+    and g_(-1) = 0, step k >= 1 is
+
+        g_k * (T^(q^k) - T) = g_(k-1) * omega^(q^(k-1)) - g_(k-1)^(q) * omega
+                              - g_(k-2) * Delta^(q^(k-2)) + g_(k-2)^(q^2) * Delta,
+
+    the tau^k coefficient of psi_T * psi_p = psi_p * psi_T.  Frobenius fixes
+    F_q, so g^(q^j) stretches both exponents by q^j and keeps every c, and the
+    right side is a signed sum of shifted and stretched copies: no products.
+    """
+    F = prime.field_q
+    q = prime.q
+    add = [[F._add(a, b) for b in range(q)] for a in range(q)]
+    same = list(range(q))
+    neg = [F._neg(c) for c in range(q)]
+    out = [{0: {e: c.index for e, c in enumerate(prime.p_poly.coeffs) if c}}]
+    g2 = {}
+    for k in range(1, k_max + 1):
+        g1 = out[-1]
+        num = {}
+        # (term map, its sign, Delta stretch, Delta shift, T stretch, T shift)
+        moves = [(g1, same, 1, q ** (k - 1), 1, 0),
+                 (g1, same, 1, 0, 1, q ** (k - 1)),
+                 (g1, neg, q, 1, q, 0),
+                 (g1, neg, q, 0, q, 1)]
+        if g2:
+            moves += [(g2, neg, 1, q ** (k - 2), 1, 0),
+                      (g2, same, q * q, 1, q * q, 0)]
+        for g, sign, ds, dt, ts, tt in moves:
+            for de, terms in g.items():
+                row = num.setdefault(de * ds + dt, {})
+                for te, c in terms.items():
+                    t = te * ts + tt
+                    row[t] = add[row.get(t, 0)][sign[c]]
+        gk = {}
+        for de, f in num.items():
+            quot = _exact_div_terms(f, q ** k, add)
+            if quot:
+                gk[de] = quot
+        g2 = g1
+        out.append(gk)
+    return out[:k_max + 1]
+
+
+def _exact_div_terms(f, Q, add):
+    """f / (T^Q - T) for a term map f {T exponent: F_q index}, Q = q^k.
+
+    With L = Q - 1, T^Q - T = T * (T^L - 1), so the quotient's coefficient at
+    i is f_(i+Q) + f_(i+Q+L) + ..., a descending running sum over one residue
+    class mod L.  The division is exact iff f has no constant term and every
+    class sums to zero; otherwise RecurrenceBreakdownError.  `add` is the
+    addition table of the F_q indices.
+    """
+    if f.get(0):
+        raise RecurrenceBreakdownError(
+            f"division by T^{Q} - T: the dividend has a constant term")
+    L = Q - 1
+    quot = {}
+    # per residue class mod L: the running sum and the exponent it last grew at
+    sums, tops = {}, {}
+    for e in sorted(f, reverse=True):
+        c = f[e]
+        if not c:
+            continue
+        r = e % L
+        s = sums.get(r, 0)
+        if s:
+            # the quotient is s at every class position strictly above e - Q
+            for i in range(tops[r] - Q, max(e - Q, -1), -L):
+                quot[i] = s
+        sums[r], tops[r] = add[s][c], e
+    if any(sums.values()):
+        raise RecurrenceBreakdownError(
+            f"division by T^{Q} - T leaves a nonzero remainder")
+    return quot
+
+
+def _reference_h_grec(prime):
+    """h = (-1)^d (g_d mod p), with g_d from the generic recurrence."""
+    g = _grec_terms(prime, prime.d)[prime.d]
+    rows = prime._reduce_terms((de, terms.items()) for de, terms in g.items())
+    if prime.d % 2:
+        rows = {de: prime.kappa._neg(c) for de, c in rows.items()}
+    return prime._kappa_poly(rows)
+
+
+@pytest.mark.parametrize("q, max_d", [(2, 8), (3, 5), (4, 4), (5, 3), (9, 2),
+                                      (7, 2), (8, 2)])
+def test_grec_matches_generic_reference(q, max_d):
+    for p in primes_up_to_degree(base_field(q), max_d):
+        assert deuring_h_grec(p) == _reference_h_grec(p)
+
+
+# degrees at and just above those of the grid test
+_GREC_DEGREES = {2: 9, 3: 6, 4: 5, 5: 4, 7: 3, 8: 3, 9: 3}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_GREC_DEGREES)), st.data())
+def test_grec_matches_generic_reference_on_drawn_primes(q, data):
+    A = t_poly_ring(base_field(q))
+    d = _GREC_DEGREES[q] - data.draw(st.integers(0, 2))
+    low = data.draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d))
+    f = A.poly([A.base.from_index(i) for i in low] + [A.base.one])
+    assume(f != A.gen and is_irreducible(f))
+    p = PrimeModulus(f)
+    assert deuring_h_grec(p) == _reference_h_grec(p)
+
+
+def test_grec_checks_the_shape_of_g_d(monkeypatch, capsys):
+    # a wrong scale or sign of w_0 = p'(alpha) scales h, so its leading
+    # coefficient is no longer 1
+    from drinfeld_deuring import cli
+
+    gamma = PrimeModulus.gamma
+    for q, text, scale in [(2, "T^3 + T + 1", "a"), (3, "T^2 + 1", "-1"),
+                           (3, "T^2 + 1", "a"), (4, "T^2 + T + x", "a")]:
+        p = _prime(q, text)
+        c = parse(scale, PolyRing(p.kappa, "s")).constant_coeff()
+        monkeypatch.setattr(PrimeModulus, "gamma",
+                            lambda self, f, c=c: gamma(self, f) * c)
+        with pytest.raises(ConsistencyError):
+            deuring_h_grec(p)
+        assert cli.main(["compute", "--q", str(q), "--prime", text,
+                         "--method", "grec"]) == 1
+        assert capsys.readouterr().err.startswith("check failed:")
+        monkeypatch.undo()
+        assert deuring_h_grec(p) == deuring_h_universal(p)
+
+
+@pytest.mark.parametrize("q, d", [(2, 12), (2, 13), (3, 8)])
+def test_three_routes_agree_at_large_degree(q, d):
+    p = next(iter(primes_of_degree(base_field(q), d)))
+    assert deuring_h_grec(p) == deuring_h_direct(p) == deuring_h_universal(p)
 
 
 # The recurrence as grec ran it on dense F_q[T][Delta] polynomials before it
