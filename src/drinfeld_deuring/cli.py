@@ -8,11 +8,12 @@ Subcommands:
   graph        supersingular correspondence graph plus component report
   identities   generic-characteristic tower identities (alias: tower)
 
-Exit codes: 0 = success / everything verified, 1 = some check failed,
-2 = invalid input, including a prime whose degree exceeds the cardinality
-cap (refused while parsing, before any polynomial of that degree is built),
-a graph whose h does not split in any field within the cap, and an --output
-or --dot path that cannot be written.  All output is deterministic.
+Exit codes: 0 = success / everything verified, 1 = some check failed (e.g.
+a graph whose h or neighbor polynomials do not split in kappa_2), 2 = invalid
+input, including a prime whose degree exceeds the cardinality cap (refused
+while parsing, before any polynomial of that degree is built), a graph whose
+kappa_2 exceeds the cap (refused before h is computed), and an --output or
+--dot path that cannot be written.  All output is deterministic.
 """
 
 import argparse

@@ -19,7 +19,3 @@ class ConsistencyError(RuntimeError):
 
 class AmbientTooSmallError(RuntimeError):
     """The ambient field does not contain all roots required by a construction."""
-
-    def __init__(self, message, needed_degree=None):
-        super().__init__(message)
-        self.needed_degree = needed_degree

@@ -2,32 +2,37 @@
 
 For a vertex Delta0, every root Y of the neighbor polynomial
 
-    -gamma(T^q) * (Y+1)^(q-1) * Y - Delta0
+    c(Y) = -gamma(T^q) * (Y+1)^(q-1) * Y - Delta0
 
 contributes the edge target
 
     Delta1 = -gamma(T) * Y^q / (Y+1)^(q-1).
 
-Vertices are the roots of the Deuring polynomial h_{p(T)}.  Every root — of h
-and of each neighbor polynomial — is taken in one shared ambient extension
-kappa_m of kappa: the builder starts at the splitting degree of h and grows m
-until all neighbor polynomials split, so no cross-field bookkeeping is needed.
-Distinct Y-roots may map to the same Delta1; edges therefore carry a
-multiplicity, and out-degree counted with multiplicity is exactly q.
+Vertices are the roots of the Deuring polynomial h_{p(T)}.  Theory puts them
+in kappa_2 = F_{q^(2d)}, the quadratic extension of kappa, and every root, of
+h and of each c, is taken there; fewer than deg h roots of h, or fewer than q
+of some c, is a ConsistencyError.  For d = 1, kappa itself is too small:
+(Y+1)^(q-1) is 0 or 1 on F_q, so c has at most one root there.  Each c is
+separable (see `neighbors`), but distinct Y-roots may map to the same Delta1,
+so edges carry a multiplicity; out-degree counted with it is exactly q.
 """
 
 from dataclasses import dataclass
 
 from .drinfeld import deuring_h_universal
-from .errors import AmbientTooSmallError, CapExceededError, ConsistencyError, \
-    DomainError
-from .fields import CARD_CAP, FiniteField, _cap_exponent, embed
-from .modulus import PrimeModulus
-from .poly import PolyRing, _split_roots, roots_in_extension
+from .errors import AmbientTooSmallError, ConsistencyError, DomainError
+from .fields import FiniteField, embed
+from .modulus import PrimeModulus, check_residue_degree
+from .poly import PolyRing, roots_in_extension
 
 
 def neighbors(delta0, prime, ambient):
-    """Multiset of edge targets of delta0, as elements of the ambient field."""
+    """Multiset of edge targets of delta0, as elements of the ambient field.
+
+    AmbientTooSmallError unless the q roots of c lie in `ambient`.  They are
+    distinct: c' = -gamma(T^q) * (Y+1)^(q-2) (-gamma(T)^2 when q = 2) can
+    vanish only at Y = -1, where c(-1) = -delta0 != 0.
+    """
     if not delta0:
         raise DomainError("Delta = 0 is never a vertex")
     q = prime.q
@@ -38,8 +43,7 @@ def neighbors(delta0, prime, ambient):
     roots = roots_in_extension(c, 1)
     if len(roots) < q:
         raise AmbientTooSmallError(
-            f"only {len(roots)} of {q} neighbor roots lie in the ambient field",
-            None)
+            f"only {len(roots)} of {q} neighbor roots lie in the ambient field")
     g_T = embed(prime.alpha, ambient)
     out = []
     for y in roots:
@@ -86,28 +90,21 @@ class IsogenyGraph:
 
 
 def build_supersingular_graph(prime):
+    # kappa_2 is a residue field of degree 2d: one over the cap is refused
+    # before h or any root is computed
+    check_residue_degree(prime.q, 2 * prime.d)
     h = deuring_h_universal(prime)
-    kappa = prime.kappa
-    d = prime.d
-    max_m = _cap_exponent(kappa.card)
-    m, verts = _split_roots(h, max_m)
-    if (2 * d) % (d * m):
+    # built after h, since its tables would evict h's data from the caches
+    ambient = prime.kappa.extension(2)
+    verts = roots_in_extension(h, 2)
+    if len(set(verts)) != h.degree:
         raise ConsistencyError(
-            f"roots of h generate a degree-{d * m} field over F_{prime.q}, "
-            f"which does not divide 2d = {2 * d}")
-    while True:
-        ambient = kappa if m == 1 else kappa.extension(m)
-        try:
-            targets = [neighbors(v, prime, ambient) for v in verts]
-        except AmbientTooSmallError:
-            if m >= max_m:
-                raise CapExceededError(
-                    "neighbor roots would need an ambient field beyond the "
-                    f"{CARD_CAP} scan cap")
-            m += 1
-            verts = roots_in_extension(h, m)
-            continue
-        break
+            f"h of degree {h.degree} has {len(set(verts))} distinct roots "
+            "in kappa_2")
+    try:
+        targets = [neighbors(v, prime, ambient) for v in verts]
+    except AmbientTooSmallError as exc:
+        raise ConsistencyError(f"in kappa_2, {exc}") from None
     index = {v: i for i, v in enumerate(verts)}
     edges = {}
     strays = []
@@ -118,7 +115,7 @@ def build_supersingular_graph(prime):
                 strays.append((i, t))
             else:
                 edges[i, j] = edges.get((i, j), 0) + 1
-    return IsogenyGraph(prime, ambient, m, tuple(verts), edges, tuple(strays))
+    return IsogenyGraph(prime, ambient, 2, tuple(verts), edges, tuple(strays))
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,6 @@ class PrimeModulus:
         if not isinstance(p, Poly) or not isinstance(p.ring.base, FiniteField):
             raise DomainError("a prime modulus must be a polynomial over F_q")
         base = p.ring.base
-        if base.q != base.card:
-            raise DomainError("prime moduli live over a designated base field F_q")
         if p.degree < 1:
             raise DomainError("a prime modulus must have positive degree")
         # before the irreducibility test, which is slow long before the cap
@@ -31,6 +29,13 @@ class PrimeModulus:
             raise DomainError("the prime T is excluded (gamma(T) must be a unit)")
         if not poly_mod.is_irreducible(p):
             raise DomainError(f"{p!r} is not irreducible over F_{base.card}")
+        self._setup(p)
+
+    def _setup(self, p):
+        """Set up the prime of p, which is monic, irreducible and not T."""
+        base = p.ring.base
+        if base.q != base.card:
+            raise DomainError("prime moduli live over a designated base field F_q")
         self.p_poly = p
         self.field_q = base
         self.q = base.card
@@ -129,14 +134,18 @@ def primes_of_degree(field, d):
     """All monic irreducible p(T) != T of degree d, in deterministic order.
 
     Order is lexicographic on the coefficient tuple read from the leading end
-    down, comparing base-field elements by index.
+    down, comparing base-field elements by index.  A degree d over the cap
+    raises CapExceededError before any candidate is built.
     """
     if d < 1:
         raise DomainError("prime degree must be positive")
+    check_residue_degree(field.card, d)
     ring = t_poly_ring(field)
     for f in poly_mod._monic_polys(ring, d):
         if f.coeffs != ring.gen.coeffs and poly_mod.is_irreducible(f):
-            yield PrimeModulus(f)
+            prime = PrimeModulus.__new__(PrimeModulus)  # f is tested once
+            prime._setup(f)
+            yield prime
 
 
 def primes_up_to_degree(field, dmax):

@@ -401,19 +401,13 @@ def _distinct_roots(g, E):
 
 def splitting_degree(f, max_m):
     """Smallest m <= max_m such that f splits completely in F_{q^m}."""
-    return _split_roots(f, max_m)[0]
-
-
-def _split_roots(f, max_m):
-    """(m, roots_in_extension(f, m)) for the splitting degree m of f."""
     n = f.degree
     for m in range(1, max_m + 1):
         try:
-            roots = roots_in_extension(f, m)
+            if len(roots_in_extension(f, m)) == n:
+                return m
         except CapExceededError:
             break
-        if len(roots) == n:
-            return m, roots
     raise AmbientTooSmallError(
         f"a polynomial of degree {n} does not split in any extension "
-        f"within the {CARD_CAP}-element cap", None)
+        f"within the {CARD_CAP}-element cap")

@@ -154,7 +154,7 @@ def test_compute_computes_H_once_per_distinct_h(monkeypatch, capsys):
 @pytest.mark.parametrize("q, prime", [("2", "T^9+T^4+1"), ("16", "T^3 + x"),
                                       ("5", "T^4 + 2")])
 def test_graph_beyond_the_cap_is_invalid(q, prime, capsys):
-    # h does not split in any extension of kappa within the cardinality cap
+    # kappa fits under the cardinality cap, kappa_2 does not
     assert main(["graph", "--q", q, "--prime", prime]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -335,16 +335,47 @@ def test_dot_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
     assert _sha256(dot.read_bytes()) == GOLDEN_DOT
 
 
-def test_graph_fails_when_h_needs_a_larger_field(monkeypatch, capsys):
+def _graph_root_search_loses_a_root(monkeypatch, lost_m):
     from drinfeld_deuring import isogeny_graph
 
-    # roots of h in kappa_3 would generate a degree-6 field, which does not
-    # divide 2d = 4
-    monkeypatch.setattr(isogeny_graph, "_split_roots", lambda h, max_m: (3, []))
+    # m = 2 is the search for h's roots, m = 1 that for a neighbor
+    # polynomial's roots over kappa_2
+    real = isogeny_graph.roots_in_extension
+    monkeypatch.setattr(
+        isogeny_graph, "roots_in_extension",
+        lambda f, m: real(f, m)[:-1] if m == lost_m else real(f, m))
+
+
+def test_graph_fails_when_h_needs_a_larger_field(monkeypatch, capsys):
+    _graph_root_search_loses_a_root(monkeypatch, 2)
     assert main(["graph", "--q", "2", "--prime", "T^2+T+1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "check failed:" in captured.err
+
+
+def test_graph_fails_when_a_neighbor_needs_a_larger_field(monkeypatch, capsys):
+    _graph_root_search_loses_a_root(monkeypatch, 1)
+    assert main(["graph", "--q", "3", "--prime", "T-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "check failed:" in captured.err and "kappa_2" in captured.err
+
+
+def test_graph_out_of_cap_kappa_2_fails_before_h(monkeypatch, capsys):
+    from drinfeld_deuring import isogeny_graph
+
+    def unreachable(*_args):
+        raise AssertionError("graph computed h or a root past the cap check")
+
+    monkeypatch.setattr(isogeny_graph, "deuring_h_universal", unreachable)
+    monkeypatch.setattr(isogeny_graph, "roots_in_extension", unreachable)
+    # kappa = F_{2^9} fits under the cap, kappa_2 = F_{2^18} does not
+    assert main(["graph", "--q", "2", "--prime", "T^9+T^4+1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error:") and "65536" in captured.err
 
 
 def test_graph_text(capsys):

@@ -13,7 +13,8 @@ from drinfeld_deuring.fields import CARD_CAP, _AbsTables, _cap_exponent, \
     _canonical_modulus_digits, _prime_divisors, base_field, embed, frobenius
 from drinfeld_deuring.grammar import render
 from drinfeld_deuring.laurent import LaurentRing
-from drinfeld_deuring.modulus import primes_of_degree, t_poly_ring
+from drinfeld_deuring.modulus import PrimeModulus, primes_of_degree, \
+    t_poly_ring
 from drinfeld_deuring.ore import OreContext
 from drinfeld_deuring.poly import PolyRing
 
@@ -112,6 +113,32 @@ def test_deterministic_extension_moduli():
     for (q, d), expected in primes.items():
         got = [render(p.p_poly) for p in primes_of_degree(base_field(q), d)]
         assert got == expected
+
+
+def test_enumerated_primes_equal_constructed_ones():
+    # primes_of_degree tests each candidate once and skips the constructor
+    for q, d in [(2, 4), (3, 2), (4, 2), (9, 1)]:
+        for p in primes_of_degree(base_field(q), d):
+            built = PrimeModulus(p.p_poly)
+            assert vars(p) == vars(built)
+            assert p.kappa is built.kappa
+
+
+def test_primes_of_an_out_of_cap_degree_raise_before_enumerating(monkeypatch):
+    from drinfeld_deuring import poly
+
+    def unreachable(*_args):
+        raise AssertionError("primes_of_degree enumerated past the cap")
+
+    monkeypatch.setattr(poly, "_monic_polys", unreachable)
+    monkeypatch.setattr(poly, "is_irreducible", unreachable)
+    with pytest.raises(CapExceededError, match="65536"):
+        next(primes_of_degree(base_field(2), 17))
+
+
+def test_primes_live_over_a_designated_base_field():
+    with pytest.raises(DomainError, match="designated"):
+        next(primes_of_degree(base_field(2).extension(2), 1))
 
 
 def test_structural_field_equality():

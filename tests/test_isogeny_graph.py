@@ -2,9 +2,12 @@
 
 import json
 import warnings
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from drinfeld_deuring import isogeny_graph
 from drinfeld_deuring.errors import AmbientTooSmallError, ConsistencyError, \
     DomainError
 from drinfeld_deuring.fields import base_field, embed
@@ -14,7 +17,9 @@ from drinfeld_deuring.isogeny_graph import (
     neighbors,
     verify_component,
 )
-from drinfeld_deuring.modulus import PrimeModulus, t_poly_ring
+from drinfeld_deuring.modulus import PrimeModulus, primes_of_degree, \
+    primes_up_to_degree, t_poly_ring
+from drinfeld_deuring.poly import PolyRing, poly_gcd
 
 
 def _prime(q, text):
@@ -112,12 +117,66 @@ def test_no_splitting_warning_for_these_primes():
         _graph(3, "T^2 + T + 2")
 
 
-def test_splitting_beyond_kappa_2_is_a_check_failure(monkeypatch):
-    from drinfeld_deuring import isogeny_graph
+def _edit_root_search(monkeypatch, edited_m, edit):
+    """Pass the builder's root searches in kappa_m, for m = edited_m, through
+    `edit`: m = 2 is the search for h's roots, m = 1 that for a neighbor
+    polynomial's roots over kappa_2."""
+    real = isogeny_graph.roots_in_extension
+    monkeypatch.setattr(
+        isogeny_graph, "roots_in_extension",
+        lambda f, m: edit(real(f, m)) if m == edited_m else real(f, m))
 
-    monkeypatch.setattr(isogeny_graph, "_split_roots", lambda h, max_m: (3, []))
-    with pytest.raises(ConsistencyError):
+
+def test_splitting_beyond_kappa_2_is_a_check_failure(monkeypatch):
+    _edit_root_search(monkeypatch, 2, lambda roots: roots[:-1])
+    with pytest.raises(ConsistencyError, match="2 distinct roots in kappa_2"):
         _graph(2, "T^2 + T + 1")
+
+
+def test_repeated_root_of_h_is_a_check_failure(monkeypatch):
+    # deg h roots with multiplicity, but only deg h - 1 distinct ones
+    _edit_root_search(monkeypatch, 2, lambda roots: roots[:-1] + roots[:1])
+    with pytest.raises(ConsistencyError, match="2 distinct roots in kappa_2"):
+        _graph(2, "T^2 + T + 1")
+
+
+def test_neighbor_root_beyond_kappa_2_is_a_check_failure(monkeypatch):
+    _edit_root_search(monkeypatch, 1, lambda roots: roots[:-1])
+    with pytest.raises(ConsistencyError, match="kappa_2, only 1 of 2"):
+        _graph(2, "T^2 + T + 1")
+
+
+@pytest.mark.parametrize("q,dmax", [(2, 5), (3, 3), (4, 2), (5, 2), (9, 1)])
+def test_every_graph_lives_in_kappa_2(q, dmax):
+    for prime in primes_up_to_degree(base_field(q), dmax):
+        g = build_supersingular_graph(prime)
+        assert g.ambient_degree == 2
+        assert g.ambient == prime.kappa.extension(2)
+        assert verify_component(g).ok, prime
+
+
+def _neighbor_gcd_cases():
+    # (q, d) with kappa_2 under the cap
+    return [(q, d) for q in (2, 3, 4, 5, 7, 8, 9) for d in (1, 2, 3)
+            if q ** (2 * d) <= 2 ** 16]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_neighbor_gcd_cases()), st.data())
+def test_neighbor_polynomial_is_separable(case, data):
+    q, d = case
+    prime = data.draw(st.sampled_from(
+        list(islice(primes_of_degree(base_field(q), d), 3))))
+    E = prime.kappa.extension(2)
+    ring = PolyRing(E, "Y")
+    Y = ring.gen
+    delta0 = E.from_index(data.draw(st.integers(1, E.card - 1)))
+    g_Tq = ring.const(embed(prime.alpha ** q, E))
+    # the neighbor polynomial of isogeny_graph.neighbors
+    c = -g_Tq * (Y + ring.one) ** (q - 1) * Y - ring.const(delta0)
+    assert c.derivative() == -g_Tq * (Y + ring.one) ** (q - 2)
+    assert c(-ring.one) == -ring.const(delta0)
+    assert poly_gcd(c, c.derivative()) == ring.one
 
 
 def test_json_shape():
