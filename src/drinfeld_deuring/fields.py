@@ -5,13 +5,16 @@ integers: the element sum(c_i * z^i) is stored as the integer sum(c_i * p^i),
 where z is a root of a deterministic irreducible modulus (the
 lexicographically smallest monic one of the right degree, coefficients
 compared from the leading end down).  Multiplication goes through exp/log
-tables for a fixed primitive element; addition uses Zech logarithms in odd
-characteristic and XOR in characteristic 2.  Tables are shared between all
-tower instances with the same absolute field.
+tables for a fixed primitive element; addition is XOR in characteristic 2,
+Zech logarithms in odd extensions and ints mod p in prime fields.  Tables,
+and the index kernel built on them (`IndexKernel`: the scalar arithmetic,
+and that of polynomials over the field on index lists), are shared between
+all tower instances with the same absolute field.
 
 A field built as an extension remembers its base field, the defining modulus
 over the base, and a designated root of that modulus (the first one in element
-order), so elements can be moved up the tower and decomposed over the base.
+order, among the roots the kernel finds without a scan), so elements can be
+moved up the tower and decomposed over the base.
 
 Each field also carries a `q` attribute: the cardinality of the designated
 base field of its tower.  This is the exponent base used by `frobenius` and by
@@ -134,7 +137,8 @@ class _AbsTables:
         m1 = n - 1
         prime_factors = _prime_divisors(m1)
         gen = None
-        for cand in range(p, n):
+        # in a proper extension no element of F_p is primitive
+        for cand in range(p if degree > 1 else 1, n):
             if all(pow_raw(to_vec(cand), m1 // r) != 1 for r in prime_factors):
                 gen = cand
                 break
@@ -156,8 +160,11 @@ class _AbsTables:
         assert cur == 1
         self.exp = exp
         self.log = log
+        # exp twice over, so a sum of two logs needs no % m1, then m1 zeros:
+        # the zero sentinel log 2*m1 plus any log reads 0
+        self.exp2 = exp + exp + [0] * m1
         self.generator = gen
-        if p != 2:
+        if p != 2 and degree > 1:
             zech = [0] * m1
             for k in range(m1):
                 e = exp[k]
@@ -165,15 +172,17 @@ class _AbsTables:
                 e1 = e - d0 + ((d0 + 1) % p)
                 zech[k] = log[e1] if e1 else -1
             self.zech = zech
-            self.half = m1 // 2
         else:
             self.zech = None
-            self.half = 0
+        self.kernel = (_PrimeKernel if degree == 1 else
+                       _Char2Kernel if p == 2 else _ZechKernel)(self)
 
 
 @functools.lru_cache(maxsize=None)
 def _abs_tables(p, degree):
-    mod = _canonical_modulus_digits(p, degree)
+    # F_p is F_p[z]/(z): its modulus needs no search (and y is the smallest
+    # monic of degree 1)
+    mod = _canonical_modulus_digits(p, degree) if degree > 1 else (0, 1)
     return _AbsTables(p, degree, mod)
 
 
@@ -182,6 +191,332 @@ def _canonical_modulus_digits(p, degree):
     """Smallest monic irreducible of the given degree over F_p, as a digit list
     (ascending), compared lexicographically from the leading coefficient down."""
     return tuple(c.index for c in base_field(p)._search_modulus(degree))
+
+
+class IndexKernel:
+    """The arithmetic of one absolute field on element indices: scalars, and
+    polynomials as ascending index lists with no trailing zeros ([] is 0).
+
+    Products read the log/exp tables.  Sums are the field kind's own: XOR in
+    characteristic 2, Zech logarithms in odd extensions, ints mod p in prime
+    fields.  A subclass per kind gives `_add` and `_neg`, and the two row
+    primitives the polynomial loops run on: `_row(a)`, the form of a
+    polynomial that `_addmul(dst, off, c, row)` adds c times into dst at
+    offset off.  Every polynomial operation over a finite field runs here,
+    with no FieldElement built in between.
+
+    The scalar operations are private: every `FiniteField` on these tables
+    takes them as its own `_add`, `_neg`, `_mul`, `_inv` and `_pow`.  The
+    polynomial ones are public methods, so that `perfbench`'s span tracer
+    reports them as spans of their own.  The package does not export the
+    class; `fields._abs_tables` builds one per absolute field.
+    """
+
+    def __init__(self, tables):
+        self.p = tables.p
+        self.degree = tables.degree
+        self.card = tables.card
+        self.m1 = tables.card - 1
+        self.log = tables.log
+        self.exp = tables.exp2
+        self.zech = tables.zech
+        # the card x card table of index sums, built on first use
+        self._sums = None
+
+    # scalars ----------------------------------------------------------------
+
+    def _mul(self, i, j):
+        if i and j:
+            return self.exp[self.log[i] + self.log[j]]
+        return 0
+
+    def _inv(self, i):
+        if not i:
+            raise ZeroDivisionError("inverse of zero")
+        return self.exp[self.m1 - self.log[i]]
+
+    def _pow(self, i, e):
+        if not i:
+            if e == 0:
+                return 1
+            if e < 0:
+                raise ZeroDivisionError("negative power of zero")
+            return 0
+        return self.exp[self.log[i] * e % self.m1]
+
+    def sums(self):
+        """The table of index sums: sums()[i][j] is the index of i + j."""
+        if self._sums is None:
+            add, n = self._add, self.card
+            self._sums = [[add(i, j) for j in range(n)] for i in range(n)]
+        return self._sums
+
+    # polynomials ------------------------------------------------------------
+
+    def scale(self, c, a):
+        if not c:
+            return []
+        log, exp = self.log, self.exp
+        lc = log[c]
+        return [exp[lc + log[x]] if x else 0 for x in a]
+
+    def add_polys(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(map(self._add, a, b))
+        out += a[len(b):]
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    def sub_polys(self, a, b):
+        neg = self._neg
+        return self.add_polys(a, [neg(x) for x in b])
+
+    def mul_polys(self, a, b):
+        if not a or not b:
+            return []
+        if len(b) == 1:
+            return self.scale(b[0], a)
+        if len(a) == 1:
+            return self.scale(a[0], b)
+        # one _addmul of a's row per nonzero term of b: make that the
+        # cheaper way round (a q^k-stretched operand is mostly zeros)
+        if (len(a) - a.count(0)) * len(b) < (len(b) - b.count(0)) * len(a):
+            a, b = b, a
+        row = self._row(a)
+        out = [0] * (len(a) + len(b) - 1)
+        addmul = self._addmul
+        for i, c in enumerate(b):
+            if c:
+                addmul(out, i, c, row)
+        return out
+
+    def _divisor(self, b):
+        """The row of -b/lead(b) without its lead term, and 1/lead(b)."""
+        inv = self._inv(b[-1])
+        return self._row(self.scale(self._neg(inv), b[:-1])), inv
+
+    def _reduce(self, rem, n, row):
+        """Reduce rem in place modulo the degree-n divisor with `_divisor`
+        row `row`; returns the quotient by that divisor made monic."""
+        addmul = self._addmul
+        quot = [0] * max(len(rem) - n, 0)
+        for k in range(len(rem) - n - 1, -1, -1):
+            top = rem[k + n]
+            if top:
+                quot[k] = top
+                addmul(rem, k, top, row)
+        del rem[n:]
+        while rem and not rem[-1]:
+            rem.pop()
+        return quot
+
+    def divmod_polys(self, a, b):
+        """(quotient, remainder) of a by b != 0."""
+        row, inv = self._divisor(b)
+        rem = list(a)
+        quot = self._reduce(rem, len(b) - 1, row)
+        return (quot if inv == 1 else self.scale(inv, quot)), rem
+
+    def mod(self, a, b):
+        return self.divmod_polys(a, b)[1]
+
+    def monic(self, a):
+        return a if a[-1] == 1 else self.scale(self._inv(a[-1]), a)
+
+    def gcd(self, a, b):
+        """The monic gcd of a and b, not both zero."""
+        while b:
+            a, b = b, self.mod(a, b)
+        return self.monic(a)
+
+    def powmod(self, g, e, f):
+        """g^e mod f, for f != 0 and e >= 0."""
+        row, _ = self._divisor(f)
+        return self._powmod(g, e, len(f) - 1, row)
+
+    def _powmod(self, g, e, n, row):
+        # g^e modulo the degree-n divisor whose `_divisor` row is `row`
+        reduce, mul = self._reduce, self.mul_polys
+        result = [1]
+        reduce(result, n, row)
+        g = list(g)
+        reduce(g, n, row)
+        while e:
+            if e & 1:
+                result = mul(result, g)
+                reduce(result, n, row)
+            e >>= 1
+            if e:
+                # no square after the top bit, which no later bit would use
+                g = mul(g, g)
+                reduce(g, n, row)
+        return result
+
+    def _frobenius(self, h, n, row):
+        """h^p modulo the degree-n divisor whose `_divisor` row is `row`.
+
+        In characteristic p, (sum h_j x^j)^p = sum h_j^p x^(p j): the p-th
+        power is a stretch, and reducing it costs (p - 1) deg h division
+        steps.  Square-and-multiply costs about 2 log2(p) products and
+        reductions, which is less from p = 13 on.
+        """
+        p, m1, log, exp = self.p, self.m1, self.log, self.exp
+        if p > 11:
+            return self._powmod(h, p, n, row)
+        if not h:
+            return []
+        out = [0] * (p * (len(h) - 1) + 1)
+        out[::p] = [exp[log[c] * p % m1] if c else 0 for c in h]
+        self._reduce(out, n, row)
+        return out
+
+    def is_irreducible(self, f):
+        """The gcd-with-Frobenius test, for f of degree >= 2."""
+        n = len(f) - 1
+        row, _ = self._divisor(f)
+        x = [0, 1]
+        # iterates x^(card^i) mod f; x^card is degree-fold the p-th power
+        ts = [self.mod(x, f)]
+        for _ in range(n):
+            t = ts[-1]
+            for _ in range(self.degree):
+                t = self._frobenius(t, n, row)
+            ts.append(t)
+        if ts[n] != ts[0]:
+            return False
+        return all(len(self.gcd(self.sub_polys(ts[n // r], x), f)) == 1
+                   for r in _prime_divisors(n))
+
+    def distinct_roots(self, g):
+        """The distinct roots of g != 0 in this field, ascending.
+
+        gcd(x^card - x, g) keeps one linear factor per root.  That product
+        is split by gcds with Tr(beta*x) - c for beta in the F_p-basis z^i
+        and c in F_p: two roots differ in some Tr(beta*root), because the
+        trace form is nondegenerate, so after at most [E:F_p] rounds every
+        part is linear.  Deterministic; see von zur Gathen & Gerhard, Modern
+        Computer Algebra, ch. 14.
+        """
+        p, k = self.p, self.degree
+        x = [0, 1]
+        # frob[i] = x^(p^i) mod g, up to frob[k] = x^card
+        row, _ = self._divisor(g)
+        frob = [self.mod(x, g)]
+        for _ in range(k):
+            frob.append(self._frobenius(frob[-1], len(g) - 1, row))
+        parts = [self.gcd(self.sub_polys(frob[k], x), g)]
+        for i in range(k):
+            if all(len(P) <= 2 for P in parts):
+                break
+            beta = p ** i
+            trace = []
+            for j in range(k):
+                trace = self.add_polys(
+                    trace, self.scale(self._pow(beta, p ** j), frob[j]))
+            split = []
+            for P in parts:
+                if len(P) <= 2:
+                    split.append(P)
+                    continue
+                t = self.mod(trace, P)
+                # P is the product of its gcds with t - c over c in F_p; the
+                # last one is what the others leave of P
+                for c in range(p - 1):
+                    piece = self.gcd(self.sub_polys(t, [c] if c else []), P)
+                    if len(piece) > 1:
+                        split.append(piece)
+                        P = self.divmod_polys(P, piece)[0]
+                        if len(P) == 1:
+                            break
+                if len(P) > 1:
+                    split.append(P)
+            parts = split
+        return sorted(self._neg(P[0]) for P in parts if len(P) == 2)
+
+
+class _PrimeKernel(IndexKernel):
+    """F_p: sums and products are ints mod p."""
+
+    def _add(self, i, j):
+        return (i + j) % self.p
+
+    def _neg(self, i):
+        return -i % self.p
+
+    def _mul(self, i, j):
+        return i * j % self.p
+
+    def _row(self, a):
+        return a
+
+    def _addmul(self, dst, off, c, row):
+        p = self.p
+        end = off + len(row)
+        dst[off:end] = [(x + c * y) % p for x, y in zip(dst[off:end], row)]
+
+
+class _Char2Kernel(IndexKernel):
+    """F_(2^k), k >= 2: sums are XOR.  A row is the list of logs, with the
+    zero sentinel 2*m1 that `exp` reads as 0 after any nonzero log."""
+
+    _add = staticmethod(operator.xor)
+    # -i = i in characteristic 2
+    _neg = staticmethod(operator.pos)
+
+    def _row(self, a):
+        log, zero = self.log, 2 * self.m1
+        return [log[c] if c else zero for c in a]
+
+    def _addmul(self, dst, off, c, row):
+        exp = self.exp
+        lc = self.log[c]
+        end = off + len(row)
+        dst[off:end] = map(operator.xor, dst[off:end],
+                           [exp[lc + v] for v in row])
+
+
+class _ZechKernel(IndexKernel):
+    """F_(p^k), p odd, k >= 2: a + b = a * (1 + b/a), with the Zech
+    logarithm zech[k] = log(1 + g^k), -1 where 1 + g^k = 0.  A row is the
+    list of (position, log) pairs of the nonzero terms."""
+
+    def __init__(self, tables):
+        super().__init__(tables)
+        self.half = self.m1 // 2  # log of -1
+
+    def _add(self, i, j):
+        if not i:
+            return j
+        if not j:
+            return i
+        log = self.log
+        li = log[i]
+        z = self.zech[log[j] - li]
+        return self.exp[li + z] if z >= 0 else 0
+
+    def _neg(self, i):
+        return self.exp[self.log[i] + self.half] if i else 0
+
+    def _row(self, a):
+        log = self.log
+        return [(i, log[c]) for i, c in enumerate(a) if c]
+
+    def _addmul(self, dst, off, c, row):
+        log, exp, zech, m1 = self.log, self.exp, self.zech, self.m1
+        lc = log[c]
+        for i, v in row:
+            k = off + i
+            lp = lc + v
+            if lp >= m1:
+                lp -= m1
+            a = dst[k]
+            if a:
+                z = zech[log[a] - lp]
+                dst[k] = exp[lp + z] if z >= 0 else 0
+            else:
+                dst[k] = exp[lp]
 
 
 class FiniteField:
@@ -206,11 +541,10 @@ class FiniteField:
         if self.card > CARD_CAP:
             raise CapExceededError(
                 f"field of cardinality {self.card} exceeds the {CARD_CAP} cap")
-        self._direct = self.degree == 1
-        if not self._direct:
-            self._tables = _abs_tables(p, self.degree)
-        else:
-            self._tables = None
+        self._tables = _abs_tables(p, self.degree)
+        k = self._kernel = self._tables.kernel
+        self._add, self._neg, self._mul = k._add, k._neg, k._mul
+        self._inv, self._pow = k._inv, k._pow
         self._ext_cache = {}
         self._coords_rows = None
         self._elt_cache = {}
@@ -257,70 +591,8 @@ class FiniteField:
 
     def _first_root(self, coeffs):
         # coeffs are element indices, ascending; None when there is no root
-        for x in range(self.card):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = self._add(self._mul(acc, x), c)
-            if acc == 0:
-                return x
-        return None
-
-    # index-level arithmetic -------------------------------------------------
-
-    def _add(self, i, j):
-        if self._direct:
-            return (i + j) % self.p
-        if self.p == 2:
-            return i ^ j
-        if i == 0:
-            return j
-        if j == 0:
-            return i
-        t = self._tables
-        li = t.log[i]
-        lj = t.log[j]
-        zk = t.zech[(lj - li) % (t.card - 1)]
-        if zk < 0:
-            return 0
-        return t.exp[(li + zk) % (t.card - 1)]
-
-    def _neg(self, i):
-        if self.p == 2:
-            return i
-        if self._direct:
-            return (-i) % self.p
-        if i == 0:
-            return 0
-        t = self._tables
-        return t.exp[(t.log[i] + t.half) % (t.card - 1)]
-
-    def _mul(self, i, j):
-        if self._direct:
-            return (i * j) % self.p
-        if i == 0 or j == 0:
-            return 0
-        t = self._tables
-        return t.exp[(t.log[i] + t.log[j]) % (t.card - 1)]
-
-    def _inv(self, i):
-        if i == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self._direct:
-            return pow(i, self.p - 2, self.p)
-        t = self._tables
-        return t.exp[(-t.log[i]) % (t.card - 1)]
-
-    def _pow(self, i, e):
-        if i == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 0
-        if self._direct:
-            return pow(i, e % (self.p - 1), self.p)
-        t = self._tables
-        return t.exp[(t.log[i] * e) % (t.card - 1)]
+        roots = self._kernel.distinct_roots(coeffs)
+        return roots[0] if roots else None
 
     # element-level API ------------------------------------------------------
 
@@ -333,6 +605,16 @@ class FiniteField:
             if len(self._elt_cache) < 4096:
                 self._elt_cache[i] = elt
         return elt
+
+    def _elements(self, idx):
+        """The elements of the given indices.  The cache always holds 0, so
+        every zero comes back as the shared `zero`."""
+        cache = self._elt_cache
+        try:
+            return [cache[i] for i in idx]
+        except KeyError:
+            from_index = self.from_index
+            return [cache[i] if i in cache else from_index(i) for i in idx]
 
     def coerce(self, v):
         if isinstance(v, FieldElement):

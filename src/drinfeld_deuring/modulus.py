@@ -42,8 +42,9 @@ class PrimeModulus:
         self.d = p.degree
         self.kappa = base.extension_with_modulus(p.coeffs, gen_name="a")
         self.alpha = self.kappa.gen
-        # kappa index of each base-field element, by base index; built lazily
-        self._embed_index = None
+        # kappa log of each nonzero base-field element, by base index; built
+        # lazily
+        self._embed_log = None
 
     def gamma(self, f):
         """Reduce a polynomial in T (or a base-field element) into kappa."""
@@ -56,20 +57,22 @@ class PrimeModulus:
 
     def _reduce_terms(self, rows):
         """{r: kappa index of sum(c * alpha^e)} over the (r, terms) pairs of
-        `rows`, each term an (e, c) pair with c the F_q index of a
+        `rows`, each term an (e, c) pair with c the F_q index of a nonzero
         coefficient, and the sums of a repeated r added: reduction mod p of
         one or more polynomials in T, over the given terms only."""
-        K = self.kappa
-        if self._embed_index is None:
-            self._embed_index = [
-                K.embed_from_base(self.field_q.from_index(i)).index
-                for i in range(self.q)]
-        emb, a = self._embed_index, self.alpha.index
+        k = self.kappa._kernel
+        log, exp, m1, add = k.log, k.exp, k.m1, k._add
+        if self._embed_log is None:
+            K, F = self.kappa, self.field_q
+            self._embed_log = [log[K.embed_from_base(F.from_index(i)).index]
+                               for i in range(self.q)]
+        # c * alpha^e = exp[log emb(c) + e log alpha]; both logs are < m1
+        emb, la = self._embed_log, log[self.alpha.index]
         out = {}
         for r, terms in rows:
             acc = out.get(r, 0)
             for e, c in terms:
-                acc = K._add(acc, K._mul(emb[c], K._pow(a, e)))
+                acc = add(acc, exp[emb[c] + e * la % m1])
             out[r] = acc
         return out
 

@@ -2,17 +2,22 @@
 
 Coefficients are stored as a normalized ascending tuple (no trailing zeros).
 The coefficient ring is described by a small object with `zero`, `one` and
-`coerce`; coefficient elements do their own arithmetic through operators.
-Division requires invertible leading coefficients, i.e. field coefficients.
-The container, sums, powers, equality and rendering live in `_Dense`, which
-twisted polynomials (`ore.OrePoly`) share; `Poly` adds the commutative
-product, division and evaluation.
+`coerce`.  Over a finite field, products, division, `powmod`, `poly_gcd`,
+`is_irreducible` and root finding run in the field's index kernel
+(`fields.IndexKernel`): the coefficients become ascending lists of element
+indices once on the way in, and elements once on the way out.  Over any
+other coefficient ring (F_q[T], Laurent polynomials, `MultiPoly`) the
+product loops over the coefficients, which do their own arithmetic through
+operators; division needs field coefficients.  The container, sums, powers,
+equality and rendering live in `_Dense`, which twisted polynomials
+(`ore.OrePoly`) share; `Poly` adds the commutative product, division and
+evaluation.
 """
 
 from __future__ import annotations
 
 from .errors import AmbientTooSmallError, CapExceededError, DomainError
-from .fields import CARD_CAP, FiniteField, _digits, _prime_divisors, embed
+from .fields import CARD_CAP, FiniteField, _digits, embed
 
 
 class PolyRing:
@@ -23,6 +28,8 @@ class PolyRing:
         self.one = Poly(self, (base.coerce(1),))
         self.gen = Poly(self, (base.coerce(0), base.coerce(1)))
         self._hash = hash(("PolyRing", hash(base), var))
+        # the index kernel of a finite-field base, else None
+        self._kernel = base._kernel if isinstance(base, FiniteField) else None
 
     def const(self, c):
         return Poly(self, (self.base.coerce(c),))
@@ -90,7 +97,8 @@ class _Dense:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ring.base.zero
 
     def _coerce_other(self, other):
-        if isinstance(other, type(self)) and other.ring == self.ring:
+        if isinstance(other, type(self)) and (other.ring is self.ring
+                                              or other.ring == self.ring):
             return other
         try:
             return self.ring.coerce(other)
@@ -174,6 +182,11 @@ class Poly(_Dense):
         a, b = self.coeffs, o.coeffs
         if not a or not b:
             return self.ring.zero
+        ring = self.ring
+        K = ring._kernel
+        if K is not None:
+            return _from_indices(ring, K.mul_polys([c.index for c in a],
+                                                   [c.index for c in b]))
         if len(b) == 1:
             c = b[0]
             return Poly(self.ring, tuple(x * c if x else x for x in a))
@@ -198,26 +211,12 @@ class Poly(_Dense):
             return NotImplemented
         if not o:
             raise ZeroDivisionError("polynomial division by zero")
-        try:
-            lc_inv = o.lead.inverse()
-        except AttributeError:
-            raise DomainError("division needs field coefficients") from None
-        rem = list(self.coeffs)
-        dq = len(rem) - len(o.coeffs)
-        if dq < 0:
-            return self.ring.zero, self
-        quot = [self.ring.base.zero] * (dq + 1)
-        ob = o.coeffs
-        # subtract over the divisor's nonzero terms only: T^(q^k) - T has two
-        ob_terms = [(i, c) for i, c in enumerate(ob) if c]
-        for k in range(dq, -1, -1):
-            top = rem[k + len(ob) - 1]
-            if top:
-                f = top * lc_inv
-                quot[k] = f
-                for i, c in ob_terms:
-                    rem[k + i] = rem[k + i] - f * c
-        return Poly(self.ring, quot), Poly(self.ring, rem[:len(ob) - 1])
+        ring = self.ring
+        K = _field_kernel(ring)
+        if len(self.coeffs) < len(o.coeffs):
+            return ring.zero, self
+        quot, rem = K.divmod_polys(_indices(self), _indices(o))
+        return _from_indices(ring, quot), _from_indices(ring, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -257,13 +256,32 @@ class Poly(_Dense):
         return Poly(self.ring, (zero,) * k + self.coeffs)
 
 
+def _field_kernel(ring):
+    if ring._kernel is None:
+        raise DomainError("division needs field coefficients")
+    return ring._kernel
+
+
+def _indices(f):
+    return [c.index for c in f.coeffs]
+
+
+def _from_indices(ring, idx):
+    """The polynomial over the finite field of `ring` whose coefficient
+    indices are idx, which the kernel leaves without trailing zeros."""
+    f = Poly.__new__(Poly)
+    f.ring = ring
+    f.coeffs = tuple(ring.base._elements(idx))
+    return f
+
+
 def poly_gcd(f, g):
     """Monic gcd by the Euclidean algorithm (field coefficients)."""
     if not f and not g:
         raise DomainError("gcd(0, 0) is undefined")
-    while g:
-        f, g = g, f % g
-    return f.monic()
+    ring = f.ring
+    return _from_indices(ring, _field_kernel(ring).gcd(_indices(f),
+                                                       _indices(g)))
 
 
 def exact_div(f, g, exc=DomainError):
@@ -274,16 +292,11 @@ def exact_div(f, g, exc=DomainError):
 
 
 def powmod(g, e, f):
-    result = g.ring.one % f
-    g = g % f
-    while e:
-        if e & 1:
-            result = (result * g) % f
-        e >>= 1
-        if e:
-            # no square after the top bit, which no later bit would use
-            g = (g * g) % f
-    return result
+    if not f:
+        raise ZeroDivisionError("polynomial division by zero")
+    ring = f.ring
+    return _from_indices(ring, _field_kernel(ring).powmod(_indices(g), e,
+                                                          _indices(f)))
 
 
 def is_irreducible(f):
@@ -295,18 +308,7 @@ def is_irreducible(f):
         raise DomainError("irreducibility is undefined for constants")
     if n == 1:
         return True
-    card = f.ring.base.card
-    x = f.ring.gen
-    # iterates x^(card^k) mod f
-    ts = [x % f]
-    for _ in range(n):
-        ts.append(powmod(ts[-1], card, f))
-    if ts[n] != ts[0]:
-        return False
-    for r in _prime_divisors(n):
-        if poly_gcd(ts[n // r] - x, f).degree != 0:
-            return False
-    return True
+    return f.ring._kernel.is_irreducible(_indices(f))
 
 
 def _monic_polys(ring, degree):
@@ -338,65 +340,23 @@ def roots_in_extension(f, m):
         raise DomainError("root search of the zero polynomial")
     if m == 1:
         E = K
-        g = f
+        g = _indices(f)
     else:
         E = K.extension(m)
-        ring = PolyRing(E, f.ring.var)
-        g = f.map_coeffs(lambda c: embed(c, E), ring)
-    simple = _distinct_roots(g, E)
+        g = [embed(c, E).index for c in f.coeffs]
+    k = E._kernel
     out = []
-    for r in simple:
-        lin = Poly(g.ring, (-r, E.one))
+    for r in k.distinct_roots(g):
+        lin = [k._neg(r), 1]
         mult = 0
         while True:
-            q, rem = divmod(g, lin)
+            q, rem = k.divmod_polys(g, lin)
             if rem:
                 break
             g = q
             mult += 1
         out.extend([r] * mult)
-    return out
-
-
-def _distinct_roots(g, E):
-    """The distinct roots of g in E, sorted by index, found without a scan.
-
-    gcd(x^|E| - x, g) keeps one linear factor per root.  That product is
-    split by gcds with Tr(beta*x) - c for beta in the F_p-basis z^i of E and
-    c in F_p: two roots differ in some Tr(beta*root), because the trace form
-    is nondegenerate, so after at most [E:F_p] rounds every part is linear.
-    Deterministic; see von zur Gathen & Gerhard, Modern Computer Algebra,
-    ch. 14.
-    """
-    p, k = E.p, E.degree
-    # frob[i] = x^(p^i) mod g, up to frob[k] = x^|E|
-    frob = [g.ring.gen % g]
-    for _ in range(k):
-        frob.append(powmod(frob[-1], p, g))
-    parts = [poly_gcd(frob[k] - g.ring.gen, g)]
-    for i in range(k):
-        if all(P.degree <= 1 for P in parts):
-            break
-        beta = E.from_index(p ** i)
-        trace = sum((frob[j] * beta ** (p ** j) for j in range(k)),
-                    g.ring.zero)
-        split = []
-        for P in parts:
-            if P.degree <= 1:
-                split.append(P)
-                continue
-            t = trace % P
-            left = P.degree
-            for c in range(p):
-                piece = poly_gcd(t - c, P)
-                if piece.degree > 0:
-                    split.append(piece)
-                    left -= piece.degree
-                    if not left:
-                        break
-        parts = split
-    return sorted((-P.constant_coeff() for P in parts if P.degree == 1),
-                  key=lambda r: r.index)
+    return E._elements(out)
 
 
 def splitting_degree(f, max_m):

@@ -127,7 +127,7 @@ def _sum_copies(field, copies):
     """The term map of sum(c * m * u) over the (u, c, shift) triples, m the
     monomial whose key is `shift` and c an F_q index."""
     q = field.card
-    add = [[field._add(a, b) for b in range(q)] for a in range(q)]
+    add = field._kernel.sums()
     # the copies share a few scales, mostly 1 and -1
     scales = {field.one.index: list(range(q))}
     out = {}

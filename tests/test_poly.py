@@ -9,7 +9,9 @@ from drinfeld_deuring.errors import (
     AmbientTooSmallError, CapExceededError, DomainError,
     RecurrenceBreakdownError,
 )
-from drinfeld_deuring.fields import FiniteField, base_field, embed
+from drinfeld_deuring.fields import (
+    FieldElement, FiniteField, _prime_divisors, base_field, embed,
+)
 from drinfeld_deuring.grammar import parse, render
 from drinfeld_deuring.isogeny_graph import (
     build_supersingular_graph, verify_component,
@@ -384,3 +386,347 @@ def test_root_finding_never_scans_the_field(monkeypatch):
     E = roots[0].field
     g = f.map_coeffs(lambda c: embed(c, E), PolyRing(E, "s"))
     assert all(not g(r) for r in roots)
+
+
+# --- the index kernel against the element-level loops it replaced ----------
+# Over a finite field, Poly's product and division, powmod, poly_gcd,
+# is_irreducible and root finding run in the field's index kernel.  The
+# references below are those operations as they ran before, on
+# FieldElements: their loops use only element arithmetic and the
+# element-level Poly sums.
+
+def _elementwise_mul(a, b):
+    R = a.ring
+    if not a or not b:
+        return R.zero
+    out = [R.base.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
+    b_terms = [(j, y) for j, y in enumerate(b.coeffs) if y]
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j, y in b_terms:
+                out[i + j] = out[i + j] + x * y
+    return Poly(R, out)
+
+
+def _elementwise_divmod(f, g):
+    R = f.ring
+    lc_inv = g.lead.inverse()
+    rem = list(f.coeffs)
+    dq = len(rem) - len(g.coeffs)
+    if dq < 0:
+        return R.zero, f
+    quot = [R.base.zero] * (dq + 1)
+    ob = g.coeffs
+    ob_terms = [(i, c) for i, c in enumerate(ob) if c]
+    for k in range(dq, -1, -1):
+        top = rem[k + len(ob) - 1]
+        if top:
+            c = top * lc_inv
+            quot[k] = c
+            for i, y in ob_terms:
+                rem[k + i] = rem[k + i] - c * y
+    return Poly(R, quot), Poly(R, rem[:len(ob) - 1])
+
+
+def _elementwise_mod(f, g):
+    return _elementwise_divmod(f, g)[1]
+
+
+def _elementwise_gcd(f, g):
+    while g:
+        f, g = g, _elementwise_mod(f, g)
+    return f.monic()
+
+
+def _elementwise_powmod(g, e, f):
+    result = _elementwise_mod(g.ring.one, f)
+    g = _elementwise_mod(g, f)
+    while e:
+        if e & 1:
+            result = _elementwise_mod(_elementwise_mul(result, g), f)
+        e >>= 1
+        if e:
+            g = _elementwise_mod(_elementwise_mul(g, g), f)
+    return result
+
+
+def _elementwise_is_irreducible(f):
+    n = f.degree
+    if n == 1:
+        return True
+    x = f.ring.gen
+    ts = [_elementwise_mod(x, f)]
+    for _ in range(n):
+        ts.append(_elementwise_powmod(ts[-1], f.ring.base.card, f))
+    if ts[n] != ts[0]:
+        return False
+    return all(_elementwise_gcd(ts[n // r] - x, f).degree == 0
+               for r in _prime_divisors(n))
+
+
+def _elementwise_roots(f, m):
+    """roots_in_extension(f, m) by gcds with Frobenius powers of x and
+    trace splits, as `poly._distinct_roots` and its caller ran them."""
+    K = f.ring.base
+    E = K if m == 1 else K.extension(m)
+    ring = PolyRing(E, f.ring.var)
+    g = f.map_coeffs(lambda c: embed(c, E), ring)
+    p, k = E.p, E.degree
+    frob = [_elementwise_mod(ring.gen, g)]
+    for _ in range(k):
+        frob.append(_elementwise_powmod(frob[-1], p, g))
+    parts = [_elementwise_gcd(frob[k] - ring.gen, g)]
+    for i in range(k):
+        if all(P.degree <= 1 for P in parts):
+            break
+        beta = E.from_index(p ** i)
+        trace = ring.zero
+        for j in range(k):
+            trace = trace + _elementwise_mul(frob[j],
+                                             ring.const(beta ** (p ** j)))
+        split = []
+        for P in parts:
+            if P.degree <= 1:
+                split.append(P)
+                continue
+            t = _elementwise_mod(trace, P)
+            left = P.degree
+            for c in range(p):
+                piece = _elementwise_gcd(t - c, P)
+                if piece.degree > 0:
+                    split.append(piece)
+                    left -= piece.degree
+                    if not left:
+                        break
+        parts = split
+    out = []
+    for r in sorted((-P.constant_coeff() for P in parts if P.degree == 1),
+                    key=lambda r: r.index):
+        lin = Poly(ring, (-r, E.one))
+        while True:
+            quo, rem = _elementwise_divmod(g, lin)
+            if rem:
+                break
+            g = quo
+            out.append(r)
+    return out
+
+
+# the largest extension degree m drawn over F_q: up to the kappa_2 of the
+# graph grid (2^12, 3^8, 4^6, 8^4, 9^4)
+_KERNEL_FIELDS = {2: 12, 3: 8, 4: 6, 5: 5, 7: 4, 8: 4, 9: 4, 13: 2}
+
+
+@st.composite
+def _kernel_field(draw):
+    q = draw(st.sampled_from(sorted(_KERNEL_FIELDS)))
+    m = draw(st.integers(1, _KERNEL_FIELDS[q]))
+    return base_field(q) if m == 1 else base_field(q).extension(m)
+
+
+@st.composite
+def _kernel_poly(draw, F, max_size=8):
+    """Zero, a constant, or a polynomial with many zero coefficients and
+    an arbitrary (mostly non-one) leading coefficient."""
+    idx = draw(st.lists(st.one_of(st.just(0), st.integers(1, F.card - 1)),
+                        max_size=max_size))
+    return PolyRing(F, "s").poly([F.from_index(i) for i in idx])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_field(), st.data())
+def test_kernel_mul_and_divmod_match_elementwise_loops(F, data):
+    a = data.draw(_kernel_poly(F, 12))
+    b = data.draw(_kernel_poly(F, 12))
+    assert (a * b).coeffs == _elementwise_mul(a, b).coeffs
+    c = F.from_index(data.draw(st.integers(0, F.card - 1)))
+    assert (a * c).coeffs == _elementwise_mul(a, a.ring.const(c)).coeffs
+    if not b:
+        with pytest.raises(ZeroDivisionError):
+            divmod(a, b)
+        return
+    quo, rem = divmod(a, b)
+    ref_quo, ref_rem = _elementwise_divmod(a, b)
+    assert (quo.coeffs, rem.coeffs) == (ref_quo.coeffs, ref_rem.coeffs)
+    assert all(c.field is F for c in quo.coeffs + rem.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_field(), st.data())
+def test_kernel_powmod_and_gcd_match_elementwise_loops(F, data):
+    g = data.draw(_kernel_poly(F))
+    f = data.draw(_kernel_poly(F))
+    if f or g:
+        assert poly_gcd(f, g).coeffs == _elementwise_gcd(f, g).coeffs
+    else:
+        with pytest.raises(DomainError):
+            poly_gcd(f, g)
+    if not f:
+        with pytest.raises(ZeroDivisionError):
+            powmod(g, 3, f)
+        return
+    # small exponents, and the Frobenius ones root finding uses
+    e = data.draw(st.one_of(st.integers(0, 40), st.just(F.p),
+                            st.just(F.card)))
+    assert powmod(g, e, f).coeffs == _elementwise_powmod(g, e, f).coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_field(), st.data())
+def test_kernel_is_irreducible_matches_elementwise_loop(F, data):
+    f = data.draw(_kernel_poly(F, 7))
+    if f.degree < 1:
+        with pytest.raises(DomainError):
+            is_irreducible(f)
+        return
+    assert is_irreducible(f) == _elementwise_is_irreducible(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_field(), st.data())
+def test_kernel_roots_match_elementwise_loops(F, data):
+    # m up to the kappa_2 bound of the field's characteristic
+    top = max(_KERNEL_FIELDS[F.p] // F.degree, 1)
+    m = data.draw(st.integers(1, min(top, 3)))
+    S = PolyRing(F, "s")
+    f = data.draw(_kernel_poly(F, 5))
+    for a in data.draw(st.lists(st.integers(0, F.card - 1), max_size=3)):
+        f = f * (S.gen - F.from_index(a)) ** data.draw(st.integers(1, 3))
+    if not f:
+        with pytest.raises(DomainError):
+            roots_in_extension(f, m)
+        return
+    roots = roots_in_extension(f, m)
+    assert [r.index for r in roots] == \
+        [r.index for r in _elementwise_roots(f, m)]
+    assert all(r.field == (F if m == 1 else F.extension(m)) for r in roots)
+
+
+_ELEMENT_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                "__pow__", "inverse")
+
+
+def test_kernel_paths_make_no_element_arithmetic(monkeypatch):
+    # one field of each kernel kind: prime, characteristic 2, odd extension
+    cases = []
+    for F in (base_field(5), base_field(2).extension(6),
+              base_field(9).extension(2)):
+        S = PolyRing(F, "s")
+        c = [F.from_index(i % F.card) for i in (3, 0, 7, 1, 2, 11, 5)]
+        f = S.poly(c) * (S.gen - F.from_index(2)) ** 2 \
+            * (S.gen - F.from_index(F.card - 1))
+        g = S.poly(c[:4])
+        cases.append((F, f, g))
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("element arithmetic on a kernel path")
+
+    for name in _ELEMENT_OPS:
+        monkeypatch.setattr(FieldElement, name, forbidden)
+    got = []
+    for F, f, g in cases:
+        got.append((f * g, divmod(f, g), powmod(g, F.card, f),
+                    poly_gcd(f, g), is_irreducible(f), is_irreducible(g),
+                    roots_in_extension(f, 1), roots_in_extension(g, 2)))
+    # designated roots of fresh extensions: no scan and no element arithmetic
+    fresh = [base_field(3).extension(5, gen_name="k"),
+             base_field(4).extension(3, gen_name="k")]
+    monkeypatch.undo()
+    for (F, f, g), (prod, (quo, rem), pm, gcd, irr_f, irr_g, rf, rg) in \
+            zip(cases, got):
+        assert prod == _elementwise_mul(f, g)
+        assert (quo, rem) == _elementwise_divmod(f, g)
+        assert pm == _elementwise_powmod(g, F.card, f)
+        assert gcd == _elementwise_gcd(f, g)
+        assert (irr_f, irr_g) == (_elementwise_is_irreducible(f),
+                                  _elementwise_is_irreducible(g))
+        assert rf == _elementwise_roots(f, 1)
+        assert rg == _elementwise_roots(g, 2)
+    for E in fresh:
+        assert E.gen.index == _scan_first_root(
+            E, [embed(c, E).index for c in E.modulus_over_base])
+
+
+def test_polynomial_arithmetic_adds_no_field_attributes():
+    # the kernel's state lives in attributes set when a field is built, so
+    # no field (or kernel) gains one later
+    for q, m in ((2, 1), (5, 1), (4, 3), (3, 4)):
+        F = base_field(q).extension(m, gen_name="v")
+        before = set(vars(F)), set(vars(F._kernel))
+        S = PolyRing(F, "s")
+        f = S.poly([F.from_index(i % F.card) for i in (1, 0, 2, 3, 1)])
+        g = S.poly([F.from_index(i % F.card) for i in (2, 1)])
+        f * g, divmod(f, g), powmod(g, 9, f), poly_gcd(f, g)
+        is_irreducible(f), roots_in_extension(f, 1), roots_in_extension(g, 2)
+        F._kernel.sums()
+        assert (set(vars(F)), set(vars(F._kernel))) == before
+
+
+# --- designated roots without a field scan ----------------------------------
+
+def _scan_first_root(F, coeffs):
+    """The smallest index of a root in F of the polynomial with ascending
+    coefficient indices coeffs, by evaluating it at every element."""
+    for x in range(F.card):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = F._add(F._mul(acc, x), c)
+        if acc == 0:
+            return x
+    return None
+
+
+def _first_irreducible(K, m):
+    """The deterministic modulus of degree m over K: the first monic
+    irreducible in `_monic_polys` order, by the element-level test."""
+    return next(f for f in _monic_polys(PolyRing(K, "y"), m)
+                if _elementwise_is_irreducible(f))
+
+
+def _check_designated_roots(F, chain_key):
+    base = F.base
+    assert F._chain_key() == chain_key
+    assert F.gen.index == _scan_first_root(
+        F, [embed(c, F).index for c in F.modulus_over_base])
+    if base.degree > 1:
+        assert F._tables.root_cache["subfield", base.degree] == \
+            _scan_first_root(F, base._tables.modulus_digits)
+
+
+def _mod_key(f):
+    return tuple(c.index for c in f.coeffs)
+
+
+def _small_extensions():
+    qs = [q for q in range(2, 65) if len(_prime_divisors(q)) == 1]
+    return [(q, m) for q in qs for m in range(1, 13) if q ** m <= 2 ** 12]
+
+
+@pytest.mark.parametrize("q, m", _small_extensions())
+def test_designated_roots_match_a_field_scan(q, m):
+    K = base_field(q)
+    p = K.p
+    # F_q itself is F_p or F_p[x]/(its own deterministic modulus)
+    key = () if K.degree == 1 else \
+        (_mod_key(_first_irreducible(base_field(p), K.degree)),)
+    assert K._chain_key() == key
+    _check_designated_roots(K.extension(m), key + (
+        _mod_key(_first_irreducible(K, m)),))
+
+
+@pytest.mark.parametrize("q, d", [(2, 6), (3, 4), (4, 3), (8, 2), (9, 2)])
+def test_kappa_2_designated_roots_match_a_field_scan(q, d):
+    kappa = next(primes_of_degree(base_field(q), d)).kappa
+    _check_designated_roots(kappa.extension(2), kappa._chain_key() + (
+        _mod_key(_first_irreducible(kappa, 2)),))
+    assert kappa._first_root([1, 0, 1]) == _scan_first_root(kappa, [1, 0, 1])
+
+
+def test_first_root_is_none_without_roots():
+    # (y^2 + y + 1)(y^3 + y + 1) = y^5 + y^4 + 1 has no root in F_32
+    F32 = base_field(2).extension(5)
+    assert F32._first_root([1, 0, 0, 0, 1, 1]) is None
+    assert _scan_first_root(F32, [1, 0, 0, 0, 1, 1]) is None
+    with pytest.raises(DomainError):
+        base_field(2).extension_with_modulus([1, 0, 0, 0, 1, 1], gen_name="r")

@@ -67,6 +67,28 @@ def test_u_terms_round_trip_through_polynomials():
         assert all(all(terms_i.values()) for terms_i in terms)
 
 
+def test_sum_copies_builds_the_addition_table_once(monkeypatch):
+    for q in (2, 4, 5, 9):
+        F = base_field(q)
+        assert F._kernel.sums() == [[F._add(a, b) for b in range(q)]
+                                    for a in range(q)]
+    F = base_field(9)
+    table = F._kernel.sums()
+    monkeypatch.setattr(universal, "_u_cache", {})
+    monkeypatch.setattr(universal, "_U_cache", {})
+
+    def forbidden(*_args):
+        raise AssertionError("the addition table was rebuilt")
+
+    monkeypatch.setattr(F._kernel, "_add", forbidden)
+    monkeypatch.setattr(F, "_add", forbidden)
+    u, U = universal._u_terms(F, 3), universal._U_terms(F, 2)
+    monkeypatch.undo()
+    assert F._kernel.sums() is table
+    assert u == [universal._poly_to_terms(f) for f in u_sequence(F, 3)]
+    assert len(U) == 3 and all(all(terms.values()) for terms in U)
+
+
 def test_universal_route_builds_no_polynomial_over_f_q_t(monkeypatch):
     # u_d is built, cached and reduced as term maps; polynomials over
     # F_q[T] exist only for u_sequence's callers
