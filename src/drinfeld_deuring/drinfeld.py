@@ -44,18 +44,21 @@ gamma(T^q)^(-N) * sum_j h_j * gamma(T)^j * (s^q - s)^((q-1)(N-j)).
 That sum is the definition; it is evaluated as a polynomial in
 S = (s^q - s)^(q-1) by base-q composition, which uses S(s)^q = S(s^q) to
 replace N products by a growing accumulator with about log_q N levels of
-products by the fixed powers S^r, r < q.
+products by the fixed powers S^r, r < q, which are built once per q.  All
+of it runs on kappa index lists in the field's `fields.IndexKernel`.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError
-from .fields import embed
+from .fields import base_field, embed
 from .modulus import PrimeModulus
 from .ore import OreContext, drinfeld_image
-from .poly import Poly, PolyRing
+from .poly import PolyRing, _from_indices
 from .universal import u_mod_prime
 
 
@@ -246,60 +249,60 @@ def deuring_H(prime, h):
     H is the closed sum of the module docstring, i.e.
     H = gamma(T^q)^(-N) * R(S) with S = (s^q - s)^(q-1), N = deg h and
     R(x) = sum_n h_(N-n) * gamma(T)^(N-n) * x^n.  R(S) is evaluated by
-    base-q composition (`_compose_in_S`), not term by term.
+    base-q composition (`_compose_in_S`), not term by term, on kappa index
+    lists: from scaling h on the log/exp tables to the `Poly` at the end.
     """
     if not h or h.ring.base != prime.kappa:
         raise DomainError("deuring_H expects a nonzero polynomial over kappa")
     if not h.constant_coeff():
         raise ConsistencyError(
             "h(0) = 0: the substitution h(gamma/(s^q-s)^(q-1)) degenerates")
-    q = prime.q
-    kappa = prime.kappa
-    alpha = prime.alpha
-    N = h.degree
+    q, N, K = prime.q, h.degree, prime.kappa._kernel
+    log, exp, la = K.log, K.exp, K.log[prime.alpha.index]
     # R is scaled by gamma(T^q)^(-N) up front: composition is linear in R
-    coeffs = []
-    c = (alpha ** q) ** (-N)
-    for hj in h.coeffs:
-        coeffs.append(hj * c)
-        c = c * alpha
-    H = _compose_in_S(coeffs[::-1], PolyRing(kappa, "s"), q)
-    if H.degree != q ** (prime.d + 1) - q:
+    R = [exp[la * (j - q * N) % K.m1 + log[c.index]] if c else 0
+         for j, c in enumerate(h.coeffs)]
+    H = _compose_in_S(R[::-1], K, q)
+    if len(H) - 1 != q ** (prime.d + 1) - q:
         raise ConsistencyError("H has the wrong degree")
-    if H.lead != kappa.one:
+    if H[-1] != 1:
         raise ConsistencyError("H is not monic")
-    return H
+    return _from_indices(PolyRing(prime.kappa, "s"), H)
 
 
-def _compose_in_S(coeffs, ring, q):
-    """R(S) in `ring` for R(x) = sum_n coeffs[n] x^n and S = (s^q - s)^(q-1).
+@functools.lru_cache(maxsize=None)
+def _S_powers(p, q):
+    """[S^0, ..., S^(q-1)] as index lists in characteristic p.  S has F_p
+    coefficients, and an element of F_p has the same index in every field
+    of characteristic p, so one list serves every kappa over F_q."""
+    mul = base_field(p)._kernel.mul_polys
+    S = functools.reduce(mul, [[0, p - 1] + [0] * (q - 2) + [1]] * (q - 1))
+    return list(itertools.accumulate([S] * (q - 1), mul, initial=[1]))
+
+
+def _compose_in_S(coeffs, K, q):
+    """R(S) on K's index lists, R = sum_n coeffs[n] x^n, S = (s^q - s)^(q-1).
 
     S has coefficients in F_p, so S(s)^q = S(s^q).  Splitting R by residue
     mod q, R(x) = sum_(r<q) x^r R_r(x^q), gives
     R(S) = sum_(r<q) S^r * [R_r(S)](s^q): each level recurses on q parts of
-    a q-th of the length, stretches their results by s -> s^q (no field
-    arithmetic) and multiplies them by the fixed S^r of degree <= q(q-1)^2.
+    a q-th of the length, stretches their results by s -> s^q (a slice
+    assignment) and multiplies them by the fixed S^r of degree <= q(q-1)^2.
     """
-    base = ring.base
-    S = Poly(ring, (base.zero, -base.one) + (base.zero,) * (q - 2)
-             + (base.one,)) ** (q - 1)
-    S_pows = [ring.one]
-    for _ in range(q - 1):
-        S_pows.append(S_pows[-1] * S)
+    S_pows = _S_powers(K.p, q)
+    add, mul = K.add_polys, K.mul_polys
 
     def compose(cs):
         if len(cs) <= 1:
-            return Poly(ring, cs)
-        acc = ring.zero
+            return [c for c in cs if c]
         for r in range(min(q, len(cs))):
-            inner = compose(cs[r::q]).coeffs
-            stretched = [base.zero] * (q * len(inner) - q + 1)
-            stretched[::q] = inner
-            part = Poly(ring, stretched)
-            acc = acc + (S_pows[r] * part if r else part)
+            inner = compose(cs[r::q])
+            part = [0] * (q * len(inner) - q + 1)
+            part[::q] = inner
+            acc = add(acc, mul(S_pows[r], part)) if r else part
         return acc
 
-    return compose(list(coeffs))
+    return compose(coeffs)
 
 
 @dataclass

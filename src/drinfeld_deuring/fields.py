@@ -30,6 +30,9 @@ import operator
 from .errors import CapExceededError, DomainError
 
 CARD_CAP = 1 << 16
+# one `_addmul` call costs about as much as 10 to 25 row terms (the call,
+# the slices of dst, the loop step), depending on the kernel kind
+_ADDMUL_CALL_COST = 24
 
 
 def _cap_exponent(card):
@@ -281,8 +284,10 @@ class IndexKernel:
         if len(a) == 1:
             return self.scale(a[0], b)
         # one _addmul of a's row per nonzero term of b: make that the
-        # cheaper way round (a q^k-stretched operand is mostly zeros)
-        if (len(a) - a.count(0)) * len(b) < (len(b) - b.count(0)) * len(a):
+        # cheaper way round, calls included (a q^k-stretched operand is
+        # mostly zeros)
+        if (len(a) - a.count(0)) * (len(b) + _ADDMUL_CALL_COST) < \
+                (len(b) - b.count(0)) * (len(a) + _ADDMUL_CALL_COST):
             a, b = b, a
         row = self._row(a)
         out = [0] * (len(a) + len(b) - 1)

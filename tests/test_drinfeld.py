@@ -1,6 +1,7 @@
 """Delta/lambda modules, supersingularity, and the three Deuring routes."""
 
 import json
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,7 +22,7 @@ from drinfeld_deuring.drinfeld import (
 )
 from drinfeld_deuring.errors import CapExceededError, ConsistencyError, \
     DomainError, RecurrenceBreakdownError
-from drinfeld_deuring.fields import base_field, embed
+from drinfeld_deuring.fields import IndexKernel, base_field, embed
 from drinfeld_deuring.grammar import parse, render
 from drinfeld_deuring.modulus import (
     PrimeModulus,
@@ -33,7 +34,7 @@ from drinfeld_deuring.modulus import (
 from drinfeld_deuring.ore import OreContext, ore_apply, qpow
 from drinfeld_deuring.poly import Poly, PolyRing, _Dense, exact_div, \
     is_irreducible, roots_in_extension
-from drinfeld_deuring.universal import u_sequence
+from drinfeld_deuring.universal import U_mod_prime, u_sequence
 
 
 def _prime(q, text):
@@ -411,7 +412,8 @@ def _coefficient_lists(draw):
 def test_compose_in_S_matches_horner(case):
     q, kappa, coeffs = case
     ring = PolyRing(kappa, "s")
-    assert _compose_in_S(coeffs, ring, q) == _horner_in_S(coeffs, ring, q)
+    got = _compose_in_S([c.index for c in coeffs], kappa._kernel, q)
+    assert got == [c.index for c in _horner_in_S(coeffs, ring, q).coeffs]
 
 
 @pytest.mark.parametrize("q, max_d", [(2, 4), (3, 3), (4, 2), (5, 2), (9, 2)])
@@ -421,24 +423,47 @@ def test_deuring_H_matches_horner_on_the_grid(q, max_d):
         assert deuring_H(p, h) == _horner_H(p, h)
 
 
+# every degree up to (2,8) (3,5) (4,4) (5,3) (7,2) (8,2) (9,2)
+_H_DEGREES = {2: 8, 3: 5, 4: 4, 5: 3, 7: 2, 8: 2, 9: 2}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_H_DEGREES)), st.data())
+def test_deuring_H_matches_horner_at_drawn_primes(q, data):
+    d = data.draw(st.integers(1, _H_DEGREES[q]))
+    k = data.draw(st.integers(0, 40))
+    primes = list(islice(primes_of_degree(base_field(q), d), k + 1))
+    p = primes[k % len(primes)]
+    h = deuring_h_grec(p)
+    assert deuring_H(p, h) == _horner_H(p, h)
+
+
+def test_deuring_H_matches_U_reduction_at_degree_12():
+    p = next(iter(primes_of_degree(base_field(2), 12)))
+    H = deuring_H(p, deuring_h_grec(p))
+    assert H.degree == 2 ** 13 - 2
+    assert H == U_mod_prime(p)
+
+
 def test_deuring_H_work_is_far_below_horner(monkeypatch):
-    # nonzero x nonzero term pairs of every product inside deuring_H: Horner
-    # makes about 1.97 N^2 of them at q = 2, d = 10, the composition about
-    # 0.03 N^2
+    # nonzero x nonzero term pairs of every kappa product inside deuring_H:
+    # Horner makes about 1.97 N^2 of them at q = 2, d = 10, the composition
+    # about 0.018 N^2.  The F_p products that build the S^r memo run in F_2's
+    # kernel and are not counted, so the count does not depend on whether
+    # the memo is warm
     p = next(iter(primes_of_degree(base_field(2), 10)))
     h = deuring_h_universal(p)
     N = h.degree
+    K = p.kappa._kernel
     pairs = []
-    mul = Poly.__mul__
+    mul = IndexKernel.mul_polys
 
-    def counted(a, b):
-        if isinstance(b, Poly):
-            pairs.append(sum(1 for c in a.coeffs if c)
-                         * sum(1 for c in b.coeffs if c))
-        return mul(a, b)
+    def counted(self, a, b):
+        if self is K:
+            pairs.append((len(a) - a.count(0)) * (len(b) - b.count(0)))
+        return mul(self, a, b)
 
-    monkeypatch.setattr(Poly, "__mul__", counted)
-    monkeypatch.setattr(Poly, "__rmul__", counted)
+    monkeypatch.setattr(IndexKernel, "mul_polys", counted)
     H = deuring_H(p, h)
     assert H.degree == 2 ** 11 - 2
     assert pairs and sum(pairs) < N * N / 10

@@ -5,6 +5,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drinfeld_deuring.drinfeld import _S_powers, deuring_H, deuring_h_grec
 from drinfeld_deuring.errors import (
     AmbientTooSmallError, CapExceededError, DomainError,
     RecurrenceBreakdownError,
@@ -541,6 +542,16 @@ def test_kernel_mul_and_divmod_match_elementwise_loops(F, data):
     assert (a * b).coeffs == _elementwise_mul(a, b).coeffs
     c = F.from_index(data.draw(st.integers(0, F.card - 1)))
     assert (a * c).coeffs == _elementwise_mul(a, a.ring.const(c)).coeffs
+    # a p^k-stretched operand against a short dense one, both ways round:
+    # the kernel adds the row of either one, by its cost rule
+    step = F.p ** data.draw(st.integers(1, 3))
+    idx = [0] * (step * (len(a.coeffs) - 1) + 1) if a else []
+    idx[::step] = [x.index for x in a.coeffs]
+    long = a.ring.poly([F.from_index(i) for i in idx])
+    short = a.ring.poly([F.from_index(i) for i in data.draw(
+        st.lists(st.integers(1, F.card - 1), min_size=2, max_size=6))])
+    assert (long * short).coeffs == _elementwise_mul(long, short).coeffs
+    assert (short * long).coeffs == _elementwise_mul(short, long).coeffs
     if not b:
         with pytest.raises(ZeroDivisionError):
             divmod(a, b)
@@ -618,6 +629,11 @@ def test_kernel_paths_make_no_element_arithmetic(monkeypatch):
             * (S.gen - F.from_index(F.card - 1))
         g = S.poly(c[:4])
         cases.append((F, f, g))
+    # the companion H, on kappa of each kernel kind, with a cold S^r memo
+    primes = [next(iter(primes_of_degree(base_field(q), d)))
+              for q, d in ((5, 1), (2, 6), (3, 2))]
+    hs = [deuring_h_grec(p) for p in primes]
+    _S_powers.cache_clear()
 
     def forbidden(*_args, **_kwargs):
         raise AssertionError("element arithmetic on a kernel path")
@@ -629,6 +645,7 @@ def test_kernel_paths_make_no_element_arithmetic(monkeypatch):
         got.append((f * g, divmod(f, g), powmod(g, F.card, f),
                     poly_gcd(f, g), is_irreducible(f), is_irreducible(g),
                     roots_in_extension(f, 1), roots_in_extension(g, 2)))
+    Hs = [deuring_H(p, h) for p, h in zip(primes, hs)]
     # designated roots of fresh extensions: no scan and no element arithmetic
     fresh = [base_field(3).extension(5, gen_name="k"),
              base_field(4).extension(3, gen_name="k")]
@@ -643,6 +660,13 @@ def test_kernel_paths_make_no_element_arithmetic(monkeypatch):
                                   _elementwise_is_irreducible(g))
         assert rf == _elementwise_roots(f, 1)
         assert rg == _elementwise_roots(g, 2)
+    for p, h, H in zip(primes, hs, Hs):
+        R, a = H.ring, p.alpha
+        S = (R.gen ** p.q - R.gen) ** (p.q - 1)
+        ref = R.zero
+        for j, c in enumerate(h.coeffs):
+            ref = _elementwise_mul(ref, S) + R.const(c * a ** j)
+        assert H == _elementwise_mul(ref, R.const((a ** p.q) ** -h.degree))
     for E in fresh:
         assert E.gen.index == _scan_first_root(
             E, [embed(c, E).index for c in E.modulus_over_base])
