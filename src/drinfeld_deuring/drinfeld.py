@@ -13,11 +13,16 @@ g_k = 0 for k < d; the Deuring polynomial is h = (-1)^d g_d, monic of degree
 h is computed three independent ways: symbolically from the twisted-polynomial
 image (direct), by the coefficient recurrence of psi_T psi_p = psi_p psi_T
 run in A/(p^2) (grec), and by reducing the universal sequence term u_d mod p
-(universal).  `deuring_g_sequence(prime, k_max)` returns the k_max + 1
-entries g_0..g_{k_max}, and the direct route asks it for k_max = d: a
-twisted product only raises the tau-degree, so the Horner image is truncated
-at tau^d, and the coefficients above it, up to g_2d of Delta-degree
-(q^(2d) - 1)/(q^2 - 1), are never built.
+(universal).  The direct route runs Horner's rule for p(psi_T) over kappa,
+where gamma = alpha and a product by psi_T is three shifted, scaled copies
+of the tau-coefficients,
+
+    (f * psi_T)_k = f_k * alpha^(qQ) - f_(k-1) * (Delta^Q + alpha^Q)
+                    + f_(k-2) * Delta^(Q/q),        Q = q^(k-1),
+
+and builds only k <= d: a product only raises the tau-degree, so the
+coefficients above tau^d, up to g_2d of Delta-degree (q^(2d) - 1)/(q^2 - 1),
+never feed g_0..g_d.
 
 grec runs the tau^k coefficient of psi_T psi_p = psi_p psi_T,
 
@@ -44,8 +49,10 @@ gamma(T^q)^(-N) * sum_j h_j * gamma(T)^j * (s^q - s)^((q-1)(N-j)).
 That sum is the definition; it is evaluated as a polynomial in
 S = (s^q - s)^(q-1) by base-q composition, which uses S(s)^q = S(s^q) to
 replace N products by a growing accumulator with about log_q N levels of
-products by the fixed powers S^r, r < q, which are built once per q.  All
-of it runs on kappa index lists in the field's `fields.IndexKernel`.
+products by the fixed powers S^r, r < q, which are built once per q.
+
+The direct route, grec and H run on kappa index lists in Delta (or s) in the
+field's `fields.IndexKernel`, and build each `Poly` once, at the end.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ from .errors import ConsistencyError, DomainError
 from .fields import base_field, embed
 from .modulus import PrimeModulus
 from .ore import OreContext, drinfeld_image
-from .poly import PolyRing, _from_indices
+from .poly import Poly, PolyRing, _from_indices
 from .universal import u_mod_prime
 
 
@@ -132,61 +139,72 @@ def is_supersingular(module, prime):
         raise DomainError("the T-image is not a root of p: "
                           "the module does not have characteristic p(T)")
     ctx = OreContext(L, module.q)
-    # only the tau^d coefficient is read, so the image stops there
     image = drinfeld_image(ctx, module.psi_T(ctx), prime.p_poly,
-                           scalar=lambda c: embed(c, L), top=prime.d)
+                           scalar=lambda c: embed(c, L))
     return not image.coeff(prime.d)
+
+
+def _omega_step(K, w1, w2, Q, q, aQ, c):
+    """c * (w1 * (Delta^Q + alpha^Q) - w2 * Delta^(Q/q)) on K's index lists,
+    with aQ the index of alpha^Q.  Both routes keep w1 and w2 * Delta^(Q/q)
+    below Delta-degree Q, so the shift of c * w1 by Q overlaps nothing."""
+    cw1 = K.scale(c, w1)
+    low = K.scale(aQ, cw1)
+    if w2:
+        low = K.add_polys(low, [0] * (Q // q) + K.scale(K._neg(c), w2))
+    return low + [0] * (Q - len(low)) + cw1 if cw1 else low
+
+
+def _g_lists(prime, k_max):
+    """g_0..g_{k_max} of psi_{p(T)} as kappa index lists in Delta, by
+    Horner's rule for p(psi_T) with every product truncated at tau^(k_max)."""
+    K, q = prime.kappa._kernel, prime.q
+    ap = [K._pow(prime.alpha.index, q ** k) for k in range(k_max + 1)]
+    cs = [prime.kappa.embed_from_base(c).index for c in prime.p_poly.coeffs]
+    g = [[cs[-1]]] + [[]] * k_max
+    for c in reversed(cs[:-1]):
+        # g <- g * psi_T + c, by the product rule of the module docstring
+        g = [K.add_polys(K.scale(ap[0], g[0]), [c])] + [
+            K.add_polys(K.scale(ap[k], g[k]),
+                        _omega_step(K, g[k - 1], g[k - 2] if k > 1 else [],
+                                    q ** (k - 1), q, ap[k - 1], K._neg(1)))
+            for k in range(1, k_max + 1)]
+    return g
 
 
 def deuring_g_sequence(prime, k_max=None):
     """[g_0, ..., g_{k_max}]: tau-coefficients of psi_{p(T)} as polynomials
-    in Delta over kappa, with k_max = 2d by default.
-
-    Delta is represented by the variable s.  The list has k_max + 1
-    entries.  The image is computed only up to tau^(k_max), since the
-    coefficients above it never feed the lower ones; a full image
-    (k_max >= 2d) is checked to have tau-degree 2d.
-    """
+    in Delta (the variable s) over kappa, k_max = 2d by default; none above
+    tau^(k_max) is built.  A full image (k_max >= 2d) is checked to have
+    tau-degree 2d."""
     d = prime.d
-    if k_max is None:
-        k_max = 2 * d
+    k_max = 2 * d if k_max is None else k_max
     if k_max < 0:
         raise DomainError("k_max must be nonnegative")
-    kappa = prime.kappa
-    ring = PolyRing(kappa, "s")
-    ctx = OreContext(ring, prime.q)
-    alpha = prime.alpha
-    psi = ctx.op((ring.const(alpha), -(ring.gen + alpha), ring.gen))
-    image = drinfeld_image(ctx, psi, prime.p_poly,
-                           scalar=lambda c: ring.const(kappa.embed_from_base(c)),
-                           top=k_max)
-    if k_max >= 2 * d and image.degree != 2 * d:
+    g = _g_lists(prime, k_max)
+    if k_max >= 2 * d and (not g[2 * d] or any(g[2 * d + 1:])):
         raise ConsistencyError("psi_p has wrong tau-degree")
-    return [image.coeff(k) for k in range(k_max + 1)]
-
-
-def _h_from_g(prime, g):
-    """h from g_0..g_d: ConsistencyError unless g_k = 0 for k < d and g_d
-    passes `_h_from_gd`."""
-    if any(g[k] for k in range(prime.d)):
-        raise ConsistencyError("low tau-coefficients of psi_p did not vanish")
-    return _h_from_gd(prime, g[prime.d])
+    ring = PolyRing(prime.kappa, "s")
+    return [_from_indices(ring, c) for c in g]
 
 
 def _h_from_gd(prime, gd):
-    """h = (-1)^d g_d, once g_d has the shape that makes it the Deuring
-    polynomial: degree (q^d - 1)/(q - 1) and leading coefficient (-1)^d.
-    Otherwise ConsistencyError."""
-    d, q = prime.d, prime.q
-    sign = -prime.kappa.one if d % 2 else prime.kappa.one
-    if gd.degree != (q ** d - 1) // (q - 1) or gd.lead != sign:
+    """h = (-1)^d g_d from the index list of g_d, once g_d has the shape
+    that makes it the Deuring polynomial: degree (q^d - 1)/(q - 1) and
+    leading coefficient (-1)^d.  Otherwise ConsistencyError."""
+    d, q, K = prime.d, prime.q, prime.kappa._kernel
+    sign = K._neg(1) if d % 2 else 1
+    if len(gd) - 1 != (q ** d - 1) // (q - 1) or gd[-1] != sign:
         raise ConsistencyError("g_d does not have degree (q^d - 1)/(q - 1) "
                                "and leading coefficient (-1)^d")
-    return -gd if d % 2 else gd
+    return _from_indices(PolyRing(prime.kappa, "s"), K.scale(sign, gd))
 
 
 def deuring_h_direct(prime):
-    return _h_from_g(prime, deuring_g_sequence(prime, prime.d))
+    g = _g_lists(prime, prime.d)
+    if any(g[:-1]):
+        raise ConsistencyError("low tau-coefficients of psi_p did not vanish")
+    return _h_from_gd(prime, g[-1])
 
 
 def check_g_structure(prime, h):
@@ -196,47 +214,40 @@ def check_g_structure(prime, h):
     coefficient (-1)^d; g_{2d} = Delta^(1 + q^2 + ... + q^(2d-2)); and h
     divides g_k for d <= k < 2d.
     """
-    g = deuring_g_sequence(prime)
     d, q = prime.d, prime.q
+    g = _g_lists(prime, 2 * d)
     try:
-        _h_from_g(prime, g)
+        _h_from_gd(prime, g[d])
     except ConsistencyError:
         return False
-    if g[2 * d] != g[d].ring.gen ** sum(q ** (2 * i) for i in range(d)):
+    monomial = [0] * sum(q ** (2 * i) for i in range(d)) + [1]
+    if any(g[:d]) or g[2 * d] != monomial:
         return False
-    return not any(divmod(g[k], h)[1] for k in range(d, 2 * d))
+    return not any(divmod(_from_indices(h.ring, g[k]), h)[1]
+                   for k in range(d, 2 * d))
 
 
 def deuring_h_grec(prime):
     """h by the coefficient recurrence in A/(p^2) = kappa[eps]/(eps^2).
 
     As the module docstring derives, only the eps parts w_k of g_k are
-    nonzero below k = d.  As {Delta exponent: kappa index} maps, with
-    w_(-1) = 0 and w_0 = p'(alpha), step k builds
-
-        N_k = w_(k-1) * (Delta^(q^(k-1)) + alpha^(q^(k-1)))
-              - w_(k-2) * Delta^(q^(k-2))
-
-    and sets w_k = N_k / (alpha^(q^k) - alpha) for k < d, and
-    g_d mod p = -N_d at k = d.
+    nonzero below k = d.  With w_(-1) = 0 and w_0 = p'(alpha), step k builds
+    N_k = w_(k-1) * (Delta^Q + alpha^Q) - w_(k-2) * Delta^(Q/q), Q = q^(k-1)
+    (`_omega_step`), and sets w_k = N_k / (alpha^(q^k) - alpha) for k < d,
+    and g_d mod p = -N_d at k = d.
     """
-    K, q, d = prime.kappa, prime.q, prime.d
-    a = prime.alpha.index
-    w2, w1 = {}, {0: prime.gamma(prime.p_poly.derivative()).index}
+    K, q, d, a = prime.kappa._kernel, prime.q, prime.d, prime.alpha.index
+    p, F = prime.p_poly, prime.field_q
+    # p' on F_q indices: the integer i has index i mod char F
+    dp = Poly(p.ring, F._elements([F._mul(i % F.p, c.index)
+                                   for i, c in enumerate(p.coeffs) if i]))
+    w2, w1 = [], [prime.gamma(dp).index]
     for k in range(1, d + 1):
         Q = q ** (k - 1)
-        aQ = K._pow(a, Q)
-        num = {e: K._mul(c, aQ) for e, c in w1.items()}
-        for e, c in w2.items():
-            num[e + Q // q] = K._add(num.get(e + Q // q, 0), K._neg(c))
-        # w_(k-1) has Delta-degree (Q - 1)/(q - 1) < Q: its shift by Q
-        # overlaps nothing
-        num.update((e + Q, c) for e, c in w1.items())
         # T^(q^k) - T: the unit alpha^(q^k) - alpha for k < d, -eps at k = d
-        scale = (K._inv(K._add(K._pow(a, Q * q), K._neg(a))) if k < d
-                 else K._neg(1))
-        w2, w1 = w1, {e: K._mul(c, scale) for e, c in num.items() if c}
-    return _h_from_gd(prime, prime._kappa_poly(w1))
+        c = K._inv(K._add(K._pow(a, Q * q), K._neg(a))) if k < d else K._neg(1)
+        w2, w1 = w1, _omega_step(K, w1, w2, Q, q, K._pow(a, Q), c)
+    return _h_from_gd(prime, w1)
 
 
 def deuring_h_universal(prime):

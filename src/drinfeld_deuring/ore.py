@@ -5,6 +5,8 @@ The defining relation is tau * c = c^q * tau, so multiplication is
 literal q-th power map of the coefficient ring; for polynomial and Laurent
 coefficients in characteristic p it acts coefficient-wise and stretches
 exponents by q, which `qpow` exploits instead of repeated multiplication.
+`is_supersingular` takes its image here; the Deuring routes multiply by
+psi_T on kappa index lists in `drinfeld`.
 """
 
 from __future__ import annotations
@@ -87,38 +89,25 @@ class OrePoly(_Dense):
         o = self._coerce_other(other)
         if o is None:
             return NotImplemented
-        return _twisted_product(self, o)
+        a, b = self.coeffs, o.coeffs
+        ring = self.ring
+        if not a or not b:
+            return ring.zero
+        q = ring.q
+        out = [ring.base.zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if not x:
+                continue
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = out[i + j] + x * qpow(y, q, i)
+        return OrePoly(ring, out)
 
     def __rmul__(self, other):
         o = self._coerce_other(other)
         if o is None:
             return NotImplemented
         return o * self
-
-
-def _twisted_product(f, g, top=None):
-    """f * g, or its tau-coefficients up to tau^top when `top` is given.
-
-    A product only raises the tau-degree, so the coefficients up to tau^top
-    depend only on those of f and g up to tau^top: pairs with i + j > top
-    are skipped before their q-power twist is computed.
-    """
-    a, b = f.coeffs, g.coeffs
-    ring = f.ring
-    if not a or not b:
-        return ring.zero
-    size = len(a) + len(b) - 1
-    if top is not None:
-        size = min(size, top + 1)
-    q = ring.q
-    out = [ring.base.zero] * size
-    for i, x in enumerate(a[:size]):
-        if not x:
-            continue
-        for j, y in enumerate(b[:size - i]):
-            if y:
-                out[i + j] = out[i + j] + x * qpow(y, q, i)
-    return OrePoly(ring, out)
 
 
 def ore_apply(f, x):
@@ -131,13 +120,11 @@ def ore_apply(f, x):
     return acc
 
 
-def drinfeld_image(ctx, psi_T, a, scalar=None, top=None):
+def drinfeld_image(ctx, psi_T, a, scalar=None):
     """Image of a(T) under the module map T -> psi_T, by Horner evaluation.
 
     `a` is a polynomial over F_q; `scalar` lifts its coefficients into the
-    context's coefficient ring (defaults to the ring's own coercion).  With
-    `top`, only the tau-coefficients up to tau^top are computed and
-    returned; every Horner product is truncated there.
+    context's coefficient ring (defaults to the ring's own coercion).
     """
     if scalar is None:
         scalar = ctx.base.coerce
@@ -145,7 +132,7 @@ def drinfeld_image(ctx, psi_T, a, scalar=None, top=None):
         return ctx.zero
     acc = ctx.coerce(scalar(a.lead))
     for i in range(a.degree - 1, -1, -1):
-        acc = _twisted_product(acc, psi_T, top)
+        acc = acc * psi_T
         c = a.coeffs[i]
         if c:
             acc = acc + ctx.coerce(scalar(c))

@@ -5,7 +5,8 @@ The coefficient ring is described by a small object with `zero`, `one` and
 `coerce`.  Over a finite field, products, division, `powmod`, `poly_gcd`,
 `is_irreducible` and root finding run in the field's index kernel
 (`fields.IndexKernel`): the coefficients become ascending lists of element
-indices once on the way in, and elements once on the way out.  Over any
+indices once on the way in, and elements once on the way out
+(`_from_indices`, which also builds the results of `drinfeld`).  Over any
 other coefficient ring (F_q[T], Laurent polynomials, `MultiPoly`) the
 product loops over the coefficients, which do their own arithmetic through
 operators; division needs field coefficients.  The container, sums, powers,
@@ -284,10 +285,10 @@ def poly_gcd(f, g):
                                                        _indices(g)))
 
 
-def exact_div(f, g, exc=DomainError):
+def exact_div(f, g):
     q, r = divmod(f, g)
     if r:
-        raise exc(f"division of {f!r} by {g!r} leaves remainder {r!r}")
+        raise DomainError(f"division of {f!r} by {g!r} leaves remainder {r!r}")
     return q
 
 

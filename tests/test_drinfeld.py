@@ -31,8 +31,9 @@ from drinfeld_deuring.modulus import (
     reduce_mod_prime,
     t_poly_ring,
 )
-from drinfeld_deuring.ore import OreContext, ore_apply, qpow
-from drinfeld_deuring.poly import Poly, PolyRing, _Dense, exact_div, \
+from drinfeld_deuring.ore import OreContext, drinfeld_image, ore_apply, \
+    qpow
+from drinfeld_deuring.poly import Poly, PolyRing, exact_div, \
     is_irreducible, roots_in_extension
 from drinfeld_deuring.universal import U_mod_prime, u_sequence
 
@@ -221,36 +222,72 @@ def test_g_sequence_lengths_and_bounds():
 def test_direct_route_builds_nothing_above_tau_d(monkeypatch):
     # at the first (2,10) prime, the coefficients above tau^d reach
     # Delta-degree (4^10 - 1)/3 = 349,525; the truncated image stops at
-    # g_d, of degree N = 1023
+    # g_d, of degree N = 1023, so no index list grows past N + 1 entries
+    from drinfeld_deuring import drinfeld
+
     p = next(iter(primes_of_degree(base_field(2), 10)))
     N = 2 ** 10 - 1
+    K = p.kappa._kernel
     seen = [0]
-    init = _Dense.__init__
 
-    def recorded(self, ring, coeffs):
-        init(self, ring, coeffs)
-        if isinstance(ring, PolyRing) and ring.base == p.kappa:
-            seen[0] = max(seen[0], self.degree)
+    def recorded(f):
+        def run(*args):
+            out = f(*args)
+            seen[0] = max(seen[0], len(out))
+            return out
+        return run
 
-    monkeypatch.setattr(_Dense, "__init__", recorded)
+    for name in ("scale", "add_polys"):
+        monkeypatch.setattr(K, name, recorded(getattr(K, name)))
+    monkeypatch.setattr(drinfeld, "_omega_step",
+                        recorded(drinfeld._omega_step))
     h = deuring_h_direct(p)
     monkeypatch.undo()
     assert h.degree == N
-    assert seen[0] == N
+    assert seen[0] == N + 1
 
 
 def test_direct_route_checks_the_shape_of_g_d(monkeypatch):
     from drinfeld_deuring import drinfeld
 
     p = _prime(2, "T^3 + T + 1")
-    good = deuring_g_sequence(p, p.d)
-    for bad in (good[:-1] + [good[-1] * p.alpha],
-                good[:-1] + [good[-1] + good[-1].ring.gen ** 8],
-                [good[-1]] + good[1:]):
-        monkeypatch.setattr(drinfeld, "deuring_g_sequence",
-                            lambda prime, k_max=None, g=bad: g)
+    K = p.kappa._kernel
+    good = drinfeld._g_lists(p, p.d)
+    gd = good[-1]
+    for bad in (good[:-1] + [K.scale(p.alpha.index, gd)],
+                good[:-1] + [K.add_polys(gd, [0] * 8 + [1])],
+                [gd] + good[1:]):
+        monkeypatch.setattr(drinfeld, "_g_lists",
+                            lambda prime, k_max, g=bad: g)
         with pytest.raises(ConsistencyError):
             deuring_h_direct(p)
+
+
+# every degree up to these, for the differential test of the direct route
+_IMAGE_DEGREES = {2: 8, 3: 5, 4: 4, 5: 3, 7: 2, 8: 2, 9: 2}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_IMAGE_DEGREES)), st.data())
+def test_g_sequence_matches_the_ore_image(q, data):
+    # the image of p under psi_T in kappa[s]{tau}, by the generic Ore
+    # product, cut or zero-padded to k + 1 entries
+    A = t_poly_ring(base_field(q))
+    d = data.draw(st.integers(1, _IMAGE_DEGREES[q]))
+    low = data.draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d))
+    f = A.poly([A.base.from_index(i) for i in low] + [A.base.one])
+    assume(f != A.gen and is_irreducible(f))
+    p = PrimeModulus(f)
+    k = data.draw(st.integers(0, 2 * d + 2))
+    K, a = p.kappa, p.alpha
+    R = PolyRing(K, "s")
+    ctx = OreContext(R, q)
+    psi = ctx.op((R.const(a), -(R.gen + a), R.gen))
+    image = drinfeld_image(ctx, psi, f,
+                           scalar=lambda c: R.const(K.embed_from_base(c)))
+    assert image.degree == 2 * d
+    ref = (list(image.coeffs) + [R.zero] * (k + 1))[:k + 1]
+    assert deuring_g_sequence(p, k) == ref
 
 
 def test_grec_continuation_matches_direct():
@@ -649,8 +686,7 @@ def _dense_grec(prime, k_max):
         num = g1 * qpow(omega, q, k - 1) - qpow(g1, q, 1) * omega \
             - g2 * qpow(delta, q, k - 2) + qpow(g2, q, 2) * delta
         div = T ** (q ** k) - T
-        gk = num.map_coeffs(
-            lambda c: exact_div(c, div, RecurrenceBreakdownError), D)
+        gk = num.map_coeffs(lambda c: exact_div(c, div), D)
         out.append(gk)
     return out[:k_max + 1]
 
@@ -704,8 +740,7 @@ def test_exact_div_terms_matches_exact_div(q, k, data):
     g = qpow(g, q, data.draw(st.integers(0, 2)))
     f = g * div
     add = _add_table(F)
-    assert _exact_div_terms(_terms(f), Q, add) == _terms(
-        exact_div(f, div, RecurrenceBreakdownError))
+    assert _exact_div_terms(_terms(f), Q, add) == _terms(exact_div(f, div))
     assert _exact_div_terms(_terms(f), Q, add) == _terms(g)
     c = F.from_index(data.draw(st.integers(1, q - 1)))
     # a stray term anywhere; a constant term, alone or balanced within its
@@ -714,8 +749,8 @@ def test_exact_div_terms_matches_exact_div(q, k, data):
     stray = data.draw(st.integers(0, max(f.degree, 0) + Q + 2))
     for bad in (f + A.gen ** stray * c, f + c, f + (A.gen ** (Q - 1) - 1) * c,
                 f + A.gen ** (Q - 1) * c - A.gen ** (2 * Q - 2) * c * 2):
-        with pytest.raises(RecurrenceBreakdownError):
-            exact_div(bad, div, RecurrenceBreakdownError)
+        with pytest.raises(DomainError):
+            exact_div(bad, div)
         with pytest.raises(RecurrenceBreakdownError):
             _exact_div_terms(_terms(bad), Q, add)
 

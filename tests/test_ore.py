@@ -7,7 +7,6 @@ from drinfeld_deuring.errors import DomainError
 from drinfeld_deuring.fields import base_field, embed
 from drinfeld_deuring.grammar import parse, render
 from drinfeld_deuring.modulus import PrimeModulus, t_poly_ring
-from drinfeld_deuring import ore
 from drinfeld_deuring.ore import OreContext, drinfeld_image, ore_apply, qpow
 from drinfeld_deuring.poly import PolyRing
 
@@ -184,40 +183,3 @@ def test_ore_cross_context_and_commutative_only_ops():
     assert not callable(f)
     with pytest.raises(TypeError):
         divmod(f, f)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from((2, 3, 4, 5, 9)),
-       st.booleans(),
-       st.lists(st.lists(st.integers(0, 8), max_size=3), max_size=5),
-       st.lists(st.lists(st.integers(0, 8), max_size=3), max_size=4),
-       st.integers(0, 10))
-def test_bounded_twisted_product_truncates_the_full_product(q, over_polys,
-                                                             xs, ys, top):
-    # coefficients in F_q[s] (twists stretch) or F_(q^2) (twists permute);
-    # the lists hold zero coefficients inside and at the top, and top runs
-    # below, at and above the degree of the product
-    F = base_field(q)
-    if over_polys:
-        K = PolyRing(F, "s")
-        elt = lambda cs: K.poly([F.from_index(i % q) for i in cs])
-    else:
-        K = F.extension(2)
-        elt = lambda cs: K.from_index(sum(cs) % K.card)
-    C = OreContext(K, q)
-    f, g = C.op([elt(c) for c in xs]), C.op([elt(c) for c in ys])
-    twisted = []
-
-    def counted(v, q_, k):
-        twisted.append(k)
-        return qpow(v, q_, k)
-
-    ore.qpow = counted
-    try:
-        bounded = ore._twisted_product(f, g, top)
-    finally:
-        ore.qpow = qpow
-    assert bounded == C.op((f * g).coeffs[:top + 1])
-    # no twist is computed for a pair above the bound
-    assert all(k <= top for k in twisted)
-    assert ore._twisted_product(f, g) == f * g
