@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class CapExceededError(DomainError):
-    """A field, or a scan over one, would exceed the 2^16 cardinality cap."""
+    """A field would exceed the 2^16 cardinality cap."""
 
 
 class RecurrenceBreakdownError(ArithmeticError):

@@ -259,6 +259,8 @@ class IndexKernel:
     def scale(self, c, a):
         if not c:
             return []
+        if c == 1:
+            return list(a)
         log, exp = self.log, self.exp
         lc = log[c]
         return [exp[lc + log[x]] if x else 0 for x in a]

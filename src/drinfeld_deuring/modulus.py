@@ -78,9 +78,9 @@ class PrimeModulus:
 
     def _kappa_poly(self, rows, var="s"):
         """The polynomial over kappa with coefficient indices rows[r]."""
-        K = self.kappa
-        return Poly(PolyRing(K, var), [K.from_index(rows.get(r, 0))
-                                       for r in range(max(rows, default=-1) + 1)])
+        top = max((r for r, x in rows.items() if x), default=-1)
+        return poly_mod._from_indices(PolyRing(self.kappa, var),
+                                      [rows.get(r, 0) for r in range(top + 1)])
 
     def __eq__(self, other):
         if not isinstance(other, PrimeModulus):

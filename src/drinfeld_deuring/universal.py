@@ -19,12 +19,12 @@ of the coefficient.  In U_i the exponent t may be negative (the powers of
 1/T); divmod(key, _T_STRIDE) recovers (t, e) either way, since 0 <= e <
 _T_STRIDE.  Multiplying by c * T^t * s^e then scales every coefficient by c
 and adds the same offset to every key.  Each u-step is a signed sum of four
-such copies.  With C = (s^q - s)^(q-1), which has exactly q nonzero terms
-and coefficients in F_q (fixed by Frobenius), the q^i-th power of U_1 is
-C(s^(q^i)) + T^(-(q-1)*q^i), so each U-step is a sum of 3q + 1 copies: no
-products.  Reduction mod p visits the nonzero terms only; u_sequence and
-U_sequence convert to polynomials over F_q[T] and F_q[T, 1/T] for their
-callers.
+such copies.  C = (s^q - s)^(q-1) is the sum of s^(k(q-1)) over k = 1..q,
+which Frobenius fixes, so the q^i-th power of U_1 is C(s^(q^i)) +
+T^(-(q-1)*q^i) and each U-step is a sum of 3q + 1 copies: no products.
+Reduction mod p and the checks of u_i (u_i(0), the derivative recursion and
+the key identity, one sum of copies of (s+1)^e) read the maps; u_sequence
+and U_sequence convert to polynomials over F_q[T] and F_q[T, 1/T].
 
 The derivative sequence (d/ds u_i) satisfies the u-recursion for steps
 i >= 1 only: the i = 0 step would force u_1' = 0, but u_1 = s + T^q has
@@ -32,6 +32,8 @@ u_1' = 1.  `check_derivative_recursion` therefore requires i >= 1.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .errors import DomainError
 from .laurent import LaurentRing, LaurentT
@@ -89,15 +91,15 @@ def _U_terms(field, i_max):
     _check_sequence_args(field, i_max)
     seq = _U_cache.setdefault(field, [])
     if len(seq) <= i_max:
-        q = field.card
-        zero, one = field.zero, field.one
-        C = Poly(PolyRing(field, "s"),
-                 (zero, -one) + (zero,) * (q - 2) + (one,)) ** (q - 1)
-        C = [(e, c.index) for e, c in enumerate(C.coeffs) if c]
+        q, one = field.card, field.one.index
+        # (s^q - s)^(q-1) = s^(q-1) * sum_k binom(q-1, k) (-1)^(q-1-k)
+        # s^((q-1)k), and binom(q-1, k) = (-1)^k mod p since (1 + x)^(q-1)
+        # = (1 + x^q)/(1 + x): each of the q terms has sign (-1)^(q-1) = 1
+        C = [(k * (q - 1), one) for k in range(1, q + 1)]
         if not seq:
             U1 = dict(C)
-            U1[-(q - 1) * _T_STRIDE] = one.index
-            seq += [{0: one.index}, U1]
+            U1[-(q - 1) * _T_STRIDE] = one
+            seq += [{0: one}, U1]
         while len(seq) <= i_max:
             i = len(seq) - 1
             seq.append(_U_step(field, C, seq[i - 1], seq[i], i))
@@ -163,13 +165,6 @@ def _terms_to_poly(u, ring):
     return Poly(ring, out)
 
 
-def _poly_to_terms(f):
-    """The term map of a polynomial over F_q[T][s]."""
-    return {t * _T_STRIDE + s: c.index
-            for s, row in enumerate(f.coeffs)
-            for t, c in enumerate(row.coeffs) if c}
-
-
 def _terms_mod_prime(u, prime):
     """The polynomial in s over kappa of a term map reduced mod p, over its
     nonzero terms only."""
@@ -201,16 +196,21 @@ def u_zero_value(field, i):
 
 
 def check_u_zero(field, i):
-    u = u_sequence(field, i)[i]
-    return u.constant_coeff() == u_zero_value(field, i)
+    u = _u_terms(field, i)[i]
+    v = u_zero_value(field, i)
+    return ({k: c for k, c in u.items() if not k % _T_STRIDE}
+            == {v.degree * _T_STRIDE: v.lead.index})
 
 
 def check_derivative_recursion(field, i):
     """The derivative sequence satisfies the unchanged recursion at step i >= 1."""
     if i < 1:
         raise DomainError("the derivative recursion only holds for steps i >= 1")
-    d = [_poly_to_terms(u.derivative()) for u in u_sequence(field, i + 1)]
-    return d[i + 1] == _u_step(field, d[i - 1], d[i], i)
+    # c * T^t * s^e -> (e mod p) * c * T^t * s^(e-1); e mod p is an F_p index
+    p = field.p
+    d = [{k - 1: field._mul(k % _T_STRIDE % p, c) for k, c in u.items()
+          if k % _T_STRIDE % p} for u in _u_terms(field, i + 1)[i - 1:]]
+    return d[2] == _u_step(field, d[0], d[1], i)
 
 
 def check_key_identity(field, i):
@@ -232,31 +232,28 @@ def check_key_identity(field, i):
     if i == 0:
         # u_0 = 1, u_{-1} = 0: both sides collapse to 1 - 1 = 0 = -0
         return True
-    q = field.card
-    seq = u_sequence(field, i)
-    ui, um = seq[i], seq[i - 1]
-    S = ui.ring
-    A = S.base
-    T = A.gen
-    s_plus_1 = Poly(S, (A.one, A.one))
-    b = s_plus_1 ** (q - 1)
-
-    def cleared(u):
-        # sum_j c_j * a^j * b^(N-j) with a = -T*s^q, by Horner's rule in b
-        acc = S.zero
-        for j, c in enumerate(u.coeffs):
-            acc = acc * b + Poly(S, (A.zero,) * (q * j) + (c * (-T) ** j,))
-        return acc
-
-    P1 = ui(Poly(S, (A.zero, -(T ** q))) * b)
+    q, p = field.card, field.p
     qi = q ** i
-    cleared_exp = (q - 1) * ui.degree
-    common = min(cleared_exp, qi - 1)
-    lhs = P1 * s_plus_1 ** (cleared_exp - common) \
-        - cleared(ui) * s_plus_1 ** (qi - 1 - common) * (T ** (qi - 1))
-    rhs = -(cleared(um) * s_plus_1 ** (qi - 1 - common + qi - q ** (i - 1))
-            * ((T ** qi - T) * T ** (qi - 1)))
-    return lhs == rhs
+    um, ui = _u_terms(field, i)[i - 1:]
+    N, M = (max((k % _T_STRIDE for k in u), default=-1) for u in (ui, um))
+    common = min((q - 1) * N, qi - 1)
+    # a term c*T^t*s^j of u brings (-1)^(j+n) * c * T^(t + a*j + t0) *
+    # s^(b*j) * (s+1)^(e0 + (a-b)*j) to lhs - rhs, for each (t0, n) of its row
+    rows = ((ui, q, 1, (q - 1) * N - common, ((0, 0),)),
+            (ui, 1, q, (q - 1) * N + qi - 1 - common, ((qi - 1, 1),)),
+            (um, 1, q, (q - 1) * M + 2 * qi - 1 - qi // q - common,
+             ((2 * qi - 1, 0), (qi, 1))))
+    copies = []
+    for u, a, b, e0, factors in rows:
+        for key, c in u.items():
+            t, j = divmod(key, _T_STRIDE)
+            e = e0 + (a - b) * j
+            # (s+1)^e: an integer below p is its own F_p index
+            binomial = {k: x for k in range(e + 1) if (x := comb(e, k) % p)}
+            copies += [(binomial, field._neg(c) if (j + n) % 2 else c,
+                        (t + a * j + t0) * _T_STRIDE + b * j)
+                       for t0, n in factors]
+    return not _sum_copies(field, copies)
 
 
 def sequence_json(field, variant, i_max):

@@ -456,6 +456,13 @@ GOLDEN_STDOUT = {
         "c793a9f9a557f76e0a555b90c265db6b08c8361e85b2c434a33294622281a614",
     "verify --q 5 --max-degree 2 --format json":
         "d84eb8d2059abf7a8d70bd0a79767c4cdb93d88961b90f6b04154d63a5170ffd",
+    # the key-identity rows at q > 5
+    "verify --q 7 --max-degree 2 --format text":
+        "9acdecaf74ad6f09847bca7caba56991ebcab88689ac5a12986ff2daaf724f76",
+    "verify --q 8 --max-degree 2 --format text":
+        "a77eafb535226ed153d3ade3fde3c02dfce76d4156c3780292c0e20de65b287d",
+    "verify --q 9 --max-degree 2 --format text":
+        "bb613c619f54d012b663733b6b77c62c4a2480919baa3abe607bf20c410126c5",
     'compute --q 2 --prime "T^4 + T + 1" --method all --format json':
         "aa17aeae99addf0cebfeb503dd1b1072743a1ba2ca38be6f260708d187aad79a",
     'compute --q 3 --prime "T^4 + T + 2" --method all --format json':

@@ -3,10 +3,10 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from drinfeld_deuring.errors import DomainError
-from drinfeld_deuring.fields import base_field
+from drinfeld_deuring.fields import FieldElement, base_field
 from drinfeld_deuring.grammar import parse, render
 from drinfeld_deuring.laurent import LaurentRing, LaurentT
 from drinfeld_deuring import universal
@@ -58,11 +58,18 @@ def test_u_mod_prime_matches_reducing_u_sequence(q, d):
         assert u_mod_prime(p) == reduce_mod_prime(u_sequence(F, p.d)[p.d], p)
 
 
+def _poly_to_terms(f):
+    # the term map of a polynomial over F_q[T][s]
+    return {t * universal._T_STRIDE + s: c.index
+            for s, row in enumerate(f.coeffs)
+            for t, c in enumerate(row.coeffs) if c}
+
+
 def test_u_terms_round_trip_through_polynomials():
     for q, i_max in ((2, 6), (3, 4), (9, 2)):
         F = base_field(q)
         terms = universal._u_terms(F, i_max)
-        assert [universal._poly_to_terms(u)
+        assert [_poly_to_terms(u)
                 for u in u_sequence(F, i_max)] == terms
         assert all(all(terms_i.values()) for terms_i in terms)
 
@@ -85,7 +92,7 @@ def test_sum_copies_builds_the_addition_table_once(monkeypatch):
     u, U = universal._u_terms(F, 3), universal._U_terms(F, 2)
     monkeypatch.undo()
     assert F._kernel.sums() is table
-    assert u == [universal._poly_to_terms(f) for f in u_sequence(F, 3)]
+    assert u == [_poly_to_terms(f) for f in u_sequence(F, 3)]
     assert len(U) == 3 and all(all(terms.values()) for terms in U)
 
 
@@ -300,39 +307,111 @@ def _key_identity_mutants(field, i):
     yield i, Poly(ui.ring, ui.coeffs[:-1])
 
 
+def _with_u_terms(monkeypatch, field, k, u):
+    # universal._u_terms with u in place of u_k, for the check and for
+    # the reference (through u_sequence) alike
+    seq = universal._u_terms(field, k + 1)
+    bad = seq[:k] + [u] + seq[k + 1:]
+    monkeypatch.setattr(universal, "_u_terms",
+                        lambda f, i_max: bad[:i_max + 1])
+
+
 @pytest.mark.parametrize("q, i", [(q, i) for q, i in _VERIFY_KEY_IDENTITY
                                   if q <= 5 and i >= 1])
 def test_key_identity_rejects_each_mutant_as_the_uncancelled_form(
         q, i, monkeypatch):
     F = base_field(q)
-    seq = u_sequence(F, i)
     for k, mutant in _key_identity_mutants(F, i):
-        bad = seq[:k] + [mutant] + seq[k + 1:]
-        monkeypatch.setattr(universal, "u_sequence",
-                            lambda field, i_max: bad[:i_max + 1])
+        _with_u_terms(monkeypatch, F, k, _poly_to_terms(mutant))
         assert check_key_identity(F, i) is _key_identity_reference(F, i) \
             is False
         monkeypatch.undo()
 
 
+_KEY_IDENTITY_CASES = [(q, i) for q, i in _VERIFY_KEY_IDENTITY if i >= 1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_KEY_IDENTITY_CASES), st.data())
+def test_key_identity_matches_the_uncancelled_form_on_drawn_mutants(
+        case, data):
+    # zero to two terms c*T^t*s^j added to u_i or to u_{i-1}, up to one
+    # s-power above its degree; u_{i-1} may empty, u_i may not (the
+    # reference has no degree for it)
+    q, i = case
+    F = base_field(q)
+    k = data.draw(st.sampled_from((i, i - 1)))
+    u = dict(universal._u_terms(F, i)[k])
+    deg = max(key % universal._T_STRIDE for key in u)
+    for _ in range(data.draw(st.integers(0, 2))):
+        key = (data.draw(st.integers(0, q ** (i + 1))) * universal._T_STRIDE
+               + data.draw(st.integers(0, deg + 1)))
+        x = F._add(u.get(key, 0), data.draw(st.integers(1, q - 1)))
+        u.pop(key, None)
+        if x:
+            u[key] = x
+    assume(u or k < i)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _with_u_terms(monkeypatch, F, k, u)
+        assert check_key_identity(F, i) is _key_identity_reference(F, i)
+
+
 def test_key_identity_builds_no_polynomial_in_s_above_q_times_deg_u(
         monkeypatch):
-    # at (q, i) = (9, 2), deg u_2 = 10: the uncancelled form reaches
-    # s-degree 170 = q*N + (q-1)*N
+    # at (q, i) = (9, 2), deg u_2 = 10: each copy of (s+1)^e reaches at most
+    # s-degree 90 = q*N, where the uncancelled form reaches 170 = q*N +
+    # (q-1)*N
     F = base_field(9)
-    u_sequence(F, 2)
+    universal._u_terms(F, 2)
     degrees = []
-    init = _Dense.__init__
+    sum_copies = universal._sum_copies
 
-    def recorded(self, ring, coeffs):
-        init(self, ring, coeffs)
-        if ring.var == "s":
-            degrees.append(self.degree)
+    def recorded(field, copies):
+        copies = list(copies)
+        degrees.extend((key + shift) % universal._T_STRIDE
+                       for u, _c, shift in copies for key in u)
+        return sum_copies(field, copies)
 
-    monkeypatch.setattr(_Dense, "__init__", recorded)
+    monkeypatch.setattr(universal, "_sum_copies", recorded)
     assert check_key_identity(F, 2)
     monkeypatch.undo()
     assert max(degrees) == 90
+
+
+_ELEMENT_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                "__pow__", "inverse")
+
+
+def test_universal_checks_run_on_the_term_maps(monkeypatch):
+    # u_i(0), the derivative recursion and the key identity read the term
+    # maps of the recurrence: no polynomial over F_q[T] and no element
+    # arithmetic
+    cases = [(q, i) for q in (2, 3, 4, 9) for i in range(1, 3)]
+    for q, _i in cases:
+        universal._u_terms(base_field(q), 3)
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("element arithmetic or F_q[T] polynomials")
+
+    for name in _ELEMENT_OPS:
+        monkeypatch.setattr(FieldElement, name, forbidden)
+    monkeypatch.setattr(universal, "_terms_to_poly", forbidden)
+    got = [(check_u_zero(base_field(q), i),
+            check_derivative_recursion(base_field(q), i),
+            check_key_identity(base_field(q), i)) for q, i in cases]
+    monkeypatch.undo()
+    assert got == [(True, True, True)] * len(cases)
+    # and each check can fail: u_2 with two stray terms, 1 (which changes
+    # u_2(0)) and T*s (whose derivative T breaks the recursion)
+    F = base_field(3)
+    u2 = dict(universal._u_terms(F, 2)[2])
+    u2[universal._T_STRIDE + 1] = 1
+    u2[0] = 1
+    _with_u_terms(monkeypatch, F, 2, u2)
+    assert not check_u_zero(F, 2)
+    assert not check_derivative_recursion(F, 1)
+    assert not check_key_identity(F, 2)
 
 
 def _reduce_per_coefficient(f, p):
