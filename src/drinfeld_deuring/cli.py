@@ -12,8 +12,10 @@ Exit codes: 0 = success / everything verified, 1 = some check failed (e.g.
 a graph whose h or neighbor polynomials do not split in kappa_2), 2 = invalid
 input, including a prime whose degree exceeds the cardinality cap (refused
 while parsing, before any polynomial of that degree is built), a graph whose
-kappa_2 exceeds the cap (refused before h is computed), and an --output or
---dot path that cannot be written.  All output is deterministic.
+kappa_2 exceeds the cap (refused before h is computed), identities or verify
+at q > 64, the budget of the tower identities (refused before any work), and
+an --output or --dot path that cannot be written.  All output is
+deterministic.
 """
 
 import argparse
@@ -31,7 +33,7 @@ from .fields import base_field
 from .isogeny_graph import build_supersingular_graph, verify_component
 from .modulus import PrimeModulus, check_residue_degree, \
     primes_up_to_degree, t_poly_ring
-from .tower import all_identity_reports
+from .tower import all_identity_reports, check_identities_budget
 from .universal import U_mod_prime, check_derivative_recursion, \
     check_key_identity, check_simple_roots, check_u_zero
 
@@ -119,6 +121,7 @@ def _verify_rows(q, max_degree):
     field = base_field(q)
     # before any row, not after the sweep has reached the capped degree
     check_residue_degree(q, max_degree)
+    check_identities_budget(q)
     rows = []
     for i in range((5 if q <= 3 else 3) + 1):
         rows.append((f"u-zero[i={i}]", check_u_zero(field, i)))

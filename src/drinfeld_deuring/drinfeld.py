@@ -49,7 +49,8 @@ gamma(T^q)^(-N) * sum_j h_j * gamma(T)^j * (s^q - s)^((q-1)(N-j)).
 That sum is the definition; it is evaluated as a polynomial in
 S = (s^q - s)^(q-1) by base-q composition, which uses S(s)^q = S(s^q) to
 replace N products by a growing accumulator with about log_q N levels of
-products by the fixed powers S^r, r < q, which are built once per q.
+products by the fixed powers S^r, r < min(q, N + 1), which are built once
+per q and count.
 
 The direct route, grec and H run on kappa index lists in Delta (or s) in the
 field's `fields.IndexKernel`, and build each `Poly` once, at the end.
@@ -282,13 +283,15 @@ def deuring_H(prime, h):
 
 
 @functools.lru_cache(maxsize=None)
-def _S_powers(p, q):
-    """[S^0, ..., S^(q-1)] as index lists in characteristic p.  S has F_p
-    coefficients, and an element of F_p has the same index in every field
-    of characteristic p, so one list serves every kappa over F_q."""
+def _S_powers(p, q, count):
+    """[S^0, ..., S^(count-1)] as index lists in characteristic p.  S, the
+    sum of s^(k(q-1)) over k = 1..q, has F_p coefficients, and an element of
+    F_p has the same index in every field of characteristic p, so one list
+    serves every kappa over F_q."""
+    S = [0] * (q * (q - 1) + 1)
+    S[q - 1::q - 1] = [1] * q
     mul = base_field(p)._kernel.mul_polys
-    S = functools.reduce(mul, [[0, p - 1] + [0] * (q - 2) + [1]] * (q - 1))
-    return list(itertools.accumulate([S] * (q - 1), mul, initial=[1]))
+    return list(itertools.accumulate([S] * (count - 1), mul, initial=[1]))
 
 
 def _compose_in_S(coeffs, K, q):
@@ -300,7 +303,7 @@ def _compose_in_S(coeffs, K, q):
     a q-th of the length, stretches their results by s -> s^q (a slice
     assignment) and multiplies them by the fixed S^r of degree <= q(q-1)^2.
     """
-    S_pows = _S_powers(K.p, q)
+    S_pows = _S_powers(K.p, q, min(q, len(coeffs)))
     add, mul = K.add_polys, K.mul_polys
 
     def compose(cs):

@@ -6,7 +6,8 @@ class DomainError(ValueError):
 
 
 class CapExceededError(DomainError):
-    """A field would exceed the 2^16 cardinality cap."""
+    """An input would exceed a size cap: a field over the 2^16 cardinality
+    cap, or a base field over the q budget of the tower identities."""
 
 
 class RecurrenceBreakdownError(ArithmeticError):

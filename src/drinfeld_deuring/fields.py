@@ -8,8 +8,9 @@ compared from the leading end down).  Multiplication goes through exp/log
 tables for a fixed primitive element; addition is XOR in characteristic 2,
 Zech logarithms in odd extensions and ints mod p in prime fields.  Tables,
 and the index kernel built on them (`IndexKernel`: the scalar arithmetic,
-and that of polynomials over the field on index lists), are shared between
-all tower instances with the same absolute field.
+that of polynomials over the field on index lists, and `sum_copies`, the
+one routine of sparse term maps), are shared between all tower instances
+with the same absolute field.
 
 A field built as an extension remembers its base field, the defining modulus
 over the base, and a designated root of that modulus (the first one in element
@@ -30,6 +31,8 @@ import operator
 from .errors import CapExceededError, DomainError
 
 CARD_CAP = 1 << 16
+# the largest field whose card x card table of sums `sum_copies` reads
+_SUMS_CARD_MAX = 1 << 8
 # one `_addmul` call costs about as much as 10 to 25 row terms (the call,
 # the slices of dst, the loop step), depending on the kernel kind
 _ADDMUL_CALL_COST = 24
@@ -253,6 +256,33 @@ class IndexKernel:
             add, n = self._add, self.card
             self._sums = [[add(i, j) for j in range(n)] for i in range(n)]
         return self._sums
+
+    def sum_copies(self, copies):
+        """The term map {key: index} of sum(c * m * u) over the (u, c, shift)
+        triples: u a term map of nonzero indices, m the monomial whose key is
+        `shift` (keys add under products) and c a nonzero index.  Above
+        _SUMS_CARD_MAX elements it adds with `_add` and scales by log/exp."""
+        out = {}
+        if self.card > _SUMS_CARD_MAX:
+            add, log, exp = self._add, self.log, self.exp
+            for u, c, shift in copies:
+                lc = log[c]
+                for key, x in u.items():
+                    k = key + shift
+                    out[k] = add(out.get(k, 0), exp[lc + log[x]])
+            return {k: x for k, x in out.items() if x}
+        q = self.card
+        add = self.sums()
+        # the copies share a few scales, mostly 1 and -1
+        scales = {1: list(range(q))}
+        for u, c, shift in copies:
+            scale = scales.get(c)
+            if scale is None:
+                scale = scales[c] = [self._mul(c, x) for x in range(q)]
+            for key, x in u.items():
+                k = key + shift
+                out[k] = add[out.get(k, 0)][scale[x]]
+        return {k: x for k, x in out.items() if x}
 
     # polynomials ------------------------------------------------------------
 

@@ -1,10 +1,18 @@
 """Sparse multivariate polynomials and fractions over a finite field.
 
-Terms live in a dict keyed by exponent tuples (one slot per variable, in the
-ring's fixed name order); values are nonzero field elements.  Term order for
-rendering is graded lexicographic, comparing total degree first and then the
-exponent tuple left to right.  Fractions compare by cross-multiplication and
-never reduce, which is fine at the desk scales of the tower identities.
+A polynomial is the term map {key: F_q index} of its nonzero terms, the key
+packing the exponent tuple (one slot per variable, in the ring's fixed name
+order) as sum(e_i * _STRIDE^(n-1-i)), so key order is tuple order.  A term
+times a term adds keys, so +, negation and x are each one
+`IndexKernel.sum_copies`; the constructor and `terms` speak exponent tuples
+and elements.  Exponents stay below 2^31, half the stride, so no product
+carries into the next variable: one outside [0, 2^31) in the constructor,
+or one that a product or a power would take to 2^31, raises DomainError.
+Over a field above 2^8 elements `sum_copies` builds no table of sums, which
+over F_(2^16) would have 2^32 entries.  Term order for rendering is graded
+lexicographic, comparing total degree first and then the exponent tuple
+left to right.  Fractions compare by cross-multiplication and never reduce,
+which is fine at the desk scales of the tower identities.
 """
 
 from __future__ import annotations
@@ -12,12 +20,18 @@ from __future__ import annotations
 from .errors import DomainError
 from .fields import FieldElement
 
+_STRIDE = 1 << 32
+
 
 class MultiRing:
     def __init__(self, field, names):
         self.field = field
         self.names = tuple(names)
         self.nvars = len(self.names)
+        # the key of a unit exponent per variable, and of 2^31 in every slot
+        self._units = [_STRIDE ** (self.nvars - 1 - i)
+                       for i in range(self.nvars)]
+        self._high = sum(self._units) << 31
         self.zero = MultiPoly(self, {})
         zero_exp = (0,) * self.nvars
         self.one = MultiPoly(self, {zero_exp: field.one})
@@ -58,11 +72,23 @@ class MultiRing:
 
 
 class MultiPoly:
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "packed")
 
     def __init__(self, ring, terms):
+        if any(len(e) != ring.nvars or not all(0 <= x < 1 << 31 for x in e)
+               for e in terms):
+            raise DomainError("multivariate exponents lie in [0, 2^31)")
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if c}
+        self.packed = {sum(x * u for x, u in zip(e, ring._units)):
+                       ring.field.coerce(c).index
+                       for e, c in terms.items() if c}
+
+    @property
+    def terms(self):
+        """{exponent tuple: element} over the nonzero terms."""
+        units, elt = self.ring._units, self.ring.field.from_index
+        return {tuple(k // u % _STRIDE for u in units): elt(x)
+                for k, x in self.packed.items()}
 
     def _coerce_other(self, other):
         try:
@@ -70,45 +96,47 @@ class MultiPoly:
         except DomainError:
             return None
 
+    def _sum(self, copies):
+        f = MultiPoly(self.ring, {})
+        f.packed = self.ring.field._kernel.sum_copies(copies)
+        return f
+
     def __add__(self, other):
         o = self._coerce_other(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            s = out.get(e)
-            out[e] = c if s is None else s + c
-        return MultiPoly(self.ring, out)
+        return self._sum(((self.packed, 1, 0), (o.packed, 1, 0)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return self._sum(((self.packed, self.ring.field._neg(1), 0),))
 
     def __sub__(self, other):
         o = self._coerce_other(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._sum(((self.packed, 1, 0),
+                          (o.packed, self.ring.field._neg(1), 0)))
 
     def __rsub__(self, other):
         o = self._coerce_other(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce_other(other)
         if o is None:
             return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                out[e] = c if s is None else s + c
-        return MultiPoly(self.ring, out)
+        a, b = self.packed, o.packed
+        if len(a) < len(b):
+            a, b = b, a
+        # one copy of the longer operand per term of the shorter
+        out = self._sum([(a, c, key) for key, c in b.items()])
+        if any(key & self.ring._high for key in out.packed):
+            raise DomainError("a product exponent reaches 2^31")
+        return out
 
     __rmul__ = __mul__
 
@@ -126,7 +154,7 @@ class MultiPoly:
 
     def degree(self, var=None):
         """Total degree, or degree in one named variable; -1 for zero."""
-        if not self.terms:
+        if not self.packed:
             return -1
         if var is None:
             return max(sum(e) for e in self.terms)
@@ -160,10 +188,10 @@ class MultiPoly:
         o = self._coerce_other(other)
         if o is None:
             return NotImplemented
-        return self.terms == o.terms
+        return self.packed == o.packed
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.packed)
 
     def __repr__(self):
         from . import grammar

@@ -31,8 +31,12 @@ The verified statements, written multiplicatively cleared:
 
 from dataclasses import dataclass
 
+from .errors import CapExceededError
 from .fields import base_field
 from .multipoly import Frac, MultiRing
+
+# the j-chain cross product grows about as q^4: 1.4 s at q = 64, 25 s at 128
+IDENTITIES_Q_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,7 @@ def verify_factorization(q):
     core = D0 * D1 - T ** (q + 1)
     rhs = core * (D0 ** q + T ** (q * q) - core ** (q - 1) * (D1 + T))
     return IdentityReport("factorization", q, lhs == rhs,
-                          len(lhs.terms), len(rhs.terms))
+                          len(lhs.packed), len(rhs.packed))
 
 
 def verify_theta_parametrization(q):
@@ -87,7 +91,7 @@ def verify_theta_parametrization(q):
     ok = ok and -(yn ** q) * th ** (q - 1) == (th + T) ** q * wn ** (q - 1)
 
     return IdentityReport("theta-parametrization", q, ok,
-                          len(lhs.terms), len(rhs.terms))
+                          len(lhs.packed), len(rhs.packed))
 
 
 def verify_recursion_step(q):
@@ -102,7 +106,7 @@ def verify_recursion_step(q):
         - Y0 ** q
     rhs = -T * step
     return IdentityReport("recursion-step", q, chain == rhs,
-                          len(chain.terms), len(rhs.terms))
+                          len(chain.packed), len(rhs.packed))
 
 
 def j_chain_check(q):
@@ -125,10 +129,19 @@ def j_chain_check(q):
     ok = ok and num.degree("s") == q ** 3 - q
 
     return IdentityReport("j-chain", q, ok,
-                          len(cross_l.terms), len(cross_r.terms))
+                          len(cross_l.packed), len(cross_r.packed))
+
+
+def check_identities_budget(q):
+    """CapExceededError above the budget, once base_field has validated q."""
+    base_field(q)
+    if q > IDENTITIES_Q_MAX:
+        raise CapExceededError(f"tower identities at q = {q} exceed the "
+                               f"q <= {IDENTITIES_Q_MAX} budget")
 
 
 def all_identity_reports(q):
+    check_identities_budget(q)
     return (
         verify_factorization(q),
         verify_theta_parametrization(q),

@@ -22,6 +22,8 @@ and adds the same offset to every key.  Each u-step is a signed sum of four
 such copies.  C = (s^q - s)^(q-1) is the sum of s^(k(q-1)) over k = 1..q,
 which Frobenius fixes, so the q^i-th power of U_1 is C(s^(q^i)) +
 T^(-(q-1)*q^i) and each U-step is a sum of 3q + 1 copies: no products.
+Every sum of copies is one call of the field kernel's `sum_copies`, the one
+routine of sparse term maps, which `multipoly` runs on too.
 Reduction mod p and the checks of u_i (u_i(0), the derivative recursion and
 the key identity, one sum of copies of (s+1)^e) read the maps; u_sequence
 and U_sequence convert to polynomials over F_q[T] and F_q[T, 1/T].
@@ -80,10 +82,10 @@ def _u_step(field, u_prev, u_i, i):
     q = field.card
     qi = q ** i
     one = field.one.index
-    return _sum_copies(field, ((u_i, one, qi),
-                               (u_i, one, q * qi * _T_STRIDE),
-                               (u_prev, field._neg(one), qi + qi * _T_STRIDE),
-                               (u_prev, one, qi + _T_STRIDE)))
+    return field._kernel.sum_copies((
+        (u_i, one, qi), (u_i, one, q * qi * _T_STRIDE),
+        (u_prev, field._neg(one), qi + qi * _T_STRIDE),
+        (u_prev, one, qi + _T_STRIDE)))
 
 
 def _U_terms(field, i_max):
@@ -122,25 +124,7 @@ def _U_step(field, C, U_prev, U_i, i):
         shift = e * (qi // q)
         copies.append((U_prev, field._neg(c), shift + (qi - Q) * _T_STRIDE))
         copies.append((U_prev, c, shift + (1 - Q) * _T_STRIDE))
-    return _sum_copies(field, copies)
-
-
-def _sum_copies(field, copies):
-    """The term map of sum(c * m * u) over the (u, c, shift) triples, m the
-    monomial whose key is `shift` and c an F_q index."""
-    q = field.card
-    add = field._kernel.sums()
-    # the copies share a few scales, mostly 1 and -1
-    scales = {field.one.index: list(range(q))}
-    out = {}
-    for u, c, shift in copies:
-        scale = scales.get(c)
-        if scale is None:
-            scale = scales[c] = [field._mul(c, x) for x in range(q)]
-        for key, x in u.items():
-            k = key + shift
-            out[k] = add[out.get(k, 0)][scale[x]]
-    return {k: x for k, x in out.items() if x}
+    return field._kernel.sum_copies(copies)
 
 
 def _terms_to_poly(u, ring):
@@ -253,7 +237,7 @@ def check_key_identity(field, i):
             copies += [(binomial, field._neg(c) if (j + n) % 2 else c,
                         (t + a * j + t0) * _T_STRIDE + b * j)
                        for t0, n in factors]
-    return not _sum_copies(field, copies)
+    return not field._kernel.sum_copies(copies)
 
 
 def sequence_json(field, variant, i_max):

@@ -232,6 +232,36 @@ def test_huge_q_and_max_degree_are_refused_at_once(argv, message, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["identities", "--q", "128"], ["identities", "--q", "81"],
+    ["verify", "--q", "128", "--max-degree", "1"]])
+def test_identities_over_the_budget_are_refused_at_once(
+        argv, monkeypatch, capsys):
+    from drinfeld_deuring import tower
+
+    def unreachable(q):
+        raise AssertionError("an identity ran over the budget")
+
+    monkeypatch.setattr(tower, "j_chain_check", unreachable)
+    monkeypatch.setattr(cli, "check_u_zero", unreachable)
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    _one_error_line(captured)
+    q = argv[2]
+    assert captured.err == (f"error: tower identities at q = {q} exceed "
+                            f"the q <= 64 budget\n")
+
+
+def test_compute_H_at_degree_one_builds_only_the_powers_it_reads():
+    # deg h + 1 = 2 powers of S, not q of them
+    start = time.perf_counter()
+    assert main(["compute", "--q", "256", "--prime", "T+1",
+                 "--var", "lambda", "--output", os.devnull]) == 0
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("argv", [
     ["compute", "--q", "2", "--prime", "T^2+T+1", "--output"],
     ["verify", "--q", "2", "--max-degree", "1", "--output"],
     ["graph", "--q", "2", "--prime", "T^2+T+1", "--dot"],
@@ -467,6 +497,11 @@ GOLDEN_STDOUT = {
         "aa17aeae99addf0cebfeb503dd1b1072743a1ba2ca38be6f260708d187aad79a",
     'compute --q 3 --prime "T^4 + T + 2" --method all --format json':
         "bac8ce46669c64a6db56dadd226add5d227798f23aa6fca1a6ec6fb6d22aecf1",
+    # H of degree q^2 - q at a degree-one prime, and the identities as JSON
+    'compute --q 64 --prime "T+1" --var lambda --method all':
+        "c2ad1907d166c67e91ae2238117c16642c5c343ed17651c858a1dd48dba940da",
+    "identities --q 16 --format json":
+        "261912acedbf73b0ec5ea78d10e3c96da2994523f618f44ea513ca6221868ba1",
     # graphs outside verify's envelope; the q = 9 one needs kappa_2
     'graph --q 2 --prime "T^5 + T^2 + 1"':
         "0ede2ef120d6d3febf2eef66db4a084b0fac0751fdcc8a4808a9698b3b9925e7",

@@ -4,10 +4,13 @@ import json
 
 import pytest
 
-from drinfeld_deuring.fields import base_field
+from drinfeld_deuring.errors import CapExceededError, DomainError
+from drinfeld_deuring.fields import FieldElement, base_field
 from drinfeld_deuring.multipoly import Frac, MultiRing
 from drinfeld_deuring.tower import (
+    IDENTITIES_Q_MAX,
     all_identity_reports,
+    check_identities_budget,
     j_chain_check,
     verify_factorization,
     verify_recursion_step,
@@ -75,3 +78,40 @@ def test_dual_factor_annihilated_on_theta_line():
         rhs = ((th + T) ** (q + 1) - T ** (q + 1)) ** (q - 1) \
             * ((th + T) ** q + T * th ** (q - 1))
         assert lhs == rhs
+
+
+_ELEMENT_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                "__pow__", "inverse")
+
+
+def test_identities_make_no_element_arithmetic(monkeypatch):
+    # MultiPoly runs on F_q indices in the field's kernel
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("FieldElement arithmetic")
+
+    for name in _ELEMENT_OPS:
+        monkeypatch.setattr(FieldElement, name, forbidden)
+    reports = [r for q in (2, 3, 4, 9) for r in all_identity_reports(q)]
+    monkeypatch.undo()
+    assert all(r.verified for r in reports)
+
+
+@pytest.mark.parametrize("q, counts", [
+    (2, [(6, 6), (3, 3), (5, 5), (4, 4)]),
+    (16, [(6, 6), (3, 3), (257, 257), (256, 256)])])
+def test_report_term_counts(q, counts):
+    assert [(r.lhs_terms, r.rhs_terms)
+            for r in all_identity_reports(q)] == counts
+
+
+def test_identities_budget():
+    check_identities_budget(IDENTITIES_Q_MAX)
+    for q in (81, 128, 1 << 16):
+        with pytest.raises(CapExceededError, match="budget"):
+            all_identity_reports(q)
+    # an invalid q keeps its own error
+    with pytest.raises(DomainError, match="not a prime power"):
+        check_identities_budget(6)
+    with pytest.raises(CapExceededError, match="65536 cap"):
+        check_identities_budget((1 << 16) + 1)

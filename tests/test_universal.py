@@ -364,15 +364,15 @@ def test_key_identity_builds_no_polynomial_in_s_above_q_times_deg_u(
     F = base_field(9)
     universal._u_terms(F, 2)
     degrees = []
-    sum_copies = universal._sum_copies
+    sum_copies = F._kernel.sum_copies
 
-    def recorded(field, copies):
+    def recorded(copies):
         copies = list(copies)
         degrees.extend((key + shift) % universal._T_STRIDE
                        for u, _c, shift in copies for key in u)
-        return sum_copies(field, copies)
+        return sum_copies(copies)
 
-    monkeypatch.setattr(universal, "_sum_copies", recorded)
+    monkeypatch.setattr(F._kernel, "sum_copies", recorded)
     assert check_key_identity(F, 2)
     monkeypatch.undo()
     assert max(degrees) == 90
@@ -460,6 +460,23 @@ def test_derivative_recursion_holds_from_step_one():
             assert check_derivative_recursion(F, i)
     with pytest.raises(DomainError):
         check_derivative_recursion(base_field(2), 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+@pytest.mark.parametrize("i", [1, 2])
+def test_derivative_recursion_reads_exponents_mod_p(q, i, monkeypatch):
+    # a stray T*s^(3p) in u_(i+1) has derivative 3p*T*s^(3p-1) = 0, so the
+    # check still holds; a stray T*s^(3p+1) has derivative T*s^(3p)
+    F = base_field(q)
+    for e, holds in ((3 * F.p, True), (3 * F.p + 1, False)):
+        u = dict(universal._u_terms(F, i + 1)[i + 1])
+        key = universal._T_STRIDE + e
+        x = F._add(u.pop(key, 0), 1)
+        if x:
+            u[key] = x
+        _with_u_terms(monkeypatch, F, i + 1, u)
+        assert check_derivative_recursion(F, i) is holds
+        monkeypatch.undo()
 
 
 def test_simple_roots_mod_p():
