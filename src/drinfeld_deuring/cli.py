@@ -30,12 +30,13 @@ from .drinfeld import _METHODS, DeuringResult, check_g_structure, \
 from .errors import AmbientTooSmallError, ConsistencyError, DomainError, \
     RecurrenceBreakdownError
 from .fields import base_field
-from .isogeny_graph import build_supersingular_graph, verify_component
+from .isogeny_graph import _graph_from_h, build_supersingular_graph, \
+    verify_component
 from .modulus import PrimeModulus, check_residue_degree, \
     primes_up_to_degree, t_poly_ring
 from .tower import all_identity_reports, check_identities_budget
 from .universal import U_mod_prime, check_derivative_recursion, \
-    check_key_identity, check_simple_roots, check_u_zero
+    _simple_roots, check_key_identity, check_u_zero
 
 
 def _parse_prime(q, text):
@@ -144,14 +145,16 @@ def _verify_rows(q, max_degree):
         U_red = U_mod_prime(prime)
         rows.append((f"H-universal[{label}]", H == U_red and H_univ == U_red))
         N = (q ** prime.d - 1) // (q - 1)
+        # h_univ is u_d mod p, which the separability check and the graph
+        # read as well
         rows.append((f"h-shape[{label}]",
                      h.degree == N and h.lead == prime.kappa.one
                      and bool(h.constant_coeff())
-                     and check_simple_roots(prime)))
+                     and _simple_roots(h_univ)))
         if prime.d <= 2:
             rows.append((f"g-structure[{label}]", check_g_structure(prime, h)))
         if prime.d <= _GRAPH_ENVELOPE.get(q, 0):
-            rep = verify_component(build_supersingular_graph(prime))
+            rep = verify_component(_graph_from_h(prime, h_univ))
             rows.append((f"graph[{label}]", rep.ok))
     return rows
 

@@ -15,7 +15,14 @@ with the same absolute field.
 A field built as an extension remembers its base field, the defining modulus
 over the base, and a designated root of that modulus (the first one in element
 order, among the roots the kernel finds without a scan), so elements can be
-moved up the tower and decomposed over the base.
+moved up the tower and decomposed over the base.  The base embeds by
+sending the root z of its table modulus to that modulus's designated root
+in the extension's tables (one map per subfield degree,
+`_AbsTables.embedding`).  A caller that already holds the designated root
+of the defining modulus passes it in: `modulus.primes_of_degree` reads it
+off the Frobenius orbit whose minimal polynomial the modulus is
+(`IndexKernel.frobenius_orbits`), so the residue fields of enumerated
+primes split nothing.
 
 Each field also carries a `q` attribute: the cardinality of the designated
 base field of its tower.  This is the exponent base used by `frobenius` and by
@@ -182,6 +189,28 @@ class _AbsTables:
             self.zech = None
         self.kernel = (_PrimeKernel if degree == 1 else
                        _Char2Kernel if p == 2 else _ZechKernel)(self)
+
+    def embedding(self, k):
+        """emb[c], the index here of the element of index c of F_(p^k), for
+        k dividing the degree.  The embedding sends the root z of F_(p^k)'s
+        table modulus to its designated root here, the least of its roots,
+        which root_cache["subfield", k] keeps for k > 1.  Memoised per k."""
+        emb = self.root_cache.get(("embedding", k))
+        if emb is None:
+            kernel, p = self.kernel, self.p
+            root = 1
+            if k > 1:
+                root = kernel.distinct_roots(
+                    list(_abs_tables(p, k).modulus_digits))[0]
+                self.root_cache["subfield", k] = root
+            # digit i of c is the coefficient of z^i, which maps to root^i
+            emb = [0]
+            for i in range(k):
+                pw = kernel._pow(root, i)
+                row = [kernel._mul(c, pw) for c in range(p)]
+                emb = [kernel._add(e, x) for x in row for e in emb]
+            self.root_cache["embedding", k] = emb
+        return emb
 
 
 @functools.lru_cache(maxsize=None)
@@ -472,6 +501,37 @@ class IndexKernel:
             parts = split
         return sorted(self._neg(P[0]) for P in parts if len(P) == 2)
 
+    def frobenius_orbits(self, q, d):
+        """(minimal polynomial, least element) of each orbit of x -> x^q of
+        length d, for q^d the card, in order of the orbits' least logs.
+
+        The minimal polynomial prod (y - x) over the orbit is an ascending
+        index list with its coefficients in the subfield F_q, the fixed
+        field of x -> x^q.  x^q is exp[log x * q mod m1], so the walk reads
+        only logs; 0, alone in its orbit, is left out.
+        """
+        m1, exp = self.m1, self.exp
+        seen = bytearray(m1)
+        out = []
+        for start in range(m1):
+            if seen[start]:
+                continue
+            orbit = [start]
+            j = start * q % m1
+            while j != start:
+                orbit.append(j)
+                j = j * q % m1
+            for j in orbit:
+                seen[j] = 1
+            if len(orbit) == d:
+                roots = [exp[j] for j in orbit]
+                f = [1]
+                for x in roots:
+                    # f * (y - x) = y f - x f
+                    f = self.add_polys([0] + f, self.scale(self._neg(x), f))
+                out.append((f, min(roots)))
+        return out
+
 
 class _PrimeKernel(IndexKernel):
     """F_p: sums and products are ints mod p."""
@@ -559,7 +619,8 @@ class _ZechKernel(IndexKernel):
 class FiniteField:
     """A finite field in a tower, with designated base-field cardinality q."""
 
-    def __init__(self, p, base, modulus_over_base, q, gen_name, _token=None):
+    def __init__(self, p, base, modulus_over_base, q, gen_name, _token=None,
+                 _root=None):
         if _token is not _FIELD_TOKEN:
             raise TypeError("use base_field() or the extension methods")
         self.p = p
@@ -587,7 +648,7 @@ class FiniteField:
         self._elt_cache = {}
         self.zero = self.from_index(0)
         self.one = self.from_index(1)
-        self._init_base_maps(modulus_over_base)
+        self._init_base_maps(modulus_over_base, _root)
         self._hash = hash(("FiniteField", p, self.degree, self._chain_key()))
 
     def _chain_key(self):
@@ -596,35 +657,21 @@ class FiniteField:
         mod = tuple(c.index for c in self.modulus_over_base)
         return self.base._chain_key() + (mod,)
 
-    def _init_base_maps(self, modulus_over_base):
+    def _init_base_maps(self, modulus_over_base, root):
         base = self.base
         if base is None:
             self.gen = self.one
-            self._base_root_pows = None
+            self._base_emb = None
             return
-        if base.degree == 1:
-            pows = [self.one]
-        else:
-            key = ("subfield", base.degree)
-            root = self._tables.root_cache.get(key)
+        self._base_emb = self._tables.embedding(base.degree)
+        if root is None:
+            root = self._first_root([self._base_emb[c.index]
+                                     for c in modulus_over_base])
             if root is None:
-                coeffs = list(base._tables.modulus_digits)
-                root = self._first_root(coeffs)
-                if root is None:
-                    raise DomainError("polynomial has no root in this field")
-                self._tables.root_cache[key] = root
-            pows = [self.one]
-            cur = self.one.index
-            for _ in range(base.degree - 1):
-                cur = self._mul(cur, root)
-                pows.append(self.from_index(cur))
-        self._base_root_pows = pows
-        emb = [self.embed_from_base(c) for c in modulus_over_base]
-        gen_idx = self._first_root([e.index for e in emb])
-        if gen_idx is None:
-            raise DomainError("defining modulus has no root in the extension; "
-                              "it is reducible or of the wrong degree")
-        self.gen = self.from_index(gen_idx)
+                raise DomainError("defining modulus has no root in the "
+                                  "extension; it is reducible or of the "
+                                  "wrong degree")
+        self.gen = self.from_index(root)
 
     def _first_root(self, coeffs):
         # coeffs are element indices, ascending; None when there is no root
@@ -692,11 +739,14 @@ class FiniteField:
         return next(f for f in poly._monic_polys(ring, m)
                     if poly.is_irreducible(f)).coeffs
 
-    def extension_with_modulus(self, coeffs, gen_name="b", q=None):
+    def extension_with_modulus(self, coeffs, gen_name="b", q=None, _root=None):
         """Extension defined by a given monic modulus over this field.
 
         The caller is responsible for irreducibility; a reducible modulus may
         still produce a field (any root is taken) but the degree will not match.
+        A caller that knows the designated root of the modulus in the new
+        field's tables (`modulus.primes_of_degree`) passes its index as
+        `_root`, which spares the root finding.
         """
         coeffs = tuple(self.coerce(c) for c in coeffs)
         if len(coeffs) < 2:
@@ -708,20 +758,14 @@ class FiniteField:
         if field is None:
             field = FiniteField(self.p, self, coeffs,
                                 q if q is not None else self.q,
-                                gen_name, _token=_FIELD_TOKEN)
+                                gen_name, _token=_FIELD_TOKEN, _root=_root)
             self._ext_cache[key] = field
         return field
 
     def embed_from_base(self, x):
         if self.base is None:
             raise DomainError("prime field has no base")
-        x = self.base.coerce(x)
-        ds = _digits(x.index, self.p, self.base.degree)
-        acc = 0
-        for d, pw in zip(ds, self._base_root_pows):
-            if d:
-                acc = self._add(acc, self._mul(d, pw.index))
-        return self.from_index(acc)
+        return self.from_index(self._base_emb[self.base.coerce(x).index])
 
     def coords_over_base(self, x):
         """Decompose x as sum(c_j * gen^j) with c_j in the base field."""
@@ -748,7 +792,8 @@ class FiniteField:
         gp = self.one.index
         for j in range(self.ext_degree):
             for i in range(k):
-                v = self._mul(gp, self._base_root_pows[i].index) if k > 1 else gp
+                # the image of z^i, whose index in the base is p^i
+                v = self._mul(gp, self._base_emb[p ** i])
                 cols.append(_digits(v, p, D))
             gp = self._mul(gp, self.gen.index)
         # invert the basis matrix over F_p by Gauss-Jordan

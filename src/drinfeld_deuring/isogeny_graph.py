@@ -93,7 +93,12 @@ def build_supersingular_graph(prime):
     # kappa_2 is a residue field of degree 2d: one over the cap is refused
     # before h or any root is computed
     check_residue_degree(prime.q, 2 * prime.d)
-    h = deuring_h_universal(prime)
+    return _graph_from_h(prime, deuring_h_universal(prime))
+
+
+def _graph_from_h(prime, h):
+    """build_supersingular_graph at a prime whose kappa_2 is within the cap,
+    from h = u_d mod p."""
     # built after h, since its tables would evict h's data from the caches
     ambient = prime.kappa.extension(2)
     verts = roots_in_extension(h, 2)

@@ -8,6 +8,7 @@ the image of T, and reduction mod p is evaluation at `a`.
 
 from __future__ import annotations
 
+from . import fields
 from . import poly as poly_mod
 from .errors import CapExceededError, DomainError
 from .fields import CARD_CAP, FieldElement, FiniteField, _cap_exponent
@@ -31,16 +32,17 @@ class PrimeModulus:
             raise DomainError(f"{p!r} is not irreducible over F_{base.card}")
         self._setup(p)
 
-    def _setup(self, p):
-        """Set up the prime of p, which is monic, irreducible and not T."""
+    def _setup(self, p, _root=None):
+        """Set up the prime of p, which is monic, irreducible and not T;
+        _root, if given, is the index of p's designated root in kappa."""
         base = p.ring.base
-        if base.q != base.card:
-            raise DomainError("prime moduli live over a designated base field F_q")
+        _check_designated(base)
         self.p_poly = p
         self.field_q = base
         self.q = base.card
         self.d = p.degree
-        self.kappa = base.extension_with_modulus(p.coeffs, gen_name="a")
+        self.kappa = base.extension_with_modulus(p.coeffs, gen_name="a",
+                                                 _root=_root)
         self.alpha = self.kappa.gen
         # kappa log of each nonzero base-field element, by base index; built
         # lazily
@@ -63,9 +65,7 @@ class PrimeModulus:
         k = self.kappa._kernel
         log, exp, m1, add = k.log, k.exp, k.m1, k._add
         if self._embed_log is None:
-            K, F = self.kappa, self.field_q
-            self._embed_log = [log[K.embed_from_base(F.from_index(i)).index]
-                               for i in range(self.q)]
+            self._embed_log = [log[e] for e in self.kappa._base_emb]
         # c * alpha^e = exp[log emb(c) + e log alpha]; both logs are < m1
         emb, la = self._embed_log, log[self.alpha.index]
         out = {}
@@ -92,6 +92,11 @@ class PrimeModulus:
 
     def __repr__(self):
         return f"({self.p_poly!r}) over F_{self.q}"
+
+
+def _check_designated(field):
+    if field.q != field.card:
+        raise DomainError("prime moduli live over a designated base field F_q")
 
 
 def check_residue_degree(q, d):
@@ -138,17 +143,38 @@ def primes_of_degree(field, d):
 
     Order is lexicographic on the coefficient tuple read from the leading end
     down, comparing base-field elements by index.  A degree d over the cap
-    raises CapExceededError before any candidate is built.
+    raises CapExceededError, and a base field that is not a designated F_q
+    DomainError, before any table is built.
+
+    The primes come from the Frobenius orbits of F_(q^d), the tables of
+    every kappa of degree d: x -> x^q fixes exactly F_q, so the orbit of x
+    has length d exactly when x lies in no proper subfield F_(q^e), e | d,
+    e < d, and then its minimal polynomial over F_q is prod (T - x) over
+    the orbit, irreducible of degree d.  Every such polynomial is reached,
+    once per root, so once per orbit; no irreducibility test and no
+    candidate is needed.  Read back into F_q through kappa's embedding of
+    F_q, the orbit is the root set of p in kappa, so its least element is
+    the designated root that kappa would find by splitting p: it is passed
+    on, and kappa finds no root.  The polynomials are sorted into the order
+    above, which is that of the candidates of `poly._monic_polys`.  The
+    walk is eager: the first prime comes after all of degree d are found
+    (a few tenths of a second at q^d = 2^16, the cap).
     """
     if d < 1:
         raise DomainError("prime degree must be positive")
     check_residue_degree(field.card, d)
+    _check_designated(field)
+    tables = fields._abs_tables(field.p, field.degree * d)
+    # the F_q index of each kappa index of F_q
+    back = {e: c for c, e in enumerate(tables.embedding(field.degree))}
+    found = sorted((([back[c] for c in f], root) for f, root
+                    in tables.kernel.frobenius_orbits(field.q, d)),
+                   key=lambda pair: pair[0][::-1])
     ring = t_poly_ring(field)
-    for f in poly_mod._monic_polys(ring, d):
-        if f.coeffs != ring.gen.coeffs and poly_mod.is_irreducible(f):
-            prime = PrimeModulus.__new__(PrimeModulus)  # f is tested once
-            prime._setup(f)
-            yield prime
+    for coeffs, root in found:
+        prime = PrimeModulus.__new__(PrimeModulus)
+        prime._setup(poly_mod._from_indices(ring, coeffs), _root=root)
+        yield prime
 
 
 def primes_up_to_degree(field, dmax):

@@ -228,16 +228,37 @@ def check_key_identity(field, i):
             (um, 1, q, (q - 1) * M + 2 * qi - 1 - qi // q - common,
              ((2 * qi - 1, 0), (qi, 1))))
     copies = []
+    binomials = {}
     for u, a, b, e0, factors in rows:
         for key, c in u.items():
             t, j = divmod(key, _T_STRIDE)
             e = e0 + (a - b) * j
-            # (s+1)^e: an integer below p is its own F_p index
-            binomial = {k: x for k in range(e + 1) if (x := comb(e, k) % p)}
+            binomial = binomials.get(e)
+            if binomial is None:
+                binomial = binomials[e] = _binomial_row(e, p)
             copies += [(binomial, field._neg(c) if (j + n) % 2 else c,
                         (t + a * j + t0) * _T_STRIDE + b * j)
                        for t0, n in factors]
     return not field._kernel.sum_copies(copies)
+
+
+def _binomial_row(e, p):
+    """(s+1)^e over F_p as a term map {k: binom(e, k) mod p}, by Lucas's
+    theorem: binom(e, k) = prod binom(e_i, k_i) mod p over the base-p digits
+    of e and k, which is nonzero exactly when every k_i <= e_i.  An integer
+    below p is its own F_p index."""
+    row = {0: 1}
+    weight = 1
+    while e:
+        e, digit = divmod(e, p)
+        if digit:
+            # binom(digit, j) for digit < p is a unit mod p
+            factors = [(j * weight, comb(digit, j) % p)
+                       for j in range(digit + 1)]
+            row = {k + shift: x * y % p
+                   for k, x in row.items() for shift, y in factors}
+        weight *= p
+    return row
 
 
 def sequence_json(field, variant, i_max):
@@ -265,7 +286,11 @@ def sequence_json(field, variant, i_max):
 
 def check_simple_roots(prime):
     """u_d mod p is separable and does not vanish at 0."""
-    h = u_mod_prime(prime)
+    return _simple_roots(u_mod_prime(prime))
+
+
+def _simple_roots(h):
+    """check_simple_roots on h = u_d mod p."""
     if not h.constant_coeff():
         return False
     return poly_gcd(h, h.derivative()).degree == 0

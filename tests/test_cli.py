@@ -136,6 +136,24 @@ def test_verify_computes_H_once_per_prime(monkeypatch):
     assert calls == list(primes_up_to_degree(base_field(2), 3))
 
 
+def test_verify_reduces_u_d_once_per_prime(monkeypatch):
+    from drinfeld_deuring import drinfeld, universal
+
+    calls = []
+    reduce = universal.u_mod_prime
+
+    def counted(prime):
+        calls.append(prime)
+        return reduce(prime)
+
+    # the universal route's reference and the module's own, which
+    # check_simple_roots reads
+    monkeypatch.setattr(drinfeld, "u_mod_prime", counted)
+    monkeypatch.setattr(universal, "u_mod_prime", counted)
+    cli._verify_rows(2, 3)
+    assert calls == list(primes_up_to_degree(base_field(2), 3))
+
+
 def test_compute_computes_H_once_per_distinct_h(monkeypatch, capsys):
     calls = []
     H = cli.deuring_H

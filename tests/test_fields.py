@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 import drinfeld_deuring
 from drinfeld_deuring.errors import CapExceededError, DomainError
-from drinfeld_deuring.fields import CARD_CAP, _AbsTables, _cap_exponent, \
-    _canonical_modulus_digits, _prime_divisors, base_field, embed, frobenius
+from drinfeld_deuring import poly
+from drinfeld_deuring.fields import CARD_CAP, FiniteField, IndexKernel, \
+    _AbsTables, _cap_exponent, _canonical_modulus_digits, _prime_divisors, \
+    base_field, embed, frobenius
 from drinfeld_deuring.grammar import render
 from drinfeld_deuring.laurent import LaurentRing
 from drinfeld_deuring.modulus import PrimeModulus, primes_of_degree, \
@@ -115,30 +117,78 @@ def test_deterministic_extension_moduli():
         assert got == expected
 
 
-def test_enumerated_primes_equal_constructed_ones():
-    # primes_of_degree tests each candidate once and skips the constructor
-    for q, d in [(2, 4), (3, 2), (4, 2), (9, 1)]:
-        for p in primes_of_degree(base_field(q), d):
-            built = PrimeModulus(p.p_poly)
-            assert vars(p) == vars(built)
-            assert p.kappa is built.kappa
+def _prime_powers(top):
+    return [q for q in range(2, top + 1) if len(_prime_divisors(q)) == 1]
 
 
-def test_primes_of_an_out_of_cap_degree_raise_before_enumerating(monkeypatch):
-    from drinfeld_deuring import poly
+def test_enumerated_primes_equal_constructed_ones(monkeypatch):
+    # the Frobenius-orbit walk against the candidate path it replaced: every
+    # monic of degree d that is irreducible and not T, in _monic_polys order,
+    # built by the constructor; the designated root against a kappa built
+    # afresh (another gen_name), which splits the modulus to find it, up to
+    # q = 2^8 at d = 1, where the orbit is one element and the root is the
+    # image of -p(0)
+    for q in _prime_powers(2 ** 10):
+        F = base_field(q)
+        ring = t_poly_ring(F)
+        d = 1
+        while q ** d <= 2 ** 10:
+            # fresh kappas, dropped again after each degree
+            monkeypatch.setattr(F, "_ext_cache", {})
+            got = list(primes_of_degree(F, d))
+            want = [f for f in poly._monic_polys(ring, d)
+                    if f != ring.gen and poly.is_irreducible(f)]
+            assert [p.p_poly for p in got] == want
+            for p in got:
+                built = PrimeModulus(p.p_poly)
+                assert vars(p) == vars(built)
+                assert p.kappa is built.kappa
+                if d == 1 and q > 2 ** 8:
+                    continue
+                ref = F.extension_with_modulus(p.p_poly.coeffs, gen_name="r")
+                assert ref.gen.index == p.alpha.index
+                assert ref._chain_key() == p.kappa._chain_key()
+            monkeypatch.undo()
+            d += 1
+
+
+def test_primes_of_degree_neither_tests_nor_splits(monkeypatch):
+    def unreachable(*_args):
+        raise AssertionError("primes_of_degree tested or split a modulus")
+
+    bases = {q: base_field(q) for q in (2, 3, 4, 8, 9, 16)}
+    monkeypatch.setattr(poly, "is_irreducible", unreachable)
+    monkeypatch.setattr(FiniteField, "_first_root", unreachable)
+    for q, d in [(2, 1), (2, 7), (3, 4), (4, 3), (8, 2), (9, 2), (16, 1)]:
+        monkeypatch.setattr(bases[q], "_ext_cache", {})
+        primes = list(primes_of_degree(bases[q], d))
+        assert primes
+
+
+def _forbid_enumeration(monkeypatch):
+    from drinfeld_deuring import fields
 
     def unreachable(*_args):
-        raise AssertionError("primes_of_degree enumerated past the cap")
+        raise AssertionError("primes_of_degree enumerated past a check")
 
     monkeypatch.setattr(poly, "_monic_polys", unreachable)
     monkeypatch.setattr(poly, "is_irreducible", unreachable)
+    monkeypatch.setattr(fields, "_abs_tables", unreachable)
+    monkeypatch.setattr(IndexKernel, "frobenius_orbits", unreachable)
+
+
+def test_primes_of_an_out_of_cap_degree_raise_before_enumerating(monkeypatch):
+    F2 = base_field(2)
+    _forbid_enumeration(monkeypatch)
     with pytest.raises(CapExceededError, match="65536"):
-        next(primes_of_degree(base_field(2), 17))
+        next(primes_of_degree(F2, 17))
 
 
-def test_primes_live_over_a_designated_base_field():
+def test_primes_live_over_a_designated_base_field(monkeypatch):
+    F4 = base_field(2).extension(2)
+    _forbid_enumeration(monkeypatch)
     with pytest.raises(DomainError, match="designated"):
-        next(primes_of_degree(base_field(2).extension(2), 1))
+        next(primes_of_degree(F4, 1))
 
 
 def test_structural_field_equality():

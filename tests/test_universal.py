@@ -1,6 +1,7 @@
 """Universal sequences u_i / U_i and the identities they satisfy."""
 
 import json
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -354,6 +355,30 @@ def test_key_identity_matches_the_uncancelled_form_on_drawn_mutants(
     with pytest.MonkeyPatch.context() as monkeypatch:
         _with_u_terms(monkeypatch, F, k, u)
         assert check_key_identity(F, i) is _key_identity_reference(F, i)
+
+
+def _comb_row(e, p):
+    return {k: x for k in range(e + 1) if (x := comb(e, k) % p)}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 64])
+def test_lucas_rows_equal_comb_rows(monkeypatch, q):
+    # every (s+1)^e row that verify's key-identity rows read at q, and
+    # those of every e < 2q, against one big-int binomial per k
+    F = base_field(q)
+    exponents = set()
+    lucas = universal._binomial_row
+
+    def recorded(e, p):
+        exponents.add(e)
+        return lucas(e, p)
+
+    monkeypatch.setattr(universal, "_binomial_row", recorded)
+    for i in range(3):
+        assert check_key_identity(F, i)
+    monkeypatch.undo()
+    for e in exponents | set(range(2 * q)):
+        assert lucas(e, F.p) == _comb_row(e, F.p)
 
 
 def test_key_identity_builds_no_polynomial_in_s_above_q_times_deg_u(
