@@ -185,7 +185,7 @@ def deuring_g_sequence(prime, k_max=None):
     g = _g_lists(prime, k_max)
     if k_max >= 2 * d and (not g[2 * d] or any(g[2 * d + 1:])):
         raise ConsistencyError("psi_p has wrong tau-degree")
-    ring = PolyRing(prime.kappa, "s")
+    ring = prime.s_ring
     return [_from_indices(ring, c) for c in g]
 
 
@@ -198,7 +198,7 @@ def _h_from_gd(prime, gd):
     if len(gd) - 1 != (q ** d - 1) // (q - 1) or gd[-1] != sign:
         raise ConsistencyError("g_d does not have degree (q^d - 1)/(q - 1) "
                                "and leading coefficient (-1)^d")
-    return _from_indices(PolyRing(prime.kappa, "s"), K.scale(sign, gd))
+    return _from_indices(prime.s_ring, K.scale(sign, gd))
 
 
 def deuring_h_direct(prime):
@@ -279,7 +279,7 @@ def deuring_H(prime, h):
         raise ConsistencyError("H has the wrong degree")
     if H[-1] != 1:
         raise ConsistencyError("H is not monic")
-    return _from_indices(PolyRing(prime.kappa, "s"), H)
+    return _from_indices(prime.s_ring, H)
 
 
 @functools.lru_cache(maxsize=None)

@@ -44,6 +44,8 @@ class PrimeModulus:
         self.kappa = base.extension_with_modulus(p.coeffs, gen_name="a",
                                                  _root=_root)
         self.alpha = self.kappa.gen
+        # kappa[s], the ring of every h route's result, built once per prime
+        self.s_ring = PolyRing(self.kappa, "s")
         # kappa log of each nonzero base-field element, by base index; built
         # lazily
         self._embed_log = None
@@ -79,7 +81,8 @@ class PrimeModulus:
     def _kappa_poly(self, rows, var="s"):
         """The polynomial over kappa with coefficient indices rows[r]."""
         top = max((r for r, x in rows.items() if x), default=-1)
-        return poly_mod._from_indices(PolyRing(self.kappa, var),
+        ring = self.s_ring if var == "s" else PolyRing(self.kappa, var)
+        return poly_mod._from_indices(ring,
                                       [rows.get(r, 0) for r in range(top + 1)])
 
     def __eq__(self, other):

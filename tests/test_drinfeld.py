@@ -142,6 +142,15 @@ def test_three_way_agreement_spot():
         assert h1 == h2 == h3
 
 
+def test_routes_share_the_ring_of_their_prime():
+    p = _prime(3, "T^2 + 1")
+    h = deuring_h_direct(p)
+    results = [h, deuring_h_grec(p), deuring_h_universal(p), deuring_H(p, h),
+               *deuring_g_sequence(p)]
+    assert all(f.ring is p.s_ring for f in results)
+    assert p.s_ring == PolyRing(p.kappa, "s")
+
+
 def test_h_shape():
     for q, text in [(2, "T^2 + T + 1"), (3, "T^2 + T + 2"), (2, "T^3 + T^2 + 1")]:
         p = _prime(q, text)
