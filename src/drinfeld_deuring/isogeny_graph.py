@@ -15,6 +15,13 @@ of some c, is a ConsistencyError.  For d = 1, kappa itself is too small:
 (Y+1)^(q-1) is 0 or 1 on F_q, so c has at most one root there.  Each c is
 separable (see `neighbors`), but distinct Y-roots may map to the same Delta1,
 so edges carry a multiplicity; out-degree counted with it is exactly q.
+
+The roots of h come from root finding.  The roots of every c come from one
+pass over the nonzero elements Y of kappa_2 (`_neighbor_pass`): Y is a root
+of c exactly when f(Y) = -gamma(T^q) * (Y+1)^(q-1) * Y is Delta0, and both
+f(Y) and Delta1(Y) are read off the logs of Y and Y+1.  The pass applies one
+closed-form map per element, so a graph costs |kappa_2| table steps, however
+many vertices it has.
 """
 
 from dataclasses import dataclass
@@ -23,11 +30,12 @@ from .drinfeld import deuring_h_universal
 from .errors import AmbientTooSmallError, ConsistencyError, DomainError
 from .fields import FiniteField, embed
 from .modulus import PrimeModulus, check_residue_degree
-from .poly import PolyRing, roots_in_extension
+from .poly import roots_in_extension
 
 
 def neighbors(delta0, prime, ambient):
-    """Multiset of edge targets of delta0, as elements of the ambient field.
+    """Multiset of edge targets of delta0, as elements of the ambient field,
+    in the index order of their Y-roots.
 
     AmbientTooSmallError unless the q roots of c lie in `ambient`.  They are
     distinct: c' = -gamma(T^q) * (Y+1)^(q-2) (-gamma(T)^2 when q = 2) can
@@ -35,22 +43,47 @@ def neighbors(delta0, prime, ambient):
     """
     if not delta0:
         raise DomainError("Delta = 0 is never a vertex")
+    delta0 = ambient.coerce(delta0)
+    return ambient._elements(_edge_targets(prime, ambient, [delta0.index])[0])
+
+
+def _edge_targets(prime, ambient, vertices):
+    """The edge targets of each of the distinct nonzero ambient indices
+    `vertices`, as lists of ambient indices; AmbientTooSmallError at the
+    first vertex with fewer than q."""
+    targets = _neighbor_pass(prime, ambient, vertices)
     q = prime.q
-    ring = PolyRing(ambient, "Y")
-    Y = ring.gen
-    g_Tq = embed(prime.alpha ** q, ambient)
-    c = -ring.const(g_Tq) * (Y + ring.one) ** (q - 1) * Y - ring.const(delta0)
-    roots = roots_in_extension(c, 1)
-    if len(roots) < q:
-        raise AmbientTooSmallError(
-            f"only {len(roots)} of {q} neighbor roots lie in the ambient field")
-    g_T = embed(prime.alpha, ambient)
-    out = []
-    for y in roots:
-        # y = -1 would force delta0 = 0, so the inverse below is safe
-        w = (y + ambient.one) ** (q - 1)
-        out.append(-g_T * y ** q * w.inverse())
-    return out
+    for ts in targets:
+        if len(ts) < q:
+            raise AmbientTooSmallError(
+                f"only {len(ts)} of {q} neighbor roots lie in the ambient "
+                "field")
+    return targets
+
+
+def _neighbor_pass(prime, ambient, vertices):
+    """The targets of each vertex, as lists of ambient indices, by one pass
+    over the nonzero Y of the ambient field (see the module docstring).
+
+    Y runs in ascending index order, the order in which root finding gives
+    the roots of c.  f(0) = f(-1) = 0 is never a vertex, so those two Y are
+    skipped.
+    """
+    q, K = prime.q, ambient._kernel
+    log, exp, m1, add = K.log, K.exp, K.m1, K._add
+    l_f = log[K._neg(embed(prime.alpha ** q, ambient).index)]
+    l_g = log[K._neg(embed(prime.alpha, ambient).index)]
+    e = q - 1
+    hits = {v: [] for v in vertices}
+    for y in range(1, K.card):
+        y1 = add(y, 1)
+        if y1:
+            ly, ly1 = log[y], log[y1]
+            ts = hits.get(exp[(l_f + e * ly1 + ly) % m1])
+            if ts is not None:
+                # Delta1 = -gamma(T) * Y^q / (Y+1)^(q-1)
+                ts.append(exp[(l_g + q * ly - e * ly1) % m1])
+    return [hits[v] for v in vertices]
 
 
 @dataclass(frozen=True)
@@ -106,18 +139,18 @@ def _graph_from_h(prime, h):
         raise ConsistencyError(
             f"h of degree {h.degree} has {len(set(verts))} distinct roots "
             "in kappa_2")
+    index = {v.index: i for i, v in enumerate(verts)}
     try:
-        targets = [neighbors(v, prime, ambient) for v in verts]
+        targets = _edge_targets(prime, ambient, list(index))
     except AmbientTooSmallError as exc:
         raise ConsistencyError(f"in kappa_2, {exc}") from None
-    index = {v: i for i, v in enumerate(verts)}
     edges = {}
     strays = []
     for i, ts in enumerate(targets):
         for t in ts:
             j = index.get(t)
             if j is None:
-                strays.append((i, t))
+                strays.append((i, ambient.from_index(t)))
             else:
                 edges[i, j] = edges.get((i, j), 0) + 1
     return IsogenyGraph(prime, ambient, 2, tuple(verts), edges, tuple(strays))

@@ -346,8 +346,12 @@ def roots_in_extension(f, m):
         E = K.extension(m)
         g = [embed(c, E).index for c in f.coeffs]
     k = E._kernel
+    roots = k.distinct_roots(g)
+    if len(roots) == f.degree:
+        # deg f distinct roots: each is simple
+        return E._elements(roots)
     out = []
-    for r in k.distinct_roots(g):
+    for r in roots:
         lin = [k._neg(r), 1]
         mult = 0
         while True:

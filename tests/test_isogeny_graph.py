@@ -19,7 +19,7 @@ from drinfeld_deuring.isogeny_graph import (
 )
 from drinfeld_deuring.modulus import PrimeModulus, primes_of_degree, \
     primes_up_to_degree, t_poly_ring
-from drinfeld_deuring.poly import PolyRing, poly_gcd
+from drinfeld_deuring.poly import PolyRing, poly_gcd, roots_in_extension
 
 
 def _prime(q, text):
@@ -117,33 +117,56 @@ def test_no_splitting_warning_for_these_primes():
         _graph(3, "T^2 + T + 2")
 
 
-def _edit_root_search(monkeypatch, edited_m, edit):
-    """Pass the builder's root searches in kappa_m, for m = edited_m, through
-    `edit`: m = 2 is the search for h's roots, m = 1 that for a neighbor
-    polynomial's roots over kappa_2."""
+def _edit_root_search(monkeypatch, edit):
+    """Pass the builder's search for the roots of h in kappa_2 through
+    `edit`."""
     real = isogeny_graph.roots_in_extension
-    monkeypatch.setattr(
-        isogeny_graph, "roots_in_extension",
-        lambda f, m: edit(real(f, m)) if m == edited_m else real(f, m))
+    monkeypatch.setattr(isogeny_graph, "roots_in_extension",
+                        lambda f, m: edit(real(f, m)))
+
+
+def _drop_a_neighbor_hit(monkeypatch):
+    """Make the neighbor pass lose the last target of the first vertex."""
+    real = isogeny_graph._neighbor_pass
+
+    def lossy(*args):
+        targets = real(*args)
+        return [targets[0][:-1]] + targets[1:]
+
+    monkeypatch.setattr(isogeny_graph, "_neighbor_pass", lossy)
 
 
 def test_splitting_beyond_kappa_2_is_a_check_failure(monkeypatch):
-    _edit_root_search(monkeypatch, 2, lambda roots: roots[:-1])
+    _edit_root_search(monkeypatch, lambda roots: roots[:-1])
     with pytest.raises(ConsistencyError, match="2 distinct roots in kappa_2"):
         _graph(2, "T^2 + T + 1")
 
 
 def test_repeated_root_of_h_is_a_check_failure(monkeypatch):
     # deg h roots with multiplicity, but only deg h - 1 distinct ones
-    _edit_root_search(monkeypatch, 2, lambda roots: roots[:-1] + roots[:1])
+    _edit_root_search(monkeypatch, lambda roots: roots[:-1] + roots[:1])
     with pytest.raises(ConsistencyError, match="2 distinct roots in kappa_2"):
         _graph(2, "T^2 + T + 1")
 
 
 def test_neighbor_root_beyond_kappa_2_is_a_check_failure(monkeypatch):
-    _edit_root_search(monkeypatch, 1, lambda roots: roots[:-1])
+    _drop_a_neighbor_hit(monkeypatch)
     with pytest.raises(ConsistencyError, match="kappa_2, only 1 of 2"):
         _graph(2, "T^2 + T + 1")
+
+
+def test_graph_finds_roots_once(monkeypatch):
+    # the roots of h; every edge comes from the one neighbor pass
+    calls = []
+    real = isogeny_graph.roots_in_extension
+
+    def counted(f, m):
+        calls.append(m)
+        return real(f, m)
+
+    monkeypatch.setattr(isogeny_graph, "roots_in_extension", counted)
+    assert verify_component(_graph(2, "T^3 + T + 1")).ok
+    assert calls == [2]
 
 
 @pytest.mark.parametrize("q,dmax", [(2, 5), (3, 3), (4, 2), (5, 2), (9, 1)])
@@ -177,6 +200,69 @@ def test_neighbor_polynomial_is_separable(case, data):
     assert c.derivative() == -g_Tq * (Y + ring.one) ** (q - 2)
     assert c(-ring.one) == -ring.const(delta0)
     assert poly_gcd(c, c.derivative()) == ring.one
+
+
+def _neighbors_by_root_finding(delta0, prime, ambient):
+    """neighbors(delta0, prime, ambient) by finding the roots of the
+    neighbor polynomial c in the ambient field, one vertex at a time."""
+    q = prime.q
+    ring = PolyRing(ambient, "Y")
+    Y = ring.gen
+    g_Tq = embed(prime.alpha ** q, ambient)
+    c = -ring.const(g_Tq) * (Y + ring.one) ** (q - 1) * Y - ring.const(delta0)
+    roots = roots_in_extension(c, 1)
+    if len(roots) < q:
+        raise AmbientTooSmallError(
+            f"only {len(roots)} of {q} neighbor roots lie in the ambient field")
+    g_T = embed(prime.alpha, ambient)
+    return [-g_T * y ** q / (y + ambient.one) ** (q - 1) for y in roots]
+
+
+def _small_kappa_2_primes():
+    # every prime whose kappa_2 has at most 2^12 elements
+    out = []
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        dmax = 1
+        while q ** (2 * dmax + 2) <= 2 ** 12:
+            dmax += 1
+        out += primes_up_to_degree(base_field(q), dmax)
+    return out
+
+
+def test_neighbor_pass_matches_root_finding_on_small_kappa_2():
+    primes = _small_kappa_2_primes()
+    assert len(primes) == 148
+    for prime in primes:
+        g = build_supersingular_graph(prime)
+        E = g.ambient
+        targets = isogeny_graph._neighbor_pass(
+            prime, E, [v.index for v in g.vertices])
+        assert targets == [
+            [t.index for t in _neighbors_by_root_finding(v, prime, E)]
+            for v in g.vertices], prime
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_neighbor_gcd_cases()), st.data())
+def test_neighbors_match_root_finding(case, data):
+    # an arbitrary nonzero Delta0, in kappa or kappa_2: fewer than q roots
+    # raise on both sides
+    q, d = case
+    prime = data.draw(st.sampled_from(
+        list(islice(primes_of_degree(base_field(q), d), 3))))
+    m = data.draw(st.integers(1, 2))
+    E = prime.kappa if m == 1 else prime.kappa.extension(2)
+    delta0 = E.from_index(data.draw(st.integers(1, E.card - 1)))
+    try:
+        want = _neighbors_by_root_finding(delta0, prime, E)
+    except AmbientTooSmallError as exc:
+        with pytest.raises(AmbientTooSmallError) as info:
+            neighbors(delta0, prime, E)
+        assert str(info.value) == str(exc)
+        return
+    got = neighbors(delta0, prime, E)
+    assert got == want
+    assert all(t.field is E for t in got)
 
 
 def test_json_shape():

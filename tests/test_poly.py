@@ -339,6 +339,52 @@ def test_roots_match_exhaustive_scan(case):
     assert [r.index for r in roots_in_extension(f, m)] == _scan_roots(f, m)
 
 
+def _roots_by_division(f, m):
+    """Indices of roots_in_extension(f, m) as the division loop finds them:
+    each distinct root divided out of f for as long as it divides."""
+    K = f.ring.base
+    E = K if m == 1 else K.extension(m)
+    k = E._kernel
+    g = [embed(c, E).index for c in f.coeffs]
+    out = []
+    for r in k.distinct_roots(g):
+        lin = [k._neg(r), 1]
+        while True:
+            quo, rem = k.divmod_polys(g, lin)
+            if rem:
+                break
+            g = quo
+            out.append(r)
+    return out
+
+
+@st.composite
+def _linear_products(draw):
+    """m <= 3 and c * prod (s - a)^e over distinct a in F_q, the e all 1 or
+    up to 3, times at most one irreducible factor of degree 2 or 3: with or
+    without repeated roots, split in kappa_m or not."""
+    q = draw(st.sampled_from(_ROOT_QS))
+    m = draw(st.integers(1, 3))
+    K = base_field(q)
+    ring = PolyRing(K, "s")
+    f = ring.const(K.from_index(draw(st.integers(1, q - 1))))
+    top = draw(st.sampled_from([1, 3]))
+    for a in draw(st.lists(st.integers(0, q - 1), unique=True, max_size=5)):
+        f = f * (ring.gen - K.from_index(a)) ** draw(st.integers(1, top))
+    for deg in draw(st.lists(st.sampled_from([2, 3]), max_size=1)):
+        f = f * draw(st.sampled_from(_irreducibles(K, deg)))
+    return m, f
+
+
+@settings(max_examples=80, deadline=None)
+@given(_linear_products())
+def test_roots_match_the_division_loop(case):
+    # deg f distinct roots are returned as found, with no division
+    m, f = case
+    assert [r.index for r in roots_in_extension(f, m)] == \
+        _roots_by_division(f, m)
+
+
 def _neighbor_cases():
     # (q, d, m) with |kappa_m| <= 9^4, which takes in kappa_2 at q = 9, d = 2
     return [(q, d, m) for q in _ROOT_QS for d in (1, 2) for m in (1, 2, 3)
