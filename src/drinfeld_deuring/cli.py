@@ -82,12 +82,14 @@ def cmd_compute(args):
     prime = _parse_prime(args.q, args.prime)
     methods = ("direct", "grec", "universal") if args.method == "all" \
         else (args.method,)
+    # H, of degree q^(d+1) - q, is printed only for --var lambda and JSON
+    need_H = args.var == "lambda" or args.format == "json"
     results = []
     for m in methods:
         h = _METHODS[m](prime)
         # H is a function of h, so it is computed once per distinct h
         same = [r.H for r in results if r.h == h]
-        H = same[0] if same else deuring_H(prime, h)
+        H = same[0] if same else deuring_H(prime, h) if need_H else None
         results.append(DeuringResult(prime, m, h, H))
     match = all(r.h == results[0].h and r.H == results[0].H for r in results)
     pick = (lambda r: r.h) if args.var == "delta" else (lambda r: r.H)

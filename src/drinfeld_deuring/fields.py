@@ -75,6 +75,41 @@ def _prime_divisors(n):
     return fs
 
 
+def _coerced(op):
+    """The binary operator op(self, other) of a ring element class, with
+    `other` coerced by `self._coerce_other`: NotImplemented where that gives
+    None.  The test is `is None`, since a coerced operand may be index 0."""
+
+    @functools.wraps(op)
+    def coerced(self, other):
+        o = self._coerce_other(other)
+        if o is None:
+            return NotImplemented
+        return op(self, o)
+
+    return coerced
+
+
+def _rendered(self):
+    """`__repr__` of the ring element classes: the value's grammar text."""
+    from . import grammar
+
+    return grammar.render(self)
+
+
+def _power(x, e, one, mul):
+    """x^e for an int e >= 0 by square-and-multiply, starting from `one`,
+    with no square after the top bit, which no later bit would use."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return result
+
+
 def _vector_arithmetic(p, degree, modulus_digits):
     """(mul, add, to_vec, to_index) of F_p[z]/(m) on coefficient vectors.
 
@@ -137,22 +172,13 @@ class _AbsTables:
         n = self.card
         mul, add, to_vec, to_index = _vector_arithmetic(
             p, degree, modulus_digits)
-
-        def pow_raw(a, e):
-            r = to_vec(1)
-            while e:
-                if e & 1:
-                    r = mul(r, a)
-                a = mul(a, a)
-                e >>= 1
-            return to_index(r)
-
         m1 = n - 1
         prime_factors = _prime_divisors(m1)
         gen = None
         # in a proper extension no element of F_p is primitive
         for cand in range(p if degree > 1 else 1, n):
-            if all(pow_raw(to_vec(cand), m1 // r) != 1 for r in prime_factors):
+            if all(to_index(_power(to_vec(cand), m1 // r, to_vec(1), mul)) != 1
+                   for r in prime_factors):
                 gen = cand
                 break
         assert gen is not None
@@ -405,20 +431,17 @@ class IndexKernel:
     def _powmod(self, g, e, n, row):
         # g^e modulo the degree-n divisor whose `_divisor` row is `row`
         reduce, mul = self._reduce, self.mul_polys
-        result = [1]
-        reduce(result, n, row)
+
+        def mulmod(a, b):
+            out = mul(a, b)
+            reduce(out, n, row)
+            return out
+
+        one = [1]
+        reduce(one, n, row)
         g = list(g)
         reduce(g, n, row)
-        while e:
-            if e & 1:
-                result = mul(result, g)
-                reduce(result, n, row)
-            e >>= 1
-            if e:
-                # no square after the top bit, which no later bit would use
-                g = mul(g, g)
-                reduce(g, n, row)
-        return result
+        return _power(g, e, one, mulmod)
 
     def _frobenius(self, h, n, row):
         """h^p modulo the degree-n divisor whose `_divisor` row is `row`.
@@ -851,47 +874,35 @@ class FieldElement:
             return other % self.field.p
         return None
 
-    def __add__(self, other):
-        j = self._coerce_other(other)
-        if j is None:
-            return NotImplemented
+    @_coerced
+    def __add__(self, j):
         return self.field.from_index(self.field._add(self.index, j))
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        j = self._coerce_other(other)
-        if j is None:
-            return NotImplemented
+    @_coerced
+    def __sub__(self, j):
         return self.field.from_index(self.field._add(self.index, self.field._neg(j)))
 
-    def __rsub__(self, other):
-        j = self._coerce_other(other)
-        if j is None:
-            return NotImplemented
+    @_coerced
+    def __rsub__(self, j):
         return self.field.from_index(self.field._add(j, self.field._neg(self.index)))
 
     def __neg__(self):
         return self.field.from_index(self.field._neg(self.index))
 
-    def __mul__(self, other):
-        j = self._coerce_other(other)
-        if j is None:
-            return NotImplemented
+    @_coerced
+    def __mul__(self, j):
         return self.field.from_index(self.field._mul(self.index, j))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        j = self._coerce_other(other)
-        if j is None:
-            return NotImplemented
+    @_coerced
+    def __truediv__(self, j):
         return self.field.from_index(self.field._mul(self.index, self.field._inv(j)))
 
-    def __rtruediv__(self, other):
-        j = self._coerce_other(other)
-        if j is None:
-            return NotImplemented
+    @_coerced
+    def __rtruediv__(self, j):
         return self.field.from_index(self.field._mul(j, self.field._inv(self.index)))
 
     def __pow__(self, e):
@@ -919,10 +930,7 @@ class FieldElement:
     def __bool__(self):
         return self.index != 0
 
-    def __repr__(self):
-        from . import grammar
-
-        return grammar.render(self)
+    __repr__ = _rendered
 
 
 @functools.lru_cache(maxsize=None)

@@ -74,24 +74,13 @@ def _render_dense(coeffs, var, shift=0):
 
 
 def _render_multi(f):
-    terms = f.sorted_terms()
-    if not terms:
-        return "0"
     out = []
-    for exps, c in terms:
+    for exps, c in f.sorted_terms():
         parts = [_term("1", v, e)
                  for v, e in zip(f.ring.names, exps) if e]
-        mono = "*".join(parts)
-        cs = render(c)
-        if not mono:
-            out.append(cs)
-        elif cs == "1":
-            out.append(mono)
-        else:
-            if " + " in cs:
-                cs = f"({cs})"
-            out.append(f"{cs}*{mono}")
-    return " + ".join(out)
+        # the monomial is one "variable" with exponent 1, or 0 when constant
+        out.append(_term(render(c), "*".join(parts), 1 if parts else 0))
+    return " + ".join(out) if out else "0"
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()]))")

@@ -24,7 +24,7 @@ closed-form map per element, so a graph costs |kappa_2| table steps, however
 many vertices it has.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .drinfeld import deuring_h_universal
 from .errors import AmbientTooSmallError, ConsistencyError, DomainError
@@ -92,7 +92,7 @@ class IsogenyGraph:
     ambient: FiniteField
     ambient_degree: int
     vertices: tuple
-    edges: dict      # (src index, dst index) -> multiplicity
+    edges: dict = field(hash=False)  # (src index, dst index) -> multiplicity
     stray_targets: tuple  # (src index, value) pairs falling outside the vertex set
 
     def to_json_dict(self):
@@ -160,7 +160,7 @@ def _graph_from_h(prime, h):
 class ComponentReport:
     size: int
     expected_size: int
-    out_degree_histogram: dict
+    out_degree_histogram: dict = field(hash=False)
     q_regular: bool
     closed: bool
     connected: bool

@@ -11,6 +11,7 @@ against each other).  There is no general division.
 from __future__ import annotations
 
 from .errors import DomainError
+from .fields import _coerced, _rendered
 from .poly import Poly
 
 
@@ -72,10 +73,8 @@ class LaurentT:
         except DomainError:
             return None
 
-    def __add__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __add__(self, o):
         k = max(self.k, o.k)
         a = self.num.shifted(k - self.k)
         b = o.num.shifted(k - o.k)
@@ -86,22 +85,16 @@ class LaurentT:
     def __neg__(self):
         return LaurentT(self.ring, -self.num, self.k)
 
-    def __sub__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __sub__(self, o):
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __rsub__(self, o):
         return o + (-self)
 
-    def __mul__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __mul__(self, o):
         return LaurentT(self.ring, self.num * o.num, self.k + o.k)
 
     __rmul__ = __mul__
@@ -133,7 +126,4 @@ class LaurentT:
     def __bool__(self):
         return bool(self.num)
 
-    def __repr__(self):
-        from . import grammar
-
-        return grammar.render(self)
+    __repr__ = _rendered

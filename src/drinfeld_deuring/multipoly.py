@@ -17,8 +17,10 @@ which is fine at the desk scales of the tower identities.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import DomainError
-from .fields import FieldElement
+from .fields import FieldElement, _coerced, _power, _rendered
 
 _STRIDE = 1 << 32
 
@@ -101,10 +103,8 @@ class MultiPoly:
         f.packed = self.ring.field._kernel.sum_copies(copies)
         return f
 
-    def __add__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __add__(self, o):
         return self._sum(((self.packed, 1, 0), (o.packed, 1, 0)))
 
     __radd__ = __add__
@@ -112,23 +112,17 @@ class MultiPoly:
     def __neg__(self):
         return self._sum(((self.packed, self.ring.field._neg(1), 0),))
 
-    def __sub__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __sub__(self, o):
         return self._sum(((self.packed, 1, 0),
                           (o.packed, self.ring.field._neg(1), 0)))
 
-    def __rsub__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __rsub__(self, o):
         return o - self
 
-    def __mul__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __mul__(self, o):
         a, b = self.packed, o.packed
         if len(a) < len(b):
             a, b = b, a
@@ -143,14 +137,7 @@ class MultiPoly:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise DomainError("multivariate powers must be non-negative integers")
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, e, self.ring.one, operator.mul)
 
     def degree(self, var=None):
         """Total degree, or degree in one named variable; -1 for zero."""
@@ -184,19 +171,14 @@ class MultiPoly:
             return first * 0
         return acc
 
-    def __eq__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __eq__(self, o):
         return self.packed == o.packed
 
     def __bool__(self):
         return bool(self.packed)
 
-    def __repr__(self):
-        from . import grammar
-
-        return grammar.render(self)
+    __repr__ = _rendered
 
 
 class Frac:
@@ -222,10 +204,8 @@ class Frac:
                 return None
         return None
 
-    def __add__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __add__(self, o):
         return Frac(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -233,38 +213,28 @@ class Frac:
     def __neg__(self):
         return Frac(-self.num, self.den)
 
-    def __sub__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __sub__(self, o):
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __rsub__(self, o):
         return o + (-self)
 
-    def __mul__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __mul__(self, o):
         return Frac(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __truediv__(self, o):
         if not o.num:
             raise ZeroDivisionError("division by the zero fraction")
         return Frac(self.num * o.den, self.den * o.num)
 
-    def __rtruediv__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __rtruediv__(self, o):
         return o / self
 
     def __pow__(self, e):
@@ -276,10 +246,8 @@ class Frac:
             raise ZeroDivisionError("negative power of the zero fraction")
         return Frac(self.den ** (-e), self.num ** (-e))
 
-    def __eq__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __eq__(self, o):
         return self.num * o.den == o.num * self.den
 
     def __bool__(self):

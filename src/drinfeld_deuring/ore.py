@@ -12,7 +12,7 @@ psi_T on kappa index lists in `drinfeld`.
 from __future__ import annotations
 
 from .errors import DomainError
-from .fields import FieldElement
+from .fields import FieldElement, _coerced
 from .laurent import LaurentT
 from .poly import Poly, _Dense
 
@@ -85,10 +85,8 @@ class OrePoly(_Dense):
             return self.ring.coerce(other)
         return super()._coerce_other(other)
 
-    def __mul__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __mul__(self, o):
         a, b = self.coeffs, o.coeffs
         ring = self.ring
         if not a or not b:
@@ -103,10 +101,8 @@ class OrePoly(_Dense):
                     out[i + j] = out[i + j] + x * qpow(y, q, i)
         return OrePoly(ring, out)
 
-    def __rmul__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __rmul__(self, o):
         return o * self
 
 

@@ -17,8 +17,11 @@ evaluation.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import AmbientTooSmallError, CapExceededError, DomainError
-from .fields import CARD_CAP, FiniteField, _digits, embed
+from .fields import CARD_CAP, FiniteField, _coerced, _digits, _power, \
+    _rendered, embed
 
 
 class PolyRing:
@@ -106,10 +109,8 @@ class _Dense:
         except DomainError:
             return None
 
-    def __add__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __add__(self, o):
         a, b = self.coeffs, o.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -124,29 +125,18 @@ class _Dense:
     def __neg__(self):
         return type(self)(self.ring, tuple(-c if c else c for c in self.coeffs))
 
-    def __sub__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __sub__(self, o):
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __rsub__(self, o):
         return o + (-self)
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise DomainError("polynomial powers must be non-negative integers")
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, e, self.ring.one, operator.mul)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -167,19 +157,14 @@ class _Dense:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __repr__(self):
-        from . import grammar
-
-        return grammar.render(self)
+    __repr__ = _rendered
 
 
 class Poly(_Dense):
     __slots__ = ()
 
-    def __mul__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __mul__(self, o):
         a, b = self.coeffs, o.coeffs
         if not a or not b:
             return self.ring.zero
@@ -206,10 +191,8 @@ class Poly(_Dense):
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __divmod__(self, o):
         if not o:
             raise ZeroDivisionError("polynomial division by zero")
         ring = self.ring

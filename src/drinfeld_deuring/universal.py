@@ -187,7 +187,15 @@ def check_u_zero(field, i):
 
 
 def check_derivative_recursion(field, i):
-    """The derivative sequence satisfies the unchanged recursion at step i >= 1."""
+    """The derivative sequence satisfies the unchanged recursion at step i >= 1.
+
+    Every s-exponent e of every u_j is 0 or 1 mod p: u_0 = 1, u_1 = s + T^q,
+    and step j (`_u_step`) shifts exponents by 0 or q^j, a multiple of p for
+    j >= 1.  So e mod p is 1 on each term the p | e filter keeps: dropping
+    that factor is an equivalent mutant, which `Poly.derivative` (it too
+    multiplies by e) cannot detect.  The row tests only the step's exponents
+    and the p | e filter.
+    """
     if i < 1:
         raise DomainError("the derivative recursion only holds for steps i >= 1")
     # c * T^t * s^e -> (e mod p) * c * T^t * s^(e-1); e mod p is an F_p index

@@ -163,10 +163,29 @@ def test_compute_computes_H_once_per_distinct_h(monkeypatch, capsys):
         return H(prime, h)
 
     monkeypatch.setattr(cli, "deuring_H", counted)
+    # --var lambda prints H; text for --var delta builds none (below)
     assert main(["compute", "--q", "2", "--prime", "T^4+T+1",
-                 "--method", "all"]) == 0
+                 "--var", "lambda", "--method", "all"]) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out.endswith("MATCH\n")
+
+
+@pytest.mark.parametrize("method", ["all", "universal"])
+def test_compute_delta_text_builds_no_H(method, monkeypatch, capsys):
+    argv = ["compute", "--q", "2", "--prime", "T^4+T+1", "--method", method]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def unreachable(prime, h):
+        raise AssertionError("H built for --var delta")
+
+    monkeypatch.setattr(cli, "deuring_H", unreachable)
+    assert main(argv + ["--var", "delta"]) == 0
+    assert capsys.readouterr().out == expected
+    # JSON and --var lambda still print H
+    for extra in (["--format", "json"], ["--var", "lambda"]):
+        with pytest.raises(AssertionError):
+            main(argv + extra)
 
 
 @pytest.mark.parametrize("q, prime", [("2", "T^9+T^4+1"), ("16", "T^3 + x"),

@@ -390,3 +390,60 @@ def test_tables_match_digit_by_digit_build(p, degree):
     mod = _canonical_modulus_digits(p, degree)
     t = _AbsTables(p, degree, mod)
     assert (t.generator, t.exp, t.log, t.zech) == _reference_tables(p, degree, mod)
+
+
+def _coerced_operators():
+    """(value, operator names) of each ring element class whose binary
+    operators coerce their operand through `_coerce_other`."""
+    from drinfeld_deuring.multipoly import Frac, MultiRing
+
+    F4 = base_field(4)
+    A = t_poly_ring(base_field(2))
+    M = MultiRing(F4, ("a",))
+    return [
+        (F4.gen, ("__add__", "__sub__", "__rsub__", "__mul__", "__truediv__",
+                  "__rtruediv__")),
+        (A.gen, ("__add__", "__sub__", "__rsub__", "__mul__", "__divmod__")),
+        (OreContext(A, 2).tau, ("__mul__", "__rmul__")),
+        (LaurentRing(A).one, ("__add__", "__sub__", "__rsub__", "__mul__")),
+        (M.gens()[0], ("__add__", "__sub__", "__rsub__", "__mul__", "__eq__")),
+        (Frac(M.gens()[0]), ("__add__", "__sub__", "__rsub__", "__mul__",
+                             "__truediv__", "__rtruediv__", "__eq__")),
+    ]
+
+
+def test_coerced_operators_decline_a_foreign_operand():
+    cases = [(v, name) for v, names in _coerced_operators() for name in names]
+    assert len(cases) == 29
+    foreign = object()
+    for v, name in cases:
+        assert getattr(v, name)(foreign) is NotImplemented, (type(v), name)
+    # so Python raises TypeError for the expression
+    with pytest.raises(TypeError):
+        base_field(4).gen + foreign
+
+
+def test_coerced_operators_take_index_0():
+    # FieldElement's coercion returns the index, 0 for a zero operand
+    F = base_field(3)
+    x = F.from_index(2)
+    assert x + 0 == x and x - F.zero == x and 0 - x == 1
+    assert x * 0 == F.zero and F.zero / x == F.zero
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+
+
+def test_power_makes_no_square_after_the_top_bit():
+    from drinfeld_deuring.fields import _power
+
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b
+
+    for e in range(40):
+        calls.clear()
+        assert _power(3, e, 1, mul) == 3 ** e
+        # one square per bit below the top one, one product per set bit
+        assert len(calls) == max(e.bit_length() - 1, 0) + bin(e).count("1")

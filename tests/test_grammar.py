@@ -119,3 +119,21 @@ def test_render_twisted_polynomials():
     for op, text in cases:
         assert render(op) == text
         assert repr(op) == text
+
+
+def test_render_multivariate_terms():
+    # a parenthesised F_4 coefficient, a unit coefficient, a plain one and a
+    # constant term, in graded lexicographic order
+    from drinfeld_deuring.multipoly import MultiRing
+
+    F4 = base_field(4)
+    x = F4.gen
+    R = MultiRing(F4, ("a", "b"))
+    a, b = R.gens()
+    assert render((x + 1) * a * b ** 2 + a * b + x * b + 1) == \
+        "(x + 1)*a*b^2 + a*b + x*b + 1"
+    assert render(x * a ** 3) == "x*a^3"
+    assert render(a + x + 1) == "a + x + 1"
+    assert render(R.const(x + 1)) == "x + 1"
+    assert render(R.one) == "1"
+    assert render(R.zero) == "0"

@@ -30,6 +30,15 @@ def _graph(q, text):
     return build_supersingular_graph(_prime(q, text))
 
 
+def test_graphs_and_reports_hash_by_value():
+    g1, g2 = _graph(2, "T^2+T+1"), _graph(2, "T^2+T+1")
+    assert g1 is not g2
+    assert g1 == g2 and hash(g1) == hash(g2)
+    r1, r2 = verify_component(g1), verify_component(g2)
+    assert r1 == r2 and hash(r1) == hash(r2)
+    assert len({g1, g2}) == 1 and len({r1, r2}) == 1
+
+
 def test_neighbors_rejects_zero():
     p = _prime(2, "T^2 + T + 1")
     with pytest.raises(DomainError):

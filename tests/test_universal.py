@@ -504,6 +504,17 @@ def test_derivative_recursion_reads_exponents_mod_p(q, i, monkeypatch):
         monkeypatch.undo()
 
 
+def test_u_exponents_are_0_or_1_mod_p():
+    # u_0 = 1, u_1 = s + T^q, and each step shifts s-exponents by 0 or q^i,
+    # a multiple of p: so the derivative's factor e mod p is 1 wherever the
+    # p | e filter keeps a term (see check_derivative_recursion).  Over
+    # verify's rows: i <= 4 for q <= 3, else i <= 2, reading u_(i+1).
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        F = base_field(q)
+        for u in universal._u_terms(F, (4 if q <= 3 else 2) + 1):
+            assert {k % universal._T_STRIDE % F.p for k in u} <= {0, 1}
+
+
 def test_simple_roots_mod_p():
     F2 = base_field(2)
     R2 = t_poly_ring(F2)
