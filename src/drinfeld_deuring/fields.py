@@ -5,12 +5,12 @@ integers: the element sum(c_i * z^i) is stored as the integer sum(c_i * p^i),
 where z is a root of a deterministic irreducible modulus (the
 lexicographically smallest monic one of the right degree, coefficients
 compared from the leading end down).  Multiplication goes through exp/log
-tables for a fixed primitive element; addition is XOR in characteristic 2,
-Zech logarithms in odd extensions and ints mod p in prime fields.  Tables,
-and the index kernel built on them (`IndexKernel`: the scalar arithmetic,
-that of polynomials over the field on index lists, and `sum_copies`, the
-one routine of sparse term maps), are shared between all tower instances
-with the same absolute field.
+tables for a fixed primitive element; addition is XOR in characteristic 2
+and Zech logarithms otherwise, prime fields included.  One index kernel per
+absolute field (`IndexKernel`: the tables, the scalar arithmetic, that of
+polynomials over the field on index lists, and `sum_copies`, the one
+routine of sparse term maps) is shared between all tower instances with
+that absolute field.
 
 A field built as an extension remembers its base field, the defining modulus
 over the base, and a designated root of that modulus (the first one in element
@@ -18,7 +18,7 @@ order, among the roots the kernel finds without a scan), so elements can be
 moved up the tower and decomposed over the base.  The base embeds by
 sending the root z of its table modulus to that modulus's designated root
 in the extension's tables (one map per subfield degree,
-`_AbsTables.embedding`).  A caller that already holds the designated root
+`IndexKernel.embedding`).  A caller that already holds the designated root
 of the defining modulus passes it in: `modulus.primes_of_degree` reads it
 off the Frobenius orbit whose minimal polynomial the modulus is
 (`IndexKernel.frobenius_orbits`), so the residue fields of enumerated
@@ -160,19 +160,51 @@ def _vector_arithmetic(p, degree, modulus_digits):
     return mul, add, (lambda i: _digits(i, p, degree)), to_index
 
 
-class _AbsTables:
-    """Shared arithmetic tables for the absolute field F_p[z]/(m)."""
+@functools.lru_cache(maxsize=None)
+def _abs_tables(p, degree):
+    """The `IndexKernel` of F_(p^degree): one per absolute field."""
+    # F_p is F_p[z]/(z): its modulus needs no search (and y is the smallest
+    # monic of degree 1)
+    mod = _canonical_modulus_digits(p, degree) if degree > 1 else (0, 1)
+    return (_Char2Kernel if p == 2 else _ZechKernel)(p, degree, mod)
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_modulus_digits(p, degree):
+    """Smallest monic irreducible of the given degree over F_p, as a digit list
+    (ascending), compared lexicographically from the leading coefficient down."""
+    return tuple(c.index for c in base_field(p)._search_modulus(degree))
+
+
+class IndexKernel:
+    """The absolute field F_p[z]/(m) on element indices: its tables, scalars,
+    and polynomials as ascending index lists with no trailing zeros ([] is 0).
+
+    Products read the log/exp tables.  Sums are the field kind's own: XOR in
+    characteristic 2 and Zech logarithms otherwise, a prime field being the
+    degree-1 case.  A subclass per kind gives `_add` and `_neg`, and the two
+    row primitives the polynomial loops run on: `_row(a)`, the form of a
+    polynomial that `_addmul(dst, off, c, row)` adds c times into dst at
+    offset off.  Every polynomial operation over a finite field runs here,
+    with no FieldElement built in between.
+
+    The scalar operations are private: every `FiniteField` of this absolute
+    field takes them as its own `_add`, `_neg`, `_mul`, `_inv` and `_pow`.
+    The polynomial ones and `embedding` are public methods, so that
+    `perfbench`'s span tracer reports them as spans of their own.  The
+    package does not export the class; `fields._abs_tables` builds one per
+    absolute field.
+    """
 
     def __init__(self, p, degree, modulus_digits):
         self.p = p
         self.degree = degree
-        self.card = p ** degree
+        self.card = n = p ** degree
+        self.m1 = m1 = n - 1
         self.modulus_digits = modulus_digits
-        self.root_cache = {}
-        n = self.card
+        self._embeddings = {}
         mul, add, to_vec, to_index = _vector_arithmetic(
             p, degree, modulus_digits)
-        m1 = n - 1
         prime_factors = _prime_divisors(m1)
         gen = None
         # in a proper extension no element of F_p is primitive
@@ -197,92 +229,38 @@ class _AbsTables:
             hi, lo = divmod(cur, half)
             cur = to_index(add(low[lo], high[hi]))
         assert cur == 1
-        self.exp = exp
+        self.generator = gen
         self.log = log
         # exp twice over, so a sum of two logs needs no % m1, then m1 zeros:
         # the zero sentinel log 2*m1 plus any log reads 0
-        self.exp2 = exp + exp + [0] * m1
-        self.generator = gen
-        if p != 2 and degree > 1:
-            zech = [0] * m1
-            for k in range(m1):
-                e = exp[k]
-                d0 = e % p
-                e1 = e - d0 + ((d0 + 1) % p)
-                zech[k] = log[e1] if e1 else -1
-            self.zech = zech
-        else:
-            self.zech = None
-        self.kernel = (_PrimeKernel if degree == 1 else
-                       _Char2Kernel if p == 2 else _ZechKernel)(self)
+        self.exp = exp + exp + [0] * m1
+        # zech[k] = log(1 + g^k) in odd characteristic: 1 + e adds 1 to the
+        # lowest digit of e, and 1 + (p - 1) is 0
+        self.zech = None if p == 2 else [
+            log[e - e % p + (e + 1) % p] if e != p - 1 else -1 for e in exp]
+        self.half = m1 // 2  # log of -1 in odd characteristic
+        # the card x card table of index sums, built on first use
+        self._sums = None
 
     def embedding(self, k):
         """emb[c], the index here of the element of index c of F_(p^k), for
         k dividing the degree.  The embedding sends the root z of F_(p^k)'s
-        table modulus to its designated root here, the least of its roots,
-        which root_cache["subfield", k] keeps for k > 1.  Memoised per k."""
-        emb = self.root_cache.get(("embedding", k))
+        table modulus to its designated root here, the least of its roots.
+        Memoised per k."""
+        emb = self._embeddings.get(k)
         if emb is None:
-            kernel, p = self.kernel, self.p
             root = 1
             if k > 1:
-                root = kernel.distinct_roots(
-                    list(_abs_tables(p, k).modulus_digits))[0]
-                self.root_cache["subfield", k] = root
+                root = self.distinct_roots(
+                    list(_abs_tables(self.p, k).modulus_digits))[0]
             # digit i of c is the coefficient of z^i, which maps to root^i
             emb = [0]
             for i in range(k):
-                pw = kernel._pow(root, i)
-                row = [kernel._mul(c, pw) for c in range(p)]
-                emb = [kernel._add(e, x) for x in row for e in emb]
-            self.root_cache["embedding", k] = emb
+                pw = self._pow(root, i)
+                row = [self._mul(c, pw) for c in range(self.p)]
+                emb = [self._add(e, x) for x in row for e in emb]
+            self._embeddings[k] = emb
         return emb
-
-
-@functools.lru_cache(maxsize=None)
-def _abs_tables(p, degree):
-    # F_p is F_p[z]/(z): its modulus needs no search (and y is the smallest
-    # monic of degree 1)
-    mod = _canonical_modulus_digits(p, degree) if degree > 1 else (0, 1)
-    return _AbsTables(p, degree, mod)
-
-
-@functools.lru_cache(maxsize=None)
-def _canonical_modulus_digits(p, degree):
-    """Smallest monic irreducible of the given degree over F_p, as a digit list
-    (ascending), compared lexicographically from the leading coefficient down."""
-    return tuple(c.index for c in base_field(p)._search_modulus(degree))
-
-
-class IndexKernel:
-    """The arithmetic of one absolute field on element indices: scalars, and
-    polynomials as ascending index lists with no trailing zeros ([] is 0).
-
-    Products read the log/exp tables.  Sums are the field kind's own: XOR in
-    characteristic 2, Zech logarithms in odd extensions, ints mod p in prime
-    fields.  A subclass per kind gives `_add` and `_neg`, and the two row
-    primitives the polynomial loops run on: `_row(a)`, the form of a
-    polynomial that `_addmul(dst, off, c, row)` adds c times into dst at
-    offset off.  Every polynomial operation over a finite field runs here,
-    with no FieldElement built in between.
-
-    The scalar operations are private: every `FiniteField` on these tables
-    takes them as its own `_add`, `_neg`, `_mul`, `_inv` and `_pow`.  The
-    polynomial ones are public methods, so that `perfbench`'s span tracer
-    reports them as spans of their own.  The package does not export the
-    class; `fields._abs_tables` builds one per absolute field.
-    """
-
-    def __init__(self, tables):
-        self.p = tables.p
-        self.degree = tables.degree
-        self.card = tables.card
-        self.m1 = tables.card - 1
-        self.log = tables.log
-        self.exp = tables.exp2
-        self.zech = tables.zech
-        # the card x card table of index sums, built on first use
-        self._sums = None
 
     # scalars ----------------------------------------------------------------
 
@@ -556,29 +534,8 @@ class IndexKernel:
         return out
 
 
-class _PrimeKernel(IndexKernel):
-    """F_p: sums and products are ints mod p."""
-
-    def _add(self, i, j):
-        return (i + j) % self.p
-
-    def _neg(self, i):
-        return -i % self.p
-
-    def _mul(self, i, j):
-        return i * j % self.p
-
-    def _row(self, a):
-        return a
-
-    def _addmul(self, dst, off, c, row):
-        p = self.p
-        end = off + len(row)
-        dst[off:end] = [(x + c * y) % p for x, y in zip(dst[off:end], row)]
-
-
 class _Char2Kernel(IndexKernel):
-    """F_(2^k), k >= 2: sums are XOR.  A row is the list of logs, with the
+    """F_(2^k): sums are XOR.  A row is the list of logs, with the
     zero sentinel 2*m1 that `exp` reads as 0 after any nonzero log."""
 
     _add = staticmethod(operator.xor)
@@ -598,13 +555,9 @@ class _Char2Kernel(IndexKernel):
 
 
 class _ZechKernel(IndexKernel):
-    """F_(p^k), p odd, k >= 2: a + b = a * (1 + b/a), with the Zech
-    logarithm zech[k] = log(1 + g^k), -1 where 1 + g^k = 0.  A row is the
-    list of (position, log) pairs of the nonzero terms."""
-
-    def __init__(self, tables):
-        super().__init__(tables)
-        self.half = self.m1 // 2  # log of -1
+    """F_(p^k), p odd: a + b = a * (1 + b/a), with the Zech logarithm
+    zech[k] = log(1 + g^k), -1 where 1 + g^k = 0.  A row is the list of
+    (position, log) pairs of the nonzero terms."""
 
     def _add(self, i, j):
         if not i:
@@ -662,8 +615,7 @@ class FiniteField:
         if self.card > CARD_CAP:
             raise CapExceededError(
                 f"field of cardinality {self.card} exceeds the {CARD_CAP} cap")
-        self._tables = _abs_tables(p, self.degree)
-        k = self._kernel = self._tables.kernel
+        k = self._kernel = _abs_tables(p, self.degree)
         self._add, self._neg, self._mul = k._add, k._neg, k._mul
         self._inv, self._pow = k._inv, k._pow
         self._ext_cache = {}
@@ -686,7 +638,7 @@ class FiniteField:
             self.gen = self.one
             self._base_emb = None
             return
-        self._base_emb = self._tables.embedding(base.degree)
+        self._base_emb = self._kernel.embedding(base.degree)
         if root is None:
             root = self._first_root([self._base_emb[c.index]
                                      for c in modulus_over_base])

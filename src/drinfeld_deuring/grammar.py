@@ -136,6 +136,7 @@ class _Parser:
     def __init__(self, toks, ring, env, check_degree=None):
         self.toks = toks
         self.pos = 0
+        self.depth = 0
         self.ring = ring
         self.env = env
         self.check_degree = check_degree
@@ -193,8 +194,13 @@ class _Parser:
                 raise DomainError(f"unknown generator {val!r}")
             v = self.env[val]
         elif kind == "op" and val == "(":
+            # a bound well inside the recursion limit: a level is 3 frames
+            self.depth += 1
+            if self.depth > 100:
+                raise DomainError("parentheses nested more than 100 deep")
             v = self.expr()
             self.expect_op(")")
+            self.depth -= 1
         else:
             raise DomainError(f"unexpected token {val!r}")
         kind, nxt = self.peek()

@@ -167,11 +167,11 @@ def primes_of_degree(field, d):
         raise DomainError("prime degree must be positive")
     check_residue_degree(field.card, d)
     _check_designated(field)
-    tables = fields._abs_tables(field.p, field.degree * d)
+    kernel = fields._abs_tables(field.p, field.degree * d)
     # the F_q index of each kappa index of F_q
-    back = {e: c for c, e in enumerate(tables.embedding(field.degree))}
+    back = {e: c for c, e in enumerate(kernel.embedding(field.degree))}
     found = sorted((([back[c] for c in f], root) for f, root
-                    in tables.kernel.frobenius_orbits(field.q, d)),
+                    in kernel.frobenius_orbits(field.q, d)),
                    key=lambda pair: pair[0][::-1])
     ring = t_poly_ring(field)
     for coeffs, root in found:

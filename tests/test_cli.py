@@ -200,6 +200,16 @@ def test_graph_beyond_the_cap_is_invalid(q, prime, capsys):
     assert "65536" in captured.err
 
 
+@pytest.mark.parametrize("command", ["compute", "graph"])
+def test_deeply_nested_prime_is_invalid(command, capsys):
+    deep = "(" * 3000 + "T+1" + ")" * 3000
+    assert main([command, "--q", "2", "--prime", deep]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_verify_bad_degree(capsys):
     assert main(["verify", "--q", "2", "--max-degree", "0"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Finite-field towers: construction, arithmetic, Frobenius, embeddings."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -9,10 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import drinfeld_deuring
 from drinfeld_deuring.errors import CapExceededError, DomainError
-from drinfeld_deuring import poly
+from drinfeld_deuring import fields, poly
 from drinfeld_deuring.fields import CARD_CAP, FiniteField, IndexKernel, \
-    _AbsTables, _cap_exponent, _canonical_modulus_digits, _prime_divisors, \
-    base_field, embed, frobenius
+    _cap_exponent, _prime_divisors, base_field, embed, frobenius
 from drinfeld_deuring.grammar import render
 from drinfeld_deuring.laurent import LaurentRing
 from drinfeld_deuring.modulus import PrimeModulus, primes_of_degree, \
@@ -363,7 +363,8 @@ def _reference_tables(p, degree, modulus_digits):
         return r
 
     m1 = n - 1
-    gen = next(c for c in range(p, n)
+    # in a proper extension no element of F_p is primitive
+    gen = next(c for c in range(p if degree > 1 else 1, n)
                if all(pow_raw(c, m1 // r) != 1 for r in _prime_divisors(m1)))
     exp, log, cur = [0] * m1, [0] * n, 1
     for i in range(m1):
@@ -380,16 +381,130 @@ def _reference_tables(p, degree, modulus_digits):
 
 
 def _table_sizes(limit):
-    # every absolute field with tables (degree >= 2) of at most `limit` elements
+    # every absolute field of at most `limit` elements, of degree >= 2 or an
+    # odd prime field, whose sums run on the Zech table too
     primes = [p for p in range(2, 65) if _prime_divisors(p) == [p]]
-    return [(p, k) for p in primes for k in range(2, 13) if p ** k <= limit]
+    return [(p, k) for p in primes for k in range(1 if p > 2 else 2, 13)
+            if p ** k <= limit]
 
 
 @pytest.mark.parametrize("p, degree", _table_sizes(4096))
 def test_tables_match_digit_by_digit_build(p, degree):
-    mod = _canonical_modulus_digits(p, degree)
-    t = _AbsTables(p, degree, mod)
-    assert (t.generator, t.exp, t.log, t.zech) == _reference_tables(p, degree, mod)
+    t = fields._abs_tables(p, degree)
+    m1 = p ** degree - 1
+    assert (t.generator, t.exp[:m1], t.log, t.zech) == \
+        _reference_tables(p, degree, t.modulus_digits)
+
+
+def test_each_absolute_field_has_one_kernel():
+    k4 = fields._abs_tables(2, 2)
+    assert base_field(4)._kernel is base_field(2).extension(2)._kernel is k4
+    kappa = PrimeModulus(t_poly_ring(base_field(2)).poly([1, 1, 1])).kappa
+    assert kappa._kernel is k4
+    # two kinds: XOR in characteristic 2, Zech logarithms otherwise, prime
+    # fields included
+    for p in (2, 3, 5, 251):
+        for k in range(1, min(_cap_exponent(p), 3) + 1):
+            kind = "_Char2Kernel" if p == 2 else "_ZechKernel"
+            assert type(fields._abs_tables(p, k)).__name__ == kind, (p, k)
+
+
+# --- prime fields against plain ints mod p ----------------------------------
+
+def _scalar_sample(p):
+    if p <= 13:
+        return range(p)
+    return sorted({0, 1, 2, p - 2, p - 1} |
+                  set(random.Random(p).sample(range(p), 60)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 251, 65521])
+def test_prime_field_scalars_are_ints_mod_p(p):
+    k = base_field(p)._kernel
+    sample = _scalar_sample(p)
+    for i in sample:
+        assert k._neg(i) == -i % p
+        for j in sample:
+            assert k._add(i, j) == (i + j) % p, (i, j)
+            assert k._mul(i, j) == i * j % p, (i, j)
+        for e in list(range(min(2 * p + 2, 40))) + [p - 1, p, 2 * p - 1,
+                                                     p ** 2 + 3, 12345]:
+            assert k._pow(i, e) == pow(i, e, p), (i, e)
+        if i:
+            assert k._inv(i) == pow(i, -1, p)
+            assert k._pow(i, -3) == pow(i, -3, p)
+    with pytest.raises(ZeroDivisionError):
+        k._inv(0)
+
+
+# ascending int lists mod p with no trailing zeros, schoolbook
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _ref_add(a, b, p):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _trim([(x + y) % p for x, y in zip(a, b)])
+
+
+def _ref_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _trim(out)
+
+
+def _ref_divmod(a, b, p):
+    inv = pow(b[-1], -1, p)
+    rem, quot = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(b) - 1] * inv % p
+        quot[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] = (rem[k + j] - c * y) % p
+    return _trim(quot), _trim(rem[:len(b) - 1])
+
+
+def _ref_gcd(a, b, p):
+    while b:
+        a, b = b, _ref_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+@st.composite
+def _prime_polys(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 251, 65521]))
+    coeff = st.one_of(st.just(0), st.integers(1, p - 1))
+    a, b, dst = (draw(st.lists(coeff, max_size=n)) for n in (12, 8, 24))
+    return p, _trim(a), _trim(b), dst
+
+
+@settings(max_examples=120, deadline=None)
+@given(_prime_polys(), st.data())
+def test_prime_field_polynomials_are_ints_mod_p(case, data):
+    p, a, b, dst = case
+    k = base_field(p)._kernel
+    assert k.add_polys(a, b) == _ref_add(a, b, p)
+    assert k.mul_polys(a, b) == _ref_mul(a, b, p)
+    if a or b:
+        assert k.gcd(a, b) == _ref_gcd(a, b, p)
+    if b:
+        assert k.divmod_polys(a, b) == _ref_divmod(a, b, p)
+    if a:
+        # dst[off + i] += c * a[i], whatever room dst leaves after the row
+        c = data.draw(st.integers(1, p - 1))
+        off = data.draw(st.integers(0, 4))
+        dst = dst + [0] * max(off + len(a) - len(dst), 0)
+        want = list(dst)
+        for i, x in enumerate(a):
+            want[off + i] = (want[off + i] + c * x) % p
+        k._addmul(dst, off, c, k._row(a))
+        assert dst == want
 
 
 def _coerced_operators():

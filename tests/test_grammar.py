@@ -41,6 +41,16 @@ def test_parse_errors():
             parse(bad, R)
 
 
+def test_parse_bounds_the_nesting_of_parentheses():
+    R = t_poly_ring(base_field(2))
+    assert parse("(" * 50 + "T+1" + ")" * 50, R) == R.gen + 1
+    assert parse("(" * 100 + "T+1" + ")" * 100, R) == R.gen + 1
+    # past the bound a DomainError, not the interpreter's RecursionError
+    for depth in (101, 3000):
+        with pytest.raises(DomainError, match="nested"):
+            parse("(" * depth + "T+1" + ")" * depth, R)
+
+
 def test_parse_checks_degrees_before_building():
     R = t_poly_ring(base_field(2))
     seen = []

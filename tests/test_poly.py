@@ -765,8 +765,9 @@ def _check_designated_roots(F, chain_key):
     assert F.gen.index == _scan_first_root(
         F, [embed(c, F).index for c in F.modulus_over_base])
     if base.degree > 1:
-        assert F._tables.root_cache["subfield", base.degree] == \
-            _scan_first_root(F, base._tables.modulus_digits)
+        # the image of z, of index p in the base
+        assert F._kernel.embedding(base.degree)[F.p] == \
+            _scan_first_root(F, base._kernel.modulus_digits)
 
 
 def _mod_key(f):
