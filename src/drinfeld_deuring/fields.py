@@ -18,9 +18,12 @@ order, among the roots the kernel finds without a scan), so elements can be
 moved up the tower and decomposed over the base.  The base embeds by
 sending the root z of its table modulus to that modulus's designated root
 in the extension's tables (one map per subfield degree,
-`IndexKernel.embedding`).  A caller that already holds the designated root
-of the defining modulus passes it in: `modulus.primes_of_degree` reads it
-off the Frobenius orbit whose minimal polynomial the modulus is
+`IndexKernel.embedding`).  The coordinates over the base invert the map
+(c_j) -> sum(c_j * gen^j), tabulated on the first `coords_over_base` call.
+Both maps are basis changes, and one routine tabulates each of them,
+`IndexKernel.span`.  A caller that already holds the designated root of
+the defining modulus passes it in: `modulus.primes_of_degree` reads it off
+the Frobenius orbit whose minimal polynomial the modulus is
 (`IndexKernel.frobenius_orbits`), so the residue fields of enumerated
 primes split nothing.
 
@@ -190,7 +193,7 @@ class IndexKernel:
 
     The scalar operations are private: every `FiniteField` of this absolute
     field takes them as its own `_add`, `_neg`, `_mul`, `_inv` and `_pow`.
-    The polynomial ones and `embedding` are public methods, so that
+    The polynomial ones, `embedding` and `span` are public methods, so that
     `perfbench`'s span tracer reports them as spans of their own.  The
     package does not export the class; `fields._abs_tables` builds one per
     absolute field.
@@ -254,13 +257,20 @@ class IndexKernel:
                 root = self.distinct_roots(
                     list(_abs_tables(self.p, k).modulus_digits))[0]
             # digit i of c is the coefficient of z^i, which maps to root^i
-            emb = [0]
-            for i in range(k):
-                pw = self._pow(root, i)
-                row = [self._mul(c, pw) for c in range(self.p)]
-                emb = [self._add(e, x) for x in row for e in emb]
-            self._embeddings[k] = emb
+            emb = self._embeddings[k] = self.span(
+                [[self._mul(c, self._pow(root, i)) for c in range(self.p)]
+                 for i in range(k)])
         return emb
+
+    def span(self, rows):
+        """[sum_j rows[j][d_j]] over every digit tuple d, at the index whose
+        digits in base len(rows[0]), lowest first, are d: the map of a basis
+        change, rows[j] holding the multiples of the j-th basis element."""
+        out = [0]
+        add = self._add
+        for row in rows:
+            out = [add(e, x) for x in row for e in out]
+        return out
 
     # scalars ----------------------------------------------------------------
 
@@ -619,7 +629,7 @@ class FiniteField:
         self._add, self._neg, self._mul = k._add, k._neg, k._mul
         self._inv, self._pow = k._inv, k._pow
         self._ext_cache = {}
-        self._coords_rows = None
+        self._coords = None
         self._elt_cache = {}
         self.zero = self.from_index(0)
         self.one = self.from_index(1)
@@ -743,50 +753,25 @@ class FiniteField:
         return self.from_index(self._base_emb[self.base.coerce(x).index])
 
     def coords_over_base(self, x):
-        """Decompose x as sum(c_j * gen^j) with c_j in the base field."""
+        """Decompose x as sum(c_j * gen^j) with c_j in the base field.
+
+        On first use the field tabulates the forward map (c_j) -> sum(c_j *
+        gen^j) with `IndexKernel.span` and keeps its inverse, so each call
+        reads one table entry and splits it into base-|B| digits."""
         if self.base is None:
             raise DomainError("prime field has no base")
         x = self.coerce(x)
-        if self._coords_rows is None:
-            self._build_coords()
-        p = self.p
-        vec = _digits(x.index, p, self.degree)
-        sol = [sum(r * v for r, v in zip(row, vec)) % p for row in self._coords_rows]
-        k = self.base.degree
-        out = []
-        for j in range(self.ext_degree):
-            idx = 0
-            for i in reversed(range(k)):
-                idx = idx * p + sol[j * k + i]
-            out.append(self.base.from_index(idx))
-        return tuple(out)
-
-    def _build_coords(self):
-        p, D, k = self.p, self.degree, self.base.degree
-        cols = []
-        gp = self.one.index
-        for j in range(self.ext_degree):
-            for i in range(k):
-                # the image of z^i, whose index in the base is p^i
-                v = self._mul(gp, self._base_emb[p ** i])
-                cols.append(_digits(v, p, D))
-            gp = self._mul(gp, self.gen.index)
-        # invert the basis matrix over F_p by Gauss-Jordan
-        mat = [[cols[c][r] for c in range(D)] for r in range(D)]
-        inv = [[1 if r == c else 0 for c in range(D)] for r in range(D)]
-        for col in range(D):
-            piv = next(r for r in range(col, D) if mat[r][col] % p != 0)
-            mat[col], mat[piv] = mat[piv], mat[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            s = pow(mat[col][col], p - 2, p)
-            mat[col] = [v * s % p for v in mat[col]]
-            inv[col] = [v * s % p for v in inv[col]]
-            for r in range(D):
-                if r != col and mat[r][col]:
-                    f = mat[r][col]
-                    mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[col])]
-                    inv[r] = [(a - f * b) % p for a, b in zip(inv[r], inv[col])]
-        self._coords_rows = inv
+        if self._coords is None:
+            g = self.gen.index
+            table = self._kernel.span(
+                [[self._mul(e, self._pow(g, j)) for e in self._base_emb]
+                 for j in range(self.ext_degree)])
+            self._coords = coords = [0] * self.card
+            for c, i in enumerate(table):
+                coords[i] = c
+        base = self.base
+        return tuple(base._elements(_digits(self._coords[x.index], base.card,
+                                            self.ext_degree)))
 
     # ------------------------------------------------------------------------
 

@@ -29,6 +29,8 @@ class MultiRing:
     def __init__(self, field, names):
         self.field = field
         self.names = tuple(names)
+        if not self.names:
+            raise DomainError("a polynomial ring needs at least one variable")
         self.nvars = len(self.names)
         # the key of a unit exponent per variable, and of 2^31 in every slot
         self._units = [_STRIDE ** (self.nvars - 1 - i)

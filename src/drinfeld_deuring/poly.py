@@ -276,6 +276,8 @@ def exact_div(f, g):
 
 
 def powmod(g, e, f):
+    if not isinstance(e, int) or e < 0:
+        raise DomainError("polynomial powers must be non-negative integers")
     if not f:
         raise ZeroDivisionError("polynomial division by zero")
     ring = f.ring

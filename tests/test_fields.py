@@ -1,5 +1,6 @@
 """Finite-field towers: construction, arithmetic, Frobenius, embeddings."""
 
+import functools
 import os
 import random
 import subprocess
@@ -233,6 +234,103 @@ def test_elements_enumeration_and_coords():
         assert F16.embed_from_base(c0) + F16.embed_from_base(c1) * F16.gen == e
 
 
+# --- coordinates over the base, against the matrix path --------------------
+
+def _gauss_jordan_coords(F):
+    """The coordinate map of F over its base as it was before the table: the
+    matrix of the basis (z^i * gen^j) over F_p, inverted by Gauss-Jordan.
+    Returns the map from an index of F to its coordinates, as base indices."""
+    p, D, k = F.p, F.degree, F.base.degree
+    cols = []
+    gp = 1
+    for j in range(F.ext_degree):
+        for i in range(k):
+            # the image of z^i, whose index in the base is p^i
+            cols.append(fields._digits(F._mul(gp, F._base_emb[p ** i]), p, D))
+        gp = F._mul(gp, F.gen.index)
+    mat = [[cols[c][r] for c in range(D)] for r in range(D)]
+    inv = [[1 if r == c else 0 for c in range(D)] for r in range(D)]
+    for col in range(D):
+        piv = next(r for r in range(col, D) if mat[r][col] % p != 0)
+        mat[col], mat[piv] = mat[piv], mat[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        s = pow(mat[col][col], p - 2, p)
+        mat[col] = [v * s % p for v in mat[col]]
+        inv[col] = [v * s % p for v in inv[col]]
+        for r in range(D):
+            if r != col and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[col])]
+                inv[r] = [(a - f * b) % p for a, b in zip(inv[r], inv[col])]
+
+    def coords(i):
+        vec = fields._digits(i, p, D)
+        sol = [sum(r * v for r, v in zip(row, vec)) % p for row in inv]
+        return tuple(sum(sol[j * k + t] * p ** t for t in range(k))
+                     for j in range(F.ext_degree))
+
+    return coords
+
+
+def _coords_fields(q, limit=2 ** 12):
+    """F_q when it has a base, its extensions of degree m >= 1 up to `limit`
+    elements, and kappa and kappa_2 at the first prime of each degree d with
+    q^(2d) <= limit."""
+    K = base_field(q)
+    out = [K] if K.base is not None else []
+    m = 1
+    while q ** m <= limit:
+        out.append(K.extension(m))
+        m += 1
+    d = 1
+    while q ** (2 * d) <= limit:
+        kappa = next(primes_of_degree(K, d)).kappa
+        out += [kappa, kappa.extension(2)]
+        d += 1
+    return out
+
+
+def _coords(F, i):
+    return tuple(c.index for c in F.coords_over_base(F.from_index(i)))
+
+
+@pytest.mark.parametrize("q", _prime_powers(64))
+def test_coordinate_table_matches_the_matrix_path(q):
+    for F in _coords_fields(q):
+        ref = _gauss_jordan_coords(F)
+        for i in range(F.card):
+            assert _coords(F, i) == ref(i), (F, i)
+
+
+@functools.lru_cache(maxsize=None)
+def _large_coords_field(name):
+    if name == "kappa2":
+        # the (2,8) prime T^8+T^4+T^3+T^2+1
+        f = t_poly_ring(base_field(2)).poly([1, 0, 1, 1, 1, 0, 0, 0, 1])
+        return PrimeModulus(f).kappa.extension(2)
+    q, m = name
+    return base_field(q).extension(m)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([(2, 16), (3, 10), (4, 8), (256, 2), "kappa2"]),
+       st.data())
+def test_coordinate_table_on_large_fields(name, data):
+    F = _large_coords_field(name)
+    i = data.draw(st.integers(0, F.card - 1))
+    assert _coords(F, i) == _gauss_jordan_coords(F)(i)
+    x = F.from_index(i)
+    total = F.zero
+    for j, c in enumerate(F.coords_over_base(x)):
+        total += F.embed_from_base(c) * F.gen ** j
+    assert total == x
+
+
+def test_coordinates_of_a_prime_field_are_refused():
+    with pytest.raises(DomainError):
+        base_field(5).coords_over_base(1)
+
+
 @pytest.mark.parametrize("q,m", [(2, 2), (2, 3), (3, 2), (4, 2), (5, 1)])
 def test_frobenius_additivity_exhaustive(q, m):
     """(x + y)^q = x^q + y^q for every pair, cardinality <= 256."""
@@ -407,6 +505,37 @@ def test_each_absolute_field_has_one_kernel():
         for k in range(1, min(_cap_exponent(p), 3) + 1):
             kind = "_Char2Kernel" if p == 2 else "_ZechKernel"
             assert type(fields._abs_tables(p, k)).__name__ == kind, (p, k)
+
+
+def _reference_embedding(kernel, k):
+    """emb[c] for every index c of F_(p^k), digit by digit: the sum of
+    c_i * root^i, with root the least root of F_(p^k)'s table modulus, found
+    by evaluating it at every element."""
+    p = kernel.p
+    mod = fields._abs_tables(p, k).modulus_digits
+
+    def value(x):
+        acc = 0
+        for c in reversed(mod):
+            acc = kernel._add(kernel._mul(acc, x), c)
+        return acc
+
+    root = next(x for x in range(kernel.card) if not value(x))
+    emb = []
+    for c in range(p ** k):
+        acc = 0
+        for i, digit in enumerate(fields._digits(c, p, k)):
+            acc = kernel._add(acc, kernel._mul(digit, kernel._pow(root, i)))
+        emb.append(acc)
+    return emb
+
+
+@pytest.mark.parametrize("p, degree", _table_sizes(4096))
+def test_embeddings_match_the_digit_by_digit_sums(p, degree):
+    kernel = fields._abs_tables(p, degree)
+    for k in range(1, degree + 1):
+        if degree % k == 0:
+            assert kernel.embedding(k) == _reference_embedding(kernel, k), k
 
 
 # --- prime fields against plain ints mod p ----------------------------------

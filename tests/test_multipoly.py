@@ -24,6 +24,12 @@ def test_ring_basics():
     assert not (f - f)
 
 
+def test_ring_needs_a_variable():
+    # evaluate() on a ring with no variables had no value to build its zero
+    with pytest.raises(DomainError):
+        MultiRing(base_field(3), ())
+
+
 def test_freshman_dream():
     # (a + b)^p = a^p + b^p in characteristic p
     R = _ring(5)

@@ -286,6 +286,14 @@ def test_powmod_matches_power_then_remainder(q, gs, fs, e):
     assert powmod(g, e, f) == (g ** e) % f
 
 
+def test_powmod_refuses_a_negative_exponent():
+    # square-and-multiply never ends on -1, since -1 >> 1 == -1
+    R = _ring(2, "y")
+    f = parse("y^2 + y + 1", R)
+    with pytest.raises(DomainError):
+        powmod(R.gen, -1, f)
+
+
 def _scan_roots(f, m):
     """Indices of the roots of f in the degree-m extension, with
     multiplicity, by evaluating f at every element."""
