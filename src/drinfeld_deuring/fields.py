@@ -2,15 +2,16 @@
 
 Every field is realized over its prime field F_p with elements encoded as
 integers: the element sum(c_i * z^i) is stored as the integer sum(c_i * p^i),
-where z is a root of a deterministic irreducible modulus (the
-lexicographically smallest monic one of the right degree, coefficients
-compared from the leading end down).  Multiplication goes through exp/log
-tables for a fixed primitive element; addition is XOR in characteristic 2
-and Zech logarithms otherwise, prime fields included.  One index kernel per
-absolute field (`IndexKernel`: the tables, the scalar arithmetic, that of
-polynomials over the field on index lists, and `sum_copies`, the one
-routine of sparse term maps) is shared between all tower instances with
-that absolute field.
+where z is a root of a deterministic irreducible modulus: the least monic
+one of its degree, coefficients compared by index from the leading end down,
+which `_least_irreducible` finds on the kernel once per absolute base field
+and degree, for the tables and for `extension` alike.  Multiplication goes
+through exp/log tables for a fixed primitive element; addition is XOR in
+characteristic 2 and Zech logarithms otherwise, prime fields included.  One
+index kernel per absolute field (`IndexKernel`: the tables, the scalar
+arithmetic, that of polynomials over the field on index lists, and
+`sum_copies`, the one routine of sparse term maps) is shared between all
+tower instances with that absolute field.
 
 A field built as an extension remembers its base field, the defining modulus
 over the base, and a designated root of that modulus (the first one in element
@@ -103,6 +104,9 @@ def _rendered(self):
 def _power(x, e, one, mul):
     """x^e for an int e >= 0 by square-and-multiply, starting from `one`,
     with no square after the top bit, which no later bit would use."""
+    if e < 0:
+        # -1 >> 1 is -1: the loop below would never end
+        raise DomainError("powers must be non-negative")
     result = one
     while e:
         if e & 1:
@@ -166,17 +170,33 @@ def _vector_arithmetic(p, degree, modulus_digits):
 @functools.lru_cache(maxsize=None)
 def _abs_tables(p, degree):
     """The `IndexKernel` of F_(p^degree): one per absolute field."""
-    # F_p is F_p[z]/(z): its modulus needs no search (and y is the smallest
-    # monic of degree 1)
-    mod = _canonical_modulus_digits(p, degree) if degree > 1 else (0, 1)
-    return (_Char2Kernel if p == 2 else _ZechKernel)(p, degree, mod)
+    return (_Char2Kernel if p == 2 else _ZechKernel)(
+        p, degree, _least_irreducible(p, 1, degree))
 
 
 @functools.lru_cache(maxsize=None)
-def _canonical_modulus_digits(p, degree):
-    """Smallest monic irreducible of the given degree over F_p, as a digit list
-    (ascending), compared lexicographically from the leading coefficient down."""
-    return tuple(c.index for c in base_field(p)._search_modulus(degree))
+def _least_irreducible(p, k, m):
+    """The first monic irreducible of degree m over F_(p^k), as an ascending
+    tuple of element indices.
+
+    Digit i of a running index is the coefficient of y^i, so the leading
+    coefficients change slowest: the order is lexicographic on the
+    coefficients read from the leading end down, comparing by index.  Every
+    tower instance of F_(p^k) shares one kernel and its indices, so the
+    answer depends on (p, k, m) alone.  At m = 1 the first candidate, y,
+    is taken untested: F_p's own kernel is built from it.
+    """
+    card = p ** k
+    if card ** m > CARD_CAP:
+        raise CapExceededError(
+            f"extension of cardinality {card ** m} exceeds the {CARD_CAP} cap")
+    if m == 1:
+        return (0, 1)
+    test = _abs_tables(p, k).is_irreducible
+    for i in range(card ** m):
+        f = _digits(i, card, m) + [1]
+        if test(f):
+            return tuple(f)
 
 
 class IndexKernel:
@@ -449,21 +469,25 @@ class IndexKernel:
         self._reduce(out, n, row)
         return out
 
+    def _frobenius_powers(self, g, count):
+        """[x^(p^i) mod g for i in 0..count], for g != 0."""
+        n = len(g) - 1
+        row, _ = self._divisor(g)
+        t = [0, 1]
+        self._reduce(t, n, row)
+        out = [t]
+        for _ in range(count):
+            out.append(self._frobenius(out[-1], n, row))
+        return out
+
     def is_irreducible(self, f):
         """The gcd-with-Frobenius test, for f of degree >= 2."""
         n = len(f) - 1
-        row, _ = self._divisor(f)
-        x = [0, 1]
-        # iterates x^(card^i) mod f; x^card is degree-fold the p-th power
-        ts = [self.mod(x, f)]
-        for _ in range(n):
-            t = ts[-1]
-            for _ in range(self.degree):
-                t = self._frobenius(t, n, row)
-            ts.append(t)
+        # x^(card^i) mod f for i <= n: x^card is degree-fold the p-th power
+        ts = self._frobenius_powers(f, n * self.degree)[::self.degree]
         if ts[n] != ts[0]:
             return False
-        return all(len(self.gcd(self.sub_polys(ts[n // r], x), f)) == 1
+        return all(len(self.gcd(self.sub_polys(ts[n // r], [0, 1]), f)) == 1
                    for r in _prime_divisors(n))
 
     def distinct_roots(self, g):
@@ -477,13 +501,9 @@ class IndexKernel:
         Computer Algebra, ch. 14.
         """
         p, k = self.p, self.degree
-        x = [0, 1]
         # frob[i] = x^(p^i) mod g, up to frob[k] = x^card
-        row, _ = self._divisor(g)
-        frob = [self.mod(x, g)]
-        for _ in range(k):
-            frob.append(self._frobenius(frob[-1], len(g) - 1, row))
-        parts = [self.gcd(self.sub_polys(frob[k], x), g)]
+        frob = self._frobenius_powers(g, k)
+        parts = [self.gcd(self.sub_polys(frob[k], [0, 1]), g)]
         for i in range(k):
             if all(len(P) <= 2 for P in parts):
                 break
@@ -670,9 +690,7 @@ class FiniteField:
             raise DomainError(f"index {i} out of range for field of size {self.card}")
         elt = self._elt_cache.get(i)
         if elt is None:
-            elt = FieldElement(self, i)
-            if len(self._elt_cache) < 4096:
-                self._elt_cache[i] = elt
+            elt = self._elt_cache[i] = FieldElement(self, i)
         return elt
 
     def _elements(self, idx):
@@ -707,22 +725,11 @@ class FiniteField:
         key = ("search", m, gen_name, q)
         field = self._ext_cache.get(key)
         if field is None:
-            # over F_p, reuse the cached search that the field's tables need
-            mod = (_canonical_modulus_digits(self.p, m) if self.base is None
-                   else self._search_modulus(m))
-            field = self.extension_with_modulus(mod, gen_name=gen_name, q=q)
+            mod = _least_irreducible(self.p, self.degree, m)
+            field = self.extension_with_modulus(
+                self._elements(mod), gen_name=gen_name, q=q)
             self._ext_cache[key] = field
         return field
-
-    def _search_modulus(self, m):
-        from . import poly
-
-        if self.card ** m > CARD_CAP:
-            raise CapExceededError(
-                f"extension of cardinality {self.card ** m} exceeds the {CARD_CAP} cap")
-        ring = poly.PolyRing(self, "y")
-        return next(f for f in poly._monic_polys(ring, m)
-                    if poly.is_irreducible(f)).coeffs
 
     def extension_with_modulus(self, coeffs, gen_name="b", q=None, _root=None):
         """Extension defined by a given monic modulus over this field.
@@ -879,24 +886,15 @@ def base_field(q):
     if q > CARD_CAP:
         raise CapExceededError(
             f"field of cardinality {q} exceeds the {CARD_CAP} cap")
-    p, e = _split_prime_power(q)
+    primes = _prime_divisors(q)
+    if len(primes) != 1:
+        raise DomainError(f"{q} is not a prime power")
+    p, e = primes[0], 1
+    while p ** e < q:
+        e += 1
     if e == 1:
         return FiniteField(p, None, None, p, None, _token=_FIELD_TOKEN)
     return base_field(p).extension(e, gen_name="x", q=q)
-
-
-def _split_prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                e += 1
-            if n != 1:
-                raise DomainError(f"{q} is not a prime power")
-            return p, e
-    raise DomainError(f"{q} is not a prime power")
 
 
 def embed(x, target):

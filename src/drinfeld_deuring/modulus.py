@@ -159,8 +159,8 @@ def primes_of_degree(field, d):
     F_q, the orbit is the root set of p in kappa, so its least element is
     the designated root that kappa would find by splitting p: it is passed
     on, and kappa finds no root.  The polynomials are sorted into the order
-    above, which is that of the candidates of `poly._monic_polys`.  The
-    walk is eager: the first prime comes after all of degree d are found
+    above, which is that of the candidates of `fields._least_irreducible`.
+    The walk is eager: the first prime comes after all of degree d are found
     (a few tenths of a second at q^d = 2^16, the cap).
     """
     if d < 1:

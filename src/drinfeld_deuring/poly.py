@@ -20,8 +20,8 @@ from __future__ import annotations
 import operator
 
 from .errors import AmbientTooSmallError, CapExceededError, DomainError
-from .fields import CARD_CAP, FiniteField, _coerced, _digits, _power, \
-    _rendered, embed
+from .fields import CARD_CAP, FiniteField, _coerced, _power, _rendered, \
+    embed
 
 
 class PolyRing:
@@ -295,20 +295,6 @@ def is_irreducible(f):
     if n == 1:
         return True
     return f.ring._kernel.is_irreducible(_indices(f))
-
-
-def _monic_polys(ring, degree):
-    """Every monic polynomial of the given degree over a finite field.
-
-    Digit i of the running index is the degree-i coefficient, so the
-    leading-end coefficients change slowest: the order is lexicographic on
-    the coefficients read from the leading end down, comparing by index.
-    """
-    K = ring.base
-    for idx in range(K.card ** degree):
-        coeffs = [K.from_index(c) for c in _digits(idx, K.card, degree)]
-        coeffs.append(K.one)
-        yield Poly(ring, coeffs)
 
 
 def roots_in_extension(f, m):

@@ -20,6 +20,7 @@ from drinfeld_deuring.modulus import PrimeModulus, primes_of_degree, \
     t_poly_ring
 from drinfeld_deuring.ore import OreContext
 from drinfeld_deuring.poly import PolyRing
+from reference import monic_polys
 
 
 def test_prime_field_arithmetic():
@@ -53,10 +54,10 @@ def test_base_field_rejects_non_prime_powers():
 def test_base_field_refuses_q_above_the_cap_before_factoring(monkeypatch):
     from drinfeld_deuring import fields
 
-    def unreachable(q):
+    def unreachable(n):
         raise AssertionError("a q above the cap was trial-divided")
 
-    monkeypatch.setattr(fields, "_split_prime_power", unreachable)
+    monkeypatch.setattr(fields, "_prime_divisors", unreachable)
     for huge in (CARD_CAP + 1, 1 << 17, 1000000007, 10 ** 30):
         with pytest.raises(CapExceededError):
             base_field(huge)
@@ -124,7 +125,7 @@ def _prime_powers(top):
 
 def test_enumerated_primes_equal_constructed_ones(monkeypatch):
     # the Frobenius-orbit walk against the candidate path it replaced: every
-    # monic of degree d that is irreducible and not T, in _monic_polys order,
+    # monic of degree d that is irreducible and not T, in monic_polys order,
     # built by the constructor; the designated root against a kappa built
     # afresh (another gen_name), which splits the modulus to find it, up to
     # q = 2^8 at d = 1, where the orbit is one element and the root is the
@@ -137,7 +138,7 @@ def test_enumerated_primes_equal_constructed_ones(monkeypatch):
             # fresh kappas, dropped again after each degree
             monkeypatch.setattr(F, "_ext_cache", {})
             got = list(primes_of_degree(F, d))
-            want = [f for f in poly._monic_polys(ring, d)
+            want = [f for f in monic_polys(ring, d)
                     if f != ring.gen and poly.is_irreducible(f)]
             assert [p.p_poly for p in got] == want
             for p in got:
@@ -157,10 +158,17 @@ def test_primes_of_degree_neither_tests_nor_splits(monkeypatch):
     def unreachable(*_args):
         raise AssertionError("primes_of_degree tested or split a modulus")
 
-    bases = {q: base_field(q) for q in (2, 3, 4, 8, 9, 16)}
-    monkeypatch.setattr(poly, "is_irreducible", unreachable)
+    cases = [(2, 1), (2, 7), (3, 4), (4, 3), (8, 2), (9, 2), (16, 1)]
+    bases = {q: base_field(q) for q, _ in cases}
+    # each kappa's tables first: their own modulus search runs once per
+    # absolute field, in whichever test needs them first, and is not what
+    # this test forbids
+    for q, d in cases:
+        fields._abs_tables(bases[q].p, bases[q].degree * d)
+    monkeypatch.setattr(fields, "_least_irreducible", unreachable)
+    monkeypatch.setattr(IndexKernel, "is_irreducible", unreachable)
     monkeypatch.setattr(FiniteField, "_first_root", unreachable)
-    for q, d in [(2, 1), (2, 7), (3, 4), (4, 3), (8, 2), (9, 2), (16, 1)]:
+    for q, d in cases:
         monkeypatch.setattr(bases[q], "_ext_cache", {})
         primes = list(primes_of_degree(bases[q], d))
         assert primes
@@ -172,8 +180,8 @@ def _forbid_enumeration(monkeypatch):
     def unreachable(*_args):
         raise AssertionError("primes_of_degree enumerated past a check")
 
-    monkeypatch.setattr(poly, "_monic_polys", unreachable)
-    monkeypatch.setattr(poly, "is_irreducible", unreachable)
+    monkeypatch.setattr(fields, "_least_irreducible", unreachable)
+    monkeypatch.setattr(IndexKernel, "is_irreducible", unreachable)
     monkeypatch.setattr(fields, "_abs_tables", unreachable)
     monkeypatch.setattr(IndexKernel, "frobenius_orbits", unreachable)
 
@@ -399,21 +407,74 @@ def test_equal_values_hash_alike(q, ints, indices):
                 assert hash(a) == hash(b), (a, b)
 
 
-def test_base_field_extends_the_shared_prime_field():
-    # in a fresh interpreter, so that no cached field or table hides a search
-    code = (
-        "from drinfeld_deuring import fields, poly\n"
-        "calls = []\n"
-        "test = poly.is_irreducible\n"
-        "poly.is_irreducible = lambda f: calls.append(f) or test(f)\n"
-        "F = fields.base_field(16)\n"
-        "print(len(calls), F.base is fields.base_field(2))\n")
+def _fresh_stdout(code):
+    """The stdout of `code` in a fresh interpreter, where no cached field,
+    table or modulus hides a search; a hang fails after 60 s."""
     src = os.path.dirname(os.path.dirname(drinfeld_deuring.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60).stdout
+
+
+# wraps the kernel's irreducibility test to count its calls
+_COUNT_TESTS = (
+    "from drinfeld_deuring.fields import IndexKernel\n"
+    "calls = []\n"
+    "test = IndexKernel.is_irreducible\n"
+    "IndexKernel.is_irreducible = "
+    "lambda self, f: calls.append(f) or test(self, f)\n")
+
+
+def test_base_field_extends_the_shared_prime_field():
+    out = _fresh_stdout(
+        _COUNT_TESTS +
+        "from drinfeld_deuring import fields\n"
+        "F = fields.base_field(16)\n"
+        "print(len(calls), F.base is fields.base_field(2))\n")
     # y^4, y^4 + 1, y^4 + y and y^4 + y + 1: one search for the modulus
     assert out.split() == ["4", "True"]
+
+
+def test_extension_search_builds_no_polynomial():
+    # kappa = F_64 over F_4 over F_2: the search for kappa_2 runs on index
+    # lists in kappa's kernel
+    out = _fresh_stdout(
+        "from drinfeld_deuring import base_field, poly, primes_of_degree\n"
+        "kappa = next(primes_of_degree(base_field(4), 3)).kappa\n"
+        "def refuse(*_args):\n"
+        "    raise AssertionError('a Poly was built')\n"
+        "poly._Dense.__init__ = refuse\n"
+        "print(kappa.extension(2).card)\n")
+    assert out.split() == ["4096"]
+
+
+def test_primes_of_one_degree_share_one_kappa_2_search():
+    # two tower instances of F_64 share its kernel, so the second kappa_2
+    # reuses the first one's modulus
+    out = _fresh_stdout(
+        _COUNT_TESTS +
+        "from drinfeld_deuring import base_field, primes_of_degree\n"
+        "first, second = list(primes_of_degree(base_field(2), 6))[:2]\n"
+        "E = first.kappa.extension(2)\n"
+        "searched = len(calls)\n"
+        "F = second.kappa.extension(2)\n"
+        "print(searched, len(calls) - searched, [c.index for c in "
+        "E.modulus_over_base] == [c.index for c in F.modulus_over_base])\n")
+    searched, again, same = out.split()
+    assert int(searched) > 0
+    assert (again, same) == ("0", "True")
+
+
+def test_kernel_powmod_refuses_a_negative_exponent():
+    # square-and-multiply never ends on e < 0, since -1 >> 1 == -1
+    out = _fresh_stdout(
+        "from drinfeld_deuring import fields\n"
+        "from drinfeld_deuring.errors import DomainError\n"
+        "try:\n"
+        "    fields._abs_tables(2, 2).powmod([0, 1], -1, [1, 1, 1])\n"
+        "except DomainError:\n"
+        "    print('DomainError')\n")
+    assert out.split() == ["DomainError"]
 
 
 # The table build as it was with digit-by-digit base-p arithmetic on element

@@ -24,9 +24,10 @@ from drinfeld_deuring.modulus import (
 )
 from drinfeld_deuring.ore import qpow
 from drinfeld_deuring.poly import (
-    Poly, PolyRing, _monic_polys, exact_div, is_irreducible, poly_gcd,
-    powmod, roots_in_extension, splitting_degree,
+    Poly, PolyRing, exact_div, is_irreducible, poly_gcd, powmod,
+    roots_in_extension, splitting_degree,
 )
+from reference import monic_polys
 
 
 def _ring(q, var="T"):
@@ -315,7 +316,7 @@ _ROOT_QS = (2, 3, 4, 5, 9)
 
 def _irreducibles(K, degree):
     ring = PolyRing(K, "s")
-    return list(islice((f for f in _monic_polys(ring, degree)
+    return list(islice((f for f in monic_polys(ring, degree)
                         if is_irreducible(f)), 6))
 
 
@@ -762,8 +763,8 @@ def _scan_first_root(F, coeffs):
 
 def _first_irreducible(K, m):
     """The deterministic modulus of degree m over K: the first monic
-    irreducible in `_monic_polys` order, by the element-level test."""
-    return next(f for f in _monic_polys(PolyRing(K, "y"), m)
+    irreducible in `monic_polys` order, by the element-level test."""
+    return next(f for f in monic_polys(PolyRing(K, "y"), m)
                 if _elementwise_is_irreducible(f))
 
 
