@@ -37,6 +37,7 @@ structural field equality.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 
 from .errors import CapExceededError, DomainError
@@ -118,11 +119,15 @@ def _power(x, e, one, mul):
 
 
 def _vector_arithmetic(p, degree, modulus_digits):
-    """(mul, add, to_vec, to_index) of F_p[z]/(m) on coefficient vectors.
+    """(mul, to_vec, to_index) of F_p[z]/(m) on coefficient vectors packed
+    into ints, which the generator search of `IndexKernel` runs on.
 
     In characteristic 2 a vector is the packed int of its bits, which is the
-    element index itself, and sums are XOR.  Otherwise it is the list of the
-    `degree` base-p digits of the index, lowest first.
+    element index itself, and products are carry-less.  Otherwise digit i of
+    the index sits in slot i, of s bits (Kronecker substitution): one int
+    product gives every coefficient of a product of polynomials, s being
+    wide enough that none carries into the next slot, even after the top
+    coefficients are folded back through the packed z^(degree + k) mod m.
     """
     if p == 2:
         m = sum(c << i for i, c in enumerate(modulus_digits))
@@ -142,29 +147,64 @@ def _vector_arithmetic(p, degree, modulus_digits):
         def same(a):
             return a
 
-        return mul, operator.xor, same, same
-    # z^degree reduced: the negated low part of the modulus
-    red = [(-c) % p for c in modulus_digits[:degree]]
+        return mul, same, same
+    # a folded slot holds at most (2 degree - 1) (p - 1)^2
+    s = (2 * degree * (p - 1) ** 2).bit_length()
+    slot, width = (1 << s) - 1, s * degree
+    shifts = range(0, width, s)
     weights = [p ** i for i in range(degree)]
 
-    def add(a, b):
-        return [(x + y) % p for x, y in zip(a, b)]
+    def pack(digits):
+        return sum(d << sh for d, sh in zip(digits, shifts))
+
+    def digits(a):
+        return [(a >> sh & slot) % p for sh in shifts]
+
+    # folds[k] = z^(degree + k) mod m, from z^degree, the negated low part
+    # of the modulus
+    red = [(-c) % p for c in modulus_digits[:degree]]
+    folds, r = [], red
+    for _ in range(degree - 1):
+        folds.append(pack(r))
+        t = r[-1]
+        r = [(x + t * y) % p for x, y in zip([0] + r[:-1], red)]
+    low = (1 << width) - 1
 
     def mul(a, b):
-        acc = [0] * degree
-        for db in b:
-            if db:
-                acc = [(x + db * y) % p for x, y in zip(acc, a)]
-            t = a[-1]
-            a = [0] + a[:-1]
-            if t:
-                a = [(x + t * r) % p for x, r in zip(a, red)]
-        return acc
+        c = a * b
+        acc = c & low
+        c >>= width
+        for f in folds:
+            acc += (c & slot) % p * f
+            c >>= s
+        return pack(digits(acc))
 
     def to_index(a):
-        return sum(d * w for d, w in zip(a, weights))
+        return sum(d * w for d, w in zip(digits(a), weights))
 
-    return mul, add, (lambda i: _digits(i, p, degree)), to_index
+    return mul, (lambda i: pack(_digits(i, p, degree))), to_index
+
+
+def _chunk(p, degree):
+    """P = p^(degree // 2).  An index of F_(p^degree) is (t*P + r)*P + l
+    with r, l < P and t < p^(degree % 2): the r and l chunks add on the
+    P*P-entry `_digit_sums` table, which has at most card entries, and t
+    adds mod p."""
+    return p ** (degree // 2)
+
+
+def _digit_sums(p, P):
+    """The flat table s[a * P + b], for a, b < P a power of p, of the
+    digit-wise sums mod p of a and b in base p: on a chunk of the digits of
+    an index, the digits of the sum of two elements."""
+    s, n = [0], 1
+    while n < P:
+        # a = a0 + p*a1 and b = b0 + p*b1, with a1, b1 < n
+        s = [(a0 + b0) % p + p * s[a1 * n + b1]
+             for a1 in range(n) for a0 in range(p)
+             for b1 in range(n) for b0 in range(p)]
+        n *= p
+    return s
 
 
 @functools.lru_cache(maxsize=None)
@@ -187,9 +227,10 @@ def _least_irreducible(p, k, m):
     is taken untested: F_p's own kernel is built from it.
     """
     card = p ** k
-    if card ** m > CARD_CAP:
+    # card^m is never formed, so a huge m is refused at once
+    if m > _cap_exponent(card):
         raise CapExceededError(
-            f"extension of cardinality {card ** m} exceeds the {CARD_CAP} cap")
+            f"extension of cardinality {card}^{m} exceeds the {CARD_CAP} cap")
     if m == 1:
         return (0, 1)
     test = _abs_tables(p, k).is_irreducible
@@ -205,11 +246,13 @@ class IndexKernel:
 
     Products read the log/exp tables.  Sums are the field kind's own: XOR in
     characteristic 2 and Zech logarithms otherwise, a prime field being the
-    degree-1 case.  A subclass per kind gives `_add` and `_neg`, and the two
-    row primitives the polynomial loops run on: `_row(a)`, the form of a
-    polynomial that `_addmul(dst, off, c, row)` adds c times into dst at
-    offset off.  Every polynomial operation over a finite field runs here,
-    with no FieldElement built in between.
+    degree-1 case.  A subclass per kind gives `_powers`, the walk that
+    builds the tables, `_add` and `_neg`, `_add_terms(a, b)`, the sum of a
+    and b term by term for len(a) >= len(b), and the two row primitives the
+    polynomial loops run on: `_row(a)`, the form of a polynomial that
+    `_addmul(dst, off, c, row)` adds c times into dst at offset off.  Every
+    polynomial operation over a finite field runs here, with no
+    FieldElement built in between.
 
     The scalar operations are private: every `FiniteField` of this absolute
     field takes them as its own `_add`, `_neg`, `_mul`, `_inv` and `_pow`.
@@ -226,41 +269,29 @@ class IndexKernel:
         self.m1 = m1 = n - 1
         self.modulus_digits = modulus_digits
         self._embeddings = {}
-        mul, add, to_vec, to_index = _vector_arithmetic(
-            p, degree, modulus_digits)
+        mul, to_vec, to_index = _vector_arithmetic(p, degree, modulus_digits)
         prime_factors = _prime_divisors(m1)
-        gen = None
-        # in a proper extension no element of F_p is primitive
-        for cand in range(p if degree > 1 else 1, n):
+        # the least primitive index; in a proper extension no element of
+        # F_p is primitive
+        self.generator = gen = next(
+            cand for cand in range(p if degree > 1 else 1, n)
             if all(to_index(_power(to_vec(cand), m1 // r, to_vec(1), mul)) != 1
-                   for r in prime_factors):
-                gen = cand
-                break
-        assert gen is not None
-        # x -> x * gen is F_p-linear: tabulate it on the low and the high
-        # half of the index, so each power costs one vector sum
-        half = p ** (degree // 2)
+                   for r in prime_factors))
+        # x -> x * gen is F_p-linear: the kind's walk tabulates it from the
+        # images z^j * gen of the basis and reads one power per step
         g = to_vec(gen)
-        low = [mul(to_vec(i), g) for i in range(half)]
-        high = [mul(to_vec(i * half), g) for i in range(n // half)]
-        exp = [0] * m1
-        log = [0] * n
-        cur = 1
-        for i in range(m1):
-            exp[i] = cur
-            log[cur] = i
-            hi, lo = divmod(cur, half)
-            cur = to_index(add(low[lo], high[hi]))
-        assert cur == 1
-        self.generator = gen
-        self.log = log
+        exp, log = self._powers(
+            [to_index(mul(to_vec(p ** j), g)) for j in range(degree)])
+        # tuples: a collection stops tracking a tuple of ints once it has
+        # seen it, where it would traverse a list of them every time
+        self.log = tuple(log)
         # exp twice over, so a sum of two logs needs no % m1, then m1 zeros:
         # the zero sentinel log 2*m1 plus any log reads 0
-        self.exp = exp + exp + [0] * m1
+        self.exp = tuple(itertools.chain(exp, exp, itertools.repeat(0, m1)))
         # zech[k] = log(1 + g^k) in odd characteristic: 1 + e adds 1 to the
         # lowest digit of e, and 1 + (p - 1) is 0
-        self.zech = None if p == 2 else [
-            log[e - e % p + (e + 1) % p] if e != p - 1 else -1 for e in exp]
+        self.zech = None if p == 2 else tuple([
+            log[e - e % p + (e + 1) % p] if e != p - 1 else -1 for e in exp])
         self.half = m1 // 2  # log of -1 in odd characteristic
         # the card x card table of index sums, built on first use
         self._sums = None
@@ -317,7 +348,8 @@ class IndexKernel:
         """The table of index sums: sums()[i][j] is the index of i + j."""
         if self._sums is None:
             add, n = self._add, self.card
-            self._sums = [[add(i, j) for j in range(n)] for i in range(n)]
+            self._sums = tuple(tuple([add(i, j) for j in range(n)])
+                               for i in range(n))
         return self._sums
 
     def sum_copies(self, copies):
@@ -361,8 +393,7 @@ class IndexKernel:
     def add_polys(self, a, b):
         if len(a) < len(b):
             a, b = b, a
-        out = list(map(self._add, a, b))
-        out += a[len(b):]
+        out = self._add_terms(a, b)
         while out and not out[-1]:
             out.pop()
         return out
@@ -572,6 +603,32 @@ class _Char2Kernel(IndexKernel):
     # -i = i in characteristic 2
     _neg = staticmethod(operator.pos)
 
+    def _powers(self, images):
+        """(exp, log) of the powers of the generator, whose products with
+        the basis z^j are `images`: the product of x with the generator is
+        the XOR of the images of its low and of its high bits, each side
+        tabulated as the XOR span of its half of the images."""
+        h = self.degree // 2
+        low, high = [0], [0]
+        for v in images[:h]:
+            low += [x ^ v for x in low]
+        for v in images[h:]:
+            high += [x ^ v for x in high]
+        mask, m1 = (1 << h) - 1, self.m1
+        exp, log = [0] * m1, [0] * self.card
+        cur = 1
+        for i in range(m1):
+            exp[i] = cur
+            log[cur] = i
+            cur = low[cur & mask] ^ high[cur >> h]
+        assert cur == 1
+        return exp, log
+
+    def _add_terms(self, a, b):
+        out = list(map(operator.xor, a, b))
+        out += a[len(b):]
+        return out
+
     def _row(self, a):
         log, zero = self.log, 2 * self.m1
         return [log[c] if c else zero for c in a]
@@ -602,9 +659,70 @@ class _ZechKernel(IndexKernel):
     def _neg(self, i):
         return self.exp[self.log[i] + self.half] if i else 0
 
+    def _powers(self, images):
+        """(exp, log) of the powers of the generator, whose products with
+        the basis z^j are `images`, on indices alone.
+
+        An index is (t*P + r)*P + l with P = `_chunk(p, degree)`, so t < p
+        at odd degree and t = 0 at even.  The product of x with the
+        generator is the digit-wise sum of that of its low part l and of
+        its high part t*P + r, each tabulated split into its (t, r, l); the
+        sum reads t off a 2p-entry list and r and l off `_digit_sums`.
+        """
+        p, m1 = self.p, self.m1
+        h = self.degree // 2
+        P = _chunk(p, self.degree)
+        dsum = _digit_sums(p, P)
+        tmod = [i % p for i in range(2 * p)]
+
+        def span(vs):
+            # the split of sum_j d_j * vs[j] at the index whose digits are d
+            out = [(0, 0, 0)]
+            for v in vs:
+                t2, r2, l2 = v // (P * P), v // P % P, v % P
+                # entry k + p^j is entry k plus vs[j]
+                for k in range((p - 1) * len(out)):
+                    t1, r1, l1 = out[k]
+                    out.append((tmod[t1 + t2], dsum[r1 * P + r2],
+                                dsum[l1 * P + l2]))
+            return out
+
+        # low holds (t, r*P, l*P) and tsum[i] = (i mod p)*P, so the next
+        # (t*P + r, l) is two tuple reads and three table reads
+        low = [(t, r * P, l * P) for t, r, l in span(images[:h])]
+        high = span(images[h:])
+        tsum = [t * P for t in tmod]
+        exp, log = [0] * m1, [0] * self.card
+        hi, lo = start = divmod(1, P)
+        for i in range(m1):
+            cur = hi * P + lo
+            exp[i] = cur
+            log[cur] = i
+            t1, r1, l1 = low[lo]
+            t2, r2, l2 = high[hi]
+            hi = tsum[t1 + t2] + dsum[r1 + r2]
+            lo = dsum[l1 + l2]
+        assert (hi, lo) == start
+        return exp, log
+
     def _row(self, a):
         log = self.log
         return [(i, log[c]) for i, c in enumerate(a) if c]
+
+    def _add_terms(self, a, b):
+        # `_add` per pair, written out
+        log, exp, zech = self.log, self.exp, self.zech
+        out = list(a)
+        for k, y in enumerate(b):
+            if y:
+                x = out[k]
+                if x:
+                    lx = log[x]
+                    z = zech[log[y] - lx]
+                    out[k] = exp[lx + z] if z >= 0 else 0
+                else:
+                    out[k] = y
+        return out
 
     def _addmul(self, dst, off, c, row):
         log, exp, zech, m1 = self.log, self.exp, self.zech, self.m1

@@ -63,6 +63,17 @@ def test_base_field_refuses_q_above_the_cap_before_factoring(monkeypatch):
             base_field(huge)
 
 
+def test_extensions_over_the_cap_are_refused_without_forming_their_size():
+    # card^m is compared by exponents and printed as a power: formatting
+    # 2^(10^8) would raise ValueError, past the int-to-str digit limit
+    for q, m in ((2, 10 ** 8), (3, 11), (256, 3), (65521, 2)):
+        with pytest.raises(CapExceededError,
+                           match=rf"^extension of cardinality {q}\^{m} "
+                                 rf"exceeds the {CARD_CAP} cap$"):
+            base_field(q).extension(m)
+    assert base_field(3).extension(10).card == 3 ** 10
+
+
 def test_cap_exponent_is_the_largest_power_under_the_cap():
     for card in list(range(2, 300)) + [256, 257, CARD_CAP, CARD_CAP + 1,
                                        10 ** 30]:
@@ -536,7 +547,9 @@ def _reference_tables(p, degree, modulus_digits):
             d0 = e % p
             e1 = e - d0 + (d0 + 1) % p
             zech.append(log[e1] if e1 else -1)
-    return gen, exp, log, zech
+        zech = tuple(zech)
+    # the kernel's tables are tuples
+    return gen, tuple(exp), tuple(log), zech
 
 
 def _table_sizes(limit):
@@ -547,12 +560,51 @@ def _table_sizes(limit):
             if p ** k <= limit]
 
 
-@pytest.mark.parametrize("p, degree", _table_sizes(4096))
+# odd fields above 4,096 elements, up to the largest odd field of each kind
+# of split of the index (`fields._chunk`): even and odd degree, prime field
+_LARGE_ODD_TABLES = [(3, 8), (3, 9), (3, 10), (5, 6), (7, 5), (37, 3),
+                     (251, 2), (65521, 1)]
+
+
+@pytest.mark.parametrize("p, degree", _table_sizes(4096) + _LARGE_ODD_TABLES)
 def test_tables_match_digit_by_digit_build(p, degree):
     t = fields._abs_tables(p, degree)
     m1 = p ** degree - 1
     assert (t.generator, t.exp[:m1], t.log, t.zech) == \
         _reference_tables(p, degree, t.modulus_digits)
+
+
+def test_kernel_tables_are_tuples():
+    # a collection stops tracking a tuple of ints, never a list
+    for p, degree in ((2, 1), (2, 4), (3, 1), (3, 4), (5, 2), (7, 3)):
+        t = fields._abs_tables(p, degree)
+        tables = [t.exp, t.log, t.sums()] + list(t.sums())
+        if p != 2:
+            tables.append(t.zech)
+        assert all(type(x) is tuple for x in tables), (p, degree)
+    assert fields._abs_tables(2, 3).zech is None
+
+
+def test_digit_sum_tables_fit_in_the_field():
+    # every odd (p, k) under the cap, by the split's formula: no table is
+    # built, which for a chunk of ceil(k/2) digits would take p^(k+1)
+    # entries, p^2 ~ 4.3e9 at F_65521
+    primes = [p for p in range(3, CARD_CAP + 1, 2) if _prime_divisors(p) == [p]]
+    for p in primes:
+        for k in range(1, _cap_exponent(p) + 1):
+            P = fields._chunk(p, k)
+            # (t*P + r)*P + l with t < p^(k % 2)
+            assert P * P * p ** (k % 2) == p ** k, (p, k)
+    # the table itself, digit by digit, on small chunks
+    for p, P in ((3, 1), (3, 27), (5, 25), (7, 7), (251, 251)):
+        s = fields._digit_sums(p, P)
+        assert len(s) == P * P
+        for a in random.Random(p).sample(range(P), min(P, 12)):
+            for b in range(P):
+                da, db = fields._digits(a, p, 3), fields._digits(b, p, 3)
+                want = sum((x + y) % p * p ** i
+                           for i, (x, y) in enumerate(zip(da, db)))
+                assert s[a * P + b] == want, (p, a, b)
 
 
 def test_each_absolute_field_has_one_kernel():
@@ -695,6 +747,32 @@ def test_prime_field_polynomials_are_ints_mod_p(case, data):
             want[off + i] = (want[off + i] + c * x) % p
         k._addmul(dst, off, c, k._row(a))
         assert dst == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(2, 4), (3, 1), (3, 4), (5, 2), (7, 3), (3, 8),
+                        (65521, 1)]), st.booleans(), st.data())
+def test_polynomial_sums_match_the_scalar_sums(pk, cancel, data):
+    # the kind's `_add_terms` against `_add` mapped over the pairs, with the
+    # cancelled top terms trimmed
+    k = fields._abs_tables(*pk)
+    x = st.one_of(st.just(0), st.integers(1, k.card - 1))
+    a = _trim(data.draw(st.lists(x, max_size=10)))
+    b = _trim(data.draw(st.lists(x, max_size=10)))
+    if cancel:
+        # b cancels the top of a, from a drawn term up
+        cut = data.draw(st.integers(0, len(a)))
+        b = _trim((b + [0] * cut)[:cut] + [k._neg(y) for y in a[cut:]])
+    if data.draw(st.booleans()):
+        a, b = b, a
+    longer, shorter = (a, b) if len(a) >= len(b) else (b, a)
+    want = _trim(list(map(k._add, longer, shorter)) + longer[len(shorter):])
+    assert k.add_polys(a, b) == want
+    assert k.add_polys(b, a) == want
+    if cancel:
+        assert len(want) <= max(len(a), len(b))
+    neg_b = [k._neg(y) for y in b]
+    assert k.sub_polys(a, b) == k.add_polys(a, neg_b)
 
 
 def _coerced_operators():

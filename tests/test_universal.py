@@ -78,8 +78,9 @@ def test_u_terms_round_trip_through_polynomials():
 def test_sum_copies_builds_the_addition_table_once(monkeypatch):
     for q in (2, 4, 5, 9):
         F = base_field(q)
-        assert F._kernel.sums() == [[F._add(a, b) for b in range(q)]
-                                    for a in range(q)]
+        # the kernel's table is a tuple of tuples
+        assert F._kernel.sums() == tuple(tuple(F._add(a, b) for b in range(q))
+                                         for a in range(q))
     F = base_field(9)
     table = F._kernel.sums()
     monkeypatch.setattr(universal, "_u_cache", {})
