@@ -36,7 +36,7 @@ from .modulus import PrimeModulus, check_residue_degree, \
     primes_up_to_degree, t_poly_ring
 from .tower import all_identity_reports, check_identities_budget
 from .universal import U_mod_prime, check_derivative_recursion, \
-    _simple_roots, check_key_identity, check_u_zero
+    _certified, check_key_identity, check_u_zero
 
 
 def _parse_prime(q, text):
@@ -147,12 +147,12 @@ def _verify_rows(q, max_degree):
         U_red = U_mod_prime(prime)
         rows.append((f"H-universal[{label}]", H == U_red and H_univ == U_red))
         N = (q ** prime.d - 1) // (q - 1)
-        # h_univ is u_d mod p, which the separability check and the graph
-        # read as well
+        # h_univ is u_d mod p, which the graph reads as well; it is
+        # separable when it equals u_d built over kappa (`_certified`)
         rows.append((f"h-shape[{label}]",
                      h.degree == N and h.lead == prime.kappa.one
                      and bool(h.constant_coeff())
-                     and _simple_roots(h_univ)))
+                     and _certified(prime, h_univ)))
         if prime.d <= 2:
             rows.append((f"g-structure[{label}]", check_g_structure(prime, h)))
         if prime.d <= _GRAPH_ENVELOPE.get(q, 0):

@@ -373,7 +373,7 @@ class IndexKernel:
         for u, c, shift in copies:
             scale = scales.get(c)
             if scale is None:
-                scale = scales[c] = [self._mul(c, x) for x in range(q)]
+                scale = scales[c] = self.scale(c, range(q))
             for key, x in u.items():
                 k = key + shift
                 out[k] = add[out.get(k, 0)][scale[x]]

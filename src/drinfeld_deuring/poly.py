@@ -268,13 +268,6 @@ def poly_gcd(f, g):
                                                        _indices(g)))
 
 
-def exact_div(f, g):
-    q, r = divmod(f, g)
-    if r:
-        raise DomainError(f"division of {f!r} by {g!r} leaves remainder {r!r}")
-    return q
-
-
 def powmod(g, e, f):
     if not isinstance(e, int) or e < 0:
         raise DomainError("polynomial powers must be non-negative integers")

@@ -5,7 +5,7 @@ u_{-1} = 0, u_0 = 1 and
     u_{i+1} = (s + T^q)^(q^i) * u_i - (T^(q^i) - T) * s^(q^i) * u_{i-1}
 
 over A[s] with A = F_q[T].  The normalized variant runs over A[1/T][s]:
-U_0 = 1 and
+U_{-1} = 0, U_0 = 1 and
 
     U_{i+1} = ((s^q - s)^(q-1) + 1/T^(q-1))^(q^i) * U_i
               - (T^(q^i) - T)/T^(q^(i+1)) * (s^q - s)^((q-1)*q^(i-1)) * U_{i-1}
@@ -13,24 +13,21 @@ U_0 = 1 and
 with the second term absent at i = 0.  Reducing u_d (resp. U_d) mod a prime
 p(T) of degree d yields the Deuring polynomial h (resp. its companion H).
 
-Both sequences are built and cached as term maps: one dict per u_i or U_i,
-{t * _T_STRIDE + e: c} for each nonzero term c * T^t * s^e, c the F_q index
-of the coefficient.  In U_i the exponent t may be negative (the powers of
-1/T); divmod(key, _T_STRIDE) recovers (t, e) either way, since 0 <= e <
-_T_STRIDE.  Multiplying by c * T^t * s^e then scales every coefficient by c
-and adds the same offset to every key.  Each u-step is a signed sum of four
-such copies.  C = (s^q - s)^(q-1) is the sum of s^(k(q-1)) over k = 1..q,
-which Frobenius fixes, so the q^i-th power of U_1 is C(s^(q^i)) +
-T^(-(q-1)*q^i) and each U-step is a sum of 3q + 1 copies: no products.
-Every sum of copies is one call of the field kernel's `sum_copies`, the one
-routine of sparse term maps, which `multipoly` runs on too.
-Reduction mod p and the checks of u_i (u_i(0), the derivative recursion and
-the key identity, one sum of copies of (s+1)^e) read the maps; u_sequence
-and U_sequence convert to polynomials over F_q[T] and F_q[T, 1/T].
+Both sequences are term maps, one dict per u_i or U_i, built by one step
+routine each and one driver, `_terms`, over one of two rings.  A step
+multiplies by monomials c * T^t * s^e only, each a scaled, shifted copy:
 
-The derivative sequence (d/ds u_i) satisfies the u-recursion for steps
-i >= 1 only: the i = 0 step would force u_1' = 0, but u_1 = s + T^q has
-u_1' = 1.  `check_derivative_recursion` therefore requires i >= 1.
+- generic, on F_q's kernel: {t * _T_STRIDE + e: c} over the nonzero terms,
+  c an F_q index; the copy is (c, t * _T_STRIDE + e), and divmod(key,
+  _T_STRIDE) gives (t, e) also for the t < 0 of U_i.  Memoised per field.
+- over kappa = F_q[T]/(p), T -> alpha, on kappa's kernel: {e: index}; the
+  copy is (c * alpha^t, e), read off the log tables.  Not cached.
+
+A u-step is four copies.  C = (s^q - s)^(q-1), the sum of s^(k(q-1)) over
+k = 1..q, is fixed by Frobenius, so U_1^(q^i) = C(s^(q^i)) + T^(-(q-1)q^i)
+and a U-step is 3q + 1 copies: no products, one `sum_copies`.  U_mod_prime
+and the separability certificate run over kappa; u_mod_prime, the
+universal h route, and the checks of u_i read the generic maps.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from math import comb
 from .errors import DomainError
 from .laurent import LaurentRing, LaurentT
 from .modulus import t_poly_ring
-from .poly import Poly, PolyRing, exact_div, poly_gcd
+from .poly import Poly, PolyRing
 
 _u_cache = {}
 _U_cache = {}
@@ -62,69 +59,78 @@ def u_sequence(field, i_max):
     return [_terms_to_poly(u, S) for u in _u_terms(field, i_max)]
 
 
+def _generic(field):
+    """The generic ring of a step (module docstring)."""
+    return field, field._kernel, _generic_copy
+
+
+def _generic_copy(c, t, e):
+    return c, t * _T_STRIDE + e
+
+
+def _terms(step, ring, i_max, seq):
+    """x_0, ..., x_{i_max} of the sequence of `step` over `ring`, extending
+    seq = [x_{-1} = 0, x_0 = 1, ...] in place."""
+    while len(seq) < i_max + 2:
+        i = len(seq) - 2
+        seq.append(step(ring, seq[i], seq[i + 1], i))
+    return seq[1:i_max + 2]
+
+
 def _u_terms(field, i_max):
-    """u_0, ..., u_{i_max} as term maps, memoised per field."""
+    """u_0, ..., u_{i_max} as generic term maps, memoised per field."""
     _check_sequence_args(field, i_max)
-    q = field.card
-    seq = _u_cache.setdefault(field, [])
-    if not seq:
-        one = field.one.index
-        seq += [{0: one}, {1: one, q * _T_STRIDE: one}]
-    while len(seq) <= i_max:
-        i = len(seq) - 1
-        seq.append(_u_step(field, seq[i - 1], seq[i], i))
-    return seq[:i_max + 1]
-
-
-def _u_step(field, u_prev, u_i, i):
-    """u_{i+1} = u_i*s^(q^i) + u_i*T^(q^(i+1))
-                 - (T^(q^i) - T)*s^(q^i)*u_{i-1}."""
-    q = field.card
-    qi = q ** i
-    one = field.one.index
-    return field._kernel.sum_copies((
-        (u_i, one, qi), (u_i, one, q * qi * _T_STRIDE),
-        (u_prev, field._neg(one), qi + qi * _T_STRIDE),
-        (u_prev, one, qi + _T_STRIDE)))
+    # index 1 is the element 1 of every kernel
+    seq = _u_cache.get(field) or _u_cache.setdefault(field, [{}, {0: 1}])
+    return _terms(_u_step, _generic(field), i_max, seq)
 
 
 def _U_terms(field, i_max):
-    """U_0, ..., U_{i_max} as term maps, memoised per field."""
+    """U_0, ..., U_{i_max} as generic term maps, memoised per field."""
     _check_sequence_args(field, i_max)
-    seq = _U_cache.setdefault(field, [])
-    if len(seq) <= i_max:
-        q, one = field.card, field.one.index
-        # (s^q - s)^(q-1) = s^(q-1) * sum_k binom(q-1, k) (-1)^(q-1-k)
-        # s^((q-1)k), and binom(q-1, k) = (-1)^k mod p since (1 + x)^(q-1)
-        # = (1 + x^q)/(1 + x): each of the q terms has sign (-1)^(q-1) = 1
-        C = [(k * (q - 1), one) for k in range(1, q + 1)]
-        if not seq:
-            U1 = dict(C)
-            U1[-(q - 1) * _T_STRIDE] = one
-            seq += [{0: one}, U1]
-        while len(seq) <= i_max:
-            i = len(seq) - 1
-            seq.append(_U_step(field, C, seq[i - 1], seq[i], i))
-    return seq[:i_max + 1]
+    seq = _U_cache.get(field) or _U_cache.setdefault(field, [{}, {0: 1}])
+    return _terms(_U_step, _generic(field), i_max, seq)
 
 
-def _U_step(field, C, U_prev, U_i, i):
-    """For i >= 1, with C = (s^q - s)^(q-1) as (s exponent, F_q index) pairs
-    and Q = q^(i+1):
+def _over_kappa(step, prime):
+    """x_d over kappa[s] for the sequence of `step`, p of degree d."""
+    K, emb = prime.kappa._kernel, prime.kappa._base_emb
+    log, exp, la = K.log, K.exp, K.log[prime.alpha.index]
+    # c * alpha^t = exp[log emb(c) + t log alpha], as _reduce_terms reads it
+    ring = (prime.field_q, K,
+            lambda c, t, e: (exp[log[emb[c]] + t * la % K.m1], e))
+    return prime._kappa_poly(_terms(step, ring, prime.d, [{}, {0: 1}])[-1])
+
+
+def _u_step(ring, u_prev, u_i, i):
+    """u_{i+1} = u_i*s^(q^i) + u_i*T^(q^(i+1))
+                 - (T^(q^i) - T)*s^(q^i)*u_{i-1}."""
+    field, kernel, mono = ring
+    q = field.card
+    qi = q ** i
+    return kernel.sum_copies((
+        (u_i, *mono(1, 0, qi)), (u_i, *mono(1, q * qi, 0)),
+        (u_prev, *mono(field._neg(1), qi, qi)), (u_prev, *mono(1, 1, qi))))
+
+
+def _U_step(ring, U_prev, U_i, i):
+    """With C = (s^q - s)^(q-1) and Q = q^(i+1):
 
     U_{i+1} = (C(s^(q^i)) + T^(-(q-1)q^i)) * U_i
               - (T^(q^i - Q) - T^(1 - Q)) * C(s^(q^(i-1))) * U_{i-1}
     """
+    field, kernel, mono = ring
     q = field.card
     qi = q ** i
     Q = q * qi
-    copies = [(U_i, c, e * qi) for e, c in C]
-    copies.append((U_i, field.one.index, -(q - 1) * qi * _T_STRIDE))
-    for e, c in C:
-        shift = e * (qi // q)
-        copies.append((U_prev, field._neg(c), shift + (qi - Q) * _T_STRIDE))
-        copies.append((U_prev, c, shift + (1 - Q) * _T_STRIDE))
-    return field._kernel.sum_copies(copies)
+    # C = s^(q-1) * sum_k binom(q-1, k) (-1)^(q-1-k) s^((q-1)k), each sign
+    # (-1)^(q-1) = 1 as binom(q-1, k) = (-1)^k mod p: (1+x)^(q-1)(1+x) = 1+x^q
+    copies = [(U_i, *mono(1, -(q - 1) * qi, 0))]
+    for e in range(q - 1, q * (q - 1) + 1, q - 1):
+        copies += [(U_i, *mono(1, 0, e * qi)),
+                   (U_prev, *mono(field._neg(1), qi - Q, e * qi // q)),
+                   (U_prev, *mono(1, 1 - Q, e * qi // q))]
+    return kernel.sum_copies(copies)
 
 
 def _terms_to_poly(u, ring):
@@ -149,21 +155,18 @@ def _terms_to_poly(u, ring):
     return Poly(ring, out)
 
 
-def _terms_mod_prime(u, prime):
-    """The polynomial in s over kappa of a term map reduced mod p, over its
-    nonzero terms only."""
+def u_mod_prime(prime):
+    """u_d mod p for the prime p of degree d: h by the universal route, the
+    generic u_d reduced over its nonzero terms."""
+    u = _u_terms(prime.field_q, prime.d)[prime.d]
     return prime._kappa_poly(prime._reduce_terms(
         (key % _T_STRIDE, ((key // _T_STRIDE, c),)) for key, c in u.items()))
 
 
-def u_mod_prime(prime):
-    """u_d mod p for the prime p of degree d: h by the universal route."""
-    return _terms_mod_prime(_u_terms(prime.field_q, prime.d)[prime.d], prime)
-
-
 def U_mod_prime(prime):
-    """U_d mod p for the prime p of degree d: the companion H."""
-    return _terms_mod_prime(_U_terms(prime.field_q, prime.d)[prime.d], prime)
+    """U_d mod p for the prime p of degree d, the companion H: the
+    U-recurrence run over kappa."""
+    return _over_kappa(_U_step, prime)
 
 
 def U_sequence(field, i_max):
@@ -187,7 +190,8 @@ def check_u_zero(field, i):
 
 
 def check_derivative_recursion(field, i):
-    """The derivative sequence satisfies the unchanged recursion at step i >= 1.
+    """The derivative sequence satisfies the unchanged recursion at step i >= 1
+    (at i = 0 it would force u_1' = 0, but u_1 = s + T^q has u_1' = 1).
 
     Every s-exponent e of every u_j is 0 or 1 mod p: u_0 = 1, u_1 = s + T^q,
     and step j (`_u_step`) shifts exponents by 0 or q^j, a multiple of p for
@@ -198,11 +202,16 @@ def check_derivative_recursion(field, i):
     """
     if i < 1:
         raise DomainError("the derivative recursion only holds for steps i >= 1")
-    # c * T^t * s^e -> (e mod p) * c * T^t * s^(e-1); e mod p is an F_p index
+    d = [_derivative(field, u) for u in _u_terms(field, i + 1)[i - 1:]]
+    return d[2] == _u_step(_generic(field), d[0], d[1], i)
+
+
+def _derivative(field, u):
+    """d/ds of a generic term map: c * T^t * s^e -> (e mod p) * c * T^t *
+    s^(e-1), e mod p read as an F_p index."""
     p = field.p
-    d = [{k - 1: field._mul(k % _T_STRIDE % p, c) for k, c in u.items()
-          if k % _T_STRIDE % p} for u in _u_terms(field, i + 1)[i - 1:]]
-    return d[2] == _u_step(field, d[0], d[1], i)
+    return {k - 1: field._mul(k % _T_STRIDE % p, c) for k, c in u.items()
+            if k % _T_STRIDE % p}
 
 
 def check_key_identity(field, i):
@@ -293,55 +302,43 @@ def sequence_json(field, variant, i_max):
 
 
 def check_simple_roots(prime):
-    """u_d mod p is separable and does not vanish at 0."""
-    return _simple_roots(u_mod_prime(prime))
+    """u_d mod p, the universal route's h, is separable with h(0) != 0."""
+    return _certified(prime, u_mod_prime(prime))
 
 
-def _simple_roots(h):
-    """check_simple_roots on h = u_d mod p."""
-    if not h.constant_coeff():
-        return False
-    return poly_gcd(h, h.derivative()).degree == 0
+def _certified(prime, h):
+    """A certificate, not a gcd, that h is separable with h(0) != 0: h is
+    u_d built over kappa, h(0) != 0, and alpha^(q^j) != alpha, 0 < j < d.
+
+    Over kappa, u_{i+1} = A_i*u_i - B_i*u_{i-1} with A_i = s^(q^i) +
+    alpha^(q^(i+1)) and B_i = (alpha^(q^i) - alpha)*s^(q^i).  For i >= 1,
+    d/ds kills A_i and B_i, so the u_i' obey the same recurrence, and the
+    Casoratian W_i = u_i*u_{i-1}' - u_{i-1}*u_i' has W_1 = -1, W_{i+1} =
+    B_i*W_i.  So W_d = -prod_{0<j<d} (alpha^(q^j) - alpha) * s^(q + ... +
+    q^(d-1)) != 0, a common factor of h and h' is a power of s, and h(0)
+    != 0 leaves only 1."""
+    K, a, q = prime.kappa._kernel, prime.alpha.index, prime.q
+    return (h == _over_kappa(_u_step, prime) and bool(h.constant_coeff())
+            and all(K._pow(a, q ** j) != a for j in range(1, prime.d)))
 
 
 def check_simple_roots_generic(field, i):
-    """gcd(u_i, d/ds u_i) = 1 over F_q(T), via a primitive remainder sequence."""
-    u = u_sequence(field, i)[i]
-    return _coprime_over_fraction_field(u, u.derivative())
-
-
-def _content(f):
-    cs = [c for c in f.coeffs if c]
-    g = cs[0]
-    for c in cs[1:]:
-        g = poly_gcd(g, c)
-        if g.degree == 0:
-            break
-    return g
-
-
-def _primitive(f):
-    c = _content(f)
-    if c.degree == 0 and c.lead == c.ring.base.one:
-        return f
-    return f.map_coeffs(lambda x: exact_div(x, c), f.ring)
-
-
-def _pseudo_rem(f, g):
-    lc = g.lead
-    while f and f.degree >= g.degree:
-        f = f * lc - g.shifted(f.degree - g.degree) * f.lead
-    return f
-
-
-def _coprime_over_fraction_field(f, g):
-    if not g:
-        return f.degree == 0
-    f, g = _primitive(f), _primitive(g)
-    while True:
-        if g.degree == 0:
-            return True
-        r = _pseudo_rem(f, g)
-        if not r:
-            return False
-        f, g = g, _primitive(r)
+    """gcd(u_i, d/ds u_i) = 1 over F_q(T), by a sufficient certificate:
+    u_i(0) != 0 and W_i = -prod_{0<j<i} (T^(q^j) - T) * s^(q + ... +
+    q^(i-1)), the Casoratian of `_certified`.  W_i is formed by products:
+    read off the recurrence that built u_i, it would prove nothing."""
+    u = _u_terms(field, i)
+    if i == 0:
+        return True  # u_0 = 1
+    um, ui = u[i - 1:]
+    q, neg, kernel = field.card, field._neg, field._kernel
+    # P = prod (T^(q^j) - T); the identity reads W_i + P * s^E = 0
+    P = {0: 1}
+    for j in range(1, i):
+        P = kernel.sum_copies(((P, 1, q ** j * _T_STRIDE),
+                               (P, neg(1), _T_STRIDE)))
+    copies = [(ui, c, k) for k, c in _derivative(field, um).items()]
+    copies += [(um, neg(c), k) for k, c in _derivative(field, ui).items()]
+    copies.append((P, 1, sum(q ** j for j in range(1, i))))
+    return (any(not k % _T_STRIDE for k in ui)
+            and not kernel.sum_copies(copies))

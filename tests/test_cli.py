@@ -147,11 +147,39 @@ def test_verify_reduces_u_d_once_per_prime(monkeypatch):
         return reduce(prime)
 
     # the universal route's reference and the module's own, which
-    # check_simple_roots reads
+    # check_simple_roots reads; verify's certificate reads the route's h
     monkeypatch.setattr(drinfeld, "u_mod_prime", counted)
     monkeypatch.setattr(universal, "u_mod_prime", counted)
     cli._verify_rows(2, 3)
     assert calls == list(primes_up_to_degree(base_field(2), 3))
+
+
+def test_verify_builds_no_generic_U_d(monkeypatch):
+    # the H-universal rows run the U-recurrence over kappa, per prime
+    from drinfeld_deuring import universal
+
+    monkeypatch.setattr(universal, "_U_cache", {})
+    cli._verify_rows(2, 3)
+    assert universal._U_cache == {}
+
+
+def test_verify_h_shape_reads_the_certificate_on_the_universal_h(
+        monkeypatch, capsys):
+    argv = ["verify", "--q", "2", "--max-degree", "3", "--format", "json"]
+    rc, good = _verify_checks(capsys, argv)
+    seen = []
+
+    def refused(prime, h):
+        seen.append(h == cli.deuring_h_universal(prime))
+        return False
+
+    monkeypatch.setattr(cli, "_certified", refused)
+    rc, bad = _verify_checks(capsys, argv)
+    assert rc == 1 and list(bad) == list(good)
+    shape = [n for n in good if n.startswith("h-shape[")]
+    assert len(seen) == len(shape) and all(seen)
+    assert not any(bad[n] for n in shape)
+    assert all(bad[n] == good[n] for n in good if n not in shape)
 
 
 def test_compute_computes_H_once_per_distinct_h(monkeypatch, capsys):

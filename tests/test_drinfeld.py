@@ -33,9 +33,10 @@ from drinfeld_deuring.modulus import (
 )
 from drinfeld_deuring.ore import OreContext, drinfeld_image, ore_apply, \
     qpow
-from drinfeld_deuring.poly import Poly, PolyRing, exact_div, \
-    is_irreducible, roots_in_extension
+from drinfeld_deuring.poly import Poly, PolyRing, is_irreducible, \
+    roots_in_extension
 from drinfeld_deuring.universal import U_mod_prime, u_sequence
+from reference import exact_div
 
 
 def _prime(q, text):

@@ -24,10 +24,10 @@ from drinfeld_deuring.modulus import (
 )
 from drinfeld_deuring.ore import qpow
 from drinfeld_deuring.poly import (
-    Poly, PolyRing, exact_div, is_irreducible, poly_gcd, powmod,
-    roots_in_extension, splitting_degree,
+    Poly, PolyRing, is_irreducible, poly_gcd, powmod, roots_in_extension,
+    splitting_degree,
 )
-from reference import monic_polys
+from reference import exact_div, monic_polys
 
 
 def _ring(q, var="T"):

@@ -1,5 +1,6 @@
 """Universal sequences u_i / U_i and the identities they satisfy."""
 
+import functools
 import json
 from math import comb
 
@@ -16,12 +17,13 @@ from drinfeld_deuring.modulus import (
     t_poly_ring,
 )
 from drinfeld_deuring.ore import qpow
-from drinfeld_deuring.poly import Poly, PolyRing, _Dense
+from drinfeld_deuring.poly import Poly, PolyRing, _Dense, poly_gcd
 from drinfeld_deuring.universal import (
     U_sequence, check_derivative_recursion, check_key_identity,
     check_simple_roots, check_simple_roots_generic, check_u_zero,
     U_mod_prime, sequence_json, u_mod_prime, u_sequence, u_zero_value,
 )
+from reference import coprime_over_fraction_field
 
 
 def test_u_sequence_base_cases_and_oracle():
@@ -525,11 +527,85 @@ def test_simple_roots_mod_p():
     assert check_simple_roots(PrimeModulus(parse("T + 2", t_poly_ring(F3))))
 
 
-def test_simple_roots_generic():
-    for q, imax in ((2, 3), (3, 2)):
+# the (q, D) grid of the benchmark's verify sweep
+_SWEEP_GRID = [(2, 6), (3, 4), (4, 3), (5, 3), (7, 2), (8, 2), (9, 2)]
+
+
+@pytest.mark.parametrize("q, d", _SWEEP_GRID)
+def test_U_mod_prime_over_kappa_matches_reducing_U_sequence(q, d):
+    # the U-recurrence run over kappa against the generic U_d reduced mod p
+    F = base_field(q)
+    U = U_sequence(F, d)
+    for p in primes_up_to_degree(F, d):
+        assert U_mod_prime(p) == reduce_mod_prime(U[p.d], p)
+
+
+_F2_PRIMES = {d: list(primes_of_degree(base_field(2), d))
+              for d in range(1, 11)}
+
+
+@functools.cache
+def _generic_U_d(d):
+    return U_sequence(base_field(2), d)[d]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(_F2_PRIMES)), st.data())
+def test_U_mod_prime_over_kappa_matches_the_generic_U_d_up_to_degree_10(
+        d, data):
+    p = data.draw(st.sampled_from(_F2_PRIMES[d]))
+    assert U_mod_prime(p) == reduce_mod_prime(_generic_U_d(d), p)
+
+
+@pytest.mark.parametrize("q, d", _SWEEP_GRID)
+def test_separability_certificate_agrees_with_the_gcd(q, d):
+    for p in primes_up_to_degree(base_field(q), d):
+        h = u_mod_prime(p)
+        assert check_simple_roots(p) is universal._certified(p, h) is \
+            (poly_gcd(h, h.derivative()).degree == 0) is True
+
+
+@pytest.mark.parametrize("q, d", _SWEEP_GRID)
+def test_separability_certificate_rejects_mutants_of_h(q, d):
+    # one changed coefficient (low, middle and top) and a zero constant
+    # term, in place of the universal route's h
+    for p in primes_up_to_degree(base_field(q), d):
+        h = u_mod_prime(p)
+        one = h.ring.one
+        for j in (0, 1, h.degree // 2, h.degree):
+            assert universal._certified(p, h + one.shifted(j)) is False
+        zero_at_0 = Poly(h.ring, (p.kappa.zero,) + tuple(h.coeffs[1:]))
+        assert universal._certified(p, zero_at_0) is False
+        assert universal._certified(p, h) is True
+
+
+def _squared_factor_mutant(field, i):
+    # u_i * (s + 1)^2, which shares the factor s + 1 with its derivative
+    u = universal._u_terms(field, i)[i]
+    return field._kernel.sum_copies(
+        [(u, c, e) for e, c in _comb_row(2, field.p).items()])
+
+
+def test_simple_roots_generic(monkeypatch):
+    # the Casoratian certificate against the primitive pseudo-remainder
+    # sequence it replaced, on u_i and on a squared-factor mutant of u_i
+    for q, i_max in ((2, 5), (3, 4)):
         F = base_field(q)
-        for i in range(1, imax + 1):
-            assert check_simple_roots_generic(F, i)
+        for i in range(i_max + 1):
+            u = u_sequence(F, i)[i]
+            assert check_simple_roots_generic(F, i) is \
+                coprime_over_fraction_field(u, u.derivative()) is True
+        for i in range(1, i_max + 1):
+            _with_u_terms(monkeypatch, F, i, _squared_factor_mutant(F, i))
+            u = u_sequence(F, i)[i]
+            assert check_simple_roots_generic(F, i) is \
+                coprime_over_fraction_field(u, u.derivative()) is False
+            monkeypatch.undo()
+    # u_1 = s meets the identity W_1 = -1, but u_1(0) = 0: the certificate
+    # asks for u_i(0) != 0 as well
+    F = base_field(2)
+    _with_u_terms(monkeypatch, F, 1, {1: 1})
+    assert check_simple_roots_generic(F, 1) is False
 
 
 def test_sequence_json_layout():
