@@ -522,46 +522,55 @@ class IndexKernel:
                    for r in _prime_divisors(n))
 
     def distinct_roots(self, g):
-        """The distinct roots of g != 0 in this field, ascending.
+        """The distinct roots of g != 0 here, ascending: the linear parts
+        that `split` breaks `root_part(g)` into, with each part's Frobenius
+        powers reduced modulo it, once, from its parent's degree."""
+        roots, parts = [], [self.root_part(g)]
+        while parts:
+            P, i, frob = parts.pop()
+            if len(P) == 2:
+                roots.append(self._neg(P[0]))
+            elif len(P) > 2:
+                n = len(P)
+                frob = [f if len(f) < n else self.mod(f, P) for f in frob]
+                parts += self.split((P, i, frob))
+        return sorted(roots)
 
-        gcd(x^card - x, g) keeps one linear factor per root.  That product
-        is split by gcds with Tr(beta*x) - c for beta in the F_p-basis z^i
-        and c in F_p: two roots differ in some Tr(beta*root), because the
-        trace form is nondegenerate, so after at most [E:F_p] rounds every
-        part is linear.  Deterministic; see von zur Gathen & Gerhard, Modern
-        Computer Algebra, ch. 14.
-        """
-        p, k = self.p, self.degree
-        # frob[i] = x^(p^i) mod g, up to frob[k] = x^card
-        frob = self._frobenius_powers(g, k)
-        parts = [self.gcd(self.sub_polys(frob[k], [0, 1]), g)]
-        for i in range(k):
-            if all(len(P) <= 2 for P in parts):
-                break
-            beta = p ** i
-            trace = []
-            for j in range(k):
-                trace = self.add_polys(
-                    trace, self.scale(self._pow(beta, p ** j), frob[j]))
-            split = []
-            for P in parts:
-                if len(P) <= 2:
-                    split.append(P)
-                    continue
-                t = self.mod(trace, P)
-                # P is the product of its gcds with t - c over c in F_p; the
-                # last one is what the others leave of P
-                for c in range(p - 1):
-                    piece = self.gcd(self.sub_polys(t, [c] if c else []), P)
-                    if len(piece) > 1:
-                        split.append(piece)
-                        P = self.divmod_polys(P, piece)[0]
-                        if len(P) == 1:
-                            break
-                if len(P) > 1:
-                    split.append(P)
-            parts = split
-        return sorted(self._neg(P[0]) for P in parts if len(P) == 2)
+    def root_part(self, g):
+        """(P, 0, frob) for g != 0: P = gcd(x^card - x, g), one linear factor
+        per root of g here, and frob[j] = x^(p^j) mod g for j < degree."""
+        frob = self._frobenius_powers(g, self.degree)
+        return self.gcd(self.sub_polys(frob.pop(), [0, 1]), g), 0, frob
+
+    def split(self, part):
+        """The parts (Q, i', frob) that a part (P, i, frob) splits into, for
+        deg P >= 2 and frob[j] = x^(p^j) modulo a multiple of P: the gcds of
+        P with Tr(beta*x) - c, c in F_p, for the first of beta = z^i,
+        z^(i+1), ... that splits P.  Two roots differ in some Tr(beta*root),
+        as the trace form is nondegenerate, so beta stays in the F_p-basis.
+        Deterministic; see von zur Gathen & Gerhard, Modern Computer
+        Algebra, ch. 14."""
+        P, i, frob = part
+        p = self.p
+        while True:
+            beta, i = p ** i, i + 1
+            t = []
+            for j, f in enumerate(frob):
+                t = self.add_polys(t, self.scale(self._pow(beta, p ** j), f))
+            # P is the product of its gcds with t - c over c in F_p; the
+            # last one is what the others leave of P
+            pieces, rest = [], P
+            for c in range(p - 1):
+                piece = self.gcd(self.sub_polys(t, [c] if c else []), rest)
+                if len(piece) > 1:
+                    pieces.append(piece)
+                    rest = self.divmod_polys(rest, piece)[0]
+                    if len(rest) == 1:
+                        break
+            if len(rest) > 1:
+                pieces.append(rest)
+            if len(pieces) > 1:
+                return [(Q, i, frob) for Q in pieces]
 
     def frobenius_orbits(self, q, d):
         """(minimal polynomial, least element) of each orbit of x -> x^q of

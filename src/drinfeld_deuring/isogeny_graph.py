@@ -16,21 +16,32 @@ of some c, is a ConsistencyError.  For d = 1, kappa itself is too small:
 separable (see `neighbors`), but distinct Y-roots may map to the same Delta1,
 so edges carry a multiplicity; out-degree counted with it is exactly q.
 
-The roots of h come from root finding.  The roots of every c come from one
-pass over the nonzero elements Y of kappa_2 (`_neighbor_pass`): Y is a root
-of c exactly when f(Y) = -gamma(T^q) * (Y+1)^(q-1) * Y is Delta0, and both
-f(Y) and Delta1(Y) are read off the logs of Y and Y+1.  The pass applies one
-closed-form map per element, so a graph costs |kappa_2| table steps, however
-many vertices it has.
+The graph is walked from one root of h.  gcd(x^|kappa_2| - x, h) has one
+linear factor per root of h in kappa_2, and one branch of its trace split
+(`IndexKernel.split`) ends in a root.  The targets of a vertex come from a
+linear solve: Y = -1 is never a root of c (c(-1) = -Delta0), so W = 1/(Y+1)
+is defined, with Y = (1-W)/W and (Y+1)^(q-1) * Y = (1-W)/W^q.  c(Y) = 0
+then reads -gamma(T^q) * (1-W) = Delta0 * W^q, that is
+
+    a * W^q + W = 1,    a = -Delta0 / gamma(T^q),
+
+and W -> a*W^q + W is F_p-linear.  An index's base-p digits are its
+coordinates in the basis z^i, so the solve is an elimination on indices of
+dimension [kappa_2 : F_p], and each solution gives the target
+Delta1 = -gamma(T) * Y^q * W^(q-1).  The walk is breadth-first; each new
+target is tested as a root of h, the terms of h read off the logs, and one
+that is not is a stray target, which is not walked on.  The walk must reach
+all deg h roots: h is separable, so this shows that the graph is connected
+and that every root was found.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 from .drinfeld import deuring_h_universal
 from .errors import AmbientTooSmallError, ConsistencyError, DomainError
 from .fields import FiniteField, embed
 from .modulus import PrimeModulus, check_residue_degree
-from .poly import roots_in_extension
 
 
 def neighbors(delta0, prime, ambient):
@@ -44,46 +55,86 @@ def neighbors(delta0, prime, ambient):
     if not delta0:
         raise DomainError("Delta = 0 is never a vertex")
     delta0 = ambient.coerce(delta0)
-    return ambient._elements(_edge_targets(prime, ambient, [delta0.index])[0])
+    targets = _neighbor_solver(prime, ambient)(delta0.index)
+    return ambient._elements(_checked(targets, prime.q))
 
 
-def _edge_targets(prime, ambient, vertices):
-    """The edge targets of each of the distinct nonzero ambient indices
-    `vertices`, as lists of ambient indices; AmbientTooSmallError at the
-    first vertex with fewer than q."""
-    targets = _neighbor_pass(prime, ambient, vertices)
-    q = prime.q
-    for ts in targets:
-        if len(ts) < q:
-            raise AmbientTooSmallError(
-                f"only {len(ts)} of {q} neighbor roots lie in the ambient "
-                "field")
+def _checked(targets, q):
+    if len(targets) < q:
+        raise AmbientTooSmallError(
+            f"only {len(targets)} of {q} neighbor roots lie in the ambient "
+            "field")
     return targets
 
 
-def _neighbor_pass(prime, ambient, vertices):
-    """The targets of each vertex, as lists of ambient indices, by one pass
-    over the nonzero Y of the ambient field (see the module docstring).
-
-    Y runs in ascending index order, the order in which root finding gives
-    the roots of c.  f(0) = f(-1) = 0 is never a vertex, so those two Y are
-    skipped.
-    """
+def _neighbor_solver(prime, ambient):
+    """The map from a nonzero ambient index Delta0 to the indices of its
+    edge targets, in ascending index order of their Y-roots, by solving
+    a * W^q + W = 1 (see the module docstring)."""
     q, K = prime.q, ambient._kernel
-    log, exp, m1, add = K.log, K.exp, K.m1, K._add
-    l_f = log[K._neg(embed(prime.alpha ** q, ambient).index)]
-    l_g = log[K._neg(embed(prime.alpha, ambient).index)]
-    e = q - 1
-    hits = {v: [] for v in vertices}
-    for y in range(1, K.card):
-        y1 = add(y, 1)
-        if y1:
-            ly, ly1 = log[y], log[y1]
-            ts = hits.get(exp[(l_f + e * ly1 + ly) % m1])
-            if ts is not None:
-                # Delta1 = -gamma(T) * Y^q / (Y+1)^(q-1)
-                ts.append(exp[(l_g + q * ly - e * ly1) % m1])
-    return [hits[v] for v in vertices]
+    p, m1, log, exp = K.p, K.m1, K.log, K.exp
+    add, neg, mul = K._add, K._neg, K._mul
+    # z^i has index p^i; its column is a * (z^i)^q + z^i
+    basis = [p ** i for i in range(K.degree)]
+    # the leading digit of v != 0 sits at top[v.bit_length()] or one below
+    top = [0] + [sum(x < 1 << b for x in basis) - 1
+                 for b in range(1, K.card.bit_length() + 1)]
+    lq = [log[b] * q % m1 for b in basis]
+    l_f = log[neg(embed(prime.alpha ** q, ambient).index)]
+    l_g = log[neg(embed(prime.alpha, ambient).index)]
+    minus_one = neg(1)
+
+    def reduce(v, w, pivots):
+        # v = L(w) - r: clear v's leading digits while a pivot row has them;
+        # returns v, w and the position of v's leading digit
+        while v:
+            pos = top[v.bit_length()]
+            if v < basis[pos]:
+                pos -= 1
+            row = pivots.get(pos)
+            if row is None:
+                return v, w, pos
+            dv, dw = row[v // basis[pos]]
+            v, w = add(v, dv), add(w, dw)
+        return 0, w, None
+
+    def solve(delta0):
+        la = (log[delta0] - l_f) % m1
+        # pivots[pos]: (-c*v, -c*w) for c in F_p, v = L(w) with leading
+        # digit 1 at position pos; kernel: the w with L(w) = 0
+        pivots, kernel = {}, []
+        for b, lbq in zip(basis, lq):
+            # the column of z^i, with r = 0
+            v, w, pos = reduce(add(exp[la + lbq], b), b, pivots)
+            if not v:
+                kernel.append(w)
+                continue
+            inv = K._inv(v // basis[pos])
+            v, w = mul(inv, v), mul(inv, w)
+            pivots[pos] = [(mul(neg(c), v), mul(neg(c), w)) for c in range(p)]
+        # the right-hand side, r = 1, from v = L(0) - 1 = -1
+        v, w, _ = reduce(minus_one, 0, pivots)
+        if v:
+            return []
+        sols = [w]
+        for u in kernel:
+            sols = [add(s, mul(c, u)) for c in range(p) for s in sols]
+        # W != 0 since L(0) = 0, and Y = 1/W - 1 != 0 since a != 0
+        ys = sorted((add(K._inv(w), minus_one), w) for w in sols)
+        return [exp[(l_g + q * log[y] + (q - 1) * log[w]) % m1]
+                for y, w in ys]
+
+    return solve
+
+
+def _one_root(kernel, g):
+    """(the number of distinct roots of g in the kernel's field, one of
+    them or None), by following the least part of each trace split."""
+    part = kernel.root_part(g)
+    count = len(part[0]) - 1
+    while len(part[0]) > 2:
+        part = min(kernel.split(part), key=lambda pt: len(pt[0]))
+    return count, kernel._neg(part[0][0]) if count else None
 
 
 @dataclass(frozen=True)
@@ -131,29 +182,57 @@ def build_supersingular_graph(prime):
 
 def _graph_from_h(prime, h):
     """build_supersingular_graph at a prime whose kappa_2 is within the cap,
-    from h = u_d mod p."""
+    from h = u_d mod p, by the walk of the module docstring."""
     # built after h, since its tables would evict h's data from the caches
     ambient = prime.kappa.extension(2)
-    verts = roots_in_extension(h, 2)
-    if len(set(verts)) != h.degree:
+    K = ambient._kernel
+    g = [ambient._base_emb[c.index] for c in h.coeffs]
+    count, root = _one_root(K, g)
+    if count != h.degree:
         raise ConsistencyError(
-            f"h of degree {h.degree} has {len(set(verts))} distinct roots "
-            "in kappa_2")
-    index = {v.index: i for i, v in enumerate(verts)}
-    try:
-        targets = _edge_targets(prime, ambient, list(index))
-    except AmbientTooSmallError as exc:
-        raise ConsistencyError(f"in kappa_2, {exc}") from None
-    edges = {}
-    strays = []
-    for i, ts in enumerate(targets):
+            f"h of degree {h.degree} has {count} distinct roots in kappa_2")
+    # h(t) = sum of c_i * t^i, each term read off the logs
+    log, exp, m1 = K.log, K.exp, K.m1
+    terms = [(i, log[c]) for i, c in enumerate(g) if c]
+
+    def is_root(t):
+        lt = log[t]
+        return not functools.reduce(
+            K._add, [exp[(lc + i * lt) % m1] for i, lc in terms])
+
+    solve = _neighbor_solver(prime, ambient)
+    targets = {root: None}  # vertex -> its targets, once it is walked
+    strays = set()
+    walk = [root]
+    for v in walk:
+        try:
+            ts = targets[v] = _checked(solve(v), prime.q)
+        except AmbientTooSmallError as exc:
+            raise ConsistencyError(f"in kappa_2, {exc}") from None
         for t in ts:
+            if t not in targets and t not in strays:
+                if is_root(t):
+                    targets[t] = None
+                    walk.append(t)
+                else:
+                    strays.add(t)
+    if len(walk) != h.degree:
+        raise ConsistencyError(
+            f"the walk from one root of h reached {len(walk)} of its "
+            f"{h.degree} roots in kappa_2")
+    walk.sort()
+    index = {v: i for i, v in enumerate(walk)}
+    edges = {}
+    stray_targets = []
+    for i, v in enumerate(walk):
+        for t in targets[v]:
             j = index.get(t)
             if j is None:
-                strays.append((i, ambient.from_index(t)))
+                stray_targets.append((i, ambient.from_index(t)))
             else:
                 edges[i, j] = edges.get((i, j), 0) + 1
-    return IsogenyGraph(prime, ambient, 2, tuple(verts), edges, tuple(strays))
+    return IsogenyGraph(prime, ambient, 2, tuple(ambient._elements(walk)),
+                        edges, tuple(stray_targets))
 
 
 @dataclass(frozen=True)
@@ -184,7 +263,12 @@ class ComponentReport:
 
 
 def verify_component(graph):
-    """Size, q-regularity, closure and (undirected) connectivity of the graph."""
+    """Size, q-regularity, closure and (undirected) connectivity of the graph.
+
+    A graph from `build_supersingular_graph` is connected by construction:
+    it is walked from one root, and the walk must reach all deg h roots of
+    h, so its vertex count carries the connectivity check.  `connected` is
+    still read off the edges, for a graph built any other way."""
     n = len(graph.vertices)
     q = graph.prime.q
     d = graph.prime.d

@@ -1,8 +1,10 @@
 """Element-level references for tests: routines the package replaced with
 faster ones, kept to check those against."""
 
-from drinfeld_deuring.errors import DomainError
-from drinfeld_deuring.poly import Poly, poly_gcd
+from drinfeld_deuring.errors import ConsistencyError, DomainError
+from drinfeld_deuring.fields import embed
+from drinfeld_deuring.isogeny_graph import IsogenyGraph
+from drinfeld_deuring.poly import Poly, poly_gcd, roots_in_extension
 
 
 def monic_polys(ring, degree):
@@ -69,3 +71,95 @@ def _pseudo_rem(f, g):
     while f and f.degree >= g.degree:
         f = f * lc - g.shifted(f.degree - g.degree) * f.lead
     return f
+
+
+def distinct_roots(kernel, g):
+    """kernel.distinct_roots(g), as the kernel ran it before it kept its
+    parts as a tree: each round's trace, reduced modulo g, is reduced again
+    modulo every part."""
+    p, k = kernel.p, kernel.degree
+    # frob[i] = x^(p^i) mod g, up to frob[k] = x^card
+    frob = kernel._frobenius_powers(g, k)
+    parts = [kernel.gcd(kernel.sub_polys(frob[k], [0, 1]), g)]
+    for i in range(k):
+        if all(len(P) <= 2 for P in parts):
+            break
+        beta = p ** i
+        trace = []
+        for j in range(k):
+            trace = kernel.add_polys(
+                trace, kernel.scale(kernel._pow(beta, p ** j), frob[j]))
+        split = []
+        for P in parts:
+            if len(P) <= 2:
+                split.append(P)
+                continue
+            t = kernel.mod(trace, P)
+            for c in range(p - 1):
+                piece = kernel.gcd(kernel.sub_polys(t, [c] if c else []), P)
+                if len(piece) > 1:
+                    split.append(piece)
+                    P = kernel.divmod_polys(P, piece)[0]
+                    if len(P) == 1:
+                        break
+            if len(P) > 1:
+                split.append(P)
+        parts = split
+    return sorted(kernel._neg(P[0]) for P in parts if len(P) == 2)
+
+
+def neighbor_pass(prime, ambient, vertices):
+    """The edge targets of each of the distinct nonzero ambient indices
+    `vertices`, as lists of ambient indices, by one pass over the nonzero Y
+    of the ambient field: the route that the linear solve replaced.
+
+    Y is a root of the neighbor polynomial of Delta0 exactly when
+    f(Y) = -gamma(T^q) * (Y+1)^(q-1) * Y is Delta0, and both f(Y) and
+    Delta1(Y) are read off the logs of Y and Y+1.  Y runs in ascending index
+    order, the order in which root finding gives the roots; f(0) = f(-1) = 0
+    is never a vertex, so those two Y are skipped.
+    """
+    q, K = prime.q, ambient._kernel
+    log, exp, m1, add = K.log, K.exp, K.m1, K._add
+    l_f = log[K._neg(embed(prime.alpha ** q, ambient).index)]
+    l_g = log[K._neg(embed(prime.alpha, ambient).index)]
+    e = q - 1
+    hits = {v: [] for v in vertices}
+    for y in range(1, K.card):
+        y1 = add(y, 1)
+        if y1:
+            ly, ly1 = log[y], log[y1]
+            ts = hits.get(exp[(l_f + e * ly1 + ly) % m1])
+            if ts is not None:
+                # Delta1 = -gamma(T) * Y^q / (Y+1)^(q-1)
+                ts.append(exp[(l_g + q * ly - e * ly1) % m1])
+    return [hits[v] for v in vertices]
+
+
+def graph_by_pass(prime, h):
+    """isogeny_graph._graph_from_h(prime, h) as it was built before the
+    walk: every root of h in kappa_2 by root finding, and every edge from
+    one `neighbor_pass` over kappa_2."""
+    ambient = prime.kappa.extension(2)
+    verts = roots_in_extension(h, 2)
+    if len(set(verts)) != h.degree:
+        raise ConsistencyError(
+            f"h of degree {h.degree} has {len(set(verts))} distinct roots "
+            "in kappa_2")
+    index = {v.index: i for i, v in enumerate(verts)}
+    targets = neighbor_pass(prime, ambient, list(index))
+    for ts in targets:
+        if len(ts) < prime.q:
+            raise ConsistencyError(
+                f"in kappa_2, only {len(ts)} of {prime.q} neighbor roots "
+                "lie in the ambient field")
+    edges = {}
+    strays = []
+    for i, ts in enumerate(targets):
+        for t in ts:
+            j = index.get(t)
+            if j is None:
+                strays.append((i, ambient.from_index(t)))
+            else:
+                edges[i, j] = edges.get((i, j), 0) + 1
+    return IsogenyGraph(prime, ambient, 2, tuple(verts), edges, tuple(strays))

@@ -443,10 +443,14 @@ def test_dot_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
 def _graph_root_search_loses_a_root(monkeypatch):
     from drinfeld_deuring import isogeny_graph
 
-    # the search for the roots of h in kappa_2
-    real = isogeny_graph.roots_in_extension
-    monkeypatch.setattr(isogeny_graph, "roots_in_extension",
-                        lambda f, m: real(f, m)[:-1])
+    # the search for one root of h in kappa_2, which also counts the roots
+    real = isogeny_graph._one_root
+
+    def lossy(kernel, g):
+        count, root = real(kernel, g)
+        return count - 1, root
+
+    monkeypatch.setattr(isogeny_graph, "_one_root", lossy)
 
 
 def test_graph_fails_when_h_needs_a_larger_field(monkeypatch, capsys):
@@ -460,10 +464,14 @@ def test_graph_fails_when_h_needs_a_larger_field(monkeypatch, capsys):
 def test_graph_fails_when_a_neighbor_needs_a_larger_field(monkeypatch, capsys):
     from drinfeld_deuring import isogeny_graph
 
-    # the neighbor pass loses one target of the single vertex
-    real = isogeny_graph._neighbor_pass
-    monkeypatch.setattr(isogeny_graph, "_neighbor_pass",
-                        lambda *args: [ts[:-1] for ts in real(*args)])
+    # the neighbor solve loses one target of the single vertex
+    real = isogeny_graph._neighbor_solver
+
+    def lossy(*args):
+        solve = real(*args)
+        return lambda delta0: solve(delta0)[:-1]
+
+    monkeypatch.setattr(isogeny_graph, "_neighbor_solver", lossy)
     assert main(["graph", "--q", "3", "--prime", "T-1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -477,7 +485,7 @@ def test_graph_out_of_cap_kappa_2_fails_before_h(monkeypatch, capsys):
         raise AssertionError("graph computed h or a root past the cap check")
 
     monkeypatch.setattr(isogeny_graph, "deuring_h_universal", unreachable)
-    monkeypatch.setattr(isogeny_graph, "roots_in_extension", unreachable)
+    monkeypatch.setattr(isogeny_graph, "_one_root", unreachable)
     # kappa = F_{2^9} fits under the cap, kappa_2 = F_{2^18} does not
     assert main(["graph", "--q", "2", "--prime", "T^9+T^4+1"]) == 2
     captured = capsys.readouterr()

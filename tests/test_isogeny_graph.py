@@ -7,10 +7,11 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfeld_deuring import isogeny_graph
+from drinfeld_deuring import isogeny_graph, poly
+from drinfeld_deuring.drinfeld import deuring_h_universal
 from drinfeld_deuring.errors import AmbientTooSmallError, ConsistencyError, \
     DomainError
-from drinfeld_deuring.fields import base_field, embed
+from drinfeld_deuring.fields import IndexKernel, base_field, embed
 from drinfeld_deuring.grammar import parse
 from drinfeld_deuring.isogeny_graph import (
     build_supersingular_graph,
@@ -20,6 +21,7 @@ from drinfeld_deuring.isogeny_graph import (
 from drinfeld_deuring.modulus import PrimeModulus, primes_of_degree, \
     primes_up_to_degree, t_poly_ring
 from drinfeld_deuring.poly import PolyRing, poly_gcd, roots_in_extension
+import reference
 
 
 def _prime(q, text):
@@ -127,35 +129,54 @@ def test_no_splitting_warning_for_these_primes():
 
 
 def _edit_root_search(monkeypatch, edit):
-    """Pass the builder's search for the roots of h in kappa_2 through
-    `edit`."""
-    real = isogeny_graph.roots_in_extension
-    monkeypatch.setattr(isogeny_graph, "roots_in_extension",
-                        lambda f, m: edit(real(f, m)))
+    """Pass the builder's search for one root of h in kappa_2, the pair
+    (number of distinct roots, one root), through `edit`."""
+    real = isogeny_graph._one_root
+    monkeypatch.setattr(isogeny_graph, "_one_root",
+                        lambda kernel, g: edit(*real(kernel, g)))
+
+
+def _edit_neighbor_solve(monkeypatch, edit):
+    """Pass each target list of the walk's neighbor solve through
+    `edit(delta0, targets, calls)`, calls being the Delta0 solved for so
+    far, this one included."""
+    real = isogeny_graph._neighbor_solver
+
+    def solver(*args):
+        solve = real(*args)
+        calls = []
+
+        def edited(delta0):
+            calls.append(delta0)
+            return edit(delta0, solve(delta0), calls)
+
+        return edited
+
+    monkeypatch.setattr(isogeny_graph, "_neighbor_solver", solver)
 
 
 def _drop_a_neighbor_hit(monkeypatch):
-    """Make the neighbor pass lose the last target of the first vertex."""
-    real = isogeny_graph._neighbor_pass
-
-    def lossy(*args):
-        targets = real(*args)
-        return [targets[0][:-1]] + targets[1:]
-
-    monkeypatch.setattr(isogeny_graph, "_neighbor_pass", lossy)
+    """Make the neighbor solve lose the last target of the first vertex."""
+    _edit_neighbor_solve(
+        monkeypatch,
+        lambda _d, targets, calls: targets[:-1] if len(calls) == 1
+        else targets)
 
 
 def test_splitting_beyond_kappa_2_is_a_check_failure(monkeypatch):
-    _edit_root_search(monkeypatch, lambda roots: roots[:-1])
+    _edit_root_search(monkeypatch, lambda count, root: (count - 1, root))
     with pytest.raises(ConsistencyError, match="2 distinct roots in kappa_2"):
         _graph(2, "T^2 + T + 1")
 
 
-def test_repeated_root_of_h_is_a_check_failure(monkeypatch):
+def test_repeated_root_of_h_is_a_check_failure():
     # deg h roots with multiplicity, but only deg h - 1 distinct ones
-    _edit_root_search(monkeypatch, lambda roots: roots[:-1] + roots[:1])
+    prime = _prime(2, "T^2 + T + 1")
+    s = prime.s_ring.gen
+    h = (s - prime.kappa.one) ** 2 * (s - prime.alpha)
+    assert h.degree == 3
     with pytest.raises(ConsistencyError, match="2 distinct roots in kappa_2"):
-        _graph(2, "T^2 + T + 1")
+        isogeny_graph._graph_from_h(prime, h)
 
 
 def test_neighbor_root_beyond_kappa_2_is_a_check_failure(monkeypatch):
@@ -165,17 +186,58 @@ def test_neighbor_root_beyond_kappa_2_is_a_check_failure(monkeypatch):
 
 
 def test_graph_finds_roots_once(monkeypatch):
-    # the roots of h; every edge comes from the one neighbor pass
+    # one root of h, by one root search; every other vertex comes from the
+    # walk, and no full root finding runs
+    prime = _prime(2, "T^3 + T + 1")
+    prime.kappa.extension(2)  # kappa_2's own designated root, found first
     calls = []
-    real = isogeny_graph.roots_in_extension
+    real = isogeny_graph._one_root
 
-    def counted(f, m):
-        calls.append(m)
-        return real(f, m)
+    def counted(kernel, g):
+        calls.append(len(g) - 1)
+        return real(kernel, g)
 
-    monkeypatch.setattr(isogeny_graph, "roots_in_extension", counted)
-    assert verify_component(_graph(2, "T^3 + T + 1")).ok
-    assert calls == [2]
+    def unreachable(*_args):
+        raise AssertionError("the graph ran full root finding")
+
+    monkeypatch.setattr(isogeny_graph, "_one_root", counted)
+    monkeypatch.setattr(poly, "roots_in_extension", unreachable)
+    monkeypatch.setattr(IndexKernel, "distinct_roots", unreachable)
+    assert verify_component(build_supersingular_graph(prime)).ok
+    assert calls == [7]
+
+
+def test_a_target_off_h_is_a_stray_and_is_not_walked(monkeypatch):
+    good = _graph(3, "T^2 + 1")
+    # the least nonzero ambient index that is not a root of h
+    roots = {v.index for v in good.vertices}
+    stray = next(i for i in range(1, good.ambient.card) if i not in roots)
+    solved = []
+
+    def edit(delta0, targets, calls):
+        solved.append(delta0)
+        # the first vertex's last target leaves the roots of h
+        return targets[:-1] + [stray] if len(calls) == 1 else targets
+
+    _edit_neighbor_solve(monkeypatch, edit)
+    g = _graph(3, "T^2 + 1")
+    assert stray not in solved
+    assert g.vertices == good.vertices
+    i = g.vertices.index(g.ambient.from_index(solved[0]))
+    assert g.stray_targets == ((i, g.ambient.from_index(stray)),)
+    rep = verify_component(g)
+    assert not rep.closed and not rep.ok
+    assert rep.to_json_dict()["closed"] is False
+    assert rep.q_regular and rep.connected and rep.size == rep.expected_size
+
+
+def test_a_walk_short_of_deg_h_is_a_check_failure(monkeypatch):
+    # every target of every vertex is the vertex itself: the walk stays at
+    # its first root
+    _edit_neighbor_solve(monkeypatch,
+                         lambda delta0, targets, _calls: [delta0] * len(targets))
+    with pytest.raises(ConsistencyError, match="reached 1 of its 3 roots"):
+        _graph(2, "T^2 + T + 1")
 
 
 @pytest.mark.parametrize("q,dmax", [(2, 5), (3, 3), (4, 2), (5, 2), (9, 1)])
@@ -239,16 +301,35 @@ def _small_kappa_2_primes():
 
 
 def test_neighbor_pass_matches_root_finding_on_small_kappa_2():
+    # the walk's neighbor solve, vertex by vertex
     primes = _small_kappa_2_primes()
     assert len(primes) == 148
     for prime in primes:
         g = build_supersingular_graph(prime)
         E = g.ambient
-        targets = isogeny_graph._neighbor_pass(
-            prime, E, [v.index for v in g.vertices])
-        assert targets == [
+        solve = isogeny_graph._neighbor_solver(prime, E)
+        assert [solve(v.index) for v in g.vertices] == [
             [t.index for t in _neighbors_by_root_finding(v, prime, E)]
             for v in g.vertices], prime
+
+
+# the graph primes of CI: kappa_2 = F_(2^16), F_(3^8), F_(9^4), F_(3^10),
+# F_(2^16) over F_256, and F_(4^8)
+_CI_GRAPH_PRIMES = [(2, "T^8+T^4+T^3+T^2+1"), (3, "T^4+T+2"), (9, "T^2+T+x"),
+                    (3, "T^5+2*T+1"), (16, "T^2+T+x^3"),
+                    (4, "T^4+T^2+x*T+1")]
+
+
+def test_walk_matches_the_pass_and_root_finding():
+    primes = _small_kappa_2_primes() + [_prime(q, t)
+                                        for q, t in _CI_GRAPH_PRIMES]
+    for prime in primes:
+        h = deuring_h_universal(prime)
+        walked = isogeny_graph._graph_from_h(prime, h)
+        passed = reference.graph_by_pass(prime, h)
+        assert walked == passed, prime
+        assert walked.to_json_dict() == passed.to_json_dict()
+        assert walked.to_dot() == passed.to_dot()
 
 
 @settings(max_examples=60, deadline=None)

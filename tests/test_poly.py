@@ -13,7 +13,8 @@ from drinfeld_deuring.errors import (
     AmbientTooSmallError, CapExceededError, DomainError,
 )
 from drinfeld_deuring.fields import (
-    FieldElement, FiniteField, _prime_divisors, base_field, embed,
+    FieldElement, FiniteField, _abs_tables, _prime_divisors, base_field,
+    embed,
 )
 from drinfeld_deuring.grammar import parse, render
 from drinfeld_deuring.isogeny_graph import (
@@ -27,6 +28,7 @@ from drinfeld_deuring.poly import (
     Poly, PolyRing, is_irreducible, poly_gcd, powmod, roots_in_extension,
     splitting_degree,
 )
+import reference
 from reference import exact_div, monic_polys
 
 
@@ -414,6 +416,47 @@ def test_neighbor_polynomial_roots_match_exhaustive_scan(case, data):
     # the neighbor polynomial of isogeny_graph.neighbors over kappa_m
     c = -ring.const(g_Tq) * (Y + ring.one) ** (q - 1) * Y - ring.const(delta0)
     assert [r.index for r in roots_in_extension(c, 1)] == _scan_roots(c, 1)
+
+
+@st.composite
+def _kernel_poly(draw):
+    """The kernel of F_(2^k), k <= 8 (F_16 among them), or F_(3^k), k <= 5,
+    and a nonzero index list over it: linear factors with multiplicities
+    up to 3, times an arbitrary factor, which may have roots or not."""
+    p, k = draw(st.sampled_from([(2, k) for k in range(1, 9)]
+                                + [(3, k) for k in range(1, 6)]))
+    K = _abs_tables(p, k)
+    g = [draw(st.integers(1, K.card - 1))]
+    for a in draw(st.lists(st.integers(0, K.card - 1), max_size=5)):
+        for _ in range(draw(st.integers(1, 3))):
+            g = K.mul_polys(g, [K._neg(a), 1])
+    extra = draw(st.lists(st.integers(0, K.card - 1), max_size=8))
+    while extra and not extra[-1]:
+        extra.pop()
+    if extra:
+        g = K.mul_polys(g, extra)
+    return K, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_poly())
+def test_distinct_roots_match_the_round_by_round_reference(case):
+    # the tree of splits against every part reduced in every round
+    K, g = case
+    assert K.distinct_roots(g) == reference.distinct_roots(K, g)
+
+
+def test_distinct_roots_over_F16_match_the_reference():
+    K = base_field(16)._kernel
+    assert K is _abs_tables(2, 4)
+    # every element of F_16 a root, two of them twice, times an
+    # x^2 + x + c with no root in F_16
+    c = next(c for c in range(1, 16) if not K.distinct_roots([c, 1, 1]))
+    g = [c, 1, 1]
+    for a in list(range(16)) + [3, 7]:
+        g = K.mul_polys(g, [K._neg(a), 1])
+    assert K.distinct_roots(g) == reference.distinct_roots(K, g) == \
+        list(range(16))
 
 
 def test_roots_outside_the_cap_raise():
