@@ -31,7 +31,9 @@ primes split nothing.
 Each field also carries a `q` attribute: the cardinality of the designated
 base field of its tower.  This is the exponent base used by `frobenius` and by
 all twisted-polynomial arithmetic, and it is deliberately not part of
-structural field equality.
+structural field equality: `_Keyed`, the one home of equality of fields,
+rings and primes, compares their keys, here p, the degree and the tower's
+moduli.
 """
 
 from __future__ import annotations
@@ -93,6 +95,21 @@ def _coerced(op):
         return op(self, o)
 
     return coerced
+
+
+class _Keyed:
+    """`==` and `hash` by the `_key` and `_hash = hash(_key)` each
+    structure sets when built."""
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
 
 
 def _rendered(self):
@@ -749,7 +766,7 @@ class _ZechKernel(IndexKernel):
                 dst[k] = exp[lp]
 
 
-class FiniteField:
+class FiniteField(_Keyed):
     """A finite field in a tower, with designated base-field cardinality q."""
 
     def __init__(self, p, base, modulus_over_base, q, gen_name, _token=None,
@@ -764,10 +781,12 @@ class FiniteField:
             self.degree = 1
             self.ext_degree = 1
             self.modulus_over_base = None
+            chain = ()
         else:
             self.ext_degree = len(modulus_over_base) - 1
             self.degree = base.degree * self.ext_degree
             self.modulus_over_base = tuple(modulus_over_base)
+            chain = base._key[2] + (tuple(c.index for c in modulus_over_base),)
         self.card = p ** self.degree
         if self.card > CARD_CAP:
             raise CapExceededError(
@@ -781,13 +800,8 @@ class FiniteField:
         self.zero = self.from_index(0)
         self.one = self.from_index(1)
         self._init_base_maps(modulus_over_base, _root)
-        self._hash = hash(("FiniteField", p, self.degree, self._chain_key()))
-
-    def _chain_key(self):
-        if self.base is None:
-            return ()
-        mod = tuple(c.index for c in self.modulus_over_base)
-        return self.base._chain_key() + (mod,)
+        self._key = (p, self.degree, chain)
+        self._hash = hash(self._key)
 
     def _init_base_maps(self, modulus_over_base, root):
         base = self.base
@@ -906,19 +920,6 @@ class FiniteField:
         base = self.base
         return tuple(base._elements(_digits(self._coords[x.index], base.card,
                                             self.ext_degree)))
-
-    # ------------------------------------------------------------------------
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, FiniteField):
-            return NotImplemented
-        return (self.p == other.p and self.degree == other.degree
-                and self._chain_key() == other._chain_key())
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         if self.base is None:

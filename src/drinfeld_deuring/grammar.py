@@ -201,6 +201,8 @@ class _Parser:
             v = self.expr()
             self.expect_op(")")
             self.depth -= 1
+        elif kind is None:
+            raise DomainError("unexpected end of input")
         else:
             raise DomainError(f"unexpected token {val!r}")
         kind, nxt = self.peek()

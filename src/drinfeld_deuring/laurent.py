@@ -11,16 +11,17 @@ against each other).  There is no general division.
 from __future__ import annotations
 
 from .errors import DomainError
-from .fields import _coerced, _rendered
-from .poly import Poly
+from .fields import _coerced, _Keyed
+from .poly import Poly, _Value
 
 
-class LaurentRing:
+class LaurentRing(_Keyed):
     def __init__(self, tring):
         self.tring = tring
         self.zero = LaurentT(self, tring.zero, 0)
         self.one = LaurentT(self, tring.one, 0)
-        self._hash = hash(("LaurentRing", hash(tring)))
+        self._key = (tring,)
+        self._hash = hash(self._key)
 
     def coerce(self, v):
         if isinstance(v, LaurentT):
@@ -35,21 +36,11 @@ class LaurentRing:
         """The value num / T^k."""
         return LaurentT(self, self.tring.coerce(num), k)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, LaurentRing):
-            return NotImplemented
-        return self.tring == other.tring
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return f"{self.tring!r}[1/{self.tring.var}]"
 
 
-class LaurentT:
+class LaurentT(_Value):
     __slots__ = ("ring", "num", "k")
 
     def __init__(self, ring, num, k):
@@ -67,12 +58,6 @@ class LaurentT:
         self.num = num
         self.k = k
 
-    def _coerce_other(self, other):
-        try:
-            return self.ring.coerce(other)
-        except DomainError:
-            return None
-
     @_coerced
     def __add__(self, o):
         k = max(self.k, o.k)
@@ -84,14 +69,6 @@ class LaurentT:
 
     def __neg__(self):
         return LaurentT(self.ring, -self.num, self.k)
-
-    @_coerced
-    def __sub__(self, o):
-        return self + (-o)
-
-    @_coerced
-    def __rsub__(self, o):
-        return o + (-self)
 
     @_coerced
     def __mul__(self, o):
@@ -125,5 +102,3 @@ class LaurentT:
 
     def __bool__(self):
         return bool(self.num)
-
-    __repr__ = _rendered

@@ -11,12 +11,13 @@ from __future__ import annotations
 from . import fields
 from . import poly as poly_mod
 from .errors import CapExceededError, DomainError
-from .fields import CARD_CAP, FieldElement, FiniteField, _cap_exponent
+from .fields import CARD_CAP, FieldElement, FiniteField, _cap_exponent, \
+    _Keyed
 from .laurent import LaurentRing
 from .poly import Poly, PolyRing
 
 
-class PrimeModulus:
+class PrimeModulus(_Keyed):
     def __init__(self, p):
         if not isinstance(p, Poly) or not isinstance(p.ring.base, FiniteField):
             raise DomainError("a prime modulus must be a polynomial over F_q")
@@ -39,6 +40,8 @@ class PrimeModulus:
         _check_designated(base)
         self.p_poly = p
         self.field_q = base
+        self._key = (p, base)
+        self._hash = hash(self._key)
         self.q = base.card
         self.d = p.degree
         self.kappa = base.extension_with_modulus(p.coeffs, gen_name="a",
@@ -84,14 +87,6 @@ class PrimeModulus:
         ring = self.s_ring if var == "s" else PolyRing(self.kappa, var)
         return poly_mod._from_indices(ring,
                                       [rows.get(r, 0) for r in range(top + 1)])
-
-    def __eq__(self, other):
-        if not isinstance(other, PrimeModulus):
-            return NotImplemented
-        return self.p_poly == other.p_poly and self.field_q == other.field_q
-
-    def __hash__(self):
-        return hash(("PrimeModulus", self.p_poly))
 
     def __repr__(self):
         return f"({self.p_poly!r}) over F_{self.q}"

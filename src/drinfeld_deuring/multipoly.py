@@ -20,12 +20,13 @@ from __future__ import annotations
 import operator
 
 from .errors import DomainError
-from .fields import FieldElement, _coerced, _power, _rendered
+from .fields import FieldElement, _coerced, _Keyed, _power
+from .poly import _Value
 
 _STRIDE = 1 << 32
 
 
-class MultiRing:
+class MultiRing(_Keyed):
     def __init__(self, field, names):
         self.field = field
         self.names = tuple(names)
@@ -39,7 +40,8 @@ class MultiRing:
         self.zero = MultiPoly(self, {})
         zero_exp = (0,) * self.nvars
         self.one = MultiPoly(self, {zero_exp: field.one})
-        self._hash = hash(("MultiRing", field._hash, self.names))
+        self._key = (field, self.names)
+        self._hash = hash(self._key)
 
     def gens(self):
         out = []
@@ -61,21 +63,11 @@ class MultiRing:
             raise DomainError("multivariate value from a different ring")
         return self.const(v)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, MultiRing):
-            return NotImplemented
-        return self.field == other.field and self.names == other.names
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return f"{self.field!r}[{', '.join(self.names)}]"
 
 
-class MultiPoly:
+class MultiPoly(_Value):
     __slots__ = ("ring", "packed")
 
     def __init__(self, ring, terms):
@@ -93,12 +85,6 @@ class MultiPoly:
         units, elt = self.ring._units, self.ring.field.from_index
         return {tuple(k // u % _STRIDE for u in units): elt(x)
                 for k, x in self.packed.items()}
-
-    def _coerce_other(self, other):
-        try:
-            return self.ring.coerce(other)
-        except DomainError:
-            return None
 
     def _sum(self, copies):
         f = MultiPoly(self.ring, {})
@@ -118,10 +104,6 @@ class MultiPoly:
     def __sub__(self, o):
         return self._sum(((self.packed, 1, 0),
                           (o.packed, self.ring.field._neg(1), 0)))
-
-    @_coerced
-    def __rsub__(self, o):
-        return o - self
 
     @_coerced
     def __mul__(self, o):
@@ -180,10 +162,8 @@ class MultiPoly:
     def __bool__(self):
         return bool(self.packed)
 
-    __repr__ = _rendered
 
-
-class Frac:
+class Frac(_Value):
     """num/den over a MultiRing, with cross-multiplication equality."""
 
     __slots__ = ("num", "den")
@@ -214,14 +194,6 @@ class Frac:
 
     def __neg__(self):
         return Frac(-self.num, self.den)
-
-    @_coerced
-    def __sub__(self, o):
-        return self + (-o)
-
-    @_coerced
-    def __rsub__(self, o):
-        return o + (-self)
 
     @_coerced
     def __mul__(self, o):

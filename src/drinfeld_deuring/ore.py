@@ -12,7 +12,7 @@ psi_T on kappa index lists in `drinfeld`.
 from __future__ import annotations
 
 from .errors import DomainError
-from .fields import FieldElement, _coerced
+from .fields import FieldElement, _coerced, _Keyed
 from .laurent import LaurentT
 from .poly import Poly, _Dense
 
@@ -38,7 +38,7 @@ def qpow(v, q, k):
     raise DomainError(f"no q-power twist for {type(v).__name__}")
 
 
-class OreContext:
+class OreContext(_Keyed):
     """The twisted ring base{tau}; the coefficient ring is `base`."""
 
     var = "tau"
@@ -49,7 +49,8 @@ class OreContext:
         self.zero = OrePoly(self, ())
         self.one = OrePoly(self, (base.coerce(1),))
         self.tau = OrePoly(self, (base.coerce(0), base.coerce(1)))
-        self._hash = hash(("OreContext", hash(base), q))
+        self._key = (base, q)
+        self._hash = hash(self._key)
 
     def coerce(self, v):
         if isinstance(v, OrePoly):
@@ -61,16 +62,6 @@ class OreContext:
     def op(self, coeffs):
         """Build a twisted polynomial from ascending tau-coefficients."""
         return OrePoly(self, tuple(self.base.coerce(c) for c in coeffs))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, OreContext):
-            return NotImplemented
-        return self.q == other.q and self.base == other.base
-
-    def __hash__(self):
-        return self._hash
 
 
 class OrePoly(_Dense):

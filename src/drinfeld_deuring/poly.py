@@ -9,10 +9,13 @@ indices once on the way in, and elements once on the way out
 (`_from_indices`, which also builds the results of `drinfeld`).  Over any
 other coefficient ring (F_q[T], Laurent polynomials, `MultiPoly`) the
 product loops over the coefficients, which do their own arithmetic through
-operators; division needs field coefficients.  The container, sums, powers,
-equality and rendering live in `_Dense`, which twisted polynomials
-(`ore.OrePoly`) share; `Poly` adds the commutative product, division and
-evaluation.
+operators; division needs field coefficients.  The container, sums, powers
+and equality live in `_Dense`, which twisted polynomials (`ore.OrePoly`)
+share; `Poly` adds the commutative product, division and evaluation.
+`_Value` is the one home of what every ring value class shares (`_Dense`,
+`laurent.LaurentT`, `multipoly.MultiPoly`, `multipoly.Frac`): coercion of
+the other operand through its ring, subtraction as a sum with the negation,
+and rendering by the grammar.
 """
 
 from __future__ import annotations
@@ -20,18 +23,19 @@ from __future__ import annotations
 import operator
 
 from .errors import AmbientTooSmallError, CapExceededError, DomainError
-from .fields import CARD_CAP, FiniteField, _coerced, _power, _rendered, \
-    embed
+from .fields import CARD_CAP, FiniteField, _coerced, _Keyed, _power, \
+    _rendered, embed
 
 
-class PolyRing:
+class PolyRing(_Keyed):
     def __init__(self, base, var):
         self.base = base
         self.var = var
         self.zero = Poly(self, ())
         self.one = Poly(self, (base.coerce(1),))
         self.gen = Poly(self, (base.coerce(0), base.coerce(1)))
-        self._hash = hash(("PolyRing", hash(base), var))
+        self._key = (base, var)
+        self._hash = hash(self._key)
         # the index kernel of a finite-field base, else None
         self._kernel = base._kernel if isinstance(base, FiniteField) else None
 
@@ -51,23 +55,37 @@ class PolyRing:
         """Build a polynomial from ascending coefficients, coercing each."""
         return Poly(self, tuple(self.base.coerce(c) for c in coeffs))
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, PolyRing):
-            return NotImplemented
-        return self.var == other.var and self.base == other.base
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return f"{self.base!r}[{self.var}]"
 
 
-class _Dense:
-    """Dense ascending coefficients over `ring`: the container, sums, powers,
-    equality and rendering shared by plain and twisted polynomials.
+class _Value:
+    """A value of a ring: the other operand of a binary operator coerced by
+    `ring.coerce` (None, so NotImplemented, where that raises DomainError),
+    a - b as a + (-b), and the grammar text as `repr`."""
+
+    __slots__ = ()
+
+    def _coerce_other(self, other):
+        try:
+            return self.ring.coerce(other)
+        except DomainError:
+            return None
+
+    @_coerced
+    def __sub__(self, o):
+        return self + (-o)
+
+    @_coerced
+    def __rsub__(self, o):
+        return o + (-self)
+
+    __repr__ = _rendered
+
+
+class _Dense(_Value):
+    """Dense ascending coefficients over `ring`: the container, sums, powers
+    and equality shared by plain and twisted polynomials.
 
     `ring` supplies `base` (the coefficient ring), `zero`, `one`, `var`,
     `_hash` and `coerce`; results keep the operand's class.
@@ -104,10 +122,7 @@ class _Dense:
         if isinstance(other, type(self)) and (other.ring is self.ring
                                               or other.ring == self.ring):
             return other
-        try:
-            return self.ring.coerce(other)
-        except DomainError:
-            return None
+        return super()._coerce_other(other)
 
     @_coerced
     def __add__(self, o):
@@ -124,14 +139,6 @@ class _Dense:
 
     def __neg__(self):
         return type(self)(self.ring, tuple(-c if c else c for c in self.coeffs))
-
-    @_coerced
-    def __sub__(self, o):
-        return self + (-o)
-
-    @_coerced
-    def __rsub__(self, o):
-        return o + (-self)
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
@@ -156,8 +163,6 @@ class _Dense:
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    __repr__ = _rendered
 
 
 class Poly(_Dense):

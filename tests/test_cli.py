@@ -286,6 +286,14 @@ def test_huge_prime_degree_is_refused_while_parsing(prime, degree, capsys):
                             f"exceeds the 65536 cap\n")
 
 
+@pytest.mark.parametrize("prime", ["T^2+T+1+", "T*", "-"])
+def test_prime_cut_short_is_end_of_input(prime, capsys):
+    assert main(["compute", "--q", "2", "--prime", prime]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unexpected end of input\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--q", "2", "--max-degree", "17"],
      "residue field of cardinality 2^17 exceeds the 65536 cap"),

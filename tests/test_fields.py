@@ -14,10 +14,11 @@ from drinfeld_deuring.errors import CapExceededError, DomainError
 from drinfeld_deuring import fields, poly
 from drinfeld_deuring.fields import CARD_CAP, FiniteField, IndexKernel, \
     _cap_exponent, _prime_divisors, base_field, embed, frobenius
-from drinfeld_deuring.grammar import render
+from drinfeld_deuring.grammar import parse, render
 from drinfeld_deuring.laurent import LaurentRing
 from drinfeld_deuring.modulus import PrimeModulus, primes_of_degree, \
     t_poly_ring
+from drinfeld_deuring.multipoly import MultiRing
 from drinfeld_deuring.ore import OreContext
 from drinfeld_deuring.poly import PolyRing
 from reference import monic_polys
@@ -160,7 +161,7 @@ def test_enumerated_primes_equal_constructed_ones(monkeypatch):
                     continue
                 ref = F.extension_with_modulus(p.p_poly.coeffs, gen_name="r")
                 assert ref.gen.index == p.alpha.index
-                assert ref._chain_key() == p.kappa._chain_key()
+                assert ref._key[2] == p.kappa._key[2]
             monkeypatch.undo()
             d += 1
 
@@ -388,7 +389,9 @@ def _hash_contract_values(q, ints, indices):
     """Ints, elements of F_q and of F_q^2, constants of F_q[T], F_q[T][s],
     F_q[T, 1/T] and of the twisted rings over F_q and F_q[T], built from the
     drawn ints and indices, and T both as a polynomial and as a Laurent value,
-    and tau."""
+    and tau.  Then structures, each built twice: F_4 as the base field and as
+    F_2's quadratic extension, which differ in q, the rings over each, and a
+    prime both parsed and enumerated."""
     F = base_field(q)
     E = F.extension(2)
     A = t_poly_ring(F)
@@ -403,6 +406,14 @@ def _hash_contract_values(q, ints, indices):
                    L.coerce(x), C.op((x,)), CA.op((A.const(x),))]
     values += [A.zero, S.zero, L.zero, C.zero, CA.zero, A.gen, L.coerce(A.gen),
                C.tau, CA.op((A.gen,))]
+    for K in (base_field(4), base_field(2).extension(2, gen_name="x")):
+        KT = PolyRing(K, "T")
+        values += [K, KT, LaurentRing(KT), OreContext(K, 4),
+                   MultiRing(K, ("u", "v"))]
+    F3 = base_field(3)
+    parsed = PrimeModulus(parse("T^2+T+2", t_poly_ring(F3)))
+    values += [parsed, next(p for p in primes_of_degree(F3, 2)
+                            if p.p_poly == parsed.p_poly)]
     return values
 
 
@@ -416,6 +427,11 @@ def test_equal_values_hash_alike(q, ints, indices):
         for b in values:
             if a == b:
                 assert hash(a) == hash(b), (a, b)
+    structures = [v for v in values if isinstance(v, fields._Keyed)]
+    for a in structures:
+        # equal to itself and its twin, and unequal to every other kind
+        assert sum(a == b for b in structures) == 2, a
+        assert all(a != b for b in structures if type(b) is not type(a))
 
 
 def _fresh_stdout(code):
@@ -425,6 +441,40 @@ def _fresh_stdout(code):
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=60).stdout
+
+
+# the package's public names, twelve of them submodules; `cli` is not among
+# them, since only the console script imports it
+_PUBLIC_NAMES = [
+    "AmbientTooSmallError", "CapExceededError", "ComponentReport",
+    "ConsistencyError", "DeltaModule", "DeuringResult", "DomainError",
+    "FieldElement", "FiniteField", "Frac", "IdentityReport", "IsogenyGraph",
+    "LambdaModule", "LaurentRing", "LaurentT", "MultiPoly", "MultiRing",
+    "OreContext", "OrePoly", "Poly", "PolyRing", "PrimeModulus",
+    "RecurrenceBreakdownError", "U_sequence", "all_identity_reports",
+    "base_field", "build_supersingular_graph", "check_derivative_recursion",
+    "check_key_identity", "check_simple_roots", "check_u_zero",
+    "delta_from_lambda", "deuring", "deuring_H", "deuring_g_sequence",
+    "deuring_h_direct", "deuring_h_grec", "deuring_h_universal", "drinfeld",
+    "drinfeld_image", "embed", "errors", "fields", "frobenius", "grammar",
+    "is_irreducible", "is_supersingular", "isogeny_graph", "j_chain_check",
+    "j_invariant", "laurent", "modulus", "multipoly", "neighbors", "ore",
+    "ore_apply", "parse", "poly", "poly_gcd", "primes_of_degree",
+    "primes_up_to_degree", "qpow", "reduce_mod_prime", "render",
+    "roots_in_extension", "sequence_json", "splitting_degree", "t_poly_ring",
+    "tower", "u_sequence", "u_zero_value", "universal", "verify_component",
+    "verify_factorization", "verify_recursion_step",
+    "verify_theta_parametrization"]
+
+
+def test_public_surface_is_pinned():
+    # in a fresh interpreter, where no test's import of a submodule adds
+    # its name to the package
+    out = _fresh_stdout(
+        "import drinfeld_deuring\n"
+        "print(*sorted(n for n in dir(drinfeld_deuring) "
+        "if not n.startswith('_')))\n")
+    assert out.split() == _PUBLIC_NAMES
 
 
 # wraps the kernel's irreducibility test to count its calls
