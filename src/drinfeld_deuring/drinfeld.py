@@ -262,18 +262,16 @@ def deuring_H(prime, h):
     H = gamma(T^q)^(-N) * R(S) with S = (s^q - s)^(q-1), N = deg h and
     R(x) = sum_n h_(N-n) * gamma(T)^(N-n) * x^n.  R(S) is evaluated by
     base-q composition (`_compose_in_S`), not term by term, on kappa index
-    lists: from scaling h on the log/exp tables to the `Poly` at the end.
+    lists, from scaling h (`IndexKernel.dilate`) to the `Poly` at the end.
     """
     if not h or h.ring.base != prime.kappa:
         raise DomainError("deuring_H expects a nonzero polynomial over kappa")
     if not h.constant_coeff():
         raise ConsistencyError(
             "h(0) = 0: the substitution h(gamma/(s^q-s)^(q-1)) degenerates")
-    q, N, K = prime.q, h.degree, prime.kappa._kernel
-    log, exp, la = K.log, K.exp, K.log[prime.alpha.index]
+    q, N, K, a = prime.q, h.degree, prime.kappa._kernel, prime.alpha.index
     # R is scaled by gamma(T^q)^(-N) up front: composition is linear in R
-    R = [exp[la * (j - q * N) % K.m1 + log[c.index]] if c else 0
-         for j, c in enumerate(h.coeffs)]
+    R = K.scale(K._pow(a, -q * N), K.dilate([c.index for c in h.coeffs], a))
     H = _compose_in_S(R[::-1], K, q)
     if len(H) - 1 != q ** (prime.d + 1) - q:
         raise ConsistencyError("H has the wrong degree")

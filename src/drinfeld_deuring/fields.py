@@ -8,10 +8,11 @@ which `_least_irreducible` finds on the kernel once per absolute base field
 and degree, for the tables and for `extension` alike.  Multiplication goes
 through exp/log tables for a fixed primitive element; addition is XOR in
 characteristic 2 and Zech logarithms otherwise, prime fields included.  One
-index kernel per absolute field (`IndexKernel`: the tables, the scalar
-arithmetic, that of polynomials over the field on index lists, and
-`sum_copies`, the one routine of sparse term maps) is shared between all
-tower instances with that absolute field.
+index kernel per absolute field (`IndexKernel`: the tables, whose layout no
+other module reads, the scalar arithmetic, that of polynomials over the
+field on index lists, `evaluate`, `dilate`, and `sum_copies`, the one
+routine of sparse term maps) is shared between all tower instances with
+that absolute field.
 
 A field built as an extension remembers its base field, the defining modulus
 over the base, and a designated root of that modulus (the first one in element
@@ -271,12 +272,13 @@ class IndexKernel:
     polynomial operation over a finite field runs here, with no
     FieldElement built in between.
 
-    The scalar operations are private: every `FiniteField` of this absolute
-    field takes them as its own `_add`, `_neg`, `_mul`, `_inv` and `_pow`.
-    The polynomial ones, `embedding` and `span` are public methods, so that
-    `perfbench`'s span tracer reports them as spans of their own.  The
-    package does not export the class; `fields._abs_tables` builds one per
-    absolute field.
+    The tables and their layout are private to `fields`.  Other modules
+    use the scalar operations, which every `FiniteField` of this absolute
+    field takes as its own `_add`, `_neg`, `_mul`, `_inv` and `_pow`, and
+    the public methods: the polynomial ones, `embedding`, `span`, `evaluate`
+    and `dilate`, public so that `perfbench`'s span tracer reports them as
+    spans of their own.  The package does not export the class;
+    `fields._abs_tables` builds one per absolute field.
     """
 
     def __init__(self, p, degree, modulus_digits):
@@ -285,7 +287,7 @@ class IndexKernel:
         self.card = n = p ** degree
         self.m1 = m1 = n - 1
         self.modulus_digits = modulus_digits
-        self._embeddings = {}
+        self._embeddings, self._emb_logs = {}, {}
         mul, to_vec, to_index = _vector_arithmetic(p, degree, modulus_digits)
         prime_factors = _prime_divisors(m1)
         # the least primitive index; in a proper extension no element of
@@ -329,6 +331,36 @@ class IndexKernel:
                 [[self._mul(c, self._pow(root, i)) for c in range(self.p)]
                  for i in range(k)])
         return emb
+
+    def evaluate(self, rows, x, k=None):
+        """{r: index of sum(c * x^e)} over the (r, terms) pairs of `rows`,
+        the sums of a repeated r added: each term is an (e, c) pair, e any
+        int and c a nonzero index here or, for a given k, of F_(p^k) read
+        through `embedding(k)`, whose logs are memoised.  x = 0 raises
+        DomainError."""
+        if not x:
+            raise DomainError("evaluation at 0")
+        log, exp, m1, add = self.log, self.exp, self.m1, self._add
+        logs = log if k is None else self._emb_logs.get(k)
+        if logs is None:
+            logs = self._emb_logs[k] = [log[c] for c in self.embedding(k)]
+        # c * x^e = exp[log c + e log x]; both logs are < m1
+        lx, out = log[x], {}
+        for r, terms in rows:
+            acc = out.get(r, 0)
+            for e, c in terms:
+                acc = add(acc, exp[logs[c] + e * lx % m1])
+            out[r] = acc
+        return out
+
+    def dilate(self, a, x):
+        """[a_j * x^j] over the index list a, for a nonzero index x: the
+        polynomial a(x s).  x = 0 raises DomainError."""
+        if not x:
+            raise DomainError("dilation by 0")
+        log, exp, m1, lx = self.log, self.exp, self.m1, self.log[x]
+        return [exp[log[c] + j * lx % m1] if c else 0
+                for j, c in enumerate(a)]
 
     def span(self, rows):
         """[sum_j rows[j][d_j]] over every digit tuple d, at the index whose
@@ -863,14 +895,9 @@ class FiniteField(_Keyed):
         """Extension of degree m with the deterministic smallest modulus."""
         if m < 1:
             raise DomainError("extension degree must be positive")
-        key = ("search", m, gen_name, q)
-        field = self._ext_cache.get(key)
-        if field is None:
-            mod = _least_irreducible(self.p, self.degree, m)
-            field = self.extension_with_modulus(
-                self._elements(mod), gen_name=gen_name, q=q)
-            self._ext_cache[key] = field
-        return field
+        return self.extension_with_modulus(
+            self._elements(_least_irreducible(self.p, self.degree, m)),
+            gen_name=gen_name, q=q)
 
     def extension_with_modulus(self, coeffs, gen_name="b", q=None, _root=None):
         """Extension defined by a given monic modulus over this field.

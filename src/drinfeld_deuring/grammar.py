@@ -151,6 +151,8 @@ class _Parser:
 
     def expect_op(self, op):
         kind, val = self.take()
+        if kind is None:
+            raise DomainError("unexpected end of input")
         if kind != "op" or val != op:
             raise DomainError(f"expected {op!r} at token {self.pos - 1}")
 

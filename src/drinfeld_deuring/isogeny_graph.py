@@ -29,13 +29,12 @@ and W -> a*W^q + W is F_p-linear.  An index's base-p digits are its
 coordinates in the basis z^i, so the solve is an elimination on indices of
 dimension [kappa_2 : F_p], and each solution gives the target
 Delta1 = -gamma(T) * Y^q * W^(q-1).  The walk is breadth-first; each new
-target is tested as a root of h, the terms of h read off the logs, and one
-that is not is a stray target, which is not walked on.  The walk must reach
+target is tested as a root of h by the kernel's `evaluate`, and one that
+is not is a stray target, which is not walked on.  The walk must reach
 all deg h roots: h is separable, so this shows that the graph is connected
 and that every root was found.
 """
 
-import functools
 from dataclasses import dataclass, field
 
 from .drinfeld import deuring_h_universal
@@ -72,16 +71,16 @@ def _neighbor_solver(prime, ambient):
     edge targets, in ascending index order of their Y-roots, by solving
     a * W^q + W = 1 (see the module docstring)."""
     q, K = prime.q, ambient._kernel
-    p, m1, log, exp = K.p, K.m1, K.log, K.exp
-    add, neg, mul = K._add, K._neg, K._mul
+    p, add, neg, mul, inv = K.p, K._add, K._neg, K._mul, K._inv
     # z^i has index p^i; its column is a * (z^i)^q + z^i
     basis = [p ** i for i in range(K.degree)]
     # the leading digit of v != 0 sits at top[v.bit_length()] or one below
     top = [0] + [sum(x < 1 << b for x in basis) - 1
                  for b in range(1, K.card.bit_length() + 1)]
-    lq = [log[b] * q % m1 for b in basis]
-    l_f = log[neg(embed(prime.alpha ** q, ambient).index)]
-    l_g = log[neg(embed(prime.alpha, ambient).index)]
+    bq = [K._pow(b, q) for b in basis]
+    # a = Delta0 * f and Delta1 = g * Y^q * W^(q-1) (module docstring)
+    f = inv(neg(embed(prime.alpha ** q, ambient).index))
+    g = neg(embed(prime.alpha, ambient).index)
     minus_one = neg(1)
 
     def reduce(v, w, pivots):
@@ -99,18 +98,18 @@ def _neighbor_solver(prime, ambient):
         return 0, w, None
 
     def solve(delta0):
-        la = (log[delta0] - l_f) % m1
+        a = mul(delta0, f)
         # pivots[pos]: (-c*v, -c*w) for c in F_p, v = L(w) with leading
         # digit 1 at position pos; kernel: the w with L(w) = 0
         pivots, kernel = {}, []
-        for b, lbq in zip(basis, lq):
+        for b, b_q in zip(basis, bq):
             # the column of z^i, with r = 0
-            v, w, pos = reduce(add(exp[la + lbq], b), b, pivots)
+            v, w, pos = reduce(add(mul(a, b_q), b), b, pivots)
             if not v:
                 kernel.append(w)
                 continue
-            inv = K._inv(v // basis[pos])
-            v, w = mul(inv, v), mul(inv, w)
+            lead = inv(v // basis[pos])
+            v, w = mul(lead, v), mul(lead, w)
             pivots[pos] = [(mul(neg(c), v), mul(neg(c), w)) for c in range(p)]
         # the right-hand side, r = 1, from v = L(0) - 1 = -1
         v, w, _ = reduce(minus_one, 0, pivots)
@@ -120,9 +119,8 @@ def _neighbor_solver(prime, ambient):
         for u in kernel:
             sols = [add(s, mul(c, u)) for c in range(p) for s in sols]
         # W != 0 since L(0) = 0, and Y = 1/W - 1 != 0 since a != 0
-        ys = sorted((add(K._inv(w), minus_one), w) for w in sols)
-        return [exp[(l_g + q * log[y] + (q - 1) * log[w]) % m1]
-                for y, w in ys]
+        ys = sorted((add(inv(w), minus_one), w) for w in sols)
+        return [mul(g, mul(K._pow(y, q), K._pow(w, q - 1))) for y, w in ys]
 
     return solve
 
@@ -191,15 +189,7 @@ def _graph_from_h(prime, h):
     if count != h.degree:
         raise ConsistencyError(
             f"h of degree {h.degree} has {count} distinct roots in kappa_2")
-    # h(t) = sum of c_i * t^i, each term read off the logs
-    log, exp, m1 = K.log, K.exp, K.m1
-    terms = [(i, log[c]) for i, c in enumerate(g) if c]
-
-    def is_root(t):
-        lt = log[t]
-        return not functools.reduce(
-            K._add, [exp[(lc + i * lt) % m1] for i, lc in terms])
-
+    h_terms = [(0, [(i, c) for i, c in enumerate(g) if c])]
     solve = _neighbor_solver(prime, ambient)
     targets = {root: None}  # vertex -> its targets, once it is walked
     strays = set()
@@ -211,7 +201,7 @@ def _graph_from_h(prime, h):
             raise ConsistencyError(f"in kappa_2, {exc}") from None
         for t in ts:
             if t not in targets and t not in strays:
-                if is_root(t):
+                if not K.evaluate(h_terms, t)[0]:
                     targets[t] = None
                     walk.append(t)
                 else:

@@ -49,9 +49,6 @@ class PrimeModulus(_Keyed):
         self.alpha = self.kappa.gen
         # kappa[s], the ring of every h route's result, built once per prime
         self.s_ring = PolyRing(self.kappa, "s")
-        # kappa log of each nonzero base-field element, by base index; built
-        # lazily
-        self._embed_log = None
 
     def gamma(self, f):
         """Reduce a polynomial in T (or a base-field element) into kappa."""
@@ -63,23 +60,11 @@ class PrimeModulus(_Keyed):
         return self.kappa.from_index(self._reduce_terms([(0, terms)])[0])
 
     def _reduce_terms(self, rows):
-        """{r: kappa index of sum(c * alpha^e)} over the (r, terms) pairs of
-        `rows`, each term an (e, c) pair with c the F_q index of a nonzero
-        coefficient, and the sums of a repeated r added: reduction mod p of
-        one or more polynomials in T, over the given terms only."""
-        k = self.kappa._kernel
-        log, exp, m1, add = k.log, k.exp, k.m1, k._add
-        if self._embed_log is None:
-            self._embed_log = [log[e] for e in self.kappa._base_emb]
-        # c * alpha^e = exp[log emb(c) + e log alpha]; both logs are < m1
-        emb, la = self._embed_log, log[self.alpha.index]
-        out = {}
-        for r, terms in rows:
-            acc = out.get(r, 0)
-            for e, c in terms:
-                acc = add(acc, exp[emb[c] + e * la % m1])
-            out[r] = acc
-        return out
+        """{r: kappa index of sum(c * alpha^e)} by `IndexKernel.evaluate` of
+        the (r, terms) rows, c the F_q index of a nonzero coefficient:
+        reduction mod p of polynomials in T, over the given terms only."""
+        return self.kappa._kernel.evaluate(rows, self.alpha.index,
+                                           self.field_q.degree)
 
     def _kappa_poly(self, rows, var="s"):
         """The polynomial over kappa with coefficient indices rows[r]."""

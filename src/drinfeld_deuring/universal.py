@@ -21,7 +21,7 @@ multiplies by monomials c * T^t * s^e only, each a scaled, shifted copy:
   c an F_q index; the copy is (c, t * _T_STRIDE + e), and divmod(key,
   _T_STRIDE) gives (t, e) also for the t < 0 of U_i.  Memoised per field.
 - over kappa = F_q[T]/(p), T -> alpha, on kappa's kernel: {e: index}; the
-  copy is (c * alpha^t, e), read off the log tables.  Not cached.
+  copy is (c * alpha^t, e), by the kernel's products.  Not cached.
 
 A u-step is four copies.  C = (s^q - s)^(q-1), the sum of s^(k(q-1)) over
 k = 1..q, is fixed by Frobenius, so U_1^(q^i) = C(s^(q^i)) + T^(-(q-1)q^i)
@@ -94,11 +94,8 @@ def _U_terms(field, i_max):
 
 def _over_kappa(step, prime):
     """x_d over kappa[s] for the sequence of `step`, p of degree d."""
-    K, emb = prime.kappa._kernel, prime.kappa._base_emb
-    log, exp, la = K.log, K.exp, K.log[prime.alpha.index]
-    # c * alpha^t = exp[log emb(c) + t log alpha], as _reduce_terms reads it
-    ring = (prime.field_q, K,
-            lambda c, t, e: (exp[log[emb[c]] + t * la % K.m1], e))
+    K, emb, a = prime.kappa._kernel, prime.kappa._base_emb, prime.alpha.index
+    ring = (prime.field_q, K, lambda c, t, e: (K._mul(emb[c], K._pow(a, t)), e))
     return prime._kappa_poly(_terms(step, ring, prime.d, [{}, {0: 1}])[-1])
 
 

@@ -86,6 +86,7 @@ def test_deterministic_extension_moduli():
     # smallest-lex searches, leading coefficients varying slowest
     F3 = base_field(3)
     F9 = F3.extension(2)
+    assert F3.extension(2) is F9
     z = F9.gen
     assert z * z == -F9.one  # z^2 + 1
     F2 = base_field(2)
@@ -823,6 +824,75 @@ def test_polynomial_sums_match_the_scalar_sums(pk, cancel, data):
         assert len(want) <= max(len(a), len(b))
     neg_b = [k._neg(y) for y in b]
     assert k.sub_polys(a, b) == k.add_polys(a, neg_b)
+
+
+# --- evaluate and dilate against element arithmetic -------------------------
+
+_EVAL_FIELDS = ([(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)]
+                + [(p, 1) for p in (5, 7, 13, 251)])
+
+
+@st.composite
+def _eval_cases(draw):
+    """(E, k, x): E = F_(p^n) and a point x of it, 0 included.  For k None
+    the coefficients are E's own; otherwise E is built over F_(p^k), whose
+    elements `evaluate` reads through `embedding(k)` and E through
+    `embed_from_base`."""
+    p, n = draw(st.sampled_from(_EVAL_FIELDS))
+    k = draw(st.sampled_from([None] + [k for k in range(1, n + 1)
+                                       if n % k == 0]))
+    E = base_field(p ** n) if k is None else \
+        base_field(p ** k).extension(n // k)
+    return E, k, draw(st.one_of(st.just(0), st.integers(1, E.card - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_eval_cases(), st.data())
+def test_kernel_evaluate_matches_element_arithmetic(case, data):
+    E, k, x = case
+    B, lift = (E, E.coerce) if k is None else (E.base, E.embed_from_base)
+    term = st.tuples(st.integers(-9, 30), st.integers(1, B.card - 1))
+    # few keys, so that most draws repeat one
+    rows = data.draw(st.lists(st.tuples(st.integers(0, 2),
+                                        st.lists(term, max_size=5)),
+                              max_size=5))
+    K = E._kernel
+    if not x:
+        with pytest.raises(DomainError):
+            K.evaluate(rows, x, k)
+        return
+    X = E.from_index(x)
+    want = {}
+    for r, terms in rows:
+        want[r] = want.get(r, E.zero) + sum(
+            (lift(B.from_index(c)) * X ** e for e, c in terms), E.zero)
+    assert K.evaluate(rows, x, k) == {r: v.index for r, v in want.items()}
+    # the terms of nonnegative degree, all rows as one polynomial, at x
+    terms = [(e, c) for _, ts in rows for e, c in ts if e >= 0]
+    coeffs = [E.zero] * (max((e for e, _ in terms), default=-1) + 1)
+    for e, c in terms:
+        coeffs[e] += lift(B.from_index(c))
+    value = PolyRing(E, "s").poly(coeffs)(X)
+    assert K.evaluate([(0, terms)], x, k) == {0: value.index}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_eval_cases(), st.data())
+def test_kernel_dilate_matches_element_arithmetic(case, data):
+    E, _, x = case
+    K = E._kernel
+    index = st.one_of(st.just(0), st.integers(1, E.card - 1))
+    a = _trim(data.draw(st.lists(index, max_size=12)))
+    if not x:
+        with pytest.raises(DomainError):
+            K.dilate(a, x)
+        return
+    X = E.from_index(x)
+    got = K.dilate(a, x)
+    assert got == [(E.from_index(c) * X ** j).index for j, c in enumerate(a)]
+    # a(x s) at y, by Poly.__call__
+    S, y = PolyRing(E, "s"), E.from_index(data.draw(index))
+    assert S.poly(E._elements(got))(y) == S.poly(E._elements(a))(X * y)
 
 
 def _coerced_operators():

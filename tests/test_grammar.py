@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from drinfeld_deuring.errors import CapExceededError, DomainError
 from drinfeld_deuring.fields import base_field
 from drinfeld_deuring.grammar import parse, render
-from drinfeld_deuring.laurent import LaurentRing, LaurentT
+from drinfeld_deuring.laurent import LaurentRing
 from drinfeld_deuring.modulus import check_residue_degree, t_poly_ring
 from drinfeld_deuring.poly import PolyRing
 

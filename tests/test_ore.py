@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from drinfeld_deuring.errors import DomainError
 from drinfeld_deuring.fields import base_field, embed
-from drinfeld_deuring.grammar import parse, render
+from drinfeld_deuring.grammar import parse
 from drinfeld_deuring.modulus import PrimeModulus, t_poly_ring
 from drinfeld_deuring.ore import OreContext, drinfeld_image, ore_apply, qpow
 from drinfeld_deuring.poly import PolyRing
