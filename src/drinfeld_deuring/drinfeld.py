@@ -48,9 +48,9 @@ N = deg h, expanded as the closed sum
 gamma(T^q)^(-N) * sum_j h_j * gamma(T)^j * (s^q - s)^((q-1)(N-j)).
 That sum is the definition; it is evaluated as a polynomial in
 S = (s^q - s)^(q-1) by base-q composition, which uses S(s)^q = S(s^q) to
-replace N products by a growing accumulator with about log_q N levels of
-products by the fixed powers S^r, r < min(q, N + 1), which are built once
-per q and count.
+replace N products by a growing accumulator with about log_q N levels, each
+of which sums its q parts by Horner's rule in S: its only products are by
+S, which has q terms.
 
 The direct route, grec and H run on kappa index lists in Delta (or s) in the
 field's `fields.IndexKernel`, and build each `Poly` once, at the end.
@@ -58,15 +58,13 @@ field's `fields.IndexKernel`, and build each `Poly` once, at the end.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError
-from .fields import base_field, embed
+from .fields import embed
 from .modulus import PrimeModulus
 from .ore import OreContext, drinfeld_image
-from .poly import Poly, PolyRing, _from_indices
+from .poly import PolyRing, _from_indices
 from .universal import u_mod_prime
 
 
@@ -161,7 +159,8 @@ def _g_lists(prime, k_max):
     Horner's rule for p(psi_T) with every product truncated at tau^(k_max)."""
     K, q = prime.kappa._kernel, prime.q
     ap = [K._pow(prime.alpha.index, q ** k) for k in range(k_max + 1)]
-    cs = [prime.kappa.embed_from_base(c).index for c in prime.p_poly.coeffs]
+    emb = prime.kappa._base_emb
+    cs = [emb[c.index] for c in prime.p_poly.coeffs]
     g = [[cs[-1]]] + [[]] * k_max
     for c in reversed(cs[:-1]):
         # g <- g * psi_T + c, by the product rule of the module docstring
@@ -238,11 +237,11 @@ def deuring_h_grec(prime):
     and g_d mod p = -N_d at k = d.
     """
     K, q, d, a = prime.kappa._kernel, prime.q, prime.d, prime.alpha.index
-    p, F = prime.p_poly, prime.field_q
-    # p' on F_q indices: the integer i has index i mod char F
-    dp = Poly(p.ring, F._elements([F._mul(i % F.p, c.index)
-                                   for i, c in enumerate(p.coeffs) if i]))
-    w2, w1 = [], [prime.gamma(dp).index]
+    F = prime.field_q
+    # the terms of p' on F_q indices: the integer i has index i mod char F
+    dp = [(i - 1, F._mul(i % F.p, c.index))
+          for i, c in enumerate(prime.p_poly.coeffs) if i % F.p and c.index]
+    w2, w1 = [], [prime._reduce_terms([(0, dp)])[0]]
     for k in range(1, d + 1):
         Q = q ** (k - 1)
         # T^(q^k) - T: the unit alpha^(q^k) - alpha for k < d, -eps at k = d
@@ -261,8 +260,9 @@ def deuring_H(prime, h):
     H is the closed sum of the module docstring, i.e.
     H = gamma(T^q)^(-N) * R(S) with S = (s^q - s)^(q-1), N = deg h and
     R(x) = sum_n h_(N-n) * gamma(T)^(N-n) * x^n.  R(S) is evaluated by
-    base-q composition (`_compose_in_S`), not term by term, on kappa index
-    lists, from scaling h (`IndexKernel.dilate`) to the `Poly` at the end.
+    base-q composition with Horner's rule in S at each level
+    (`_compose_in_S`), not term by term, on kappa index lists, from scaling
+    h (`IndexKernel.dilate`) to the `Poly` at the end.
     """
     if not h or h.ring.base != prime.kappa:
         raise DomainError("deuring_H expects a nonzero polynomial over kappa")
@@ -280,38 +280,30 @@ def deuring_H(prime, h):
     return _from_indices(prime.s_ring, H)
 
 
-@functools.lru_cache(maxsize=None)
-def _S_powers(p, q, count):
-    """[S^0, ..., S^(count-1)] as index lists in characteristic p.  S, the
-    sum of s^(k(q-1)) over k = 1..q, has F_p coefficients, and an element of
-    F_p has the same index in every field of characteristic p, so one list
-    serves every kappa over F_q."""
-    S = [0] * (q * (q - 1) + 1)
-    S[q - 1::q - 1] = [1] * q
-    mul = base_field(p)._kernel.mul_polys
-    return list(itertools.accumulate([S] * (count - 1), mul, initial=[1]))
-
-
 def _compose_in_S(coeffs, K, q):
     """R(S) on K's index lists, R = sum_n coeffs[n] x^n, S = (s^q - s)^(q-1).
 
-    S has coefficients in F_p, so S(s)^q = S(s^q).  Splitting R by residue
-    mod q, R(x) = sum_(r<q) x^r R_r(x^q), gives
-    R(S) = sum_(r<q) S^r * [R_r(S)](s^q): each level recurses on q parts of
-    a q-th of the length, stretches their results by s -> s^q (a slice
-    assignment) and multiplies them by the fixed S^r of degree <= q(q-1)^2.
+    S, the sum of s^(k(q-1)) over k = 1..q, has coefficients in F_p, so
+    S(s)^q = S(s^q).  Splitting R by residue mod q,
+    R(x) = sum_(r<q) x^r R_r(x^q), gives R(S) = sum_(r<q) S^r * [R_r(S)](s^q):
+    each level recurses on q parts of a q-th of the length, stretches their
+    results by s -> s^q (a slice assignment) and sums them by Horner's rule
+    in S, so its only products are by S.  The F_p element 1 has index 1 in
+    every field, so S's index list serves every kappa.
     """
-    S_pows = _S_powers(K.p, q, min(q, len(coeffs)))
+    S = [0] * (q * (q - 1) + 1)
+    S[q - 1::q - 1] = [1] * q
     add, mul = K.add_polys, K.mul_polys
 
     def compose(cs):
         if len(cs) <= 1:
             return [c for c in cs if c]
-        for r in range(min(q, len(cs))):
+        acc = []
+        for r in reversed(range(min(q, len(cs)))):
             inner = compose(cs[r::q])
             part = [0] * (q * len(inner) - q + 1)
             part[::q] = inner
-            acc = add(acc, mul(S_pows[r], part)) if r else part
+            acc = add(mul(acc, S), part) if acc else part
         return acc
 
     return compose(coeffs)

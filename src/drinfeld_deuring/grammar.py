@@ -215,6 +215,8 @@ class _Parser:
             if kind == "op" and e == "-":
                 sign = -1
                 kind, e = self.take()
+            if kind is None:
+                raise DomainError("unexpected end of input")
             if kind != "int":
                 raise DomainError("exponent must be an integer")
             if self.check_degree is not None and sign > 0:

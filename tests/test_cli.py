@@ -286,7 +286,8 @@ def test_huge_prime_degree_is_refused_while_parsing(prime, degree, capsys):
                             f"exceeds the 65536 cap\n")
 
 
-@pytest.mark.parametrize("prime", ["T^2+T+1+", "T*", "-", "(T", "((T+1)"])
+@pytest.mark.parametrize("prime", ["T^2+T+1+", "T*", "-", "(T", "((T+1)",
+                                   "T^", "T^-"])
 def test_prime_cut_short_is_end_of_input(prime, capsys):
     assert main(["compute", "--q", "2", "--prime", prime]) == 2
     captured = capsys.readouterr()

@@ -492,12 +492,19 @@ def test_deuring_H_matches_U_reduction_at_degree_12():
     assert H == U_mod_prime(p)
 
 
+@pytest.mark.parametrize("q, d, count", [(16, 2, 2), (32, 2, 2), (64, 2, 2),
+                                         (64, 1, 1), (256, 1, 1)])
+def test_deuring_H_matches_U_reduction_at_large_q(q, d, count):
+    # U_mod_prime runs the U-recurrence over kappa: an oracle independent of
+    # the composition in S, whose levels here sum up to q parts
+    for p in islice(primes_of_degree(base_field(q), d), count):
+        assert deuring_H(p, deuring_h_grec(p)) == U_mod_prime(p)
+
+
 def test_deuring_H_work_is_far_below_horner(monkeypatch):
     # nonzero x nonzero term pairs of every kappa product inside deuring_H:
     # Horner makes about 1.97 N^2 of them at q = 2, d = 10, the composition
-    # about 0.018 N^2.  The F_p products that build the S^r memo run in F_2's
-    # kernel and are not counted, so the count does not depend on whether
-    # the memo is warm
+    # about 0.018 N^2, the products by S included
     p = next(iter(primes_of_degree(base_field(2), 10)))
     h = deuring_h_universal(p)
     N = h.degree
@@ -655,13 +662,17 @@ def test_grec_checks_the_shape_of_g_d(monkeypatch, capsys):
     # coefficient is no longer 1
     from drinfeld_deuring import cli
 
-    gamma = PrimeModulus.gamma
+    reduce_terms = PrimeModulus._reduce_terms
     for q, text, scale in [(2, "T^3 + T + 1", "a"), (3, "T^2 + 1", "-1"),
                            (3, "T^2 + 1", "a"), (4, "T^2 + T + x", "a")]:
         p = _prime(q, text)
         c = parse(scale, PolyRing(p.kappa, "s")).constant_coeff()
-        monkeypatch.setattr(PrimeModulus, "gamma",
-                            lambda self, f, c=c: gamma(self, f) * c)
+
+        def scaled(self, rows, c=c):
+            return {r: (self.kappa.from_index(x) * c).index
+                    for r, x in reduce_terms(self, rows).items()}
+
+        monkeypatch.setattr(PrimeModulus, "_reduce_terms", scaled)
         with pytest.raises(ConsistencyError):
             deuring_h_grec(p)
         assert cli.main(["compute", "--q", str(q), "--prime", text,
