@@ -47,10 +47,13 @@ parameter: H is the numerator of
 N = deg h, expanded as the closed sum
 gamma(T^q)^(-N) * sum_j h_j * gamma(T)^j * (s^q - s)^((q-1)(N-j)).
 That sum is the definition; it is evaluated as a polynomial in
-S = (s^q - s)^(q-1) by base-q composition, which uses S(s)^q = S(s^q) to
-replace N products by a growing accumulator with about log_q N levels, each
-of which sums its q parts by Horner's rule in S: its only products are by
-S, which has q terms.
+S = (s^q - s)^(q-1) by the field's kernel (`IndexKernel.compose_in_S`), in
+about log_q N base-q levels, not by N products with a growing accumulator.
+In odd characteristic each level splits by residue mod q, uses
+S(s)^q = S(s^q) and sums its q parts by Horner's rule in S, so its only
+products are by S, which has q terms.  In characteristic 2, S = P^(q-1)
+with P = s^q + s, and a level is log2(q) mask-shift-XOR passes over one
+packed int of kappa indices, with no field product at all.
 
 The direct route, grec and H run on kappa index lists in Delta (or s) in the
 field's `fields.IndexKernel`, and build each `Poly` once, at the end.
@@ -259,10 +262,12 @@ def deuring_H(prime, h):
 
     H is the closed sum of the module docstring, i.e.
     H = gamma(T^q)^(-N) * R(S) with S = (s^q - s)^(q-1), N = deg h and
-    R(x) = sum_n h_(N-n) * gamma(T)^(N-n) * x^n.  R(S) is evaluated by
-    base-q composition with Horner's rule in S at each level
-    (`_compose_in_S`), not term by term, on kappa index lists, from scaling
-    h (`IndexKernel.dilate`) to the `Poly` at the end.
+    R(x) = sum_n h_(N-n) * gamma(T)^(N-n) * x^n.  R(S) is composed in S by
+    kappa's kernel (`IndexKernel.compose_in_S`): by Horner's rule in S at
+    each base-q level in odd characteristic, and by additive composition on
+    one packed int, with no field product, in characteristic 2.  It all
+    runs on kappa index lists, from scaling h (`IndexKernel.dilate`) to the
+    `Poly` at the end.
     """
     if not h or h.ring.base != prime.kappa:
         raise DomainError("deuring_H expects a nonzero polynomial over kappa")
@@ -272,41 +277,12 @@ def deuring_H(prime, h):
     q, N, K, a = prime.q, h.degree, prime.kappa._kernel, prime.alpha.index
     # R is scaled by gamma(T^q)^(-N) up front: composition is linear in R
     R = K.scale(K._pow(a, -q * N), K.dilate([c.index for c in h.coeffs], a))
-    H = _compose_in_S(R[::-1], K, q)
+    H = K.compose_in_S(R[::-1], q)
     if len(H) - 1 != q ** (prime.d + 1) - q:
         raise ConsistencyError("H has the wrong degree")
     if H[-1] != 1:
         raise ConsistencyError("H is not monic")
     return _from_indices(prime.s_ring, H)
-
-
-def _compose_in_S(coeffs, K, q):
-    """R(S) on K's index lists, R = sum_n coeffs[n] x^n, S = (s^q - s)^(q-1).
-
-    S, the sum of s^(k(q-1)) over k = 1..q, has coefficients in F_p, so
-    S(s)^q = S(s^q).  Splitting R by residue mod q,
-    R(x) = sum_(r<q) x^r R_r(x^q), gives R(S) = sum_(r<q) S^r * [R_r(S)](s^q):
-    each level recurses on q parts of a q-th of the length, stretches their
-    results by s -> s^q (a slice assignment) and sums them by Horner's rule
-    in S, so its only products are by S.  The F_p element 1 has index 1 in
-    every field, so S's index list serves every kappa.
-    """
-    S = [0] * (q * (q - 1) + 1)
-    S[q - 1::q - 1] = [1] * q
-    add, mul = K.add_polys, K.mul_polys
-
-    def compose(cs):
-        if len(cs) <= 1:
-            return [c for c in cs if c]
-        acc = []
-        for r in reversed(range(min(q, len(cs)))):
-            inner = compose(cs[r::q])
-            part = [0] * (q * len(inner) - q + 1)
-            part[::q] = inner
-            acc = add(mul(acc, S), part) if acc else part
-        return acc
-
-    return compose(coeffs)
 
 
 @dataclass

@@ -39,9 +39,11 @@ moduli.
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import operator
+import sys
 
 from .errors import CapExceededError, DomainError
 
@@ -81,6 +83,14 @@ def _prime_divisors(n):
     if n > 1:
         fs.append(n)
     return fs
+
+
+def _trim(a):
+    """Cut the trailing zeros off a list that ends in 0, in place, with one
+    scan from the top in C and one del.  Callers test the top entry first:
+    most lists end in a nonzero, and a call would cost more than the test."""
+    del a[len(a) - len(list(itertools.takewhile(operator.not_,
+                                                 reversed(a)))):]
 
 
 def _coerced(op):
@@ -443,13 +453,44 @@ class IndexKernel:
         if len(a) < len(b):
             a, b = b, a
         out = self._add_terms(a, b)
-        while out and not out[-1]:
-            out.pop()
+        if out and not out[-1]:
+            _trim(out)
         return out
 
     def sub_polys(self, a, b):
         neg = self._neg
         return self.add_polys(a, [neg(x) for x in b])
+
+    def compose_in_S(self, coeffs, q):
+        """R(S) for R = sum_n coeffs[n] x^n and S = (s^q - s)^(q-1), q a
+        power of p: the substitution that builds the companion H.
+
+        S, the sum of s^(k(q-1)) over k = 1..q, has coefficients in F_p, so
+        S(s)^q = S(s^q).  Splitting R by residue mod q,
+        R(x) = sum_(r<q) x^r R_r(x^q), gives R(S) = sum_(r<q) S^r * [R_r(S)](s^q):
+        each level recurses on q parts of a q-th of the length, stretches
+        their results by s -> s^q (a slice assignment) and sums them by
+        Horner's rule in S, so its only products are by S.  The F_p element
+        1 has index 1 in every field, so S's index list serves every field.
+        Odd characteristic runs this list form; `_Char2Kernel` overrides it
+        with a packed form that makes no product.
+        """
+        S = [0] * (q * (q - 1) + 1)
+        S[q - 1::q - 1] = [1] * q
+        add, mul = self.add_polys, self.mul_polys
+
+        def compose(cs):
+            if len(cs) <= 1:
+                return [c for c in cs if c]
+            acc = []
+            for r in reversed(range(min(q, len(cs)))):
+                inner = compose(cs[r::q])
+                part = [0] * (q * len(inner) - q + 1)
+                part[::q] = inner
+                acc = add(mul(acc, S), part) if acc else part
+            return acc
+
+        return compose(coeffs)
 
     def mul_polys(self, a, b):
         if not a or not b:
@@ -488,8 +529,8 @@ class IndexKernel:
                 quot[k] = top
                 addmul(rem, k, top, row)
         del rem[n:]
-        while rem and not rem[-1]:
-            rem.pop()
+        if rem and not rem[-1]:
+            _trim(rem)
         return quot
 
     def divmod_polys(self, a, b):
@@ -681,6 +722,68 @@ class _Char2Kernel(IndexKernel):
             cur = low[cur & mask] ^ high[cur >> h]
         assert cur == 1
         return exp, log
+
+    def compose_in_S(self, coeffs, q):
+        """R(S) as in `IndexKernel.compose_in_S`, by additive composition
+        on one packed int: log2(q) mask-shift-XOR passes per base-q level,
+        and no field product.
+
+        Here S = P^(q-1) with P = s^q + s, so R(S) = G(P) for
+        G(x) = R(x^(q-1)) = sum_j g_j x^j.  For m a power of q,
+        P^m = s^(qm) + s^m, so P^j is the product over the base-q digits j_l
+        of j of (s^(q m) + s^m)^(j_l), m = q^l.  By Lucas's theorem
+        binom(j_l, e) is odd iff the bits of e lie inside those of j_l, so
+        that factor is s^(qm j_l) times the product over the bits b of j_l
+        of (1 + s^(-(q-1)bm)).  This is the Taylor expansion at x^q - x of
+        Gao and Mateer (Additive Fast Fourier Transforms over Finite
+        Fields, IEEE Trans. Inf. Theory 56(12), 2010) run backwards.
+
+        So put g_j at s^(qj), the top term of P^j, and apply the factors
+        level by level, m = 1, q, q^2, ..., and bit by bit, b = 1, 2, ...,
+        q/2: X ^= (X & M_b) >> (q-1)bm slots, where M_b selects the blocks
+        of qm slots whose index has bit b set, the upper half of each
+        aligned run of 2b blocks.  The masks find the right terms: at the
+        start of level m what is left of g_j's term is s^(qmJ) P^(j mod m),
+        J = j // m, of degree below qm(J + 1), so it lies in block J.  A
+        copy that the level's bits e != 0 below b have shifted down lies in
+        block J - e, or spills into block J - e + 1.  J - e has e's bits
+        cleared, so the carry of the + 1 stops below b, and bit b of the
+        block index is that of J.  Indices add by XOR, with no carry between
+        slots.
+
+        A slot has 8 bits up to 256 elements and 16 bits up to CARD_CAP; a
+        kernel for larger fields must widen it.  Each mask is a repeated
+        bytes pattern cut to the length of X: Python ints have no leading
+        zeros, so a mask for whole runs could be up to q times longer.
+        """
+        if len(coeffs) <= 1:
+            return [c for c in coeffs if c]
+        top = (q - 1) * (len(coeffs) - 1)  # the degree of G
+        typecode = "B" if self.card <= 256 else "H"
+        slots = array.array(typecode, [0]) * (q * top + 1)
+        slots[::q * (q - 1)] = array.array(typecode, coeffs)
+        if sys.byteorder == "big":
+            slots.byteswap()
+        X = int.from_bytes(slots, "little")
+        size = slots.itemsize
+        n = (X.bit_length() + 7) // 8
+        m = 1
+        while m <= top:
+            b = 1
+            while b < q and b * m <= top:
+                run = b * q * m * size  # bytes per half-run of 2b blocks
+                reps = n // (2 * run) + 1
+                mask = ((bytes(run) + b"\xff" * run) * reps)[:n]
+                X ^= (X & int.from_bytes(mask, "little")) >> (
+                    (q - 1) * b * m * 8 * size)
+                b *= 2
+            m *= q
+        count = -(-n // size)
+        out = array.array(typecode, X.to_bytes(count * size, "little"))
+        if sys.byteorder == "big":
+            out.byteswap()
+        # the top slot holds the top bit of X: no trailing zeros
+        return out.tolist()
 
     def _add_terms(self, a, b):
         out = list(map(operator.xor, a, b))

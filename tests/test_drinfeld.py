@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 from drinfeld_deuring.drinfeld import (
     DeltaModule,
     LambdaModule,
-    _compose_in_S,
     delta_from_lambda,
     deuring,
     deuring_H,
@@ -459,7 +458,7 @@ def _coefficient_lists(draw):
 def test_compose_in_S_matches_horner(case):
     q, kappa, coeffs = case
     ring = PolyRing(kappa, "s")
-    got = _compose_in_S([c.index for c in coeffs], kappa._kernel, q)
+    got = kappa._kernel.compose_in_S([c.index for c in coeffs], q)
     assert got == [c.index for c in _horner_in_S(coeffs, ring, q).coeffs]
 
 
@@ -502,25 +501,32 @@ def test_deuring_H_matches_U_reduction_at_large_q(q, d, count):
 
 
 def test_deuring_H_work_is_far_below_horner(monkeypatch):
-    # nonzero x nonzero term pairs of every kappa product inside deuring_H:
-    # Horner makes about 1.97 N^2 of them at q = 2, d = 10, the composition
-    # about 0.018 N^2, the products by S included
-    p = next(iter(primes_of_degree(base_field(2), 10)))
-    h = deuring_h_universal(p)
-    N = h.degree
-    K = p.kappa._kernel
+    # nonzero x nonzero term pairs of every kappa product inside deuring_H
+    # where the list form runs, in odd characteristic: at q = 3, d = 6
+    # Horner in x makes up to about 3 N^2 of them, the composition about
+    # 0.022 N^2, the products by S included.  In characteristic 2 the
+    # packed form makes no product at all.
     pairs = []
     mul = IndexKernel.mul_polys
 
     def counted(self, a, b):
-        if self is K:
-            pairs.append((len(a) - a.count(0)) * (len(b) - b.count(0)))
+        pairs.append((len(a) - a.count(0)) * (len(b) - b.count(0)))
         return mul(self, a, b)
 
     monkeypatch.setattr(IndexKernel, "mul_polys", counted)
+    p = next(iter(primes_of_degree(base_field(3), 6)))
+    h = deuring_h_universal(p)
+    N = h.degree
+    pairs.clear()
+    H = deuring_H(p, h)
+    assert H.degree == 3 ** 7 - 3
+    assert pairs and sum(pairs) < N * N / 10
+    p = next(iter(primes_of_degree(base_field(2), 10)))
+    h = deuring_h_universal(p)
+    pairs.clear()
     H = deuring_H(p, h)
     assert H.degree == 2 ** 11 - 2
-    assert pairs and sum(pairs) < N * N / 10
+    assert pairs == []
 
 
 # The coefficient recurrence run generically over F_q[T][Delta], as grec ran

@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import drinfeld_deuring
 from drinfeld_deuring.errors import CapExceededError, DomainError
@@ -893,6 +893,57 @@ def test_kernel_dilate_matches_element_arithmetic(case, data):
     # a(x s) at y, by Poly.__call__
     S, y = PolyRing(E, "s"), E.from_index(data.draw(index))
     assert S.poly(E._elements(got))(y) == S.poly(E._elements(a))(X * y)
+
+
+# the longest coefficient list drawn per q: the list form, the reference,
+# takes time about q^2 times the length squared on dense input
+_COMPOSE_LENGTHS = {2: 60, 4: 60, 8: 60, 16: 24, 32: 10, 64: 4, 128: 3,
+                    256: 2}
+
+
+@st.composite
+def _compose_cases(draw):
+    k = draw(st.integers(1, 16))
+    q = draw(st.sampled_from(sorted(_COMPOSE_LENGTHS)))
+    n = draw(st.integers(0, _COMPOSE_LENGTHS[q]))
+    # zeros are common, so that interior and trailing zeros are too
+    index = st.one_of(st.just(0), st.integers(0, 2 ** k - 1))
+    return k, q, draw(st.lists(index, min_size=n, max_size=n))
+
+
+def _dense(k, n):
+    return [(7 * i + 3) % 2 ** k or 1 for i in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_compose_cases())
+# empty, one coefficient, trailing zeros; lengths q^e and q^e + 1; and the
+# largest indices of F_(2^8) and F_(2^9), on both sides of the 8/16-bit slot
+# boundary
+@example((8, 2, []))
+@example((8, 4, [5]))
+@example((8, 4, [0]))
+@example((9, 4, [3, 0, 7, 0, 0]))
+@example((8, 2, _dense(8, 32)))
+@example((8, 2, _dense(8, 33)))
+@example((9, 4, _dense(9, 16)))
+@example((9, 4, _dense(9, 17)))
+@example((12, 4, _dense(12, 64)))
+@example((12, 4, _dense(12, 65)))
+@example((9, 8, _dense(9, 64)))
+@example((9, 8, _dense(9, 65)))
+@example((16, 16, _dense(16, 16)))
+@example((16, 16, _dense(16, 17)))
+@example((8, 4, [255] * 17))
+@example((9, 4, [511] * 17))
+@example((8, 256, [255, 1]))
+@example((9, 256, [1, 511]))
+@example((16, 256, [65535, 65535]))
+def test_packed_compose_in_S_matches_the_list_form(case):
+    k, q, coeffs = case
+    K = base_field(2 ** k)._kernel
+    assert type(K).compose_in_S is not IndexKernel.compose_in_S
+    assert K.compose_in_S(coeffs, q) == IndexKernel.compose_in_S(K, coeffs, q)
 
 
 def _coerced_operators():
