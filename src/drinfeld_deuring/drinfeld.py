@@ -49,11 +49,14 @@ gamma(T^q)^(-N) * sum_j h_j * gamma(T)^j * (s^q - s)^((q-1)(N-j)).
 That sum is the definition; it is evaluated as a polynomial in
 S = (s^q - s)^(q-1) by the field's kernel (`IndexKernel.compose_in_S`), in
 about log_q N base-q levels, not by N products with a growing accumulator.
-In odd characteristic each level splits by residue mod q, uses
-S(s)^q = S(s^q) and sums its q parts by Horner's rule in S, so its only
-products are by S, which has q terms.  In characteristic 2, S = P^(q-1)
-with P = s^q + s, and a level is log2(q) mask-shift-XOR passes over one
-packed int of kappa indices, with no field product at all.
+S = Y(y) with y = s^(q-1) and Y(y) = y + ... + y^q, so H is a polynomial
+in y.  In odd characteristic the composition runs in y, bottom up over
+contiguous chunks of q^i coefficients: it uses Y(y)^(q^i) = Y(y^(q^i))
+and sums each group of q chunk results by Horner's rule in Y(y^(q^i)), so
+its only products are by polynomials of q terms, and it stretches
+y -> s^(q-1) once at the end.  In characteristic 2, S = P^(q-1) with
+P = s^q + s, and a level is log2(q) mask-shift-XOR passes over one packed
+int of kappa indices, with no field product at all.
 
 The direct route, grec and H run on kappa index lists in Delta (or s) in the
 field's `fields.IndexKernel`, and build each `Poly` once, at the end.
@@ -67,7 +70,7 @@ from .errors import ConsistencyError, DomainError
 from .fields import embed
 from .modulus import PrimeModulus
 from .ore import OreContext, drinfeld_image
-from .poly import PolyRing, _from_indices
+from .poly import Poly, PolyRing, _from_indices
 from .universal import u_mod_prime
 
 
@@ -262,19 +265,21 @@ def deuring_H(prime, h):
 
     H is the closed sum of the module docstring, i.e.
     H = gamma(T^q)^(-N) * R(S) with S = (s^q - s)^(q-1), N = deg h and
-    R(x) = sum_n h_(N-n) * gamma(T)^(N-n) * x^n.  R(S) is composed in S by
-    kappa's kernel (`IndexKernel.compose_in_S`): by Horner's rule in S at
-    each base-q level in odd characteristic, and by additive composition on
-    one packed int, with no field product, in characteristic 2.  It all
-    runs on kappa index lists, from scaling h (`IndexKernel.dilate`) to the
-    `Poly` at the end.
+    R(x) = sum_n h_(N-n) * gamma(T)^(N-n) * x^n.  R(S) is composed by
+    kappa's kernel (`IndexKernel.compose_in_S`): in y = s^(q-1), bottom up
+    by Horner's rule in Y(y^(q^i)) at each base-q level, in odd
+    characteristic, and by additive composition on one packed int, with no
+    field product, in characteristic 2.  It all runs on kappa index lists,
+    from scaling h (`IndexKernel.dilate`) to the `Poly` at the end, whose
+    elements are looked up only on the (q-1)-stride, where H can be nonzero.
     """
     if not h or h.ring.base != prime.kappa:
         raise DomainError("deuring_H expects a nonzero polynomial over kappa")
     if not h.constant_coeff():
         raise ConsistencyError(
             "h(0) = 0: the substitution h(gamma/(s^q-s)^(q-1)) degenerates")
-    q, N, K, a = prime.q, h.degree, prime.kappa._kernel, prime.alpha.index
+    q, N, kappa, a = prime.q, h.degree, prime.kappa, prime.alpha.index
+    K = kappa._kernel
     # R is scaled by gamma(T^q)^(-N) up front: composition is linear in R
     R = K.scale(K._pow(a, -q * N), K.dilate([c.index for c in h.coeffs], a))
     H = K.compose_in_S(R[::-1], q)
@@ -282,7 +287,10 @@ def deuring_H(prime, h):
         raise ConsistencyError("H has the wrong degree")
     if H[-1] != 1:
         raise ConsistencyError("H is not monic")
-    return _from_indices(prime.s_ring, H)
+    # H is a polynomial in s^(q-1): elements only on that stride
+    coeffs = [kappa.zero] * len(H)
+    coeffs[::q - 1] = kappa._elements(H[::q - 1])
+    return Poly(prime.s_ring, coeffs)
 
 
 @dataclass

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import array
 import functools
+import gc
 import itertools
 import operator
 import sys
@@ -324,6 +325,16 @@ class IndexKernel:
         self.half = m1 // 2  # log of -1 in odd characteristic
         # the card x card table of index sums, built on first use
         self._sums = None
+        del exp, log
+        # A collection untracks a tuple of ints the first time it sees
+        # one, and that pass over large tables (0.3-0.8 ms at F_(3^8) and
+        # F_(2^12)) would fall on whichever later call set off the next
+        # young collection.  Pay it here, where the tables are built, and
+        # only for tables far above the young threshold: a collection
+        # after every build would promote more and move an older one
+        # into later calls instead.
+        if gc.isenabled() and len(self.exp) > 10 * gc.get_threshold()[0]:
+            gc.collect(0)
 
     def embedding(self, k):
         """emb[c], the index here of the element of index c of F_(p^k), for
@@ -463,34 +474,49 @@ class IndexKernel:
 
     def compose_in_S(self, coeffs, q):
         """R(S) for R = sum_n coeffs[n] x^n and S = (s^q - s)^(q-1), q a
-        power of p: the substitution that builds the companion H.
+        power of p: the substitution that builds the companion H, as an
+        index list in s with no trailing zeros.
 
-        S, the sum of s^(k(q-1)) over k = 1..q, has coefficients in F_p, so
-        S(s)^q = S(s^q).  Splitting R by residue mod q,
-        R(x) = sum_(r<q) x^r R_r(x^q), gives R(S) = sum_(r<q) S^r * [R_r(S)](s^q):
-        each level recurses on q parts of a q-th of the length, stretches
-        their results by s -> s^q (a slice assignment) and sums them by
-        Horner's rule in S, so its only products are by S.  The F_p element
-        1 has index 1 in every field, so S's index list serves every field.
-        Odd characteristic runs this list form; `_Char2Kernel` overrides it
-        with a packed form that makes no product.
+        S is the sum of s^(k(q-1)) over k = 1..q, so S = Y(y) with
+        y = s^(q-1) and Y(y) = y + y^2 + ... + y^q, and R(S) is a
+        polynomial in y: only every (q-1)-th slot of the result can be
+        nonzero.  Y has coefficients in F_p, which the Frobenius x -> x^p
+        fixes, and a p-th power of a sum is the sum of the p-th powers, so
+        Y(y)^(q^i) = Y(y^(q^i)): a power q^i of Y costs no product.
+
+        For m = 1, q, q^2, ... write R = sum_(r<q) x^(rm) R_r over
+        contiguous chunks R_r of length m.  Then
+        R(Y) = sum_(r<q) Y(y^m)^r * R_r(Y), so the composition runs bottom
+        up: at level m each group of q consecutive chunk results, those of
+        level m/q (the coefficients themselves at m = 1), is summed by
+        Horner's rule in Y(y^m), whose q ones sit at y^m, y^(2m), ...,
+        y^(qm).  Its only products are by Y(y^m).  The F_p element 1 has
+        index 1 in every field, so Y(y^m)'s index list serves every field.
+        The last level's result is stretched by y -> s^(q-1) once, with one
+        slice assignment.  Odd characteristic runs this form;
+        `_Char2Kernel` overrides it with a packed form that makes no
+        product.
         """
-        S = [0] * (q * (q - 1) + 1)
-        S[q - 1::q - 1] = [1] * q
         add, mul = self.add_polys, self.mul_polys
-
-        def compose(cs):
-            if len(cs) <= 1:
-                return [c for c in cs if c]
-            acc = []
-            for r in reversed(range(min(q, len(cs)))):
-                inner = compose(cs[r::q])
-                part = [0] * (q * len(inner) - q + 1)
-                part[::q] = inner
-                acc = add(mul(acc, S), part) if acc else part
-            return acc
-
-        return compose(coeffs)
+        parts = [[c] if c else [] for c in coeffs]
+        m = 1
+        while len(parts) > 1:
+            Y = [0] * (q * m + 1)
+            Y[m::m] = [1] * q
+            level = []
+            for i in range(0, len(parts), q):
+                acc = []
+                for part in reversed(parts[i:i + q]):
+                    acc = add(mul(acc, Y), part) if acc else part
+                level.append(acc)
+            parts = level
+            m *= q
+        if not parts or not parts[0]:
+            return []
+        R = parts[0]
+        out = [0] * ((q - 1) * (len(R) - 1) + 1)
+        out[::q - 1] = R
+        return out
 
     def mul_polys(self, a, b):
         if not a or not b:

@@ -163,3 +163,30 @@ def graph_by_pass(prime, h):
             else:
                 edges[i, j] = edges.get((i, j), 0) + 1
     return IsogenyGraph(prime, ambient, 2, tuple(verts), edges, tuple(strays))
+
+
+def compose_in_S_by_residues(kernel, coeffs, q):
+    """kernel.compose_in_S(coeffs, q), as odd characteristic ran it before
+    it composed in y = s^(q-1) bottom up: R(S) for S = (s^q - s)^(q-1),
+    split top down by residue mod q.
+
+    S has coefficients in F_p, so S(s)^q = S(s^q), and
+    R(x) = sum_(r<q) x^r R_r(x^q) gives R(S) = sum_(r<q) S^r * [R_r(S)](s^q):
+    each level recurses on q parts of a q-th of the length, stretches their
+    results by s -> s^q and sums them by Horner's rule in S."""
+    S = [0] * (q * (q - 1) + 1)
+    S[q - 1::q - 1] = [1] * q
+    add, mul = kernel.add_polys, kernel.mul_polys
+
+    def compose(cs):
+        if len(cs) <= 1:
+            return [c for c in cs if c]
+        acc = []
+        for r in reversed(range(min(q, len(cs)))):
+            inner = compose(cs[r::q])
+            part = [0] * (q * len(inner) - q + 1)
+            part[::q] = inner
+            acc = add(mul(acc, S), part) if acc else part
+        return acc
+
+    return compose(coeffs)

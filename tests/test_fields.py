@@ -1,6 +1,7 @@
 """Finite-field towers: construction, arithmetic, Frobenius, embeddings."""
 
 import functools
+import gc
 import os
 import random
 import subprocess
@@ -21,7 +22,7 @@ from drinfeld_deuring.modulus import PrimeModulus, primes_of_degree, \
 from drinfeld_deuring.multipoly import MultiRing
 from drinfeld_deuring.ore import OreContext
 from drinfeld_deuring.poly import PolyRing
-from reference import monic_polys
+from reference import compose_in_S_by_residues, monic_polys
 
 
 def test_prime_field_arithmetic():
@@ -636,6 +637,18 @@ def test_kernel_tables_are_tuples():
     assert fields._abs_tables(2, 3).zech is None
 
 
+@pytest.mark.parametrize("p, degree", [(3, 8), (2, 12)])
+def test_large_kernel_tables_leave_the_collector_when_built(p, degree):
+    # the first collection to see a large table pays a pass over it: the
+    # constructor makes that pass, not a later call that sets off the next
+    # young collection
+    assert gc.isenabled()
+    kind = fields._Char2Kernel if p == 2 else fields._ZechKernel
+    K = kind(p, degree, fields._abs_tables(p, degree).modulus_digits)
+    tables = [K.exp, K.log] + ([K.zech] if p != 2 else [])
+    assert not any(gc.is_tracked(t) for t in tables)
+
+
 def test_digit_sum_tables_fit_in_the_field():
     # every odd (p, k) under the cap, by the split's formula: no table is
     # built, which for a chunk of ceil(k/2) digits would take p^(k+1)
@@ -896,9 +909,9 @@ def test_kernel_dilate_matches_element_arithmetic(case, data):
 
 
 # the longest coefficient list drawn per q: the list form, the reference,
-# takes time about q^2 times the length squared on dense input
-_COMPOSE_LENGTHS = {2: 60, 4: 60, 8: 60, 16: 24, 32: 10, 64: 4, 128: 3,
-                    256: 2}
+# takes time about q^2 n log_q(n) on dense input of length n
+_COMPOSE_LENGTHS = {2: 240, 4: 240, 8: 240, 16: 96, 32: 40, 64: 16, 128: 12,
+                    256: 8}
 
 
 @st.composite
@@ -944,6 +957,74 @@ def test_packed_compose_in_S_matches_the_list_form(case):
     K = base_field(2 ** k)._kernel
     assert type(K).compose_in_S is not IndexKernel.compose_in_S
     assert K.compose_in_S(coeffs, q) == IndexKernel.compose_in_S(K, coeffs, q)
+
+
+# q = p^e <= 81 per odd p, and the degrees k of the fields F_(p^k) drawn
+# for each p: S has coefficients in F_p, so F_q need not lie in F_(p^k)
+_ODD_COMPOSE_QS = {3: (3, 9, 27, 81), 5: (5, 25), 7: (7, 49), 11: (11,),
+                   13: (13,)}
+_ODD_COMPOSE_DEGREES = {3: (1, 2, 4, 8), 5: (1, 2), 7: (1, 2), 11: (1,),
+                        13: (1, 2)}
+
+
+@st.composite
+def _odd_compose_cases(draw):
+    p = draw(st.sampled_from(sorted(_ODD_COMPOSE_QS)))
+    k = draw(st.sampled_from(_ODD_COMPOSE_DEGREES[p]))
+    q = draw(st.sampled_from(_ODD_COMPOSE_QS[p]))
+    # the residue form, the reference, slows with the q^2 n slots of R(S)
+    n = draw(st.integers(0, min(60, 3 * 81 ** 2 // q ** 2)))
+    index = st.one_of(st.just(0), st.integers(0, p ** k - 1))
+    return p ** k, q, draw(st.lists(index, min_size=n, max_size=n))
+
+
+def _odd_dense(card, n):
+    return [(7 * i + 3) % card or 1 for i in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_odd_compose_cases())
+# empty, one coefficient, zeros at either end; lengths q^e and q^e + 1
+@example((27, 3, []))
+@example((27, 3, [0]))
+@example((27, 3, [5]))
+@example((25, 5, [0, 0, 3, 0, 7, 0, 0]))
+@example((6561, 9, [0, 0, 0] + _odd_dense(6561, 10) + [0, 0, 0]))
+@example((9, 3, _odd_dense(9, 27)))
+@example((9, 3, _odd_dense(9, 28)))
+@example((81, 9, _odd_dense(81, 81)))
+@example((81, 9, _odd_dense(81, 82)))
+@example((49, 7, _odd_dense(49, 49)))
+@example((49, 7, _odd_dense(49, 50)))
+@example((169, 13, _odd_dense(169, 13)))
+@example((169, 13, _odd_dense(169, 14)))
+@example((6561, 27, _odd_dense(6561, 27)))
+@example((6561, 27, _odd_dense(6561, 28)))
+@example((6561, 81, _odd_dense(6561, 2)))
+def test_compose_in_S_matches_the_residue_form(case):
+    card, q, coeffs = case
+    K = base_field(card)._kernel
+    assert type(K).compose_in_S is IndexKernel.compose_in_S
+    assert K.compose_in_S(coeffs, q) == compose_in_S_by_residues(K, coeffs, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_compose_in_S_is_zero_off_the_q_minus_1_stride(data):
+    # R(S) is a polynomial in s^(q-1), in either kernel
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    q = data.draw(st.sampled_from(
+        [p ** e for e in range(1, 7) if 2 < p ** e <= 81]))
+    k = data.draw(st.sampled_from([1, 2, 3, 4] if p < 5 else [1, 2]))
+    K = base_field(p ** k)._kernel
+    n = data.draw(st.integers(1, 6 if q > 9 else 40))
+    coeffs = data.draw(st.lists(
+        st.one_of(st.just(0), st.integers(0, K.card - 1)),
+        min_size=n - 1, max_size=n - 1)) + [
+        data.draw(st.integers(1, K.card - 1))]
+    out = K.compose_in_S(coeffs, q)
+    assert len(out) == q * (q - 1) * (n - 1) + 1 and out[-1]
+    assert not any(out[i] for i in range(len(out)) if i % (q - 1))
 
 
 def _coerced_operators():
