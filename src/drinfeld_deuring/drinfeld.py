@@ -46,17 +46,17 @@ parameter: H is the numerator of
 ((s^q - s)^(q-1)/gamma(T^q))^N * h(gamma(T)/(s^q - s)^(q-1)) with
 N = deg h, expanded as the closed sum
 gamma(T^q)^(-N) * sum_j h_j * gamma(T)^j * (s^q - s)^((q-1)(N-j)).
-That sum is the definition; it is evaluated as a polynomial in
-S = (s^q - s)^(q-1) by the field's kernel (`IndexKernel.compose_in_S`), in
-about log_q N base-q levels, not by N products with a growing accumulator.
-S = Y(y) with y = s^(q-1) and Y(y) = y + ... + y^q, so H is a polynomial
-in y.  In odd characteristic the composition runs in y, bottom up over
-contiguous chunks of q^i coefficients: it uses Y(y)^(q^i) = Y(y^(q^i))
-and sums each group of q chunk results by Horner's rule in Y(y^(q^i)), so
-its only products are by polynomials of q terms, and it stretches
-y -> s^(q-1) once at the end.  In characteristic 2, S = P^(q-1) with
+That sum is the definition.  S = (s^q - s)^(q-1) is Y(y) with
+y = s^(q-1) and Y(y) = y + ... + y^q, so the sum is R(Y) for a polynomial
+R, which the field's kernel (`IndexKernel.compose_in_S`) composes in about
+log_q N base-q levels, not by N products with a growing accumulator, and
+returns in y.  In odd characteristic it runs in y, bottom up over chunks
+of q^i coefficients: by Y(y)^(q^i) = Y(y^(q^i)) it sums each group of q
+chunk results by Horner's rule in Y(y^(q^i)), so its only products are by
+polynomials of q terms.  In characteristic 2, S = P^(q-1) with
 P = s^q + s, and a level is log2(q) mask-shift-XOR passes over one packed
-int of kappa indices, with no field product at all.
+int of kappa indices in s, with no field product at all.  `deuring_H`
+alone places R(Y) on the (q-1)-stride of s.
 
 The direct route, grec and H run on kappa index lists in Delta (or s) in the
 field's `fields.IndexKernel`, and build each `Poly` once, at the end.
@@ -265,13 +265,12 @@ def deuring_H(prime, h):
 
     H is the closed sum of the module docstring, i.e.
     H = gamma(T^q)^(-N) * R(S) with S = (s^q - s)^(q-1), N = deg h and
-    R(x) = sum_n h_(N-n) * gamma(T)^(N-n) * x^n.  R(S) is composed by
-    kappa's kernel (`IndexKernel.compose_in_S`): in y = s^(q-1), bottom up
-    by Horner's rule in Y(y^(q^i)) at each base-q level, in odd
-    characteristic, and by additive composition on one packed int, with no
-    field product, in characteristic 2.  It all runs on kappa index lists,
-    from scaling h (`IndexKernel.dilate`) to the `Poly` at the end, whose
-    elements are looked up only on the (q-1)-stride, where H can be nonzero.
+    R(x) = sum_n h_(N-n) * gamma(T)^(N-n) * x^n.  S = Y(y), y = s^(q-1),
+    and kappa's kernel (`IndexKernel.compose_in_S`) returns R(Y) in y, on
+    which the degree and monic checks run.  It all runs on kappa index
+    lists, from scaling h (`IndexKernel.dilate`) to the `Poly` at the end,
+    the one place where y becomes s^(q-1): its elements are looked up only
+    on that stride, where H can be nonzero.
     """
     if not h or h.ring.base != prime.kappa:
         raise DomainError("deuring_H expects a nonzero polynomial over kappa")
@@ -282,14 +281,15 @@ def deuring_H(prime, h):
     K = kappa._kernel
     # R is scaled by gamma(T^q)^(-N) up front: composition is linear in R
     R = K.scale(K._pow(a, -q * N), K.dilate([c.index for c in h.coeffs], a))
-    H = K.compose_in_S(R[::-1], q)
-    if len(H) - 1 != q ** (prime.d + 1) - q:
+    Hy = K.compose_in_S(R[::-1], q)
+    top = (q - 1) * (len(Hy) - 1)
+    if top != q ** (prime.d + 1) - q:
         raise ConsistencyError("H has the wrong degree")
-    if H[-1] != 1:
+    if Hy[-1] != 1:
         raise ConsistencyError("H is not monic")
-    # H is a polynomial in s^(q-1): elements only on that stride
-    coeffs = [kappa.zero] * len(H)
-    coeffs[::q - 1] = kappa._elements(H[::q - 1])
+    # H(s) = Hy(s^(q-1)): elements only on that stride
+    coeffs = [kappa.zero] * (top + 1)
+    coeffs[::q - 1] = kappa._elements(Hy)
     return Poly(prime.s_ring, coeffs)
 
 

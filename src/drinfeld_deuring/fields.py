@@ -473,16 +473,16 @@ class IndexKernel:
         return self.add_polys(a, [neg(x) for x in b])
 
     def compose_in_S(self, coeffs, q):
-        """R(S) for R = sum_n coeffs[n] x^n and S = (s^q - s)^(q-1), q a
-        power of p: the substitution that builds the companion H, as an
-        index list in s with no trailing zeros.
+        """R(Y) for R = sum_n coeffs[n] x^n and Y(y) = y + y^2 + ... + y^q,
+        q a power of p, as an index list in y with no trailing zeros: the
+        substitution that builds the companion H.
 
-        S is the sum of s^(k(q-1)) over k = 1..q, so S = Y(y) with
-        y = s^(q-1) and Y(y) = y + y^2 + ... + y^q, and R(S) is a
-        polynomial in y: only every (q-1)-th slot of the result can be
-        nonzero.  Y has coefficients in F_p, which the Frobenius x -> x^p
-        fixes, and a p-th power of a sum is the sum of the p-th powers, so
-        Y(y)^(q^i) = Y(y^(q^i)): a power q^i of Y costs no product.
+        S = (s^q - s)^(q-1) is the sum of s^(k(q-1)) over k = 1..q, so
+        S = Y(y) with y = s^(q-1), and R(S) is R(Y) with y stretched to
+        s^(q-1); the caller places it on that stride.  Y has coefficients
+        in F_p, which the Frobenius x -> x^p fixes, and a p-th power of a
+        sum is the sum of the p-th powers, so Y(y)^(q^i) = Y(y^(q^i)): a
+        power q^i of Y costs no product.
 
         For m = 1, q, q^2, ... write R = sum_(r<q) x^(rm) R_r over
         contiguous chunks R_r of length m.  Then
@@ -492,10 +492,9 @@ class IndexKernel:
         Horner's rule in Y(y^m), whose q ones sit at y^m, y^(2m), ...,
         y^(qm).  Its only products are by Y(y^m).  The F_p element 1 has
         index 1 in every field, so Y(y^m)'s index list serves every field.
-        The last level's result is stretched by y -> s^(q-1) once, with one
-        slice assignment.  Odd characteristic runs this form;
-        `_Char2Kernel` overrides it with a packed form that makes no
-        product.
+        The last level's result is R(Y).  Odd characteristic runs this
+        form; `_Char2Kernel` overrides it with a packed form in s that
+        makes no product.
         """
         add, mul = self.add_polys, self.mul_polys
         parts = [[c] if c else [] for c in coeffs]
@@ -511,12 +510,7 @@ class IndexKernel:
                 level.append(acc)
             parts = level
             m *= q
-        if not parts or not parts[0]:
-            return []
-        R = parts[0]
-        out = [0] * ((q - 1) * (len(R) - 1) + 1)
-        out[::q - 1] = R
-        return out
+        return parts[0] if parts else []
 
     def mul_polys(self, a, b):
         if not a or not b:
@@ -732,13 +726,11 @@ class _Char2Kernel(IndexKernel):
         """(exp, log) of the powers of the generator, whose products with
         the basis z^j are `images`: the product of x with the generator is
         the XOR of the images of its low and of its high bits, each side
-        tabulated as the XOR span of its half of the images."""
+        tabulated as the `span` of its half of the images: `_add` is XOR
+        before any table exists."""
         h = self.degree // 2
-        low, high = [0], [0]
-        for v in images[:h]:
-            low += [x ^ v for x in low]
-        for v in images[h:]:
-            high += [x ^ v for x in high]
+        low = self.span([[0, v] for v in images[:h]])
+        high = self.span([[0, v] for v in images[h:]])
         mask, m1 = (1 << h) - 1, self.m1
         exp, log = [0] * m1, [0] * self.card
         cur = 1
@@ -750,9 +742,10 @@ class _Char2Kernel(IndexKernel):
         return exp, log
 
     def compose_in_S(self, coeffs, q):
-        """R(S) as in `IndexKernel.compose_in_S`, by additive composition
-        on one packed int: log2(q) mask-shift-XOR passes per base-q level,
-        and no field product.
+        """R(Y) as in `IndexKernel.compose_in_S`, by additive composition
+        in s on one packed int: log2(q) mask-shift-XOR passes per base-q
+        level, and no field product.  R(S) is a polynomial in s^(q-1), and
+        its every (q-1)-th slot is R(Y).
 
         Here S = P^(q-1) with P = s^q + s, so R(S) = G(P) for
         G(x) = R(x^(q-1)) = sum_j g_j x^j.  For m a power of q,
@@ -808,8 +801,8 @@ class _Char2Kernel(IndexKernel):
         out = array.array(typecode, X.to_bytes(count * size, "little"))
         if sys.byteorder == "big":
             out.byteswap()
-        # the top slot holds the top bit of X: no trailing zeros
-        return out.tolist()
+        # the top slot, on the stride, holds X's top bit: no trailing zeros
+        return out[::q - 1].tolist()
 
     def _add_terms(self, a, b):
         out = list(map(operator.xor, a, b))

@@ -68,10 +68,13 @@ class PrimeModulus(_Keyed):
 
     def _kappa_poly(self, rows, var="s"):
         """The polynomial over kappa with coefficient indices rows[r]."""
-        top = max((r for r, x in rows.items() if x), default=-1)
+        # U_d's map is sparse, one term per 64 slots at (64, 2)
+        nonzero = {r: x for r, x in rows.items() if x}
+        idx = [0] * (max(nonzero, default=-1) + 1)
+        for r, x in nonzero.items():
+            idx[r] = x
         ring = self.s_ring if var == "s" else PolyRing(self.kappa, var)
-        return poly_mod._from_indices(ring,
-                                      [rows.get(r, 0) for r in range(top + 1)])
+        return poly_mod._from_indices(ring, idx)
 
     def __repr__(self):
         return f"({self.p_poly!r}) over F_{self.q}"

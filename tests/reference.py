@@ -166,8 +166,8 @@ def graph_by_pass(prime, h):
 
 
 def compose_in_S_by_residues(kernel, coeffs, q):
-    """kernel.compose_in_S(coeffs, q), as odd characteristic ran it before
-    it composed in y = s^(q-1) bottom up: R(S) for S = (s^q - s)^(q-1),
+    """R(S) in s for S = (s^q - s)^(q-1), as odd characteristic's
+    `compose_in_S` ran it before it composed in y = s^(q-1) bottom up,
     split top down by residue mod q.
 
     S has coefficients in F_p, so S(s)^q = S(s^q), and

@@ -443,7 +443,7 @@ def _horner_H(prime, h):
 def _coefficient_lists(draw):
     q = draw(st.sampled_from([2, 3, 4, 5, 9]))
     kappa = next(iter(primes_of_degree(base_field(q), 2))).kappa
-    # lengths at and around q^k stress the split by residue mod q
+    # lengths at and around q^k stress the base-q levels
     near_powers = [q ** k + e for k in range(1, 4) for e in (-1, 0, 1)
                    if q ** k + e <= 82]
     n = draw(st.sampled_from([1] + near_powers) | st.integers(0, 30))
@@ -459,7 +459,10 @@ def test_compose_in_S_matches_horner(case):
     q, kappa, coeffs = case
     ring = PolyRing(kappa, "s")
     got = kappa._kernel.compose_in_S([c.index for c in coeffs], q)
-    assert got == [c.index for c in _horner_in_S(coeffs, ring, q).coeffs]
+    # R(S) in s is R(Y) in y = s^(q-1): zero off the stride, R(Y) on it
+    want = [c.index for c in _horner_in_S(coeffs, ring, q).coeffs]
+    assert not any(want[i] for i in range(len(want)) if i % (q - 1))
+    assert got == want[::q - 1]
 
 
 @pytest.mark.parametrize("q, max_d", [(2, 4), (3, 3), (4, 2), (5, 2), (9, 2)])
@@ -492,7 +495,9 @@ def test_deuring_H_matches_U_reduction_at_degree_12():
 
 
 @pytest.mark.parametrize("q, d, count", [(16, 2, 2), (32, 2, 2), (64, 2, 2),
-                                         (64, 1, 1), (256, 1, 1)])
+                                         (64, 1, 1), (256, 1, 1),
+                                         (25, 2, 2), (27, 2, 2), (49, 2, 2),
+                                         (81, 2, 2), (81, 1, 1), (243, 1, 1)])
 def test_deuring_H_matches_U_reduction_at_large_q(q, d, count):
     # U_mod_prime runs the U-recurrence over kappa: an oracle independent of
     # the composition in S, whose levels here sum up to q parts
@@ -501,11 +506,11 @@ def test_deuring_H_matches_U_reduction_at_large_q(q, d, count):
 
 
 def test_deuring_H_work_is_far_below_horner(monkeypatch):
-    # nonzero x nonzero term pairs of every kappa product inside deuring_H
-    # where the list form runs, in odd characteristic: at q = 3, d = 6
-    # Horner in x makes up to about 3 N^2 of them, the composition about
-    # 0.022 N^2, the products by S included.  In characteristic 2 the
-    # packed form makes no product at all.
+    # nonzero x nonzero term pairs of every kappa product inside deuring_H.
+    # Odd characteristic composes in y = s^(q-1), and its only products are
+    # by Y(y^m) = y^m + ... + y^(qm): at q = 3, d = 6 Horner in x makes up
+    # to about 3 N^2 pairs, the composition in y about 0.022 N^2.  In
+    # characteristic 2 the packed form makes no product at all.
     pairs = []
     mul = IndexKernel.mul_polys
 
