@@ -7,7 +7,9 @@ class DomainError(ValueError):
 
 class CapExceededError(DomainError):
     """An input would exceed a size cap: a field over the 2^16 cardinality
-    cap, or a base field over the q budget of the tower identities."""
+    cap, a base field over the q budget of the tower identities, or a
+    generic term map of u_i or U_i whose s-exponents would reach its 2^32
+    key stride."""
 
 
 class RecurrenceBreakdownError(ArithmeticError):

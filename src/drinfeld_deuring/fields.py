@@ -64,6 +64,16 @@ def _cap_exponent(card):
     return e
 
 
+def check_cap(what, card, e=None):
+    """CapExceededError unless `what`, of cardinality card, or card^e for a
+    given e, fits under CARD_CAP.  card^e is never formed, so a huge e is
+    refused at once, and printed as a power."""
+    if card > CARD_CAP if e is None else e > _cap_exponent(card):
+        size = card if e is None else f"{card}^{e}"
+        raise CapExceededError(
+            f"{what} of cardinality {size} exceeds the {CARD_CAP} cap")
+
+
 def _digits(n, p, length):
     out = []
     for _ in range(length):
@@ -256,10 +266,7 @@ def _least_irreducible(p, k, m):
     is taken untested: F_p's own kernel is built from it.
     """
     card = p ** k
-    # card^m is never formed, so a huge m is refused at once
-    if m > _cap_exponent(card):
-        raise CapExceededError(
-            f"extension of cardinality {card}^{m} exceeds the {CARD_CAP} cap")
+    check_cap("extension", card, m)
     if m == 1:
         return (0, 1)
     test = _abs_tables(p, k).is_irreducible
@@ -942,9 +949,7 @@ class FiniteField(_Keyed):
             self.modulus_over_base = tuple(modulus_over_base)
             chain = base._key[2] + (tuple(c.index for c in modulus_over_base),)
         self.card = p ** self.degree
-        if self.card > CARD_CAP:
-            raise CapExceededError(
-                f"field of cardinality {self.card} exceeds the {CARD_CAP} cap")
+        check_cap("field", self.card)
         k = self._kernel = _abs_tables(p, self.degree)
         self._add, self._neg, self._mul = k._add, k._neg, k._mul
         self._inv, self._pow = k._inv, k._pow
@@ -965,18 +970,14 @@ class FiniteField(_Keyed):
             return
         self._base_emb = self._kernel.embedding(base.degree)
         if root is None:
-            root = self._first_root([self._base_emb[c.index]
-                                     for c in modulus_over_base])
-            if root is None:
+            roots = self._kernel.distinct_roots(
+                [self._base_emb[c.index] for c in modulus_over_base])
+            if not roots:
                 raise DomainError("defining modulus has no root in the "
                                   "extension; it is reducible or of the "
                                   "wrong degree")
+            root = roots[0]
         self.gen = self.from_index(root)
-
-    def _first_root(self, coeffs):
-        # coeffs are element indices, ascending; None when there is no root
-        roots = self._kernel.distinct_roots(coeffs)
-        return roots[0] if roots else None
 
     # element-level API ------------------------------------------------------
 
@@ -1160,9 +1161,7 @@ def base_field(q):
     if q < 2:
         raise DomainError("q must be a prime power >= 2")
     # before the trial division, which is slow for a huge q
-    if q > CARD_CAP:
-        raise CapExceededError(
-            f"field of cardinality {q} exceeds the {CARD_CAP} cap")
+    check_cap("field", q)
     primes = _prime_divisors(q)
     if len(primes) != 1:
         raise DomainError(f"{q} is not a prime power")

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from . import fields
 from . import poly as poly_mod
-from .errors import CapExceededError, DomainError
-from .fields import CARD_CAP, FieldElement, FiniteField, _cap_exponent, \
-    _Keyed
+from .errors import DomainError
+from .fields import FieldElement, FiniteField, _Keyed
 from .laurent import LaurentRing
 from .poly import Poly, PolyRing
 
@@ -87,11 +86,8 @@ def _check_designated(field):
 
 def check_residue_degree(q, d):
     """CapExceededError unless a residue field F_q[T]/(p) with deg p = d
-    fits under CARD_CAP.  q^d is never formed, so a huge d is refused at
-    once."""
-    if d > _cap_exponent(q):
-        raise CapExceededError(f"residue field of cardinality {q}^{d} "
-                               f"exceeds the {CARD_CAP} cap")
+    fits under the cap (`fields.check_cap`)."""
+    fields.check_cap("residue field", q, d)
 
 
 def reduce_mod_prime(f, p):

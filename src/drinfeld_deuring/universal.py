@@ -34,23 +34,33 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import DomainError
+from .errors import CapExceededError, DomainError
 from .laurent import LaurentRing, LaurentT
 from .modulus import t_poly_ring
 from .poly import Poly, PolyRing
 
 _u_cache = {}
 _U_cache = {}
-# the key stride of the term maps (module docstring): deg_s U_i < q^(i+1)
-# stays far below it for every U_i small enough to compute
+# the key stride of the term maps (module docstring); `_check_stride`
+# refuses a map whose s-exponents would reach it
 _T_STRIDE = 1 << 32
 
 
-def _check_sequence_args(field, i_max):
-    if field.q != field.card:
-        raise DomainError("universal sequences live over a designated base F_q")
-    if i_max < 0:
-        raise DomainError("sequence index must be non-negative")
+def _check_stride(what, q, i, s_degree):
+    """CapExceededError, before any step, unless s_degree(q, i), the largest
+    s-exponent that the term maps of `what` (formatted with i) hold, is
+    below _T_STRIDE: a larger one would carry into the T part of its key.
+    Every s_degree here is at least 2^i - 1, so i > 32 is refused before any
+    power is formed."""
+    if i > 32 or s_degree(q, i) >= _T_STRIDE:
+        raise CapExceededError(
+            f"{what.format(i=i)} over F_{q} would hold an s-exponent of 2^32 "
+            "or more, past the key stride of its term map")
+
+
+def _u_degree(q, i):
+    """deg_s u_i = (q^i - 1)/(q - 1)."""
+    return (q ** i - 1) // (q - 1)
 
 
 def u_sequence(field, i_max):
@@ -79,17 +89,30 @@ def _terms(step, ring, i_max, seq):
 
 def _u_terms(field, i_max):
     """u_0, ..., u_{i_max} as generic term maps, memoised per field."""
-    _check_sequence_args(field, i_max)
-    # index 1 is the element 1 of every kernel
-    seq = _u_cache.get(field) or _u_cache.setdefault(field, [{}, {0: 1}])
-    return _terms(_u_step, _generic(field), i_max, seq)
+    return _generic_terms(field, i_max, _u_step, _u_cache, "u_{i}", _u_degree)
 
 
 def _U_terms(field, i_max):
     """U_0, ..., U_{i_max} as generic term maps, memoised per field."""
-    _check_sequence_args(field, i_max)
-    seq = _U_cache.get(field) or _U_cache.setdefault(field, [{}, {0: 1}])
-    return _terms(_U_step, _generic(field), i_max, seq)
+    # deg_s U_i = q^(i+1) - q
+    return _generic_terms(field, i_max, _U_step, _U_cache, "U_{i}",
+                          lambda q, i: q ** (i + 1) - q)
+
+
+def _generic_terms(field, i_max, step, cache, name, s_degree):
+    """x_0, ..., x_{i_max} of the sequence `name` of `step` as generic term
+    maps, memoised per field in `cache`, deg_s x_i being s_degree(q, i).
+    The key stride is checked only when a step is to run: a cached map
+    passed the check when it was built."""
+    if field.q != field.card:
+        raise DomainError("universal sequences live over a designated base F_q")
+    if i_max < 0:
+        raise DomainError("sequence index must be non-negative")
+    # index 1 is the element 1 of every kernel
+    seq = cache.get(field) or cache.setdefault(field, [{}, {0: 1}])
+    if len(seq) < i_max + 2:
+        _check_stride(name, field.card, i_max, s_degree)
+    return _terms(step, _generic(field), i_max, seq)
 
 
 def _over_kappa(step, prime):
@@ -175,15 +198,16 @@ def U_sequence(field, i_max):
 def u_zero_value(field, i):
     """The closed form u_i(0) = T^(q*(q^i - 1)/(q - 1))."""
     q = field.card
-    A = t_poly_ring(field)
-    return A.gen ** (q * (q ** i - 1) // (q - 1))
+    return t_poly_ring(field).gen ** (q * _u_degree(q, i))
 
 
 def check_u_zero(field, i):
+    """The s^0 part of u_i is T^(q*(q^i - 1)/(q - 1)), compared as one term
+    of lead 1 (index 1): `u_zero_value` is dense in T."""
     u = _u_terms(field, i)[i]
-    v = u_zero_value(field, i)
+    q = field.card
     return ({k: c for k, c in u.items() if not k % _T_STRIDE}
-            == {v.degree * _T_STRIDE: v.lead.index})
+            == {q * _u_degree(q, i) * _T_STRIDE: 1})
 
 
 def check_derivative_recursion(field, i):
@@ -231,6 +255,10 @@ def check_key_identity(field, i):
         # u_0 = 1, u_{-1} = 0: both sides collapse to 1 - 1 = 0 = -0
         return True
     q, p = field.card, field.p
+    # with N = deg u_i, so that common = (q-1)N, the first two rows reach
+    # s^(qN) at j = N and the third s^(qN - 1)
+    _check_stride("the key identity at i = {i}", q, i,
+                  lambda q, i: q * _u_degree(q, i))
     qi = q ** i
     um, ui = _u_terms(field, i)[i - 1:]
     N, M = (max((k % _T_STRIDE for k in u), default=-1) for u in (ui, um))
@@ -324,6 +352,10 @@ def check_simple_roots_generic(field, i):
     u_i(0) != 0 and W_i = -prod_{0<j<i} (T^(q^j) - T) * s^(q + ... +
     q^(i-1)), the Casoratian of `_certified`.  W_i is formed by products:
     read off the recurrence that built u_i, it would prove nothing."""
+    # the products u_i * u_(i-1)' reach s^(deg u_i + deg u_(i-1) - 1)
+    if i > 0:
+        _check_stride("W_{i}", field.card, i,
+                      lambda q, i: _u_degree(q, i) + _u_degree(q, i - 1) - 1)
     u = _u_terms(field, i)
     if i == 0:
         return True  # u_0 = 1

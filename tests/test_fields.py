@@ -13,8 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 import drinfeld_deuring
 from drinfeld_deuring.errors import CapExceededError, DomainError
 from drinfeld_deuring import fields, poly
-from drinfeld_deuring.fields import CARD_CAP, FiniteField, IndexKernel, \
-    _cap_exponent, _prime_divisors, base_field, embed, frobenius
+from drinfeld_deuring.fields import CARD_CAP, IndexKernel, _cap_exponent, \
+    _prime_divisors, base_field, embed, frobenius
 from drinfeld_deuring.grammar import parse, render
 from drinfeld_deuring.laurent import LaurentRing
 from drinfeld_deuring.modulus import PrimeModulus, primes_of_degree, \
@@ -174,14 +174,15 @@ def test_primes_of_degree_neither_tests_nor_splits(monkeypatch):
 
     cases = [(2, 1), (2, 7), (3, 4), (4, 3), (8, 2), (9, 2), (16, 1)]
     bases = {q: base_field(q) for q, _ in cases}
-    # each kappa's tables first: their own modulus search runs once per
-    # absolute field, in whichever test needs them first, and is not what
-    # this test forbids
+    # each kappa's tables and its embedding of F_q first: their own modulus
+    # search and root of F_q's modulus run once per absolute field, in
+    # whichever test needs them first, and are not what this test forbids
     for q, d in cases:
-        fields._abs_tables(bases[q].p, bases[q].degree * d)
+        fields._abs_tables(bases[q].p, bases[q].degree * d).embedding(
+            bases[q].degree)
     monkeypatch.setattr(fields, "_least_irreducible", unreachable)
     monkeypatch.setattr(IndexKernel, "is_irreducible", unreachable)
-    monkeypatch.setattr(FiniteField, "_first_root", unreachable)
+    monkeypatch.setattr(IndexKernel, "distinct_roots", unreachable)
     for q, d in cases:
         monkeypatch.setattr(bases[q], "_ext_cache", {})
         primes = list(primes_of_degree(bases[q], d))
@@ -839,6 +840,41 @@ def test_polynomial_sums_match_the_scalar_sums(pk, cancel, data):
     assert k.sub_polys(a, b) == k.add_polys(a, neg_b)
 
 
+@st.composite
+def _copies(draw):
+    """A kernel of at most 256 elements and (u, c, shift) copies for its
+    `sum_copies`: dense and sparse maps, keys that repeat across copies,
+    scales 1, -1 and others, negative shifts, and a copy followed by its
+    negation or by itself, which cancel or double."""
+    k = fields._abs_tables(*draw(st.sampled_from(
+        [(2, 1), (2, 3), (2, 8), (3, 1), (3, 2), (3, 5), (5, 3), (7, 2),
+         (13, 1), (251, 1)])))
+    x = st.integers(1, k.card - 1)
+    dense = st.lists(x, max_size=16).map(lambda xs: dict(enumerate(xs)))
+    sparse = st.dictionaries(st.integers(-60, 60), x, max_size=6)
+    copies = draw(st.lists(st.tuples(
+        st.one_of(dense, sparse), st.one_of(st.just(1), st.just(k._neg(1)), x),
+        st.integers(-20, 20)), max_size=8))
+    if copies:
+        u, c, shift = draw(st.sampled_from(copies))
+        copies.append((u, draw(st.sampled_from([c, k._neg(c)])), shift))
+    return k, copies
+
+
+@settings(max_examples=150, deadline=None)
+@given(_copies())
+def test_sum_copies_adds_alike_through_the_table_and_add(case):
+    # up to _SUMS_CARD_MAX elements `sum_copies` reads the card x card table
+    # of sums; with the bound lowered, the same fields add by `_add`
+    k, copies = case
+    by_table = k.sum_copies(copies)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "_SUMS_CARD_MAX", 1)
+        by_add = k.sum_copies(copies)
+    assert by_table == by_add
+    assert all(by_table.values())
+
+
 # --- evaluate and dilate against element arithmetic -------------------------
 
 _EVAL_FIELDS = ([(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)]
@@ -1014,7 +1050,7 @@ def test_compose_in_S_matches_the_residue_form(case):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_compose_in_S_is_zero_off_the_q_minus_1_stride(data):
+def test_compose_in_S_returns_degree_q_deg_R_in_y(data):
     # R(S) is a polynomial in s^(q-1), and either kernel returns it in
     # y = s^(q-1): R(Y), of degree q deg R
     p = data.draw(st.sampled_from([2, 3, 5, 7]))

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from drinfeld_deuring.errors import DomainError
+from drinfeld_deuring.errors import CapExceededError, DomainError
 from drinfeld_deuring.fields import FieldElement, base_field
 from drinfeld_deuring.grammar import parse, render
 from drinfeld_deuring.laurent import LaurentRing, LaurentT
@@ -132,6 +132,40 @@ def test_u_zero_closed_form():
         for i in range(6):
             assert check_u_zero(F, i)
         assert render(u_zero_value(F, 2)) == f"T^{q * (q + 1)}"
+
+
+def test_term_maps_refuse_s_exponents_past_the_key_stride():
+    # at q = 65521, deg u_3 = q^2 + q + 1 = 4,293,066,963 is below 2^32,
+    # and deg u_4 = 281,286,040,482,724 would carry into the T part of its
+    # keys; u_3(0) = T^(q deg u_3) is compared without building the power
+    F = base_field(65521)
+    u = universal._u_terms(F, 3)
+    assert max(k % universal._T_STRIDE for k in u[3]) == 4293066963
+    assert check_u_zero(F, 3)
+    steps = len(universal._u_cache[F])
+
+    def unformed(q, i):
+        raise AssertionError(f"a degree was formed at i = {i}")
+
+    # i > 32 is refused before any degree is formed: q^(10^18) below would
+    # never finish
+    with pytest.raises(CapExceededError, match="^x_33 over F_2 "):
+        universal._check_stride("x_{i}", 2, 33, unformed)
+    refused = [(universal._u_terms, F, 4), (u_sequence, F, 4),
+               (universal._U_terms, F, 2), (check_u_zero, F, 4),
+               (check_key_identity, F, 3), (check_simple_roots_generic, F, 4),
+               (check_derivative_recursion, F, 3),
+               (universal._u_terms, base_field(2), 10 ** 18),
+               (check_key_identity, base_field(2), 10 ** 18),
+               # deg u_32 = 2^32 - 1 at q = 2, but the checks reach higher
+               (check_key_identity, base_field(2), 32),
+               (check_simple_roots_generic, base_field(2), 32)]
+    for check, field, i in refused:
+        with pytest.raises(CapExceededError, match="key stride"):
+            check(field, i)
+    assert len(universal._u_cache[F]) == steps
+    U = universal._U_terms(F, 1)
+    assert max(k % universal._T_STRIDE for k in U[1]) == 65521 ** 2 - 65521
 
 
 def test_U_sequence_oracle_q2():
