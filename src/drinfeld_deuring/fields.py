@@ -15,19 +15,19 @@ routine of sparse term maps) is shared between all tower instances with
 that absolute field.
 
 A field built as an extension remembers its base field, the defining modulus
-over the base, and a designated root of that modulus (the first one in element
-order, among the roots the kernel finds without a scan), so elements can be
-moved up the tower and decomposed over the base.  The base embeds by
-sending the root z of its table modulus to that modulus's designated root
-in the extension's tables (one map per subfield degree,
-`IndexKernel.embedding`).  The coordinates over the base invert the map
-(c_j) -> sum(c_j * gen^j), tabulated on the first `coords_over_base` call.
-Both maps are basis changes, and one routine tabulates each of them,
-`IndexKernel.span`.  A caller that already holds the designated root of
-the defining modulus passes it in: `modulus.primes_of_degree` reads it off
-the Frobenius orbit whose minimal polynomial the modulus is
-(`IndexKernel.frobenius_orbits`), so the residue fields of enumerated
-primes split nothing.
+over the base, and a designated root of that modulus (the least conjugate of
+one root the kernel finds without a scan, `IndexKernel.designated_root`; a
+reducible modulus is refused), so elements can be moved up the tower and
+decomposed over the base.  The base embeds by sending the root z of its
+table modulus to that modulus's designated root in the extension's tables
+(one map per subfield degree, `IndexKernel.embedding`).  The coordinates
+over the base invert the map (c_j) -> sum(c_j * gen^j), tabulated on the
+first `coords_over_base` call.  Both maps are basis changes, and one
+routine tabulates each of them, `IndexKernel.span`.  A caller that already
+holds the designated root of the defining modulus passes it in:
+`modulus.primes_of_degree` reads it off the Frobenius orbit whose minimal
+polynomial the modulus is (`IndexKernel.frobenius_orbits`), so the residue
+fields of enumerated primes split nothing.
 
 Each field also carries a `q` attribute: the cardinality of the designated
 base field of its tower.  This is the exponent base used by `frobenius` and by
@@ -346,14 +346,14 @@ class IndexKernel:
     def embedding(self, k):
         """emb[c], the index here of the element of index c of F_(p^k), for
         k dividing the degree.  The embedding sends the root z of F_(p^k)'s
-        table modulus to its designated root here, the least of its roots.
-        Memoised per k."""
+        table modulus to its designated root here, the least of its roots,
+        read off the conjugates over F_p of one root.  Memoised per k."""
         emb = self._embeddings.get(k)
         if emb is None:
             root = 1
             if k > 1:
-                root = self.distinct_roots(
-                    list(_abs_tables(self.p, k).modulus_digits))[0]
+                root = self.designated_root(
+                    list(_abs_tables(self.p, k).modulus_digits), self.p)
             # digit i of c is the coefficient of z^i, which maps to root^i
             emb = self._embeddings[k] = self.span(
                 [[self._mul(c, self._pow(root, i)) for c in range(self.p)]
@@ -652,6 +652,25 @@ class IndexKernel:
                 frob = [f if len(f) < n else self.mod(f, P) for f in frob]
                 parts += self.split((P, i, frob))
         return sorted(roots)
+
+    def one_root(self, g):
+        """(the number of distinct roots of g != 0 here, one of them or
+        None), by following the least part of each trace split."""
+        part = self.root_part(g)
+        count = len(part[0]) - 1
+        while len(part[0]) > 2:
+            part = min(self.split(part), key=lambda pt: len(pt[0]))
+        return count, self._neg(part[0][0]) if count else None
+
+    def designated_root(self, g, Q):
+        """The least root of g here if g, of degree n, is irreducible over
+        the subfield F_Q, and None if not: exactly then the conjugates
+        r^(Q^i), i < n, of the root r of `one_root` are n distinct roots."""
+        r, n = self.one_root(g)[1], len(g) - 1
+        if r is None:
+            return None
+        conjugates = {self._pow(r, Q ** i) for i in range(n)}
+        return min(conjugates) if len(conjugates) == n else None
 
     def root_part(self, g):
         """(P, 0, frob) for g != 0: P = gcd(x^card - x, g), one linear factor
@@ -970,13 +989,13 @@ class FiniteField(_Keyed):
             return
         self._base_emb = self._kernel.embedding(base.degree)
         if root is None:
-            roots = self._kernel.distinct_roots(
-                [self._base_emb[c.index] for c in modulus_over_base])
-            if not roots:
+            root = self._kernel.designated_root(
+                [self._base_emb[c.index] for c in modulus_over_base],
+                base.card)
+            if root is None:
                 raise DomainError("defining modulus has no root in the "
                                   "extension; it is reducible or of the "
                                   "wrong degree")
-            root = roots[0]
         self.gen = self.from_index(root)
 
     # element-level API ------------------------------------------------------
@@ -1025,11 +1044,12 @@ class FiniteField(_Keyed):
     def extension_with_modulus(self, coeffs, gen_name="b", q=None, _root=None):
         """Extension defined by a given monic modulus over this field.
 
-        The caller is responsible for irreducibility; a reducible modulus may
-        still produce a field (any root is taken) but the degree will not match.
-        A caller that knows the designated root of the modulus in the new
-        field's tables (`modulus.primes_of_degree`) passes its index as
-        `_root`, which spares the root finding.
+        A reducible modulus raises DomainError: the designated root, the
+        least Frobenius conjugate of one root, must have deg conjugates
+        (`IndexKernel.designated_root`).  A caller that knows the designated
+        root of the modulus in the new field's tables
+        (`modulus.primes_of_degree`) passes its index as `_root`, which
+        spares the root finding.
         """
         coeffs = tuple(self.coerce(c) for c in coeffs)
         if len(coeffs) < 2:

@@ -18,7 +18,7 @@ so edges carry a multiplicity; out-degree counted with it is exactly q.
 
 The graph is walked from one root of h.  gcd(x^|kappa_2| - x, h) has one
 linear factor per root of h in kappa_2, and one branch of its trace split
-(`IndexKernel.split`) ends in a root.  The targets of a vertex come from a
+(`IndexKernel.one_root`) ends in a root.  The targets of a vertex come from a
 linear solve: Y = -1 is never a root of c (c(-1) = -Delta0), so W = 1/(Y+1)
 is defined, with Y = (1-W)/W and (Y+1)^(q-1) * Y = (1-W)/W^q.  c(Y) = 0
 then reads -gamma(T^q) * (1-W) = Delta0 * W^q, that is
@@ -125,16 +125,6 @@ def _neighbor_solver(prime, ambient):
     return solve
 
 
-def _one_root(kernel, g):
-    """(the number of distinct roots of g in the kernel's field, one of
-    them or None), by following the least part of each trace split."""
-    part = kernel.root_part(g)
-    count = len(part[0]) - 1
-    while len(part[0]) > 2:
-        part = min(kernel.split(part), key=lambda pt: len(pt[0]))
-    return count, kernel._neg(part[0][0]) if count else None
-
-
 @dataclass(frozen=True)
 class IsogenyGraph:
     prime: PrimeModulus
@@ -185,7 +175,7 @@ def _graph_from_h(prime, h):
     ambient = prime.kappa.extension(2)
     K = ambient._kernel
     g = [ambient._base_emb[c.index] for c in h.coeffs]
-    count, root = _one_root(K, g)
+    count, root = K.one_root(g)
     if count != h.degree:
         raise ConsistencyError(
             f"h of degree {h.degree} has {count} distinct roots in kappa_2")

@@ -450,16 +450,17 @@ def test_dot_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
 
 
 def _graph_root_search_loses_a_root(monkeypatch):
-    from drinfeld_deuring import isogeny_graph
+    from drinfeld_deuring.fields import IndexKernel
 
-    # the search for one root of h in kappa_2, which also counts the roots
-    real = isogeny_graph._one_root
+    # the kernel's search for one root, which also counts the roots: of h
+    # in kappa_2 here (designated roots read only the root)
+    real = IndexKernel.one_root
 
     def lossy(kernel, g):
         count, root = real(kernel, g)
         return count - 1, root
 
-    monkeypatch.setattr(isogeny_graph, "_one_root", lossy)
+    monkeypatch.setattr(IndexKernel, "one_root", lossy)
 
 
 def test_graph_fails_when_h_needs_a_larger_field(monkeypatch, capsys):
@@ -494,7 +495,7 @@ def test_graph_out_of_cap_kappa_2_fails_before_h(monkeypatch, capsys):
         raise AssertionError("graph computed h or a root past the cap check")
 
     monkeypatch.setattr(isogeny_graph, "deuring_h_universal", unreachable)
-    monkeypatch.setattr(isogeny_graph, "_one_root", unreachable)
+    monkeypatch.setattr(isogeny_graph, "_graph_from_h", unreachable)
     # kappa = F_{2^9} fits under the cap, kappa_2 = F_{2^18} does not
     assert main(["graph", "--q", "2", "--prime", "T^9+T^4+1"]) == 2
     captured = capsys.readouterr()

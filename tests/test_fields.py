@@ -183,6 +183,7 @@ def test_primes_of_degree_neither_tests_nor_splits(monkeypatch):
     monkeypatch.setattr(fields, "_least_irreducible", unreachable)
     monkeypatch.setattr(IndexKernel, "is_irreducible", unreachable)
     monkeypatch.setattr(IndexKernel, "distinct_roots", unreachable)
+    monkeypatch.setattr(IndexKernel, "one_root", unreachable)
     for q, d in cases:
         monkeypatch.setattr(bases[q], "_ext_cache", {})
         primes = list(primes_of_degree(bases[q], d))

@@ -131,8 +131,8 @@ def test_no_splitting_warning_for_these_primes():
 def _edit_root_search(monkeypatch, edit):
     """Pass the builder's search for one root of h in kappa_2, the pair
     (number of distinct roots, one root), through `edit`."""
-    real = isogeny_graph._one_root
-    monkeypatch.setattr(isogeny_graph, "_one_root",
+    real = IndexKernel.one_root
+    monkeypatch.setattr(IndexKernel, "one_root",
                         lambda kernel, g: edit(*real(kernel, g)))
 
 
@@ -191,7 +191,7 @@ def test_graph_finds_roots_once(monkeypatch):
     prime = _prime(2, "T^3 + T + 1")
     prime.kappa.extension(2)  # kappa_2's own designated root, found first
     calls = []
-    real = isogeny_graph._one_root
+    real = IndexKernel.one_root
 
     def counted(kernel, g):
         calls.append(len(g) - 1)
@@ -200,7 +200,7 @@ def test_graph_finds_roots_once(monkeypatch):
     def unreachable(*_args):
         raise AssertionError("the graph ran full root finding")
 
-    monkeypatch.setattr(isogeny_graph, "_one_root", counted)
+    monkeypatch.setattr(IndexKernel, "one_root", counted)
     monkeypatch.setattr(poly, "roots_in_extension", unreachable)
     monkeypatch.setattr(IndexKernel, "distinct_roots", unreachable)
     assert verify_component(build_supersingular_graph(prime)).ok

@@ -1,6 +1,6 @@
 """Univariate polynomial layer: division, gcd, irreducibility, roots."""
 
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +12,8 @@ from drinfeld_deuring.errors import (
     AmbientTooSmallError, CapExceededError, DomainError,
 )
 from drinfeld_deuring.fields import (
-    FieldElement, FiniteField, _abs_tables, _prime_divisors, base_field,
-    embed,
+    FieldElement, FiniteField, _abs_tables, _cap_exponent, _prime_divisors,
+    base_field, embed,
 )
 from drinfeld_deuring.grammar import parse, render
 from drinfeld_deuring.isogeny_graph import (
@@ -445,6 +445,16 @@ def test_distinct_roots_match_the_round_by_round_reference(case):
     assert K.distinct_roots(g) == reference.distinct_roots(K, g)
 
 
+@settings(max_examples=150, deadline=None)
+@given(_kernel_poly())
+def test_one_root_counts_the_distinct_roots(case):
+    K, g = case
+    count, root = K.one_root(g)
+    roots = K.distinct_roots(g)
+    assert count == len(roots)
+    assert root in roots if roots else root is None
+
+
 def test_distinct_roots_over_F16_match_the_reference():
     K = base_field(16)._kernel
     assert K is _abs_tables(2, 4)
@@ -850,10 +860,88 @@ def test_kappa_2_designated_roots_match_a_field_scan(q, d):
         _scan_first_root(kappa, [1, 0, 1])
 
 
-def test_first_root_is_none_without_roots():
+def test_a_modulus_without_roots_has_none_and_is_refused():
     # (y^2 + y + 1)(y^3 + y + 1) = y^5 + y^4 + 1 has no root in F_32
     F32 = base_field(2).extension(5)
     assert F32._kernel.distinct_roots([1, 0, 0, 0, 1, 1]) == []
     assert _scan_first_root(F32, [1, 0, 0, 0, 1, 1]) is None
     with pytest.raises(DomainError):
         base_field(2).extension_with_modulus([1, 0, 0, 0, 1, 1], gen_name="r")
+
+
+def test_a_reducible_modulus_with_roots_is_refused():
+    # each has a root in the extension, which has fewer than deg distinct
+    # conjugates: y^2 + y = y(y + 1) over F_2, y^2 - 1 and y^2 over F_3,
+    # and T^2 + T + x^3 over F_256, which splits there
+    F2, F3, F256 = base_field(2), base_field(3), base_field(256)
+    for F, coeffs in [(F2, [0, 1, 1]), (F3, [-1, 0, 1]), (F3, [0, 0, 1]),
+                      (F256, [F256.gen ** 3, 1, 1])]:
+        with pytest.raises(DomainError, match="^defining modulus has no root "
+                           "in the extension; it is reducible or of the "
+                           "wrong degree$"):
+            F.extension_with_modulus(coeffs, gen_name="r")
+    # the degree-1 moduli y and y + 1 build F_2, generated by their root
+    for coeffs, root in [([0, 1], 0), ([1, 1], 1)]:
+        E = F2.extension_with_modulus(coeffs, gen_name="r")
+        assert (E.card, E.gen.index) == (2, root)
+
+
+_ROOT_QS = [2, 3, 4, 5, 8, 9, 16]
+
+
+def _draw_irreducible(draw, F, n):
+    """A monic irreducible of degree n over F, as base indices: the first
+    one by the kernel's test from a drawn candidate on, candidates in the
+    order of a running index whose digit i is the coefficient of y^i."""
+    Q = F.card
+    start = draw(st.integers(0, Q ** n - 1))
+    for c in chain(range(start, Q ** n), range(start)):
+        f = [c // Q ** i % Q for i in range(n)] + [1]
+        if n == 1 or F._kernel.is_irreducible(f):
+            return f
+
+
+def _over_the_extension(F, n, f):
+    """The kernel of F_(Q^n), Q = |F|, and f over F moved into it."""
+    K = _abs_tables(F.p, F.degree * n)
+    emb = K.embedding(F.degree)
+    return K, [emb[c] for c in f]
+
+
+@st.composite
+def _subfield_irreducible(draw):
+    """(kernel of F_(Q^n), Q, g): g irreducible of degree n over F_Q, for Q
+    in _ROOT_QS and Q^n within the cap."""
+    Q = draw(st.sampled_from(_ROOT_QS))
+    F = base_field(Q)
+    n = draw(st.integers(1, _cap_exponent(Q)))
+    return (*_over_the_extension(F, n, _draw_irreducible(draw, F, n)), Q)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_subfield_irreducible())
+def test_designated_root_is_the_least_root_of_an_irreducible(case):
+    K, g, Q = case
+    assert K.designated_root(g, Q) == K.distinct_roots(g)[0]
+
+
+@st.composite
+def _subfield_product_with_a_root(draw):
+    """(kernel of F_(Q^n), Q, a*b, deg a): a and b irreducible over F_Q of
+    degrees n1 | n2, n = n1 + n2, so the roots of a lie in F_(Q^n)."""
+    Q = draw(st.sampled_from(_ROOT_QS))
+    F = base_field(Q)
+    n2 = draw(st.integers(1, _cap_exponent(Q) - 1))
+    n1 = draw(st.sampled_from([k for k in range(1, n2 + 1)
+                               if n2 % k == 0 and k + n2 <= _cap_exponent(Q)]))
+    a, b = _draw_irreducible(draw, F, n1), _draw_irreducible(draw, F, n2)
+    K, g = _over_the_extension(F, n1 + n2, F._kernel.mul_polys(a, b))
+    return K, g, Q, n1
+
+
+@settings(max_examples=120, deadline=None)
+@given(_subfield_product_with_a_root())
+def test_designated_root_refuses_a_product_with_a_root(case):
+    K, g, Q, n1 = case
+    assert K.one_root(g)[0] >= n1
+    assert K.designated_root(g, Q) is None

@@ -7,6 +7,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "drinfeld_deuring"
 # the attributes of `fields.IndexKernel` that lay out its tables
 TABLES = {"log", "exp", "m1", "zech", "half"}
+# the kernel's root search: its split parts, and the full split
+ROOT_SEARCH = {"root_part", "split", "distinct_roots"}
 
 
 def _trees():
@@ -32,10 +34,12 @@ def _unread_imports(tree):
 
 
 def test_source_shape():
-    # the table layout is a decision of `fields` alone: every other module
-    # goes through the kernel's scalar operations and methods; and no
+    # the table layout and the parts of the root search are decisions of
+    # `fields` alone: every other module goes through the kernel's scalar
+    # operations and methods, and asks for one root or a designated root,
+    # except `poly`, whose `roots_in_extension` needs every root; and no
     # module imports a name it does not use, `__init__.py` re-exports aside
-    table_reads, unread = [], []
+    table_reads, searches, unread = [], [], []
     for path, tree in _trees():
         where = path.relative_to(ROOT)
         if path.parent == PACKAGE and path.name != "fields.py":
@@ -43,8 +47,17 @@ def test_source_shape():
                             for node in ast.walk(tree)
                             if isinstance(node, ast.Attribute)
                             and node.attr in TABLES]
+        if path.parent == PACKAGE:
+            searches += [(path.name, node.func.attr)
+                         for node in ast.walk(tree)
+                         if isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Attribute)
+                         and node.func.attr in ROOT_SEARCH
+                         and (path.name != "fields.py"
+                              or node.func.attr == "distinct_roots")]
         if path.name != "__init__.py":
             unread += [f"{where}:{line} {name}"
                        for line, name in _unread_imports(tree)]
     assert table_reads == []
+    assert searches == [("poly.py", "distinct_roots")]
     assert unread == []
