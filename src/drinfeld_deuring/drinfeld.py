@@ -55,8 +55,9 @@ of q^i coefficients: by Y(y)^(q^i) = Y(y^(q^i)) it sums each group of q
 chunk results by Horner's rule in Y(y^(q^i)), so its only products are by
 polynomials of q terms.  In characteristic 2, S = P^(q-1) with
 P = s^q + s, and a level is log2(q) mask-shift-XOR passes over one packed
-int of kappa indices in s, with no field product at all.  `deuring_H`
-alone places R(Y) on the (q-1)-stride of s.
+int of kappa indices in s, with no field product at all.  R(Y) goes onto
+the (q-1)-stride of s in one place, `PrimeModulus._poly_in_y`, which
+`universal.U_mod_prime` shares.
 
 The direct route, grec and H run on kappa index lists in Delta (or s) in the
 field's `fields.IndexKernel`, and build each `Poly` once, at the end.
@@ -70,7 +71,7 @@ from .errors import ConsistencyError, DomainError
 from .fields import embed
 from .modulus import PrimeModulus
 from .ore import OreContext, drinfeld_image
-from .poly import Poly, PolyRing, _from_indices
+from .poly import PolyRing, _from_indices
 from .universal import u_mod_prime
 
 
@@ -269,28 +270,23 @@ def deuring_H(prime, h):
     and kappa's kernel (`IndexKernel.compose_in_S`) returns R(Y) in y, on
     which the degree and monic checks run.  It all runs on kappa index
     lists, from scaling h (`IndexKernel.dilate`) to the `Poly` at the end,
-    the one place where y becomes s^(q-1): its elements are looked up only
-    on that stride, where H can be nonzero.
+    where `PrimeModulus._poly_in_y` turns y into s^(q-1).
     """
     if not h or h.ring.base != prime.kappa:
         raise DomainError("deuring_H expects a nonzero polynomial over kappa")
     if not h.constant_coeff():
         raise ConsistencyError(
             "h(0) = 0: the substitution h(gamma/(s^q-s)^(q-1)) degenerates")
-    q, N, kappa, a = prime.q, h.degree, prime.kappa, prime.alpha.index
-    K = kappa._kernel
+    q, N, a = prime.q, h.degree, prime.alpha.index
+    K = prime.kappa._kernel
     # R is scaled by gamma(T^q)^(-N) up front: composition is linear in R
     R = K.scale(K._pow(a, -q * N), K.dilate([c.index for c in h.coeffs], a))
     Hy = K.compose_in_S(R[::-1], q)
-    top = (q - 1) * (len(Hy) - 1)
-    if top != q ** (prime.d + 1) - q:
+    if (q - 1) * (len(Hy) - 1) != q ** (prime.d + 1) - q:
         raise ConsistencyError("H has the wrong degree")
     if Hy[-1] != 1:
         raise ConsistencyError("H is not monic")
-    # H(s) = Hy(s^(q-1)): elements only on that stride
-    coeffs = [kappa.zero] * (top + 1)
-    coeffs[::q - 1] = kappa._elements(Hy)
-    return Poly(prime.s_ring, coeffs)
+    return prime._poly_in_y(Hy)
 
 
 @dataclass

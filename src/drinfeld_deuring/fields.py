@@ -432,7 +432,8 @@ class IndexKernel:
     def sum_copies(self, copies):
         """The term map {key: index} of sum(c * m * u) over the (u, c, shift)
         triples: u a term map of nonzero indices, m the monomial whose key is
-        `shift` (keys add under products) and c a nonzero index.  Above
+        `shift` (keys add under products) and c a nonzero index: the generic
+        u_i and U_i over F_q, the key identity and `MultiPoly`.  Above
         _SUMS_CARD_MAX elements it adds with `_add` and scales by log/exp."""
         out = {}
         if self.card > _SUMS_CARD_MAX:
@@ -993,9 +994,8 @@ class FiniteField(_Keyed):
                 [self._base_emb[c.index] for c in modulus_over_base],
                 base.card)
             if root is None:
-                raise DomainError("defining modulus has no root in the "
-                                  "extension; it is reducible or of the "
-                                  "wrong degree")
+                raise DomainError(
+                    "defining modulus is reducible over the base field")
         self.gen = self.from_index(root)
 
     # element-level API ------------------------------------------------------

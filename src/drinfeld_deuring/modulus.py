@@ -75,6 +75,15 @@ class PrimeModulus(_Keyed):
         ring = self.s_ring if var == "s" else PolyRing(self.kappa, var)
         return poly_mod._from_indices(ring, idx)
 
+    def _poly_in_y(self, idx):
+        """The polynomial over kappa in s whose coefficient indices in
+        y = s^(q-1) are idx: elements only on that stride, where H and U_d
+        can be nonzero."""
+        step = self.q - 1
+        coeffs = [self.kappa.zero] * (step * (len(idx) - 1) + 1)
+        coeffs[::step] = self.kappa._elements(idx)
+        return Poly(self.s_ring, coeffs)
+
     def __repr__(self):
         return f"({self.p_poly!r}) over F_{self.q}"
 

@@ -13,21 +13,18 @@ U_{-1} = 0, U_0 = 1 and
 with the second term absent at i = 0.  Reducing u_d (resp. U_d) mod a prime
 p(T) of degree d yields the Deuring polynomial h (resp. its companion H).
 
-Both sequences are term maps, one dict per u_i or U_i, built by one step
-routine each and one driver, `_terms`, over one of two rings.  A step
-multiplies by monomials c * T^t * s^e only, each a scaled, shifted copy:
+Both sequences are generic term maps on F_q's kernel, {t * _T_STRIDE + e:
+c} over the nonzero terms c * T^t * s^e, c an F_q index (divmod(key,
+_T_STRIDE) gives (t, e) also for the t < 0 of U_i), memoised per field.  A
+step multiplies by monomials only, each a scaled, shifted copy for
+`IndexKernel.sum_copies`: a u-step is four.  C = (s^q - s)^(q-1), the sum
+of s^(k(q-1)) over k = 1..q, is fixed by Frobenius, so U_1^(q^i) =
+C(s^(q^i)) + T^(-(q-1)q^i) and a U-step is 3q + 1 copies, with no product.
+u_mod_prime, the universal h route, and the checks of u_i read these maps.
 
-- generic, on F_q's kernel: {t * _T_STRIDE + e: c} over the nonzero terms,
-  c an F_q index; the copy is (c, t * _T_STRIDE + e), and divmod(key,
-  _T_STRIDE) gives (t, e) also for the t < 0 of U_i.  Memoised per field.
-- over kappa = F_q[T]/(p), T -> alpha, on kappa's kernel: {e: index}; the
-  copy is (c * alpha^t, e), by the kernel's products.  Not cached.
-
-A u-step is four copies.  C = (s^q - s)^(q-1), the sum of s^(k(q-1)) over
-k = 1..q, is fixed by Frobenius, so U_1^(q^i) = C(s^(q^i)) + T^(-(q-1)q^i)
-and a U-step is 3q + 1 copies: no products, one `sum_copies`.  U_mod_prime
-and the separability certificate run over kappa; u_mod_prime, the
-universal h route, and the checks of u_i read the generic maps.
+Over kappa = F_q[T]/(p), T -> alpha, both recurrences run on kappa's index
+lists by the kernel's `scale`, `add_polys` and `mul_polys`: `U_mod_prime`
+in y = s^(q-1), and the separability certificate's u on digit masks.
 """
 
 from __future__ import annotations
@@ -69,24 +66,6 @@ def u_sequence(field, i_max):
     return [_terms_to_poly(u, S) for u in _u_terms(field, i_max)]
 
 
-def _generic(field):
-    """The generic ring of a step (module docstring)."""
-    return field, field._kernel, _generic_copy
-
-
-def _generic_copy(c, t, e):
-    return c, t * _T_STRIDE + e
-
-
-def _terms(step, ring, i_max, seq):
-    """x_0, ..., x_{i_max} of the sequence of `step` over `ring`, extending
-    seq = [x_{-1} = 0, x_0 = 1, ...] in place."""
-    while len(seq) < i_max + 2:
-        i = len(seq) - 2
-        seq.append(step(ring, seq[i], seq[i + 1], i))
-    return seq[1:i_max + 2]
-
-
 def _u_terms(field, i_max):
     """u_0, ..., u_{i_max} as generic term maps, memoised per field."""
     return _generic_terms(field, i_max, _u_step, _u_cache, "u_{i}", _u_degree)
@@ -112,45 +91,40 @@ def _generic_terms(field, i_max, step, cache, name, s_degree):
     seq = cache.get(field) or cache.setdefault(field, [{}, {0: 1}])
     if len(seq) < i_max + 2:
         _check_stride(name, field.card, i_max, s_degree)
-    return _terms(step, _generic(field), i_max, seq)
+    while len(seq) < i_max + 2:
+        i = len(seq) - 2
+        seq.append(step(field, seq[i], seq[i + 1], i))
+    return seq[1:i_max + 2]
 
 
-def _over_kappa(step, prime):
-    """x_d over kappa[s] for the sequence of `step`, p of degree d."""
-    K, emb, a = prime.kappa._kernel, prime.kappa._base_emb, prime.alpha.index
-    ring = (prime.field_q, K, lambda c, t, e: (K._mul(emb[c], K._pow(a, t)), e))
-    return prime._kappa_poly(_terms(step, ring, prime.d, [{}, {0: 1}])[-1])
-
-
-def _u_step(ring, u_prev, u_i, i):
+def _u_step(field, u_prev, u_i, i):
     """u_{i+1} = u_i*s^(q^i) + u_i*T^(q^(i+1))
-                 - (T^(q^i) - T)*s^(q^i)*u_{i-1}."""
-    field, kernel, mono = ring
+                 - (T^(q^i) - T)*s^(q^i)*u_{i-1}, on generic term maps."""
     q = field.card
     qi = q ** i
-    return kernel.sum_copies((
-        (u_i, *mono(1, 0, qi)), (u_i, *mono(1, q * qi, 0)),
-        (u_prev, *mono(field._neg(1), qi, qi)), (u_prev, *mono(1, 1, qi))))
+    return field._kernel.sum_copies((
+        (u_i, 1, qi), (u_i, 1, q * qi * _T_STRIDE),
+        (u_prev, field._neg(1), qi * _T_STRIDE + qi),
+        (u_prev, 1, _T_STRIDE + qi)))
 
 
-def _U_step(ring, U_prev, U_i, i):
-    """With C = (s^q - s)^(q-1) and Q = q^(i+1):
+def _U_step(field, U_prev, U_i, i):
+    """With C = (s^q - s)^(q-1) and Q = q^(i+1), on generic term maps:
 
     U_{i+1} = (C(s^(q^i)) + T^(-(q-1)q^i)) * U_i
               - (T^(q^i - Q) - T^(1 - Q)) * C(s^(q^(i-1))) * U_{i-1}
     """
-    field, kernel, mono = ring
     q = field.card
     qi = q ** i
     Q = q * qi
     # C = s^(q-1) * sum_k binom(q-1, k) (-1)^(q-1-k) s^((q-1)k), each sign
     # (-1)^(q-1) = 1 as binom(q-1, k) = (-1)^k mod p: (1+x)^(q-1)(1+x) = 1+x^q
-    copies = [(U_i, *mono(1, -(q - 1) * qi, 0))]
+    copies = [(U_i, 1, -(q - 1) * qi * _T_STRIDE)]
     for e in range(q - 1, q * (q - 1) + 1, q - 1):
-        copies += [(U_i, *mono(1, 0, e * qi)),
-                   (U_prev, *mono(field._neg(1), qi - Q, e * qi // q)),
-                   (U_prev, *mono(1, 1 - Q, e * qi // q))]
-    return kernel.sum_copies(copies)
+        copies += [(U_i, 1, e * qi),
+                   (U_prev, field._neg(1), (qi - Q) * _T_STRIDE + e * qi // q),
+                   (U_prev, 1, (1 - Q) * _T_STRIDE + e * qi // q)]
+    return field._kernel.sum_copies(copies)
 
 
 def _terms_to_poly(u, ring):
@@ -185,8 +159,31 @@ def u_mod_prime(prime):
 
 def U_mod_prime(prime):
     """U_d mod p for the prime p of degree d, the companion H: the
-    U-recurrence run over kappa."""
-    return _over_kappa(_U_step, prime)
+    U-recurrence over kappa on index lists in y = s^(q-1), where C = Y(y) =
+    y + ... + y^q.  With Q = q^(i+1) and gamma_i = alpha^(1-Q) -
+    alpha^(q^i-Q), which is not 0 for 0 < i < d,
+
+    U_{i+1} = U_i*(Y(y^(q^i)) + alpha^(-(q-1)q^i))
+              + gamma_i*Y(y^(q^(i-1)))*U_{i-1}:
+
+    two `mul_polys` by index lists of q + 1 and q terms per step."""
+    K, a, q = prime.kappa._kernel, prime.alpha.index, prime.q
+    prev, cur = [], [1]
+    for i in range(prime.d):
+        qi = q ** i
+        Q = q * qi
+        # q ones at y^(q^i), ..., y^Q, and the constant alpha^(-(q-1)q^i)
+        factor = [0] * (Q + 1)
+        factor[qi::qi] = [1] * q
+        factor[0] = K._pow(a, -(q - 1) * qi)
+        nxt = K.mul_polys(cur, factor)
+        if prev:
+            gamma = K._add(K._pow(a, 1 - Q), K._neg(K._pow(a, qi - Q)))
+            factor = [0] * (qi + 1)
+            factor[qi // q::qi // q] = [gamma] * q
+            nxt = K.add_polys(nxt, K.mul_polys(prev, factor))
+        prev, cur = cur, nxt
+    return prime._poly_in_y(cur)
 
 
 def U_sequence(field, i_max):
@@ -224,7 +221,7 @@ def check_derivative_recursion(field, i):
     if i < 1:
         raise DomainError("the derivative recursion only holds for steps i >= 1")
     d = [_derivative(field, u) for u in _u_terms(field, i + 1)[i - 1:]]
-    return d[2] == _u_step(_generic(field), d[0], d[1], i)
+    return d[2] == _u_step(field, d[0], d[1], i)
 
 
 def _derivative(field, u):
@@ -332,8 +329,9 @@ def check_simple_roots(prime):
 
 
 def _certified(prime, h):
-    """A certificate, not a gcd, that h is separable with h(0) != 0: h is
-    u_d built over kappa, h(0) != 0, and alpha^(q^j) != alpha, 0 < j < d.
+    """A certificate, not a gcd, that h over kappa is separable with
+    h(0) != 0: h is u_d built over kappa, h(0) != 0, and alpha^(q^j) !=
+    alpha, 0 < j < d.
 
     Over kappa, u_{i+1} = A_i*u_i - B_i*u_{i-1} with A_i = s^(q^i) +
     alpha^(q^(i+1)) and B_i = (alpha^(q^i) - alpha)*s^(q^i).  For i >= 1,
@@ -343,8 +341,32 @@ def _certified(prime, h):
     q^(d-1)) != 0, a common factor of h and h' is a power of s, and h(0)
     != 0 leaves only 1."""
     K, a, q = prime.kappa._kernel, prime.alpha.index, prime.q
-    return (h == _over_kappa(_u_step, prime) and bool(h.constant_coeff())
+    return (_u_on_masks(prime) == [c.index for c in h.coeffs]
+            and bool(h.constant_coeff())
             and all(K._pow(a, q ** j) != a for j in range(1, prime.d)))
+
+
+def _u_on_masks(prime):
+    """u_d over kappa as an index list in s, run on digit masks: slot m of
+    u_i holds the coefficient of s^(sum_{j in m} q^j), m an i-bit mask.
+    Every s-exponent of u_i is such a sum, as u_0 = 1 and step i shifts u_i
+    by 0 or q^i and u_{i-1}, on masks below 2^(i-1), by q^i.  Distinct masks
+    are distinct exponents, so the step is u_{i+1}[m] =
+    alpha^(q^(i+1))*u_i[m] and u_{i+1}[m + 2^i] = u_i[m] - (alpha^(q^i) -
+    alpha)*u_{i-1}[m] for m < 2^i; the top slot stays 1, so `add_polys`
+    trims nothing.  The masks become exponents once, at the end."""
+    K, a, q = prime.kappa._kernel, prime.alpha.index, prime.q
+    prev, cur, exps = [], [1], [0]
+    for i in range(prime.d):
+        qi = q ** i
+        shifted = K.add_polys(cur, K.scale(K._add(a, K._neg(K._pow(a, qi))),
+                                           prev))
+        prev, cur = cur, K.scale(K._pow(a, q * qi), cur) + shifted
+        exps += [e + qi for e in exps]
+    u = [0] * (exps[-1] + 1)
+    for e, c in zip(exps, cur):
+        u[e] = c
+    return u
 
 
 def check_simple_roots_generic(field, i):

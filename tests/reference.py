@@ -190,3 +190,45 @@ def compose_in_S_by_residues(kernel, coeffs, q):
         return acc
 
     return compose(coeffs)
+
+
+def U_over_kappa_by_term_maps(prime):
+    """U_d over kappa as a term map {e: index} of its nonzero terms c * s^e:
+    the U-recurrence as `universal.U_mod_prime` ran it before it ran in
+    y = s^(q-1) on index lists.  With C = (s^q - s)^(q-1) = sum_k
+    s^(k(q-1)), k = 1..q, and Q = q^(i+1), a step is 3q + 1 scaled,
+    key-shifted copies of U_i and U_(i-1), added by `sum_copies`:
+
+    U_(i+1) = (C(s^(q^i)) + alpha^(-(q-1)q^i)) * U_i
+              - (alpha^(q^i - Q) - alpha^(1 - Q)) * C(s^(q^(i-1))) * U_(i-1)
+    """
+    K, a, q = prime.kappa._kernel, prime.alpha.index, prime.q
+    prev, cur = {}, {0: 1}
+    for i in range(prime.d):
+        qi = q ** i
+        Q = q * qi
+        copies = [(cur, K._pow(a, -(q - 1) * qi), 0)]
+        for e in range(q - 1, q * (q - 1) + 1, q - 1):
+            copies += [(cur, 1, e * qi),
+                       (prev, K._neg(K._pow(a, qi - Q)), e * qi // q),
+                       (prev, K._pow(a, 1 - Q), e * qi // q)]
+        prev, cur = cur, K.sum_copies(copies)
+    return cur
+
+
+def u_over_kappa_by_term_maps(prime):
+    """u_d over kappa as a term map {e: index}, as the separability
+    certificate ran it before it ran on digit masks: four scaled,
+    key-shifted copies per step, added by `sum_copies`:
+
+    u_(i+1) = (s^(q^i) + alpha^(q^(i+1))) * u_i
+              - (alpha^(q^i) - alpha) * s^(q^i) * u_(i-1)
+    """
+    K, a, q = prime.kappa._kernel, prime.alpha.index, prime.q
+    prev, cur = {}, {0: 1}
+    for i in range(prime.d):
+        qi = q ** i
+        prev, cur = cur, K.sum_copies((
+            (cur, 1, qi), (cur, K._pow(a, q * qi), 0),
+            (prev, K._neg(K._pow(a, qi)), qi), (prev, a, qi)))
+    return cur

@@ -11,7 +11,7 @@ import pytest
 
 from drinfeld_deuring import cli
 from drinfeld_deuring.cli import main
-from drinfeld_deuring.fields import base_field
+from drinfeld_deuring.fields import IndexKernel, base_field
 from drinfeld_deuring.modulus import primes_up_to_degree
 
 H22 = "s^6 + s^5 + a*s^4 + s^3 + a*s^2 + s + 1"
@@ -161,6 +161,38 @@ def test_verify_builds_no_generic_U_d(monkeypatch):
     monkeypatch.setattr(universal, "_U_cache", {})
     cli._verify_rows(2, 3)
     assert universal._U_cache == {}
+
+
+def test_verify_runs_the_kappa_oracles_without_sum_copies(monkeypatch):
+    # U_mod_prime and the separability certificate run on kappa's index
+    # lists: while either runs, every kernel's sum_copies raises, and
+    # verify still passes every row at q = 5 and q = 4 up to degree 3
+    sum_copies = IndexKernel.sum_copies
+    running, seen = [], set()
+
+    def refused(self, copies):
+        if running:
+            raise AssertionError("sum_copies reached from a kappa oracle")
+        return sum_copies(self, copies)
+
+    def guarded(oracle):
+        def run(*args):
+            running.append(oracle)
+            seen.add(oracle)
+            try:
+                return oracle(*args)
+            finally:
+                running.pop()
+        return run
+
+    oracles = {cli.U_mod_prime, cli._certified}
+    monkeypatch.setattr(IndexKernel, "sum_copies", refused)
+    monkeypatch.setattr(cli, "U_mod_prime", guarded(cli.U_mod_prime))
+    monkeypatch.setattr(cli, "_certified", guarded(cli._certified))
+    for q in (5, 4):
+        rows = cli._verify_rows(q, 3)
+        assert rows and all(ok for _, ok in rows)
+    assert seen == oracles
 
 
 def test_verify_h_shape_reads_the_certificate_on_the_universal_h(

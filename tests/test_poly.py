@@ -635,7 +635,7 @@ def _kernel_field(draw):
 
 
 @st.composite
-def _kernel_poly(draw, F, max_size=8):
+def _field_poly(draw, F, max_size=8):
     """Zero, a constant, or a polynomial with many zero coefficients and
     an arbitrary (mostly non-one) leading coefficient."""
     idx = draw(st.lists(st.one_of(st.just(0), st.integers(1, F.card - 1)),
@@ -646,8 +646,8 @@ def _kernel_poly(draw, F, max_size=8):
 @settings(max_examples=80, deadline=None)
 @given(_kernel_field(), st.data())
 def test_kernel_mul_and_divmod_match_elementwise_loops(F, data):
-    a = data.draw(_kernel_poly(F, 12))
-    b = data.draw(_kernel_poly(F, 12))
+    a = data.draw(_field_poly(F, 12))
+    b = data.draw(_field_poly(F, 12))
     assert (a * b).coeffs == _elementwise_mul(a, b).coeffs
     c = F.from_index(data.draw(st.integers(0, F.card - 1)))
     assert (a * c).coeffs == _elementwise_mul(a, a.ring.const(c)).coeffs
@@ -674,8 +674,8 @@ def test_kernel_mul_and_divmod_match_elementwise_loops(F, data):
 @settings(max_examples=60, deadline=None)
 @given(_kernel_field(), st.data())
 def test_kernel_powmod_and_gcd_match_elementwise_loops(F, data):
-    g = data.draw(_kernel_poly(F))
-    f = data.draw(_kernel_poly(F))
+    g = data.draw(_field_poly(F))
+    f = data.draw(_field_poly(F))
     if f or g:
         assert poly_gcd(f, g).coeffs == _elementwise_gcd(f, g).coeffs
     else:
@@ -694,7 +694,7 @@ def test_kernel_powmod_and_gcd_match_elementwise_loops(F, data):
 @settings(max_examples=60, deadline=None)
 @given(_kernel_field(), st.data())
 def test_kernel_is_irreducible_matches_elementwise_loop(F, data):
-    f = data.draw(_kernel_poly(F, 7))
+    f = data.draw(_field_poly(F, 7))
     if f.degree < 1:
         with pytest.raises(DomainError):
             is_irreducible(f)
@@ -709,7 +709,7 @@ def test_kernel_roots_match_elementwise_loops(F, data):
     top = max(_KERNEL_FIELDS[F.p] // F.degree, 1)
     m = data.draw(st.integers(1, min(top, 3)))
     S = PolyRing(F, "s")
-    f = data.draw(_kernel_poly(F, 5))
+    f = data.draw(_field_poly(F, 5))
     for a in data.draw(st.lists(st.integers(0, F.card - 1), max_size=3)):
         f = f * (S.gen - F.from_index(a)) ** data.draw(st.integers(1, 3))
     if not f:
@@ -865,7 +865,8 @@ def test_a_modulus_without_roots_has_none_and_is_refused():
     F32 = base_field(2).extension(5)
     assert F32._kernel.distinct_roots([1, 0, 0, 0, 1, 1]) == []
     assert _scan_first_root(F32, [1, 0, 0, 0, 1, 1]) is None
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^defining modulus is reducible "
+                       "over the base field$"):
         base_field(2).extension_with_modulus([1, 0, 0, 0, 1, 1], gen_name="r")
 
 
@@ -876,9 +877,8 @@ def test_a_reducible_modulus_with_roots_is_refused():
     F2, F3, F256 = base_field(2), base_field(3), base_field(256)
     for F, coeffs in [(F2, [0, 1, 1]), (F3, [-1, 0, 1]), (F3, [0, 0, 1]),
                       (F256, [F256.gen ** 3, 1, 1])]:
-        with pytest.raises(DomainError, match="^defining modulus has no root "
-                           "in the extension; it is reducible or of the "
-                           "wrong degree$"):
+        with pytest.raises(DomainError, match="^defining modulus is reducible "
+                           "over the base field$"):
             F.extension_with_modulus(coeffs, gen_name="r")
     # the degree-1 moduli y and y + 1 build F_2, generated by their root
     for coeffs, root in [([0, 1], 0), ([1, 1], 1)]:

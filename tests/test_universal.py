@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from drinfeld_deuring.drinfeld import deuring_h_direct
 from drinfeld_deuring.errors import CapExceededError, DomainError
 from drinfeld_deuring.fields import FieldElement, base_field
 from drinfeld_deuring.grammar import parse, render
@@ -23,7 +24,10 @@ from drinfeld_deuring.universal import (
     check_simple_roots, check_simple_roots_generic, check_u_zero,
     U_mod_prime, sequence_json, u_mod_prime, u_sequence, u_zero_value,
 )
-from reference import coprime_over_fraction_field
+from reference import (
+    U_over_kappa_by_term_maps, coprime_over_fraction_field,
+    u_over_kappa_by_term_maps,
+)
 
 
 def test_u_sequence_base_cases_and_oracle():
@@ -611,6 +615,50 @@ def test_separability_certificate_rejects_mutants_of_h(q, d):
         zero_at_0 = Poly(h.ring, (p.kappa.zero,) + tuple(h.coeffs[1:]))
         assert universal._certified(p, zero_at_0) is False
         assert universal._certified(p, h) is True
+
+
+# the q of the differential tests over kappa, each with every degree d
+# of q^d <= 2^10, so kappa runs on both sides of the 2^8 elements up to
+# which the reference's `sum_copies` adds by its table of sums
+_KAPPA_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64)
+
+
+@functools.cache
+def _kappa_primes(q, d):
+    return list(primes_of_degree(base_field(q), d))
+
+
+@st.composite
+def _kappa_prime(draw):
+    q = draw(st.sampled_from(_KAPPA_QS))
+    d = draw(st.integers(1, max(d for d in range(1, 11) if q ** d <= 1024)))
+    return draw(st.sampled_from(_kappa_primes(q, d)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kappa_prime())
+def test_U_mod_prime_in_y_matches_the_term_map_reference(p):
+    assert U_mod_prime(p) == p._kappa_poly(U_over_kappa_by_term_maps(p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kappa_prime())
+def test_u_on_masks_matches_the_term_map_reference(p):
+    u = u_over_kappa_by_term_maps(p)
+    dense = [0] * (max(u) + 1)
+    for e, c in u.items():
+        dense[e] = c
+    assert universal._u_on_masks(p) == dense
+
+
+@pytest.mark.parametrize("q, d", _SWEEP_GRID)
+def test_h_lies_on_sums_of_distinct_powers_of_q(q, d):
+    # the support that `_u_on_masks` runs on: at the first prime of degree
+    # d, every nonzero exponent of h is sum_{j in m} q^j, m a d-bit mask
+    p = next(primes_of_degree(base_field(q), d))
+    sums = {sum(q ** j for j in range(d) if m >> j & 1) for m in range(2 ** d)}
+    h = deuring_h_direct(p)
+    assert {e for e, c in enumerate(h.coeffs) if c} <= sums
 
 
 def _squared_factor_mutant(field, i):
