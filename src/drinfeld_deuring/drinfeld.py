@@ -22,7 +22,13 @@ of the tau-coefficients,
 
 and builds only k <= d: a product only raises the tau-degree, so the
 coefficients above tau^d, up to g_2d of Delta-degree (q^(2d) - 1)/(q^2 - 1),
-never feed g_0..g_d.
+never feed g_0..g_d.  Each Delta in psi_T^n sits at its own tau-position,
+so g_k lies on the sums of distinct q^j, j < k: it has at most 2^k terms,
+against Delta-degree (q^k - 1)/(q - 1).  The route runs on these digit
+masks (`_g_lists`), where a shift by Delta^(q^j) sets bit j, and a g_k is
+a vector of 2^k slots in the kernel's own form: an index list in odd
+characteristic, one packed int of index slots in characteristic 2.  The
+masks become exponents once, where h or g_k is built.
 
 grec runs the tau^k coefficient of psi_T psi_p = psi_p psi_T,
 
@@ -59,8 +65,9 @@ int of kappa indices in s, with no field product at all.  R(Y) goes onto
 the (q-1)-stride of s in one place, `PrimeModulus._poly_in_y`, which
 `universal.U_mod_prime` shares.
 
-The direct route, grec and H run on kappa index lists in Delta (or s) in the
-field's `fields.IndexKernel`, and build each `Poly` once, at the end.
+The direct route runs on the kernel's slot vectors on digit masks, grec
+and H on kappa index lists in Delta (or s), all in the field's
+`fields.IndexKernel`, and each builds its `Poly` once, at the end.
 """
 
 from __future__ import annotations
@@ -152,8 +159,9 @@ def is_supersingular(module, prime):
 
 def _omega_step(K, w1, w2, Q, q, aQ, c):
     """c * (w1 * (Delta^Q + alpha^Q) - w2 * Delta^(Q/q)) on K's index lists,
-    with aQ the index of alpha^Q.  Both routes keep w1 and w2 * Delta^(Q/q)
-    below Delta-degree Q, so the shift of c * w1 by Q overlaps nothing."""
+    with aQ the index of alpha^Q: grec's N_k.  grec keeps w1 and
+    w2 * Delta^(Q/q) below Delta-degree Q, so the shift of c * w1 by Q
+    overlaps nothing."""
     cw1 = K.scale(c, w1)
     low = K.scale(aQ, cw1)
     if w2:
@@ -162,28 +170,50 @@ def _omega_step(K, w1, w2, Q, q, aQ, c):
 
 
 def _g_lists(prime, k_max):
-    """g_0..g_{k_max} of psi_{p(T)} as kappa index lists in Delta, by
-    Horner's rule for p(psi_T) with every product truncated at tau^(k_max)."""
+    """g_0..g_{k_max} of psi_{p(T)} as kappa index lists on digit masks:
+    slot m of g_k holds the coefficient of Delta^(sum_{j in m} q^j).
+
+    Horner's rule for p(psi_T), with every product truncated at
+    tau^(k_max), runs on e_k = (-1)^k g_k in the kernel's slot vectors
+    (`IndexKernel.vector`), where the product rule of the module docstring
+    has no sign:
+
+        (e * psi_T)_k = alpha^(q^k) * e_k + alpha^(q^(k-1)) * e_(k-1)
+                        + Delta^(q^(k-1)) * e_(k-1) + Delta^(q^(k-2)) * e_(k-2).
+
+    By induction on this rule every e_k lies on k-bit masks: a product by
+    Delta^(q^j) of a vector on masks below 2^j sets bit j, a place at slot
+    2^j.  So a step is one scale of each e_k, which serves e_k and
+    e_(k+1), two places and three adds per k."""
     K, q = prime.kappa._kernel, prime.q
     ap = [K._pow(prime.alpha.index, q ** k) for k in range(k_max + 1)]
     emb = prime.kappa._base_emb
-    cs = [emb[c.index] for c in prime.p_poly.coeffs]
-    g = [[cs[-1]]] + [[]] * k_max
+    cs = [K.vector([emb[c.index]] if c.index else [])
+          for c in prime.p_poly.coeffs]
+    zero = K.vector([])
+    e = [cs[-1]] + [zero] * k_max
     for c in reversed(cs[:-1]):
-        # g <- g * psi_T + c, by the product rule of the module docstring
-        g = [K.add_polys(K.scale(ap[0], g[0]), [c])] + [
-            K.add_polys(K.scale(ap[k], g[k]),
-                        _omega_step(K, g[k - 1], g[k - 2] if k > 1 else [],
-                                    q ** (k - 1), q, ap[k - 1], K._neg(1)))
-            for k in range(1, k_max + 1)]
-    return g
+        # e <- e * psi_T + c
+        s = [K.vector_scale(a, x) for a, x in zip(ap, e)]
+        nxt = [K.vector_add(s[0], c)]
+        for k in range(1, k_max + 1):
+            x = K.vector_add(K.vector_add(s[k], s[k - 1]),
+                             K.vector_place(e[k - 1], 1 << (k - 1)))
+            if k > 1:
+                x = K.vector_add(x, K.vector_place(e[k - 2], 1 << (k - 2)))
+            nxt.append(x)
+        e = nxt
+    neg = K._neg(1)
+    return [K.vector_list(K.vector_scale(neg, x) if k % 2 else x)
+            for k, x in enumerate(e)]
 
 
 def deuring_g_sequence(prime, k_max=None):
     """[g_0, ..., g_{k_max}]: tau-coefficients of psi_{p(T)} as polynomials
     in Delta (the variable s) over kappa, k_max = 2d by default; none above
-    tau^(k_max) is built.  A full image (k_max >= 2d) is checked to have
-    tau-degree 2d."""
+    tau^(k_max) is built.  They are built on digit masks (`_g_lists`) and
+    placed on their exponents once, here.  A full image (k_max >= 2d) is
+    checked to have tau-degree 2d."""
     d = prime.d
     k_max = 2 * d if k_max is None else k_max
     if k_max < 0:
@@ -191,46 +221,52 @@ def deuring_g_sequence(prime, k_max=None):
     g = _g_lists(prime, k_max)
     if k_max >= 2 * d and (not g[2 * d] or any(g[2 * d + 1:])):
         raise ConsistencyError("psi_p has wrong tau-degree")
-    ring = prime.s_ring
-    return [_from_indices(ring, c) for c in g]
+    return [prime._poly_on_masks(c) for c in g]
 
 
-def _h_from_gd(prime, gd):
-    """h = (-1)^d g_d from the index list of g_d, once g_d has the shape
-    that makes it the Deuring polynomial: degree (q^d - 1)/(q - 1) and
-    leading coefficient (-1)^d.  Otherwise ConsistencyError."""
+def _h_from_gd(prime, gd, masks=False):
+    """h = (-1)^d g_d from the index list of g_d, in Delta or, for masks,
+    on digit masks, once g_d has the shape that makes it the Deuring
+    polynomial: degree (q^d - 1)/(q - 1), a top slot 2^d - 1 on masks, and
+    leading coefficient (-1)^d.  Otherwise ConsistencyError.  Masks become
+    exponents here, as h is built."""
     d, q, K = prime.d, prime.q, prime.kappa._kernel
     sign = K._neg(1) if d % 2 else 1
-    if len(gd) - 1 != (q ** d - 1) // (q - 1) or gd[-1] != sign:
+    top = 2 ** d - 1 if masks else (q ** d - 1) // (q - 1)
+    if len(gd) - 1 != top or gd[-1] != sign:
         raise ConsistencyError("g_d does not have degree (q^d - 1)/(q - 1) "
                                "and leading coefficient (-1)^d")
-    return _from_indices(prime.s_ring, K.scale(sign, gd))
+    h = K.scale(sign, gd)
+    return prime._poly_on_masks(h) if masks else _from_indices(prime.s_ring, h)
 
 
 def deuring_h_direct(prime):
     g = _g_lists(prime, prime.d)
     if any(g[:-1]):
         raise ConsistencyError("low tau-coefficients of psi_p did not vanish")
-    return _h_from_gd(prime, g[-1])
+    return _h_from_gd(prime, g[-1], masks=True)
 
 
 def check_g_structure(prime, h):
-    """The shape of psi_{p(T)} that makes h its Deuring polynomial.
+    """The shape of psi_{p(T)} that makes h, over kappa, its Deuring
+    polynomial.
 
     g_k = 0 for k < d; g_d has degree (q^d - 1)/(q - 1) and leading
-    coefficient (-1)^d; g_{2d} = Delta^(1 + q^2 + ... + q^(2d-2)); and h
-    divides g_k for d <= k < 2d.
+    coefficient (-1)^d; g_{2d} = Delta^(1 + q^2 + ... + q^(2d-2)), whose
+    digit mask holds the even bits below 2d; and h divides g_k for
+    d <= k < 2d, divided on the kernel's index lists in Delta.
     """
-    d, q = prime.d, prime.q
+    d, K = prime.d, prime.kappa._kernel
     g = _g_lists(prime, 2 * d)
     try:
-        _h_from_gd(prime, g[d])
+        _h_from_gd(prime, g[d], masks=True)
     except ConsistencyError:
         return False
-    monomial = [0] * sum(q ** (2 * i) for i in range(d)) + [1]
+    monomial = [0] * sum(4 ** i for i in range(d)) + [1]
     if any(g[:d]) or g[2 * d] != monomial:
         return False
-    return not any(divmod(_from_indices(h.ring, g[k]), h)[1]
+    hs = [c.index for c in h.coeffs]
+    return not any(K.mod(prime._on_exponents(g[k]), hs)
                    for k in range(d, 2 * d))
 
 

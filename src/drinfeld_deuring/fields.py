@@ -10,9 +10,9 @@ through exp/log tables for a fixed primitive element; addition is XOR in
 characteristic 2 and Zech logarithms otherwise, prime fields included.  One
 index kernel per absolute field (`IndexKernel`: the tables, whose layout no
 other module reads, the scalar arithmetic, that of polynomials over the
-field on index lists, `evaluate`, `dilate`, and `sum_copies`, the one
-routine of sparse term maps) is shared between all tower instances with
-that absolute field.
+field on index lists, slot vectors, `evaluate`, `dilate`, and
+`sum_copies`, the one routine of sparse term maps) is shared between all
+tower instances with that absolute field.
 
 A field built as an extension remembers its base field, the defining modulus
 over the base, and a designated root of that modulus (the least conjugate of
@@ -293,9 +293,9 @@ class IndexKernel:
     The tables and their layout are private to `fields`.  Other modules
     use the scalar operations, which every `FiniteField` of this absolute
     field takes as its own `_add`, `_neg`, `_mul`, `_inv` and `_pow`, and
-    the public methods: the polynomial ones, `embedding`, `span`, `evaluate`
-    and `dilate`, public so that `perfbench`'s span tracer reports them as
-    spans of their own.  The package does not export the class;
+    the public methods: the polynomial ones, the slot vectors, `embedding`,
+    `span`, `evaluate` and `dilate`, public so that `perfbench`'s span
+    tracer reports them as spans of their own.  The package does not export the class;
     `fields._abs_tables` builds one per absolute field.
     """
 
@@ -480,6 +480,29 @@ class IndexKernel:
         neg = self._neg
         return self.add_polys(a, [neg(x) for x in b])
 
+    # slot vectors -----------------------------------------------------------
+    # A vector holds one index per slot, in a form that is the kernel's
+    # own: here an index list with no trailing zeros, in `_Char2Kernel` one
+    # packed int.  `vector` and `vector_list` convert at the edge; in
+    # between a vector is only scaled, added and placed at a slot offset.
+    # The direct route runs on them, one slot per digit mask.
+
+    def vector(self, a):
+        """The vector whose slots hold the index list a (no trailing
+        zeros)."""
+        return a
+
+    vector_scale = scale
+    vector_add = add_polys
+
+    def vector_place(self, a, off):
+        """a moved up by off slots."""
+        return [0] * off + a if a else []
+
+    def vector_list(self, a):
+        """The index list of a's slots, with no trailing zeros."""
+        return a
+
     def compose_in_S(self, coeffs, q):
         """R(Y) for R = sum_n coeffs[n] x^n and Y(y) = y + y^2 + ... + y^q,
         q a power of p, as an index list in y with no trailing zeros: the
@@ -533,8 +556,20 @@ class IndexKernel:
         if (len(a) - a.count(0)) * (len(b) + _ADDMUL_CALL_COST) < \
                 (len(b) - b.count(0)) * (len(a) + _ADDMUL_CALL_COST):
             a, b = b, a
+        return self._mul_row(self._row(a), len(a), b)
+
+    def mul_each(self, a, bs):
+        """[a * b for b in bs] with a's row built once: the products of one
+        dense polynomial by a few sparse ones, one `_addmul` per nonzero
+        term of each b."""
+        if not a:
+            return [[] for _ in bs]
         row = self._row(a)
-        out = [0] * (len(a) + len(b) - 1)
+        return [self._mul_row(row, len(a), b) if b else [] for b in bs]
+
+    def _mul_row(self, row, n, b):
+        # the product of b != [] by the length-n polynomial whose row is row
+        out = [0] * (n + len(b) - 1)
         addmul = self._addmul
         for i, c in enumerate(b):
             if c:
@@ -743,11 +778,73 @@ class IndexKernel:
 
 class _Char2Kernel(IndexKernel):
     """F_(2^k): sums are XOR.  A row is the list of logs, with the
-    zero sentinel 2*m1 that `exp` reads as 0 after any nonzero log."""
+    zero sentinel 2*m1 that `exp` reads as 0 after any nonzero log.
+
+    An index's bits are its coordinates in the basis z^j, so a sum of
+    indices is their XOR, with no carry from one to the next.  A packed int
+    holds one index per slot of 8 bits up to 256 elements and 16 up to
+    CARD_CAP (a kernel for larger fields must widen it), lowest slot
+    first: `_pack` and `_unpack` are the one home of that layout, which
+    `compose_in_S` and the vectors share.  A vector is such an int: an add
+    is ^, a place is <<, and `vector_scale` takes k passes over the int."""
 
     _add = staticmethod(operator.xor)
     # -i = i in characteristic 2
     _neg = staticmethod(operator.pos)
+    vector_add = staticmethod(operator.xor)
+
+    def __init__(self, p, degree, modulus_digits):
+        super().__init__(p, degree, modulus_digits)
+        self._typecode = "B" if self.card <= 256 else "H"
+        self._slot_bits = 8 * array.array(self._typecode).itemsize
+        # 1 in the lowest bit of each slot, for as many slots as the
+        # longest vector scaled so far
+        self._ones = 0
+
+    def _pack(self, slots):
+        """The int whose slots, lowest first, hold the indices `slots`."""
+        slots = array.array(self._typecode, slots)
+        if sys.byteorder == "big":
+            slots.byteswap()
+        return int.from_bytes(slots, "little")
+
+    def _unpack(self, X):
+        """The slots of the packed int X, up to its top nonzero slot, as an
+        array of indices."""
+        bits = self._slot_bits
+        out = array.array(self._typecode, X.to_bytes(
+            -(-X.bit_length() // bits) * (bits // 8), "little"))
+        if sys.byteorder == "big":
+            out.byteswap()
+        return out
+
+    def vector(self, a):
+        return self._pack(a)
+
+    def vector_list(self, a):
+        return self._unpack(a).tolist()
+
+    def vector_place(self, a, off):
+        return a << self._slot_bits * off
+
+    def vector_scale(self, c, a):
+        """c * a on packed slots: the XOR over j < k of a's bit-j plane,
+        (a >> j) & ones with one 0 or 1 per slot, times the index of
+        c * z^j, which stays inside its slot.  This is the bitsliced scalar
+        product of Boothby and Bradshaw (arXiv:0901.1413), its slices
+        interleaved in slots."""
+        if not c or not a:
+            return 0
+        if c == 1:
+            return a
+        if self._ones.bit_length() < a.bit_length():
+            self._ones = self._pack(
+                [1] * (2 * a.bit_length() // self._slot_bits + 1))
+        ones, mul = self._ones, self._mul
+        out = 0
+        for j in range(self.degree):
+            out ^= (a >> j & ones) * mul(c, 1 << j)
+        return out
 
     def _powers(self, images):
         """(exp, log) of the powers of the generator, whose products with
@@ -797,20 +894,17 @@ class _Char2Kernel(IndexKernel):
         block index is that of J.  Indices add by XOR, with no carry between
         slots.
 
-        A slot has 8 bits up to 256 elements and 16 bits up to CARD_CAP; a
-        kernel for larger fields must widen it.  Each mask is a repeated
-        bytes pattern cut to the length of X: Python ints have no leading
-        zeros, so a mask for whole runs could be up to q times longer.
+        X has the slots of `_pack`.  Each mask is a repeated bytes pattern
+        cut to the length of X: Python ints have no leading zeros, so a mask
+        for whole runs could be up to q times longer.
         """
         if len(coeffs) <= 1:
             return [c for c in coeffs if c]
         top = (q - 1) * (len(coeffs) - 1)  # the degree of G
-        typecode = "B" if self.card <= 256 else "H"
+        typecode = self._typecode
         slots = array.array(typecode, [0]) * (q * top + 1)
         slots[::q * (q - 1)] = array.array(typecode, coeffs)
-        if sys.byteorder == "big":
-            slots.byteswap()
-        X = int.from_bytes(slots, "little")
+        X = self._pack(slots)
         size = slots.itemsize
         n = (X.bit_length() + 7) // 8
         m = 1
@@ -824,12 +918,8 @@ class _Char2Kernel(IndexKernel):
                     (q - 1) * b * m * 8 * size)
                 b *= 2
             m *= q
-        count = -(-n // size)
-        out = array.array(typecode, X.to_bytes(count * size, "little"))
-        if sys.byteorder == "big":
-            out.byteswap()
         # the top slot, on the stride, holds X's top bit: no trailing zeros
-        return out[::q - 1].tolist()
+        return self._unpack(X)[::q - 1].tolist()
 
     def _add_terms(self, a, b):
         out = list(map(operator.xor, a, b))

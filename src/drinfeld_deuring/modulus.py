@@ -84,6 +84,29 @@ class PrimeModulus(_Keyed):
         coeffs[::step] = self.kappa._elements(idx)
         return Poly(self.s_ring, coeffs)
 
+    def _on_exponents(self, a, zero=0):
+        """The list in s of the list a on digit masks, zero-filled: slot m
+        of a goes to s^(sum_{j in m} q^j).  The map is increasing in m, so
+        a's top slot stays on top; at q = 2 it is the identity."""
+        q = self.q
+        if q == 2 or len(a) <= 1:
+            return a
+        exps, qj = [0], 1
+        while len(exps) < len(a):
+            exps += [e + qj for e in exps]
+            qj *= q
+        out = [zero] * (exps[len(a) - 1] + 1)
+        for e, c in zip(exps, a):
+            out[e] = c
+        return out
+
+    def _poly_on_masks(self, idx):
+        """The polynomial over kappa in s whose coefficient indices on digit
+        masks are idx, with elements only on the masks' exponents."""
+        kappa = self.kappa
+        return Poly(self.s_ring,
+                    self._on_exponents(kappa._elements(idx), kappa.zero))
+
     def __repr__(self):
         return f"({self.p_poly!r}) over F_{self.q}"
 

@@ -166,23 +166,25 @@ def U_mod_prime(prime):
     U_{i+1} = U_i*(Y(y^(q^i)) + alpha^(-(q-1)q^i))
               + gamma_i*Y(y^(q^(i-1)))*U_{i-1}:
 
-    two `mul_polys` by index lists of q + 1 and q terms per step."""
-    K, a, q = prime.kappa._kernel, prime.alpha.index, prime.q
-    prev, cur = [], [1]
-    for i in range(prime.d):
+    each U_i is multiplied by index lists of q + 1 and q terms, the second
+    product for U_{i+2}, by one `mul_each` that builds U_i's row once."""
+    K, a, q, d = prime.kappa._kernel, prime.alpha.index, prime.q, prime.d
+    cur, carried = [1], []
+    for i in range(d):
         qi = q ** i
         Q = q * qi
         # q ones at y^(q^i), ..., y^Q, and the constant alpha^(-(q-1)q^i)
         factor = [0] * (Q + 1)
         factor[qi::qi] = [1] * q
         factor[0] = K._pow(a, -(q - 1) * qi)
-        nxt = K.mul_polys(cur, factor)
-        if prev:
-            gamma = K._add(K._pow(a, 1 - Q), K._neg(K._pow(a, qi - Q)))
-            factor = [0] * (qi + 1)
-            factor[qi // q::qi // q] = [gamma] * q
-            nxt = K.add_polys(nxt, K.mul_polys(prev, factor))
-        prev, cur = cur, nxt
+        # gamma_(i+1) at the same q places, U_i's term of U_(i+2)
+        nxt_factor = []
+        if i + 1 < d:
+            gamma = K._add(K._pow(a, 1 - q * Q), K._neg(K._pow(a, Q - q * Q)))
+            nxt_factor = [0] * (Q + 1)
+            nxt_factor[qi::qi] = [gamma] * q
+        nxt, carry = K.mul_each(cur, [factor, nxt_factor])
+        cur, carried = K.add_polys(nxt, carried), carry
     return prime._poly_in_y(cur)
 
 
@@ -356,17 +358,13 @@ def _u_on_masks(prime):
     alpha)*u_{i-1}[m] for m < 2^i; the top slot stays 1, so `add_polys`
     trims nothing.  The masks become exponents once, at the end."""
     K, a, q = prime.kappa._kernel, prime.alpha.index, prime.q
-    prev, cur, exps = [], [1], [0]
+    prev, cur = [], [1]
     for i in range(prime.d):
         qi = q ** i
         shifted = K.add_polys(cur, K.scale(K._add(a, K._neg(K._pow(a, qi))),
                                            prev))
         prev, cur = cur, K.scale(K._pow(a, q * qi), cur) + shifted
-        exps += [e + qi for e in exps]
-    u = [0] * (exps[-1] + 1)
-    for e, c in zip(exps, cur):
-        u[e] = c
-    return u
+    return prime._on_exponents(cur)
 
 
 def check_simple_roots_generic(field, i):

@@ -232,3 +232,31 @@ def u_over_kappa_by_term_maps(prime):
             (cur, 1, qi), (cur, K._pow(a, q * qi), 0),
             (prev, K._neg(K._pow(a, qi)), qi), (prev, a, qi)))
     return cur
+
+
+def g_lists_by_dense_horner(prime, k_max):
+    """g_0..g_{k_max} of psi_{p(T)} as kappa index lists in Delta, as the
+    direct route ran them before it ran on digit masks: Horner's rule for
+    p(psi_T) on dense lists, every product truncated at tau^(k_max), by
+
+    (f * psi_T)_k = f_k * alpha^(q^k) - f_(k-1) * (Delta^Q + alpha^Q)
+                    + f_(k-2) * Delta^(Q/q),        Q = q^(k-1)."""
+    K, q = prime.kappa._kernel, prime.q
+    ap = [K._pow(prime.alpha.index, q ** k) for k in range(k_max + 1)]
+    emb = prime.kappa._base_emb
+    cs = [emb[c.index] for c in prime.p_poly.coeffs]
+    neg = K._neg(1)
+    g = [[cs[-1]]] + [[]] * k_max
+    for c in reversed(cs[:-1]):
+        nxt = [K.add_polys(K.scale(ap[0], g[0]), [c])]
+        for k in range(1, k_max + 1):
+            Q = q ** (k - 1)
+            f = K.add_polys(K.scale(ap[k], g[k]),
+                            K.scale(K._neg(ap[k - 1]), g[k - 1]))
+            if g[k - 1]:
+                f = K.add_polys(f, [0] * Q + K.scale(neg, g[k - 1]))
+            if k > 1 and g[k - 2]:
+                f = K.add_polys(f, [0] * (Q // q) + g[k - 2])
+            nxt.append(f)
+        g = nxt
+    return g

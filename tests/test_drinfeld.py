@@ -35,7 +35,7 @@ from drinfeld_deuring.ore import OreContext, drinfeld_image, ore_apply, \
 from drinfeld_deuring.poly import Poly, PolyRing, is_irreducible, \
     roots_in_extension
 from drinfeld_deuring.universal import U_mod_prime
-from reference import exact_div
+from reference import exact_div, g_lists_by_dense_horner
 
 
 def _prime(q, text):
@@ -231,49 +231,65 @@ def test_g_sequence_lengths_and_bounds():
 def test_direct_route_builds_nothing_above_tau_d(monkeypatch):
     # at the first (2,10) prime, the coefficients above tau^d reach
     # Delta-degree (4^10 - 1)/3 = 349,525; the truncated image stops at
-    # g_d, of degree N = 1023, so no index list grows past N + 1 entries
+    # g_d, on d-bit masks, so no vector the kernel scales, adds or places
+    # grows past 2^d slots
     from drinfeld_deuring import drinfeld
 
     p = next(iter(primes_of_degree(base_field(2), 10)))
-    N = 2 ** 10 - 1
     K = p.kappa._kernel
     seen = [0]
 
     def recorded(f):
         def run(*args):
             out = f(*args)
-            seen[0] = max(seen[0], len(out))
+            seen[0] = max(seen[0], len(K.vector_list(out)))
             return out
         return run
 
-    for name in ("scale", "add_polys"):
+    for name in ("vector_scale", "vector_add", "vector_place"):
         monkeypatch.setattr(K, name, recorded(getattr(K, name)))
-    monkeypatch.setattr(drinfeld, "_omega_step",
-                        recorded(drinfeld._omega_step))
     h = deuring_h_direct(p)
     monkeypatch.undo()
-    assert h.degree == N
-    assert seen[0] == N + 1
+    assert h.degree == 2 ** 10 - 1
+    assert seen[0] == 2 ** 10
 
 
 def test_direct_route_checks_the_shape_of_g_d(monkeypatch):
+    # g injected as index lists on digit masks: at q = 2 the masks are the
+    # exponents, at q = 3 slot 2^d is past the top mask 2^d - 1
     from drinfeld_deuring import drinfeld
 
-    p = _prime(2, "T^3 + T + 1")
-    K = p.kappa._kernel
-    good = drinfeld._g_lists(p, p.d)
-    gd = good[-1]
-    for bad in (good[:-1] + [K.scale(p.alpha.index, gd)],
-                good[:-1] + [K.add_polys(gd, [0] * 8 + [1])],
-                [gd] + good[1:]):
-        monkeypatch.setattr(drinfeld, "_g_lists",
-                            lambda prime, k_max, g=bad: g)
-        with pytest.raises(ConsistencyError):
-            deuring_h_direct(p)
+    for q, text in [(2, "T^3 + T + 1"), (3, "T^2 + 1")]:
+        p = _prime(q, text)
+        K = p.kappa._kernel
+        good = drinfeld._g_lists(p, p.d)
+        gd = good[-1]
+        assert deuring_h_direct(p) == \
+            drinfeld._h_from_gd(p, p._on_exponents(gd))
+        for bad in (good[:-1] + [K.scale(p.alpha.index, gd)],
+                    good[:-1] + [K.add_polys(gd, [0] * 2 ** p.d + [1])],
+                    good[:-1] + [gd[:-1]],
+                    [gd] + good[1:],
+                    good[:-2] + [[1]] + good[-1:]):
+            monkeypatch.setattr(drinfeld, "_g_lists",
+                                lambda prime, k_max, g=bad: g)
+            with pytest.raises(ConsistencyError):
+                deuring_h_direct(p)
+            monkeypatch.undo()
 
 
-# every degree up to these, for the differential test of the direct route
+# every degree up to these, for the differential tests of the direct route
 _IMAGE_DEGREES = {2: 8, 3: 5, 4: 4, 5: 3, 7: 2, 8: 2, 9: 2}
+
+
+def _drawn_prime(q, data):
+    # a prime of F_q[T] other than T, of a degree up to _IMAGE_DEGREES[q]
+    A = t_poly_ring(base_field(q))
+    d = data.draw(st.integers(1, _IMAGE_DEGREES[q]))
+    low = data.draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d))
+    f = A.poly([A.base.from_index(i) for i in low] + [A.base.one])
+    assume(f != A.gen and is_irreducible(f))
+    return PrimeModulus(f)
 
 
 @settings(max_examples=60, deadline=None)
@@ -281,12 +297,8 @@ _IMAGE_DEGREES = {2: 8, 3: 5, 4: 4, 5: 3, 7: 2, 8: 2, 9: 2}
 def test_g_sequence_matches_the_ore_image(q, data):
     # the image of p under psi_T in kappa[s]{tau}, by the generic Ore
     # product, cut or zero-padded to k + 1 entries
-    A = t_poly_ring(base_field(q))
-    d = data.draw(st.integers(1, _IMAGE_DEGREES[q]))
-    low = data.draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d))
-    f = A.poly([A.base.from_index(i) for i in low] + [A.base.one])
-    assume(f != A.gen and is_irreducible(f))
-    p = PrimeModulus(f)
+    p = _drawn_prime(q, data)
+    f, d = p.p_poly, p.d
     k = data.draw(st.integers(0, 2 * d + 2))
     K, a = p.kappa, p.alpha
     R = PolyRing(K, "s")
@@ -297,6 +309,33 @@ def test_g_sequence_matches_the_ore_image(q, data):
     assert image.degree == 2 * d
     ref = (list(image.coeffs) + [R.zero] * (k + 1))[:k + 1]
     assert deuring_g_sequence(p, k) == ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_IMAGE_DEGREES)), st.data())
+def test_g_lists_on_masks_match_the_dense_reference(q, data):
+    # the direct route's g_k on digit masks, placed on their exponents,
+    # against Horner's rule on dense index lists in Delta
+    from drinfeld_deuring import drinfeld
+
+    p = _drawn_prime(q, data)
+    k = data.draw(st.integers(0, 2 * p.d + 2))
+    masks = drinfeld._g_lists(p, k)
+    assert all(len(g) <= 2 ** i for i, g in enumerate(masks))
+    assert [p._on_exponents(g) for g in masks] == \
+        g_lists_by_dense_horner(p, k)
+
+
+@pytest.mark.parametrize("q", sorted(_IMAGE_DEGREES))
+def test_g_lists_on_masks_match_the_dense_reference_at_the_top_degree(q):
+    # the largest d of each q, where hypothesis draws few primes; g_k does
+    # not depend on k_max >= k, so k_max = 2d + 2 covers every smaller one
+    from drinfeld_deuring import drinfeld
+
+    d = _IMAGE_DEGREES[q]
+    for p in islice(primes_of_degree(base_field(q), d), 2):
+        assert [p._on_exponents(g) for g in drinfeld._g_lists(p, 2 * d + 2)] \
+            == g_lists_by_dense_horner(p, 2 * d + 2)
 
 
 def test_grec_continuation_matches_direct():

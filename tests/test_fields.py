@@ -996,6 +996,56 @@ def test_packed_compose_in_S_matches_the_list_form(case):
     assert K.compose_in_S(coeffs, q) == IndexKernel.compose_in_S(K, coeffs, q)
 
 
+@st.composite
+def _vector_cases(draw):
+    """A kernel of F_(2^k), k <= 16, with k = 8 and k = 9 on either side of
+    the 8/16-bit slot boundary drawn often, two index lists, a scalar and a
+    slot offset.  The lists reach past 256 slots, so a scale grows the
+    kernel's row of ones after shorter ones, and reads a longer row after
+    longer ones."""
+    k = draw(st.one_of(st.sampled_from([8, 9]), st.integers(1, 16)))
+    index = st.one_of(st.just(0), st.integers(1, 2 ** k - 1),
+                      st.just(2 ** k - 1))
+    a, b = (_trim(draw(st.lists(index, max_size=n))) for n in (300, 40))
+    c = draw(st.one_of(st.just(0), st.just(1), index))
+    return k, a, b, c, draw(st.integers(0, 300))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_vector_cases())
+@example((8, [255] * 300, [255], 255, 300))
+@example((9, [511] * 300, [1, 511], 511, 0))
+@example((16, [65535] * 300, [0, 0, 65535], 65535, 7))
+def test_packed_vectors_match_the_list_forms(case):
+    # `_Char2Kernel`'s packed scale, add and place against the index-list
+    # forms that the other kernels' vectors are
+    k, a, b, c, off = case
+    K = base_field(2 ** k)._kernel
+    assert type(K).vector_scale is not IndexKernel.vector_scale
+    X, Y = K.vector(a), K.vector(b)
+    assert K.vector_list(X) == a
+    assert K.vector_list(K.vector_scale(c, X)) == K.scale(c, a)
+    assert K.vector_list(K.vector_add(X, Y)) == K.add_polys(a, b)
+    assert K.vector_list(K.vector_add(X, X)) == []
+    placed = [0] * off + a if a else []
+    assert K.vector_list(K.vector_place(X, off)) == placed
+    assert K.vector_list(K.vector_scale(c, K.vector_place(X, off))) == \
+        K.scale(c, placed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(2, 1), (2, 8), (2, 9), (3, 1), (3, 4), (5, 2),
+                        (65521, 1)]), st.data())
+def test_mul_each_matches_mul_polys(pk, data):
+    # one row of a, built once, against a product per b
+    K = fields._abs_tables(*pk)
+    x = st.one_of(st.just(0), st.integers(1, K.card - 1))
+    a = _trim(data.draw(st.lists(x, max_size=30)))
+    bs = [_trim(b) for b in data.draw(st.lists(st.lists(x, max_size=12),
+                                               max_size=4))]
+    assert K.mul_each(a, bs) == [K.mul_polys(a, b) for b in bs]
+
+
 # q = p^e <= 81 per odd p, and the degrees k of the fields F_(p^k) drawn
 # for each p: S has coefficients in F_p, so F_q need not lie in F_(p^k)
 _ODD_COMPOSE_QS = {3: (3, 9, 27, 81), 5: (5, 25), 7: (7, 49), 11: (11,),
