@@ -12,9 +12,9 @@ Exit codes: 0 = success / everything verified, 1 = some check failed (e.g.
 a graph whose h or neighbor polynomials do not split in kappa_2), 2 = invalid
 input, including a prime whose degree exceeds the cardinality cap (refused
 while parsing, before any polynomial of that degree is built), a graph whose
-kappa_2 exceeds the cap (refused before h is computed), identities or verify
-at q > 64, the budget of the tower identities (refused before any work), and
-an --output or --dot path that cannot be written.  All output is
+kappa_2 exceeds the cap (refused before any root is sought), identities or
+verify at q > 64, the budget of the tower identities (refused before any
+work), and an --output or --dot path that cannot be written.  All output is
 deterministic.
 """
 
@@ -30,8 +30,8 @@ from .drinfeld import _METHODS, DeuringResult, check_g_structure, \
 from .errors import AmbientTooSmallError, ConsistencyError, DomainError, \
     RecurrenceBreakdownError
 from .fields import base_field
-from .isogeny_graph import _graph_from_h, build_supersingular_graph, \
-    verify_component
+from .isogeny_graph import build_supersingular_graph, verify_component, \
+    vertices_are_roots
 from .modulus import PrimeModulus, check_residue_degree, \
     primes_up_to_degree, t_poly_ring
 from .tower import all_identity_reports, check_identities_budget
@@ -147,8 +147,8 @@ def _verify_rows(q, max_degree):
         U_red = U_mod_prime(prime)
         rows.append((f"H-universal[{label}]", H == U_red and H_univ == U_red))
         N = (q ** prime.d - 1) // (q - 1)
-        # h_univ is u_d mod p, which the graph reads as well; it is
-        # separable when it equals u_d built over kappa (`_certified`)
+        # h_univ is u_d mod p, whose roots the graph's vertices must be; it
+        # is separable when it equals u_d built over kappa (`_certified`)
         rows.append((f"h-shape[{label}]",
                      h.degree == N and h.lead == prime.kappa.one
                      and bool(h.constant_coeff())
@@ -156,8 +156,9 @@ def _verify_rows(q, max_degree):
         if prime.d <= 2:
             rows.append((f"g-structure[{label}]", check_g_structure(prime, h)))
         if prime.d <= _GRAPH_ENVELOPE.get(q, 0):
-            rep = verify_component(_graph_from_h(prime, h_univ))
-            rows.append((f"graph[{label}]", rep.ok))
+            g = build_supersingular_graph(prime)
+            rows.append((f"graph[{label}]", verify_component(g).ok
+                         and vertices_are_roots(g, h_univ)))
     return rows
 
 

@@ -665,7 +665,14 @@ class IndexKernel:
         return out
 
     def is_irreducible(self, f):
-        """The gcd-with-Frobenius test, for f of degree >= 2."""
+        """The gcd-with-Frobenius test, for f of degree >= 2.  Two kinds of
+        reducible f are refused before any Frobenius power is formed: those
+        with f(0) = 0, and p-th powers, whose exponents with a nonzero
+        coefficient are all divisible by p (over a perfect field
+        sum c_j x^(pj) = (sum c_j^(1/p) x^j)^p)."""
+        p = self.p
+        if not f[0] or not any(c for j, c in enumerate(f) if j % p):
+            return False
         n = len(f) - 1
         # x^(card^i) mod f for i <= n: x^card is degree-fold the p-th power
         ts = self._frobenius_powers(f, n * self.degree)[::self.degree]
@@ -1105,8 +1112,10 @@ class FiniteField(_Keyed):
         try:
             return [cache[i] for i in idx]
         except KeyError:
-            from_index = self.from_index
-            return [cache[i] if i in cache else from_index(i) for i in idx]
+            # build each missing index once, then read the list once
+            for i in set(idx).difference(cache):
+                self.from_index(i)
+            return [cache[i] for i in idx]
 
     def coerce(self, v):
         if isinstance(v, FieldElement):

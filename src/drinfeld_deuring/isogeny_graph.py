@@ -8,20 +8,35 @@ contributes the edge target
 
     Delta1 = -gamma(T) * Y^q / (Y+1)^(q-1).
 
-Vertices are the roots of the Deuring polynomial h_{p(T)}.  Theory puts them
-in kappa_2 = F_{q^(2d)}, the quadratic extension of kappa, and every root, of
-h and of each c, is taken there; fewer than deg h roots of h, or fewer than q
-of some c, is a ConsistencyError.  For d = 1, kappa itself is too small:
-(Y+1)^(q-1) is 0 or 1 on F_q, so c has at most one root there.  Each c is
-separable (see `neighbors`), but distinct Y-roots may map to the same Delta1,
-so edges carry a multiplicity; out-degree counted with it is exactly q.
+Vertices are the roots of the Deuring polynomial h_{p(T)} = u_d(alpha, Delta).
+Theory puts them in kappa_2 = F_{q^(2d)}, the quadratic extension of kappa,
+and every root, of h and of each c, is taken there; fewer than deg h roots of
+h, or fewer than q of some c, is a ConsistencyError.  For d = 1, kappa itself
+is too small: (Y+1)^(q-1) is 0 or 1 on F_q, so c has at most one root there.
+Each c is separable (see `neighbors`), but distinct Y-roots may map to the
+same Delta1, so edges carry a multiplicity; out-degree counted with it is
+exactly q.
 
-The graph is walked from one root of h.  gcd(x^|kappa_2| - x, h) has one
-linear factor per root of h in kappa_2, and one branch of its trace split
-(`IndexKernel.one_root`) ends in a root.  The targets of a vertex come from a
-linear solve: Y = -1 is never a root of c (c(-1) = -Delta0), so W = 1/(Y+1)
-is defined, with Y = (1-W)/W and (Y+1)^(q-1) * Y = (1-W)/W^q.  c(Y) = 0
-then reads -gamma(T^q) * (1-W) = Delta0 * W^q, that is
+No h is built.  Whether x is a root is read off the u-recurrence at x,
+
+    u_(i+1) = (x^(q^i) + alpha^(q^(i+1))) * u_i
+              - (alpha^(q^i) - alpha) * x^(q^i) * u_(i-1),
+
+d steps of scalar products in kappa_2 (`_root_test`).  The walk starts at one
+root.  For odd d that is Delta = -alpha, where j = 0: that Drinfeld module has
+complex multiplication by F_(q^2)[T], and is supersingular at p exactly when
+p is inert there, that is when deg p is odd (Gekeler, Zur Arithmetik von
+Drinfeld-Moduln, Math. Ann. 262, 1983); the root test checks it.  For even d
+the start is the first root of a scan, over kappa's elements and then over
+kappa_2 by index: the Frobenius of kappa_2 over kappa permutes the roots in
+pairs and fixed points, so kappa holds one whenever deg h is odd, as it is for
+every even q.  The vertices are sorted at the end, so any start gives the
+same graph.
+
+The targets of a vertex come from a linear solve: Y = -1 is never a root of
+c (c(-1) = -Delta0), so W = 1/(Y+1) is defined, with Y = (1-W)/W and
+(Y+1)^(q-1) * Y = (1-W)/W^q.  c(Y) = 0 then reads
+-gamma(T^q) * (1-W) = Delta0 * W^q, that is
 
     a * W^q + W = 1,    a = -Delta0 / gamma(T^q),
 
@@ -29,15 +44,15 @@ and W -> a*W^q + W is F_p-linear.  An index's base-p digits are its
 coordinates in the basis z^i, so the solve is an elimination on indices of
 dimension [kappa_2 : F_p], and each solution gives the target
 Delta1 = -gamma(T) * Y^q * W^(q-1).  The walk is breadth-first; each new
-target is tested as a root of h by the kernel's `evaluate`, and one that
-is not is a stray target, which is not walked on.  The walk must reach
-all deg h roots: h is separable, so this shows that the graph is connected
-and that every root was found.
+target goes through the root test, and one that is not a root is a stray
+target, which is not walked on.  The walk must reach all deg h roots: h is
+separable of degree N = (q^d - 1)/(q - 1), so reaching N distinct roots shows
+that the graph is connected and that every root was found.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
-from .drinfeld import deuring_h_universal
 from .errors import AmbientTooSmallError, ConsistencyError, DomainError
 from .fields import FiniteField, embed
 from .modulus import PrimeModulus, check_residue_degree
@@ -162,44 +177,36 @@ class IsogenyGraph:
 
 
 def build_supersingular_graph(prime):
+    """The graph at a prime whose kappa_2 is within the cap, by the walk of
+    the module docstring."""
+    q, d = prime.q, prime.d
     # kappa_2 is a residue field of degree 2d: one over the cap is refused
-    # before h or any root is computed
-    check_residue_degree(prime.q, 2 * prime.d)
-    return _graph_from_h(prime, deuring_h_universal(prime))
-
-
-def _graph_from_h(prime, h):
-    """build_supersingular_graph at a prime whose kappa_2 is within the cap,
-    from h = u_d mod p, by the walk of the module docstring."""
-    # built after h, since its tables would evict h's data from the caches
+    # before any root is sought
+    check_residue_degree(q, 2 * d)
     ambient = prime.kappa.extension(2)
-    K = ambient._kernel
-    g = [ambient._base_emb[c.index] for c in h.coeffs]
-    count, root = K.one_root(g)
-    if count != h.degree:
-        raise ConsistencyError(
-            f"h of degree {h.degree} has {count} distinct roots in kappa_2")
-    h_terms = [(0, [(i, c) for i, c in enumerate(g) if c])]
+    is_root = _root_test(prime, ambient)
+    root = _first_root(prime, ambient, is_root)
     solve = _neighbor_solver(prime, ambient)
     targets = {root: None}  # vertex -> its targets, once it is walked
     strays = set()
     walk = [root]
     for v in walk:
         try:
-            ts = targets[v] = _checked(solve(v), prime.q)
+            ts = targets[v] = _checked(solve(v), q)
         except AmbientTooSmallError as exc:
             raise ConsistencyError(f"in kappa_2, {exc}") from None
         for t in ts:
             if t not in targets and t not in strays:
-                if not K.evaluate(h_terms, t)[0]:
+                if is_root(t):
                     targets[t] = None
                     walk.append(t)
                 else:
                     strays.add(t)
-    if len(walk) != h.degree:
+    n = (q ** d - 1) // (q - 1)
+    if len(walk) != n:
         raise ConsistencyError(
             f"the walk from one root of h reached {len(walk)} of its "
-            f"{h.degree} roots in kappa_2")
+            f"{n} roots in kappa_2")
     walk.sort()
     index = {v: i for i, v in enumerate(walk)}
     edges = {}
@@ -213,6 +220,57 @@ def _graph_from_h(prime, h):
                 edges[i, j] = edges.get((i, j), 0) + 1
     return IsogenyGraph(prime, ambient, 2, tuple(ambient._elements(walk)),
                         edges, tuple(stray_targets))
+
+
+def _root_test(prime, ambient):
+    """The test h(x) = 0 for an ambient index x, by the u-recurrence of the
+    module docstring on the kernel's scalars, its alpha-constants formed
+    once."""
+    K, q = ambient._kernel, prime.q
+    add, mul, pw = K._add, K._mul, K._pow
+    a = embed(prime.alpha, ambient).index
+    a_q = pw(a, q)
+    # per step i >= 1: alpha^(q^(i+1)) and alpha - alpha^(q^i)
+    steps = [(pw(a, q ** (i + 1)), add(a, K._neg(pw(a, q ** i))))
+             for i in range(1, prime.d)]
+
+    def is_root(x):
+        # u_0 = 1 and u_1 = x + alpha^q
+        prev, cur = 1, add(x, a_q)
+        for c, b in steps:
+            x = pw(x, q)
+            prev, cur = cur, add(mul(add(x, c), cur), mul(mul(b, x), prev))
+        return not cur
+
+    return is_root
+
+
+def _first_root(prime, ambient, is_root):
+    """The root of h the walk starts at: -alpha for odd d, checked, and for
+    even d the first root over kappa's nonzero elements and then over
+    kappa_2 by index (module docstring)."""
+    if prime.d % 2:
+        root = ambient._neg(embed(prime.alpha, ambient).index)
+        if not is_root(root):
+            raise ConsistencyError(
+                f"Delta = -alpha (j = 0) is not a root of h at a prime of "
+                f"odd degree {prime.d}")
+        return root
+    root = next(filter(is_root, itertools.chain(ambient._base_emb[1:],
+                                                range(1, ambient.card))),
+                None)
+    if root is None:
+        raise ConsistencyError("h has no root in kappa_2")
+    return root
+
+
+def vertices_are_roots(graph, h):
+    """Whether every vertex of `graph` is a root of h, a polynomial over
+    kappa: the link from a graph walked by the root test to a route's h."""
+    K = graph.ambient._kernel
+    rows = [(0, [(e, c.index) for e, c in enumerate(h.coeffs) if c])]
+    k = graph.prime.kappa.degree
+    return all(not K.evaluate(rows, v.index, k)[0] for v in graph.vertices)
 
 
 @dataclass(frozen=True)

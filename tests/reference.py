@@ -1,9 +1,11 @@
 """Element-level references for tests: routines the package replaced with
 faster ones, kept to check those against."""
 
-from drinfeld_deuring.errors import ConsistencyError, DomainError
-from drinfeld_deuring.fields import embed
-from drinfeld_deuring.isogeny_graph import IsogenyGraph
+from drinfeld_deuring.errors import AmbientTooSmallError, \
+    ConsistencyError, DomainError
+from drinfeld_deuring.fields import _prime_divisors, embed
+from drinfeld_deuring.isogeny_graph import IsogenyGraph, _checked, \
+    _neighbor_solver
 from drinfeld_deuring.poly import Poly, poly_gcd, roots_in_extension
 
 
@@ -137,9 +139,9 @@ def neighbor_pass(prime, ambient, vertices):
 
 
 def graph_by_pass(prime, h):
-    """isogeny_graph._graph_from_h(prime, h) as it was built before the
-    walk: every root of h in kappa_2 by root finding, and every edge from
-    one `neighbor_pass` over kappa_2."""
+    """`graph_by_walk_from_h(prime, h)` as it was built before the walk:
+    every root of h in kappa_2 by root finding, and every edge from one
+    `neighbor_pass` over kappa_2."""
     ambient = prime.kappa.extension(2)
     verts = roots_in_extension(h, 2)
     if len(set(verts)) != h.degree:
@@ -163,6 +165,67 @@ def graph_by_pass(prime, h):
             else:
                 edges[i, j] = edges.get((i, j), 0) + 1
     return IsogenyGraph(prime, ambient, 2, tuple(verts), edges, tuple(strays))
+
+
+def graph_by_walk_from_h(prime, h):
+    """build_supersingular_graph(prime) from h = u_d mod p, as it was built
+    before the walk tested roots by the u-recurrence: one root of h in
+    kappa_2 from one branch of the root split of gcd(x^|kappa_2| - x, h),
+    whose degree counts the distinct roots, and each target tested by
+    evaluating h."""
+    ambient = prime.kappa.extension(2)
+    K = ambient._kernel
+    g = [ambient._base_emb[c.index] for c in h.coeffs]
+    count, root = K.one_root(g)
+    if count != h.degree:
+        raise ConsistencyError(
+            f"h of degree {h.degree} has {count} distinct roots in kappa_2")
+    h_terms = [(0, [(i, c) for i, c in enumerate(g) if c])]
+    solve = _neighbor_solver(prime, ambient)
+    targets = {root: None}
+    strays = set()
+    walk = [root]
+    for v in walk:
+        try:
+            ts = targets[v] = _checked(solve(v), prime.q)
+        except AmbientTooSmallError as exc:
+            raise ConsistencyError(f"in kappa_2, {exc}") from None
+        for t in ts:
+            if t not in targets and t not in strays:
+                if not K.evaluate(h_terms, t)[0]:
+                    targets[t] = None
+                    walk.append(t)
+                else:
+                    strays.add(t)
+    if len(walk) != h.degree:
+        raise ConsistencyError(
+            f"the walk from one root of h reached {len(walk)} of its "
+            f"{h.degree} roots in kappa_2")
+    walk.sort()
+    index = {v: i for i, v in enumerate(walk)}
+    edges = {}
+    stray_targets = []
+    for i, v in enumerate(walk):
+        for t in targets[v]:
+            j = index.get(t)
+            if j is None:
+                stray_targets.append((i, ambient.from_index(t)))
+            else:
+                edges[i, j] = edges.get((i, j), 0) + 1
+    return IsogenyGraph(prime, ambient, 2, tuple(ambient._elements(walk)),
+                        edges, tuple(stray_targets))
+
+
+def is_irreducible_by_rabin(kernel, f):
+    """kernel.is_irreducible(f) for f of degree >= 2, as it ran before it
+    refused f(0) = 0 and p-th powers up front: Rabin's test alone, x^(card^n)
+    = x mod f and gcd(x^(card^(n/r)) - x, f) = 1 for each prime r | n."""
+    n = len(f) - 1
+    ts = kernel._frobenius_powers(f, n * kernel.degree)[::kernel.degree]
+    if ts[n] != ts[0]:
+        return False
+    return all(len(kernel.gcd(kernel.sub_polys(ts[n // r], [0, 1]), f)) == 1
+               for r in _prime_divisors(n))
 
 
 def compose_in_S_by_residues(kernel, coeffs, q):

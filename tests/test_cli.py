@@ -13,6 +13,7 @@ from drinfeld_deuring import cli
 from drinfeld_deuring.cli import main
 from drinfeld_deuring.fields import IndexKernel, base_field
 from drinfeld_deuring.modulus import primes_up_to_degree
+from test_isogeny_graph import _lose_a_root
 
 H22 = "s^6 + s^5 + a*s^4 + s^3 + a*s^2 + s + 1"
 
@@ -481,22 +482,9 @@ def test_dot_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
     assert _sha256(dot.read_bytes()) == GOLDEN_DOT
 
 
-def _graph_root_search_loses_a_root(monkeypatch):
-    from drinfeld_deuring.fields import IndexKernel
-
-    # the kernel's search for one root, which also counts the roots: of h
-    # in kappa_2 here (designated roots read only the root)
-    real = IndexKernel.one_root
-
-    def lossy(kernel, g):
-        count, root = real(kernel, g)
-        return count - 1, root
-
-    monkeypatch.setattr(IndexKernel, "one_root", lossy)
-
-
 def test_graph_fails_when_h_needs_a_larger_field(monkeypatch, capsys):
-    _graph_root_search_loses_a_root(monkeypatch)
+    # the walk's root test misses one root of h, as if it lay beyond kappa_2
+    _lose_a_root(monkeypatch, cli._parse_prime(2, "T^2+T+1"))
     assert main(["graph", "--q", "2", "--prime", "T^2+T+1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -521,13 +509,14 @@ def test_graph_fails_when_a_neighbor_needs_a_larger_field(monkeypatch, capsys):
 
 
 def test_graph_out_of_cap_kappa_2_fails_before_h(monkeypatch, capsys):
-    from drinfeld_deuring import isogeny_graph
+    from drinfeld_deuring import drinfeld, isogeny_graph
 
     def unreachable(*_args):
         raise AssertionError("graph computed h or a root past the cap check")
 
-    monkeypatch.setattr(isogeny_graph, "deuring_h_universal", unreachable)
-    monkeypatch.setattr(isogeny_graph, "_graph_from_h", unreachable)
+    monkeypatch.setattr(drinfeld, "deuring_h_universal", unreachable)
+    monkeypatch.setattr(isogeny_graph, "_root_test", unreachable)
+    monkeypatch.setattr(isogeny_graph, "_first_root", unreachable)
     # kappa = F_{2^9} fits under the cap, kappa_2 = F_{2^18} does not
     assert main(["graph", "--q", "2", "--prime", "T^9+T^4+1"]) == 2
     captured = capsys.readouterr()

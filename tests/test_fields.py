@@ -1173,3 +1173,88 @@ def test_power_makes_no_square_after_the_top_bit():
         assert _power(3, e, 1, mul) == 3 ** e
         # one square per bit below the top one, one product per set bit
         assert len(calls) == max(e.bit_length() - 1, 0) + bin(e).count("1")
+
+
+def test_elements_builds_each_missing_index_once(monkeypatch):
+    # a field of its own: a gen_name no other test uses keys a new instance,
+    # whose cache holds little more than 0 and 1
+    F = base_field(2).extension(10, gen_name="elements_once")
+    a, b, c = [i for i in range(2, F.card) if i not in F._elt_cache][:3]
+    cached = F.from_index(c)
+    built = []
+    real = F.from_index
+
+    def counted(i):
+        built.append(i)
+        return real(i)
+
+    monkeypatch.setattr(F, "from_index", counted)
+    idx = [a, c, 0, a, b, 1, b, a, c]
+    got = F._elements(idx)
+    assert sorted(built) == [a, b]
+    assert [x.index for x in got] == idx
+    # each element is the cached object, so a second read builds nothing
+    assert got[1] is cached and got[2] is F.zero and got[5] is F.one
+    assert all(x is F._elt_cache[i] for x, i in zip(got, idx))
+    assert F._elements(idx) == got and sorted(built) == [a, b]
+    with pytest.raises(DomainError):
+        F._elements([c, F.card])
+    with pytest.raises(DomainError):
+        F._elements([-1])
+
+
+# the modulus search's answer at every (p, k, m) that the CI console script,
+# the CLI golden commands and the benchmark workloads (seeds 0-2) build,
+# as the search answered before it refused f(0) = 0 and p-th powers up front
+_LEAST_IRREDUCIBLE = {
+    (2, 1, 1): (0, 1),
+    (2, 1, 2): (1, 1, 1),
+    (2, 1, 3): (1, 1, 0, 1),
+    (2, 1, 4): (1, 1, 0, 0, 1),
+    (2, 1, 5): (1, 0, 1, 0, 0, 1),
+    (2, 1, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 1, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 1, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 1, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 1, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (2, 1, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 1, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 1, 14): (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 1, 16): (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 2, 2): (2, 1, 1),
+    (2, 3, 2): (1, 1, 1),
+    (2, 5, 2): (1, 1, 1),
+    (2, 6, 2): (32, 1, 1),
+    (2, 7, 2): (1, 1, 1),
+    (2, 8, 2): (32, 1, 1),
+    (3, 1, 1): (0, 1),
+    (3, 1, 2): (1, 0, 1),
+    (3, 1, 3): (1, 2, 0, 1),
+    (3, 1, 4): (2, 1, 0, 0, 1),
+    (3, 1, 5): (1, 2, 0, 0, 0, 1),
+    (3, 1, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 1, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
+    (3, 1, 9): (1, 0, 1, 2, 0, 0, 0, 0, 0, 1),
+    (3, 1, 10): (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 2, 2): (4, 0, 1),
+    (3, 3, 2): (1, 0, 1),
+    (3, 4, 2): (3, 0, 1),
+    (3, 5, 2): (1, 0, 1),
+    (5, 1, 1): (0, 1),
+    (5, 1, 2): (2, 0, 1),
+    (5, 1, 3): (1, 1, 0, 1),
+    (5, 1, 4): (2, 0, 0, 0, 1),
+    (7, 1, 1): (0, 1),
+    (7, 1, 2): (1, 0, 1),
+    (13, 1, 1): (0, 1),
+    (13, 1, 2): (2, 0, 1),
+    (13, 1, 4): (2, 0, 0, 0, 1),
+    (61, 1, 1): (0, 1),
+    (251, 1, 1): (0, 1),
+    (65521, 1, 1): (0, 1),
+}
+
+
+def test_least_irreducible_is_pinned():
+    for (p, k, m), want in _LEAST_IRREDUCIBLE.items():
+        assert fields._least_irreducible(p, k, m) == want, (p, k, m)

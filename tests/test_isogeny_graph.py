@@ -1,14 +1,16 @@
 """Correspondence graph on supersingular Delta-invariants."""
 
+import importlib.util
 import json
+import pathlib
 import warnings
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drinfeld_deuring import isogeny_graph, poly
-from drinfeld_deuring.drinfeld import deuring_h_universal
+from drinfeld_deuring import drinfeld, isogeny_graph, poly, universal
+from drinfeld_deuring.drinfeld import deuring_h_direct, deuring_h_universal
 from drinfeld_deuring.errors import AmbientTooSmallError, ConsistencyError, \
     DomainError
 from drinfeld_deuring.fields import IndexKernel, base_field, embed
@@ -128,12 +130,38 @@ def test_no_splitting_warning_for_these_primes():
         _graph(3, "T^2 + T + 2")
 
 
-def _edit_root_search(monkeypatch, edit):
-    """Pass the builder's search for one root of h in kappa_2, the pair
-    (number of distinct roots, one root), through `edit`."""
-    real = IndexKernel.one_root
-    monkeypatch.setattr(IndexKernel, "one_root",
-                        lambda kernel, g: edit(*real(kernel, g)))
+def _edit_root_test(monkeypatch, edit):
+    """Pass each answer of the walk's root test, at an ambient index x,
+    through `edit(x, answer)`."""
+    real = isogeny_graph._root_test
+
+    def root_test(*args):
+        is_root = real(*args)
+        return lambda x: edit(x, is_root(x))
+
+    monkeypatch.setattr(isogeny_graph, "_root_test", root_test)
+
+
+def _root_test_of(h):
+    """A stand-in for `isogeny_graph._root_test` that asks whether h, a
+    polynomial over kappa, vanishes at the ambient index x."""
+    rows = [(0, [(e, c.index) for e, c in enumerate(h.coeffs) if c])]
+
+    def root_test(prime, ambient):
+        K, k = ambient._kernel, prime.kappa.degree
+        return lambda x: not K.evaluate(rows, x, k)[0]
+
+    return root_test
+
+
+def _lose_a_root(monkeypatch, prime):
+    """Make the root test miss the greatest root of h other than the walk's
+    start, as if that root lay beyond kappa_2."""
+    E = prime.kappa.extension(2)
+    is_root = isogeny_graph._root_test(prime, E)
+    start = isogeny_graph._first_root(prime, E, is_root)
+    lost = max(i for i in range(1, E.card) if i != start and is_root(i))
+    _edit_root_test(monkeypatch, lambda x, answer: answer and x != lost)
 
 
 def _edit_neighbor_solve(monkeypatch, edit):
@@ -164,19 +192,37 @@ def _drop_a_neighbor_hit(monkeypatch):
 
 
 def test_splitting_beyond_kappa_2_is_a_check_failure(monkeypatch):
-    _edit_root_search(monkeypatch, lambda count, root: (count - 1, root))
-    with pytest.raises(ConsistencyError, match="2 distinct roots in kappa_2"):
+    # one root of h beyond kappa_2: the walk reaches only the other two
+    _lose_a_root(monkeypatch, _prime(2, "T^2 + T + 1"))
+    with pytest.raises(ConsistencyError, match="reached 2 of its 3 roots"):
         _graph(2, "T^2 + T + 1")
 
 
-def test_repeated_root_of_h_is_a_check_failure():
-    # deg h roots with multiplicity, but only deg h - 1 distinct ones
+def test_repeated_root_of_h_is_a_check_failure(monkeypatch):
+    # deg h roots with multiplicity, but only deg h - 1 distinct ones: the
+    # walk, testing roots on this h, cannot reach deg h of them
     prime = _prime(2, "T^2 + T + 1")
     s = prime.s_ring.gen
     h = (s - prime.kappa.one) ** 2 * (s - prime.alpha)
     assert h.degree == 3
-    with pytest.raises(ConsistencyError, match="2 distinct roots in kappa_2"):
-        isogeny_graph._graph_from_h(prime, h)
+    monkeypatch.setattr(isogeny_graph, "_root_test", _root_test_of(h))
+    with pytest.raises(ConsistencyError, match="reached [12] of its 3 roots"):
+        build_supersingular_graph(prime)
+
+
+def test_j_zero_off_h_at_odd_degree_is_a_check_failure(monkeypatch):
+    prime = _prime(2, "T^3 + T + 1")
+    start = (-embed(prime.alpha, prime.kappa.extension(2))).index
+    _edit_root_test(monkeypatch, lambda x, answer: answer and x != start)
+    with pytest.raises(ConsistencyError, match="-alpha .* not a root of h"):
+        build_supersingular_graph(prime)
+
+
+def test_h_with_no_root_in_kappa_2_is_a_check_failure(monkeypatch):
+    # at even d the scan for a start finds nothing
+    _edit_root_test(monkeypatch, lambda _x, _answer: False)
+    with pytest.raises(ConsistencyError, match="no root in kappa_2"):
+        _graph(3, "T^2 + 1")
 
 
 def test_neighbor_root_beyond_kappa_2_is_a_check_failure(monkeypatch):
@@ -185,26 +231,66 @@ def test_neighbor_root_beyond_kappa_2_is_a_check_failure(monkeypatch):
         _graph(2, "T^2 + T + 1")
 
 
+def _unreachable(what):
+    def unreachable(*_args, **_kwargs):
+        raise AssertionError(f"the graph ran {what}")
+
+    return unreachable
+
+
 def test_graph_finds_roots_once(monkeypatch):
-    # one root of h, by one root search; every other vertex comes from the
-    # walk, and no full root finding runs
-    prime = _prime(2, "T^3 + T + 1")
-    prime.kappa.extension(2)  # kappa_2's own designated root, found first
-    calls = []
-    real = IndexKernel.one_root
+    # no root search: the walk starts at -alpha (odd d) or at a root found
+    # by the root test (even d), and every other vertex comes from the walk
+    primes = [_prime(2, "T^3 + T + 1"), _prime(2, "T^4 + T + 1")]
+    for prime in primes:
+        prime.kappa.extension(2)  # kappa_2's own designated root, first
+    for name in ("one_root", "root_part", "split", "distinct_roots"):
+        monkeypatch.setattr(IndexKernel, name, _unreachable(name))
+    monkeypatch.setattr(poly, "roots_in_extension",
+                        _unreachable("full root finding"))
+    for prime in primes:
+        assert verify_component(build_supersingular_graph(prime)).ok
 
-    def counted(kernel, g):
-        calls.append(len(g) - 1)
-        return real(kernel, g)
 
-    def unreachable(*_args):
-        raise AssertionError("the graph ran full root finding")
+@pytest.mark.parametrize("q,text", [(2, "T^3 + T + 1"), (2, "T^4 + T + 1"),
+                                    (3, "T^3 + 2*T + 1"), (3, "T^2 + 1")])
+def test_graph_builds_no_h(monkeypatch, q, text):
+    # every h route, and the u-recurrence over kappa, raise; no polynomial
+    # of degree deg h is built
+    prime = _prime(q, text)
+    want = build_supersingular_graph(prime)
+    n = (q ** prime.d - 1) // (q - 1)
+    for name in ("deuring_h_direct", "deuring_h_grec", "deuring_h_universal",
+                 "deuring_g_sequence", "_g_lists", "_h_from_gd"):
+        monkeypatch.setattr(drinfeld, name, _unreachable(name))
+    for name in drinfeld._METHODS:
+        monkeypatch.setitem(drinfeld._METHODS, name, _unreachable(name))
+    for name in ("u_sequence", "u_mod_prime", "_u_on_masks", "_certified"):
+        monkeypatch.setattr(universal, name, _unreachable(name))
+    # nor any polynomial arithmetic in the kernel, once kappa_2 is built
+    for name in ("add_polys", "scale", "mul_polys", "mul_each",
+                 "divmod_polys", "gcd", "powmod", "_frobenius_powers",
+                 "evaluate", "sum_copies", "compose_in_S", "vector_scale"):
+        for kind in (IndexKernel, *IndexKernel.__subclasses__()):
+            if name in vars(kind):
+                monkeypatch.setattr(kind, name, _unreachable(name))
+    degrees = []
+    real_init, real_from = poly._Dense.__init__, poly._from_indices
 
-    monkeypatch.setattr(IndexKernel, "one_root", counted)
-    monkeypatch.setattr(poly, "roots_in_extension", unreachable)
-    monkeypatch.setattr(IndexKernel, "distinct_roots", unreachable)
-    assert verify_component(build_supersingular_graph(prime)).ok
-    assert calls == [7]
+    def counted(self, ring, coeffs):
+        real_init(self, ring, coeffs)
+        degrees.append(len(self.coeffs) - 1)
+
+    def counted_from(ring, idx):
+        degrees.append(len(idx) - 1)
+        return real_from(ring, idx)
+
+    monkeypatch.setattr(poly._Dense, "__init__", counted)
+    monkeypatch.setattr(poly, "_from_indices", counted_from)
+    monkeypatch.setattr(drinfeld, "_from_indices", counted_from)
+    got = build_supersingular_graph(prime)
+    assert got == want and got.to_json_dict() == want.to_json_dict()
+    assert all(deg < n for deg in degrees)
 
 
 def test_a_target_off_h_is_a_stray_and_is_not_walked(monkeypatch):
@@ -314,10 +400,13 @@ def test_neighbor_pass_matches_root_finding_on_small_kappa_2():
 
 
 # the graph primes of CI: kappa_2 = F_(2^16), F_(3^8), F_(9^4), F_(3^10),
-# F_(2^16) over F_256, and F_(4^8)
+# F_(2^16) over F_256, F_(4^8), F_(2^14) (odd d, so the walk starts at
+# j = 0) and F_(2^16) over F_256 again, whose least root of h is 10,266
+# indices in
 _CI_GRAPH_PRIMES = [(2, "T^8+T^4+T^3+T^2+1"), (3, "T^4+T+2"), (9, "T^2+T+x"),
                     (3, "T^5+2*T+1"), (16, "T^2+T+x^3"),
-                    (4, "T^4+T^2+x*T+1")]
+                    (4, "T^4+T^2+x*T+1"), (2, "T^7+T^6+T^4+T^2+1"),
+                    (16, "T^2+(x^3+x^2+x)*T+x^3+1")]
 
 
 def test_walk_matches_the_pass_and_root_finding():
@@ -325,11 +414,79 @@ def test_walk_matches_the_pass_and_root_finding():
                                         for q, t in _CI_GRAPH_PRIMES]
     for prime in primes:
         h = deuring_h_universal(prime)
-        walked = isogeny_graph._graph_from_h(prime, h)
+        walked = build_supersingular_graph(prime)
+        from_h = reference.graph_by_walk_from_h(prime, h)
         passed = reference.graph_by_pass(prime, h)
-        assert walked == passed, prime
+        assert walked == from_h == passed, prime
         assert walked.to_json_dict() == passed.to_json_dict()
         assert walked.to_dot() == passed.to_dot()
+
+
+def _graph_grid_primes(seeds):
+    """The primes of the benchmark's `graph` workload at the given seeds."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" \
+        / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [workloads.seeded_prime(seed, q, d) for seed in seeds
+            for q, d in workloads.GRAPH_GRID]
+
+
+def test_walk_matches_the_walk_from_h_on_the_graph_grid():
+    for prime in _graph_grid_primes(range(3)):
+        walked = build_supersingular_graph(prime)
+        from_h = reference.graph_by_walk_from_h(prime,
+                                                deuring_h_universal(prime))
+        assert walked.vertices == from_h.vertices, prime
+        assert walked.edges == from_h.edges, prime
+        assert walked.stray_targets == from_h.stray_targets, prime
+
+
+def _kappa_2_primes_up_to(card):
+    # every prime whose kappa_2 has at most `card` elements
+    out = []
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 31, 32):
+        d = 1
+        while q ** (2 * d) <= card:
+            out += primes_of_degree(base_field(q), d)
+            d += 1
+    return out
+
+
+def test_root_test_is_h_vanishing_on_all_of_kappa_2():
+    # at every x of kappa_2, for every prime with |kappa_2| <= 2^10
+    primes = _kappa_2_primes_up_to(2 ** 10)
+    assert len(primes) == 218
+    for prime in primes:
+        E = prime.kappa.extension(2)
+        is_root = isogeny_graph._root_test(prime, E)
+        vanishes = _root_test_of(deuring_h_universal(prime))(prime, E)
+        assert not is_root(0)  # h(0) != 0
+        assert [is_root(x) for x in range(1, E.card)] == [
+            vanishes(x) for x in range(1, E.card)], prime
+
+
+@pytest.mark.parametrize("q,text", [(2, "T^3 + T + 1"), (3, "T^2 + 1"),
+                                    (4, "T^2 + T + x")])
+def test_vertices_are_roots_of_h_and_not_of_h_plus_1(q, text):
+    prime = _prime(q, text)
+    g = build_supersingular_graph(prime)
+    h = deuring_h_universal(prime)
+    assert isogeny_graph.vertices_are_roots(g, h)
+    assert not isogeny_graph.vertices_are_roots(g, h + prime.s_ring.one)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_j_zero_is_supersingular_exactly_at_odd_degree(q):
+    # Delta = -alpha, j = 0, is a root of h exactly when d is odd; in kappa
+    for d in range(1, 6):
+        for prime in islice(primes_of_degree(base_field(q), d), 2):
+            K = prime.kappa._kernel
+            h = deuring_h_direct(prime)
+            rows = [(0, [(e, c.index) for e, c in enumerate(h.coeffs) if c])]
+            value = K.evaluate(rows, (-prime.alpha).index)[0]
+            assert (value == 0) == (d % 2 == 1), prime
 
 
 @settings(max_examples=60, deadline=None)

@@ -702,6 +702,54 @@ def test_kernel_is_irreducible_matches_elementwise_loop(F, data):
     assert is_irreducible(f) == _elementwise_is_irreducible(f)
 
 
+# F_(p^k) for p <= 7, in which degrees 2-8 run Rabin's test quickly
+_PRECHECK_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1),
+                    (5, 2), (7, 1)]
+
+
+@st.composite
+def _precheck_case(draw):
+    """(kernel, f): f of degree 2-8 over F_(p^k), drawn often as a p-th
+    power (every exponent with a nonzero coefficient divisible by p), with
+    f(0) = 0, or both."""
+    p, k = draw(st.sampled_from(_PRECHECK_FIELDS))
+    K = _abs_tables(p, k)
+    shape = draw(st.sampled_from(["any", "p-th power", "f(0) = 0", "both"]))
+    step = p if shape in ("p-th power", "both") else 1
+    n = step * draw(st.integers(-(-2 // step), 8 // step))
+    coeff = st.one_of(st.just(0), st.integers(1, K.card - 1))
+    f = [0] * (n + 1)
+    for e in range(0, n, step):
+        f[e] = draw(coeff)
+    f[n] = draw(st.integers(1, K.card - 1))
+    if shape in ("f(0) = 0", "both"):
+        f[0] = 0
+    return K, f
+
+
+@settings(max_examples=200, deadline=None)
+@given(_precheck_case())
+def test_is_irreducible_precheck_matches_rabin(case):
+    K, f = case
+    assert K.is_irreducible(f) == reference.is_irreducible_by_rabin(K, f)
+
+
+# f(0) = 0 over F_2 and F_7; a square over F_16, a cube over F_9, and
+# x^5 + 2 = (x + 2)^5 over F_5
+@pytest.mark.parametrize("p,k,f", [
+    (2, 1, [0, 1, 1]), (7, 1, [0, 3, 0, 1]), (2, 4, [5, 0, 1]),
+    (3, 2, [4, 0, 0, 2, 0, 0, 1]), (5, 1, [2, 0, 0, 0, 0, 1])])
+def test_is_irreducible_refuses_before_any_frobenius_power(monkeypatch, p, k,
+                                                           f):
+    K = _abs_tables(p, k)
+
+    def unreachable(*_args):
+        raise AssertionError("a Frobenius power was formed")
+
+    monkeypatch.setattr(K, "_frobenius_powers", unreachable)
+    assert not K.is_irreducible(f)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_kernel_field(), st.data())
 def test_kernel_roots_match_elementwise_loops(F, data):
