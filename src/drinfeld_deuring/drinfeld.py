@@ -44,8 +44,9 @@ part 0, g_0 maps to (0, p'(alpha)), and T^(q^k) - T maps to
 (alpha^(q^k) - alpha, -1): a unit for k < d, and -eps at k = d.  Every step
 is linear in the value parts, so they stay 0 below k = d, and what is left
 is a three-term recurrence on the eps parts in kappa[Delta]
-(`deuring_h_grec`).  Its last step divides by -eps, so g_d mod p is minus
-the eps part of its numerator.  The route uses neither the Ore image nor u.
+(`deuring_h_grec`), run on the digit masks of g_k.  Its last step divides
+by -eps, so g_d mod p is minus the eps part of its numerator.  The route
+uses neither the Ore image nor u.
 
 The companion H has degree q^(d+1) - q and encodes the Legendre-form
 parameter: H is the numerator of
@@ -65,9 +66,10 @@ int of kappa indices in s, with no field product at all.  R(Y) goes onto
 the (q-1)-stride of s in one place, `PrimeModulus._poly_in_y`, which
 `universal.U_mod_prime` shares.
 
-The direct route runs on the kernel's slot vectors on digit masks, grec
-and H on kappa index lists in Delta (or s), all in the field's
-`fields.IndexKernel`, and each builds its `Poly` once, at the end.
+The direct route runs on the kernel's slot vectors on digit masks, grec on
+kappa index lists on the same masks, and H on kappa index lists in y, all
+in the field's `fields.IndexKernel`, and each builds its `Poly` once, at
+the end.
 """
 
 from __future__ import annotations
@@ -77,9 +79,9 @@ from dataclasses import dataclass
 from .errors import ConsistencyError, DomainError
 from .fields import embed
 from .modulus import PrimeModulus
-from .ore import OreContext, drinfeld_image
-from .poly import PolyRing, _from_indices
-from .universal import u_mod_prime
+from .ore import OreContext
+from .poly import PolyRing
+from .universal import u_mod_prime, u_root_test
 
 
 class DeltaModule:
@@ -140,7 +142,9 @@ def j_invariant(module):
 
 
 def is_supersingular(module, prime):
-    """Whether psi has no tau^d term in psi_{p(T)}, for deg-d prime p."""
+    """Whether psi has no tau^d term in psi_{p(T)}, for deg-d prime p: by
+    the paper's h_p(Delta) = u_d(gamma, Delta), the u-recurrence at the
+    point (`universal.u_root_test`), with no twisted polynomial built."""
     if isinstance(module, LambdaModule):
         module = module.to_delta()
     L = module.L
@@ -151,22 +155,21 @@ def is_supersingular(module, prime):
     if p_in_L(module.t_image):
         raise DomainError("the T-image is not a root of p: "
                           "the module does not have characteristic p(T)")
-    ctx = OreContext(L, module.q)
-    image = drinfeld_image(ctx, module.psi_T(ctx), prime.p_poly,
-                           scalar=lambda c: embed(c, L))
-    return not image.coeff(prime.d)
+    is_root = u_root_test(L._kernel, module.t_image.index, prime.q, prime.d)
+    return is_root(module.delta.index)
 
 
-def _omega_step(K, w1, w2, Q, q, aQ, c):
-    """c * (w1 * (Delta^Q + alpha^Q) - w2 * Delta^(Q/q)) on K's index lists,
-    with aQ the index of alpha^Q: grec's N_k.  grec keeps w1 and
-    w2 * Delta^(Q/q) below Delta-degree Q, so the shift of c * w1 by Q
-    overlaps nothing."""
+def _omega_step(K, w1, w2, bit, aQ, c):
+    """c * (w1 * (Delta^Q + alpha^Q) - w2 * Delta^(Q/q)) on K's index lists
+    on digit masks, Q = q^(k-1) and bit = 2^(k-1), with aQ the index of
+    alpha^Q: grec's N_k.  w1 lies on masks below bit and w2 below bit/2,
+    so a product by Delta^Q sets bit k-1 of w1 and one by Delta^(Q/q) bit
+    k-2 of w2, and the shift of c * w1 overlaps nothing."""
     cw1 = K.scale(c, w1)
     low = K.scale(aQ, cw1)
     if w2:
-        low = K.add_polys(low, [0] * (Q // q) + K.scale(K._neg(c), w2))
-    return low + [0] * (Q - len(low)) + cw1 if cw1 else low
+        low = K.add_polys(low, [0] * (bit // 2) + K.scale(K._neg(c), w2))
+    return low + [0] * (bit - len(low)) + cw1 if cw1 else low
 
 
 def _g_lists(prime, k_max):
@@ -224,27 +227,25 @@ def deuring_g_sequence(prime, k_max=None):
     return [prime._poly_on_masks(c) for c in g]
 
 
-def _h_from_gd(prime, gd, masks=False):
-    """h = (-1)^d g_d from the index list of g_d, in Delta or, for masks,
-    on digit masks, once g_d has the shape that makes it the Deuring
-    polynomial: degree (q^d - 1)/(q - 1), a top slot 2^d - 1 on masks, and
-    leading coefficient (-1)^d.  Otherwise ConsistencyError.  Masks become
-    exponents here, as h is built."""
-    d, q, K = prime.d, prime.q, prime.kappa._kernel
+def _h_from_gd(prime, gd):
+    """h = (-1)^d g_d from the index list of g_d on digit masks, once g_d
+    has the shape that makes it the Deuring polynomial: top slot 2^d - 1,
+    that is degree (q^d - 1)/(q - 1), and leading coefficient (-1)^d.
+    Otherwise ConsistencyError.  Masks become exponents here, as h is
+    built."""
+    d, K = prime.d, prime.kappa._kernel
     sign = K._neg(1) if d % 2 else 1
-    top = 2 ** d - 1 if masks else (q ** d - 1) // (q - 1)
-    if len(gd) - 1 != top or gd[-1] != sign:
+    if len(gd) != 2 ** d or gd[-1] != sign:
         raise ConsistencyError("g_d does not have degree (q^d - 1)/(q - 1) "
                                "and leading coefficient (-1)^d")
-    h = K.scale(sign, gd)
-    return prime._poly_on_masks(h) if masks else _from_indices(prime.s_ring, h)
+    return prime._poly_on_masks(K.scale(sign, gd))
 
 
 def deuring_h_direct(prime):
     g = _g_lists(prime, prime.d)
     if any(g[:-1]):
         raise ConsistencyError("low tau-coefficients of psi_p did not vanish")
-    return _h_from_gd(prime, g[-1], masks=True)
+    return _h_from_gd(prime, g[-1])
 
 
 def check_g_structure(prime, h):
@@ -259,7 +260,7 @@ def check_g_structure(prime, h):
     d, K = prime.d, prime.kappa._kernel
     g = _g_lists(prime, 2 * d)
     try:
-        _h_from_gd(prime, g[d], masks=True)
+        _h_from_gd(prime, g[d])
     except ConsistencyError:
         return False
     monomial = [0] * sum(4 ** i for i in range(d)) + [1]
@@ -277,7 +278,9 @@ def deuring_h_grec(prime):
     nonzero below k = d.  With w_(-1) = 0 and w_0 = p'(alpha), step k builds
     N_k = w_(k-1) * (Delta^Q + alpha^Q) - w_(k-2) * Delta^(Q/q), Q = q^(k-1)
     (`_omega_step`), and sets w_k = N_k / (alpha^(q^k) - alpha) for k < d,
-    and g_d mod p = -N_d at k = d.
+    and g_d mod p = -N_d at k = d.  w_k is the eps part of g_k, so like g_k
+    (`_g_lists`) it lies on k-bit digit masks, and the recurrence runs on
+    them: a product by Delta^(q^j) sets bit j.
     """
     K, q, d, a = prime.kappa._kernel, prime.q, prime.d, prime.alpha.index
     F = prime.field_q
@@ -289,7 +292,7 @@ def deuring_h_grec(prime):
         Q = q ** (k - 1)
         # T^(q^k) - T: the unit alpha^(q^k) - alpha for k < d, -eps at k = d
         c = K._inv(K._add(K._pow(a, Q * q), K._neg(a))) if k < d else K._neg(1)
-        w2, w1 = w1, _omega_step(K, w1, w2, Q, q, K._pow(a, Q), c)
+        w2, w1 = w1, _omega_step(K, w1, w2, 1 << (k - 1), K._pow(a, Q), c)
     return _h_from_gd(prime, w1)
 
 

@@ -22,8 +22,10 @@ No h is built.  Whether x is a root is read off the u-recurrence at x,
     u_(i+1) = (x^(q^i) + alpha^(q^(i+1))) * u_i
               - (alpha^(q^i) - alpha) * x^(q^i) * u_(i-1),
 
-d steps of scalar products in kappa_2 (`_root_test`).  The walk starts at one
-root.  For odd d that is Delta = -alpha, where j = 0: that Drinfeld module has
+d steps of scalar products in kappa_2 (`_root_test`).  It is
+`universal.u_root_test`, the one supersingularity test, which
+`drinfeld.is_supersingular` runs too.  The walk starts at one root.  For
+odd d that is Delta = -alpha, where j = 0: that Drinfeld module has
 complex multiplication by F_(q^2)[T], and is supersingular at p exactly when
 p is inert there, that is when deg p is odd (Gekeler, Zur Arithmetik von
 Drinfeld-Moduln, Math. Ann. 262, 1983); the root test checks it.  For even d
@@ -56,6 +58,7 @@ from dataclasses import dataclass, field
 from .errors import AmbientTooSmallError, ConsistencyError, DomainError
 from .fields import FiniteField, embed
 from .modulus import PrimeModulus, check_residue_degree
+from .universal import u_root_test
 
 
 def neighbors(delta0, prime, ambient):
@@ -223,26 +226,10 @@ def build_supersingular_graph(prime):
 
 
 def _root_test(prime, ambient):
-    """The test h(x) = 0 for an ambient index x, by the u-recurrence of the
-    module docstring on the kernel's scalars, its alpha-constants formed
-    once."""
-    K, q = ambient._kernel, prime.q
-    add, mul, pw = K._add, K._mul, K._pow
-    a = embed(prime.alpha, ambient).index
-    a_q = pw(a, q)
-    # per step i >= 1: alpha^(q^(i+1)) and alpha - alpha^(q^i)
-    steps = [(pw(a, q ** (i + 1)), add(a, K._neg(pw(a, q ** i))))
-             for i in range(1, prime.d)]
-
-    def is_root(x):
-        # u_0 = 1 and u_1 = x + alpha^q
-        prev, cur = 1, add(x, a_q)
-        for c, b in steps:
-            x = pw(x, q)
-            prev, cur = cur, add(mul(add(x, c), cur), mul(mul(b, x), prev))
-        return not cur
-
-    return is_root
+    """The test h(x) = 0 for an ambient index x: `universal.u_root_test`
+    at gamma = alpha, embedded in the ambient field."""
+    return u_root_test(ambient._kernel, embed(prime.alpha, ambient).index,
+                       prime.q, prime.d)
 
 
 def _first_root(prime, ambient, is_root):

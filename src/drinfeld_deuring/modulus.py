@@ -8,6 +8,8 @@ the image of T, and reduction mod p is evaluation at `a`.
 
 from __future__ import annotations
 
+import functools
+
 from . import fields
 from . import poly as poly_mod
 from .errors import DomainError
@@ -91,10 +93,7 @@ class PrimeModulus(_Keyed):
         q = self.q
         if q == 2 or len(a) <= 1:
             return a
-        exps, qj = [0], 1
-        while len(exps) < len(a):
-            exps += [e + qj for e in exps]
-            qj *= q
+        exps = _mask_exponents(q, (len(a) - 1).bit_length())
         out = [zero] * (exps[len(a) - 1] + 1)
         for e, c in zip(exps, a):
             out[e] = c
@@ -109,6 +108,18 @@ class PrimeModulus(_Keyed):
 
     def __repr__(self):
         return f"({self.p_poly!r}) over F_{self.q}"
+
+
+@functools.lru_cache(maxsize=64)
+def _mask_exponents(q, k):
+    """The exponents sum_{j in m} q^j of the k-bit digit masks m, in mask
+    order, memoised per (q, k): every h and g_k of a degree places its
+    masks by the same list."""
+    exps = [0]
+    for j in range(k):
+        qj = q ** j
+        exps += [e + qj for e in exps]
+    return tuple(exps)
 
 
 def _check_designated(field):

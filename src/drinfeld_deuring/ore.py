@@ -5,8 +5,8 @@ The defining relation is tau * c = c^q * tau, so multiplication is
 literal q-th power map of the coefficient ring; for polynomial and Laurent
 coefficients in characteristic p it acts coefficient-wise and stretches
 exponents by q, which `qpow` exploits instead of repeated multiplication.
-`is_supersingular` takes its image here; the Deuring routes multiply by
-psi_T on kappa index lists in `drinfeld`.
+No other module of the package takes the image of p(T) (`drinfeld_image`):
+it is public API, and the tests' oracle for `drinfeld.is_supersingular`.
 """
 
 from __future__ import annotations

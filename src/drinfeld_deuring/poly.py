@@ -6,7 +6,7 @@ The coefficient ring is described by a small object with `zero`, `one` and
 `is_irreducible` and root finding run in the field's index kernel
 (`fields.IndexKernel`): the coefficients become ascending lists of element
 indices once on the way in, and elements once on the way out
-(`_from_indices`, which also builds the results of `drinfeld`).  Over any
+(`_from_indices`, which `modulus` shares).  Over any
 other coefficient ring (F_q[T], Laurent polynomials, `MultiPoly`) the
 product loops over the coefficients, which do their own arithmetic through
 operators; division needs field coefficients.  The container, sums, powers

@@ -24,7 +24,8 @@ u_mod_prime, the universal h route, and the checks of u_i read these maps.
 
 Over kappa = F_q[T]/(p), T -> alpha, both recurrences run on kappa's index
 lists by the kernel's `scale`, `add_polys` and `mul_polys`: `U_mod_prime`
-in y = s^(q-1), and the separability certificate's u on digit masks.
+in y = s^(q-1), and the separability certificate's u on digit masks.  At a
+point, u_d(gamma, x) = 0 is the one supersingularity test (`u_root_test`).
 """
 
 from __future__ import annotations
@@ -365,6 +366,30 @@ def _u_on_masks(prime):
                                            prev))
         prev, cur = cur, K.scale(K._pow(a, q * qi), cur) + shifted
     return prime._on_exponents(cur)
+
+
+def u_root_test(K, gamma, q, d):
+    """The test u_d(gamma, x) = 0 for an index x of the field of the
+    kernel K, gamma the index of a root of a prime p of degree d: by the
+    paper's u_d mod p = h_p, whether the module with T-image gamma and
+    Delta = x is supersingular.  It runs u_(i+1) of the module docstring at
+    T = gamma, s = x: d steps of scalar products, the gamma-constants
+    formed once, for `drinfeld.is_supersingular` and `isogeny_graph`."""
+    add, mul, pw = K._add, K._mul, K._pow
+    g_q = pw(gamma, q)
+    # per step i >= 1: gamma^(q^(i+1)) and gamma - gamma^(q^i)
+    steps = [(pw(gamma, q ** (i + 1)), add(gamma, K._neg(pw(gamma, q ** i))))
+             for i in range(1, d)]
+
+    def is_root(x):
+        # u_0 = 1 and u_1 = x + gamma^q
+        prev, cur = 1, add(x, g_q)
+        for c, b in steps:
+            x = pw(x, q)
+            prev, cur = cur, add(mul(add(x, c), cur), mul(mul(b, x), prev))
+        return not cur
+
+    return is_root
 
 
 def check_simple_roots_generic(field, i):

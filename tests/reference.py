@@ -1,12 +1,15 @@
 """Element-level references for tests: routines the package replaced with
 faster ones, kept to check those against."""
 
+from drinfeld_deuring.drinfeld import LambdaModule
 from drinfeld_deuring.errors import AmbientTooSmallError, \
     ConsistencyError, DomainError
 from drinfeld_deuring.fields import _prime_divisors, embed
 from drinfeld_deuring.isogeny_graph import IsogenyGraph, _checked, \
     _neighbor_solver
-from drinfeld_deuring.poly import Poly, poly_gcd, roots_in_extension
+from drinfeld_deuring.ore import OreContext, drinfeld_image
+from drinfeld_deuring.poly import Poly, PolyRing, poly_gcd, \
+    roots_in_extension
 
 
 def monic_polys(ring, degree):
@@ -323,3 +326,24 @@ def g_lists_by_dense_horner(prime, k_max):
             nxt.append(f)
         g = nxt
     return g
+
+
+def is_supersingular_by_ore_image(module, prime):
+    """Whether psi has no tau^d term in psi_{p(T)}, as
+    `drinfeld.is_supersingular` read it before it ran the u-recurrence at
+    the point: the whole image of p(T) under T -> psi_T in L{tau}, by
+    Horner's rule on twisted polynomials, with the same input checks."""
+    if isinstance(module, LambdaModule):
+        module = module.to_delta()
+    L = module.L
+    if module.q != prime.q:
+        raise DomainError("module and prime have different base fields")
+    p_in_L = prime.p_poly.map_coeffs(lambda c: embed(c, L),
+                                     PolyRing(L, prime.p_poly.ring.var))
+    if p_in_L(module.t_image):
+        raise DomainError("the T-image is not a root of p: "
+                          "the module does not have characteristic p(T)")
+    ctx = OreContext(L, module.q)
+    image = drinfeld_image(ctx, module.psi_T(ctx), prime.p_poly,
+                           scalar=lambda c: embed(c, L))
+    return not image.coeff(prime.d)

@@ -35,7 +35,8 @@ from drinfeld_deuring.ore import OreContext, drinfeld_image, ore_apply, \
 from drinfeld_deuring.poly import Poly, PolyRing, is_irreducible, \
     roots_in_extension
 from drinfeld_deuring.universal import U_mod_prime
-from reference import exact_div, g_lists_by_dense_horner
+from reference import exact_div, g_lists_by_dense_horner, \
+    is_supersingular_by_ore_image
 
 
 def _prime(q, text):
@@ -125,6 +126,72 @@ def test_is_supersingular_characteristic_mismatch():
     L = P22.kappa
     with pytest.raises(DomainError):
         is_supersingular(DeltaModule(L, L.one, L.gen), P22)
+
+
+def _supersingularity_fields():
+    """(prime, L), L = kappa_2 and kappa_3 over F_q, q <= 9: every prime
+    where |L| <= 256, and the first prime of each degree where
+    256 < |L| <= 4096."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        d = 1
+        while q ** (2 * d) <= 4096:
+            for n, p in enumerate(primes_of_degree(base_field(q), d)):
+                for ext in (2, 3):
+                    card = q ** (ext * d)
+                    if card <= 256 or (n == 0 and card <= 4096):
+                        yield p, p.kappa.extension(ext)
+            d += 1
+
+
+def test_is_supersingular_matches_the_ore_image():
+    # every nonzero Delta of L, at every conjugate T-image alpha^(q^j) where
+    # |L| <= 256 and at alpha above; in kappa_2, which holds every root of
+    # h, exactly deg h of them
+    modules = 0
+    for p, L in _supersingularity_fields():
+        a = embed(p.alpha, L)
+        for j in range(p.d if L.card <= 256 else 1):
+            gamma = a ** (p.q ** j)
+            found = 0
+            for i in range(1, L.card):
+                m = DeltaModule(L, gamma, L.from_index(i))
+                ss = is_supersingular(m, p)
+                assert ss == is_supersingular_by_ore_image(m, p)
+                found += ss
+            if L.card == p.kappa.card ** 2:
+                assert found == (p.q ** p.d - 1) // (p.q - 1)
+            modules += L.card - 1
+    assert modules > 30000
+
+
+def test_is_supersingular_of_lambda_modules_matches_the_ore_image():
+    # every lambda of kappa_2 outside F_q, at every conjugate T-image
+    for p, L in _supersingularity_fields():
+        if L.card > 256 or L.card != p.kappa.card ** 2:
+            continue
+        a = embed(p.alpha, L)
+        for j in range(p.d):
+            gamma = a ** (p.q ** j)
+            for lam in map(L.from_index, range(L.card)):
+                if lam ** p.q != lam:
+                    m = LambdaModule(L, gamma, lam)
+                    assert is_supersingular(m, p) == \
+                        is_supersingular_by_ore_image(m, p)
+
+
+@pytest.mark.parametrize("test", [is_supersingular,
+                                  is_supersingular_by_ore_image])
+def test_is_supersingular_input_errors_are_pinned(test):
+    L = P22.kappa
+    gamma = P22.alpha
+    with pytest.raises(DomainError, match="^module and prime have "
+                       "different base fields$"):
+        test(DeltaModule(L, gamma, L.one), _prime(4, "T^2 + T + x"))
+    for m in (DeltaModule(L, L.one, L.gen), LambdaModule(L, L.one, L.gen)):
+        with pytest.raises(DomainError, match=r"^the T-image is not a root "
+                           r"of p: the module does not have characteristic "
+                           r"p\(T\)$"):
+            test(m, P22)
 
 
 def test_h_oracle_q2():
@@ -256,7 +323,8 @@ def test_direct_route_builds_nothing_above_tau_d(monkeypatch):
 
 def test_direct_route_checks_the_shape_of_g_d(monkeypatch):
     # g injected as index lists on digit masks: at q = 2 the masks are the
-    # exponents, at q = 3 slot 2^d is past the top mask 2^d - 1
+    # exponents, at q = 3 slot 2^d is past the top mask 2^d - 1, and g_d
+    # placed on its exponents is refused, as masks are the one layout
     from drinfeld_deuring import drinfeld
 
     for q, text in [(2, "T^3 + T + 1"), (3, "T^2 + 1")]:
@@ -264,8 +332,10 @@ def test_direct_route_checks_the_shape_of_g_d(monkeypatch):
         K = p.kappa._kernel
         good = drinfeld._g_lists(p, p.d)
         gd = good[-1]
-        assert deuring_h_direct(p) == \
-            drinfeld._h_from_gd(p, p._on_exponents(gd))
+        assert deuring_h_direct(p) == drinfeld._h_from_gd(p, gd)
+        if q > 2:
+            with pytest.raises(ConsistencyError):
+                drinfeld._h_from_gd(p, p._on_exponents(gd))
         for bad in (good[:-1] + [K.scale(p.alpha.index, gd)],
                     good[:-1] + [K.add_polys(gd, [0] * 2 ** p.d + [1])],
                     good[:-1] + [gd[:-1]],
@@ -336,6 +406,29 @@ def test_g_lists_on_masks_match_the_dense_reference_at_the_top_degree(q):
     for p in islice(primes_of_degree(base_field(q), d), 2):
         assert [p._on_exponents(g) for g in drinfeld._g_lists(p, 2 * d + 2)] \
             == g_lists_by_dense_horner(p, 2 * d + 2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_mask_exponents_are_sums_of_distinct_powers_of_q(q):
+    # the memoised exponent list, and the placement of every length of list
+    # by it, against the sum over the bits of each mask; at q = 2 every
+    # mask is its own exponent
+    from drinfeld_deuring.modulus import _mask_exponents
+
+    p = next(iter(primes_of_degree(base_field(q), 1)))
+    for k in range(7):
+        want = [sum(q ** j for j in range(k) if m >> j & 1)
+                for m in range(2 ** k)]
+        assert list(_mask_exponents(q, k)) == want
+        assert _mask_exponents(q, k) is _mask_exponents(q, k)
+        if q == 2:
+            assert want == list(range(2 ** k))
+    for n in range(1, 2 ** 6 + 1):
+        a = list(range(1, n + 1))
+        placed = [0] * (want[n - 1] + 1)
+        for m, c in enumerate(a):
+            placed[want[m]] = c
+        assert p._on_exponents(a) == placed
 
 
 def test_grec_continuation_matches_direct():
@@ -732,7 +825,7 @@ def test_grec_checks_the_shape_of_g_d(monkeypatch, capsys):
         assert deuring_h_grec(p) == deuring_h_universal(p)
 
 
-@pytest.mark.parametrize("q, d", [(2, 12), (2, 13), (3, 8)])
+@pytest.mark.parametrize("q, d", [(2, 12), (2, 13), (3, 8), (4, 8), (9, 4)])
 def test_three_routes_agree_at_large_degree(q, d):
     p = next(iter(primes_of_degree(base_field(q), d)))
     assert deuring_h_grec(p) == deuring_h_direct(p) == deuring_h_universal(p)

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pathlib
+import sys
 import warnings
 from itertools import islice
 
@@ -274,6 +275,12 @@ def test_graph_builds_no_h(monkeypatch, q, text):
         for kind in (IndexKernel, *IndexKernel.__subclasses__()):
             if name in vars(kind):
                 monkeypatch.setattr(kind, name, _unreachable(name))
+    # every Poly is built by _Dense.__init__ or by poly._from_indices, which
+    # no other module binds by name: the two patches below see them all
+    assert [name for name, module in sys.modules.items()
+            if name.startswith("drinfeld_deuring.")
+            and name != "drinfeld_deuring.poly"
+            and "_from_indices" in vars(module)] == []
     degrees = []
     real_init, real_from = poly._Dense.__init__, poly._from_indices
 
@@ -287,7 +294,6 @@ def test_graph_builds_no_h(monkeypatch, q, text):
 
     monkeypatch.setattr(poly._Dense, "__init__", counted)
     monkeypatch.setattr(poly, "_from_indices", counted_from)
-    monkeypatch.setattr(drinfeld, "_from_indices", counted_from)
     got = build_supersingular_graph(prime)
     assert got == want and got.to_json_dict() == want.to_json_dict()
     assert all(deg < n for deg in degrees)

@@ -61,3 +61,21 @@ def test_source_shape():
     assert table_reads == []
     assert searches == [("poly.py", "distinct_roots")]
     assert unread == []
+
+
+def test_only_ore_takes_the_ore_image():
+    # the h routes run on kappa's index lists and the supersingularity test
+    # on the u-recurrence: the twisted-polynomial image of p(T) is `ore`'s
+    # public API, which no other module of the package calls
+    calls = []
+    for path, tree in _trees():
+        if path.parent != PACKAGE or path.name == "ore.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) \
+                    else getattr(func, "id", None)
+                if name == "drinfeld_image":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
