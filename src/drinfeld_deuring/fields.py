@@ -305,7 +305,7 @@ class IndexKernel:
         self.card = n = p ** degree
         self.m1 = m1 = n - 1
         self.modulus_digits = modulus_digits
-        self._embeddings, self._emb_logs = {}, {}
+        self._embeddings, self._emb_logs, self._extension_roots = {}, {}, {}
         mul, to_vec, to_index = _vector_arithmetic(p, degree, modulus_digits)
         prime_factors = _prime_divisors(m1)
         # the least primitive index; in a proper extension no element of
@@ -359,6 +359,22 @@ class IndexKernel:
                 [[self._mul(c, self._pow(root, i)) for c in range(self.p)]
                  for i in range(k)])
         return emb
+
+    def extension_root(self, k):
+        """The designated root here of `_least_irreducible(p, k, n)`, the
+        modulus over F_(p^k) of this field of degree k*n, moved in by
+        `embedding(k)`.  Every tower instance of F_(p^k) builds its degree-n
+        extension with that modulus and asks for that root, so it is
+        memoised per k, as `embedding` is: one root per divisor of the
+        degree, whatever other moduli fields are built with."""
+        root = self._extension_roots.get(k)
+        if root is None:
+            emb = self.embedding(k)
+            root = self._extension_roots[k] = self.designated_root(
+                [emb[c] for c in _least_irreducible(self.p, k,
+                                                    self.degree // k)],
+                self.p ** k)
+        return root
 
     def evaluate(self, rows, x, k=None):
         """{r: index of sum(c * x^e)} over the (r, terms) pairs of `rows`,
@@ -665,21 +681,39 @@ class IndexKernel:
         return out
 
     def is_irreducible(self, f):
-        """The gcd-with-Frobenius test, for f of degree >= 2.  Two kinds of
-        reducible f are refused before any Frobenius power is formed: those
-        with f(0) = 0, and p-th powers, whose exponents with a nonzero
-        coefficient are all divisible by p (over a perfect field
-        sum c_j x^(pj) = (sum c_j^(1/p) x^j)^p)."""
-        p = self.p
+        """Rabin's test, for f of degree n >= 2: x^(Q^n) = x mod f, Q the
+        card, and gcd(x^(Q^(n/r)) - x, f) = 1 for each prime r | n.
+
+        Two kinds of reducible f are refused before any Frobenius power is
+        formed: those with f(0) = 0, and p-th powers, whose exponents with
+        a nonzero coefficient are all divisible by p (over a perfect field
+        sum c_j x^(pj) = (sum c_j^(1/p) x^j)^p).  The powers x^(Q^i) are
+        formed in turn, and a gcd taken as its power is reached stops the
+        test at a factor of degree dividing n/r, with the later powers
+        unformed.
+        """
+        p, k = self.p, self.degree
         if not f[0] or not any(c for j, c in enumerate(f) if j % p):
             return False
         n = len(f) - 1
-        # x^(card^i) mod f for i <= n: x^card is degree-fold the p-th power
-        ts = self._frobenius_powers(f, n * self.degree)[::self.degree]
-        if ts[n] != ts[0]:
-            return False
-        return all(len(self.gcd(self.sub_polys(ts[n // r], [0, 1]), f)) == 1
-                   for r in _prime_divisors(n))
+        row, _ = self._divisor(f)
+        checks = {n // r for r in _prime_divisors(n)}
+        x = t = [0, 1]
+        later = []
+        for i in range(1, n + 1):
+            for _ in range(k):
+                t = self._frobenius(t, n, row)
+            if i in checks:
+                # a gcd costs about 4 to 7 Frobenius steps, so where it could
+                # spare at most 6 it waits for the test x^(Q^n) = x, which
+                # refuses most reducible f by itself; but not at n = 2,
+                # where every squarefree f passes that test
+                if (n - i) * k <= 6 and n > 2:
+                    later.append(t)
+                elif len(self.gcd(self.sub_polys(t, x), f)) != 1:
+                    return False
+        return t == x and all(len(self.gcd(self.sub_polys(u, x), f)) == 1
+                              for u in later)
 
     def distinct_roots(self, g):
         """The distinct roots of g != 0 here, ascending: the linear parts
@@ -1136,9 +1170,12 @@ class FiniteField(_Keyed):
         """Extension of degree m with the deterministic smallest modulus."""
         if m < 1:
             raise DomainError("extension degree must be positive")
+        # the search checks the cap before the new kernel is built
+        modulus = _least_irreducible(self.p, self.degree, m)
         return self.extension_with_modulus(
-            self._elements(_least_irreducible(self.p, self.degree, m)),
-            gen_name=gen_name, q=q)
+            self._elements(modulus), gen_name=gen_name, q=q,
+            _root=_abs_tables(self.p, self.degree * m).extension_root(
+                self.degree))
 
     def extension_with_modulus(self, coeffs, gen_name="b", q=None, _root=None):
         """Extension defined by a given monic modulus over this field.
@@ -1146,8 +1183,8 @@ class FiniteField(_Keyed):
         A reducible modulus raises DomainError: the designated root, the
         least Frobenius conjugate of one root, must have deg conjugates
         (`IndexKernel.designated_root`).  A caller that knows the designated
-        root of the modulus in the new field's tables
-        (`modulus.primes_of_degree`) passes its index as `_root`, which
+        root of the modulus in the new field's tables (`extension`,
+        `modulus.primes_of_degree`) passes its index as `_root`, which
         spares the root finding.
         """
         coeffs = tuple(self.coerce(c) for c in coeffs)

@@ -24,16 +24,49 @@ No h is built.  Whether x is a root is read off the u-recurrence at x,
 
 d steps of scalar products in kappa_2 (`_root_test`).  It is
 `universal.u_root_test`, the one supersingularity test, which
-`drinfeld.is_supersingular` runs too.  The walk starts at one root.  For
-odd d that is Delta = -alpha, where j = 0: that Drinfeld module has
-complex multiplication by F_(q^2)[T], and is supersingular at p exactly when
-p is inert there, that is when deg p is odd (Gekeler, Zur Arithmetik von
-Drinfeld-Moduln, Math. Ann. 262, 1983); the root test checks it.  For even d
-the start is the first root of a scan, over kappa's elements and then over
-kappa_2 by index: the Frobenius of kappa_2 over kappa permutes the roots in
-pairs and fixed points, so kappa holds one whenever deg h is odd, as it is for
-every even q.  The vertices are sorted at the end, so any start gives the
-same graph.
+`drinfeld.is_supersingular` runs too.  The walk starts at one root, found
+with no scan where theory names one; the vertices are sorted at the end,
+so any start gives the same graph.
+
+For odd d the start is Delta = -alpha, where j = 0: that Drinfeld module
+has complex multiplication (CM) by F_(q^2)[T], and is supersingular at p
+exactly when p is inert there, that is when deg p is odd (Gekeler, Zur
+Arithmetik von Drinfeld-Moduln, Math. Ann. 262, 1983).
+
+For even d over an odd F_q the start is a CM point for c in F_q: with
+omega^2 = T - c and phi_omega = omega + b tau, psi_T = phi_omega^2 + c =
+T + b(omega + omega^q) tau + b^(q+1) tau^2 has CM by F_q[omega], and by
+the same theorem is supersingular exactly when p is inert in
+F_q(T)(sqrt(T - c)), that is when alpha - c is a non-square in kappa.  Its
+norm to F_q is p(c), so the first c in index order at which p(c) is a
+non-square in F_q is taken (`_inert`).  The j-invariant of psi is
+
+    j_c = (omega + omega^q)^(q+1)
+        = (alpha - c)^((q+1)/2) * (1 + (alpha - c)^((q-1)/2))^(q+1),
+
+in kappa (`_cm_j`), and a Delta with (Delta + alpha)^(q+1) / Delta = j_c
+comes from a linear solve (after Bluher, On x^(q+1) + ax + b, Finite
+Fields Appl. 10, 2004): X = Delta + alpha is a root of
+X^(q+1) - j X + j alpha, and X = lam * y^(q-1) makes that
+
+    L(y) = lam^(q+1) * y^(q^2) - j * lam * y^q + j * alpha * y = 0,
+
+F_q-linear in y (`_cm_point`).  Its q + 1 roots are distinct (a repeated
+root has X^q = j, so j alpha = 0), and with j_c supersingular they lie in
+kappa_2.  The y of one kernel of L give q + 1 distinct X, and a kernel has
+F_q-dimension at most 2, so all the roots lie in one coset
+lam * (kappa_2^*)^(q-1), with N(lam)^(q+1) = N(lam)^2 = N(j alpha) for the
+norm N to F_q, as their product is j alpha.  So lam runs over g^s,
+s < q - 1, g the kernel's generator, skipping the cosets that fail the
+norm test: at most two solves.  The root test decides: a CM point that is
+not a root is a ConsistencyError, as -alpha is at odd d.
+
+Otherwise, for even q or with no such c, the start is the first root of
+a scan over kappa's elements and then over kappa_2 by index
+(`_scanned_root`): the Frobenius of kappa_2 over kappa permutes the roots
+in pairs and fixed points, so kappa holds one whenever deg h is odd, as it
+is for every even q.  Every prime over an odd F_q whose kappa_2 is within
+the cap has a c, so only even q scans.
 
 The targets of a vertex come from a linear solve: Y = -1 is never a root of
 c (c(-1) = -Delta0), so W = 1/(Y+1) is defined, with Y = (1-W)/W and
@@ -44,7 +77,8 @@ c (c(-1) = -Delta0), so W = 1/(Y+1) is defined, with Y = (1-W)/W and
 
 and W -> a*W^q + W is F_p-linear.  An index's base-p digits are its
 coordinates in the basis z^i, so the solve is an elimination on indices of
-dimension [kappa_2 : F_p], and each solution gives the target
+dimension [kappa_2 : F_p] (`_eliminator`, which the CM point's solve
+shares), and each solution gives the target
 Delta1 = -gamma(T) * Y^q * W^(q-1).  The walk is breadth-first; each new
 target goes through the root test, and one that is not a root is a stray
 target, which is not walked on.  The walk must reach all deg h roots: h is
@@ -52,6 +86,7 @@ separable of degree N = (q^d - 1)/(q - 1), so reaching N distinct roots shows
 that the graph is connected and that every root was found.
 """
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 
@@ -84,22 +119,19 @@ def _checked(targets, q):
     return targets
 
 
-def _neighbor_solver(prime, ambient):
-    """The map from a nonzero ambient index Delta0 to the indices of its
-    edge targets, in ascending index order of their Y-roots, by solving
-    a * W^q + W = 1 (see the module docstring)."""
-    q, K = prime.q, ambient._kernel
+def _eliminator(K):
+    """(basis, solve) for the F_p-linear maps of the kernel K's indices:
+    basis lists the indices p^i of z^i, and solve(columns, r), for the map
+    L with L(z^i) = columns[i], returns (a basis of the kernel of L, one w
+    with L(w) = r, or None if there is none).  An index's base-p digits
+    are its coordinates in the basis z^i, so this is Gaussian elimination
+    on indices, of dimension [K : F_p]; a kernel vector is found at each
+    column whose reduction vanishes, in column order."""
     p, add, neg, mul, inv = K.p, K._add, K._neg, K._mul, K._inv
-    # z^i has index p^i; its column is a * (z^i)^q + z^i
     basis = [p ** i for i in range(K.degree)]
     # the leading digit of v != 0 sits at top[v.bit_length()] or one below
-    top = [0] + [sum(x < 1 << b for x in basis) - 1
+    top = [0] + [bisect.bisect_left(basis, 1 << b) - 1
                  for b in range(1, K.card.bit_length() + 1)]
-    bq = [K._pow(b, q) for b in basis]
-    # a = Delta0 * f and Delta1 = g * Y^q * W^(q-1) (module docstring)
-    f = inv(neg(embed(prime.alpha ** q, ambient).index))
-    g = neg(embed(prime.alpha, ambient).index)
-    minus_one = neg(1)
 
     def reduce(v, w, pivots):
         # v = L(w) - r: clear v's leading digits while a pivot row has them;
@@ -115,23 +147,45 @@ def _neighbor_solver(prime, ambient):
             v, w = add(v, dv), add(w, dw)
         return 0, w, None
 
-    def solve(delta0):
-        a = mul(delta0, f)
+    def solve(columns, r):
         # pivots[pos]: (-c*v, -c*w) for c in F_p, v = L(w) with leading
-        # digit 1 at position pos; kernel: the w with L(w) = 0
+        # digit 1 at position pos
         pivots, kernel = {}, []
-        for b, b_q in zip(basis, bq):
+        for b, col in zip(basis, columns):
             # the column of z^i, with r = 0
-            v, w, pos = reduce(add(mul(a, b_q), b), b, pivots)
+            v, w, pos = reduce(col, b, pivots)
             if not v:
                 kernel.append(w)
                 continue
             lead = inv(v // basis[pos])
             v, w = mul(lead, v), mul(lead, w)
             pivots[pos] = [(mul(neg(c), v), mul(neg(c), w)) for c in range(p)]
-        # the right-hand side, r = 1, from v = L(0) - 1 = -1
-        v, w, _ = reduce(minus_one, 0, pivots)
-        if v:
+        # the right-hand side, from v = L(0) - r = -r
+        v, w, _ = reduce(neg(r), 0, pivots)
+        return kernel, None if v else w
+
+    return basis, solve
+
+
+def _neighbor_solver(prime, ambient):
+    """The map from a nonzero ambient index Delta0 to the indices of its
+    edge targets, in ascending index order of their Y-roots, by solving
+    a * W^q + W = 1 (see the module docstring)."""
+    q, K = prime.q, ambient._kernel
+    p, add, neg, mul, inv = K.p, K._add, K._neg, K._mul, K._inv
+    basis, solve_linear = _eliminator(K)
+    # z^i has index p^i; its column is a * (z^i)^q + z^i
+    bq = [K._pow(b, q) for b in basis]
+    # a = Delta0 * f and Delta1 = g * Y^q * W^(q-1) (module docstring)
+    f = inv(neg(embed(prime.alpha ** q, ambient).index))
+    g = neg(embed(prime.alpha, ambient).index)
+    minus_one = neg(1)
+
+    def solve(delta0):
+        a = mul(delta0, f)
+        kernel, w = solve_linear(
+            [add(mul(a, b_q), b) for b, b_q in zip(basis, bq)], 1)
+        if w is None:
             return []
         sols = [w]
         for u in kernel:
@@ -233,16 +287,89 @@ def _root_test(prime, ambient):
 
 
 def _first_root(prime, ambient, is_root):
-    """The root of h the walk starts at: -alpha for odd d, checked, and for
-    even d the first root over kappa's nonzero elements and then over
-    kappa_2 by index (module docstring)."""
-    if prime.d % 2:
+    """The root of h the walk starts at, checked by the root test: -alpha
+    for odd d, and for even d over an odd F_q the CM point of the first
+    c in F_q at which p is inert (`_inert`).  Otherwise, for even q or
+    with no such c, the first root over kappa's nonzero elements and then
+    over kappa_2 by index (module docstring)."""
+    q, d = prime.q, prime.d
+    if d % 2:
         root = ambient._neg(embed(prime.alpha, ambient).index)
         if not is_root(root):
             raise ConsistencyError(
                 f"Delta = -alpha (j = 0) is not a root of h at a prime of "
-                f"odd degree {prime.d}")
+                f"odd degree {d}")
         return root
+    c = next((c for c in range(q) if _inert(prime, c)), None) if q % 2 \
+        else None
+    if c is None:
+        return _scanned_root(ambient, is_root)
+    root = _cm_point(prime, ambient, c)
+    if root is None or not is_root(root):
+        raise ConsistencyError(
+            f"the CM point of sqrt(T - c), c = {prime.field_q.from_index(c)}, "
+            f"gives no root of h in kappa_2 at a prime of even degree {d}")
+    return root
+
+
+def _inert(prime, c):
+    """Whether p(c) is a non-square in F_q, for the F_q index c and q odd.
+    For even d, p(c) = N(alpha - c), the norm from kappa, so this is alpha - c
+    being a non-square in kappa: p inert in F_q(T)(sqrt(T - c))."""
+    F = prime.field_q
+    v = 0
+    for coeff in reversed(prime.p_poly.coeffs):
+        v = F._add(F._mul(v, c), coeff.index)
+    return F._pow(v, (prime.q - 1) // 2) == F._neg(1)
+
+
+def _cm_j(prime, ambient, c):
+    """The ambient index of j_c = (alpha - c)^((q+1)/2) *
+    (1 + (alpha - c)^((q-1)/2))^(q+1), the j-invariant in kappa of the
+    module with complex multiplication by sqrt(T - c), for the F_q index
+    c and q odd."""
+    q, kappa = prime.q, prime.kappa
+    K = kappa._kernel
+    beta = K._add(prime.alpha.index, K._neg(kappa._base_emb[c]))
+    t = K._pow(beta, (q - 1) // 2)
+    return ambient._base_emb[K._mul(K._mul(t, beta),
+                                    K._pow(K._add(1, t), q + 1))]
+
+
+def _cm_point(prime, ambient, c):
+    """The ambient index of a Delta != 0 with j(Delta) = j_c (`_cm_j`), or
+    None if kappa_2 has none: X = Delta + alpha = lam * y^(q-1), with y in
+    the kernel of the F_q-linear map
+
+        L(y) = lam^(q+1) * y^(q^2) - j * lam * y^q + j * alpha * y,
+
+    for the first lam = g^s, s < q - 1, g the kernel's generator, whose
+    norm N to F_q has N(lam)^2 = N(j * alpha) and whose L has a kernel
+    (module docstring)."""
+    q, K = prime.q, ambient._kernel
+    add, mul, pow_ = K._add, K._mul, K._pow
+    j, a = _cm_j(prime, ambient, c), embed(prime.alpha, ambient).index
+    ja = mul(j, a)
+    e = (K.card - 1) // (q - 1)  # N(x) = x^e
+    norm = pow_(ja, e)
+    basis, solve = _eliminator(K)
+    bq = [pow_(b, q) for b in basis]
+    bqq = [pow_(b, q) for b in bq]
+    for s in range(q - 1):
+        lam = pow_(K.generator, s)
+        if pow_(lam, 2 * e) != norm:
+            continue
+        c2, c1 = pow_(lam, q + 1), K._neg(mul(j, lam))
+        kernel, _ = solve([add(add(mul(c2, b2), mul(c1, b1)), mul(ja, b))
+                           for b, b1, b2 in zip(basis, bq, bqq)], 0)
+        if kernel:
+            return add(mul(lam, pow_(kernel[0], q - 1)), K._neg(a))
+    return None
+
+
+def _scanned_root(ambient, is_root):
+    """The first root of h over kappa's nonzero elements and then over
+    kappa_2 by index."""
     root = next(filter(is_root, itertools.chain(ambient._base_emb[1:],
                                                 range(1, ambient.card))),
                 None)

@@ -1258,3 +1258,31 @@ _LEAST_IRREDUCIBLE = {
 def test_least_irreducible_is_pinned():
     for (p, k, m), want in _LEAST_IRREDUCIBLE.items():
         assert fields._least_irreducible(p, k, m) == want, (p, k, m)
+
+
+def test_extension_root_is_found_once_per_kernel(monkeypatch):
+    # kappa_2 = F_(2^12) over F_64 reached through F_4 and through F_8:
+    # both ask F_(2^12)'s kernel for the root of the same least modulus
+    # over F_64, and only the first finds it
+    K = fields._abs_tables(2, 12)
+    K.embedding(6)  # F_64's own root in F_(2^12), memoised apart
+    kappas = [base_field(4).extension(3, gen_name="u"),
+              base_field(8).extension(2, gen_name="u")]
+    assert kappas[0] != kappas[1] and kappas[0].card == kappas[1].card == 64
+    monkeypatch.setattr(K, "_extension_roots", {})
+    calls, real = [], IndexKernel.one_root
+
+    def counted(self, g):
+        calls.append(self)
+        return real(self, g)
+
+    monkeypatch.setattr(IndexKernel, "one_root", counted)
+    k2s = [kappa.extension(2) for kappa in kappas]
+    assert calls == [K]
+    assert k2s[0].gen.index == k2s[1].gen.index == K.designated_root(
+        [K.embedding(6)[c] for c in fields._least_irreducible(2, 6, 2)], 64)
+    # a modulus given outright still has its root sought
+    modulus = kappas[1]._elements(fields._least_irreducible(2, 6, 2))
+    assert kappas[1].extension_with_modulus(
+        modulus, gen_name="v").gen.index == k2s[0].gen.index
+    assert calls == [K] * 3

@@ -220,10 +220,30 @@ def test_j_zero_off_h_at_odd_degree_is_a_check_failure(monkeypatch):
 
 
 def test_h_with_no_root_in_kappa_2_is_a_check_failure(monkeypatch):
-    # at even d the scan for a start finds nothing
+    # at even d over an odd F_q the start, a CM point, is not a root
     _edit_root_test(monkeypatch, lambda _x, _answer: False)
-    with pytest.raises(ConsistencyError, match="no root in kappa_2"):
+    with pytest.raises(ConsistencyError, match="CM point .* c = 1, gives no "
+                       "root of h in kappa_2"):
         _graph(3, "T^2 + 1")
+
+
+def test_h_with_no_root_in_a_scan_of_kappa_2_is_a_check_failure(monkeypatch):
+    # with no c at which p is inert, the scan for a start finds nothing
+    monkeypatch.setattr(isogeny_graph, "_inert", lambda _prime, _c: False)
+    _edit_root_test(monkeypatch, lambda _x, _answer: False)
+    with pytest.raises(ConsistencyError, match="^h has no root in kappa_2$"):
+        _graph(3, "T^2 + 1")
+
+
+def test_cm_point_off_h_is_a_check_failure(monkeypatch):
+    prime = _prime(5, "T^2 + 2")
+    E = prime.kappa.extension(2)
+    c = next(c for c in range(5) if isogeny_graph._inert(prime, c))
+    start = isogeny_graph._cm_point(prime, E, c)
+    _edit_root_test(monkeypatch, lambda x, answer: answer and x != start)
+    with pytest.raises(ConsistencyError, match=f"CM point .* c = {c}, gives "
+                       "no root of h in kappa_2 at a prime of even degree 2"):
+        build_supersingular_graph(prime)
 
 
 def test_neighbor_root_beyond_kappa_2_is_a_check_failure(monkeypatch):
@@ -546,3 +566,120 @@ def test_deterministic_rebuild():
     b = _graph(2, "T^3 + T + 1")
     assert a.to_json_dict() == b.to_json_dict()
     assert a.to_dot() == b.to_dot()
+
+
+def _odd_even_degree_primes(count=None):
+    """The primes of even degree over an odd F_q whose kappa_2 is within
+    the cap: d = 2 for q <= 13, the first `count` of each q or all of
+    them, and all 18 of d = 4 for q = 3."""
+    return [prime for q, d in [(3, 2), (5, 2), (7, 2), (9, 2), (11, 2),
+                               (13, 2), (3, 4)]
+            for prime in islice(primes_of_degree(base_field(q), d),
+                                count if d == 2 else None)]
+
+
+def _p_of(prime, c):
+    """p(c) for c in F_q, by the field's element arithmetic."""
+    return sum((a * c ** e for e, a in enumerate(prime.p_poly.coeffs)),
+               prime.field_q.zero)
+
+
+def _is_square(x):
+    return x ** ((x.field.card - 1) // 2) == x.field.one
+
+
+def test_norm_criterion_gives_a_cm_start_at_every_odd_prime():
+    # p(c) = N(alpha - c) for even d, so p(c) is a non-square in F_q exactly
+    # when alpha - c is one in kappa; at d = 2, (q + 1)/2 values of c do
+    primes = _odd_even_degree_primes()
+    assert len(primes) == 221
+    for prime in primes:
+        F, q = prime.field_q, prime.q
+        inert = [c for c in range(q) if isogeny_graph._inert(prime, c)]
+        assert inert == [
+            c for c in range(q)
+            if not _is_square(prime.alpha - prime.gamma(F.from_index(c)))]
+        assert inert == [c for c in range(q)
+                         if not _is_square(_p_of(prime, F.from_index(c)))]
+        assert inert, prime
+        if prime.d == 2:
+            assert len(inert) == (q + 1) // 2, prime
+
+
+def test_every_odd_prime_under_the_cap_starts_at_a_cm_point(monkeypatch):
+    # none reaches the scan: the CM point of the first inert c passes the
+    # root test, and so does that of every other inert c
+    monkeypatch.setattr(isogeny_graph, "_scanned_root",
+                        _unreachable("the scan for a start"))
+    for prime in _odd_even_degree_primes():
+        E = prime.kappa.extension(2)
+        is_root = isogeny_graph._root_test(prime, E)
+        start = isogeny_graph._first_root(prime, E, is_root)
+        points = [isogeny_graph._cm_point(prime, E, c)
+                  for c in range(prime.q) if isogeny_graph._inert(prime, c)]
+        assert start == points[0], prime
+        assert all(x is not None and is_root(x) for x in points), prime
+
+
+def test_cm_j_is_the_j_of_a_vertex_exactly_where_p_is_inert():
+    # Gekeler: the module with CM by sqrt(T - c) is supersingular exactly
+    # where p is inert, that is where p(c) is a non-square.  Its j is
+    # (omega + omega^q)^(q+1) for omega^2 = alpha - c; the vertices' j is
+    # (Delta + alpha)^(q+1) / Delta
+    primes = _odd_even_degree_primes(10)
+    assert len(primes) == 71
+    for prime in primes:
+        q, F = prime.q, prime.field_q
+        g = build_supersingular_graph(prime)
+        E = g.ambient
+        a = embed(prime.alpha, E)
+        js = {((v + a) ** (q + 1) / v).index for v in g.vertices}
+        s = PolyRing(prime.kappa, "s").gen
+        for c in range(q):
+            gamma_c = prime.gamma(F.from_index(c))
+            omega = roots_in_extension(s ** 2 - (prime.alpha - gamma_c), 2)[0]
+            j = (omega + omega ** q) ** (q + 1)
+            assert j.index == isogeny_graph._cm_j(prime, E, c)
+            assert (j.index in js) == (not _is_square(
+                _p_of(prime, F.from_index(c)))), (prime, c)
+
+
+def test_the_scan_without_an_inert_c_gives_the_same_graph(monkeypatch):
+    primes = _odd_even_degree_primes(2)
+    want = [build_supersingular_graph(prime) for prime in primes]
+    monkeypatch.setattr(isogeny_graph, "_inert", lambda _prime, _c: False)
+    scans, real = [], isogeny_graph._scanned_root
+
+    def scanned(*args):
+        scans.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(isogeny_graph, "_scanned_root", scanned)
+    for prime, g in zip(primes, want):
+        got = build_supersingular_graph(prime)
+        assert got == g and got.to_json_dict() == g.to_json_dict(), prime
+    assert len(scans) == len(primes)
+
+
+def test_cm_start_at_the_graph_grid_9_2_prime(monkeypatch):
+    # at most two of the q - 1 cosets of lam pass the norm test, so at
+    # most two solves; one root test
+    [prime] = [p for p in _graph_grid_primes([0]) if (p.q, p.d) == (9, 2)]
+    E = prime.kappa.extension(2)
+    solves, tests, real = [], [], isogeny_graph._eliminator
+
+    def eliminator(K):
+        basis, solve = real(K)
+
+        def counted(columns, r):
+            solves.append(r)
+            return solve(columns, r)
+
+        return basis, counted
+
+    monkeypatch.setattr(isogeny_graph, "_eliminator", eliminator)
+    is_root = isogeny_graph._root_test(prime, E)
+    start = isogeny_graph._first_root(
+        prime, E, lambda x: tests.append(x) or is_root(x))
+    assert tests == [start] and is_root(start)
+    assert 1 <= len(solves) <= 2 and set(solves) == {0}

@@ -746,8 +746,45 @@ def test_is_irreducible_refuses_before_any_frobenius_power(monkeypatch, p, k,
     def unreachable(*_args):
         raise AssertionError("a Frobenius power was formed")
 
+    # every power, listed or formed one at a time, is a `_frobenius` step
     monkeypatch.setattr(K, "_frobenius_powers", unreachable)
+    monkeypatch.setattr(K, "_frobenius", unreachable)
     assert not K.is_irreducible(f)
+
+
+def _frobenius_steps(monkeypatch, K):
+    """The list that each `_frobenius` step of K appends to."""
+    steps, real = [], K._frobenius
+
+    def counted(*args):
+        steps.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(K, "_frobenius", counted)
+    return steps
+
+
+@pytest.mark.parametrize("p,k,f,steps,answer", [
+    # y^2 + y + 4 over F_64 has a root there: one Q-th power, its gcd, stop
+    (2, 6, [4, 1, 1], 6, False),
+    # the modulus of kappa_2 over F_64, irreducible: all 2 * 6 steps
+    (2, 6, [32, 1, 1], 12, True),
+    # (y^2 + 1)(y^8 + y^2 + 2) over F_3: the gcd at y^(3^2), for n/r = 2
+    # of n = 10, meets the quadratic factor
+    (3, 1, [2, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1], 2, False),
+    # at n = 8 over F_3 a gcd at y^(3^4) would spare only 4 steps, so it
+    # follows the test at y^(3^8): a cubic times a quintic fails that
+    # test, and two quartics pass it and fail the gcd
+    (3, 1, [1, 1, 1, 1, 2, 1, 2, 0, 1], 8, False),
+    (3, 1, [1, 0, 2, 0, 1, 0, 0, 0, 1], 8, False),
+])
+def test_is_irreducible_stops_at_a_factor(monkeypatch, p, k, f, steps,
+                                          answer):
+    K = _abs_tables(p, k)
+    formed = _frobenius_steps(monkeypatch, K)
+    assert K.is_irreducible(f) is answer
+    assert len(formed) == steps
+    assert answer == reference.is_irreducible_by_rabin(K, f)
 
 
 @settings(max_examples=60, deadline=None)
