@@ -148,7 +148,8 @@ def _verify_rows(q, max_degree):
         rows.append((f"H-universal[{label}]", H == U_red and H_univ == U_red))
         N = (q ** prime.d - 1) // (q - 1)
         # h_univ is u_d mod p, whose roots the graph's vertices must be; it
-        # is separable when it equals u_d built over kappa (`_certified`)
+        # is separable when it equals u_d's closed form over kappa
+        # (`_certified`)
         rows.append((f"h-shape[{label}]",
                      h.degree == N and h.lead == prime.kappa.one
                      and bool(h.constant_coeff())

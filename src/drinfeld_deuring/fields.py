@@ -406,6 +406,14 @@ class IndexKernel:
         return [exp[log[c] + j * lx % m1] if c else 0
                 for j, c in enumerate(a)]
 
+    def powers(self, x, es):
+        """[x^e] over the ints es, for a nonzero index x: one table read
+        each.  x = 0 raises DomainError."""
+        if not x:
+            raise DomainError("powers of 0")
+        exp, m1, lx = self.exp, self.m1, self.log[x]
+        return [exp[e * lx % m1] for e in es]
+
     def span(self, rows):
         """[sum_j rows[j][d_j]] over every digit tuple d, at the index whose
         digits in base len(rows[0]), lowest first, are d: the map of a basis

@@ -22,23 +22,73 @@ of s^(k(q-1)) over k = 1..q, is fixed by Frobenius, so U_1^(q^i) =
 C(s^(q^i)) + T^(-(q-1)q^i) and a U-step is 3q + 1 copies, with no product.
 u_mod_prime, the universal h route, and the checks of u_i read these maps.
 
-Over kappa = F_q[T]/(p), T -> alpha, both recurrences run on kappa's index
-lists by the kernel's `scale`, `add_polys` and `mul_polys`: `U_mod_prime`
-in y = s^(q-1), and the separability certificate's u on digit masks.  At a
-point, u_d(gamma, x) = 0 is the one supersingularity test (`u_root_test`).
+Both sequences have closed forms.  For a d-bit digit mask m, let E(m) =
+sum_{j in m} q^j, and call bit i of m clear when it is not set (bit d of a
+d-bit mask is clear).  Then
+
+    u_d = sum_{m < 2^d} T^(t(m)) * s^(E(m)),
+    t(m) = sum over the clear bits i < d of m of
+           (1 if bit i+1 is set, else q^(i+1)):
+
+2^d monomials, each of coefficient 1, on distinct s-exponents.  So h = u_d
+mod p is sum_m alpha^(t(m)) * s^(E(m)), with exactly 2^d nonzero
+coefficients, each a power of alpha; u_d(0) = T^(t(0)), t(0) = q + ... +
+q^d (`check_u_zero`); and every s-exponent is 0 or 1 mod p.  In one
+expression, t(m) = q * E(z) + |y|, z the bits i < d where m has neither bit
+i nor bit i+1, y the clear bits i of m whose bit i+1 is set.
+
+Proof, by induction on i.  As (s + T^q)^(q^i) = s^(q^i) + T^(q^(i+1)),
+the recurrence on the coefficient u_i[m] of s^(E(m)) reads, for m < 2^i,
+
+    u_{i+1}[m] = T^(q^(i+1)) * u_i[m],
+    u_{i+1}[m + 2^i] = u_i[m] - (T^(q^i) - T) * u_{i-1}[m],
+
+where u_{i-1}[m] = 0 for m >= 2^(i-1).  The first line adds a clear bit i
+below the clear bit i+1: the term q^(i+1).  In the second, bit i becomes
+set.  If bit i-1 of m is set, u_{i-1}[m] = 0 and no term of t changes.  If
+it is clear, the first line one step down gives u_i[m] = T^(q^i) *
+u_{i-1}[m], the T^(q^i) terms cancel, and u_{i+1}[m + 2^i] = T *
+u_{i-1}[m]: the clear bit i-1, now below a set bit, adds 1.
+
+With y = s^(q-1) and digit words w in {0, ..., q}^d,
+
+    U_d = sum_w T^(tau(w)) * y^(sum_i w_i q^i),
+    tau(w) = sum over the i < d with w_i = 0 of
+             (1 - q^(i+1) if i > 0 and w_{i-1} != 0, else -(q-1)*q^i):
+
+(q+1)^d monomials of coefficient 1, distinct wherever the tests reach.
+The proof is the same induction, on words.  In y, C = Y(y) = y + ... + y^q,
+so with Q = q^(i+1) a word of U_i gains w_i = k in 1..q at y^(k q^i), or
+w_i = 0 at T^(-(q-1)q^i) = T^(q^i-Q); a word v of U_{i-1} gains w_{i-1} = k
+in 1..q and w_i = 0 at (T^(1-Q) - T^(q^i-Q)) * y^(k q^(i-1)).  The word vk
+of U_i has the tau of v, as its last digit is not 0, so its copy at
+T^(q^i-Q) cancels v's second term and leaves T^(1-Q).
+
+The universal route reads generic u_d once per (q, d) as its list t(m)
+(`_u_t_exponents`), and reduces it by one table read per mask.  The
+separability certificate compares that h with the closed form, whose t(m)
+(`_t_closed_form`) comes from no recurrence.
+
+Over kappa = F_q[T]/(p), T -> alpha, `U_mod_prime` runs the U-recurrence
+on kappa's index lists in y = s^(q-1), by the kernel's `add_polys` and
+`mul_each`.  At a point, u_d(gamma, x) = 0 is the one supersingularity test
+(`u_root_test`): d steps, where the closed form has 2^d terms.
 """
 
 from __future__ import annotations
 
+import functools
 from math import comb
 
-from .errors import CapExceededError, DomainError
+from .errors import CapExceededError, ConsistencyError, DomainError
 from .laurent import LaurentRing, LaurentT
-from .modulus import t_poly_ring
+from .modulus import _mask_exponents, t_poly_ring
 from .poly import Poly, PolyRing
 
 _u_cache = {}
 _U_cache = {}
+# the list t(m) of generic u_d per (field, d), read by `_u_t_exponents`
+_t_cache = {}
 # the key stride of the term maps (module docstring); `_check_stride`
 # refuses a map whose s-exponents would reach it
 _T_STRIDE = 1 << 32
@@ -151,11 +201,40 @@ def _terms_to_poly(u, ring):
 
 
 def u_mod_prime(prime):
-    """u_d mod p for the prime p of degree d: h by the universal route, the
-    generic u_d reduced over its nonzero terms."""
-    u = _u_terms(prime.field_q, prime.d)[prime.d]
-    return prime._kappa_poly(prime._reduce_terms(
-        (key % _T_STRIDE, ((key // _T_STRIDE, c),)) for key, c in u.items()))
+    """u_d mod p for the prime p of degree d: h by the universal route.
+    Generic u_d, read once per (q, d) as its list t(m) in mask order
+    (`_u_t_exponents`), reduces to alpha^(t(m)) at s^(E(m)): one table read
+    per mask, and one placement on the masks' exponents."""
+    return prime._poly_on_masks(prime.kappa._kernel.powers(
+        prime.alpha.index, _u_t_exponents(prime.field_q, prime.d)))
+
+
+def _u_t_exponents(field, d):
+    """The T-exponents t(m) of generic u_d in mask order, read off its term
+    map and memoised per (field, d).  ConsistencyError unless the map is
+    as the closed form (module docstring) says: exactly 2^d keys, each of
+    coefficient 1, one at each mask's s-exponent E(m)."""
+    ts = _t_cache.get((field, d))
+    if ts is None:
+        u = _u_terms(field, d)[d]
+        exps = _mask_exponents(field.card, d)
+        t_of = {k % _T_STRIDE: k // _T_STRIDE for k in u}
+        if (len(u) != 1 << d or set(u.values()) != {1}
+                or t_of.keys() != set(exps)):
+            raise ConsistencyError(
+                f"generic u_{d} over F_{field.card} is not 2^{d} terms of "
+                "coefficient 1 on the exponents of the digit masks")
+        ts = _t_cache[field, d] = tuple(t_of[e] for e in exps)
+    return ts
+
+
+@functools.lru_cache(maxsize=64)
+def _t_closed_form(q, d):
+    """t(m) of the closed form of u_d for each d-bit mask m, in mask
+    order, from no recurrence: q * E(z) + |y| (module docstring)."""
+    exps, full = _mask_exponents(q, d), (1 << d) - 1
+    return tuple(q * exps[~(m | m >> 1) & full] + (m >> 1 & ~m).bit_count()
+                 for m in range(1 << d))
 
 
 def U_mod_prime(prime):
@@ -203,7 +282,8 @@ def u_zero_value(field, i):
 
 def check_u_zero(field, i):
     """The s^0 part of u_i is T^(q*(q^i - 1)/(q - 1)), compared as one term
-    of lead 1 (index 1): `u_zero_value` is dense in T."""
+    of lead 1 (index 1): `u_zero_value` is dense in T.  It is the mask m = 0
+    of the closed form (module docstring), t(0) = q + ... + q^i."""
     u = _u_terms(field, i)[i]
     q = field.card
     return ({k: c for k, c in u.items() if not k % _T_STRIDE}
@@ -214,9 +294,9 @@ def check_derivative_recursion(field, i):
     """The derivative sequence satisfies the unchanged recursion at step i >= 1
     (at i = 0 it would force u_1' = 0, but u_1 = s + T^q has u_1' = 1).
 
-    Every s-exponent e of every u_j is 0 or 1 mod p: u_0 = 1, u_1 = s + T^q,
-    and step j (`_u_step`) shifts exponents by 0 or q^j, a multiple of p for
-    j >= 1.  So e mod p is 1 on each term the p | e filter keeps: dropping
+    Every s-exponent e of every u_j is 0 or 1 mod p, by the closed form
+    (module docstring): e = E(m) = sum_{k in m} q^k is bit 0 of m mod p.
+    So e mod p is 1 on each term the p | e filter keeps: dropping
     that factor is an equivalent mutant, which `Poly.derivative` (it too
     multiplies by e) cannot detect.  The row tests only the step's exponents
     and the p | e filter.
@@ -333,8 +413,11 @@ def check_simple_roots(prime):
 
 def _certified(prime, h):
     """A certificate, not a gcd, that h over kappa is separable with
-    h(0) != 0: h is u_d built over kappa, h(0) != 0, and alpha^(q^j) !=
-    alpha, 0 < j < d.
+    h(0) != 0: h is u_d(alpha, s), h(0) != 0, and alpha^(q^j) != alpha,
+    0 < j < d.  h is compared with the closed form sum_m alpha^(t(m)) *
+    s^(E(m)) of u_d over kappa (module docstring), whose t(m) comes from no
+    recurrence (`_t_closed_form`): the universal route's h checks the
+    formula against the recurrence, prime by prime.
 
     Over kappa, u_{i+1} = A_i*u_i - B_i*u_{i-1} with A_i = s^(q^i) +
     alpha^(q^(i+1)) and B_i = (alpha^(q^i) - alpha)*s^(q^i).  For i >= 1,
@@ -344,28 +427,10 @@ def _certified(prime, h):
     q^(d-1)) != 0, a common factor of h and h' is a power of s, and h(0)
     != 0 leaves only 1."""
     K, a, q = prime.kappa._kernel, prime.alpha.index, prime.q
-    return (_u_on_masks(prime) == [c.index for c in h.coeffs]
+    closed = K.powers(a, _t_closed_form(q, prime.d))
+    return (prime._on_exponents(closed) == [c.index for c in h.coeffs]
             and bool(h.constant_coeff())
             and all(K._pow(a, q ** j) != a for j in range(1, prime.d)))
-
-
-def _u_on_masks(prime):
-    """u_d over kappa as an index list in s, run on digit masks: slot m of
-    u_i holds the coefficient of s^(sum_{j in m} q^j), m an i-bit mask.
-    Every s-exponent of u_i is such a sum, as u_0 = 1 and step i shifts u_i
-    by 0 or q^i and u_{i-1}, on masks below 2^(i-1), by q^i.  Distinct masks
-    are distinct exponents, so the step is u_{i+1}[m] =
-    alpha^(q^(i+1))*u_i[m] and u_{i+1}[m + 2^i] = u_i[m] - (alpha^(q^i) -
-    alpha)*u_{i-1}[m] for m < 2^i; the top slot stays 1, so `add_polys`
-    trims nothing.  The masks become exponents once, at the end."""
-    K, a, q = prime.kappa._kernel, prime.alpha.index, prime.q
-    prev, cur = [], [1]
-    for i in range(prime.d):
-        qi = q ** i
-        shifted = K.add_polys(cur, K.scale(K._add(a, K._neg(K._pow(a, qi))),
-                                           prev))
-        prev, cur = cur, K.scale(K._pow(a, q * qi), cur) + shifted
-    return prime._on_exponents(cur)
 
 
 def u_root_test(K, gamma, q, d):

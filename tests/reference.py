@@ -1,6 +1,8 @@
 """Element-level references for tests: routines the package replaced with
 faster ones, kept to check those against."""
 
+import itertools
+
 from drinfeld_deuring.drinfeld import LambdaModule
 from drinfeld_deuring.errors import AmbientTooSmallError, \
     ConsistencyError, DomainError
@@ -298,6 +300,54 @@ def u_over_kappa_by_term_maps(prime):
             (cur, 1, qi), (cur, K._pow(a, q * qi), 0),
             (prev, K._neg(K._pow(a, qi)), qi), (prev, a, qi)))
     return cur
+
+
+def u_on_masks(prime):
+    """u_d over kappa as an index list in s, by the recurrence on digit
+    masks, as the separability certificate ran it before it read the
+    closed form: slot m of u_i holds the coefficient of s^(sum_{j in m}
+    q^j), m an i-bit mask, and for m < 2^i
+
+    u_(i+1)[m] = alpha^(q^(i+1))*u_i[m],
+    u_(i+1)[m + 2^i] = u_i[m] - (alpha^(q^i) - alpha)*u_(i-1)[m].
+
+    The masks become exponents once, at the end."""
+    K, a, q = prime.kappa._kernel, prime.alpha.index, prime.q
+    prev, cur = [], [1]
+    for i in range(prime.d):
+        qi = q ** i
+        shifted = K.add_polys(cur, K.scale(K._add(a, K._neg(K._pow(a, qi))),
+                                           prev))
+        prev, cur = cur, K.scale(K._pow(a, q * qi), cur) + shifted
+    return prime._on_exponents(cur)
+
+
+def t_by_bits(q, d, m):
+    """t(m) of the closed form of u_d (`universal` module docstring), read
+    off its definition bit by bit: over the clear bits i < d of the d-bit
+    mask m, 1 if bit i+1 is set, else q^(i+1)."""
+    return sum(1 if m >> (i + 1) & 1 else q ** (i + 1)
+               for i in range(d) if not m >> i & 1)
+
+
+def tau(q, w):
+    """tau(w) of the closed form of U_d (`universal` module docstring), read
+    off its definition digit by digit: over the i with w_i = 0, 1 - q^(i+1)
+    if i > 0 and w_(i-1) != 0, else -(q-1)*q^i."""
+    return sum(1 - q ** (i + 1) if i and w[i - 1] else -(q - 1) * q ** i
+               for i, wi in enumerate(w) if not wi)
+
+
+def H_by_closed_form(prime):
+    """H = U_d mod p from the closed form of U_d, with no recurrence:
+    alpha^(tau(w)) summed at y^(sum_i w_i q^i), y = s^(q-1), over the
+    (q+1)^d digit words w in {0, ..., q}^d."""
+    K, a, q, d = prime.kappa._kernel, prime.alpha.index, prime.q, prime.d
+    out = [0] * (q * (q ** d - 1) // (q - 1) + 1)
+    for w in itertools.product(range(q + 1), repeat=d):
+        e = sum(wi * q ** i for i, wi in enumerate(w))
+        out[e] = K._add(out[e], K._pow(a, tau(q, w)))
+    return prime._poly_in_y(out)
 
 
 def g_lists_by_dense_horner(prime, k_max):

@@ -876,7 +876,7 @@ def test_sum_copies_adds_alike_through_the_table_and_add(case):
     assert all(by_table.values())
 
 
-# --- evaluate and dilate against element arithmetic -------------------------
+# --- evaluate, dilate and powers against element arithmetic ----------------
 
 _EVAL_FIELDS = ([(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)]
                 + [(p, 1) for p in (5, 7, 13, 251)])
@@ -943,6 +943,19 @@ def test_kernel_dilate_matches_element_arithmetic(case, data):
     # a(x s) at y, by Poly.__call__
     S, y = PolyRing(E, "s"), E.from_index(data.draw(index))
     assert S.poly(E._elements(got))(y) == S.poly(E._elements(a))(X * y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_eval_cases(), st.lists(st.integers(-(2 ** 40), 2 ** 40), max_size=12))
+def test_kernel_powers_match_element_arithmetic(case, es):
+    E, _, x = case
+    K = E._kernel
+    if not x:
+        with pytest.raises(DomainError):
+            K.powers(x, es)
+        return
+    X = E.from_index(x)
+    assert K.powers(x, es) == [(X ** e).index for e in es]
 
 
 # the longest coefficient list drawn per q: the list form, the reference,
@@ -1256,8 +1269,10 @@ _LEAST_IRREDUCIBLE = {
 
 
 def test_least_irreducible_is_pinned():
+    # past the lru_cache, which earlier tests fill: every key is searched
+    search = fields._least_irreducible.__wrapped__
     for (p, k, m), want in _LEAST_IRREDUCIBLE.items():
-        assert fields._least_irreducible(p, k, m) == want, (p, k, m)
+        assert search(p, k, m) == want, (p, k, m)
 
 
 def test_extension_root_is_found_once_per_kernel(monkeypatch):

@@ -286,12 +286,14 @@ def test_graph_builds_no_h(monkeypatch, q, text):
         monkeypatch.setattr(drinfeld, name, _unreachable(name))
     for name in drinfeld._METHODS:
         monkeypatch.setitem(drinfeld._METHODS, name, _unreachable(name))
-    for name in ("u_sequence", "u_mod_prime", "_u_on_masks", "_certified"):
+    for name in ("u_sequence", "u_mod_prime", "_u_t_exponents",
+                 "_t_closed_form", "_certified"):
         monkeypatch.setattr(universal, name, _unreachable(name))
     # nor any polynomial arithmetic in the kernel, once kappa_2 is built
     for name in ("add_polys", "scale", "mul_polys", "mul_each",
                  "divmod_polys", "gcd", "powmod", "_frobenius_powers",
-                 "evaluate", "sum_copies", "compose_in_S", "vector_scale"):
+                 "evaluate", "powers", "sum_copies", "compose_in_S",
+                 "vector_scale"):
         for kind in (IndexKernel, *IndexKernel.__subclasses__()):
             if name in vars(kind):
                 monkeypatch.setattr(kind, name, _unreachable(name))

@@ -1,21 +1,24 @@
 """Universal sequences u_i / U_i and the identities they satisfy."""
 
 import functools
+import itertools
 import json
 from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from drinfeld_deuring.drinfeld import deuring_h_direct
-from drinfeld_deuring.errors import CapExceededError, DomainError
-from drinfeld_deuring.fields import FieldElement, base_field
+from drinfeld_deuring.drinfeld import deuring_H, deuring_h_direct, \
+    deuring_h_grec
+from drinfeld_deuring.errors import CapExceededError, ConsistencyError, \
+    DomainError
+from drinfeld_deuring.fields import FieldElement, IndexKernel, base_field
 from drinfeld_deuring.grammar import parse, render
 from drinfeld_deuring.laurent import LaurentRing, LaurentT
 from drinfeld_deuring import universal
 from drinfeld_deuring.modulus import (
-    PrimeModulus, primes_of_degree, primes_up_to_degree, reduce_mod_prime,
-    t_poly_ring,
+    PrimeModulus, _mask_exponents, primes_of_degree, primes_up_to_degree,
+    reduce_mod_prime, t_poly_ring,
 )
 from drinfeld_deuring.ore import qpow
 from drinfeld_deuring.poly import Poly, PolyRing, _Dense, poly_gcd
@@ -25,8 +28,8 @@ from drinfeld_deuring.universal import (
     U_mod_prime, sequence_json, u_mod_prime, u_sequence, u_zero_value,
 )
 from reference import (
-    U_over_kappa_by_term_maps, coprime_over_fraction_field,
-    u_over_kappa_by_term_maps,
+    H_by_closed_form, U_over_kappa_by_term_maps, coprime_over_fraction_field,
+    t_by_bits, tau, u_on_masks, u_over_kappa_by_term_maps,
 )
 
 
@@ -105,10 +108,11 @@ def test_sum_copies_builds_the_addition_table_once(monkeypatch):
 
 
 def test_universal_route_builds_no_polynomial_over_f_q_t(monkeypatch):
-    # u_d is built, cached and reduced as term maps; polynomials over
+    # u_d is built, cached and read as term maps; polynomials over
     # F_q[T] exist only for u_sequence's callers
     p = next(iter(primes_of_degree(base_field(2), 6)))
     monkeypatch.setattr(universal, "_u_cache", {})
+    monkeypatch.setattr(universal, "_t_cache", {})
     init = _Dense.__init__
 
     def checked(self, ring, coeffs):
@@ -644,21 +648,174 @@ def test_U_mod_prime_in_y_matches_the_term_map_reference(p):
 @settings(max_examples=80, deadline=None)
 @given(_kappa_prime())
 def test_u_on_masks_matches_the_term_map_reference(p):
+    # the two recurrences over kappa that the certificate ran, and the
+    # closed form it reads now, and the universal route
     u = u_over_kappa_by_term_maps(p)
     dense = [0] * (max(u) + 1)
     for e, c in u.items():
         dense[e] = c
-    assert universal._u_on_masks(p) == dense
+    closed = p.kappa._kernel.powers(p.alpha.index,
+                                    universal._t_closed_form(p.q, p.d))
+    assert u_on_masks(p) == dense == p._on_exponents(closed) \
+        == [c.index for c in u_mod_prime(p).coeffs]
 
 
 @pytest.mark.parametrize("q, d", _SWEEP_GRID)
 def test_h_lies_on_sums_of_distinct_powers_of_q(q, d):
-    # the support that `_u_on_masks` runs on: at the first prime of degree
-    # d, every nonzero exponent of h is sum_{j in m} q^j, m a d-bit mask
+    # the support of the closed form: at the first prime of degree d, every
+    # nonzero exponent of h is sum_{j in m} q^j, m a d-bit mask
     p = next(primes_of_degree(base_field(q), d))
     sums = {sum(q ** j for j in range(d) if m >> j & 1) for m in range(2 ** d)}
     h = deuring_h_direct(p)
     assert {e for e, c in enumerate(h.coeffs) if c} <= sums
+
+
+# the largest i at which verify reads generic u_i over F_q: its u_i rows
+# (u-zero and the derivative recursion reach u_5 at q <= 3, else u_3), and
+# the degrees of the sweep grid, of CI's verify commands and of the timed
+# verify runs of ROADMAP, up to (2,12), (3,8), (4,7), (16,3) and (64,2)
+_VERIFY_U_REACH = {2: 12, 3: 8, 4: 7, 5: 3, 7: 3, 8: 3, 9: 3, 13: 3, 16: 3,
+                   25: 3, 64: 3}
+# the largest i with (q+1)^i <= 4096 for the same q: generic U_i by its
+# closed form, which has (q+1)^i terms; the sweep grid's degrees are within
+_U_REACH = {q: max(i for i in range(13) if (q + 1) ** i <= 4096)
+            for q in _VERIFY_U_REACH}
+
+
+def _u_by_closed_form(q, i):
+    # generic u_i as a term map, from `_t_closed_form`
+    return {t * universal._T_STRIDE + e: 1 for t, e in
+            zip(universal._t_closed_form(q, i), _mask_exponents(q, i))}
+
+
+def _U_by_closed_form(q, i):
+    # generic U_i as a term map, one key per digit word: the words' monomials
+    # must be distinct
+    U = {tau(q, w) * universal._T_STRIDE
+         + (q - 1) * sum(wj * q ** j for j, wj in enumerate(w)): 1
+         for w in itertools.product(range(q + 1), repeat=i)}
+    assert len(U) == (q + 1) ** i
+    return U
+
+
+def test_t_closed_form_is_its_bitwise_definition():
+    for q, i_max in _VERIFY_U_REACH.items():
+        for d in range(i_max + 1):
+            assert universal._t_closed_form(q, d) == \
+                tuple(t_by_bits(q, d, m) for m in range(1 << d))
+
+
+@pytest.mark.parametrize("q", sorted(_VERIFY_U_REACH))
+def test_u_terms_equal_the_closed_form(q):
+    u = universal._u_terms(base_field(q), _VERIFY_U_REACH[q])
+    assert u == [_u_by_closed_form(q, i) for i in range(len(u))]
+    # the mask m = 0 is u_i(0) = T^(q + ... + q^i), the u-zero row
+    assert [universal._t_closed_form(q, i)[0] for i in range(len(u))] == \
+        [q * universal._u_degree(q, i) for i in range(len(u))]
+
+
+@pytest.mark.parametrize("q", sorted(_U_REACH))
+def test_U_terms_equal_the_closed_form(q):
+    U = universal._U_terms(base_field(q), _U_REACH[q])
+    assert U == [_U_by_closed_form(q, i) for i in range(len(U))]
+
+
+# prime powers past verify's grid as well, for the drawn forms
+_FORM_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 25, 27, 32, 49, 64, 81, 125,
+            128, 243, 256)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_FORM_QS), st.data())
+def test_the_closed_forms_hold_at_drawn_q_and_i(q, data):
+    F = base_field(q)
+    i = data.draw(st.integers(
+        0, max(i for i in range(9) if q ** (i + 1) < 2 ** 31)))
+    assert universal._u_terms(F, i)[i] == _u_by_closed_form(q, i)
+    m = data.draw(st.integers(0, 2 ** i - 1))
+    assert universal._t_closed_form(q, i)[m] == t_by_bits(q, i, m)
+    j = data.draw(st.integers(
+        0, max(j for j in range(9) if (q + 1) ** j <= 1024)))
+    assert universal._U_terms(F, j)[j] == _U_by_closed_form(q, j)
+
+
+def _h_by_closed_form(p):
+    # sum_m alpha^(t(m)) s^(E(m)) by element powers, as kappa indices in s
+    exps = _mask_exponents(p.q, p.d)
+    out = [0] * (exps[-1] + 1)
+    for m, e in enumerate(exps):
+        out[e] = (p.alpha ** t_by_bits(p.q, p.d, m)).index
+    return out
+
+
+@pytest.mark.parametrize("q, d", _SWEEP_GRID)
+def test_closed_form_h_equals_the_three_routes(q, d):
+    for p in primes_up_to_degree(base_field(q), d):
+        closed = _h_by_closed_form(p)
+        for h in (deuring_h_direct(p), deuring_h_grec(p), u_mod_prime(p)):
+            assert [c.index for c in h.coeffs] == closed
+
+
+@pytest.mark.parametrize("q, d", _SWEEP_GRID)
+def test_closed_form_H_equals_deuring_H_and_U_mod_prime(q, d):
+    primes = [p for p in primes_up_to_degree(base_field(q), d)
+              if (q + 1) ** p.d <= 4096]
+    assert primes
+    for p in primes:
+        assert H_by_closed_form(p) == deuring_H(p, deuring_h_direct(p)) \
+            == U_mod_prime(p)
+
+
+@pytest.mark.parametrize("q, d", [(2, 4), (3, 3), (4, 2), (9, 2)])
+def test_u_t_exponents_refuses_a_map_off_the_closed_form(q, d, monkeypatch):
+    F = base_field(q)
+    p = next(primes_of_degree(F, d))
+    stride = universal._T_STRIDE
+    u = universal._u_terms(F, d)[d]
+    exps = _mask_exponents(q, d)
+    t0, t1 = (universal._t_closed_form(q, d)[m] for m in (0, 1))
+    rest = {k: c for k, c in u.items() if k != t0 * stride}
+    doctored = [
+        rest,  # a term short
+        {**u, stride + exps[-1] + 1: 1},  # a term more
+        {**rest, t0 * stride + exps[-1] + 1: 1},  # s^0 moved off the masks
+        {**rest, (t1 + 1) * stride + exps[1]: 1},  # two terms at s^(E(1))
+    ]
+    if q > 2:
+        doctored.append({**u, t0 * stride: 2})  # a coefficient not 1
+    for bad in doctored:
+        monkeypatch.setattr(universal, "_t_cache", {})
+        _with_u_terms(monkeypatch, F, d, bad)
+        with pytest.raises(ConsistencyError, match="digit masks"):
+            u_mod_prime(p)
+        monkeypatch.undo()
+    monkeypatch.setattr(universal, "_t_cache", {})
+    assert u_mod_prime(p) == deuring_h_direct(p)
+
+
+def test_universal_route_reads_one_table_entry_per_mask(monkeypatch):
+    # no reduction of u_d's terms (`IndexKernel.evaluate`) and no
+    # `_kappa_poly`; the generic u_d is read once per (q, d)
+    primes = [next(primes_of_degree(base_field(q), d))
+              for q, d in ((2, 6), (3, 4), (4, 3), (9, 2))]
+    want = [deuring_h_direct(p) for p in primes]
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("u_d was reduced term by term")
+
+    for kind in (IndexKernel, *IndexKernel.__subclasses__()):
+        if "evaluate" in vars(kind):
+            monkeypatch.setattr(kind, "evaluate", forbidden)
+    monkeypatch.setattr(PrimeModulus, "_kappa_poly", forbidden)
+    monkeypatch.setattr(universal, "_t_cache", {})
+    read = []
+    real = universal._u_terms
+    monkeypatch.setattr(universal, "_u_terms",
+                        lambda f, i: read.append((f.card, i)) or real(f, i))
+    got = [u_mod_prime(p) for p in primes] + [u_mod_prime(p) for p in primes]
+    monkeypatch.undo()
+    assert got == want + want
+    assert read == [(2, 6), (3, 4), (4, 3), (9, 2)]
 
 
 def _squared_factor_mutant(field, i):
