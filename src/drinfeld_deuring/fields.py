@@ -580,20 +580,8 @@ class IndexKernel:
         if (len(a) - a.count(0)) * (len(b) + _ADDMUL_CALL_COST) < \
                 (len(b) - b.count(0)) * (len(a) + _ADDMUL_CALL_COST):
             a, b = b, a
-        return self._mul_row(self._row(a), len(a), b)
-
-    def mul_each(self, a, bs):
-        """[a * b for b in bs] with a's row built once: the products of one
-        dense polynomial by a few sparse ones, one `_addmul` per nonzero
-        term of each b."""
-        if not a:
-            return [[] for _ in bs]
         row = self._row(a)
-        return [self._mul_row(row, len(a), b) if b else [] for b in bs]
-
-    def _mul_row(self, row, n, b):
-        # the product of b != [] by the length-n polynomial whose row is row
-        out = [0] * (n + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         addmul = self._addmul
         for i, c in enumerate(b):
             if c:

@@ -70,9 +70,10 @@ separability certificate compares that h with the closed form, whose t(m)
 (`_t_closed_form`) comes from no recurrence.
 
 Over kappa = F_q[T]/(p), T -> alpha, `U_mod_prime` runs the U-recurrence
-on kappa's index lists in y = s^(q-1), by the kernel's `add_polys` and
-`mul_each`.  At a point, u_d(gamma, x) = 0 is the one supersingularity test
-(`u_root_test`): d steps, where the closed form has 2^d terms.
+on kappa's index lists in y = s^(q-1), by one `mul_polys` per step: its
+product P_i = U_i*Y(y^(q^i)) feeds U_(i+1) and, scaled, U_(i+2).  At a
+point, u_d(gamma, x) = 0 is the one supersingularity test (`u_root_test`):
+d steps, where the closed form has 2^d terms.
 """
 
 from __future__ import annotations
@@ -240,31 +241,27 @@ def _t_closed_form(q, d):
 def U_mod_prime(prime):
     """U_d mod p for the prime p of degree d, the companion H: the
     U-recurrence over kappa on index lists in y = s^(q-1), where C = Y(y) =
-    y + ... + y^q.  With Q = q^(i+1) and gamma_i = alpha^(1-Q) -
-    alpha^(q^i-Q), which is not 0 for 0 < i < d,
+    y + ... + y^q.  With Q = q^(i+1), gamma_i = alpha^(1-Q) - alpha^(q^i-Q),
+    which is not 0 for 0 < i < d and is 0 at i = d as alpha^(q^d) = alpha,
+    and P_i = U_i*Y(y^(q^i)),
 
-    U_{i+1} = U_i*(Y(y^(q^i)) + alpha^(-(q-1)q^i))
-              + gamma_i*Y(y^(q^(i-1)))*U_{i-1}:
+    U_{i+1} = P_i + alpha^(-(q-1)q^i)*U_i + gamma_i*P_{i-1}:
 
-    each U_i is multiplied by index lists of q + 1 and q terms, the second
-    product for U_{i+2}, by one `mul_each` that builds U_i's row once."""
+    one product per step, by `mul_polys`, whose sparse operand Y(y^(q^i))
+    has q ones.  P_i feeds U_{i+1} as it is and U_{i+2} scaled by
+    gamma_{i+1}."""
     K, a, q, d = prime.kappa._kernel, prime.alpha.index, prime.q, prime.d
     cur, carried = [1], []
     for i in range(d):
         qi = q ** i
         Q = q * qi
-        # q ones at y^(q^i), ..., y^Q, and the constant alpha^(-(q-1)q^i)
-        factor = [0] * (Q + 1)
-        factor[qi::qi] = [1] * q
-        factor[0] = K._pow(a, -(q - 1) * qi)
-        # gamma_(i+1) at the same q places, U_i's term of U_(i+2)
-        nxt_factor = []
-        if i + 1 < d:
-            gamma = K._add(K._pow(a, 1 - q * Q), K._neg(K._pow(a, Q - q * Q)))
-            nxt_factor = [0] * (Q + 1)
-            nxt_factor[qi::qi] = [gamma] * q
-        nxt, carry = K.mul_each(cur, [factor, nxt_factor])
-        cur, carried = K.add_polys(nxt, carried), carry
+        # q ones at y^(q^i), ..., y^Q
+        Y = [0] * (Q + 1)
+        Y[qi::qi] = [1] * q
+        P = K.mul_polys(cur, Y)
+        nxt = K.add_polys(P, K.scale(K._pow(a, -(q - 1) * qi), cur))
+        gamma = K._add(K._pow(a, 1 - q * Q), K._neg(K._pow(a, Q - q * Q)))
+        cur, carried = K.add_polys(nxt, carried), K.scale(gamma, P)
     return prime._poly_in_y(cur)
 
 

@@ -1046,19 +1046,6 @@ def test_packed_vectors_match_the_list_forms(case):
         K.scale(c, placed)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from([(2, 1), (2, 8), (2, 9), (3, 1), (3, 4), (5, 2),
-                        (65521, 1)]), st.data())
-def test_mul_each_matches_mul_polys(pk, data):
-    # one row of a, built once, against a product per b
-    K = fields._abs_tables(*pk)
-    x = st.one_of(st.just(0), st.integers(1, K.card - 1))
-    a = _trim(data.draw(st.lists(x, max_size=30)))
-    bs = [_trim(b) for b in data.draw(st.lists(st.lists(x, max_size=12),
-                                               max_size=4))]
-    assert K.mul_each(a, bs) == [K.mul_polys(a, b) for b in bs]
-
-
 # q = p^e <= 81 per odd p, and the degrees k of the fields F_(p^k) drawn
 # for each p: S has coefficients in F_p, so F_q need not lie in F_(p^k)
 _ODD_COMPOSE_QS = {3: (3, 9, 27, 81), 5: (5, 25), 7: (7, 49), 11: (11,),

@@ -290,10 +290,9 @@ def test_graph_builds_no_h(monkeypatch, q, text):
                  "_t_closed_form", "_certified"):
         monkeypatch.setattr(universal, name, _unreachable(name))
     # nor any polynomial arithmetic in the kernel, once kappa_2 is built
-    for name in ("add_polys", "scale", "mul_polys", "mul_each",
-                 "divmod_polys", "gcd", "powmod", "_frobenius_powers",
-                 "evaluate", "powers", "sum_copies", "compose_in_S",
-                 "vector_scale"):
+    for name in ("add_polys", "scale", "mul_polys", "divmod_polys", "gcd",
+                 "powmod", "_frobenius_powers", "evaluate", "powers",
+                 "sum_copies", "compose_in_S", "vector_scale"):
         for kind in (IndexKernel, *IndexKernel.__subclasses__()):
             if name in vars(kind):
                 monkeypatch.setattr(kind, name, _unreachable(name))

@@ -252,6 +252,35 @@ def test_U_mod_prime_builds_no_laurent_polynomial(monkeypatch):
     assert H == reduce_mod_prime(U_sequence(p.field_q, p.d)[p.d], p)
 
 
+@pytest.mark.parametrize("q, d", [(q, d) for q, ds in ((2, (1, 2, 6)),
+                                                       (3, (1, 2, 4)),
+                                                       (4, (1, 2, 3)),
+                                                       (9, (1, 2, 3)))
+                                  for d in ds])
+def test_U_mod_prime_forms_one_product_per_step(monkeypatch, q, d):
+    # P_i = U_i*Y(y^(q^i)) is formed once and feeds U_(i+1) and U_(i+2):
+    # d products, each by mul_polys with Y(y^(q^i)), q ones, as an operand;
+    # no kernel method shares U_i's row between two products
+    p = next(iter(primes_of_degree(base_field(q), d)))
+    want = U_mod_prime(p)
+    calls = []
+    real = IndexKernel.mul_polys
+
+    def counted(self, a, b):
+        calls.append((list(a), list(b)))
+        return real(self, a, b)
+
+    monkeypatch.setattr(IndexKernel, "mul_polys", counted)
+    assert U_mod_prime(p) == want
+    assert len(calls) == d
+    for i, operands in enumerate(calls):
+        Y = [0] * (q ** (i + 1) + 1)
+        Y[q ** i::q ** i] = [1] * q
+        assert Y in operands
+    assert not any(hasattr(kind, "mul_each")
+                   for kind in (IndexKernel, *IndexKernel.__subclasses__()))
+
+
 def _sequence_json_reference(field, i_max):
     return {"q": field.card, "variant": "U", "i_max": i_max,
             "entries": [[render(c) for c in reversed(f.coeffs)]
