@@ -19,6 +19,7 @@ deterministic.
 """
 
 import argparse
+import functools
 import json
 import os
 import stat
@@ -244,6 +245,9 @@ def cmd_identities(args):
     return 0 if all(r.verified for r in reports) else 1
 
 
+# built once per process, on the first call: a build costs about ten
+# parses (0.6 against 0.05-0.07 ms on a 2-vCPU VM)
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="drinfeld-deuring",

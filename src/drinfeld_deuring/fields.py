@@ -292,11 +292,12 @@ class IndexKernel:
 
     The tables and their layout are private to `fields`.  Other modules
     use the scalar operations, which every `FiniteField` of this absolute
-    field takes as its own `_add`, `_neg`, `_mul`, `_inv` and `_pow`, and
-    the public methods: the polynomial ones, the slot vectors, `embedding`,
-    `span`, `evaluate` and `dilate`, public so that `perfbench`'s span
-    tracer reports them as spans of their own.  The package does not export the class;
-    `fields._abs_tables` builds one per absolute field.
+    field takes as its own `_add`, `_neg`, `_mul`, `_inv` and `_pow`, the
+    kernel's `_root`, and the public methods: the polynomial ones, the slot
+    vectors, `embedding`, `span`, `evaluate` and `dilate`, public so that
+    `perfbench`'s span tracer reports them as spans of their own.  The
+    package does not export the class; `fields._abs_tables` builds one per
+    absolute field.
     """
 
     def __init__(self, p, degree, modulus_digits):
@@ -444,6 +445,14 @@ class IndexKernel:
                 raise ZeroDivisionError("negative power of zero")
             return 0
         return self.exp[self.log[i] * e % self.m1]
+
+    def _root(self, i, n):
+        # an n-th root of i, or None, for n | m1: x^n = g^l is solvable
+        # exactly when n | l
+        if not i:
+            return 0
+        l = self.log[i]
+        return None if l % n else self.exp[l // n]
 
     def sums(self):
         """The table of index sums: sums()[i][j] is the index of i + j."""

@@ -68,17 +68,30 @@ in pairs and fixed points, so kappa holds one whenever deg h is odd, as it
 is for every even q.  Every prime over an odd F_q whose kappa_2 is within
 the cap has a c, so only even q scans.
 
-The targets of a vertex come from a linear solve: Y = -1 is never a root of
-c (c(-1) = -Delta0), so W = 1/(Y+1) is defined, with Y = (1-W)/W and
-(Y+1)^(q-1) * Y = (1-W)/W^q.  c(Y) = 0 then reads
+The targets of a vertex come from one map factored once per graph: Y = -1
+is never a root of c (c(-1) = -Delta0), so W = 1/(Y+1) is defined, with
+Y = (1-W)/W and (Y+1)^(q-1) * Y = (1-W)/W^q.  c(Y) = 0 then reads
 -gamma(T^q) * (1-W) = Delta0 * W^q, that is
 
-    a * W^q + W = 1,    a = -Delta0 / gamma(T^q),
+    a * W^q + W = 1,    a = -Delta0 / gamma(T^q).
 
-and W -> a*W^q + W is F_p-linear.  An index's base-p digits are its
-coordinates in the basis z^i, so the solve is an elimination on indices of
-dimension [kappa_2 : F_p] (`_eliminator`, which the CM point's solve
-shares), and each solution gives the target
+W -> a*W^q + W is F_q-linear, and its kernel is 0 and the W with
+W^(q-1) = -1/a.  So if -1/a has no (q-1)-th root the map is one-to-one and
+there is exactly one solution: W = 1 - a*W^q unrolled n = [ambient : F_q]
+times is W = s + r*W, with r = (-1)^n N(a) != 1 for the norm N to F_q.
+Otherwise, for a root lam and W = lam * V (after Bluher, as for the CM
+point), a * lam^q = -lam turns the equation into
+
+    A(V) = V^q - V = -1/lam,
+
+where A is F_q-linear with kernel F_q and does not depend on Delta0: there
+is no solution if -1/lam is not in A's image, and otherwise exactly the q
+solutions lam * (V0 + F_q).  An index's base-p digits are its coordinates
+in the basis z^i, so A is factored once per graph by an elimination on
+indices of dimension [kappa_2 : F_p] (`_eliminator`, which the CM point's
+solve shares), a kernel of A other than F_q being a ConsistencyError; a
+vertex then costs one (q-1)-th root, one reduction against A's pivot rows,
+and q sums and products.  Each solution gives the target
 Delta1 = -gamma(T) * Y^q * W^(q-1).  The walk is breadth-first; each new
 target goes through the root test, and one that is not a root is a stray
 target, which is not walked on.  The walk must reach all deg h roots: h is
@@ -102,7 +115,9 @@ def neighbors(delta0, prime, ambient):
 
     AmbientTooSmallError unless the q roots of c lie in `ambient`.  They are
     distinct: c' = -gamma(T^q) * (Y+1)^(q-2) (-gamma(T)^2 when q = 2) can
-    vanish only at Y = -1, where c(-1) = -delta0 != 0.
+    vanish only at Y = -1, where c(-1) = -delta0 != 0.  Each call factors
+    V^q - V on `ambient` for its one delta0 (module docstring), where the
+    walk of `build_supersingular_graph` factors it once for all vertices.
     """
     if not delta0:
         raise DomainError("Delta = 0 is never a vertex")
@@ -119,21 +134,26 @@ def _checked(targets, q):
     return targets
 
 
-def _eliminator(K):
-    """(basis, solve) for the F_p-linear maps of the kernel K's indices:
-    basis lists the indices p^i of z^i, and solve(columns, r), for the map
-    L with L(z^i) = columns[i], returns (a basis of the kernel of L, one w
-    with L(w) = r, or None if there is none).  An index's base-p digits
-    are its coordinates in the basis z^i, so this is Gaussian elimination
-    on indices, of dimension [K : F_p]; a kernel vector is found at each
-    column whose reduction vanishes, in column order."""
+def _eliminator(K, columns):
+    """(kernel, preimage) for the F_p-linear map L of the kernel K's indices
+    with L(z^i) = columns[i], z^i being the index p^i: kernel is a basis of
+    the kernel of L, and preimage(r) is one w with L(w) = r, or None if
+    there is none.  An index's base-p digits are its coordinates in the
+    basis z^i, so this is Gaussian elimination on indices, of dimension
+    [K : F_p].  L is factored once, here: its columns are reduced to pivot
+    rows, a kernel vector being found at each column whose reduction
+    vanishes, in column order, and each right-hand side then takes one
+    reduction against the pivot rows."""
     p, add, neg, mul, inv = K.p, K._add, K._neg, K._mul, K._inv
     basis = [p ** i for i in range(K.degree)]
     # the leading digit of v != 0 sits at top[v.bit_length()] or one below
     top = [0] + [bisect.bisect_left(basis, 1 << b) - 1
                  for b in range(1, K.card.bit_length() + 1)]
+    # pivots[pos]: (-c*v, -c*w) for c in F_p, v = L(w) with leading digit 1
+    # at position pos
+    pivots, kernel = {}, []
 
-    def reduce(v, w, pivots):
+    def reduce(v, w):
         # v = L(w) - r: clear v's leading digits while a pivot row has them;
         # returns v, w and the position of v's leading digit
         while v:
@@ -147,35 +167,43 @@ def _eliminator(K):
             v, w = add(v, dv), add(w, dw)
         return 0, w, None
 
-    def solve(columns, r):
-        # pivots[pos]: (-c*v, -c*w) for c in F_p, v = L(w) with leading
-        # digit 1 at position pos
-        pivots, kernel = {}, []
-        for b, col in zip(basis, columns):
-            # the column of z^i, with r = 0
-            v, w, pos = reduce(col, b, pivots)
-            if not v:
-                kernel.append(w)
-                continue
-            lead = inv(v // basis[pos])
-            v, w = mul(lead, v), mul(lead, w)
-            pivots[pos] = [(mul(neg(c), v), mul(neg(c), w)) for c in range(p)]
-        # the right-hand side, from v = L(0) - r = -r
-        v, w, _ = reduce(neg(r), 0, pivots)
-        return kernel, None if v else w
+    for b, col in zip(basis, columns):
+        # the column of z^i, with r = 0
+        v, w, pos = reduce(col, b)
+        if not v:
+            kernel.append(w)
+            continue
+        lead = inv(v // basis[pos])
+        v, w = mul(lead, v), mul(lead, w)
+        pivots[pos] = [(mul(neg(c), v), mul(neg(c), w)) for c in range(p)]
 
-    return basis, solve
+    def preimage(r):
+        # from v = L(0) - r = -r
+        v, w, _ = reduce(neg(r), 0)
+        return None if v else w
+
+    return kernel, preimage
 
 
 def _neighbor_solver(prime, ambient):
     """The map from a nonzero ambient index Delta0 to the indices of its
-    edge targets, in ascending index order of their Y-roots, by solving
-    a * W^q + W = 1 (see the module docstring)."""
+    edge targets, in ascending index order of their Y-roots: the solutions
+    W of a * W^q + W = 1, as W = lam * V with V^q - V = -1/lam, against the
+    map A(V) = V^q - V factored here once (see the module docstring).
+    ConsistencyError unless A's kernel is F_q."""
     q, K = prime.q, ambient._kernel
-    p, add, neg, mul, inv = K.p, K._add, K._neg, K._mul, K._inv
-    basis, solve_linear = _eliminator(K)
-    # z^i has index p^i; its column is a * (z^i)^q + z^i
-    bq = [K._pow(b, q) for b in basis]
+    p, add, neg, mul, inv, pow_ = K.p, K._add, K._neg, K._mul, K._inv, K._pow
+    kernel, preimage = _eliminator(
+        K, [add(pow_(b, q), neg(b)) for b in (p ** i for i in range(K.degree))])
+    if p ** len(kernel) != q:
+        raise ConsistencyError(
+            f"V^q - V has a kernel of {p}^{len(kernel)} elements in the "
+            f"ambient field, not F_{q}")
+    # F_q, the kernel's span, and n = [ambient : F_q]
+    fq = [0]
+    for u in kernel:
+        fq = [add(t, mul(c, u)) for c in range(p) for t in fq]
+    n = K.degree // len(kernel)
     # a = Delta0 * f and Delta1 = g * Y^q * W^(q-1) (module docstring)
     f = inv(neg(embed(prime.alpha ** q, ambient).index))
     g = neg(embed(prime.alpha, ambient).index)
@@ -183,16 +211,22 @@ def _neighbor_solver(prime, ambient):
 
     def solve(delta0):
         a = mul(delta0, f)
-        kernel, w = solve_linear(
-            [add(mul(a, b_q), b) for b, b_q in zip(basis, bq)], 1)
-        if w is None:
-            return []
-        sols = [w]
-        for u in kernel:
-            sols = [add(s, mul(c, u)) for c in range(p) for s in sols]
-        # W != 0 since L(0) = 0, and Y = 1/W - 1 != 0 since a != 0
+        lam = K._root(neg(inv(a)), q - 1)
+        if lam is None:
+            # W -> a * W^q + W is one-to-one: its one solution, from
+            # W = 1 - a * W^q unrolled n times, is s / (1 - r)
+            s, r = 0, 1
+            for _ in range(n):
+                s, r = add(s, r), neg(mul(a, pow_(r, q)))
+            sols = [mul(s, inv(add(1, neg(r))))]
+        else:
+            v = preimage(neg(inv(lam)))
+            if v is None:
+                return []
+            sols = [mul(lam, add(v, t)) for t in fq]
+        # W != 0 since a * 0 + 0 != 1, and Y = 1/W - 1 != 0 since a != 0
         ys = sorted((add(inv(w), minus_one), w) for w in sols)
-        return [mul(g, mul(K._pow(y, q), K._pow(w, q - 1))) for y, w in ys]
+        return [mul(g, mul(pow_(y, q), pow_(w, q - 1))) for y, w in ys]
 
     return solve
 
@@ -352,7 +386,7 @@ def _cm_point(prime, ambient, c):
     ja = mul(j, a)
     e = (K.card - 1) // (q - 1)  # N(x) = x^e
     norm = pow_(ja, e)
-    basis, solve = _eliminator(K)
+    basis = [K.p ** i for i in range(K.degree)]
     bq = [pow_(b, q) for b in basis]
     bqq = [pow_(b, q) for b in bq]
     for s in range(q - 1):
@@ -360,8 +394,9 @@ def _cm_point(prime, ambient, c):
         if pow_(lam, 2 * e) != norm:
             continue
         c2, c1 = pow_(lam, q + 1), K._neg(mul(j, lam))
-        kernel, _ = solve([add(add(mul(c2, b2), mul(c1, b1)), mul(ja, b))
-                           for b, b1, b2 in zip(basis, bq, bqq)], 0)
+        kernel, _ = _eliminator(
+            K, [add(add(mul(c2, b2), mul(c1, b1)), mul(ja, b))
+                for b, b1, b2 in zip(basis, bq, bqq)])
         if kernel:
             return add(mul(lam, pow_(kernel[0], q - 1)), K._neg(a))
     return None

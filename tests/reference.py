@@ -8,7 +8,7 @@ from drinfeld_deuring.errors import AmbientTooSmallError, \
     ConsistencyError, DomainError
 from drinfeld_deuring.fields import _prime_divisors, embed
 from drinfeld_deuring.isogeny_graph import IsogenyGraph, _checked, \
-    _neighbor_solver
+    _eliminator, _neighbor_solver
 from drinfeld_deuring.ore import OreContext, drinfeld_image
 from drinfeld_deuring.poly import Poly, PolyRing, poly_gcd, \
     roots_in_extension
@@ -141,6 +141,34 @@ def neighbor_pass(prime, ambient, vertices):
                 # Delta1 = -gamma(T) * Y^q / (Y+1)^(q-1)
                 ts.append(exp[(l_g + q * ly - e * ly1) % m1])
     return [hits[v] for v in vertices]
+
+
+def neighbor_solve_by_elimination(prime, ambient):
+    """`isogeny_graph._neighbor_solver(prime, ambient)` as it was before the
+    map was factored once per graph: for each Delta0, a * W^q + W = 1 with
+    a = -Delta0 / gamma(T^q) by an elimination of its own, every solution
+    being one particular solution plus the span of the map's kernel."""
+    q, K = prime.q, ambient._kernel
+    p, add, neg, mul, inv = K.p, K._add, K._neg, K._mul, K._inv
+    basis = [p ** i for i in range(K.degree)]
+    bq = [K._pow(b, q) for b in basis]
+    f = inv(neg(embed(prime.alpha ** q, ambient).index))
+    g = neg(embed(prime.alpha, ambient).index)
+
+    def solve(delta0):
+        a = mul(delta0, f)
+        kernel, preimage = _eliminator(
+            K, [add(mul(a, b_q), b) for b, b_q in zip(basis, bq)])
+        w = preimage(1)
+        if w is None:
+            return []
+        sols = [w]
+        for u in kernel:
+            sols = [add(s, mul(c, u)) for c in range(p) for s in sols]
+        ys = sorted((add(inv(w), neg(1)), w) for w in sols)
+        return [mul(g, mul(K._pow(y, q), K._pow(w, q - 1))) for y, w in ys]
+
+    return solve
 
 
 def graph_by_pass(prime, h):

@@ -68,6 +68,23 @@ def test_unknown_method_rejected_by_parser():
     assert exc.value.code == 2
 
 
+def test_main_builds_the_parser_once(capsys):
+    # a cached parser gives the same usage errors and help on every call
+    cli.build_parser.cache_clear()
+    outs = []
+    for _ in range(2):
+        for argv in (["compute", "--q", "2", "--prime", "T+1", "--method",
+                      "fast"], ["graph", "--help"], ["--help"], []):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            outs.append((exc.value.code, capsys.readouterr()))
+        assert main(["compute", "--q", "2", "--prime", "T+1"]) == 0
+        capsys.readouterr()
+    assert outs[:4] == outs[4:]
+    assert [code for code, _ in outs[:4]] == [2, 0, 0, 2]
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_compute_json_single(capsys):
     rc = main(["compute", "--q", "2", "--prime", "T^2+T+1",
                "--method", "grec", "--format", "json"])

@@ -958,6 +958,25 @@ def test_kernel_powers_match_element_arithmetic(case, es):
     assert K.powers(x, es) == [(X ** e).index for e in es]
 
 
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 7), (2, 8), (2, 9), (2, 10),
+                                  (3, 1), (3, 5), (3, 6), (5, 3), (7, 2),
+                                  (13, 1), (17, 2)])
+def test_kernel_root_matches_brute_force(p, k):
+    # every index, at every n | m1, against the n-th powers of all of F_(p^k):
+    # F_(2^8) and F_(2^9) sit on both sides of the 8/16-bit slot boundary
+    K = fields._abs_tables(p, k)
+    for n in (n for n in range(1, K.m1 + 1) if K.m1 % n == 0):
+        roots = {}
+        for x in range(K.card):
+            roots.setdefault(K._pow(x, n), set()).add(x)
+        for i in range(K.card):
+            r = K._root(i, n)
+            if i in roots:
+                assert r in roots[i], (p, k, n, i)
+            else:
+                assert r is None, (p, k, n, i)
+
+
 # the longest coefficient list drawn per q: the list form, the reference,
 # takes time about q^2 n log_q(n) on dense input of length n
 _COMPOSE_LENGTHS = {2: 240, 4: 240, 8: 240, 16: 96, 32: 40, 64: 16, 128: 12,

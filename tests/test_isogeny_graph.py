@@ -426,6 +426,63 @@ def test_neighbor_pass_matches_root_finding_on_small_kappa_2():
             for v in g.vertices], prime
 
 
+def _exhaustive_neighbor_primes():
+    # the first prime of each degree whose kappa_2 has at most 2^13 elements
+    return [next(primes_of_degree(base_field(q), d))
+            for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
+            for d in range(1, 7) if q ** (2 * d) <= 2 ** 13]
+
+
+def _solved_both_ways(prime, E, deltas):
+    """The neighbor solve at each of the distinct nonzero indices deltas,
+    checked against the per-vertex elimination and the pass over E, and
+    the text of `neighbors` at each one that has fewer than q targets.
+    Returns the set of those short counts."""
+    solve = isogeny_graph._neighbor_solver(prime, E)
+    by_elimination = reference.neighbor_solve_by_elimination(prime, E)
+    got = [solve(x) for x in deltas]
+    assert got == [by_elimination(x) for x in deltas], prime
+    assert got == reference.neighbor_pass(prime, E, deltas), prime
+    short = set()
+    for x, ts in zip(deltas, got):
+        try:
+            found = neighbors(E.from_index(x), prime, E)
+        except AmbientTooSmallError as exc:
+            assert len(ts) < prime.q
+            assert str(exc) == f"only {len(ts)} of {prime.q} neighbor " \
+                "roots lie in the ambient field"
+            short.add(len(ts))
+        else:
+            assert [t.index for t in found] == ts
+    return short
+
+
+def test_neighbor_solve_matches_the_elimination_and_the_pass_on_kappa_2():
+    # every nonzero Delta0, vertex or not: q targets, or only 0 or only 1
+    primes = _exhaustive_neighbor_primes()
+    assert len(primes) == 24
+    short = set()
+    for prime in primes:
+        E = prime.kappa.extension(2)
+        short |= _solved_both_ways(prime, E, list(range(1, E.card)))
+    assert short == {0, 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(q, d) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
+                        for d in (1, 2, 3, 4, 5) if q ** (3 * d) <= 2 ** 15]),
+       st.data())
+def test_neighbor_solve_matches_the_elimination_and_the_pass_on_kappa_3(
+        case, data):
+    q, d = case
+    prime = data.draw(st.sampled_from(
+        list(islice(primes_of_degree(base_field(q), d), 3))))
+    E = prime.kappa.extension(3)
+    deltas = data.draw(st.lists(st.integers(1, E.card - 1), min_size=1,
+                                max_size=8, unique=True))
+    _solved_both_ways(prime, E, deltas)
+
+
 # the graph primes of CI: kappa_2 = F_(2^16), F_(3^8), F_(9^4), F_(3^10),
 # F_(2^16) over F_256, F_(4^8), F_(2^14) (odd d, so the walk starts at
 # j = 0) and F_(2^16) over F_256 again, whose least root of h is 10,266
@@ -662,25 +719,76 @@ def test_the_scan_without_an_inert_c_gives_the_same_graph(monkeypatch):
     assert len(scans) == len(primes)
 
 
-def test_cm_start_at_the_graph_grid_9_2_prime(monkeypatch):
-    # at most two of the q - 1 cosets of lam pass the norm test, so at
-    # most two solves; one root test
-    [prime] = [p for p in _graph_grid_primes([0]) if (p.q, p.d) == (9, 2)]
-    E = prime.kappa.extension(2)
-    solves, tests, real = [], [], isogeny_graph._eliminator
+def _count_eliminations(monkeypatch):
+    """Record each factorisation as [columns, right-hand sides solved]."""
+    calls, real = [], isogeny_graph._eliminator
 
-    def eliminator(K):
-        basis, solve = real(K)
+    def eliminator(K, columns):
+        kernel, preimage = real(K, columns)
+        call = [list(columns), []]
+        calls.append(call)
 
-        def counted(columns, r):
-            solves.append(r)
-            return solve(columns, r)
+        def counted(r):
+            call[1].append(r)
+            return preimage(r)
 
-        return basis, counted
+        return kernel, counted
 
     monkeypatch.setattr(isogeny_graph, "_eliminator", eliminator)
+    return calls
+
+
+def test_cm_start_at_the_graph_grid_9_2_prime(monkeypatch):
+    # at most two of the q - 1 cosets of lam pass the norm test, so at
+    # most two solves, each read for its kernel alone; one root test
+    [prime] = [p for p in _graph_grid_primes([0]) if (p.q, p.d) == (9, 2)]
+    E = prime.kappa.extension(2)
+    solves, tests = _count_eliminations(monkeypatch), []
     is_root = isogeny_graph._root_test(prime, E)
     start = isogeny_graph._first_root(
         prime, E, lambda x: tests.append(x) or is_root(x))
     assert tests == [start] and is_root(start)
-    assert 1 <= len(solves) <= 2 and set(solves) == {0}
+    assert 1 <= len(solves) <= 2
+    assert all(rhs == [] for _columns, rhs in solves)
+
+
+def _artin_schreier_columns(q, E):
+    """The columns of A(V) = V^q - V at the basis z^i of E, by element
+    arithmetic."""
+    zs = [E.from_index(E.p ** i) for i in range(E.degree)]
+    return [(z ** q - z).index for z in zs]
+
+
+def test_graph_factors_the_neighbor_map_once(monkeypatch):
+    # V^q - V is factored once per graph, the CM start adds at most two
+    # factorisations, and each vertex costs one right-hand side: no
+    # elimination per vertex, at j = 0 (odd d), at a CM point and after a
+    # scan (even q), and at every benchmark graph prime of seed 0
+    primes = [_prime(2, "T^3 + T + 1"), _prime(2, "T^4 + T + 1"),
+              _prime(3, "T^4+T+2"), _prime(9, "T^2+T+x"),
+              _prime(4, "T^4+T^2+x*T+1")] + _graph_grid_primes([0])
+    calls = _count_eliminations(monkeypatch)
+    for prime in primes:
+        calls.clear()
+        g = build_supersingular_graph(prime)
+        A = _artin_schreier_columns(prime.q, g.ambient)
+        [walk] = [rhs for columns, rhs in calls if columns == A]
+        assert len(walk) == len(g.vertices), prime
+        others = [rhs for columns, rhs in calls if columns != A]
+        assert len(others) <= (2 if prime.d % 2 == 0 and prime.q % 2 else 0)
+        assert all(rhs == [] for rhs in others), prime
+
+
+def test_a_wrong_kernel_of_the_neighbor_map_is_a_check_failure(monkeypatch):
+    # V^q - V has kernel F_q: an elimination that loses a kernel vector,
+    # or finds one too many, is caught before any vertex is solved
+    real = isogeny_graph._eliminator
+    for edit in (lambda kernel: kernel[1:], lambda kernel: kernel + [1]):
+        def eliminator(K, columns, edit=edit):
+            kernel, preimage = real(K, columns)
+            return edit(kernel), preimage
+
+        monkeypatch.setattr(isogeny_graph, "_eliminator", eliminator)
+        for q, text in [(2, "T^3 + T + 1"), (4, "T + x")]:
+            with pytest.raises(ConsistencyError, match="V\\^q - V has a kernel"):
+                _graph(q, text)
