@@ -287,7 +287,7 @@ def deuring_h_grec(prime):
     # the terms of p' on F_q indices: the integer i has index i mod char F
     dp = [(i - 1, F._mul(i % F.p, c.index))
           for i, c in enumerate(prime.p_poly.coeffs) if i % F.p and c.index]
-    w2, w1 = [], [prime._reduce_terms([(0, dp)])[0]]
+    w2, w1 = [], prime._reduce_terms([dp])
     for k in range(1, d + 1):
         Q = q ** (k - 1)
         # T^(q^k) - T: the unit alpha^(q^k) - alpha for k < d, -eps at k = d

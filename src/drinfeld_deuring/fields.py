@@ -51,9 +51,6 @@ from .errors import CapExceededError, DomainError
 CARD_CAP = 1 << 16
 # the largest field whose card x card table of sums `sum_copies` reads
 _SUMS_CARD_MAX = 1 << 8
-# one `_addmul` call costs about as much as 10 to 25 row terms (the call,
-# the slices of dst, the loop step), depending on the kernel kind
-_ADDMUL_CALL_COST = 24
 
 
 def _cap_exponent(card):
@@ -284,10 +281,12 @@ class IndexKernel:
     characteristic 2 and Zech logarithms otherwise, a prime field being the
     degree-1 case.  A subclass per kind gives `_powers`, the walk that
     builds the tables, `_add` and `_neg`, `_add_terms(a, b)`, the sum of a
-    and b term by term for len(a) >= len(b), and the two row primitives the
-    polynomial loops run on: `_row(a)`, the form of a polynomial that
-    `_addmul(dst, off, c, row)` adds c times into dst at offset off.  Every
-    polynomial operation over a finite field runs here, with no
+    and b term by term for len(a) >= len(b), and the one row primitive the
+    polynomial loops run on: `_addmul(dst, off, c, row)`, which adds c
+    times the row into dst at offset off.  The row of a polynomial has one
+    form for every kind, `_row`: the (position, log) pairs of its nonzero
+    terms, so a sparse divisor or factor costs its nonzero terms alone.
+    Every polynomial operation over a finite field runs here, with no
     FieldElement built in between.
 
     The tables and their layout are private to `fields`.  Other modules
@@ -323,9 +322,8 @@ class IndexKernel:
         # tuples: a collection stops tracking a tuple of ints once it has
         # seen it, where it would traverse a list of them every time
         self.log = tuple(log)
-        # exp twice over, so a sum of two logs needs no % m1, then m1 zeros:
-        # the zero sentinel log 2*m1 plus any log reads 0
-        self.exp = tuple(itertools.chain(exp, exp, itertools.repeat(0, m1)))
+        # exp twice over, so a sum of two logs needs no % m1
+        self.exp = tuple(exp) * 2
         # zech[k] = log(1 + g^k) in odd characteristic: 1 + e adds 1 to the
         # lowest digit of e, and 1 + (p - 1) is 0
         self.zech = None if p == 2 else tuple([
@@ -378,10 +376,10 @@ class IndexKernel:
         return root
 
     def evaluate(self, rows, x, k=None):
-        """{r: index of sum(c * x^e)} over the (r, terms) pairs of `rows`,
-        the sums of a repeated r added: each term is an (e, c) pair, e any
-        int and c a nonzero index here or, for a given k, of F_(p^k) read
-        through `embedding(k)`, whose logs are memoised.  x = 0 raises
+        """[index of sum(c * x^e)] over the term lists of `rows`, one value
+        per list: each term is an (e, c) pair, e any int and c a nonzero
+        index here or, for a given k, of F_(p^k) read through
+        `embedding(k)`, whose logs are memoised.  x = 0 raises
         DomainError."""
         if not x:
             raise DomainError("evaluation at 0")
@@ -390,12 +388,12 @@ class IndexKernel:
         if logs is None:
             logs = self._emb_logs[k] = [log[c] for c in self.embedding(k)]
         # c * x^e = exp[log c + e log x]; both logs are < m1
-        lx, out = log[x], {}
-        for r, terms in rows:
-            acc = out.get(r, 0)
+        lx, out = log[x], []
+        for terms in rows:
+            acc = 0
             for e, c in terms:
                 acc = add(acc, exp[logs[c] + e * lx % m1])
-            out[r] = acc
+            out.append(acc)
         return out
 
     def dilate(self, a, x):
@@ -583,11 +581,10 @@ class IndexKernel:
             return self.scale(b[0], a)
         if len(a) == 1:
             return self.scale(a[0], b)
-        # one _addmul of a's row per nonzero term of b: make that the
-        # cheaper way round, calls included (a q^k-stretched operand is
-        # mostly zeros)
-        if (len(a) - a.count(0)) * (len(b) + _ADDMUL_CALL_COST) < \
-                (len(b) - b.count(0)) * (len(a) + _ADDMUL_CALL_COST):
+        # one _addmul of a's row per nonzero term of b: the fewer calls
+        # are the way round with the more nonzero terms in a's row (a
+        # q^k-stretched operand is mostly zeros)
+        if len(a) - a.count(0) < len(b) - b.count(0):
             a, b = b, a
         row = self._row(a)
         out = [0] * (len(a) + len(b) - 1)
@@ -596,6 +593,12 @@ class IndexKernel:
             if c:
                 addmul(out, i, c, row)
         return out
+
+    def _row(self, a):
+        """The (position, log) pairs of the nonzero terms of a: the form of
+        a polynomial that `_addmul` adds into a list."""
+        log = self.log
+        return [(i, log[c]) for i, c in enumerate(a) if c]
 
     def _divisor(self, b):
         """The row of -b/lead(b) without its lead term, and 1/lead(b)."""
@@ -823,8 +826,8 @@ class IndexKernel:
 
 
 class _Char2Kernel(IndexKernel):
-    """F_(2^k): sums are XOR.  A row is the list of logs, with the
-    zero sentinel 2*m1 that `exp` reads as 0 after any nonzero log.
+    """F_(2^k): sums are XOR, and `_addmul` XORs one table read per
+    (position, log) pair of the row.
 
     An index's bits are its coordinates in the basis z^j, so a sum of
     indices is their XOR, with no carry from one to the next.  A packed int
@@ -972,22 +975,17 @@ class _Char2Kernel(IndexKernel):
         out += a[len(b):]
         return out
 
-    def _row(self, a):
-        log, zero = self.log, 2 * self.m1
-        return [log[c] if c else zero for c in a]
-
     def _addmul(self, dst, off, c, row):
         exp = self.exp
         lc = self.log[c]
-        end = off + len(row)
-        dst[off:end] = map(operator.xor, dst[off:end],
-                           [exp[lc + v] for v in row])
+        for i, v in row:
+            dst[off + i] ^= exp[lc + v]
 
 
 class _ZechKernel(IndexKernel):
     """F_(p^k), p odd: a + b = a * (1 + b/a), with the Zech logarithm
-    zech[k] = log(1 + g^k), -1 where 1 + g^k = 0.  A row is the list of
-    (position, log) pairs of the nonzero terms."""
+    zech[k] = log(1 + g^k), -1 where 1 + g^k = 0, which `_addmul` reads
+    once per (position, log) pair of the row."""
 
     def _add(self, i, j):
         if not i:
@@ -1047,10 +1045,6 @@ class _ZechKernel(IndexKernel):
             lo = dsum[l1 + l2]
         assert (hi, lo) == start
         return exp, log
-
-    def _row(self, a):
-        log = self.log
-        return [(i, log[c]) for i, c in enumerate(a) if c]
 
     def _add_terms(self, a, b):
         # `_add` per pair, written out

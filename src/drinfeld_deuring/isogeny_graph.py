@@ -200,9 +200,7 @@ def _neighbor_solver(prime, ambient):
             f"V^q - V has a kernel of {p}^{len(kernel)} elements in the "
             f"ambient field, not F_{q}")
     # F_q, the kernel's span, and n = [ambient : F_q]
-    fq = [0]
-    for u in kernel:
-        fq = [add(t, mul(c, u)) for c in range(p) for t in fq]
+    fq = K.span([[mul(c, u) for c in range(p)] for u in kernel])
     n = K.degree // len(kernel)
     # a = Delta0 * f and Delta1 = g * Y^q * W^(q-1) (module docstring)
     f = inv(neg(embed(prime.alpha ** q, ambient).index))
@@ -417,7 +415,7 @@ def vertices_are_roots(graph, h):
     """Whether every vertex of `graph` is a root of h, a polynomial over
     kappa: the link from a graph walked by the root test to a route's h."""
     K = graph.ambient._kernel
-    rows = [(0, [(e, c.index) for e, c in enumerate(h.coeffs) if c])]
+    rows = [[(e, c.index) for e, c in enumerate(h.coeffs) if c]]
     k = graph.prime.kappa.degree
     return all(not K.evaluate(rows, v.index, k)[0] for v in graph.vertices)
 

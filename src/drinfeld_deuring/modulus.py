@@ -57,54 +57,41 @@ class PrimeModulus(_Keyed):
             return self.kappa.embed_from_base(self.field_q.coerce(f))
         if not (isinstance(f, Poly) and f.ring == self.p_poly.ring):
             raise DomainError("gamma expects a polynomial over the same F_q[T]")
-        terms = ((e, c.index) for e, c in enumerate(f.coeffs) if c)
-        return self.kappa.from_index(self._reduce_terms([(0, terms)])[0])
+        terms = [(e, c.index) for e, c in enumerate(f.coeffs) if c]
+        return self.kappa.from_index(self._reduce_terms([terms])[0])
 
     def _reduce_terms(self, rows):
-        """{r: kappa index of sum(c * alpha^e)} by `IndexKernel.evaluate` of
-        the (r, terms) rows, c the F_q index of a nonzero coefficient:
+        """[kappa index of sum(c * alpha^e)] over the term lists `rows` by
+        `IndexKernel.evaluate`, c the F_q index of a nonzero coefficient:
         reduction mod p of polynomials in T, over the given terms only."""
         return self.kappa._kernel.evaluate(rows, self.alpha.index,
                                            self.field_q.degree)
 
-    def _kappa_poly(self, rows, var="s"):
-        """The polynomial over kappa with coefficient indices rows[r]."""
-        # U_d's map is sparse, one term per 64 slots at (64, 2)
-        nonzero = {r: x for r, x in rows.items() if x}
-        idx = [0] * (max(nonzero, default=-1) + 1)
-        for r, x in nonzero.items():
-            idx[r] = x
-        ring = self.s_ring if var == "s" else PolyRing(self.kappa, var)
-        return poly_mod._from_indices(ring, idx)
-
     def _poly_in_y(self, idx):
         """The polynomial over kappa in s whose coefficient indices in
-        y = s^(q-1) are idx: elements only on that stride, where H and U_d
-        can be nonzero."""
-        step = self.q - 1
-        coeffs = [self.kappa.zero] * (step * (len(idx) - 1) + 1)
-        coeffs[::step] = self.kappa._elements(idx)
-        return Poly(self.s_ring, coeffs)
+        y = s^(q-1) are idx (no trailing zeros): nonzero only on that
+        stride, where H and U_d can be nonzero."""
+        return poly_mod._from_indices(self.s_ring, idx, self.q - 1)
 
-    def _on_exponents(self, a, zero=0):
-        """The list in s of the list a on digit masks, zero-filled: slot m
-        of a goes to s^(sum_{j in m} q^j).  The map is increasing in m, so
-        a's top slot stays on top; at q = 2 it is the identity."""
+    def _on_exponents(self, a):
+        """The index list in s of the index list a on digit masks,
+        zero-filled: slot m of a goes to s^(sum_{j in m} q^j).  The map is
+        increasing in m, so a's top slot stays on top; at q = 2 it is the
+        identity."""
         q = self.q
         if q == 2 or len(a) <= 1:
             return a
         exps = _mask_exponents(q, (len(a) - 1).bit_length())
-        out = [zero] * (exps[len(a) - 1] + 1)
+        out = [0] * (exps[len(a) - 1] + 1)
         for e, c in zip(exps, a):
             out[e] = c
         return out
 
     def _poly_on_masks(self, idx):
         """The polynomial over kappa in s whose coefficient indices on digit
-        masks are idx, with elements only on the masks' exponents."""
-        kappa = self.kappa
-        return Poly(self.s_ring,
-                    self._on_exponents(kappa._elements(idx), kappa.zero))
+        masks are idx (no trailing zeros), nonzero only on the masks'
+        exponents."""
+        return poly_mod._from_indices(self.s_ring, self._on_exponents(idx))
 
     def __repr__(self):
         return f"({self.p_poly!r}) over F_{self.q}"
@@ -138,8 +125,8 @@ def reduce_mod_prime(f, p):
 
     Accepts a polynomial whose coefficients are polynomials in T or Laurent
     values num/T^k, and returns the polynomial over kappa, reducing each term
-    c*T^e of num to c*alpha^(e - k) in one _reduce_terms pass; a bare
-    T-polynomial reduces to a kappa element.
+    c*T^e of num to c*alpha^(e - k) in one _reduce_terms pass, one term list
+    per coefficient; a bare T-polynomial reduces to a kappa element.
     """
     if isinstance(f, Poly) and f.ring == p.p_poly.ring:
         return p.gamma(f)
@@ -152,10 +139,14 @@ def reduce_mod_prime(f, p):
         values = [(c.num, c.k) for c in f.coeffs]
     else:
         raise DomainError(f"cannot reduce coefficients from {base!r} mod {p!r}")
-    rows = p._reduce_terms(
-        (r, [(e - k, c.index) for e, c in enumerate(num.coeffs) if c])
-        for r, (num, k) in enumerate(values))
-    return p._kappa_poly(rows, f.ring.var)
+    idx = p._reduce_terms(
+        [(e - k, c.index) for e, c in enumerate(num.coeffs) if c]
+        for num, k in values)
+    if idx and not idx[-1]:
+        fields._trim(idx)
+    var = f.ring.var
+    return poly_mod._from_indices(
+        p.s_ring if var == "s" else PolyRing(p.kappa, var), idx)
 
 
 def t_poly_ring(field):

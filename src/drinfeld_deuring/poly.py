@@ -255,12 +255,18 @@ def _indices(f):
     return [c.index for c in f.coeffs]
 
 
-def _from_indices(ring, idx):
+def _from_indices(ring, idx, step=1):
     """The polynomial over the finite field of `ring` whose coefficient
-    indices are idx, which the kernel leaves without trailing zeros."""
+    indices are idx, which the kernel leaves without trailing zeros, idx[j]
+    at the power j * step of the variable and zeros between."""
+    base = ring.base
+    coeffs = base._elements(idx)
+    if step > 1 and coeffs:
+        coeffs, placed = [base.zero] * (step * (len(coeffs) - 1) + 1), coeffs
+        coeffs[::step] = placed
     f = Poly.__new__(Poly)
     f.ring = ring
-    f.coeffs = tuple(ring.base._elements(idx))
+    f.coeffs = tuple(coeffs)
     return f
 
 

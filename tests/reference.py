@@ -213,7 +213,7 @@ def graph_by_walk_from_h(prime, h):
     if count != h.degree:
         raise ConsistencyError(
             f"h of degree {h.degree} has {count} distinct roots in kappa_2")
-    h_terms = [(0, [(i, c) for i, c in enumerate(g) if c])]
+    h_terms = [[(i, c) for i, c in enumerate(g) if c]]
     solve = _neighbor_solver(prime, ambient)
     targets = {root: None}
     strays = set()

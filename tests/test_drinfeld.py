@@ -771,10 +771,11 @@ def _exact_div_terms(f, Q, add):
 def _reference_h_grec(prime):
     """h = (-1)^d (g_d mod p), with g_d from the generic recurrence."""
     g = _grec_terms(prime, prime.d)[prime.d]
-    rows = prime._reduce_terms((de, terms.items()) for de, terms in g.items())
+    idx = prime._reduce_terms([list(g.get(de, {}).items())
+                               for de in range(max(g, default=-1) + 1)])
     if prime.d % 2:
-        rows = {de: prime.kappa._neg(c) for de, c in rows.items()}
-    return prime._kappa_poly(rows)
+        idx = [prime.kappa._neg(c) for c in idx]
+    return prime.s_ring.poly(prime.kappa._elements(idx))
 
 
 @pytest.mark.parametrize("q, max_d", [(2, 8), (3, 5), (4, 4), (5, 3), (9, 2),
@@ -812,8 +813,8 @@ def test_grec_checks_the_shape_of_g_d(monkeypatch, capsys):
         c = parse(scale, PolyRing(p.kappa, "s")).constant_coeff()
 
         def scaled(self, rows, c=c):
-            return {r: (self.kappa.from_index(x) * c).index
-                    for r, x in reduce_terms(self, rows).items()}
+            return [(self.kappa.from_index(x) * c).index
+                    for x in reduce_terms(self, rows)]
 
         monkeypatch.setattr(PrimeModulus, "_reduce_terms", scaled)
         with pytest.raises(ConsistencyError):

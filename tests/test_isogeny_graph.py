@@ -146,7 +146,7 @@ def _edit_root_test(monkeypatch, edit):
 def _root_test_of(h):
     """A stand-in for `isogeny_graph._root_test` that asks whether h, a
     polynomial over kappa, vanishes at the ambient index x."""
-    rows = [(0, [(e, c.index) for e, c in enumerate(h.coeffs) if c])]
+    rows = [[(e, c.index) for e, c in enumerate(h.coeffs) if c]]
 
     def root_test(prime, ambient):
         K, k = ambient._kernel, prime.kappa.degree
@@ -413,7 +413,7 @@ def _small_kappa_2_primes():
     return out
 
 
-def test_neighbor_pass_matches_root_finding_on_small_kappa_2():
+def test_neighbor_solver_matches_root_finding_on_small_kappa_2():
     # the walk's neighbor solve, vertex by vertex
     primes = _small_kappa_2_primes()
     assert len(primes) == 148
@@ -568,7 +568,7 @@ def test_j_zero_is_supersingular_exactly_at_odd_degree(q):
         for prime in islice(primes_of_degree(base_field(q), d), 2):
             K = prime.kappa._kernel
             h = deuring_h_direct(prime)
-            rows = [(0, [(e, c.index) for e, c in enumerate(h.coeffs) if c])]
+            rows = [[(e, c.index) for e, c in enumerate(h.coeffs) if c]]
             value = K.evaluate(rows, (-prime.alpha).index)[0]
             assert (value == 0) == (d % 2 == 1), prime
 

@@ -20,7 +20,7 @@ from drinfeld_deuring.isogeny_graph import (
     build_supersingular_graph, verify_component,
 )
 from drinfeld_deuring.modulus import (
-    PrimeModulus, primes_of_degree, t_poly_ring,
+    PrimeModulus, _mask_exponents, primes_of_degree, t_poly_ring,
 )
 from drinfeld_deuring.ore import qpow
 from drinfeld_deuring.poly import (
@@ -261,17 +261,6 @@ def test_gamma_matches_elementwise_horner(q, data):
         ref = ref * prime.alpha + K.embed_from_base(c)
     assert prime.gamma(f) == ref
     assert prime.gamma(f).field is K
-
-
-def test_reduce_terms_adds_the_rows_it_is_given_twice():
-    # one row split over two (r, terms) pairs reduces as the whole row;
-    # the universal route hands the kernel one pair per term
-    prime = _gamma_primes(3)[-1]
-    F = prime.field_q
-    f = prime.p_poly.ring.poly([F.from_index(i) for i in (1, 0, 2, 1, 0, 2)])
-    terms = [(e, c.index) for e, c in enumerate(f.coeffs) if c]
-    rows = prime._reduce_terms([(5, terms[:2]), (7, terms), (5, terms[2:])])
-    assert rows == {5: prime.gamma(f).index, 7: prime.gamma(f).index}
 
 
 @settings(max_examples=40, deadline=None)
@@ -669,6 +658,84 @@ def test_kernel_mul_and_divmod_match_elementwise_loops(F, data):
     ref_quo, ref_rem = _elementwise_divmod(a, b)
     assert (quo.coeffs, rem.coeffs) == (ref_quo.coeffs, ref_rem.coeffs)
     assert all(c.field is F for c in quo.coeffs + rem.coeffs)
+
+
+def _schoolbook_mul(K, a, b):
+    # a * b in characteristic 2 on indices, by scalar products alone
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] ^= K._mul(x, y)
+    return out
+
+
+def _schoolbook_divmod(K, a, b):
+    # (quotient, remainder) of a by b != 0 in characteristic 2, one
+    # scalar product per term of b per step
+    n, inv = len(b) - 1, K._inv(b[-1])
+    rem, quot = list(a), [0] * max(len(a) - n, 0)
+    for k in range(len(a) - n - 1, -1, -1):
+        quot[k] = c = K._mul(rem[k + n], inv)
+        for j, y in enumerate(b):
+            rem[k + j] ^= K._mul(c, y)
+    rem = rem[:n]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+@st.composite
+def _wide_char2_poly(draw, K, shape):
+    """An index list over F_(2^k) with a nonzero lead: dense; a binomial;
+    h-shaped, with 2^d terms on the exponents of the d-bit digit masks of
+    a power q of 2, as the Deuring polynomial has (4 of 66 at (64, 2)); or
+    a dense one stretched by a power of 2, as grec's and U's factors are."""
+    index, nonzero = st.integers(0, K.m1), st.integers(1, K.m1)
+    if shape == "binomial":
+        n = draw(st.integers(1, 200))
+        out = [0] * (n + 1)
+        out[draw(st.integers(0, n - 1))] = draw(nonzero)
+    elif shape == "h":
+        q = draw(st.sampled_from([4, 8, 16, 32, 64]))
+        exps = _mask_exponents(q, draw(st.integers(1, 3 if q <= 8 else 2)))
+        out = [0] * (exps[-1] + 1)
+        for e in exps:
+            out[e] = draw(nonzero)
+    else:
+        out = draw(st.lists(index, max_size=16)) + [draw(nonzero)]
+        if shape == "stretched":
+            step = 2 ** draw(st.integers(1, 6))
+            dense, out = out, [0] * (step * (len(out) - 1) + 1)
+            out[::step] = dense
+    out[-1] = draw(nonzero)
+    return out
+
+
+_WIDE_SHAPES = ["dense", "binomial", "h", "stretched"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(9, 16), st.sampled_from(_WIDE_SHAPES),
+       st.sampled_from(_WIDE_SHAPES), st.data())
+def test_kernel_rows_match_schoolbook_on_wide_char2_fields(k, a_shape,
+                                                            b_shape, data):
+    # F_(2^k) from just past the 8-bit slots (2^8 elements) up to the cap,
+    # beyond the fields drawn above: products both ways round and division
+    # by divisors of every density, each row holding its nonzero terms alone
+    K = _abs_tables(2, k)
+    a = data.draw(_wide_char2_poly(K, a_shape))
+    b = data.draw(_wide_char2_poly(K, b_shape))
+    ab = _schoolbook_mul(K, a, b)
+    assert K.mul_polys(a, b) == ab
+    assert K.mul_polys(b, a) == ab
+    want = _schoolbook_divmod(K, a, b)
+    assert K.divmod_polys(a, b) == want
+    assert K.mod(a, b) == want[1]
+    # a product of b divides exactly, with the other factor as quotient
+    assert K.divmod_polys(ab, b) == (a, [])
+    assert K.mod(ab, a) == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -671,7 +671,11 @@ def _kappa_prime(draw):
 @settings(max_examples=80, deadline=None)
 @given(_kappa_prime())
 def test_U_mod_prime_in_y_matches_the_term_map_reference(p):
-    assert U_mod_prime(p) == p._kappa_poly(U_over_kappa_by_term_maps(p))
+    U = U_over_kappa_by_term_maps(p)
+    idx = [0] * (max(U, default=-1) + 1)
+    for e, c in U.items():
+        idx[e] = c
+    assert U_mod_prime(p) == p.s_ring.poly(p.kappa._elements(idx))
 
 
 @settings(max_examples=80, deadline=None)
@@ -823,8 +827,9 @@ def test_u_t_exponents_refuses_a_map_off_the_closed_form(q, d, monkeypatch):
 
 
 def test_universal_route_reads_one_table_entry_per_mask(monkeypatch):
-    # no reduction of u_d's terms (`IndexKernel.evaluate`) and no
-    # `_kappa_poly`; the generic u_d is read once per (q, d)
+    # no reduction of u_d's terms (`IndexKernel.evaluate`, or
+    # `PrimeModulus._reduce_terms` on it); the generic u_d is read once per
+    # (q, d)
     primes = [next(primes_of_degree(base_field(q), d))
               for q, d in ((2, 6), (3, 4), (4, 3), (9, 2))]
     want = [deuring_h_direct(p) for p in primes]
@@ -835,7 +840,7 @@ def test_universal_route_reads_one_table_entry_per_mask(monkeypatch):
     for kind in (IndexKernel, *IndexKernel.__subclasses__()):
         if "evaluate" in vars(kind):
             monkeypatch.setattr(kind, "evaluate", forbidden)
-    monkeypatch.setattr(PrimeModulus, "_kappa_poly", forbidden)
+    monkeypatch.setattr(PrimeModulus, "_reduce_terms", forbidden)
     monkeypatch.setattr(universal, "_t_cache", {})
     read = []
     real = universal._u_terms
