@@ -6,13 +6,18 @@ where z is a root of a deterministic irreducible modulus: the least monic
 one of its degree, coefficients compared by index from the leading end down,
 which `_least_irreducible` finds on the kernel once per absolute base field
 and degree, for the tables and for `extension` alike.  Multiplication goes
-through exp/log tables for a fixed primitive element; addition is XOR in
-characteristic 2 and Zech logarithms otherwise, prime fields included.  One
-index kernel per absolute field (`IndexKernel`: the tables, whose layout no
-other module reads, the scalar arithmetic, that of polynomials over the
-field on index lists, slot vectors, `evaluate`, `dilate`, and
-`sum_copies`, the one routine of sparse term maps) is shared between all
-tower instances with that absolute field.
+through exp/log tables for a fixed primitive element, the least primitive
+index (`_generator`).  A candidate c must have c^((p^n - 1)/r) != 1 for
+each prime r | p^n - 1; for r | p - 1 that power is N(c)^((p - 1)/r), N(c)
+= Res(m, c) being c's norm to F_p, so one resultant on c's digits and a
+power in plain ints mod p decide it, exactly as the power of c would, and
+only the other r take a power of c.  Addition is XOR in characteristic 2
+and Zech logarithms otherwise, prime fields included.  One index kernel
+per absolute field (`IndexKernel`: the tables, whose layout no other module
+reads, the scalar arithmetic, that of polynomials over the field on index
+lists, slot vectors, `evaluate`, `dilate`, and `sum_copies`, the one
+routine of sparse term maps) is shared between all tower instances with
+that absolute field.
 
 A field built as an extension remembers its base field, the defining modulus
 over the base, and a designated root of that modulus (the least conjugate of
@@ -156,7 +161,8 @@ def _power(x, e, one, mul):
 
 def _vector_arithmetic(p, degree, modulus_digits):
     """(mul, to_vec, to_index) of F_p[z]/(m) on coefficient vectors packed
-    into ints, which the generator search of `IndexKernel` runs on.
+    into ints, on which `_generator` takes its powers and `IndexKernel`
+    forms the images of the basis under the generator.
 
     In characteristic 2 a vector is the packed int of its bits, which is the
     element index itself, and products are carry-less.  Otherwise digit i of
@@ -221,6 +227,70 @@ def _vector_arithmetic(p, degree, modulus_digits):
     return mul, (lambda i: pack(_digits(i, p, degree))), to_index
 
 
+def _norm(p, m, c):
+    """N(c) = Res(m, c) in F_p, for the monic modulus m of degree n and a
+    nonzero c of degree < n, both ascending digit lists (c may end in
+    zeros): the product of c over the n roots of m, c^((p^n - 1)/(p - 1)).
+
+    Euclid's algorithm on the pair: for A = Q B + R of degrees a, b and r,
+    Res(A, B) = (-1)^(ab) lc(B)^(a - r) Res(B, R), since A = R at each
+    root of B; at a constant B, Res(A, B) = B^a.  A zero R would be a
+    common factor, which an irreducible m and a nonzero c never have.
+    """
+    a, b = list(m), list(c)
+    if not b[-1]:
+        _trim(b)
+    res = 1
+    while len(b) > 1:
+        # a mod b in place, by the inverse of b's lead
+        nb, inv = len(b) - 1, pow(b[-1], -1, p)
+        for k in range(len(a) - 1 - nb, -1, -1):
+            t = a[k + nb] * inv % p
+            if t:
+                for j in range(nb):
+                    a[k + j] = (a[k + j] - t * b[j]) % p
+        da, r = len(a) - 1, a[:nb]
+        if not r[-1]:
+            _trim(r)
+        if da & nb & 1:
+            res = -res
+        res = res * pow(b[-1], da - len(r) + 1, p) % p
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, p) % p
+
+
+def _generator(p, degree, modulus_digits):
+    """The least primitive index of F_p[z]/(m), m the monic modulus_digits
+    of the given degree; in a proper extension no element of F_p is
+    primitive, so the candidates start at p.
+
+    A candidate c is primitive when c^((p^n - 1)/r) != 1 for each prime
+    r | p^n - 1.  For r | p - 1 that power is N(c)^((p - 1)/r), N(c) =
+    c^((p^n - 1)/(p - 1)) being the norm to F_p, which `_norm` reads off
+    c's digits by one resultant: the same test in plain ints mod p, and so
+    the same generator.  Only the primes r that do not divide p - 1 take
+    a power of c, on `_vector_arithmetic`.  In characteristic 2 no prime
+    divides p - 1, and in a prime field every prime does, with N(c) = c.
+    """
+    m1 = p ** degree - 1
+    by_norm, by_power = [], []
+    for r in _prime_divisors(m1):
+        if (p - 1) % r:
+            by_power.append(m1 // r)
+        else:
+            by_norm.append((p - 1) // r)
+    mul, to_vec, to_index = _vector_arithmetic(p, degree, modulus_digits)
+    one = to_vec(1)
+    for cand in range(p if degree > 1 else 1, m1 + 1):
+        if by_norm:
+            n = _norm(p, modulus_digits, _digits(cand, p, degree))
+            if any(pow(n, e, p) == 1 for e in by_norm):
+                continue
+        c = to_vec(cand)
+        if all(to_index(_power(c, e, one, mul)) != 1 for e in by_power):
+            return cand
+
+
 def _chunk(p, degree):
     """P = p^(degree // 2).  An index of F_(p^degree) is (t*P + r)*P + l
     with r, l < P and t < p^(degree % 2): the r and l chunks add on the
@@ -233,12 +303,20 @@ def _digit_sums(p, P):
     """The flat table s[a * P + b], for a, b < P a power of p, of the
     digit-wise sums mod p of a and b in base p: on a chunk of the digits of
     an index, the digits of the sum of two elements."""
-    s, n = [0], 1
+    s, n, digit = [0], 1, list(range(p))
     while n < P:
-        # a = a0 + p*a1 and b = b0 + p*b1, with a1, b1 < n
-        s = [(a0 + b0) % p + p * s[a1 * n + b1]
-             for a1 in range(n) for a0 in range(p)
-             for b1 in range(n) for b0 in range(p)]
+        # a = a0 + p*a1 and b = b0 + p*b1, with a1, b1 < n: row a is the
+        # low digits (a0 + b0) % p, range(p) turned by a0, plus p times
+        # row a1 of the last level with each entry repeated for b0 < p
+        tiles = [(digit[a0:] + digit[:a0]) * n for a0 in range(p)]
+        rows, high = [], [0] * (n * p)
+        for a1 in range(0, n * n, n):
+            scaled = [p * x for x in s[a1:a1 + n]]
+            for b0 in range(p):
+                high[b0::p] = scaled
+            for tile in tiles:
+                rows += map(operator.add, tile, high)
+        s = rows
         n *= p
     return s
 
@@ -306,16 +384,13 @@ class IndexKernel:
         self.m1 = m1 = n - 1
         self.modulus_digits = modulus_digits
         self._embeddings, self._emb_logs, self._extension_roots = {}, {}, {}
-        mul, to_vec, to_index = _vector_arithmetic(p, degree, modulus_digits)
-        prime_factors = _prime_divisors(m1)
-        # the least primitive index; in a proper extension no element of
-        # F_p is primitive
-        self.generator = gen = next(
-            cand for cand in range(p if degree > 1 else 1, n)
-            if all(to_index(_power(to_vec(cand), m1 // r, to_vec(1), mul)) != 1
-                   for r in prime_factors))
+        # the least primitive index, tested by its norm to F_p for each
+        # prime r | p - 1 (c^((card-1)/r) = N(c)^((p-1)/r), so the same
+        # index as by powers of c alone) and by a power for the others
+        self.generator = gen = _generator(p, degree, modulus_digits)
         # x -> x * gen is F_p-linear: the kind's walk tabulates it from the
         # images z^j * gen of the basis and reads one power per step
+        mul, to_vec, to_index = _vector_arithmetic(p, degree, modulus_digits)
         g = to_vec(gen)
         exp, log = self._powers(
             [to_index(mul(to_vec(p ** j), g)) for j in range(degree)])
@@ -583,22 +658,22 @@ class IndexKernel:
             return self.scale(a[0], b)
         # one _addmul of a's row per nonzero term of b: the fewer calls
         # are the way round with the more nonzero terms in a's row (a
-        # q^k-stretched operand is mostly zeros)
+        # q^k-stretched operand is mostly zeros, which `compress` skips
+        # in C)
         if len(a) - a.count(0) < len(b) - b.count(0):
             a, b = b, a
         row = self._row(a)
         out = [0] * (len(a) + len(b) - 1)
         addmul = self._addmul
-        for i, c in enumerate(b):
-            if c:
-                addmul(out, i, c, row)
+        for i in itertools.compress(range(len(b)), b):
+            addmul(out, i, b[i], row)
         return out
 
     def _row(self, a):
         """The (position, log) pairs of the nonzero terms of a: the form of
         a polynomial that `_addmul` adds into a list."""
         log = self.log
-        return [(i, log[c]) for i, c in enumerate(a) if c]
+        return [(i, log[a[i]]) for i in itertools.compress(range(len(a)), a)]
 
     def _divisor(self, b):
         """The row of -b/lead(b) without its lead term, and 1/lead(b)."""
@@ -825,6 +900,19 @@ class IndexKernel:
         return out
 
 
+@functools.lru_cache(maxsize=64)
+def _half_run_mask(run, n):
+    """The int of n little-endian bytes that are 0xff in the upper half of
+    each aligned run of 2 * run bytes and 0 elsewhere: a mask of
+    `_Char2Kernel.compose_in_S`, memoised per (run, n).  A composition
+    reads at most log2(q) masks per base-q level, 12 in all at (64, 2)
+    and at (16, 3), so the bound holds the masks of several shapes; the
+    largest, at (64, 2), are about 0.5 MB each."""
+    reps = n // (2 * run) + 1
+    return int.from_bytes(((bytes(run) + b"\xff" * run) * reps)[:n],
+                          "little")
+
+
 class _Char2Kernel(IndexKernel):
     """F_(2^k): sums are XOR, and `_addmul` XORs one table read per
     (position, log) pair of the row.
@@ -943,9 +1031,11 @@ class _Char2Kernel(IndexKernel):
         block index is that of J.  Indices add by XOR, with no carry between
         slots.
 
-        X has the slots of `_pack`.  Each mask is a repeated bytes pattern
-        cut to the length of X: Python ints have no leading zeros, so a mask
-        for whole runs could be up to q times longer.
+        X has the slots of `_pack`.  Each mask is `_half_run_mask`, cut to
+        the bytes of the slot array: Python ints have no leading zeros, so a
+        mask for whole runs could be up to q times longer.  That length
+        depends on q and len(coeffs) alone, so every composition of one
+        shape, as at each prime of one (q, d), shares its masks.
         """
         if len(coeffs) <= 1:
             return [c for c in coeffs if c]
@@ -955,16 +1045,14 @@ class _Char2Kernel(IndexKernel):
         slots[::q * (q - 1)] = array.array(typecode, coeffs)
         X = self._pack(slots)
         size = slots.itemsize
-        n = (X.bit_length() + 7) // 8
+        n = len(slots) * size
         m = 1
         while m <= top:
             b = 1
             while b < q and b * m <= top:
-                run = b * q * m * size  # bytes per half-run of 2b blocks
-                reps = n // (2 * run) + 1
-                mask = ((bytes(run) + b"\xff" * run) * reps)[:n]
-                X ^= (X & int.from_bytes(mask, "little")) >> (
-                    (q - 1) * b * m * 8 * size)
+                # bytes per half-run of 2b blocks
+                mask = _half_run_mask(b * q * m * size, n)
+                X ^= (X & mask) >> ((q - 1) * b * m * 8 * size)
                 b *= 2
             m *= q
         # the top slot, on the stride, holds X's top bit: no trailing zeros

@@ -90,8 +90,14 @@ class PrimeModulus(_Keyed):
     def _poly_on_masks(self, idx):
         """The polynomial over kappa in s whose coefficient indices on digit
         masks are idx (no trailing zeros), nonzero only on the masks'
-        exponents."""
-        return poly_mod._from_indices(self.s_ring, self._on_exponents(idx))
+        exponents: one element looked up per mask, placed as
+        `_on_exponents` places indices."""
+        q = self.q
+        if q == 2 or len(idx) <= 1:
+            return poly_mod._from_indices(self.s_ring, idx)
+        return poly_mod._from_indices(
+            self.s_ring, idx,
+            exponents=_mask_exponents(q, (len(idx) - 1).bit_length()))
 
     def __repr__(self):
         return f"({self.p_poly!r}) over F_{self.q}"

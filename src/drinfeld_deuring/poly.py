@@ -255,13 +255,19 @@ def _indices(f):
     return [c.index for c in f.coeffs]
 
 
-def _from_indices(ring, idx, step=1):
+def _from_indices(ring, idx, step=1, exponents=None):
     """The polynomial over the finite field of `ring` whose coefficient
     indices are idx, which the kernel leaves without trailing zeros, idx[j]
-    at the power j * step of the variable and zeros between."""
+    at the power j * step of the variable, or at exponents[j] for a given
+    increasing sequence, and zeros between: one element looked up per
+    entry of idx, not per power."""
     base = ring.base
     coeffs = base._elements(idx)
-    if step > 1 and coeffs:
+    if exponents is not None and coeffs:
+        coeffs, placed = [base.zero] * (exponents[len(coeffs) - 1] + 1), coeffs
+        for e, c in zip(exponents, placed):
+            coeffs[e] = c
+    elif step > 1 and coeffs:
         coeffs, placed = [base.zero] * (step * (len(coeffs) - 1) + 1), coeffs
         coeffs[::step] = placed
     f = Poly.__new__(Poly)

@@ -6,7 +6,8 @@ import itertools
 from drinfeld_deuring.drinfeld import LambdaModule
 from drinfeld_deuring.errors import AmbientTooSmallError, \
     ConsistencyError, DomainError
-from drinfeld_deuring.fields import _prime_divisors, embed
+from drinfeld_deuring.fields import _power, _prime_divisors, \
+    _vector_arithmetic, embed
 from drinfeld_deuring.isogeny_graph import IsogenyGraph, _checked, \
     _eliminator, _neighbor_solver
 from drinfeld_deuring.ore import OreContext, drinfeld_image
@@ -259,6 +260,19 @@ def is_irreducible_by_rabin(kernel, f):
         return False
     return all(len(kernel.gcd(kernel.sub_polys(ts[n // r], [0, 1]), f)) == 1
                for r in _prime_divisors(n))
+
+
+def generator_by_powers(p, degree, modulus_digits):
+    """`fields._generator` as it ran before it read the primes r | p - 1
+    off the norm: the least index c (from p in a proper extension) with
+    c^((p^n - 1)/r) != 1 for every prime r | p^n - 1, each a power of c on
+    `fields._vector_arithmetic`."""
+    m1 = p ** degree - 1
+    mul, to_vec, to_index = _vector_arithmetic(p, degree, modulus_digits)
+    return next(
+        cand for cand in range(p if degree > 1 else 1, m1 + 1)
+        if all(to_index(_power(to_vec(cand), m1 // r, to_vec(1), mul)) != 1
+               for r in _prime_divisors(m1)))
 
 
 def compose_in_S_by_residues(kernel, coeffs, q):

@@ -22,7 +22,8 @@ from drinfeld_deuring.modulus import PrimeModulus, primes_of_degree, \
 from drinfeld_deuring.multipoly import MultiRing
 from drinfeld_deuring.ore import OreContext
 from drinfeld_deuring.poly import PolyRing
-from reference import compose_in_S_by_residues, monic_polys
+from reference import compose_in_S_by_residues, generator_by_powers, \
+    monic_polys
 
 
 def test_prime_field_arithmetic():
@@ -626,6 +627,54 @@ def test_tables_match_digit_by_digit_build(p, degree):
     m1 = p ** degree - 1
     assert (t.generator, t.exp[:m1], t.log, t.zech) == \
         _reference_tables(p, degree, t.modulus_digits)
+
+
+def _extensions_under_the_cap():
+    # every (p, n) with n >= 2 and p^n <= CARD_CAP
+    primes = [p for p in range(2, 257) if _prime_divisors(p) == [p]]
+    return [(p, n) for p in primes for n in range(2, _cap_exponent(p) + 1)]
+
+
+def test_generator_matches_the_power_search_at_every_extension():
+    # the norm decides the primes r | p - 1 and powers the rest: the same
+    # least primitive index as powers alone, in every field of degree >= 2
+    # under the cap, and in characteristic 2, where no r divides p - 1
+    fields_ = _extensions_under_the_cap()
+    assert len(fields_) == 93 and sum(p > 2 for p, _ in fields_) == 78
+    for p, n in fields_:
+        m = fields._least_irreducible(p, 1, n)
+        assert fields._generator(p, n, m) == generator_by_powers(p, n, m), \
+            (p, n)
+
+
+def test_generator_of_a_prime_field_takes_no_power(monkeypatch):
+    # in F_p every prime r | p - 1 is read off N(c) = c in plain ints, at
+    # sampled primes up to the largest under the cap
+    primes = [p for p in range(3, CARD_CAP, 2) if _prime_divisors(p) == [p]]
+    sample = random.Random(0).sample(primes, 40) + [3, 5, 257, 65521]
+    want = {p: generator_by_powers(p, 1, (0, 1)) for p in sample}
+
+    def unreachable(*args):
+        raise AssertionError("a power in a prime field's search")
+
+    monkeypatch.setattr(fields, "_power", unreachable)
+    assert {p: fields._generator(p, 1, (0, 1)) for p in sample} == want
+    assert want[65521] == fields._abs_tables(65521, 1).generator == 17
+
+
+_ODD_NORM_FIELDS = [(p, k) for p, k in _table_sizes(4096) if p > 2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_ODD_NORM_FIELDS), st.data())
+def test_norm_is_the_power_read_from_the_tables(pk, data):
+    # Res(m, c) over F_p is c^((card - 1)/(p - 1)), an element of F_p,
+    # whose index is its value
+    p, k = pk
+    K = fields._abs_tables(p, k)
+    c = data.draw(st.integers(1, K.m1))
+    assert fields._norm(p, K.modulus_digits, fields._digits(c, p, k)) == \
+        K._pow(c, K.m1 // (p - 1))
 
 
 def test_every_kernel_kind_shares_one_row_form():

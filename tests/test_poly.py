@@ -661,13 +661,14 @@ def test_kernel_mul_and_divmod_match_elementwise_loops(F, data):
 
 
 def _schoolbook_mul(K, a, b):
-    # a * b in characteristic 2 on indices, by scalar products alone
+    # a * b on indices, by scalar products and sums alone (XOR in
+    # characteristic 2)
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] ^= K._mul(x, y)
+            out[i + j] = K._add(out[i + j], K._mul(x, y))
     return out
 
 
@@ -736,6 +737,46 @@ def test_kernel_rows_match_schoolbook_on_wide_char2_fields(k, a_shape,
     # a product of b divides exactly, with the other factor as quotient
     assert K.divmod_polys(ab, b) == (a, [])
     assert K.mod(ab, a) == []
+
+
+_ODD_KERNELS = [(3, 1), (3, 2), (3, 4), (3, 7), (5, 1), (5, 3), (7, 2),
+                (13, 2)]
+
+
+@st.composite
+def _odd_stretched_poly(draw, K):
+    """An index list over an odd field with a nonzero lead: dense; Y(y^m)'s
+    shape, ones at y^m, y^(2m), ..., y^(qm) for a power q of p, as
+    `U_mod_prime` and `compose_in_S` multiply by; or a dense one stretched
+    by a power of p.  The powers stay small enough for schoolbook."""
+    p, nonzero = K.p, st.integers(1, K.m1)
+    shape = draw(st.sampled_from(["dense", "Y", "stretched"]))
+    if shape == "Y":
+        q = draw(st.sampled_from([p, p * p] if p < 5 else [p]))
+        m = draw(st.sampled_from([1, q] if q * q <= 81 else [1]))
+        out = [0] * (q * m + 1)
+        out[m::m] = [1] * q
+        return out
+    out = draw(st.lists(st.integers(0, K.m1), max_size=12))
+    out.append(draw(nonzero))
+    if shape == "stretched":
+        step = draw(st.sampled_from([p, p * p] if p < 5 else [p]))
+        dense, out = out, [0] * (step * (len(out) - 1) + 1)
+        out[::step] = dense
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_ODD_KERNELS), st.data())
+def test_kernel_products_skip_zero_slots_on_odd_fields(pk, data):
+    # the sparser operand's nonzero slots alone meet the other's row: a
+    # product against schoolbook, both ways round, on Zech sums
+    K = _abs_tables(*pk)
+    a = data.draw(_odd_stretched_poly(K))
+    b = data.draw(_odd_stretched_poly(K))
+    ab = _schoolbook_mul(K, a, b)
+    assert K.mul_polys(a, b) == ab
+    assert K.mul_polys(b, a) == ab
 
 
 @settings(max_examples=60, deadline=None)
