@@ -452,29 +452,3 @@ def u_root_test(K, gamma, q, d):
         return not cur
 
     return is_root
-
-
-def check_simple_roots_generic(field, i):
-    """gcd(u_i, d/ds u_i) = 1 over F_q(T), by a sufficient certificate:
-    u_i(0) != 0 and W_i = -prod_{0<j<i} (T^(q^j) - T) * s^(q + ... +
-    q^(i-1)), the Casoratian of `_certified`.  W_i is formed by products:
-    read off the recurrence that built u_i, it would prove nothing."""
-    # the products u_i * u_(i-1)' reach s^(deg u_i + deg u_(i-1) - 1)
-    if i > 0:
-        _check_stride("W_{i}", field.card, i,
-                      lambda q, i: _u_degree(q, i) + _u_degree(q, i - 1) - 1)
-    u = _u_terms(field, i)
-    if i == 0:
-        return True  # u_0 = 1
-    um, ui = u[i - 1:]
-    q, neg, kernel = field.card, field._neg, field._kernel
-    # P = prod (T^(q^j) - T); the identity reads W_i + P * s^E = 0
-    P = {0: 1}
-    for j in range(1, i):
-        P = kernel.sum_copies(((P, 1, q ** j * _T_STRIDE),
-                               (P, neg(1), _T_STRIDE)))
-    copies = [(ui, c, k) for k, c in _derivative(field, um).items()]
-    copies += [(um, neg(c), k) for k, c in _derivative(field, ui).items()]
-    copies.append((P, 1, sum(q ** j for j in range(1, i))))
-    return (any(not k % _T_STRIDE for k in ui)
-            and not kernel.sum_copies(copies))

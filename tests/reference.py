@@ -3,6 +3,7 @@ faster ones, kept to check those against."""
 
 import itertools
 
+from drinfeld_deuring import universal
 from drinfeld_deuring.drinfeld import LambdaModule
 from drinfeld_deuring.errors import AmbientTooSmallError, \
     ConsistencyError, DomainError
@@ -13,6 +14,8 @@ from drinfeld_deuring.isogeny_graph import IsogenyGraph, _checked, \
 from drinfeld_deuring.ore import OreContext, drinfeld_image
 from drinfeld_deuring.poly import Poly, PolyRing, poly_gcd, \
     roots_in_extension
+from drinfeld_deuring.universal import _T_STRIDE, _check_stride, \
+    _derivative, _u_degree
 
 
 def monic_polys(ring, degree):
@@ -39,6 +42,34 @@ def exact_div(f, g):
     if r:
         raise DomainError(f"division of {f!r} by {g!r} leaves remainder {r!r}")
     return q
+
+
+def check_simple_roots_generic(field, i):
+    """gcd(u_i, d/ds u_i) = 1 over F_q(T), by a sufficient certificate:
+    u_i(0) != 0 and W_i = -prod_{0<j<i} (T^(q^j) - T) * s^(q + ... +
+    q^(i-1)), the generic form of the Casoratian of `universal._certified`,
+    which no `verify` row runs.  W_i is formed by products: read off the
+    recurrence that built u_i, it would prove nothing."""
+    # the products u_i * u_(i-1)' reach s^(deg u_i + deg u_(i-1) - 1)
+    if i > 0:
+        _check_stride("W_{i}", field.card, i,
+                      lambda q, i: _u_degree(q, i) + _u_degree(q, i - 1) - 1)
+    # through the module, where a test may put a mutant u_i
+    u = universal._u_terms(field, i)
+    if i == 0:
+        return True  # u_0 = 1
+    um, ui = u[i - 1:]
+    q, neg, kernel = field.card, field._neg, field._kernel
+    # P = prod (T^(q^j) - T); the identity reads W_i + P * s^E = 0
+    P = {0: 1}
+    for j in range(1, i):
+        P = kernel.sum_copies(((P, 1, q ** j * _T_STRIDE),
+                               (P, neg(1), _T_STRIDE)))
+    copies = [(ui, c, k) for k, c in _derivative(field, um).items()]
+    copies += [(um, neg(c), k) for k, c in _derivative(field, ui).items()]
+    copies.append((P, 1, sum(q ** j for j in range(1, i))))
+    return (any(not k % _T_STRIDE for k in ui)
+            and not kernel.sum_copies(copies))
 
 
 def coprime_over_fraction_field(f, g):

@@ -1,9 +1,8 @@
 """End-to-end command-line behavior, including exit codes and determinism."""
 
-import hashlib
 import json
 import os
-import shlex
+import re
 import stat
 import time
 
@@ -13,6 +12,7 @@ from drinfeld_deuring import cli
 from drinfeld_deuring.cli import main
 from drinfeld_deuring.fields import IndexKernel, base_field
 from drinfeld_deuring.modulus import primes_up_to_degree
+import golden_cli
 from test_isogeny_graph import _lose_a_root
 
 H22 = "s^6 + s^5 + a*s^4 + s^3 + a*s^2 + s + 1"
@@ -492,11 +492,12 @@ def test_output_keeps_the_file_mode(mode, tmp_path, capsys):
 
 
 def test_dot_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
-    dot = tmp_path / "g.dot"
+    fresh, dot = tmp_path / "fresh.dot", tmp_path / "g.dot"
     dot.write_text("digraph junk {}\n" * 500)
-    assert main(["graph", "--q", "3", "--prime", "T-1", "--dot",
-                 str(dot)]) == 0
-    assert _sha256(dot.read_bytes()) == GOLDEN_DOT
+    for path in (fresh, dot):
+        assert main(["graph", "--q", "3", "--prime", "T-1", "--dot",
+                     str(path)]) == 0
+    assert dot.read_bytes() == fresh.read_bytes()
 
 
 def test_graph_fails_when_h_needs_a_larger_field(monkeypatch, capsys):
@@ -588,78 +589,29 @@ def test_deterministic_output(capsys):
     assert capsys.readouterr().out == a
 
 
-# sha256 of the stdout bytes of every README example, verify for
-# q in {2, 3, 4, 5} in both formats, and compute --method all as JSON at the
-# first d = 4 prime for q = 2 and q = 3; every command exits 0
-GOLDEN_STDOUT = {
-    'compute --q 2 --prime "T^2+T+1" --var delta --method universal':
-        "111686c478eeacfcfd5af3ce4b93c90fb215e8bb27fa0f541d2e69d7c6748501",
-    'compute --q 2 --prime "T^2+T+1" --method all':
-        "99ea406f3bb3aca66fdc4a81e1f2a17fcde869c6ab7368341df97a84729ee32c",
-    'compute --q 2 --prime "T^2+T+1" --var lambda --method direct':
-        "794b5b397aebef3dc695050402f50cc1250723799e45609141e53144eda6d3e4",
-    "verify --q 2 --max-degree 3":
-        "b14e5331e7fe1edf6c339a892a0efaaec232b4596bac46711d80833bcd108766",
-    'graph --q 3 --prime "T-1" --dot graph.dot':
-        "d0d5f5558975f1ad6e9b8bf04028354a6572d52cdc95a2d4fad590309ae7b74a",
-    "identities --q 4":
-        "c36da969ea91157697dc9c07267a36afc742ce809d18927a80916351013b9518",
-    "verify --q 2 --max-degree 4 --format text":
-        "6dc289d8e2fa292882453ac88e8fd988c13d807bcd0f7b27fde242f01848edd9",
-    "verify --q 2 --max-degree 4 --format json":
-        "7fc5bfe6142cc3cc70207ff9f7d55e0a8e8f14ffb7d7af4b2f45103143dfb0c2",
-    "verify --q 3 --max-degree 3 --format text":
-        "157578ff5fd5e6132591e4f7a862164d07245c09be2cc067bf0549c0b0a47826",
-    "verify --q 3 --max-degree 3 --format json":
-        "4eb9becf14da9af015260d064c0e078ed38b6cb6af2037ea9996fbaf9805c09a",
-    "verify --q 4 --max-degree 2 --format text":
-        "8a5bc204b6a8647b6abcbbe1521fccd5b819ea204fdc13315acf53dc1fa26011",
-    "verify --q 4 --max-degree 2 --format json":
-        "eb29aeedae71b0307e105f43276e492b06e3fab1e3337fe1ddfc858288d07e99",
-    "verify --q 5 --max-degree 2 --format text":
-        "c793a9f9a557f76e0a555b90c265db6b08c8361e85b2c434a33294622281a614",
-    "verify --q 5 --max-degree 2 --format json":
-        "d84eb8d2059abf7a8d70bd0a79767c4cdb93d88961b90f6b04154d63a5170ffd",
-    # the key-identity rows at q > 5
-    "verify --q 7 --max-degree 2 --format text":
-        "9acdecaf74ad6f09847bca7caba56991ebcab88689ac5a12986ff2daaf724f76",
-    "verify --q 8 --max-degree 2 --format text":
-        "a77eafb535226ed153d3ade3fde3c02dfce76d4156c3780292c0e20de65b287d",
-    "verify --q 9 --max-degree 2 --format text":
-        "bb613c619f54d012b663733b6b77c62c4a2480919baa3abe607bf20c410126c5",
-    'compute --q 2 --prime "T^4 + T + 1" --method all --format json':
-        "aa17aeae99addf0cebfeb503dd1b1072743a1ba2ca38be6f260708d187aad79a",
-    'compute --q 3 --prime "T^4 + T + 2" --method all --format json':
-        "bac8ce46669c64a6db56dadd226add5d227798f23aa6fca1a6ec6fb6d22aecf1",
-    # H of degree q^2 - q at a degree-one prime, and the identities as JSON
-    'compute --q 64 --prime "T+1" --var lambda --method all':
-        "c2ad1907d166c67e91ae2238117c16642c5c343ed17651c858a1dd48dba940da",
-    "identities --q 16 --format json":
-        "261912acedbf73b0ec5ea78d10e3c96da2994523f618f44ea513ca6221868ba1",
-    # graphs outside verify's envelope; the q = 9 one needs kappa_2
-    'graph --q 2 --prime "T^5 + T^2 + 1"':
-        "0ede2ef120d6d3febf2eef66db4a084b0fac0751fdcc8a4808a9698b3b9925e7",
-    'graph --q 2 --prime "T^5 + T^2 + 1" --format json':
-        "a68007c7329fbf750630c106c1cbce87c1dc9af6d34d1c264f5c9817a8cbfdfb",
-    'graph --q 3 --prime "T^3 + 2*T + 1"':
-        "8701103e975035bbb30df82aaffdbbc1cba10d7e0f5389088b0d865ccb29aeb0",
-    'graph --q 9 --prime "T^2 + x + 1"':
-        "2d6c3b48444a0b823496b34db22a38bb9e52c726f510483555dacc154370ec30",
-}
-GOLDEN_DOT = "19df06812e699b4f4b4689768c15b3960d415474c8ecc8d03ec6a9c324b8ffd9"
+@pytest.mark.parametrize("entry, command", [
+    pytest.param(entry, command, id=command)
+    for entry in golden_cli.FAST for command in entry.commands])
+def test_golden_stdout(entry, command, tmp_path, capsys):
+    # every FAST entry of the registry, in process
+    code = main(golden_cli.argv(command, str(tmp_path)))
+    stdout = capsys.readouterr().out.encode()
+    assert golden_cli.mismatches(entry, code, stdout, str(tmp_path)) == []
 
 
-def _sha256(data):
-    return hashlib.sha256(data).hexdigest()
-
-
-@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
-def test_golden_stdout(command, tmp_path, capsys):
-    argv = shlex.split(command)
-    if "--dot" in argv:
-        dot = tmp_path / argv[argv.index("--dot") + 1]
-        argv[argv.index("--dot") + 1] = str(dot)
-    assert main(argv) == 0
-    assert _sha256(capsys.readouterr().out.encode()) == GOLDEN_STDOUT[command]
-    if "--dot" in argv:
-        assert _sha256(dot.read_bytes()) == GOLDEN_DOT
+def test_golden_registry_is_well_formed():
+    # each command parses, no two runs share an argument list and an
+    # environment, each exit-0 entry has a stdout digest, and FAST, run in
+    # this process, sets no environment
+    assert not any(entry.env for entry in golden_cli.FAST)
+    parser = cli.build_parser()
+    runs = []
+    for entry in golden_cli.FAST + golden_cli.SLOW:
+        assert entry.exit or entry.stdout is not None, entry.commands
+        for digest in [entry.stdout, *entry.files.values()]:
+            assert digest is None or re.fullmatch("[0-9a-f]{64}", digest)
+        for command in entry.commands:
+            argv = golden_cli.argv(command, "tmp")
+            parser.parse_args(argv)
+            runs.append((tuple(argv), tuple(sorted(entry.env.items()))))
+    assert len(runs) == len(set(runs))

@@ -1,7 +1,9 @@
-"""The shape of the source, checked on its syntax trees."""
+"""The shape of the source, checked on its syntax trees and its text."""
 
 import ast
+import collections
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "drinfeld_deuring"
@@ -9,6 +11,8 @@ PACKAGE = ROOT / "src" / "drinfeld_deuring"
 TABLES = {"log", "exp", "m1", "zech", "half"}
 # the kernel's root search: its split parts, and the full split
 ROOT_SEARCH = {"root_part", "split", "distinct_roots"}
+# a sha256 in hex
+DIGEST = re.compile(r"\b[0-9a-fA-F]{64}\b")
 
 
 def _trees():
@@ -79,3 +83,18 @@ def test_only_ore_takes_the_ore_image():
                 if name == "drinfeld_image":
                     calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def test_one_home_per_cli_golden():
+    # every expected CLI digest is written once, in tests/golden_cli.py: no
+    # workflow and no other test module holds one
+    registry = ROOT / "tests" / "golden_cli.py"
+    elsewhere = [f"{path.relative_to(ROOT)}:{n}"
+                 for path in sorted([*ROOT.glob(".github/workflows/*.yml"),
+                                     *ROOT.glob("tests/*.py")])
+                 if path != registry
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if DIGEST.search(line)]
+    assert elsewhere == []
+    counts = collections.Counter(DIGEST.findall(registry.read_text()))
+    assert counts and max(counts.values()) == 1

@@ -24,12 +24,13 @@ from drinfeld_deuring.ore import qpow
 from drinfeld_deuring.poly import Poly, PolyRing, _Dense, poly_gcd
 from drinfeld_deuring.universal import (
     U_sequence, check_derivative_recursion, check_key_identity,
-    check_simple_roots, check_simple_roots_generic, check_u_zero,
+    check_simple_roots, check_u_zero,
     U_mod_prime, sequence_json, u_mod_prime, u_sequence, u_zero_value,
 )
 from reference import (
-    H_by_closed_form, U_over_kappa_by_term_maps, coprime_over_fraction_field,
-    t_by_bits, tau, u_on_masks, u_over_kappa_by_term_maps,
+    H_by_closed_form, U_over_kappa_by_term_maps, check_simple_roots_generic,
+    coprime_over_fraction_field, t_by_bits, tau, u_on_masks,
+    u_over_kappa_by_term_maps,
 )
 
 
