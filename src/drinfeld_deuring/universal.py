@@ -67,7 +67,8 @@ T^(q^i-Q) cancels v's second term and leaves T^(1-Q).
 The universal route reads generic u_d once per (q, d) as its list t(m)
 (`_u_t_exponents`), and reduces it by one table read per mask.  The
 separability certificate compares that h with the closed form, whose t(m)
-(`_t_closed_form`) comes from no recurrence.
+(`_t_closed_form`) comes from no recurrence, and the derivative row checks
+the closed form's u_(i-1), u_i and u_(i+1) against the step.
 
 Over kappa = F_q[T]/(p), T -> alpha, `U_mod_prime` runs the U-recurrence
 on kappa's index lists in y = s^(q-1), by one `mul_polys` per step: its
@@ -130,13 +131,17 @@ def _U_terms(field, i_max):
                           lambda q, i: q ** (i + 1) - q)
 
 
+def _check_designated(field):
+    if field.q != field.card:
+        raise DomainError("universal sequences live over a designated base F_q")
+
+
 def _generic_terms(field, i_max, step, cache, name, s_degree):
     """x_0, ..., x_{i_max} of the sequence `name` of `step` as generic term
     maps, memoised per field in `cache`, deg_s x_i being s_degree(q, i).
     The key stride is checked only when a step is to run: a cached map
     passed the check when it was built."""
-    if field.q != field.card:
-        raise DomainError("universal sequences live over a designated base F_q")
+    _check_designated(field)
     if i_max < 0:
         raise DomainError("sequence index must be non-negative")
     # index 1 is the element 1 of every kernel
@@ -291,17 +296,29 @@ def check_derivative_recursion(field, i):
     """The derivative sequence satisfies the unchanged recursion at step i >= 1
     (at i = 0 it would force u_1' = 0, but u_1 = s + T^q has u_1' = 1).
 
-    Every s-exponent e of every u_j is 0 or 1 mod p, by the closed form
-    (module docstring): e = E(m) = sum_{k in m} q^k is bit 0 of m mod p.
-    So e mod p is 1 on each term the p | e filter keeps: dropping
-    that factor is an equivalent mutant, which `Poly.derivative` (it too
-    multiplies by e) cannot detect.  The row tests only the step's exponents
-    and the p | e filter.
+    u_(i-1), u_i and u_(i+1) are read from the closed form (module
+    docstring, `_u_closed_terms`), not from the recurrence, so the row
+    checks the closed form's derivatives against the step: a term of the
+    closed u_(i+1) with p not dividing its s-exponent, moved by one power
+    of T, breaks it.  Every s-exponent e of every u_j is 0 or 1 mod p,
+    e = E(m) = sum_{k in m} q^k being bit 0 of m mod p, so e mod p is 1 on
+    each term the p | e filter keeps: dropping that factor is still an
+    equivalent mutant.
     """
     if i < 1:
         raise DomainError("the derivative recursion only holds for steps i >= 1")
-    d = [_derivative(field, u) for u in _u_terms(field, i + 1)[i - 1:]]
+    _check_designated(field)
+    q = field.card
+    _check_stride("u_{i}", q, i + 1, _u_degree)
+    d = [_derivative(field, _u_closed_terms(q, j)) for j in (i - 1, i, i + 1)]
     return d[2] == _u_step(field, d[0], d[1], i)
+
+
+def _u_closed_terms(q, d):
+    """Generic u_d as a term map from the closed form, from no recurrence:
+    T^(t(m)) s^(E(m)) over the d-bit masks m, each of coefficient 1."""
+    return {t * _T_STRIDE + e: 1
+            for t, e in zip(_t_closed_form(q, d), _mask_exponents(q, d))}
 
 
 def _derivative(field, u):

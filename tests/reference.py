@@ -1,14 +1,15 @@
 """Element-level references for tests: routines the package replaced with
-faster ones, kept to check those against."""
+faster ones, kept to check those against, and `ReferenceField`, the
+table-free field that every index kernel is checked against."""
 
+import functools
 import itertools
 
 from drinfeld_deuring import universal
 from drinfeld_deuring.drinfeld import LambdaModule
 from drinfeld_deuring.errors import AmbientTooSmallError, \
     ConsistencyError, DomainError
-from drinfeld_deuring.fields import _power, _prime_divisors, \
-    _vector_arithmetic, embed
+from drinfeld_deuring.fields import _prime_divisors, embed
 from drinfeld_deuring.isogeny_graph import IsogenyGraph, _checked, \
     _eliminator, _neighbor_solver
 from drinfeld_deuring.ore import OreContext, drinfeld_image
@@ -297,13 +298,11 @@ def generator_by_powers(p, degree, modulus_digits):
     """`fields._generator` as it ran before it read the primes r | p - 1
     off the norm: the least index c (from p in a proper extension) with
     c^((p^n - 1)/r) != 1 for every prime r | p^n - 1, each a power of c on
-    `fields._vector_arithmetic`."""
-    m1 = p ** degree - 1
-    mul, to_vec, to_index = _vector_arithmetic(p, degree, modulus_digits)
-    return next(
-        cand for cand in range(p if degree > 1 else 1, m1 + 1)
-        if all(to_index(_power(to_vec(cand), m1 // r, to_vec(1), mul)) != 1
-               for r in _prime_divisors(m1)))
+    the reference field."""
+    R = ReferenceField(p, modulus_digits)
+    return next(c for c in range(p if degree > 1 else 1, R.card)
+                if all(R._pow(c, (R.card - 1) // r) != 1
+                       for r in _prime_divisors(R.card - 1)))
 
 
 def compose_in_S_by_residues(kernel, coeffs, q):
@@ -470,3 +469,258 @@ def is_supersingular_by_ore_image(module, prime):
     image = drinfeld_image(ctx, module.psi_T(ctx), prime.p_poly,
                            scalar=lambda c: embed(c, L))
     return not image.coeff(prime.d)
+
+
+def trim(a):
+    """a without its trailing zeros, in place."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+class ReferenceField:
+    """F_p[z]/(m), m the monic modulus `modulus_digits` (ascending), by
+    slow, obvious, table-free arithmetic: the contract that every
+    `IndexKernel` kind is held to in tests/test_kernel_contract.py.
+
+    Digit i of an index in base p is the coefficient of z^i, so an index is
+    its own coordinate vector, and no log, exp or Zech table is read.  Sums
+    are digit-wise mod p, products schoolbook products of digit lists
+    reduced by m, and inverses the power card - 2.  Polynomials are index
+    lists with no trailing zeros, as the kernel's are, with schoolbook
+    arithmetic, roots found by scanning, and Ben-Or's irreducibility test.
+    The methods take the kernel's names and arguments."""
+
+    def __init__(self, p, modulus_digits):
+        self.p = p
+        self.modulus = tuple(modulus_digits)
+        self.degree = len(self.modulus) - 1
+        self.card = p ** self.degree
+
+    # scalars ----------------------------------------------------------------
+
+    def digits(self, i):
+        out = []
+        for _ in range(self.degree):
+            i, d = divmod(i, self.p)
+            out.append(d)
+        return out
+
+    def index(self, digits):
+        i = 0
+        for d in reversed(list(digits)):
+            i = i * self.p + d % self.p
+        return i
+
+    def _add(self, i, j):
+        return self.index(x + y for x, y in zip(self.digits(i),
+                                                self.digits(j)))
+
+    def _neg(self, i):
+        return self.index(-x for x in self.digits(i))
+
+    def _mul(self, i, j):
+        k, m = self.degree, self.modulus
+        a, b = self.digits(i), self.digits(j)
+        prod = [0] * (2 * k - 1)
+        for s, x in enumerate(a):
+            if x:
+                for t, y in enumerate(b):
+                    prod[s + t] += x * y
+        # z^n = z^(n-k) * (z^k - m) modulo m, from the top down
+        for n in range(2 * k - 2, k - 1, -1):
+            c = prod[n]
+            if c:
+                for t in range(k + 1):
+                    prod[n - k + t] -= c * m[t]
+        return self.index(prod[:k])
+
+    def _pow(self, i, e):
+        if not i:
+            if e < 0:
+                raise ZeroDivisionError("negative power of zero")
+            return 0 if e else 1
+        # i^(card - 1) = 1, which also takes a negative e to its inverse
+        out = 1
+        for bit in bin(e % (self.card - 1))[2:]:
+            out = self._mul(out, out)
+            if bit == "1":
+                out = self._mul(out, i)
+        return out
+
+    def _inv(self, i):
+        if not i:
+            raise ZeroDivisionError("inverse of zero")
+        return self._pow(i, -1)
+
+    def conjugates(self, x, Q):
+        """The orbit x, x^Q, x^(Q^2), ... of x under x -> x^Q."""
+        orbit = [x]
+        while (y := self._pow(orbit[-1], Q)) != x:
+            orbit.append(y)
+        return orbit
+
+    def minimal_polynomial(self, x, Q):
+        """The product of y - c over the conjugates c of x under x -> x^Q:
+        the minimal polynomial of x over F_Q, irreducible there."""
+        f = [1]
+        for c in self.conjugates(x, Q):
+            f = self.mul_polys(f, [self._neg(c), 1])
+        return f
+
+    # polynomials ------------------------------------------------------------
+
+    def add_polys(self, a, b):
+        n = max(len(a), len(b))
+        a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+        return trim([self._add(x, y) for x, y in zip(a, b)])
+
+    def sub_polys(self, a, b):
+        return self.add_polys(a, [self._neg(y) for y in b])
+
+    def scale(self, c, a):
+        return trim([self._mul(c, x) for x in a])
+
+    def mul_polys(self, a, b):
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                if x and y:
+                    out[i + j] = self._add(out[i + j], self._mul(x, y))
+        return trim(out)
+
+    def divmod_polys(self, a, b):
+        n, inv = len(b) - 1, self._inv(b[-1])
+        rem, quot = list(a), [0] * max(len(a) - n, 0)
+        for k in reversed(range(len(quot))):
+            quot[k] = c = self._mul(rem[k + n], inv)
+            for j, y in enumerate(b):
+                if c and y:
+                    rem[k + j] = self._add(rem[k + j],
+                                           self._neg(self._mul(c, y)))
+        return quot, trim(rem[:n])
+
+    def mod(self, a, b):
+        return self.divmod_polys(a, b)[1]
+
+    def monic(self, a):
+        return self.scale(self._inv(a[-1]), a)
+
+    def gcd(self, a, b):
+        while b:
+            a, b = b, self.mod(a, b)
+        return self.monic(a)
+
+    def powmod(self, g, e, f):
+        if e < 0:
+            raise DomainError("powers must be non-negative")
+        out, g = self.mod([1], f), self.mod(g, f)
+        for bit in bin(e)[2:]:
+            out = self.mod(self.mul_polys(out, out), f)
+            if bit == "1":
+                out = self.mod(self.mul_polys(out, g), f)
+        return out
+
+    def value(self, a, x):
+        """a(x), by Horner's rule."""
+        acc = 0
+        for c in reversed(a):
+            acc = self._add(self._mul(acc, x), c)
+        return acc
+
+    def distinct_roots(self, g):
+        return [x for x in range(self.card) if not self.value(g, x)]
+
+    def is_irreducible(self, f):
+        """Ben-Or: f of degree n >= 2 is irreducible exactly when it has no
+        factor of degree j <= n/2, that is, when gcd(x^(card^j) - x, f) = 1
+        for each such j."""
+        t = [0, 1]
+        for _ in range((len(f) - 1) // 2):
+            t = self.powmod(t, self.card, f)
+            if len(self.gcd(self.sub_polys(t, [0, 1]), f)) > 1:
+                return False
+        return True
+
+    def split(self, part):
+        """The gcds of P with Tr(beta*x) - c, c in F_p, that have positive
+        degree, for the first beta = z^i, z^(i+1), ... giving two or
+        more; frob[j] = x^(p^j) modulo a multiple of P."""
+        P, i, frob = part
+        while True:
+            beta, i = self.p ** i, i + 1
+            t = []
+            for j, f in enumerate(frob):
+                t = self.add_polys(t, self.scale(self._pow(beta, self.p ** j),
+                                                 f))
+            pieces = [g for c in range(self.p)
+                      if len(g := self.gcd(self.sub_polys(t, [c]), P)) > 1]
+            if len(pieces) > 1:
+                return [(g, i, frob) for g in pieces]
+
+    def frobenius_orbits(self, q, d):
+        """(minimal polynomial, least element) of each orbit of x -> x^q of
+        length d, ordered by the least log in each orbit: the logs to the
+        least primitive element, by walking its powers."""
+        m1, g = self.card - 1, generator_by_powers(self.p, self.degree,
+                                                   self.modulus)
+        exp = [1]
+        while len(exp) < m1:
+            exp.append(self._mul(exp[-1], g))
+        orbits = {}
+        for l in range(m1):
+            orbit = frozenset(exp[l * q ** i % m1] for i in range(d))
+            if len(orbit) == d:
+                orbits.setdefault(orbit, l)
+        return [(self.minimal_polynomial(min(o), q), min(o))
+                for o, _ in sorted(orbits.items(), key=lambda kv: kv[1])]
+
+    def compose_in_S(self, coeffs, q):
+        """R(Y) for Y = y + y^2 + ... + y^q, by Horner's rule in Y."""
+        Y = [0] + [1] * q
+        acc = []
+        for c in reversed(coeffs):
+            acc = self.add_polys(self.mul_polys(acc, Y), [c])
+        return acc
+
+    # the kernel's other maps ------------------------------------------------
+
+    def is_least_root(self, g, r, Q):
+        """Whether r is a root of g and the least of its deg g conjugates
+        under x -> x^Q, which are then every root of g."""
+        orbit = self.conjugates(r, Q)
+        return not self.value(g, r) and r == min(orbit) \
+            and len(orbit) == len(g) - 1
+
+    def evaluate(self, rows, x, lift=None):
+        """The kernel's evaluate(rows, x, k), each coefficient c read as
+        lift[c] (the kernel's `embedding(k)`) for a given lift."""
+        if not x:
+            raise DomainError("evaluation at 0")
+        lift = lift or range(self.card)
+        return [functools.reduce(self._add, (
+            self._mul(lift[c], self._pow(x, e)) for e, c in terms), 0)
+            for terms in rows]
+
+    def dilate(self, a, x):
+        if not x:
+            raise DomainError("dilation by 0")
+        return [self._mul(c, self._pow(x, j)) for j, c in enumerate(a)]
+
+    def powers(self, x, es):
+        if not x:
+            raise DomainError("powers of 0")
+        return [self._pow(x, e) for e in es]
+
+    def span(self, rows):
+        # product() varies its last argument fastest, so rows go in reversed
+        return [functools.reduce(self._add, t, 0)
+                for t in itertools.product(*reversed(rows))]
+
+    def sum_copies(self, copies):
+        out = {}
+        for u, c, shift in copies:
+            for key, x in u.items():
+                k = key + shift
+                out[k] = self._add(out.get(k, 0), self._mul(c, x))
+        return {k: x for k, x in out.items() if x}

@@ -22,8 +22,8 @@ from drinfeld_deuring.modulus import PrimeModulus, primes_of_degree, \
 from drinfeld_deuring.multipoly import MultiRing
 from drinfeld_deuring.ore import OreContext
 from drinfeld_deuring.poly import PolyRing
-from reference import compose_in_S_by_residues, generator_by_powers, \
-    monic_polys
+from reference import ReferenceField, compose_in_S_by_residues, \
+    generator_by_powers, monic_polys, trim
 
 
 def test_prime_field_arithmetic():
@@ -543,66 +543,18 @@ def test_kernel_powmod_refuses_a_negative_exponent():
     assert out.split() == ["DomainError"]
 
 
-# The table build as it was with digit-by-digit base-p arithmetic on element
-# indices; the fast build must reproduce its generator and tables exactly.
 def _reference_tables(p, degree, modulus_digits):
-    def digit_add(a, b):
-        out, shift = 0, 1
-        while a or b:
-            a, da = divmod(a, p)
-            b, db = divmod(b, p)
-            out += ((da + db) % p) * shift
-            shift *= p
-        return out
-
-    def digit_scale(a, c):
-        out, shift = 0, 1
-        while a:
-            a, da = divmod(a, p)
-            out += ((da * c) % p) * shift
-            shift *= p
-        return out
-
-    n = p ** degree
-    red = sum(((-c) % p) * p ** i for i, c in enumerate(modulus_digits[:degree]))
-
-    def mul_raw(a, b):
-        acc, cur = 0, a
-        while b:
-            b, db = divmod(b, p)
-            if db:
-                acc = digit_add(acc, digit_scale(cur, db))
-            cur *= p
-            if cur >= n:
-                t = cur // n
-                cur = digit_add(cur - t * n, digit_scale(red, t))
-        return acc
-
-    def pow_raw(a, e):
-        r = 1
-        while e:
-            if e & 1:
-                r = mul_raw(r, a)
-            a = mul_raw(a, a)
-            e >>= 1
-        return r
-
-    m1 = n - 1
-    # in a proper extension no element of F_p is primitive
-    gen = next(c for c in range(p if degree > 1 else 1, n)
-               if all(pow_raw(c, m1 // r) != 1 for r in _prime_divisors(m1)))
-    exp, log, cur = [0] * m1, [0] * n, 1
+    """The generator, exp, log and zech tables as built from their
+    definitions on the table-free reference field: the least primitive
+    index (from p in a proper extension), its powers, and log(1 + g^k)."""
+    R = ReferenceField(p, modulus_digits)
+    m1, gen = R.card - 1, generator_by_powers(p, degree, modulus_digits)
+    exp, log, cur = [0] * m1, [0] * R.card, 1
     for i in range(m1):
         exp[i], log[cur] = cur, i
-        cur = mul_raw(cur, gen)
-    zech = None
-    if p != 2:
-        zech = []
-        for e in exp:
-            d0 = e % p
-            e1 = e - d0 + (d0 + 1) % p
-            zech.append(log[e1] if e1 else -1)
-        zech = tuple(zech)
+        cur = R._mul(cur, gen)
+    zech = None if p == 2 else tuple(
+        log[s] if (s := R._add(e, 1)) else -1 for e in exp)
     # the kernel's tables are tuples
     return gen, tuple(exp), tuple(log), zech
 
@@ -749,25 +701,15 @@ def test_each_absolute_field_has_one_kernel():
 
 
 def _reference_embedding(kernel, k):
-    """emb[c] for every index c of F_(p^k), digit by digit: the sum of
-    c_i * root^i, with root the least root of F_(p^k)'s table modulus, found
-    by evaluating it at every element."""
-    p = kernel.p
-    mod = fields._abs_tables(p, k).modulus_digits
-
-    def value(x):
-        acc = 0
-        for c in reversed(mod):
-            acc = kernel._add(kernel._mul(acc, x), c)
-        return acc
-
-    root = next(x for x in range(kernel.card) if not value(x))
-    emb = []
-    for c in range(p ** k):
-        acc = 0
-        for i, digit in enumerate(fields._digits(c, p, k)):
-            acc = kernel._add(acc, kernel._mul(digit, kernel._pow(root, i)))
-        emb.append(acc)
+    """emb[c] for every index c of F_(p^k) on the reference field: the
+    least root r of F_(p^k)'s table modulus, found by scanning, and
+    sum c_i * r^i over the digits c_i of c, by Horner's rule on them."""
+    R = ReferenceField(kernel.p, kernel.modulus_digits)
+    mod = fields._abs_tables(kernel.p, k).modulus_digits
+    r = next(x for x in range(R.card) if not R.value(mod, x))
+    emb = [0] * kernel.p ** k
+    for c in range(1, len(emb)):
+        emb[c] = R._add(R._mul(emb[c // kernel.p], r), c % kernel.p)
     return emb
 
 
@@ -807,64 +749,27 @@ def test_prime_field_scalars_are_ints_mod_p(p):
         k._inv(0)
 
 
-# ascending int lists mod p with no trailing zeros, schoolbook
-def _trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _ref_add(a, b, p):
-    n = max(len(a), len(b))
-    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
-    return _trim([(x + y) % p for x, y in zip(a, b)])
-
-
-def _ref_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
-
-
-def _ref_divmod(a, b, p):
-    inv = pow(b[-1], -1, p)
-    rem, quot = list(a), [0] * max(len(a) - len(b) + 1, 0)
-    for k in range(len(quot) - 1, -1, -1):
-        c = rem[k + len(b) - 1] * inv % p
-        quot[k] = c
-        for j, y in enumerate(b):
-            rem[k + j] = (rem[k + j] - c * y) % p
-    return _trim(quot), _trim(rem[:len(b) - 1])
-
-
-def _ref_gcd(a, b, p):
-    while b:
-        a, b = b, _ref_divmod(a, b, p)[1]
-    inv = pow(a[-1], -1, p)
-    return [x * inv % p for x in a]
-
-
 @st.composite
 def _prime_polys(draw):
     p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 251, 65521]))
     coeff = st.one_of(st.just(0), st.integers(1, p - 1))
     a, b, dst = (draw(st.lists(coeff, max_size=n)) for n in (12, 8, 24))
-    return p, _trim(a), _trim(b), dst
+    return p, trim(a), trim(b), dst
 
 
 @settings(max_examples=120, deadline=None)
 @given(_prime_polys(), st.data())
 def test_prime_field_polynomials_are_ints_mod_p(case, data):
+    # the reference field of F_p is ints mod p
     p, a, b, dst = case
     k = base_field(p)._kernel
-    assert k.add_polys(a, b) == _ref_add(a, b, p)
-    assert k.mul_polys(a, b) == _ref_mul(a, b, p)
+    R = ReferenceField(p, (0, 1))
+    assert k.add_polys(a, b) == R.add_polys(a, b)
+    assert k.mul_polys(a, b) == R.mul_polys(a, b)
     if a or b:
-        assert k.gcd(a, b) == _ref_gcd(a, b, p)
+        assert k.gcd(a, b) == R.gcd(a, b)
     if b:
-        assert k.divmod_polys(a, b) == _ref_divmod(a, b, p)
+        assert k.divmod_polys(a, b) == R.divmod_polys(a, b)
     if a:
         # dst[off + i] += c * a[i], whatever room dst leaves after the row
         c = data.draw(st.integers(1, p - 1))
@@ -875,144 +780,6 @@ def test_prime_field_polynomials_are_ints_mod_p(case, data):
             want[off + i] = (want[off + i] + c * x) % p
         k._addmul(dst, off, c, k._row(a))
         assert dst == want
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from([(2, 4), (3, 1), (3, 4), (5, 2), (7, 3), (3, 8),
-                        (65521, 1)]), st.booleans(), st.data())
-def test_polynomial_sums_match_the_scalar_sums(pk, cancel, data):
-    # the kind's `_add_terms` against `_add` mapped over the pairs, with the
-    # cancelled top terms trimmed
-    k = fields._abs_tables(*pk)
-    x = st.one_of(st.just(0), st.integers(1, k.card - 1))
-    a = _trim(data.draw(st.lists(x, max_size=10)))
-    b = _trim(data.draw(st.lists(x, max_size=10)))
-    if cancel:
-        # b cancels the top of a, from a drawn term up
-        cut = data.draw(st.integers(0, len(a)))
-        b = _trim((b + [0] * cut)[:cut] + [k._neg(y) for y in a[cut:]])
-    if data.draw(st.booleans()):
-        a, b = b, a
-    longer, shorter = (a, b) if len(a) >= len(b) else (b, a)
-    want = _trim(list(map(k._add, longer, shorter)) + longer[len(shorter):])
-    assert k.add_polys(a, b) == want
-    assert k.add_polys(b, a) == want
-    if cancel:
-        assert len(want) <= max(len(a), len(b))
-    neg_b = [k._neg(y) for y in b]
-    assert k.sub_polys(a, b) == k.add_polys(a, neg_b)
-
-
-@st.composite
-def _copies(draw):
-    """A kernel of at most 256 elements and (u, c, shift) copies for its
-    `sum_copies`: dense and sparse maps, keys that repeat across copies,
-    scales 1, -1 and others, negative shifts, and a copy followed by its
-    negation or by itself, which cancel or double."""
-    k = fields._abs_tables(*draw(st.sampled_from(
-        [(2, 1), (2, 3), (2, 8), (3, 1), (3, 2), (3, 5), (5, 3), (7, 2),
-         (13, 1), (251, 1)])))
-    x = st.integers(1, k.card - 1)
-    dense = st.lists(x, max_size=16).map(lambda xs: dict(enumerate(xs)))
-    sparse = st.dictionaries(st.integers(-60, 60), x, max_size=6)
-    copies = draw(st.lists(st.tuples(
-        st.one_of(dense, sparse), st.one_of(st.just(1), st.just(k._neg(1)), x),
-        st.integers(-20, 20)), max_size=8))
-    if copies:
-        u, c, shift = draw(st.sampled_from(copies))
-        copies.append((u, draw(st.sampled_from([c, k._neg(c)])), shift))
-    return k, copies
-
-
-@settings(max_examples=150, deadline=None)
-@given(_copies())
-def test_sum_copies_adds_alike_through_the_table_and_add(case):
-    # up to _SUMS_CARD_MAX elements `sum_copies` reads the card x card table
-    # of sums; with the bound lowered, the same fields add by `_add`
-    k, copies = case
-    by_table = k.sum_copies(copies)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fields, "_SUMS_CARD_MAX", 1)
-        by_add = k.sum_copies(copies)
-    assert by_table == by_add
-    assert all(by_table.values())
-
-
-# --- evaluate, dilate and powers against element arithmetic ----------------
-
-_EVAL_FIELDS = ([(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)]
-                + [(p, 1) for p in (5, 7, 13, 251)])
-
-
-@st.composite
-def _eval_cases(draw):
-    """(E, k, x): E = F_(p^n) and a point x of it, 0 included.  For k None
-    the coefficients are E's own; otherwise E is built over F_(p^k), whose
-    elements `evaluate` reads through `embedding(k)` and E through
-    `embed_from_base`."""
-    p, n = draw(st.sampled_from(_EVAL_FIELDS))
-    k = draw(st.sampled_from([None] + [k for k in range(1, n + 1)
-                                       if n % k == 0]))
-    E = base_field(p ** n) if k is None else \
-        base_field(p ** k).extension(n // k)
-    return E, k, draw(st.one_of(st.just(0), st.integers(1, E.card - 1)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(_eval_cases(), st.data())
-def test_kernel_evaluate_matches_element_arithmetic(case, data):
-    E, k, x = case
-    B, lift = (E, E.coerce) if k is None else (E.base, E.embed_from_base)
-    term = st.tuples(st.integers(-9, 30), st.integers(1, B.card - 1))
-    rows = data.draw(st.lists(st.lists(term, max_size=5), max_size=5))
-    K = E._kernel
-    if not x:
-        with pytest.raises(DomainError):
-            K.evaluate(rows, x, k)
-        return
-    X = E.from_index(x)
-    want = [sum((lift(B.from_index(c)) * X ** e for e, c in terms), E.zero)
-            for terms in rows]
-    assert K.evaluate(rows, x, k) == [v.index for v in want]
-    # the terms of nonnegative degree, all rows as one polynomial, at x
-    terms = [(e, c) for ts in rows for e, c in ts if e >= 0]
-    coeffs = [E.zero] * (max((e for e, _ in terms), default=-1) + 1)
-    for e, c in terms:
-        coeffs[e] += lift(B.from_index(c))
-    value = PolyRing(E, "s").poly(coeffs)(X)
-    assert K.evaluate([terms], x, k) == [value.index]
-
-
-@settings(max_examples=200, deadline=None)
-@given(_eval_cases(), st.data())
-def test_kernel_dilate_matches_element_arithmetic(case, data):
-    E, _, x = case
-    K = E._kernel
-    index = st.one_of(st.just(0), st.integers(1, E.card - 1))
-    a = _trim(data.draw(st.lists(index, max_size=12)))
-    if not x:
-        with pytest.raises(DomainError):
-            K.dilate(a, x)
-        return
-    X = E.from_index(x)
-    got = K.dilate(a, x)
-    assert got == [(E.from_index(c) * X ** j).index for j, c in enumerate(a)]
-    # a(x s) at y, by Poly.__call__
-    S, y = PolyRing(E, "s"), E.from_index(data.draw(index))
-    assert S.poly(E._elements(got))(y) == S.poly(E._elements(a))(X * y)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_eval_cases(), st.lists(st.integers(-(2 ** 40), 2 ** 40), max_size=12))
-def test_kernel_powers_match_element_arithmetic(case, es):
-    E, _, x = case
-    K = E._kernel
-    if not x:
-        with pytest.raises(DomainError):
-            K.powers(x, es)
-        return
-    X = E.from_index(x)
-    assert K.powers(x, es) == [(X ** e).index for e in es]
 
 
 @pytest.mark.parametrize("p, k", [(2, 1), (2, 7), (2, 8), (2, 9), (2, 10),
@@ -1083,43 +850,6 @@ def test_packed_compose_in_S_matches_the_list_form(case):
     K = base_field(2 ** k)._kernel
     assert type(K).compose_in_S is not IndexKernel.compose_in_S
     assert K.compose_in_S(coeffs, q) == IndexKernel.compose_in_S(K, coeffs, q)
-
-
-@st.composite
-def _vector_cases(draw):
-    """A kernel of F_(2^k), k <= 16, with k = 8 and k = 9 on either side of
-    the 8/16-bit slot boundary drawn often, two index lists, a scalar and a
-    slot offset.  The lists reach past 256 slots, so a scale grows the
-    kernel's row of ones after shorter ones, and reads a longer row after
-    longer ones."""
-    k = draw(st.one_of(st.sampled_from([8, 9]), st.integers(1, 16)))
-    index = st.one_of(st.just(0), st.integers(1, 2 ** k - 1),
-                      st.just(2 ** k - 1))
-    a, b = (_trim(draw(st.lists(index, max_size=n))) for n in (300, 40))
-    c = draw(st.one_of(st.just(0), st.just(1), index))
-    return k, a, b, c, draw(st.integers(0, 300))
-
-
-@settings(max_examples=150, deadline=None)
-@given(_vector_cases())
-@example((8, [255] * 300, [255], 255, 300))
-@example((9, [511] * 300, [1, 511], 511, 0))
-@example((16, [65535] * 300, [0, 0, 65535], 65535, 7))
-def test_packed_vectors_match_the_list_forms(case):
-    # `_Char2Kernel`'s packed scale, add and place against the index-list
-    # forms that the other kernels' vectors are
-    k, a, b, c, off = case
-    K = base_field(2 ** k)._kernel
-    assert type(K).vector_scale is not IndexKernel.vector_scale
-    X, Y = K.vector(a), K.vector(b)
-    assert K.vector_list(X) == a
-    assert K.vector_list(K.vector_scale(c, X)) == K.scale(c, a)
-    assert K.vector_list(K.vector_add(X, Y)) == K.add_polys(a, b)
-    assert K.vector_list(K.vector_add(X, X)) == []
-    placed = [0] * off + a if a else []
-    assert K.vector_list(K.vector_place(X, off)) == placed
-    assert K.vector_list(K.vector_scale(c, K.vector_place(X, off))) == \
-        K.scale(c, placed)
 
 
 # q = p^e <= 81 per odd p, and the degrees k of the fields F_(p^k) drawn

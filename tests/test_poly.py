@@ -28,7 +28,7 @@ from drinfeld_deuring.poly import (
     splitting_degree,
 )
 import reference
-from reference import exact_div, monic_polys
+from reference import ReferenceField, exact_div, monic_polys
 
 
 def _ring(q, var="T"):
@@ -81,6 +81,8 @@ def test_roots_in_extension_examples():
     assert len(roots) == 2
     assert {render(r) for r in roots} == {"b", "b + 1"}
     assert all(r.field == F4 for r in roots)
+    with pytest.raises(DomainError):
+        roots_in_extension(S.zero, 1)
 
 
 def test_roots_multiplicity():
@@ -301,7 +303,7 @@ def _scan_roots(f, m):
     return out
 
 
-_ROOT_QS = (2, 3, 4, 5, 9)
+_ROOT_QS = (2, 3, 4, 5, 8, 9, 16)
 
 
 def _irreducibles(K, degree):
@@ -386,8 +388,8 @@ def test_roots_match_the_division_loop(case):
 
 def _neighbor_cases():
     # (q, d, m) with |kappa_m| <= 9^4, which takes in kappa_2 at q = 9, d = 2
-    return [(q, d, m) for q in _ROOT_QS for d in (1, 2) for m in (1, 2, 3)
-            if q ** (d * m) <= 9 ** 4]
+    return [(q, d, m) for q in (2, 3, 4, 5, 9) for d in (1, 2)
+            for m in (1, 2, 3) if q ** (d * m) <= 9 ** 4]
 
 
 @settings(max_examples=40, deadline=None)
@@ -434,16 +436,6 @@ def test_distinct_roots_match_the_round_by_round_reference(case):
     assert K.distinct_roots(g) == reference.distinct_roots(K, g)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_kernel_poly())
-def test_one_root_counts_the_distinct_roots(case):
-    K, g = case
-    count, root = K.one_root(g)
-    roots = K.distinct_roots(g)
-    assert count == len(roots)
-    assert root in roots if roots else root is None
-
-
 def test_distinct_roots_over_F16_match_the_reference():
     K = base_field(16)._kernel
     assert K is _abs_tables(2, 4)
@@ -487,128 +479,18 @@ def test_root_finding_never_scans_the_field(monkeypatch):
     assert all(not g(r) for r in roots)
 
 
-# --- the index kernel against the element-level loops it replaced ----------
-# Over a finite field, Poly's product and division, powmod, poly_gcd,
-# is_irreducible and root finding run in the field's index kernel.  The
-# references below are those operations as they ran before, on
-# FieldElements: their loops use only element arithmetic and the
-# element-level Poly sums.
+# --- the Poly layer over a finite field against the reference field --------
+# Over a finite field, Poly's product and division, powmod, poly_gcd and
+# is_irreducible run in the field's index kernel; each is compared, on the
+# coefficients' indices, with `reference.ReferenceField`, which reads no
+# table.
 
-def _elementwise_mul(a, b):
-    R = a.ring
-    if not a or not b:
-        return R.zero
-    out = [R.base.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
-    b_terms = [(j, y) for j, y in enumerate(b.coeffs) if y]
-    for i, x in enumerate(a.coeffs):
-        if x:
-            for j, y in b_terms:
-                out[i + j] = out[i + j] + x * y
-    return Poly(R, out)
+def _indices(f):
+    return [c.index for c in f.coeffs]
 
 
-def _elementwise_divmod(f, g):
-    R = f.ring
-    lc_inv = g.lead.inverse()
-    rem = list(f.coeffs)
-    dq = len(rem) - len(g.coeffs)
-    if dq < 0:
-        return R.zero, f
-    quot = [R.base.zero] * (dq + 1)
-    ob = g.coeffs
-    ob_terms = [(i, c) for i, c in enumerate(ob) if c]
-    for k in range(dq, -1, -1):
-        top = rem[k + len(ob) - 1]
-        if top:
-            c = top * lc_inv
-            quot[k] = c
-            for i, y in ob_terms:
-                rem[k + i] = rem[k + i] - c * y
-    return Poly(R, quot), Poly(R, rem[:len(ob) - 1])
-
-
-def _elementwise_mod(f, g):
-    return _elementwise_divmod(f, g)[1]
-
-
-def _elementwise_gcd(f, g):
-    while g:
-        f, g = g, _elementwise_mod(f, g)
-    return f.monic()
-
-
-def _elementwise_powmod(g, e, f):
-    result = _elementwise_mod(g.ring.one, f)
-    g = _elementwise_mod(g, f)
-    while e:
-        if e & 1:
-            result = _elementwise_mod(_elementwise_mul(result, g), f)
-        e >>= 1
-        if e:
-            g = _elementwise_mod(_elementwise_mul(g, g), f)
-    return result
-
-
-def _elementwise_is_irreducible(f):
-    n = f.degree
-    if n == 1:
-        return True
-    x = f.ring.gen
-    ts = [_elementwise_mod(x, f)]
-    for _ in range(n):
-        ts.append(_elementwise_powmod(ts[-1], f.ring.base.card, f))
-    if ts[n] != ts[0]:
-        return False
-    return all(_elementwise_gcd(ts[n // r] - x, f).degree == 0
-               for r in _prime_divisors(n))
-
-
-def _elementwise_roots(f, m):
-    """roots_in_extension(f, m) by gcds with Frobenius powers of x and
-    trace splits, as `poly._distinct_roots` and its caller ran them."""
-    K = f.ring.base
-    E = K if m == 1 else K.extension(m)
-    ring = PolyRing(E, f.ring.var)
-    g = f.map_coeffs(lambda c: embed(c, E), ring)
-    p, k = E.p, E.degree
-    frob = [_elementwise_mod(ring.gen, g)]
-    for _ in range(k):
-        frob.append(_elementwise_powmod(frob[-1], p, g))
-    parts = [_elementwise_gcd(frob[k] - ring.gen, g)]
-    for i in range(k):
-        if all(P.degree <= 1 for P in parts):
-            break
-        beta = E.from_index(p ** i)
-        trace = ring.zero
-        for j in range(k):
-            trace = trace + _elementwise_mul(frob[j],
-                                             ring.const(beta ** (p ** j)))
-        split = []
-        for P in parts:
-            if P.degree <= 1:
-                split.append(P)
-                continue
-            t = _elementwise_mod(trace, P)
-            left = P.degree
-            for c in range(p):
-                piece = _elementwise_gcd(t - c, P)
-                if piece.degree > 0:
-                    split.append(piece)
-                    left -= piece.degree
-                    if not left:
-                        break
-        parts = split
-    out = []
-    for r in sorted((-P.constant_coeff() for P in parts if P.degree == 1),
-                    key=lambda r: r.index):
-        lin = Poly(ring, (-r, E.one))
-        while True:
-            quo, rem = _elementwise_divmod(g, lin)
-            if rem:
-                break
-            g = quo
-            out.append(r)
-    return out
+def _reference(F):
+    return ReferenceField(F.p, F._kernel.modulus_digits)
 
 
 # the largest extension degree m drawn over F_q: up to the kappa_2 of the
@@ -635,11 +517,12 @@ def _field_poly(draw, F, max_size=8):
 @settings(max_examples=80, deadline=None)
 @given(_kernel_field(), st.data())
 def test_kernel_mul_and_divmod_match_elementwise_loops(F, data):
+    R = _reference(F)
     a = data.draw(_field_poly(F, 12))
     b = data.draw(_field_poly(F, 12))
-    assert (a * b).coeffs == _elementwise_mul(a, b).coeffs
+    assert _indices(a * b) == R.mul_polys(_indices(a), _indices(b))
     c = F.from_index(data.draw(st.integers(0, F.card - 1)))
-    assert (a * c).coeffs == _elementwise_mul(a, a.ring.const(c)).coeffs
+    assert _indices(a * c) == R.scale(c.index, _indices(a))
     # a p^k-stretched operand against a short dense one, both ways round:
     # the kernel adds the row of either one, by its cost rule
     step = F.p ** data.draw(st.integers(1, 3))
@@ -648,43 +531,38 @@ def test_kernel_mul_and_divmod_match_elementwise_loops(F, data):
     long = a.ring.poly([F.from_index(i) for i in idx])
     short = a.ring.poly([F.from_index(i) for i in data.draw(
         st.lists(st.integers(1, F.card - 1), min_size=2, max_size=6))])
-    assert (long * short).coeffs == _elementwise_mul(long, short).coeffs
-    assert (short * long).coeffs == _elementwise_mul(short, long).coeffs
+    want = R.mul_polys(_indices(long), _indices(short))
+    assert _indices(long * short) == _indices(short * long) == want
     if not b:
         with pytest.raises(ZeroDivisionError):
             divmod(a, b)
         return
     quo, rem = divmod(a, b)
-    ref_quo, ref_rem = _elementwise_divmod(a, b)
-    assert (quo.coeffs, rem.coeffs) == (ref_quo.coeffs, ref_rem.coeffs)
+    assert (_indices(quo), _indices(rem)) == \
+        R.divmod_polys(_indices(a), _indices(b))
     assert all(c.field is F for c in quo.coeffs + rem.coeffs)
 
 
-def _schoolbook_mul(K, a, b):
-    # a * b on indices, by scalar products and sums alone (XOR in
-    # characteristic 2)
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = K._add(out[i + j], K._mul(x, y))
-    return out
-
-
-def _schoolbook_divmod(K, a, b):
-    # (quotient, remainder) of a by b != 0 in characteristic 2, one
-    # scalar product per term of b per step
-    n, inv = len(b) - 1, K._inv(b[-1])
-    rem, quot = list(a), [0] * max(len(a) - n, 0)
-    for k in range(len(a) - n - 1, -1, -1):
-        quot[k] = c = K._mul(rem[k + n], inv)
-        for j, y in enumerate(b):
-            rem[k + j] ^= K._mul(c, y)
-    rem = rem[:n]
-    while rem and not rem[-1]:
-        rem.pop()
-    return quot, rem
+@settings(max_examples=60, deadline=None)
+@given(_kernel_field(), st.data())
+def test_kernel_powmod_and_gcd_match_elementwise_loops(F, data):
+    R = _reference(F)
+    g = data.draw(_field_poly(F))
+    f = data.draw(_field_poly(F))
+    if f or g:
+        assert _indices(poly_gcd(f, g)) == R.gcd(_indices(f), _indices(g))
+    else:
+        with pytest.raises(DomainError):
+            poly_gcd(f, g)
+    if not f:
+        with pytest.raises(ZeroDivisionError):
+            powmod(g, 3, f)
+        return
+    # small exponents, and the Frobenius ones root finding uses
+    e = data.draw(st.one_of(st.integers(0, 40), st.just(F.p),
+                            st.just(F.card)))
+    assert _indices(powmod(g, e, f)) == \
+        R.powmod(_indices(g), e, _indices(f))
 
 
 @st.composite
@@ -726,12 +604,13 @@ def test_kernel_rows_match_schoolbook_on_wide_char2_fields(k, a_shape,
     # beyond the fields drawn above: products both ways round and division
     # by divisors of every density, each row holding its nonzero terms alone
     K = _abs_tables(2, k)
+    R = ReferenceField(2, K.modulus_digits)
     a = data.draw(_wide_char2_poly(K, a_shape))
     b = data.draw(_wide_char2_poly(K, b_shape))
-    ab = _schoolbook_mul(K, a, b)
+    ab = R.mul_polys(a, b)
     assert K.mul_polys(a, b) == ab
     assert K.mul_polys(b, a) == ab
-    want = _schoolbook_divmod(K, a, b)
+    want = R.divmod_polys(a, b)
     assert K.divmod_polys(a, b) == want
     assert K.mod(a, b) == want[1]
     # a product of b divides exactly, with the other factor as quotient
@@ -774,29 +653,9 @@ def test_kernel_products_skip_zero_slots_on_odd_fields(pk, data):
     K = _abs_tables(*pk)
     a = data.draw(_odd_stretched_poly(K))
     b = data.draw(_odd_stretched_poly(K))
-    ab = _schoolbook_mul(K, a, b)
+    ab = ReferenceField(K.p, K.modulus_digits).mul_polys(a, b)
     assert K.mul_polys(a, b) == ab
     assert K.mul_polys(b, a) == ab
-
-
-@settings(max_examples=60, deadline=None)
-@given(_kernel_field(), st.data())
-def test_kernel_powmod_and_gcd_match_elementwise_loops(F, data):
-    g = data.draw(_field_poly(F))
-    f = data.draw(_field_poly(F))
-    if f or g:
-        assert poly_gcd(f, g).coeffs == _elementwise_gcd(f, g).coeffs
-    else:
-        with pytest.raises(DomainError):
-            poly_gcd(f, g)
-    if not f:
-        with pytest.raises(ZeroDivisionError):
-            powmod(g, 3, f)
-        return
-    # small exponents, and the Frobenius ones root finding uses
-    e = data.draw(st.one_of(st.integers(0, 40), st.just(F.p),
-                            st.just(F.card)))
-    assert powmod(g, e, f).coeffs == _elementwise_powmod(g, e, f).coeffs
 
 
 @settings(max_examples=60, deadline=None)
@@ -807,7 +666,8 @@ def test_kernel_is_irreducible_matches_elementwise_loop(F, data):
         with pytest.raises(DomainError):
             is_irreducible(f)
         return
-    assert is_irreducible(f) == _elementwise_is_irreducible(f)
+    assert is_irreducible(f) == (
+        f.degree == 1 or _reference(F).is_irreducible(_indices(f)))
 
 
 # F_(p^k) for p <= 7, in which degrees 2-8 run Rabin's test quickly
@@ -895,26 +755,6 @@ def test_is_irreducible_stops_at_a_factor(monkeypatch, p, k, f, steps,
     assert answer == reference.is_irreducible_by_rabin(K, f)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_kernel_field(), st.data())
-def test_kernel_roots_match_elementwise_loops(F, data):
-    # m up to the kappa_2 bound of the field's characteristic
-    top = max(_KERNEL_FIELDS[F.p] // F.degree, 1)
-    m = data.draw(st.integers(1, min(top, 3)))
-    S = PolyRing(F, "s")
-    f = data.draw(_field_poly(F, 5))
-    for a in data.draw(st.lists(st.integers(0, F.card - 1), max_size=3)):
-        f = f * (S.gen - F.from_index(a)) ** data.draw(st.integers(1, 3))
-    if not f:
-        with pytest.raises(DomainError):
-            roots_in_extension(f, m)
-        return
-    roots = roots_in_extension(f, m)
-    assert [r.index for r in roots] == \
-        [r.index for r in _elementwise_roots(f, m)]
-    assert all(r.field == (F if m == 1 else F.extension(m)) for r in roots)
-
-
 _ELEMENT_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
                 "__pow__", "inverse")
@@ -955,22 +795,25 @@ def test_kernel_paths_make_no_element_arithmetic(monkeypatch):
     monkeypatch.undo()
     for (F, f, g), (prod, (quo, rem), pm, gcd, irr_f, irr_g, rf, rg) in \
             zip(cases, got):
-        assert prod == _elementwise_mul(f, g)
-        assert (quo, rem) == _elementwise_divmod(f, g)
-        assert pm == _elementwise_powmod(g, F.card, f)
-        assert gcd == _elementwise_gcd(f, g)
-        assert (irr_f, irr_g) == (_elementwise_is_irreducible(f),
-                                  _elementwise_is_irreducible(g))
-        assert rf == _elementwise_roots(f, 1)
-        assert rg == _elementwise_roots(g, 2)
+        R, fi, gi = _reference(F), _indices(f), _indices(g)
+        assert _indices(prod) == R.mul_polys(fi, gi)
+        assert (_indices(quo), _indices(rem)) == R.divmod_polys(fi, gi)
+        assert _indices(pm) == R.powmod(gi, F.card, fi)
+        assert _indices(gcd) == R.gcd(fi, gi)
+        assert (irr_f, irr_g) == (R.is_irreducible(fi), R.is_irreducible(gi))
+        assert [r.index for r in rf] == _scan_roots(f, 1)
+        assert [r.index for r in rg] == _scan_roots(g, 2)
     assert routes == [(h, h) for h in hs]
     for p, h, H in zip(primes, hs, Hs):
-        R, a = H.ring, p.alpha
-        S = (R.gen ** p.q - R.gen) ** (p.q - 1)
-        ref = R.zero
-        for j, c in enumerate(h.coeffs):
-            ref = _elementwise_mul(ref, S) + R.const(c * a ** j)
-        assert H == _elementwise_mul(ref, R.const((a ** p.q) ** -h.degree))
+        # H = alpha^(-q deg h) * sum_j h_j alpha^j S^(deg h - j), by Horner
+        R, a, q = _reference(p.kappa), p.alpha.index, p.q
+        S = [1]
+        for _ in range(q - 1):
+            S = R.mul_polys(S, R.sub_polys([0] * q + [1], [0, 1]))
+        ref = []
+        for j, c in enumerate(_indices(h)):
+            ref = R.add_polys(R.mul_polys(ref, S), [R._mul(c, R._pow(a, j))])
+        assert _indices(H) == R.scale(R._pow(a, -q * h.degree), ref)
     for E in fresh:
         assert E.gen.index == _scan_first_root(
             E, [embed(c, E).index for c in E.modulus_over_base])
@@ -1007,9 +850,9 @@ def _scan_first_root(F, coeffs):
 
 def _first_irreducible(K, m):
     """The deterministic modulus of degree m over K: the first monic
-    irreducible in `monic_polys` order, by the element-level test."""
+    irreducible in `monic_polys` order, by the reference field's test."""
     return next(f for f in monic_polys(PolyRing(K, "y"), m)
-                if _elementwise_is_irreducible(f))
+                if m == 1 or _reference(K).is_irreducible(_indices(f)))
 
 
 def _check_designated_roots(F, chain_key):
@@ -1077,9 +920,6 @@ def test_a_reducible_modulus_with_roots_is_refused():
     for coeffs, root in [([0, 1], 0), ([1, 1], 1)]:
         E = F2.extension_with_modulus(coeffs, gen_name="r")
         assert (E.card, E.gen.index) == (2, root)
-
-
-_ROOT_QS = [2, 3, 4, 5, 8, 9, 16]
 
 
 def _draw_irreducible(draw, F, n):

@@ -392,6 +392,13 @@ def _with_u_terms(monkeypatch, field, k, u):
                         lambda f, i_max: bad[:i_max + 1])
 
 
+def _with_closed_u(monkeypatch, k, u):
+    # universal._u_closed_terms with u in place of the closed form's u_k
+    closed = universal._u_closed_terms
+    monkeypatch.setattr(universal, "_u_closed_terms",
+                        lambda q, d: u if d == k else closed(q, d))
+
+
 @pytest.mark.parametrize("q, i", [(q, i) for q, i in _VERIFY_KEY_IDENTITY
                                   if q <= 5 and i >= 1])
 def test_key_identity_rejects_each_mutant_as_the_uncancelled_form(
@@ -484,9 +491,9 @@ _ELEMENT_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
 
 
 def test_universal_checks_run_on_the_term_maps(monkeypatch):
-    # u_i(0), the derivative recursion and the key identity read the term
-    # maps of the recurrence: no polynomial over F_q[T] and no element
-    # arithmetic
+    # u_i(0) and the key identity read the term maps of the recurrence, and
+    # the derivative recursion those of the closed form: no polynomial over
+    # F_q[T] and no element arithmetic
     cases = [(q, i) for q in (2, 3, 4, 9) for i in range(1, 3)]
     for q, _i in cases:
         universal._u_terms(base_field(q), 3)
@@ -509,6 +516,7 @@ def test_universal_checks_run_on_the_term_maps(monkeypatch):
     u2[universal._T_STRIDE + 1] = 1
     u2[0] = 1
     _with_u_terms(monkeypatch, F, 2, u2)
+    _with_closed_u(monkeypatch, 2, u2)
     assert not check_u_zero(F, 2)
     assert not check_derivative_recursion(F, 1)
     assert not check_key_identity(F, 2)
@@ -565,18 +573,25 @@ def test_derivative_recursion_holds_from_step_one():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 @pytest.mark.parametrize("i", [1, 2])
 def test_derivative_recursion_reads_exponents_mod_p(q, i, monkeypatch):
-    # a stray T*s^(3p) in u_(i+1) has derivative 3p*T*s^(3p-1) = 0, so the
-    # check still holds; a stray T*s^(3p+1) has derivative T*s^(3p)
+    # the row reads the closed form: a stray T*s^(3p) in the closed u_(i+1)
+    # has derivative 3p*T*s^(3p-1) = 0, so the check still holds; a stray
+    # T*s^(3p+1) has derivative T*s^(3p), and so has the term s^1 of u_(i+1)
+    # moved by one power of T
     F = base_field(q)
     for e, holds in ((3 * F.p, True), (3 * F.p + 1, False)):
-        u = dict(universal._u_terms(F, i + 1)[i + 1])
+        u = dict(universal._u_closed_terms(q, i + 1))
         key = universal._T_STRIDE + e
         x = F._add(u.pop(key, 0), 1)
         if x:
             u[key] = x
-        _with_u_terms(monkeypatch, F, i + 1, u)
+        _with_closed_u(monkeypatch, i + 1, u)
         assert check_derivative_recursion(F, i) is holds
         monkeypatch.undo()
+    u = dict(universal._u_closed_terms(q, i + 1))
+    key = next(k for k in u if k % universal._T_STRIDE == 1)
+    u[key + universal._T_STRIDE] = u.pop(key)
+    _with_closed_u(monkeypatch, i + 1, u)
+    assert check_derivative_recursion(F, i) is False
 
 
 def test_u_exponents_are_0_or_1_mod_p():
