@@ -68,8 +68,9 @@ the (q-1)-stride of s in one place, `PrimeModulus._poly_in_y`, which
 
 The direct route runs on the kernel's slot vectors on digit masks, grec on
 kappa index lists on the same masks, and H on kappa index lists in y, all
-in the field's `fields.IndexKernel`, and each builds its `Poly` once, at
-the end.
+in the field's `fields.IndexKernel`.  A polynomial over kappa holds its
+index tuple (`poly`), so each result becomes a `Poly` by placing indices,
+with no element looked up, and H reads the indices of h as they are.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from .errors import ConsistencyError, DomainError
 from .fields import embed
 from .modulus import PrimeModulus
 from .ore import OreContext
-from .poly import PolyRing
+from .poly import PolyRing, _indices
 from .universal import u_mod_prime, u_root_test
 
 
@@ -191,8 +192,7 @@ def _g_lists(prime, k_max):
     K, q = prime.kappa._kernel, prime.q
     ap = [K._pow(prime.alpha.index, q ** k) for k in range(k_max + 1)]
     emb = prime.kappa._base_emb
-    cs = [K.vector([emb[c.index]] if c.index else [])
-          for c in prime.p_poly.coeffs]
+    cs = [K.vector([emb[c]] if c else []) for c in _indices(prime.p_poly)]
     zero = K.vector([])
     e = [cs[-1]] + [zero] * k_max
     for c in reversed(cs[:-1]):
@@ -266,8 +266,7 @@ def check_g_structure(prime, h):
     monomial = [0] * sum(4 ** i for i in range(d)) + [1]
     if any(g[:d]) or g[2 * d] != monomial:
         return False
-    hs = [c.index for c in h.coeffs]
-    return not any(K.mod(prime._on_exponents(g[k]), hs)
+    return not any(K.mod(prime._on_exponents(g[k]), _indices(h))
                    for k in range(d, 2 * d))
 
 
@@ -285,8 +284,8 @@ def deuring_h_grec(prime):
     K, q, d, a = prime.kappa._kernel, prime.q, prime.d, prime.alpha.index
     F = prime.field_q
     # the terms of p' on F_q indices: the integer i has index i mod char F
-    dp = [(i - 1, F._mul(i % F.p, c.index))
-          for i, c in enumerate(prime.p_poly.coeffs) if i % F.p and c.index]
+    dp = [(i - 1, F._mul(i % F.p, c))
+          for i, c in enumerate(_indices(prime.p_poly)) if i % F.p and c]
     w2, w1 = [], prime._reduce_terms([dp])
     for k in range(1, d + 1):
         Q = q ** (k - 1)
@@ -308,8 +307,9 @@ def deuring_H(prime, h):
     R(x) = sum_n h_(N-n) * gamma(T)^(N-n) * x^n.  S = Y(y), y = s^(q-1),
     and kappa's kernel (`IndexKernel.compose_in_S`) returns R(Y) in y, on
     which the degree and monic checks run.  It all runs on kappa index
-    lists, from scaling h (`IndexKernel.dilate`) to the `Poly` at the end,
-    where `PrimeModulus._poly_in_y` turns y into s^(q-1).
+    lists, from h's index tuple, scaled by `IndexKernel.dilate`, to the
+    `Poly` at the end, where `PrimeModulus._poly_in_y` places y on
+    s^(q-1).
     """
     if not h or h.ring.base != prime.kappa:
         raise DomainError("deuring_H expects a nonzero polynomial over kappa")
@@ -319,7 +319,7 @@ def deuring_H(prime, h):
     q, N, a = prime.q, h.degree, prime.alpha.index
     K = prime.kappa._kernel
     # R is scaled by gamma(T^q)^(-N) up front: composition is linear in R
-    R = K.scale(K._pow(a, -q * N), K.dilate([c.index for c in h.coeffs], a))
+    R = K.scale(K._pow(a, -q * N), K.dilate(_indices(h), a))
     Hy = K.compose_in_S(R[::-1], q)
     if (q - 1) * (len(Hy) - 1) != q ** (prime.d + 1) - q:
         raise ConsistencyError("H has the wrong degree")
@@ -343,8 +343,8 @@ class DeuringResult:
             "p": grammar.render(self.prime.p_poly),
             "d": self.prime.d,
             "method": self.method,
-            "h_coeffs": [grammar.render(c) for c in reversed(self.h.coeffs)],
-            "H_coeffs": [grammar.render(c) for c in reversed(self.H.coeffs)],
+            "h_coeffs": grammar.coefficient_texts(self.h)[::-1],
+            "H_coeffs": grammar.coefficient_texts(self.H)[::-1],
         }
 
 

@@ -27,7 +27,8 @@ decomposed over the base.  The base embeds by sending the root z of its
 table modulus to that modulus's designated root in the extension's tables
 (one map per subfield degree, `IndexKernel.embedding`).  The coordinates
 over the base invert the map (c_j) -> sum(c_j * gen^j), tabulated on the
-first `coords_over_base` call.  Both maps are basis changes, and one
+first lookup (`_coord_indices`, which `coords_over_base` and the grammar
+read).  Both maps are basis changes, and one
 routine tabulates each of them, `IndexKernel.span`.  A caller that already
 holds the designated root of the defining modulus passes it in:
 `modulus.primes_of_degree` reads it off the Frobenius orbit whose minimal
@@ -1194,6 +1195,9 @@ class FiniteField(_Keyed):
         self._ext_cache = {}
         self._coords = None
         self._elt_cache = {}
+        # the grammar text of each index rendered so far (`grammar`): at
+        # most one string per element, dropped with the field
+        self._texts = {}
         self.zero = self.from_index(0)
         self.one = self.from_index(1)
         self._init_base_maps(modulus_over_base, _root)
@@ -1301,18 +1305,21 @@ class FiniteField(_Keyed):
         reads one table entry and splits it into base-|B| digits."""
         if self.base is None:
             raise DomainError("prime field has no base")
-        x = self.coerce(x)
+        return tuple(self.base._elements(self._coord_indices(
+            self.coerce(x).index)))
+
+    def _coord_indices(self, i):
+        """The base-field indices of the coordinates of the index i, as
+        `coords_over_base` gives them, for a field with a base."""
         if self._coords is None:
             g = self.gen.index
             table = self._kernel.span(
                 [[self._mul(e, self._pow(g, j)) for e in self._base_emb]
                  for j in range(self.ext_degree)])
             self._coords = coords = [0] * self.card
-            for c, i in enumerate(table):
-                coords[i] = c
-        base = self.base
-        return tuple(base._elements(_digits(self._coords[x.index], base.card,
-                                            self.ext_degree)))
+            for c, x in enumerate(table):
+                coords[x] = c
+        return _digits(self._coords[i], self.base.card, self.ext_degree)
 
     def __repr__(self):
         if self.base is None:

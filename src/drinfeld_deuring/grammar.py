@@ -17,6 +17,7 @@ like "T-1" work.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .errors import DomainError
@@ -27,11 +28,11 @@ from .poly import PolyRing, _Dense
 
 def render(obj):
     if isinstance(obj, FieldElement):
-        return _render_element(obj)
+        return _render_index(obj.field, obj.index)
     if isinstance(obj, _Dense):
-        return _render_dense(obj.coeffs, obj.ring.var)
+        return _render_dense(obj, obj.ring.var)
     if isinstance(obj, LaurentT):
-        return _render_dense(obj.num.coeffs, obj.ring.tring.var, -obj.k)
+        return _render_dense(obj.num, obj.ring.tring.var, -obj.k)
     from . import multipoly
 
     if isinstance(obj, multipoly.MultiPoly):
@@ -52,24 +53,40 @@ def _term(coeff_str, var, e):
     return f"{coeff_str}*{part}"
 
 
-def _render_element(x):
-    f = x.field
+def _render_index(f, i):
+    """The text of the element of index i of the field f: each index of
+    an extension is rendered once, kept in the field's memo `_texts`."""
     if f.base is None:
-        return str(x.index)
-    coords = f.coords_over_base(x)
-    terms = []
-    for j in range(len(coords) - 1, -1, -1):
-        c = coords[j]
-        if c:
-            terms.append(_term(_render_element(c), f.gen_name, j))
-    return " + ".join(terms) if terms else "0"
+        return str(i)
+    text = f._texts.get(i)
+    if text is None:
+        coords = f._coord_indices(i)
+        terms = [_term(_render_index(f.base, coords[j]), f.gen_name, j)
+                 for j in range(len(coords) - 1, -1, -1) if coords[j]]
+        text = f._texts[i] = " + ".join(terms) if terms else "0"
+    return text
 
 
-def _render_dense(coeffs, var, shift=0):
-    """Dense ascending coefficients, the term of coeffs[i] carrying the
+def _text_of(f):
+    """The text of an entry of the polynomial f's value: over a finite
+    field an index, rendered with no element built."""
+    if f.ring._kernel is None:
+        return render
+    return functools.partial(_render_index, f.ring.base)
+
+
+def coefficient_texts(f):
+    """The text of each coefficient of the polynomial f, ascending, zeros
+    included."""
+    return list(map(_text_of(f), f._v))
+
+
+def _render_dense(f, var, shift=0):
+    """The polynomial f, the term of its coefficient i carrying the
     exponent i + shift."""
-    terms = [_term(render(coeffs[i]), var, i + shift)
-             for i in range(len(coeffs) - 1, -1, -1) if coeffs[i]]
+    v, text = f._v, _text_of(f)
+    terms = [_term(text(v[i]), var, i + shift)
+             for i in range(len(v) - 1, -1, -1) if v[i]]
     return " + ".join(terms) if terms else "0"
 
 

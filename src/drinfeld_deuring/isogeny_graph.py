@@ -106,6 +106,7 @@ from dataclasses import dataclass, field
 from .errors import AmbientTooSmallError, ConsistencyError, DomainError
 from .fields import FiniteField, embed
 from .modulus import PrimeModulus, check_residue_degree
+from .poly import _indices
 from .universal import u_root_test
 
 
@@ -350,8 +351,8 @@ def _inert(prime, c):
     being a non-square in kappa: p inert in F_q(T)(sqrt(T - c))."""
     F = prime.field_q
     v = 0
-    for coeff in reversed(prime.p_poly.coeffs):
-        v = F._add(F._mul(v, c), coeff.index)
+    for coeff in reversed(_indices(prime.p_poly)):
+        v = F._add(F._mul(v, c), coeff)
     return F._pow(v, (prime.q - 1) // 2) == F._neg(1)
 
 
@@ -415,7 +416,7 @@ def vertices_are_roots(graph, h):
     """Whether every vertex of `graph` is a root of h, a polynomial over
     kappa: the link from a graph walked by the root test to a route's h."""
     K = graph.ambient._kernel
-    rows = [[(e, c.index) for e, c in enumerate(h.coeffs) if c]]
+    rows = [[(e, c) for e, c in enumerate(_indices(h)) if c]]
     k = graph.prime.kappa.degree
     return all(not K.evaluate(rows, v.index, k)[0] for v in graph.vertices)
 

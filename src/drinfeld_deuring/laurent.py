@@ -10,6 +10,7 @@ against each other).  There is no general division.
 
 from __future__ import annotations
 
+from . import poly as poly_mod
 from .errors import DomainError
 from .fields import _coerced, _Keyed
 from .poly import Poly, _Value
@@ -47,12 +48,13 @@ class LaurentT(_Value):
         if not num:
             num, k = ring.tring.zero, 0
         else:
+            # num lies in F_q[T], on the index path
             val = 0
-            cs = num.coeffs
+            cs = poly_mod._indices(num)
             while not cs[val]:
                 val += 1
             if val:
-                num = Poly(num.ring, cs[val:])
+                num = poly_mod._from_indices(num.ring, cs[val:])
                 k -= val
         self.ring = ring
         self.num = num
@@ -83,7 +85,7 @@ class LaurentT(_Value):
             return LaurentT(self.ring, self.num ** e, self.k * e)
         if self.num.degree != 0:
             raise DomainError("negative power of a non-unit Laurent value")
-        c = self.num.coeffs[0] ** e
+        c = self.num.constant_coeff() ** e
         return LaurentT(self.ring, Poly(self.num.ring, (c,)), self.k * e)
 
     def __eq__(self, other):

@@ -28,7 +28,7 @@ class PrimeModulus(_Keyed):
         # before the irreducibility test, which is slow long before the cap
         check_residue_degree(base.card, p.degree)
         p = p.monic()
-        if p.coeffs == p.ring.gen.coeffs:
+        if p == p.ring.gen:
             raise DomainError("the prime T is excluded (gamma(T) must be a unit)")
         if not poly_mod.is_irreducible(p):
             raise DomainError(f"{p!r} is not irreducible over F_{base.card}")
@@ -57,7 +57,7 @@ class PrimeModulus(_Keyed):
             return self.kappa.embed_from_base(self.field_q.coerce(f))
         if not (isinstance(f, Poly) and f.ring == self.p_poly.ring):
             raise DomainError("gamma expects a polynomial over the same F_q[T]")
-        terms = [(e, c.index) for e, c in enumerate(f.coeffs) if c]
+        terms = [(e, c) for e, c in enumerate(poly_mod._indices(f)) if c]
         return self.kappa.from_index(self._reduce_terms([terms])[0])
 
     def _reduce_terms(self, rows):
@@ -74,24 +74,15 @@ class PrimeModulus(_Keyed):
         return poly_mod._from_indices(self.s_ring, idx, self.q - 1)
 
     def _on_exponents(self, a):
-        """The index list in s of the index list a on digit masks,
-        zero-filled: slot m of a goes to s^(sum_{j in m} q^j).  The map is
-        increasing in m, so a's top slot stays on top; at q = 2 it is the
-        identity."""
-        q = self.q
-        if q == 2 or len(a) <= 1:
-            return a
-        exps = _mask_exponents(q, (len(a) - 1).bit_length())
-        out = [0] * (exps[len(a) - 1] + 1)
-        for e, c in zip(exps, a):
-            out[e] = c
-        return out
+        """The index list in s of the index list a on digit masks, as
+        `_poly_on_masks` places it."""
+        return list(poly_mod._indices(self._poly_on_masks(a)))
 
     def _poly_on_masks(self, idx):
         """The polynomial over kappa in s whose coefficient indices on digit
-        masks are idx (no trailing zeros), nonzero only on the masks'
-        exponents: one element looked up per mask, placed as
-        `_on_exponents` places indices."""
+        masks are idx (no trailing zeros): slot m of idx goes to
+        s^(sum_{j in m} q^j), and zeros between.  The map is increasing in
+        m, so idx's top slot stays on top; at q = 2 it is the identity."""
         q = self.q
         if q == 2 or len(idx) <= 1:
             return poly_mod._from_indices(self.s_ring, idx)
@@ -146,7 +137,7 @@ def reduce_mod_prime(f, p):
     else:
         raise DomainError(f"cannot reduce coefficients from {base!r} mod {p!r}")
     idx = p._reduce_terms(
-        [(e - k, c.index) for e, c in enumerate(num.coeffs) if c]
+        [(e - k, c) for e, c in enumerate(poly_mod._indices(num)) if c]
         for num, k in values)
     if idx and not idx[-1]:
         fields._trim(idx)

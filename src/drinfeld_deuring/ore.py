@@ -42,6 +42,8 @@ class OreContext(_Keyed):
     """The twisted ring base{tau}; the coefficient ring is `base`."""
 
     var = "tau"
+    # twisted polynomials keep the element path (`poly._Dense`)
+    _kernel = None
 
     def __init__(self, base, q):
         self.base = base

@@ -1,21 +1,25 @@
 """Dense univariate polynomials over an arbitrary coefficient ring.
 
-Coefficients are stored as a normalized ascending tuple (no trailing zeros).
-The coefficient ring is described by a small object with `zero`, `one` and
-`coerce`.  Over a finite field, products, division, `powmod`, `poly_gcd`,
-`is_irreducible` and root finding run in the field's index kernel
-(`fields.IndexKernel`): the coefficients become ascending lists of element
-indices once on the way in, and elements once on the way out
-(`_from_indices`, which `modulus` shares).  Over any
+Every polynomial holds its value `_v`, a normalized ascending tuple (no
+trailing zeros).  The coefficient ring is described by a small object with
+`zero`, `one` and `coerce`.  Over a finite field the value is the field's
+index tuple, the form its index kernel (`fields.IndexKernel`) computes on:
+degree, equality, hashing, sums, products, division, `powmod`, `poly_gcd`,
+`is_irreducible`, evaluation and root finding read and write indices, and
+a result from the kernel becomes a polynomial with no element looked up
+(`_from_indices`, which `modulus` shares).  `coeffs`, the tuple of
+`FieldElement`s, is then a view, built on its first read and kept; a
+polynomial built from elements keeps the elements it was given.  Over any
 other coefficient ring (F_q[T], Laurent polynomials, `MultiPoly`) the
-product loops over the coefficients, which do their own arithmetic through
-operators; division needs field coefficients.  The container, sums, powers
-and equality live in `_Dense`, which twisted polynomials (`ore.OrePoly`)
-share; `Poly` adds the commutative product, division and evaluation.
-`_Value` is the one home of what every ring value class shares (`_Dense`,
-`laurent.LaurentT`, `multipoly.MultiPoly`, `multipoly.Frac`): coercion of
-the other operand through its ring, subtraction as a sum with the negation,
-and rendering by the grammar.
+value is the coefficient tuple itself, and the product loops over the
+coefficients, which do their own arithmetic through operators; division
+needs field coefficients.  The container, sums, powers and equality live
+in `_Dense`, which twisted polynomials (`ore.OrePoly`) share on the
+element path; `Poly` adds the commutative product, division and
+evaluation.  `_Value` is the one home of what every ring value class
+shares (`_Dense`, `laurent.LaurentT`, `multipoly.MultiPoly`,
+`multipoly.Frac`): coercion of the other operand through its ring,
+subtraction as a sum with the negation, and rendering by the grammar.
 """
 
 from __future__ import annotations
@@ -23,21 +27,22 @@ from __future__ import annotations
 import operator
 
 from .errors import AmbientTooSmallError, CapExceededError, DomainError
-from .fields import CARD_CAP, FiniteField, _coerced, _Keyed, _power, \
-    _rendered, embed
+from .fields import CARD_CAP, FieldElement, FiniteField, _coerced, _Keyed, \
+    _power, _rendered, _trim
 
 
 class PolyRing(_Keyed):
     def __init__(self, base, var):
         self.base = base
         self.var = var
+        # the index kernel of a finite-field base, else None: set before
+        # the first polynomial, whose value it decides
+        self._kernel = base._kernel if isinstance(base, FiniteField) else None
         self.zero = Poly(self, ())
         self.one = Poly(self, (base.coerce(1),))
         self.gen = Poly(self, (base.coerce(0), base.coerce(1)))
         self._key = (base, var)
         self._hash = hash(self._key)
-        # the index kernel of a finite-field base, else None
-        self._kernel = base._kernel if isinstance(base, FiniteField) else None
 
     def const(self, c):
         return Poly(self, (self.base.coerce(c),))
@@ -88,10 +93,12 @@ class _Dense(_Value):
     and equality shared by plain and twisted polynomials.
 
     `ring` supplies `base` (the coefficient ring), `zero`, `one`, `var`,
-    `_hash` and `coerce`; results keep the operand's class.
+    `_hash`, `coerce` and `_kernel`, the index kernel of a finite-field
+    base or None; results keep the operand's class.  `_v` is the value:
+    the index tuple where `_kernel` is set, else `coeffs` itself.
     """
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "_v", "coeffs")
 
     def __init__(self, ring, coeffs):
         coeffs = tuple(coeffs)
@@ -99,24 +106,29 @@ class _Dense(_Value):
         while n and not coeffs[n - 1]:
             n -= 1
         self.ring = ring
-        self.coeffs = coeffs[:n]
+        self.coeffs = coeffs = coeffs[:n]
+        self._v = coeffs if ring._kernel is None \
+            else tuple([c.index for c in coeffs])
 
     @property
     def degree(self):
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._v) - 1
 
     @property
     def lead(self):
-        if not self.coeffs:
+        if not self._v:
             raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(len(self._v) - 1)
 
     def constant_coeff(self):
-        return self.coeffs[0] if self.coeffs else self.ring.base.zero
+        return self.coeff(0)
 
     def coeff(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ring.base.zero
+        v, ring = self._v, self.ring
+        if not 0 <= i < len(v):
+            return ring.base.zero
+        return v[i] if ring._kernel is None else ring.base.from_index(v[i])
 
     def _coerce_other(self, other):
         if isinstance(other, type(self)) and (other.ring is self.ring
@@ -126,6 +138,9 @@ class _Dense(_Value):
 
     @_coerced
     def __add__(self, o):
+        K = self.ring._kernel
+        if K is not None:
+            return _from_indices(self.ring, K.add_polys(self._v, o._v))
         a, b = self.coeffs, o.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -138,6 +153,9 @@ class _Dense(_Value):
     __radd__ = __add__
 
     def __neg__(self):
+        K = self.ring._kernel
+        if K is not None:
+            return _from_indices(self.ring, K.scale(K._neg(1), self._v))
         return type(self)(self.ring, tuple(-c if c else c for c in self.coeffs))
 
     def __pow__(self, e):
@@ -148,36 +166,42 @@ class _Dense(_Value):
     def __eq__(self, other):
         if isinstance(other, int):
             # compared as a constant, so that equal values hash alike
-            return len(self.coeffs) <= 1 and self.constant_coeff() == other
+            return len(self._v) <= 1 and self.constant_coeff() == other
         try:
             o = self.ring.coerce(other)
         except DomainError:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self._v == o._v
 
     def __hash__(self):
         # a constant hashes as its coefficient, which it compares equal to
-        if len(self.coeffs) <= 1:
+        if len(self._v) <= 1:
             return hash(self.constant_coeff())
-        return hash((self.ring._hash, self.coeffs))
+        return hash((self.ring._hash, self._v))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._v)
 
 
 class Poly(_Dense):
     __slots__ = ()
 
+    def __getattr__(self, name):
+        # only `coeffs` of a polynomial over a finite field is ever unset:
+        # its elements, built on the first read and kept
+        if name != "coeffs":
+            raise AttributeError(name)
+        self.coeffs = c = tuple(self.ring.base._elements(self._v))
+        return c
+
     @_coerced
     def __mul__(self, o):
-        a, b = self.coeffs, o.coeffs
+        a, b = self._v, o._v
         if not a or not b:
             return self.ring.zero
-        ring = self.ring
-        K = ring._kernel
+        K = self.ring._kernel
         if K is not None:
-            return _from_indices(ring, K.mul_polys([c.index for c in a],
-                                                   [c.index for c in b]))
+            return _from_indices(self.ring, K.mul_polys(a, b))
         if len(b) == 1:
             c = b[0]
             return Poly(self.ring, tuple(x * c if x else x for x in a))
@@ -202,9 +226,9 @@ class Poly(_Dense):
             raise ZeroDivisionError("polynomial division by zero")
         ring = self.ring
         K = _field_kernel(ring)
-        if len(self.coeffs) < len(o.coeffs):
+        if len(self._v) < len(o._v):
             return ring.zero, self
-        quot, rem = K.divmod_polys(_indices(self), _indices(o))
+        quot, rem = K.divmod_polys(self._v, o._v)
         return _from_indices(ring, quot), _from_indices(ring, rem)
 
     def __floordiv__(self, other):
@@ -214,6 +238,14 @@ class Poly(_Dense):
         return divmod(self, other)[1]
 
     def __call__(self, x):
+        K = self.ring._kernel
+        if K is not None and isinstance(x, FieldElement) \
+                and x.field == self.ring.base:
+            # Horner's rule on indices
+            add, mul, xi, acc = K._add, K._mul, x.index, 0
+            for c in reversed(self._v):
+                acc = add(mul(acc, xi), c)
+            return x.field.from_index(acc)
         # start from the zero of x's structure so mixed coefficient/argument
         # rings coerce through the accumulator's __add__
         acc = x * 0
@@ -225,8 +257,12 @@ class Poly(_Dense):
         return Poly(ring, tuple(fn(c) for c in self.coeffs))
 
     def monic(self):
-        if not self.coeffs:
+        if not self._v:
             raise DomainError("zero polynomial cannot be made monic")
+        K = self.ring._kernel
+        if K is not None:
+            return self if self._v[-1] == 1 else \
+                _from_indices(self.ring, K.monic(self._v))
         lc = self.lead
         if lc == self.ring.base.one:
             return self
@@ -234,13 +270,23 @@ class Poly(_Dense):
         return Poly(self.ring, tuple(c * inv for c in self.coeffs))
 
     def derivative(self):
-        return Poly(self.ring,
-                    tuple(c * i for i, c in enumerate(self.coeffs) if i))
+        K = self.ring._kernel
+        if K is None:
+            return Poly(self.ring,
+                        tuple(c * i for i, c in enumerate(self.coeffs) if i))
+        # the integer i is the F_p element of index i mod p
+        p, mul = K.p, K._mul
+        out = [mul(i % p, c) for i, c in enumerate(self._v) if i]
+        if out and not out[-1]:
+            _trim(out)
+        return _from_indices(self.ring, out)
 
     def shifted(self, k):
         """Multiply by var^k."""
-        if not self.coeffs:
+        if not self._v:
             return self
+        if self.ring._kernel is not None:
+            return _from_indices(self.ring, (0,) * k + self._v)
         zero = self.ring.base.zero
         return Poly(self.ring, (zero,) * k + self.coeffs)
 
@@ -252,27 +298,29 @@ def _field_kernel(ring):
 
 
 def _indices(f):
-    return [c.index for c in f.coeffs]
+    """The ascending coefficient indices of f, over a finite field: its
+    value, read with no element built."""
+    return f._v
 
 
 def _from_indices(ring, idx, step=1, exponents=None):
     """The polynomial over the finite field of `ring` whose coefficient
     indices are idx, which the kernel leaves without trailing zeros, idx[j]
     at the power j * step of the variable, or at exponents[j] for a given
-    increasing sequence, and zeros between: one element looked up per
-    entry of idx, not per power."""
-    base = ring.base
-    coeffs = base._elements(idx)
-    if exponents is not None and coeffs:
-        coeffs, placed = [base.zero] * (exponents[len(coeffs) - 1] + 1), coeffs
-        for e, c in zip(exponents, placed):
-            coeffs[e] = c
-    elif step > 1 and coeffs:
-        coeffs, placed = [base.zero] * (step * (len(coeffs) - 1) + 1), coeffs
-        coeffs[::step] = placed
+    increasing sequence, and zeros between: indices placed, and no element
+    looked up."""
+    if exponents is not None and idx:
+        out = [0] * (exponents[len(idx) - 1] + 1)
+        for e, c in zip(exponents, idx):
+            out[e] = c
+        idx = out
+    elif step > 1 and idx:
+        out = [0] * (step * (len(idx) - 1) + 1)
+        out[::step] = idx
+        idx = out
     f = Poly.__new__(Poly)
     f.ring = ring
-    f.coeffs = tuple(coeffs)
+    f._v = tuple(idx)
     return f
 
 
@@ -281,8 +329,7 @@ def poly_gcd(f, g):
     if not f and not g:
         raise DomainError("gcd(0, 0) is undefined")
     ring = f.ring
-    return _from_indices(ring, _field_kernel(ring).gcd(_indices(f),
-                                                       _indices(g)))
+    return _from_indices(ring, _field_kernel(ring).gcd(f._v, g._v))
 
 
 def powmod(g, e, f):
@@ -291,8 +338,7 @@ def powmod(g, e, f):
     if not f:
         raise ZeroDivisionError("polynomial division by zero")
     ring = f.ring
-    return _from_indices(ring, _field_kernel(ring).powmod(_indices(g), e,
-                                                          _indices(f)))
+    return _from_indices(ring, _field_kernel(ring).powmod(g._v, e, f._v))
 
 
 def is_irreducible(f):
@@ -304,7 +350,7 @@ def is_irreducible(f):
         raise DomainError("irreducibility is undefined for constants")
     if n == 1:
         return True
-    return f.ring._kernel.is_irreducible(_indices(f))
+    return f.ring._kernel.is_irreducible(f._v)
 
 
 def roots_in_extension(f, m):
@@ -322,10 +368,11 @@ def roots_in_extension(f, m):
         raise DomainError("root search of the zero polynomial")
     if m == 1:
         E = K
-        g = _indices(f)
+        g = f._v
     else:
         E = K.extension(m)
-        g = [embed(c, E).index for c in f.coeffs]
+        emb = E._base_emb
+        g = [emb[c] for c in f._v]
     k = E._kernel
     roots = k.distinct_roots(g)
     if len(roots) == f.degree:

@@ -442,7 +442,7 @@ def _certified(prime, h):
     != 0 leaves only 1."""
     K, a, q = prime.kappa._kernel, prime.alpha.index, prime.q
     closed = K.powers(a, _t_closed_form(q, prime.d))
-    return (prime._on_exponents(closed) == [c.index for c in h.coeffs]
+    return (prime._poly_on_masks(closed) == h
             and bool(h.constant_coeff())
             and all(K._pow(a, q ** j) != a for j in range(1, prime.d)))
 

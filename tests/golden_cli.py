@@ -80,6 +80,10 @@ FAST = [
     Golden("7e83dc429a15b3b4a190b58a6f1f8a44d49cf48f12a1e10b99f70059d512a9da", ['compute --q 65521 --prime "T+5" --method all']),
     # H rendered from the coordinate tables of kappa over F_3
     Golden("fade7d396fb97a945bcc2261ba3619bb32ec08203989f9d7aa7c63fad2888fe6", ['compute --q 3 --prime "T^9+2*T^3+T^2+1" --format json --method grec']),
+    # H rendered from the coordinate tables of kappa over F_4 over F_2, each
+    # of its 87,382 coefficients through the field's memo of texts: about 3x
+    # its time, where rendering every coefficient anew took 1.3-2.5 s
+    Golden("a06dbd679a8a3b6413a13a903934628cf24295fc89ca73f243a6482ea7eed005", ['compute --q 4 --prime "T^8+T^3+T+x" --var lambda --method grec'], timeout=1.2),
     # verify for q in {2, 3, 4, 5} in both formats, and the key-identity rows
     # at q > 5
     Golden("6dc289d8e2fa292882453ac88e8fd988c13d807bcd0f7b27fde242f01848edd9", ["verify --q 2 --max-degree 4 --format text"]),
@@ -150,11 +154,10 @@ SLOW = [
         'compute --q 2 --prime "T^16+T^5+T^3+T^2+1" --var delta --method grec',
         'compute --q 2 --prime "T^16+T^5+T^3+T^2+1" --var delta --method direct',
         'compute --q 2 --prime "T^16+T^5+T^3+T^2+1" --var delta --method universal']),
-    # H rendered from the coordinate tables of kappa over F_4 over F_2
-    Golden("a06dbd679a8a3b6413a13a903934628cf24295fc89ca73f243a6482ea7eed005", ['compute --q 4 --prime "T^8+T^3+T+x" --var lambda --method grec']),
-    # every prime of degree <= 10 and <= 11 at q = 2
+    # every prime of degree <= 10 and <= 11 at q = 2; the second within
+    # about 3x its time, on index tuples from route to comparison
     Golden("72b88694ef010c854c9a061d99470cac8d5975a8fd5bd21ad0c11a611120538c", ["verify --q 2 --max-degree 10"], timeout=30),
-    Golden("5b6411ac02be8491fa78cc3b9f05a0598e21572316e0c0b481fa0cfc92a597b3", ["verify --q 2 --max-degree 11"], timeout=15),
+    Golden("5b6411ac02be8491fa78cc3b9f05a0598e21572316e0c0b481fa0cfc92a597b3", ["verify --q 2 --max-degree 11"], timeout=4),
     # the U-recurrence over kappa, one product per step, is most of the run
     Golden("79aadf902539b4e424a9c54809e951fc202dcbe185a9dcbb46240d3939da4e80", ["verify --q 4 --max-degree 6"], timeout=20),
     # the g-structure rows divide each g_k by an h with 4 nonzero

@@ -471,6 +471,73 @@ def is_supersingular_by_ore_image(module, prime):
     return not image.coeff(prime.d)
 
 
+class ElementPoly:
+    """The element path of `Poly` over a finite field, before a polynomial
+    there held its kernel index tuple: coefficients as an ascending tuple
+    of `FieldElement`s with no trailing zeros, and the arithmetic that ran
+    on them, by the elements' own operators.  `Poly` kept sums, negation,
+    `monic`, `derivative`, `shifted` and evaluation this way; products and
+    division are the schoolbook loops.  Each method takes and returns
+    element tuples; the index path is checked against them."""
+
+    def __init__(self, field):
+        self.field = field
+
+    @staticmethod
+    def trimmed(cs):
+        cs = list(cs)
+        while cs and not cs[-1]:
+            cs.pop()
+        return tuple(cs)
+
+    def add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            if c:
+                out[i] = out[i] + c
+        return self.trimmed(out)
+
+    def neg(self, a):
+        return tuple(-c if c else c for c in a)
+
+    def mul(self, a, b):
+        if not a or not b:
+            return ()
+        out = [self.field.zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+        return self.trimmed(out)
+
+    def divmod(self, a, b):
+        rem, quot = list(a), [self.field.zero] * max(len(a) - len(b) + 1, 0)
+        inv = b[-1].inverse()
+        for k in range(len(a) - len(b), -1, -1):
+            c = rem[k + len(b) - 1] * inv
+            quot[k] = c
+            for j, y in enumerate(b):
+                rem[k + j] = rem[k + j] - c * y
+        return self.trimmed(quot), self.trimmed(rem)
+
+    def monic(self, a):
+        inv = a[-1].inverse()
+        return tuple(c * inv for c in a)
+
+    def derivative(self, a):
+        return self.trimmed(c * i for i, c in enumerate(a) if i)
+
+    def shifted(self, a, k):
+        return (self.field.zero,) * k + a if a else a
+
+    def value(self, a, x):
+        acc = x * 0
+        for c in reversed(a):
+            acc = acc * x + c
+        return acc
+
+
 def trim(a):
     """a without its trailing zeros, in place."""
     while a and not a[-1]:

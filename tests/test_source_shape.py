@@ -98,3 +98,27 @@ def test_one_home_per_cli_golden():
     assert elsewhere == []
     counts = collections.Counter(DIGEST.findall(registry.read_text()))
     assert counts and max(counts.values()) == 1
+
+
+def _coeff_index_reads(tree):
+    """The lines of each comprehension that iterates over a `.coeffs` and
+    reads `.index`: an element list converted back to indices."""
+    def attrs(node):
+        return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                             ast.DictComp)):
+            over = set().union(*(attrs(gen.iter) for gen in node.generators))
+            if "coeffs" in over and "index" in attrs(node):
+                yield node.lineno
+
+
+def test_one_home_for_the_element_index_boundary():
+    # a polynomial over a finite field holds its index tuple: only `poly`
+    # turns its elements into indices, and every other module reads the
+    # indices (`poly._indices`)
+    reads = [f"{path.name}:{line}" for path, tree in _trees()
+             if path.parent == PACKAGE and path.name != "poly.py"
+             for line in _coeff_index_reads(tree)]
+    assert reads == []
