@@ -13,7 +13,7 @@ a graph whose h or neighbor polynomials do not split in kappa_2), 2 = invalid
 input, including a prime whose degree exceeds the cardinality cap (refused
 while parsing, before any polynomial of that degree is built), a graph whose
 kappa_2 exceeds the cap (refused before any root is sought), identities or
-verify at q > 64, the budget of the tower identities (refused before any
+verify at q > 128, the budget of the tower identities (refused before any
 work), and an --output or --dot path that cannot be written.  All output is
 deterministic.
 """

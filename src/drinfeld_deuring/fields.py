@@ -1169,7 +1169,7 @@ class _ZechKernel(IndexKernel):
 class FiniteField(_Keyed):
     """A finite field in a tower, with designated base-field cardinality q."""
 
-    def __init__(self, p, base, modulus_over_base, q, gen_name, _token=None,
+    def __init__(self, p, base, modulus, q, gen_name, _token=None,
                  _root=None):
         if _token is not _FIELD_TOKEN:
             raise TypeError("use base_field() or the extension methods")
@@ -1177,16 +1177,16 @@ class FiniteField(_Keyed):
         self.base = base
         self.q = q
         self.gen_name = gen_name
+        # the base-field indices of the defining modulus
+        self._modulus = modulus
         if base is None:
             self.degree = 1
             self.ext_degree = 1
-            self.modulus_over_base = None
             chain = ()
         else:
-            self.ext_degree = len(modulus_over_base) - 1
+            self.ext_degree = len(modulus) - 1
             self.degree = base.degree * self.ext_degree
-            self.modulus_over_base = tuple(modulus_over_base)
-            chain = base._key[2] + (tuple(c.index for c in modulus_over_base),)
+            chain = base._key[2] + (modulus,)
         self.card = p ** self.degree
         check_cap("field", self.card)
         k = self._kernel = _abs_tables(p, self.degree)
@@ -1200,11 +1200,11 @@ class FiniteField(_Keyed):
         self._texts = {}
         self.zero = self.from_index(0)
         self.one = self.from_index(1)
-        self._init_base_maps(modulus_over_base, _root)
+        self._init_base_maps(_root)
         self._key = (p, self.degree, chain)
         self._hash = hash(self._key)
 
-    def _init_base_maps(self, modulus_over_base, root):
+    def _init_base_maps(self, root):
         base = self.base
         if base is None:
             self.gen = self.one
@@ -1213,12 +1213,19 @@ class FiniteField(_Keyed):
         self._base_emb = self._kernel.embedding(base.degree)
         if root is None:
             root = self._kernel.designated_root(
-                [self._base_emb[c.index] for c in modulus_over_base],
-                base.card)
+                [self._base_emb[c] for c in self._modulus], base.card)
             if root is None:
                 raise DomainError(
                     "defining modulus is reducible over the base field")
         self.gen = self.from_index(root)
+
+    @property
+    def modulus_over_base(self):
+        """The defining modulus over the base field, as elements; None for
+        a prime field."""
+        if self.base is None:
+            return None
+        return tuple(self.base._elements(self._modulus))
 
     # element-level API ------------------------------------------------------
 
@@ -1263,10 +1270,9 @@ class FiniteField(_Keyed):
             raise DomainError("extension degree must be positive")
         # the search checks the cap before the new kernel is built
         modulus = _least_irreducible(self.p, self.degree, m)
-        return self.extension_with_modulus(
-            self._elements(modulus), gen_name=gen_name, q=q,
-            _root=_abs_tables(self.p, self.degree * m).extension_root(
-                self.degree))
+        return self._extension_of_indices(
+            tuple(modulus), gen_name, q,
+            _abs_tables(self.p, self.degree * m).extension_root(self.degree))
 
     def extension_with_modulus(self, coeffs, gen_name="b", q=None, _root=None):
         """Extension defined by a given monic modulus over this field.
@@ -1278,15 +1284,20 @@ class FiniteField(_Keyed):
         `modulus.primes_of_degree`) passes its index as `_root`, which
         spares the root finding.
         """
-        coeffs = tuple(self.coerce(c) for c in coeffs)
-        if len(coeffs) < 2:
+        return self._extension_of_indices(
+            tuple(self.coerce(c).index for c in coeffs), gen_name, q, _root)
+
+    def _extension_of_indices(self, modulus, gen_name, q, _root):
+        """`extension_with_modulus` of the modulus's coefficient indices, a
+        tuple, with no element built."""
+        if len(modulus) < 2:
             raise DomainError("modulus must have positive degree")
-        if coeffs[-1] != self.one:
+        if modulus[-1] != 1:
             raise DomainError("modulus must be monic")
-        key = ("mod", tuple(c.index for c in coeffs), gen_name, q)
+        key = ("mod", modulus, gen_name, q)
         field = self._ext_cache.get(key)
         if field is None:
-            field = FiniteField(self.p, self, coeffs,
+            field = FiniteField(self.p, self, modulus,
                                 q if q is not None else self.q,
                                 gen_name, _token=_FIELD_TOKEN, _root=_root)
             self._ext_cache[key] = field

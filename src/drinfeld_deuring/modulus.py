@@ -45,8 +45,8 @@ class PrimeModulus(_Keyed):
         self._hash = hash(self._key)
         self.q = base.card
         self.d = p.degree
-        self.kappa = base.extension_with_modulus(p.coeffs, gen_name="a",
-                                                 _root=_root)
+        self.kappa = base._extension_of_indices(poly_mod._indices(p), "a",
+                                                None, _root)
         self.alpha = self.kappa.gen
         # kappa[s], the ring of every h route's result, built once per prime
         self.s_ring = PolyRing(self.kappa, "s")

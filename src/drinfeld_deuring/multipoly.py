@@ -8,11 +8,18 @@ times a term adds keys, so +, negation and x are each one
 and elements.  Exponents stay below 2^31, half the stride, so no product
 carries into the next variable: one outside [0, 2^31) in the constructor,
 or one that a product or a power would take to 2^31, raises DomainError.
-Over a field above 2^8 elements `sum_copies` builds no table of sums, which
-over F_(2^16) would have 2^32 entries.  Term order for rendering is graded
-lexicographic, comparing total degree first and then the exponent tuple
-left to right.  Fractions compare by cross-multiplication and never reduce,
-which is fine at the desk scales of the tower identities.
+A power splits its exponent into base-p digits, e = sum e_t * p^t, and
+forms x^e = prod_t Frob^t(x^(e_t)) in characteristic p: the Frobenius
+Frob^t(y) = y^(p^t) multiplies every key by p^t and raises every
+coefficient to the p^t-th power, with no product, so only each x^(e_t),
+e_t < p, is formed by square-and-multiply, and x^(q+1) is Frob^n(x) * x at
+q = p^n.  A power is refused before any key is scaled, since a scaled key
+could carry into the next slot where the bit-31 test of a product would not
+see it.  Over a field above 2^8 elements `sum_copies` builds no table of
+sums, which over F_(2^16) would have 2^32 entries.  Term order for
+rendering is graded lexicographic, comparing total degree first and then
+the exponent tuple left to right.  Fractions compare by cross-multiplication
+and never reduce, which is fine at the desk scales of the tower identities.
 """
 
 from __future__ import annotations
@@ -121,7 +128,38 @@ class MultiPoly(_Value):
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise DomainError("multivariate powers must be non-negative integers")
-        return _power(self, e, self.ring.one, operator.mul)
+        ring = self.ring
+        # deg_i(x^e) = e * deg_i(x): the refusal of the products, made
+        # before a Frobenius scales a key, which could carry across a slot
+        if e > 1 and any(k // u % _STRIDE * e >> 31
+                         for k in self.packed for u in ring._units):
+            raise DomainError("a power exponent reaches 2^31")
+        # x^e = prod_t Frob^t(x^(e_t)) over the base-p digits e_t of e
+        p, digit_powers = ring.field.p, {1: self}
+        out, t = None, 0
+        while e:
+            e, d = divmod(e, p)
+            if d:
+                x = digit_powers.get(d)
+                if x is None:
+                    x = digit_powers[d] = _power(self, d, ring.one,
+                                                 operator.mul)
+                x = x._frobenius(t)
+                out = x if out is None else out * x
+            t += 1
+        return ring.one if out is None else out
+
+    def _frobenius(self, t):
+        """x^(p^t): each key times p^t, each coefficient to the p^t-th
+        power, and no product."""
+        if not t:
+            return self
+        field = self.ring.field
+        # c^(p^t) = c^(p^(t mod n)) on F_(p^n)
+        pt, frob = field.p ** t, field.p ** (t % field.degree)
+        f = MultiPoly(self.ring, {})
+        f.packed = {k * pt: field._pow(c, frob) for k, c in self.packed.items()}
+        return f
 
     def degree(self, var=None):
         """Total degree, or degree in one named variable; -1 for zero."""

@@ -4,17 +4,21 @@ table-free field that every index kernel is checked against."""
 
 import functools
 import itertools
+import operator
 
 from drinfeld_deuring import universal
 from drinfeld_deuring.drinfeld import LambdaModule
 from drinfeld_deuring.errors import AmbientTooSmallError, \
     ConsistencyError, DomainError
-from drinfeld_deuring.fields import _prime_divisors, embed
+from drinfeld_deuring.fields import _power, _prime_divisors, base_field, \
+    embed
 from drinfeld_deuring.isogeny_graph import IsogenyGraph, _checked, \
     _eliminator, _neighbor_solver
+from drinfeld_deuring.multipoly import Frac, MultiRing
 from drinfeld_deuring.ore import OreContext, drinfeld_image
 from drinfeld_deuring.poly import Poly, PolyRing, poly_gcd, \
     roots_in_extension
+from drinfeld_deuring.tower import IdentityReport
 from drinfeld_deuring.universal import _T_STRIDE, _check_stride, \
     _derivative, _u_degree
 
@@ -469,6 +473,42 @@ def is_supersingular_by_ore_image(module, prime):
     image = drinfeld_image(ctx, module.psi_T(ctx), prime.p_poly,
                            scalar=lambda c: embed(c, L))
     return not image.coeff(prime.d)
+
+
+def power_by_squaring(x, e):
+    """x^e for a MultiPoly, or a Frac of MultiPolys, by square-and-multiply,
+    as `MultiPoly.__pow__` formed every power before it split the exponent
+    into base-p digits and took Frobenius images."""
+    if isinstance(x, Frac):
+        return Frac(power_by_squaring(x.num, e), power_by_squaring(x.den, e))
+    return _power(x, e, x.ring.one, operator.mul)
+
+
+def j_chain_by_cross_product(q):
+    """The report of `tower.j_chain_check` as it was formed before the
+    factor identity: A/B == C/D by the dense-by-dense products A*D and C*B,
+    whose term counts the report gives, with every power by squaring."""
+    F = base_field(q)
+    R = MultiRing(F, ("T", "Y"))
+    T, Y = R.gens()
+    d0 = Frac(-power_by_squaring(T, q) * power_by_squaring(Y + 1, q - 1) * Y)
+    d1 = Frac(-T * power_by_squaring(Y, q), power_by_squaring(Y + 1, q - 1))
+    lhs = power_by_squaring(d0 + power_by_squaring(T, q), q + 1) \
+        / power_by_squaring(d0, q)
+    rhs = power_by_squaring(d1 + T, q + 1) / d1
+    cross_l = lhs.num * rhs.den
+    cross_r = rhs.num * lhs.den
+    ok = cross_l == cross_r
+
+    S = MultiRing(F, ("T", "s", "c"))
+    T2, s, c = S.gens()
+    w = power_by_squaring(power_by_squaring(s, q) - s, q - 1)
+    num = power_by_squaring(T2, q) * power_by_squaring(1 + w, q + 1) \
+        - c * power_by_squaring(power_by_squaring(s, q) - s, q * q - q)
+    ok = ok and num.degree("s") == q ** 3 - q
+
+    return IdentityReport("j-chain", q, ok,
+                          len(cross_l.packed), len(cross_r.packed))
 
 
 class ElementPoly:

@@ -366,8 +366,8 @@ def test_huge_q_and_max_degree_are_refused_at_once(argv, message, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["identities", "--q", "128"], ["identities", "--q", "81"],
-    ["verify", "--q", "128", "--max-degree", "1"]])
+    ["identities", "--q", "256"], ["identities", "--q", "131"],
+    ["verify", "--q", "256", "--max-degree", "1"]])
 def test_identities_over_the_budget_are_refused_at_once(
         argv, monkeypatch, capsys):
     from drinfeld_deuring import tower
@@ -384,7 +384,7 @@ def test_identities_over_the_budget_are_refused_at_once(
     _one_error_line(captured)
     q = argv[2]
     assert captured.err == (f"error: tower identities at q = {q} exceed "
-                            f"the q <= 64 budget\n")
+                            f"the q <= 128 budget\n")
 
 
 def test_compute_H_at_degree_one_builds_only_the_powers_it_reads():

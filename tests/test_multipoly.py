@@ -7,6 +7,8 @@ from drinfeld_deuring.errors import DomainError
 from drinfeld_deuring.fields import base_field
 from drinfeld_deuring.multipoly import Frac, MultiPoly, MultiRing
 
+from reference import power_by_squaring
+
 
 def _ring(q, names=("T", "X")):
     return MultiRing(base_field(q), names)
@@ -252,3 +254,50 @@ def test_exponents_stay_below_2_to_the_31():
         with pytest.raises(DomainError):
             MultiPoly(R, {e: R.field.one})
     assert MultiPoly(R, {((1 << 31) - 1, 0): R.field.one}) == top
+
+
+# the power fields: prime and not, both sides of the table of sums
+_POWER_QS = (2, 3, 4, 9, 1 << 16)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_POWER_QS), st.integers(1, 2), st.integers(0, 5),
+       st.integers(0, 2), st.data())
+def test_frobenius_powers_match_square_and_multiply(q, nvars, m, k, data):
+    # e = m * p^k: with and without a factor p^k, whose part of the power
+    # takes no product
+    F = base_field(q)
+    R = MultiRing(F, _NAMES[:nvars])
+    exps = st.tuples(*([st.integers(0, 3)] * nvars))
+    f = MultiPoly(R, {e: F.from_index(c) for e, c in data.draw(
+        st.dictionaries(exps, st.integers(0, q - 1), max_size=3)).items()
+        if c})
+    e = m * F.p ** k
+    assert (f ** e).packed == power_by_squaring(f, e).packed
+    if f:
+        fr = Frac(f + 1, f)
+        assert (fr ** e) == power_by_squaring(fr, e)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_a_frobenius_past_a_slot_is_refused(q):
+    # 2^31 <= deg * e: refused as by square-and-multiply, before a scaled
+    # key could carry from the low slot X into T's
+    R = _ring(q)
+    T, X = R.gens()
+    p = R.field.p
+    k = 30 if p == 2 else 19
+    assert p ** k < 1 << 31 <= p ** (k + 1)
+    assert (X ** p ** k).degree("X") == p ** k
+    # X^4 to the p^k would carry a unit into T's slot.  The reference
+    # squares a monomial only: a binomial's squares are dense at odd p
+    for f, e in ((T, 1 << 31), (X ** 2, p ** k), (X ** 4 * T, p ** k),
+                 (X ** 5 + T, p ** (k + 1)), (T + X ** 4, p ** k)):
+        if len(f.packed) == 1:
+            with pytest.raises(DomainError, match="2\\^31"):
+                power_by_squaring(f, e)
+        with pytest.raises(DomainError, match="2\\^31"):
+            f ** e
+    # just below the limit, and zero and constants at any exponent
+    assert (X ** 2) ** (p ** k // 2) == power_by_squaring(X ** 2, p ** k // 2)
+    assert R.zero ** (1 << 40) == R.zero and R.one ** (1 << 40) == R.one

@@ -12,9 +12,11 @@ polynomials over two instances of one field compare as their elements do.
 
 import functools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from drinfeld_deuring.fields import base_field, embed
+from drinfeld_deuring.modulus import primes_of_degree
 from drinfeld_deuring.poly import PolyRing, _from_indices, _indices, \
     is_irreducible, poly_gcd, powmod, roots_in_extension
 from reference import ElementPoly, ReferenceField, trim
@@ -225,3 +227,12 @@ def test_a_polynomial_from_indices_builds_no_element_until_read():
     assert f.coeffs == (F.from_index(3), F.zero, F.zero, F.zero,
                         F.from_index(5))
     assert _has_elements(f) and repr(g) == text
+
+
+@pytest.mark.parametrize("q, d", [(2, 5), (3, 3), (4, 2), (9, 2)])
+def test_enumerated_primes_build_no_element_of_p(q, d):
+    # kappa is built from p's index tuple; its modulus reads as elements
+    F = base_field(q)
+    primes = list(primes_of_degree(F, d))
+    assert primes and not any(_has_elements(p.p_poly) for p in primes)
+    assert all(p.kappa.modulus_over_base == p.p_poly.coeffs for p in primes)
