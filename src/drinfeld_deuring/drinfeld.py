@@ -60,11 +60,13 @@ log_q N base-q levels, not by N products with a growing accumulator, and
 returns in y.  In odd characteristic it runs in y, bottom up over chunks
 of q^i coefficients: by Y(y)^(q^i) = Y(y^(q^i)) it sums each group of q
 chunk results by Horner's rule in Y(y^(q^i)), so its only products are by
-polynomials of q terms.  In characteristic 2, S = P^(q-1) with
-P = s^q + s, and a level is log2(q) mask-shift-XOR passes over one packed
-int of kappa indices in s, with no field product at all.  R(Y) goes onto
-the (q-1)-stride of s in one place, `PrimeModulus._poly_in_y`, which
-`universal.U_mod_prime` shares.
+Y(y^m), m = q^i: each is `IndexKernel.times_Y`, q copies placed at
+y^m, ..., y^(qm), with element adds only where copies overlap, the
+product that `universal.U_mod_prime` makes too.  In characteristic 2,
+S = P^(q-1) with P = s^q + s, and a level is log2(q) mask-shift-XOR passes
+over one packed int of kappa indices in s, with no field product at all.
+R(Y) goes onto the (q-1)-stride of s in one place,
+`PrimeModulus._poly_in_y`, which `universal.U_mod_prime` shares.
 
 The direct route runs on the kernel's slot vectors on digit masks, grec on
 kappa index lists on the same masks, and H on kappa index lists in y, all

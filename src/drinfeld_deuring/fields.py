@@ -628,27 +628,66 @@ class IndexKernel:
         up: at level m each group of q consecutive chunk results, those of
         level m/q (the coefficients themselves at m = 1), is summed by
         Horner's rule in Y(y^m), whose q ones sit at y^m, y^(2m), ...,
-        y^(qm).  Its only products are by Y(y^m).  The F_p element 1 has
-        index 1 in every field, so Y(y^m)'s index list serves every field.
-        The last level's result is R(Y).  Odd characteristic runs this
-        form; `_Char2Kernel` overrides it with a packed form in s that
-        makes no product.
+        y^(qm).  Its only products are by Y(y^m), each one `times_Y`: q
+        placed copies, with element adds only where they overlap.  A
+        product is 0 below y^m, so the chunk result added to it is placed
+        there and added only above.  The last level's result is R(Y).  Odd
+        characteristic runs this form; `_Char2Kernel` overrides it with a
+        packed form in s that makes no product.
         """
-        add, mul = self.add_polys, self.mul_polys
+        add, times_Y = self._add_terms, self.times_Y
         parts = [[c] if c else [] for c in coeffs]
         m = 1
         while len(parts) > 1:
-            Y = [0] * (q * m + 1)
-            Y[m::m] = [1] * q
             level = []
             for i in range(0, len(parts), q):
                 acc = []
                 for part in reversed(parts[i:i + q]):
-                    acc = add(mul(acc, Y), part) if acc else part
+                    if not acc:
+                        acc = part
+                        continue
+                    # acc * Y(y^m) is 0 below y^m, where part is placed;
+                    # the rest of part, of degree at most q(m - 1), adds
+                    # below the product's lead, of degree at least q*m
+                    acc, n = times_Y(acc, m, q), len(part)
+                    acc[:min(n, m)] = part[:m]
+                    if n > m:
+                        acc[m:n] = add(acc[m:n], part[m:])
                 level.append(acc)
             parts = level
             m *= q
         return parts[0] if parts else []
+
+    def times_Y(self, a, m, q):
+        """a * Y(y^m) for Y(y) = y + y^2 + ... + y^q: q copies of a, placed
+        at y^m, y^(2m), ..., y^(qm) with coefficient 1, the product of
+        `compose_in_S` and of `universal.U_mod_prime`.  The F_p element 1
+        has index 1 in every field, so this serves every field.
+
+        For n = len(a) <= 2m, as in both callers, a slot meets at most two
+        copies.  Split a into lo = a[:m], padded to m slots, and hi = a[m:]:
+        the product is m zeros, lo, q - 1 blocks of lo + hi (hi added on
+        lo's lowest n - m slots, by the kind's `_add_terms`) and hi, cut to
+        q*m + n slots.  That is one add of n - m slots and one list
+        repetition; for n <= m nothing is added.  Past 2m each copy is
+        placed in turn, and `_add_terms` adds only on the n - m slots where
+        it meets what the copies below it wrote, at any depth of overlap.
+        The top slot is a's lead, so the product has no trailing zeros."""
+        n = len(a)
+        if not n:
+            return []
+        if n <= 2 * m:
+            lo, hi = a[:m] + [0] * (m - n), a[m:]
+            mid = self._add_terms(lo, hi)
+            return ([0] * m + lo + mid * (q - 1) + hi)[:q * m + n]
+        ov, add = n - m, self._add_terms
+        out = [0] * (q * m + n)
+        out[m:m + n] = a
+        low, high = a[:ov], a[ov:]
+        for k in range(2 * m, q * m + 1, m):
+            out[k:k + ov] = add(out[k:k + ov], low)
+            out[k + ov:k + n] = high
+        return out
 
     def mul_polys(self, a, b):
         if not a or not b:

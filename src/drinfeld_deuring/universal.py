@@ -71,10 +71,10 @@ separability certificate compares that h with the closed form, whose t(m)
 the closed form's u_(i-1), u_i and u_(i+1) against the step.
 
 Over kappa = F_q[T]/(p), T -> alpha, `U_mod_prime` runs the U-recurrence
-on kappa's index lists in y = s^(q-1), by one `mul_polys` per step: its
-product P_i = U_i*Y(y^(q^i)) feeds U_(i+1) and, scaled, U_(i+2).  At a
-point, u_d(gamma, x) = 0 is the one supersingularity test (`u_root_test`):
-d steps, where the closed form has 2^d terms.
+on kappa's index lists in y = s^(q-1), by one `IndexKernel.times_Y` per
+step: its product P_i = U_i*Y(y^(q^i)) feeds U_(i+1) and, scaled,
+U_(i+2).  At a point, u_d(gamma, x) = 0 is the one supersingularity test
+(`u_root_test`): d steps, where the closed form has 2^d terms.
 """
 
 from __future__ import annotations
@@ -252,18 +252,16 @@ def U_mod_prime(prime):
 
     U_{i+1} = P_i + alpha^(-(q-1)q^i)*U_i + gamma_i*P_{i-1}:
 
-    one product per step, by `mul_polys`, whose sparse operand Y(y^(q^i))
-    has q ones.  P_i feeds U_{i+1} as it is and U_{i+2} scaled by
+    one product per step, `IndexKernel.times_Y` by Y(y^(q^i)): q copies of
+    U_i, with element adds only where they overlap, and no product of
+    elements.  P_i feeds U_{i+1} as it is and U_{i+2} scaled by
     gamma_{i+1}."""
     K, a, q, d = prime.kappa._kernel, prime.alpha.index, prime.q, prime.d
     cur, carried = [1], []
     for i in range(d):
         qi = q ** i
         Q = q * qi
-        # q ones at y^(q^i), ..., y^Q
-        Y = [0] * (Q + 1)
-        Y[qi::qi] = [1] * q
-        P = K.mul_polys(cur, Y)
+        P = K.times_Y(cur, qi, q)
         nxt = K.add_polys(P, K.scale(K._pow(a, -(q - 1) * qi), cur))
         gamma = K._add(K._pow(a, 1 - q * Q), K._neg(K._pow(a, Q - q * Q)))
         cur, carried = K.add_polys(nxt, carried), K.scale(gamma, P)

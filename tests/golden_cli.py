@@ -164,6 +164,12 @@ SLOW = [
     Golden("5b6411ac02be8491fa78cc3b9f05a0598e21572316e0c0b481fa0cfc92a597b3", ["verify --q 2 --max-degree 11"], timeout=4),
     # the U-recurrence over kappa, one product per step, is most of the run
     Golden("79aadf902539b4e424a9c54809e951fc202dcbe185a9dcbb46240d3939da4e80", ["verify --q 4 --max-degree 6"], timeout=20),
+    # every prime of degree <= 8 at q = 3: H and U each multiply only by
+    # Y(y^m), adding by Zech logarithms where the copies overlap: 6.6-9.0 s
+    # (median 6.8 s) in a fresh process on a 2-vCPU Xeon VM, against
+    # 11.4-13.8 s when each product was a `mul_polys`; the timeout is about
+    # 3x the median, as for verify --q 2 --max-degree 11
+    Golden("af5c1435b7b258984340f7efaeaad2709f75a8e95ec45948b425a0f6465a4da3", ["verify --q 3 --max-degree 8"], timeout=20),
     # the g-structure rows divide each g_k by an h with 4 nonzero
     # coefficients of 34, through its (position, log) row
     Golden("2c9eb2f8a8451b623dcb7f781c7a2425e9190e4be260421d7edd8c5dc9021a33", ["verify --q 32 --max-degree 2"], timeout=20),

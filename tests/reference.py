@@ -336,6 +336,47 @@ def compose_in_S_by_residues(kernel, coeffs, q):
     return compose(coeffs)
 
 
+def compose_in_S_by_mul_polys(kernel, coeffs, q):
+    """R(Y) in y = s^(q-1), as odd characteristic's `compose_in_S` ran it
+    before each product by Y(y^m) became `times_Y`: the same base-q levels
+    and Horner's rule in Y(y^m), each product by `mul_polys` with Y(y^m)
+    built as a list of q ones at y^m, ..., y^(qm)."""
+    add, mul = kernel.add_polys, kernel.mul_polys
+    parts = [[c] if c else [] for c in coeffs]
+    m = 1
+    while len(parts) > 1:
+        Y = [0] * (q * m + 1)
+        Y[m::m] = [1] * q
+        level = []
+        for i in range(0, len(parts), q):
+            acc = []
+            for part in reversed(parts[i:i + q]):
+                acc = add(mul(acc, Y), part) if acc else part
+            level.append(acc)
+        parts = level
+        m *= q
+    return parts[0] if parts else []
+
+
+def U_over_kappa_by_mul_polys(prime):
+    """U_d over kappa as an index list in y = s^(q-1), as
+    `universal.U_mod_prime` ran it before each product by Y(y^(q^i))
+    became `times_Y`: the same recurrence, each P_i = U_i * Y(y^(q^i)) by
+    `mul_polys` with Y(y^(q^i)) built as a list."""
+    K, a, q = prime.kappa._kernel, prime.alpha.index, prime.q
+    cur, carried = [1], []
+    for i in range(prime.d):
+        qi = q ** i
+        Q = q * qi
+        Y = [0] * (Q + 1)
+        Y[qi::qi] = [1] * q
+        P = K.mul_polys(cur, Y)
+        nxt = K.add_polys(P, K.scale(K._pow(a, -(q - 1) * qi), cur))
+        gamma = K._add(K._pow(a, 1 - q * Q), K._neg(K._pow(a, Q - q * Q)))
+        cur, carried = K.add_polys(nxt, carried), K.scale(gamma, P)
+    return cur
+
+
 def U_over_kappa_by_term_maps(prime):
     """U_d over kappa as a term map {e: index} of its nonzero terms c * s^e:
     the U-recurrence as `universal.U_mod_prime` ran it before it ran in
@@ -781,6 +822,13 @@ class ReferenceField:
                 orbits.setdefault(orbit, l)
         return [(self.minimal_polynomial(min(o), q), min(o))
                 for o, _ in sorted(orbits.items(), key=lambda kv: kv[1])]
+
+    def times_Y(self, a, m, q):
+        """a * Y(y^m) for Y(y) = y + ... + y^q, by a product with Y(y^m)
+        built as a list."""
+        Y = [0] * (q * m + 1)
+        Y[m::m] = [1] * q
+        return self.mul_polys(a, Y)
 
     def compose_in_S(self, coeffs, q):
         """R(Y) for Y = y + y^2 + ... + y^q, by Horner's rule in Y."""

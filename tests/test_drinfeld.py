@@ -21,7 +21,7 @@ from drinfeld_deuring.drinfeld import (
 )
 from drinfeld_deuring.errors import CapExceededError, ConsistencyError, \
     DomainError, RecurrenceBreakdownError
-from drinfeld_deuring.fields import IndexKernel, base_field, embed
+from drinfeld_deuring.fields import base_field, embed
 from drinfeld_deuring.grammar import parse, render
 from drinfeld_deuring.modulus import (
     PrimeModulus,
@@ -638,32 +638,56 @@ def test_deuring_H_matches_U_reduction_at_large_q(q, d, count):
 
 
 def test_deuring_H_work_is_far_below_horner(monkeypatch):
-    # nonzero x nonzero term pairs of every kappa product inside deuring_H.
-    # Odd characteristic composes in y = s^(q-1), and its only products are
-    # by Y(y^m) = y^m + ... + y^(qm): at q = 3, d = 6 Horner in x makes up
-    # to about 3 N^2 pairs, the composition in y about 0.022 N^2.  In
+    # element adds inside deuring_H, and no `mul_polys`.  Odd
+    # characteristic composes in y = s^(q-1), and its only products are by
+    # Y(y^m) = y^m + ... + y^(qm), each a `times_Y` that adds only on the
+    # slots where its q copies overlap.  At q = 3, d = 6 (N = 364) Horner
+    # in x makes up to about 3 N^2 term pairs, and the composition by
+    # `mul_polys` made 2,898 (about 0.022 N^2).  `times_Y` adds on 301
+    # slots (about 0.0023 N^2), and the whole composition on 602.  In
     # characteristic 2 the packed form makes no product at all.
-    pairs = []
-    mul = IndexKernel.mul_polys
+    calls, adds, inside, products = [], [], [], []
 
-    def counted(self, a, b):
-        pairs.append((len(a) - a.count(0)) * (len(b) - b.count(0)))
-        return mul(self, a, b)
+    def count(kind):
+        times_Y, add_terms, mul_polys = \
+            kind.times_Y, kind._add_terms, kind.mul_polys
 
-    monkeypatch.setattr(IndexKernel, "mul_polys", counted)
+        def counted(self, a, m, q):
+            calls.append(m)
+            inside.append(m)
+            try:
+                return times_Y(self, a, m, q)
+            finally:
+                inside.pop()
+
+        def added(self, a, b):
+            adds.append((bool(inside), len(b)))
+            return add_terms(self, a, b)
+
+        def multiplied(self, a, b):
+            products.append((a, b))
+            return mul_polys(self, a, b)
+
+        monkeypatch.setattr(kind, "times_Y", counted)
+        monkeypatch.setattr(kind, "_add_terms", added)
+        monkeypatch.setattr(kind, "mul_polys", multiplied)
+
     p = next(iter(primes_of_degree(base_field(3), 6)))
     h = deuring_h_universal(p)
     N = h.degree
-    pairs.clear()
+    count(type(p.kappa._kernel))
     H = deuring_H(p, h)
     assert H.degree == 3 ** 7 - 3
-    assert pairs and sum(pairs) < N * N / 10
+    in_times_Y = sum(n for inside_, n in adds if inside_)
+    assert 0 < in_times_Y <= sum(n for _, n in adds) <= N * N / 100
+    assert products == []
     p = next(iter(primes_of_degree(base_field(2), 10)))
     h = deuring_h_universal(p)
-    pairs.clear()
+    count(type(p.kappa._kernel))
+    calls.clear()
     H = deuring_H(p, h)
     assert H.degree == 2 ** 11 - 2
-    assert pairs == []
+    assert calls == products == []
 
 
 # The coefficient recurrence run generically over F_q[T][Delta], as grec ran

@@ -22,8 +22,8 @@ from drinfeld_deuring.modulus import PrimeModulus, primes_of_degree, \
 from drinfeld_deuring.multipoly import MultiRing
 from drinfeld_deuring.ore import OreContext
 from drinfeld_deuring.poly import PolyRing
-from reference import ReferenceField, compose_in_S_by_residues, \
-    generator_by_powers, monic_polys, trim
+from reference import ReferenceField, compose_in_S_by_mul_polys, \
+    compose_in_S_by_residues, generator_by_powers, monic_polys, trim
 
 
 def test_prime_field_arithmetic():
@@ -903,6 +903,36 @@ def test_compose_in_S_matches_the_residue_form(case):
     want = compose_in_S_by_residues(K, coeffs, q)
     assert not any(want[i] for i in range(len(want)) if i % (q - 1))
     assert K.compose_in_S(coeffs, q) == want[::q - 1]
+
+
+@st.composite
+def _odd_horner_cases(draw):
+    # a dense first level costs about (q n)^2 / 2 adds in either form, so n
+    # stays under 2 * 10^4 / q^2 (and 250), often about q^e, where the
+    # levels reach deepest
+    p = draw(st.sampled_from(sorted(_ODD_COMPOSE_QS)))
+    k = draw(st.sampled_from(_ODD_COMPOSE_DEGREES[p]))
+    q = draw(st.sampled_from(_ODD_COMPOSE_QS[p]))
+    top = max(3, min(250, 20000 // q ** 2))
+    near = [q ** e + j for e in range(1, 6) for j in (-1, 0, 1)
+            if q ** e + j <= top]
+    n = draw(st.sampled_from(near or [top]) | st.integers(0, top))
+    index = st.one_of(st.just(0), st.integers(0, p ** k - 1))
+    return p ** k, q, draw(st.lists(index, min_size=n, max_size=n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_odd_horner_cases())
+@example((9, 3, _odd_dense(9, 243)))
+@example((9, 3, _odd_dense(9, 244)))
+@example((6561, 27, _odd_dense(6561, 28)))
+def test_compose_in_S_matches_horner_by_mul_polys(case):
+    # the list form that each product by Y(y^m) replaced: the same levels,
+    # each product by `mul_polys` with Y(y^m) built as a list
+    card, q, coeffs = case
+    K = base_field(card)._kernel
+    assert type(K).compose_in_S is IndexKernel.compose_in_S
+    assert K.compose_in_S(coeffs, q) == compose_in_S_by_mul_polys(K, coeffs, q)
 
 
 @settings(max_examples=60, deadline=None)

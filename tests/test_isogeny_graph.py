@@ -292,7 +292,7 @@ def test_graph_builds_no_h(monkeypatch, q, text):
     # nor any polynomial arithmetic in the kernel, once kappa_2 is built
     for name in ("add_polys", "scale", "mul_polys", "divmod_polys", "gcd",
                  "powmod", "_frobenius_powers", "evaluate", "powers",
-                 "sum_copies", "compose_in_S", "vector_scale"):
+                 "sum_copies", "compose_in_S", "times_Y", "vector_scale"):
         for kind in (IndexKernel, *IndexKernel.__subclasses__()):
             if name in vars(kind):
                 monkeypatch.setattr(kind, name, _unreachable(name))

@@ -215,6 +215,25 @@ def _(name, K, R, data):
     agree(K, R, name, coeffs, q)
 
 
+@case("times_Y")
+def _(name, K, R, data):
+    # q a power of p, F_q inside this field or not, and a of length 1, at
+    # most m (the copies do not meet), m + 1 to 2m (each meets its
+    # neighbour), past 2m (three or more copies meet on a slot), or at the
+    # edges m, m + 1, 2m and 2m + 1 between these
+    q = data.draw(st.sampled_from(powers_of(K.p, 256)))
+    top = max(2, 64 // q)
+    m = data.draw(st.integers(1, top) | st.sampled_from(powers_of(K.p, top)))
+    n = data.draw(st.one_of(
+        st.just(1), st.integers(0, m), st.integers(m + 1, 2 * m),
+        st.integers(2 * m + 1, 4 * m + 2),
+        st.sampled_from([m, m + 1, 2 * m, 2 * m + 1])))
+    a = data.draw(st.lists(elements(K), min_size=n, max_size=n))
+    if a and not a[-1]:
+        a[-1] = data.draw(nonzero(K))
+    agree(K, R, name, a, m, q)
+
+
 @case("powers")
 def _(name, K, R, data):
     es = data.draw(st.lists(st.integers(-(2 ** 40), 2 ** 40), max_size=8))

@@ -28,9 +28,9 @@ from drinfeld_deuring.universal import (
     U_mod_prime, sequence_json, u_mod_prime, u_sequence, u_zero_value,
 )
 from reference import (
-    H_by_closed_form, U_over_kappa_by_term_maps, check_simple_roots_generic,
-    coprime_over_fraction_field, t_by_bits, tau, u_on_masks,
-    u_over_kappa_by_term_maps,
+    H_by_closed_form, U_over_kappa_by_mul_polys, U_over_kappa_by_term_maps,
+    check_simple_roots_generic, coprime_over_fraction_field, t_by_bits, tau,
+    u_on_masks, u_over_kappa_by_term_maps,
 )
 
 
@@ -260,24 +260,27 @@ def test_U_mod_prime_builds_no_laurent_polynomial(monkeypatch):
                                   for d in ds])
 def test_U_mod_prime_forms_one_product_per_step(monkeypatch, q, d):
     # P_i = U_i*Y(y^(q^i)) is formed once and feeds U_(i+1) and U_(i+2):
-    # d products, each by mul_polys with Y(y^(q^i)), q ones, as an operand;
-    # no kernel method shares U_i's row between two products
+    # d products, the i-th one `times_Y` by Y(y^m), m = q^i, and no
+    # `mul_polys`; no kernel method shares U_i's row between two products
     p = next(iter(primes_of_degree(base_field(q), d)))
     want = U_mod_prime(p)
-    calls = []
-    real = IndexKernel.mul_polys
+    kind = type(p.kappa._kernel)
+    calls, products = [], []
+    times_Y, mul_polys = kind.times_Y, kind.mul_polys
 
-    def counted(self, a, b):
-        calls.append((list(a), list(b)))
-        return real(self, a, b)
+    def counted(self, a, m, q_):
+        calls.append((m, q_))
+        return times_Y(self, a, m, q_)
 
-    monkeypatch.setattr(IndexKernel, "mul_polys", counted)
+    def multiplied(self, a, b):
+        products.append((a, b))
+        return mul_polys(self, a, b)
+
+    monkeypatch.setattr(kind, "times_Y", counted)
+    monkeypatch.setattr(kind, "mul_polys", multiplied)
     assert U_mod_prime(p) == want
-    assert len(calls) == d
-    for i, operands in enumerate(calls):
-        Y = [0] * (q ** (i + 1) + 1)
-        Y[q ** i::q ** i] = [1] * q
-        assert Y in operands
+    assert calls == [(q ** i, q) for i in range(d)]
+    assert products == []
     assert not any(hasattr(kind, "mul_each")
                    for kind in (IndexKernel, *IndexKernel.__subclasses__()))
 
@@ -692,6 +695,21 @@ def test_U_mod_prime_in_y_matches_the_term_map_reference(p):
     for e, c in U.items():
         idx[e] = c
     assert U_mod_prime(p) == p.s_ring.poly(p.kappa._elements(idx))
+
+
+@pytest.mark.parametrize("q, d", _SWEEP_GRID)
+def test_U_mod_prime_matches_the_mul_polys_form_on_the_sweep_grid(q, d):
+    # the recurrence with each product by `mul_polys` and a built
+    # Y(y^(q^i)), the form that `times_Y` replaced, at every prime of the
+    # grid, in both characteristics
+    for p in primes_up_to_degree(base_field(q), d):
+        assert U_mod_prime(p) == p._poly_in_y(U_over_kappa_by_mul_polys(p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kappa_prime())
+def test_U_mod_prime_matches_the_mul_polys_form(p):
+    assert U_mod_prime(p) == p._poly_in_y(U_over_kappa_by_mul_polys(p))
 
 
 @settings(max_examples=80, deadline=None)
